@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .order import DirectedIndex, top_element
+from .order import DirectedIndex
 from .report import Finding
 from .setoid import (
     Setoid,
     SetoidFn,
+    class_pairs,
     compose,
     check_extensional,
     fn_equal,
@@ -95,7 +96,7 @@ class DirectFamily:
         return self.index.order_pairs()
 
     def top(self):
-        return top_element(self.index)
+        return self.index.top
 
 
 def _class_inverse(fn):
@@ -303,17 +304,30 @@ def plain_sum_setoid(F):
     return Setoid(tuple(els), frozenset(pairs))
 
 
+def direct_sum_pairs(F):
+    """The tagged elements and the pairs of direct_sum_equality.
+
+    Each i@x is keyed by the class of its transport to the top; the pairs
+    are those within one key, so they are built in O(pairs), not by
+    testing all pairs of tagged elements.
+    """
+    if F.direction != COVARIANT:
+        raise FamilyError("direct sum equality needs a covariant family")
+    t = F.top()
+    top = F.carrier(t)
+    els, keyed = [], {}
+    for i in F.index.elements:
+        up = F.transport(i, t)
+        for x in F.carrier(i).elements:
+            a = tag_token(i, x)
+            els.append(a)
+            keyed.setdefault(top.class_repr(up(x)), []).append(a)
+    return tuple(els), class_pairs(keyed.values())
+
+
 def direct_sum_setoid(F):
     """The disjoint union with the transport-agreement equality."""
-    els = sum_elements(F)
-    pairs = set()
-    for a in els:
-        i, x = split_tag(a)
-        for b in els:
-            j, y = split_tag(b)
-            if direct_sum_equality(F, i, x, j, y):
-                pairs.add((a, b))
-    return Setoid(tuple(els), frozenset(pairs))
+    return Setoid(*direct_sum_pairs(F))
 
 
 def sum_projection_raw(token):
@@ -363,15 +377,10 @@ def validate_dependent(F, assignment, flavor):
 def enumerate_compatible(F, flavor, bound=1_000_000):
     """All valid index-wide choices, as dicts, by pruned backtracking.
 
-    The bound caps the worst-case product of carrier sizes; the search
-    itself assigns determining indices first, so forced components are
-    filled without branching.
+    The bound caps the search nodes visited (candidate values tried), not
+    the product of carrier sizes; the search assigns determining indices
+    first, so forced components are filled without branching.
     """
-    size = 1
-    for i in F.index.elements:
-        size *= max(len(F.carrier(i).elements), 1)
-        if size > bound:
-            raise EnumerationBoundExceeded(size)
     els = list(F.index.elements)
     if isinstance(F, DirectFamily):
         below = {i: sum(1 for j in els if F.index.leq(j, i)) for i in els}
@@ -403,13 +412,20 @@ def enumerate_compatible(F, flavor, bound=1_000_000):
         return True
 
     out = []
+    visited = 0
 
     def extend(pos, assigned):
+        nonlocal visited
         if pos == len(els):
             out.append({i: assigned[i] for i in F.index.elements})
             return
         i = els[pos]
         for x in F.carrier(i).elements:
+            visited += 1
+            if visited > bound:
+                raise EnumerationBoundExceeded(
+                    f"enumerate_compatible visited more than bound={bound} "
+                    "search nodes")
             if ok(assigned, i, x):
                 assigned[i] = x
                 extend(pos + 1, assigned)
@@ -472,10 +488,6 @@ def identity_family_map(F):
     return FamilyMap({i: identity(F.carrier(i)) for i in F.index.elements})
 
 
-def compose_family_maps(m1, m2):
-    return FamilyMap({i: compose(m1.comps[i], m2.comps[i]) for i in m1.comps})
-
-
 def embed_at(F, i, sum_s=None):
     """The tagging map of one carrier into the disjoint union."""
     if sum_s is None:
@@ -495,10 +507,6 @@ def sigma_map(src, dst, m, sum_src=None, sum_dst=None):
         i, x = split_tag(a)
         table[a] = tag_token(i, m.comps[i](x))
     return make_fn(sum_src, sum_dst, table)
-
-
-def project_at(assignment, i):
-    return assignment[i]
 
 
 def pi_map(src, dst, m, assignment):

@@ -16,15 +16,15 @@ from itertools import product as iproduct
 from .families import (
     CONTRAVARIANT,
     COVARIANT,
-    direct_sum_equality,
+    direct_sum_pairs,
     enumerate_compatible,
-    sum_elements,
 )
 from .order import induced_order, top_element
 from .report import Finding
 from .setoid import (
     Setoid,
     SetoidFn,
+    class_pairs,
     compose,
     discrete,
     fn_equal,
@@ -74,6 +74,15 @@ class NonUnique(LimitError):
     """Mediator uniqueness failed; this signals a kernel bug, not bad input."""
 
 
+@dataclass(eq=False)
+class Mediator(MorphismWitness):
+    """A mediating morphism with the outcome of its uniqueness search: True
+    when the exhaustive search confirmed it, None when the search space
+    exceeded the bound and the search did not run."""
+
+    unique: bool | None = None
+
+
 # --- direct limits -----------------------------------------------------------
 
 @dataclass(eq=False)
@@ -112,15 +121,8 @@ def direct_limit(s, threads=None, cap=10_000):
     """Quotient carrier plus the factored thread topology."""
     if s.direction != COVARIANT:
         raise LimitError("direct limit needs a covariant spectrum")
-    raw = discrete(sum_elements(s.fam))
-    rel = set()
-    for a in raw.elements:
-        i, x = split_tag(a)
-        for b in raw.elements:
-            j, y = split_tag(b)
-            if direct_sum_equality(s.fam, i, x, j, y):
-                rel.add((a, b))
-    quotient = quotient_by(raw, rel)
+    els, rel = direct_sum_pairs(s.fam)
+    quotient = quotient_by(discrete(els), rel)
     carrier = quotient.as_setoid()
     space_obj, threads = sum_space(s, threads, cap, carrier)
     return DirectLimit(s, quotient, carrier, threads, space_obj)
@@ -152,7 +154,8 @@ def validate_cocone(s, c):
 
 
 def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
-    """The unique morphism out of the limit commuting with every leg.
+    """The unique morphism out of the limit commuting with every leg, as a
+    Mediator that records whether its uniqueness search ran.
 
     Its certificates are assembled from the legs: a generator of the apex
     composed with the legs forms a thread, whose limit function is the
@@ -182,14 +185,14 @@ def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
                 raise IllFormedCocone(
                     f"no certificate for apex generator {k} over the limit subbase")
             certs[k] = found
-    witness = MorphismWitness(h, certs)
+    witness = Mediator(h, certs)
     bad = check_morphism(lim.space, apex, witness)
     if bad:
         raise IllFormedCocone(str(bad[0]))
     for i in s.index.elements:
         if not fn_equal(compose(lim.embed(i), h), c.legs[i].h):
             raise IllFormedCocone(f"mediator does not commute with leg {i}")
-    _check_unique_mediator(lim, c, h, uniq_bound)
+    witness.unique = _check_unique_mediator(lim, c, h, uniq_bound)
     return witness
 
 
@@ -197,7 +200,7 @@ def _check_unique_mediator(lim, c, h, bound):
     classes = lim.carrier.classes()
     size = len(c.apex.carrier.elements) ** len(classes)
     if size > bound:
-        return None  # uniqueness unbounded; reported by callers if needed
+        return None  # uniqueness unbounded; callers report it as skipped
     for choice in iproduct(c.apex.carrier.elements, repeat=len(classes)):
         table = {}
         for cls, val in zip(classes, choice):
@@ -468,13 +471,14 @@ def inverse_limit(s, bound=1_000_000):
         tok = "&".join(a[i] for i in els)
         tokens.append(tok)
         assignments[tok] = a
-    pairs = set()
-    for t1 in tokens:
-        for t2 in tokens:
-            a1, a2 = assignments[t1], assignments[t2]
-            if all(s.fam.carrier(i).eq(a1[i], a2[i]) for i in els):
-                pairs.add((t1, t2))
-    carrier = Setoid(tuple(tokens), frozenset(pairs))
+    # choices are equal when their components are, so key each by its
+    # components' classes
+    keyed = {}
+    for tok in tokens:
+        a = assignments[tok]
+        key = tuple(s.fam.carrier(i).class_repr(a[i]) for i in els)
+        keyed.setdefault(key, []).append(tok)
+    carrier = Setoid(tuple(tokens), class_pairs(keyed.values()))
     gens, names, sources = [], [], []
     seen = set()
     for i in els:
@@ -536,7 +540,8 @@ def validate_cone(s, c):
 
 
 def cone_mediator(s, lim, c, uniq_bound=1_000_000):
-    """The unique morphism into the limit commuting with every projection."""
+    """The unique morphism into the limit commuting with every projection,
+    as a Mediator that records whether its uniqueness search ran."""
     findings = validate_cone(s, c)
     if findings:
         raise IllFormedCone(str(findings[0]))
@@ -561,14 +566,14 @@ def cone_mediator(s, lim, c, uniq_bound=1_000_000):
             if found is None:
                 raise IllFormedCone(f"no certificate for projection generator {k}")
             certs[k] = found
-    witness = MorphismWitness(h, certs)
+    witness = Mediator(h, certs)
     bad = check_morphism(c.apex, lim.space, witness)
     if bad:
         raise IllFormedCone(str(bad[0]))
     for i in s.index.elements:
         if not fn_equal(compose(h, lim.project(i)), c.legs[i].h):
             raise IllFormedCone(f"mediator does not commute with projection {i}")
-    _check_unique_cone_mediator(s, lim, c, h, uniq_bound)
+    witness.unique = _check_unique_cone_mediator(s, lim, c, h, uniq_bound)
     return witness
 
 
@@ -720,16 +725,16 @@ def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None):
     return CofinalIso(forward, backward, fw, bw, findings)
 
 
-def product_inverse_morphism(s, t, prod=None):
+def product_inverse_morphism(s, t, prod=None, bound=1_000_000):
     """Pairing of compatible choices into the product spectrum's limit."""
     from .spectra import product_spectrum
     from .topology import product_space
 
     if prod is None:
         prod, _ = product_spectrum(s, t)
-    lim_s = inverse_limit(s)
-    lim_t = inverse_limit(t)
-    lim_prod = inverse_limit(prod)
+    lim_s = inverse_limit(s, bound)
+    lim_t = inverse_limit(t, bound)
+    lim_prod = inverse_limit(prod, bound)
     pair_space, pr1, pr2 = product_space(lim_s.space, lim_t.space)
     findings = []
 

@@ -4,6 +4,7 @@ optional coherent choice of upper bounds, and cofinal subsets."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .report import Finding
 from .setoid import (
@@ -54,6 +55,17 @@ class DirectedIndex:
 
     def up(self, i, j):
         return self.upper[(i, j)]
+
+    @cached_property
+    def top(self):
+        """Fold the upper-bound witness over the carrier; checked maximal."""
+        t = self.elements[0]
+        for x in self.elements[1:]:
+            t = self.up(t, x)
+        for i in self.elements:
+            if not self.leq(i, t):
+                raise NotDirected(f"fold of upper bounds is not above {i}")
+        return t
 
     def order_pairs(self):
         return sorted(self.pairs)
@@ -161,14 +173,8 @@ def validate_directed(D):
 
 
 def top_element(D):
-    """Fold the upper-bound witness over the carrier; checked maximal."""
-    t = D.elements[0]
-    for x in D.elements[1:]:
-        t = D.up(t, x)
-    for i in D.elements:
-        if not D.leq(i, t):
-            raise NotDirected(f"fold of upper bounds is not above {i}")
-    return t
+    """The top of a directed index, computed once per index."""
+    return D.top
 
 
 @dataclass(frozen=True)
@@ -178,10 +184,6 @@ class CofinalSubset:
     members: Setoid
     embed: SetoidFn
     cof: SetoidFn
-
-
-def make_cofinal(members, embed, cof):
-    return CofinalSubset(members, embed, cof)
 
 
 def subset_leq(D, C, j, j2):

@@ -28,6 +28,7 @@ from .families import (
     validate_direct_family,
 )
 from .limits import (
+    NonUnique,
     cocone_mediator,
     cofinal_direct_iso,
     cofinal_inverse_iso,
@@ -228,23 +229,11 @@ def check_universal_direct(env, args, config, report, suite):
             raise ConfigError(f"cocone {args[1]} is over {spec_name}, not {name}")
     else:
         cocone = limit_legs_cocone(lim)
-    exists, commutes = [], []
-    try:
-        w = cocone_mediator(s, lim, cocone, uniq_bound=config.uniq_bound)
-        if not all(
-            fn_equal(_compose(lim.embed(i), w.h), cocone.legs[i].h)
-            for i in s.index.elements
-        ):
-            commutes.append(Finding("triangles"))
-    except Exception as exc:
-        exists.append(Finding("mediator", (), str(exc)))
-    report.add(suite, f"universal.{name}.mediator", exists)
-    report.add(suite, f"universal.{name}.triangles", commutes)
-    space = len(cocone.apex.carrier.elements) ** lim.carrier.class_count()
-    report.add(suite, f"universal.{name}.uniqueness", [],
-               skipped=space > config.uniq_bound,
-               witness=("uniqueness unbounded",) if space > config.uniq_bound
-               else ())
+    _report_universal(
+        report, suite, name,
+        lambda: cocone_mediator(s, lim, cocone, uniq_bound=config.uniq_bound),
+        lambda w: all(fn_equal(_compose(lim.embed(i), w.h), cocone.legs[i].h)
+                      for i in s.index.elements))
 
 
 def check_universal_inverse(env, args, config, report, suite):
@@ -261,23 +250,35 @@ def check_universal_inverse(env, args, config, report, suite):
             raise ConfigError(f"cone {args[1]} is over {spec_name}, not {name}")
     else:
         cone = limit_projections_cone(lim)
-    exists, commutes = [], []
+    _report_universal(
+        report, suite, name,
+        lambda: cone_mediator(s, lim, cone, uniq_bound=config.uniq_bound),
+        lambda w: all(fn_equal(_compose(w.h, lim.project(i)), cone.legs[i].h)
+                      for i in s.index.elements))
+
+
+def _report_universal(report, suite, name, mediate, commutes):
+    """The mediator, triangle and uniqueness laws of one universal check.
+
+    Uniqueness takes its status from the mediator's own search: pass when
+    it ran, skipped when it exceeded the bound or the mediator failed.
+    """
+    exists, triangles, unique = [], [], []
+    skip = ("mediator failed",)
     try:
-        w = cone_mediator(s, lim, cone, uniq_bound=config.uniq_bound)
-        if not all(
-            fn_equal(_compose(w.h, lim.project(i)), cone.legs[i].h)
-            for i in s.index.elements
-        ):
-            commutes.append(Finding("triangles"))
+        w = mediate()
+        if not commutes(w):
+            triangles.append(Finding("triangles"))
+        skip = ("uniqueness unbounded",) if w.unique is None else ()
+    except NonUnique as exc:
+        unique.append(Finding("unique", (), str(exc)))
+        skip = ()
     except Exception as exc:
         exists.append(Finding("mediator", (), str(exc)))
     report.add(suite, f"universal.{name}.mediator", exists)
-    report.add(suite, f"universal.{name}.triangles", commutes)
-    space = len(lim.carrier.elements) ** cone.apex.carrier.class_count()
-    report.add(suite, f"universal.{name}.uniqueness", [],
-               skipped=space > config.uniq_bound,
-               witness=("uniqueness unbounded",) if space > config.uniq_bound
-               else ())
+    report.add(suite, f"universal.{name}.triangles", triangles)
+    report.add(suite, f"universal.{name}.uniqueness", unique,
+               skipped=bool(skip), witness=skip)
 
 
 def _compose(f, g):
@@ -346,7 +347,7 @@ def check_product(env, args, config, report, suite):
         report.add(suite, f"product.{args[0]}x{args[1]}.class-count", count,
                    witness=tuple(str(c) for c in res.counts))
     else:
-        res = product_inverse_morphism(s, t)
+        res = product_inverse_morphism(s, t, bound=config.uniq_bound)
         report.add(suite, f"product.{args[0]}x{args[1]}.pairing", res.findings,
                    witness=tuple(str(c) for c in res.counts))
 

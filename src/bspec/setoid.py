@@ -7,6 +7,7 @@ every law in the package can be checked by exhaustive enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class SetoidError(Exception):
@@ -61,9 +62,15 @@ def closure_rst(elements, pairs):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    return frozenset(
-        (x, y) for x in elements for y in elements if find(x) == find(y)
-    )
+    groups = {}
+    for x in elements:
+        groups.setdefault(find(x), []).append(x)
+    return class_pairs(groups.values())
+
+
+def class_pairs(classes):
+    """All pairs within each class: the equivalence whose classes are given."""
+    return frozenset((x, y) for cls in classes for x in cls for y in cls)
 
 
 @dataclass(frozen=True)
@@ -84,26 +91,39 @@ class Setoid:
             raise UnknownElement(f"{a!r} or {b!r} not in carrier")
         return (a, b) in self.pairs
 
-    def classes(self):
-        """Equivalence classes, ordered by first representative."""
+    @cached_property
+    def _classes(self):
+        pos = {a: n for n, a in enumerate(self.elements)}
+        rows = {}
+        for a, b in self.pairs:
+            if b in pos:
+                rows.setdefault(a, []).append(b)
         seen, out = set(), []
         for a in self.elements:
             if a in seen:
                 continue
-            cls = tuple(b for b in self.elements if (a, b) in self.pairs)
+            cls = tuple(sorted(rows.get(a, ()), key=pos.__getitem__))
             seen.update(cls)
             out.append(cls)
-        return out
+        return tuple(out)
+
+    @cached_property
+    def _class_of(self):
+        return {b: cls for cls in self._classes for b in cls}
+
+    def classes(self):
+        """Equivalence classes, ordered by first representative."""
+        return list(self._classes)
 
     def class_repr(self, a):
         """First element in carrier order equal to `a`."""
-        for b in self.elements:
-            if (b, a) in self.pairs:
-                return b
-        raise UnknownElement(a)
+        try:
+            return self._class_of[a][0]
+        except KeyError:
+            raise UnknownElement(a) from None
 
     def class_count(self):
-        return len(self.classes())
+        return len(self._classes)
 
     def is_discrete(self):
         return len(self.pairs) == len(self.elements)
@@ -136,7 +156,29 @@ def discrete(elements):
 
 
 def check_equivalence(elements, pairs):
-    """Report the first reflexivity/symmetry/transitivity violation, if any."""
+    """Report the first reflexivity/symmetry/transitivity violation, if any.
+
+    A relation is an equivalence iff every related element is related to
+    itself and related elements have the same row of related elements.
+    With the rows interned, that is one identity test per member of each
+    distinct row, so it is decided in O(|pairs|).  Only a relation that
+    fails this test is scanned for its first violation.
+    """
+    rows = {}
+    for a, b in pairs:
+        rows.setdefault(a, []).append(b)
+    interned, row_of = {}, {}
+    for a, row in rows.items():
+        row = frozenset(row)
+        row_of[a] = interned.setdefault(row, row)
+    if (all(a in row_of.get(a, ()) for a in elements)
+            and all(a in row for a, row in row_of.items())
+            and all(row_of.get(b) is row for row in interned for b in row)):
+        return None
+    return _check_equivalence_scan(elements, pairs)
+
+
+def _check_equivalence_scan(elements, pairs):
     for a in elements:
         if (a, a) not in pairs:
             return ("reflexive", (a,))
@@ -183,13 +225,10 @@ def split_tag(t):
 
 def product_setoid(X, Y):
     elements = tuple(pair_token(x, y) for x in X.elements for y in Y.elements)
-    pairs = frozenset(
-        (pair_token(x, y), pair_token(u, v))
-        for x in X.elements
-        for y in Y.elements
-        for u in X.elements
-        for v in Y.elements
-        if X.eq(x, u) and Y.eq(y, v)
+    pairs = class_pairs(
+        [pair_token(x, y) for x in cx for y in cy]
+        for cx in X._classes
+        for cy in Y._classes
     )
     return Setoid(elements, pairs)
 
@@ -222,10 +261,16 @@ class SetoidFn:
 
 
 def check_extensional(f):
-    """True iff equal arguments go to equal values; else (False, witness pair)."""
+    """True iff equal arguments go to equal values; else (False, witness pair).
+
+    Only pairs within one class are compared, in carrier order, so the
+    witness is the first failing pair of the all-pairs scan.
+    """
+    class_of = f.dom._class_of
     for x in f.dom.elements:
-        for y in f.dom.elements:
-            if f.dom.eq(x, y) and not f.cod.eq(f(x), f(y)):
+        fx = f(x)
+        for y in class_of[x]:
+            if not f.cod.eq(fx, f(y)):
                 return False, (x, y)
     return True, None
 
@@ -258,10 +303,18 @@ def fn_equal(f, g):
 
 
 def is_embedding(f):
-    """True iff equal values force equal arguments; else (False, witness pair)."""
+    """True iff equal values force equal arguments; else (False, witness pair).
+
+    Only arguments whose values share a class are compared, in carrier
+    order, so the witness is the first failing pair of the all-pairs scan.
+    """
+    key = {x: f.cod.class_repr(f(x)) for x in f.dom.elements}
+    fibres = {}
     for x in f.dom.elements:
-        for y in f.dom.elements:
-            if f.cod.eq(f(x), f(y)) and not f.dom.eq(x, y):
+        fibres.setdefault(key[x], []).append(x)
+    for x in f.dom.elements:
+        for y in fibres[key[x]]:
+            if not f.dom.eq(x, y):
                 return False, (x, y)
     return True, None
 
@@ -292,8 +345,12 @@ class QuotientSetoid:
     base: Setoid
     pairs: frozenset
 
-    def as_setoid(self):
+    @cached_property
+    def _setoid(self):
         return Setoid(self.base.elements, self.pairs)
+
+    def as_setoid(self):
+        return self._setoid
 
     def canonical(self):
         """The identity-rule map from the base onto the quotient."""

@@ -23,6 +23,7 @@ from .setoid import (
     SetoidFn,
     Subset,
     check_extensional,
+    class_pairs,
     compose,
     make_fn,
     product_setoid,
@@ -69,7 +70,8 @@ class RFun:
         for x in carrier.elements:
             if x not in values:
                 raise TopologyError(f"function not total, missing {x!r}")
-            vals[x] = Fraction(values[x])
+            v = values[x]
+            vals[x] = v if type(v) is Fraction else Fraction(v)
         for cls in carrier.classes():
             v = vals[cls[0]]
             for x in cls[1:]:
@@ -91,16 +93,14 @@ class RFun:
 
 
 def rconst(carrier, q):
-    return RFun(carrier, {x: Fraction(q) for x in carrier.elements})
-
-
-def rfun_equal(f, g):
-    return f.carrier.elements == g.carrier.elements and f.values == g.values
+    q = Fraction(q)
+    return RFun(carrier, {x: q for x in carrier.elements})
 
 
 def compose_rfun(f, h):
     """Pull an RFun back along a carrier map: (f . h)(x) = f(h(x))."""
-    return RFun(h.dom, {x: f(h(x)) for x in h.dom.elements})
+    values = f.values
+    return RFun(h.dom, {x: values[h(x)] for x in h.dom.elements})
 
 
 # --- the closed grammar of continuous reals-to-reals functions -------------
@@ -732,13 +732,12 @@ def map_setoid(maps, names=None):
         names = [f"m{k}" for k in range(len(maps))]
     els = tuple(names)
     by_name = dict(zip(names, maps))
-    pairs = set()
+    keyed = {}
     for a in names:
-        for b in names:
-            fa, fb = by_name[a], by_name[b]
-            if all(fa.cod.eq(fa(x), fb(x)) for x in fa.dom.elements):
-                pairs.add((a, b))
-    return Setoid(els, frozenset(pairs)), by_name
+        f = by_name[a]
+        key = tuple(f.cod.class_repr(f(x)) for x in f.dom.elements)
+        keyed.setdefault(key, []).append(a)
+    return Setoid(els, class_pairs(keyed.values())), by_name
 
 
 @dataclass(eq=False)

@@ -4,6 +4,7 @@ from bspec.families import (
     COVARIANT,
     CONTRAVARIANT,
     DirectFamily,
+    EnumerationBoundExceeded,
     FamilyError,
     FamilyMap,
     NotMonotone,
@@ -134,6 +135,16 @@ def test_enumerate_compatible_covariant():
         (("0", "a"), ("1", "u"), ("2", "z")),
         (("0", "b"), ("1", "v"), ("2", "z")),
     }
+
+
+def test_enumerate_compatible_bounds_search_nodes():
+    # 4^10 > 10^6 carrier-size product, yet the pruned search is small
+    fam = constant_direct_family(chain(10), discrete(["a", "b", "c", "d"]),
+                                 CONTRAVARIANT)
+    assert len(enumerate_compatible(fam, CONTRAVARIANT)) == 4
+    with pytest.raises(EnumerationBoundExceeded,
+                       match=r"enumerate_compatible .* bound=10 "):
+        enumerate_compatible(fam, CONTRAVARIANT, bound=10)
 
 
 def test_family_map_and_sigma():

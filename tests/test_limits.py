@@ -30,6 +30,7 @@ from bspec.limits import (
     product_limit_bijection,
     top_determinacy_check,
 )
+from bspec.order import chain
 from bspec.setoid import discrete, fn_equal, is_embedding, make_fn, tag_token
 from bspec.spectra import (
     SpectrumMap,
@@ -41,6 +42,7 @@ from bspec.topology import (
     CConst,
     CGen,
     MorphismWitness,
+    RFun,
     check_morphism,
     rconst,
     space,
@@ -246,6 +248,15 @@ def test_inverse_limit_constant_spectrum():
     s = constant_spectrum(chain3(), x2_space(), (0, 1), direction=CONTRAVARIANT)
     lim = inverse_limit(s)
     assert lim.class_count() == 2  # constant choices only
+    assert top_determinacy_check(lim)
+
+
+def test_inverse_limit_long_chain_within_default_bound():
+    carrier = discrete(["a", "b", "c", "d"])
+    sp = space(carrier, [RFun(carrier, {"a": 0, "b": 1, "c": 2, "d": 3})], ["f"])
+    s = constant_spectrum(chain(10), sp, direction=CONTRAVARIANT)
+    lim = inverse_limit(s)
+    assert lim.class_count() == 4
     assert top_determinacy_check(lim)
 
 
