@@ -158,11 +158,11 @@ def cmd_iso(args):
         _, cof = env.cofinals[args.cofinal]
         t0 = time.perf_counter()
         if s.direction == COVARIANT:
-            iso = cofinal_direct_iso(s, cof)
-            lim = direct_limit(s)
+            iso = cofinal_direct_iso(s, cof, thread_bound=args.thread_bound)
+            lim = direct_limit(s, cap=args.thread_bound)
         else:
-            iso = cofinal_inverse_iso(s, cof)
-            lim = inverse_limit(s)
+            iso = cofinal_inverse_iso(s, cof, uniq_bound=args.uniq_bound)
+            lim = inverse_limit(s, bound=args.uniq_bound)
         report.add("iso", f"cofinal.{args.spectrum}.{args.cofinal}",
                    iso.findings,
                    witness=(f"classes={lim.class_count()}",),

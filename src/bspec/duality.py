@@ -340,13 +340,14 @@ class DualityResult:
     findings: list = field(default_factory=list)
 
 
-def duality_direct_to_inverse(s, fixed, pools, lim=None):
+def duality_direct_to_inverse(s, fixed, pools, lim=None,
+                              uniq_bound=1_000_000, thread_bound=10_000):
     """Compatible choices of morphisms into the fixed space correspond to
     morphisms out of the direct limit, two-sidedly and topologically."""
     induced, carriers_mc = induce_spectrum(s, fixed, "A_i", pools)
-    inv = inverse_limit(induced)
+    inv = inverse_limit(induced, uniq_bound)
     if lim is None:
-        lim = direct_limit(s)
+        lim = direct_limit(s, cap=thread_bound)
     findings = []
 
     # forward: a compatible choice acts classwise on the limit
@@ -443,13 +444,13 @@ def duality_direct_to_inverse(s, fixed, pools, lim=None):
 
 # --- second duality: hom into an inverse limit --------------------------------
 
-def duality_inverse_hom(s, fixed, pools, lim=None):
+def duality_inverse_hom(s, fixed, pools, lim=None, uniq_bound=1_000_000):
     """Compatible choices of morphisms out of the fixed space correspond to
     morphisms into the inverse limit."""
     induced, carriers_mc = induce_spectrum(s, fixed, "B_ii", pools)
-    inv_mor = inverse_limit(induced)
+    inv_mor = inverse_limit(induced, uniq_bound)
     if lim is None:
-        lim = inverse_limit(s)
+        lim = inverse_limit(s, uniq_bound)
     findings = []
 
     hom_witnesses, hom_tokens = [], []
@@ -561,13 +562,14 @@ class ConverseResult:
     findings: list = field(default_factory=list)
 
 
-def converse_dual_inverse(s, fixed, pools):
+def converse_dual_inverse(s, fixed, pools, uniq_bound=1_000_000,
+                          thread_bound=10_000):
     """From the direct limit of hom-into-fixed carriers over a contravariant
     spectrum to morphisms out of its inverse limit; an embedding exactly
     when every element extends to a compatible choice."""
     induced, carriers_mc = induce_spectrum(s, fixed, "B_i", pools)
-    lim_mor = direct_limit(induced)
-    inv = inverse_limit(s)
+    lim_mor = direct_limit(induced, cap=thread_bound)
+    inv = inverse_limit(s, uniq_bound)
     findings = []
 
     hom_witnesses, class_tokens = [], []
@@ -638,12 +640,12 @@ def converse_dual_inverse(s, fixed, pools):
                           hypothesis_witness, embedding_checked, findings)
 
 
-def converse_dual_direct(s, fixed, pools):
+def converse_dual_direct(s, fixed, pools, thread_bound=10_000):
     """From the direct limit of hom-out-of-fixed carriers over a covariant
     spectrum to morphisms into its direct limit; morphism property only."""
     induced, carriers_mc = induce_spectrum(s, fixed, "A_ii", pools)
-    lim_mor = direct_limit(induced)
-    lim = direct_limit(s)
+    lim_mor = direct_limit(induced, cap=thread_bound)
+    lim = direct_limit(s, cap=thread_bound)
     findings = []
 
     hom_witnesses, class_tokens = [], []

@@ -11,7 +11,6 @@ everything here is verified exhaustively at construction or on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 from .families import (
     CONTRAVARIANT,
@@ -35,6 +34,7 @@ from .setoid import (
     split_pair,
     split_tag,
     tag_token,
+    unique_classwise,
 )
 from .spectra import (
     Spectrum,
@@ -76,9 +76,9 @@ class NonUnique(LimitError):
 
 @dataclass(eq=False)
 class Mediator(MorphismWitness):
-    """A mediating morphism with the outcome of its uniqueness search: True
-    when the exhaustive search confirmed it, None when the search space
-    exceeded the bound and the search did not run."""
+    """A mediating morphism with the outcome of its uniqueness check: True
+    when the check confirmed it, None when the |codomain|^|classes|
+    class-constant candidates exceed the bound and the check did not run."""
 
     unique: bool | None = None
 
@@ -198,22 +198,17 @@ def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
 
 def _check_unique_mediator(lim, c, h, bound):
     classes = lim.carrier.classes()
-    size = len(c.apex.carrier.elements) ** len(classes)
-    if size > bound:
+    apex = c.apex.carrier
+    if len(apex.elements) ** len(classes) > bound:
         return None  # uniqueness unbounded; callers report it as skipped
-    for choice in iproduct(c.apex.carrier.elements, repeat=len(classes)):
-        table = {}
-        for cls, val in zip(classes, choice):
-            for a in cls:
-                table[a] = val
-        cand = SetoidFn(lim.carrier, c.apex.carrier, table)
-        agrees = all(
-            c.apex.carrier.eq(cand(tag_token(i, x)), c.legs[i].h(x))
-            for i in lim.spectrum.index.elements
-            for x in lim.spectrum.fam.carrier(i).elements
-        )
-        if agrees and not fn_equal(cand, h):
-            raise NonUnique("a second mediator satisfies all triangles")
+    leg_at = {tag_token(i, x): c.legs[i].h(x)
+              for i in lim.spectrum.index.elements
+              for x in lim.spectrum.fam.carrier(i).elements}
+    if not unique_classwise(
+            classes, apex.elements,
+            lambda cls, v: all(apex.eq(v, leg_at[a]) for a in cls),
+            lambda cls, v: any(not apex.eq(v, h(a)) for a in cls)):
+        raise NonUnique("a second mediator satisfies all triangles")
     return True
 
 
@@ -319,14 +314,14 @@ class CofinalIso:
     findings: list = field(default_factory=list)
 
 
-def cofinal_direct_iso(s, cof, lim=None, sub_lim=None):
+def cofinal_direct_iso(s, cof, lim=None, sub_lim=None, thread_bound=10_000):
     """Mutually inverse morphisms between the limit and its cofinal restriction."""
     sub_index = induced_order(s.index, cof)
     sub = restrict_spectrum(s, cof, sub_index)
     if lim is None:
-        lim = direct_limit(s)
+        lim = direct_limit(s, cap=thread_bound)
     if sub_lim is None:
-        sub_lim = direct_limit(sub)
+        sub_lim = direct_limit(sub, cap=thread_bound)
     findings = []
 
     fwd_table = {}
@@ -383,16 +378,16 @@ class ProductLimitResult:
     findings: list = field(default_factory=list)
 
 
-def product_limit_bijection(s, t, prod=None):
+def product_limit_bijection(s, t, prod=None, thread_bound=10_000):
     """The limit of a product spectrum against the product of the limits."""
     from .spectra import product_spectrum
     from .topology import product_space
 
     if prod is None:
         prod, _ = product_spectrum(s, t)
-    lim_prod = direct_limit(prod)
-    lim_s = direct_limit(s)
-    lim_t = direct_limit(t)
+    lim_prod = direct_limit(prod, cap=thread_bound)
+    lim_s = direct_limit(s, cap=thread_bound)
+    lim_t = direct_limit(t, cap=thread_bound)
     pair_space, pr1, pr2 = product_space(lim_s.space, lim_t.space)
     findings = []
 
@@ -579,22 +574,18 @@ def cone_mediator(s, lim, c, uniq_bound=1_000_000):
 
 def _check_unique_cone_mediator(s, lim, c, h, bound):
     classes = c.apex.carrier.classes()
-    size = len(lim.carrier.elements) ** len(classes)
-    if size > bound:
+    if len(lim.carrier.elements) ** len(classes) > bound:
         return None
-    for choice in iproduct(lim.carrier.elements, repeat=len(classes)):
-        table = {}
-        for cls, val in zip(classes, choice):
-            for a in cls:
-                table[a] = val
-        cand = SetoidFn(c.apex.carrier, lim.carrier, table)
-        agrees = all(
-            s.fam.carrier(i).eq(lim.assignments[cand(y)][i], c.legs[i].h(y))
-            for i in s.index.elements
-            for y in c.apex.carrier.elements
-        )
-        if agrees and not fn_equal(cand, h):
-            raise NonUnique("a second cone mediator satisfies all triangles")
+    legs = [(i, s.fam.carrier(i).eq, c.legs[i].h) for i in s.index.elements]
+
+    def admissible(cls, tok):
+        a = lim.assignments[tok]
+        return all(eq(a[i], leg(y)) for y in cls for i, eq, leg in legs)
+
+    if not unique_classwise(
+            classes, lim.carrier.elements, admissible,
+            lambda cls, tok: any(not lim.carrier.eq(tok, h(y)) for y in cls)):
+        raise NonUnique("a second cone mediator satisfies all triangles")
     return True
 
 
@@ -654,15 +645,16 @@ def inverse_limit_map(s, t, psi, lim_s=None, lim_t=None):
     return fwd, witness
 
 
-def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None):
+def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None,
+                        uniq_bound=1_000_000):
     """Mutually inverse morphisms between an inverse limit and its cofinal
     restriction: restriction in one direction, transport fill-in in the other."""
     sub_index = induced_order(s.index, cof)
     sub = restrict_spectrum(s, cof, sub_index)
     if lim is None:
-        lim = inverse_limit(s)
+        lim = inverse_limit(s, uniq_bound)
     if sub_lim is None:
-        sub_lim = inverse_limit(sub)
+        sub_lim = inverse_limit(sub, uniq_bound)
     findings = []
 
     fwd_table = {}

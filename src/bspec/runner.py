@@ -260,8 +260,9 @@ def check_universal_inverse(env, args, config, report, suite):
 def _report_universal(report, suite, name, mediate, commutes):
     """The mediator, triangle and uniqueness laws of one universal check.
 
-    Uniqueness takes its status from the mediator's own search: pass when
-    it ran, skipped when it exceeded the bound or the mediator failed.
+    Uniqueness takes its status from the mediator's own check: pass when
+    it ran, skipped when it exceeded the bound.  When the mediator failed,
+    neither the triangles nor uniqueness ran, and both are skipped.
     """
     exists, triangles, unique = [], [], []
     skip = ("mediator failed",)
@@ -276,7 +277,8 @@ def _report_universal(report, suite, name, mediate, commutes):
     except Exception as exc:
         exists.append(Finding("mediator", (), str(exc)))
     report.add(suite, f"universal.{name}.mediator", exists)
-    report.add(suite, f"universal.{name}.triangles", triangles)
+    report.add(suite, f"universal.{name}.triangles", triangles,
+               skipped=bool(exists), witness=skip if exists else ())
     report.add(suite, f"universal.{name}.uniqueness", unique,
                skipped=bool(skip), witness=skip)
 
@@ -323,9 +325,9 @@ def check_cofinal(env, args, config, report, suite):
     report.add(suite, f"cofinal.{args[1]}.moduli",
                validate_cofinal(s.index, cof))
     if s.direction == COVARIANT:
-        iso = cofinal_direct_iso(s, cof)
+        iso = cofinal_direct_iso(s, cof, thread_bound=config.thread_bound)
     else:
-        iso = cofinal_inverse_iso(s, cof)
+        iso = cofinal_inverse_iso(s, cof, uniq_bound=config.uniq_bound)
     round_trip = [f for f in iso.findings if f.law.startswith("round-trip")]
     rest = [f for f in iso.findings if not f.law.startswith("round-trip")]
     report.add(suite, f"cofinal.{args[0]}.round-trips", round_trip)
@@ -340,7 +342,7 @@ def check_product(env, args, config, report, suite):
     if s.direction != t.direction:
         raise ConfigError("product factors must share a direction")
     if s.direction == COVARIANT:
-        res = product_limit_bijection(s, t)
+        res = product_limit_bijection(s, t, thread_bound=config.thread_bound)
         count = [f for f in res.findings if f.law == "class-count"]
         rest = [f for f in res.findings if f.law != "class-count"]
         report.add(suite, f"product.{args[0]}x{args[1]}.bijection", rest)
@@ -375,7 +377,9 @@ def _build_pools(env, pool_name, config, shape_hint=None):
 def check_duality(env, args, config, report, suite):
     name = _one_arg(args, "duality")
     s, fixed, pools = _build_pools(env, name, config)
-    res = duality_direct_to_inverse(s, fixed, pools)
+    res = duality_direct_to_inverse(s, fixed, pools,
+                                    uniq_bound=config.uniq_bound,
+                                    thread_bound=config.thread_bound)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     embed = [f for f in res.findings if f.law == "embedding"]
     rest = [f for f in res.findings
@@ -390,7 +394,7 @@ def check_duality(env, args, config, report, suite):
 def check_duality2(env, args, config, report, suite):
     name = _one_arg(args, "duality2")
     s, fixed, pools = _build_pools(env, name, config)
-    res = duality_inverse_hom(s, fixed, pools)
+    res = duality_inverse_hom(s, fixed, pools, uniq_bound=config.uniq_bound)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     rest = [f for f in res.findings if not f.law.startswith("round-trip")]
     card = str(res.hom_pool.setoid.class_count()) if res.hom_pool else "?"
@@ -403,7 +407,9 @@ def check_converse_duals(env, args, config, report, suite):
     name = _one_arg(args, "converse-duals")
     s, fixed, pools = _build_pools(env, name, config)
     if s.direction == CONTRAVARIANT:
-        res = converse_dual_inverse(s, fixed, pools)
+        res = converse_dual_inverse(s, fixed, pools,
+                                    uniq_bound=config.uniq_bound,
+                                    thread_bound=config.thread_bound)
         report.add(suite, f"converse.{name}.morphism", res.findings)
         if res.hypothesis_holds:
             report.add(suite, f"converse.{name}.embedding", [])
@@ -412,7 +418,8 @@ def check_converse_duals(env, args, config, report, suite):
                        witness=("hypothesis fails at "
                                 + ",".join(res.hypothesis_witness),))
     else:
-        res = converse_dual_direct(s, fixed, pools)
+        res = converse_dual_direct(s, fixed, pools,
+                                   thread_bound=config.thread_bound)
         report.add(suite, f"converse.{name}.morphism", res.findings)
 
 

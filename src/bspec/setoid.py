@@ -381,25 +381,44 @@ def factor_through_quotient(f, Q):
     return SetoidFn(Q.as_setoid(), f.cod, f.table())
 
 
-def verify_unique_factoring(f, Q, g, bound=1_000_000):
-    """Exhaustively confirm g is the only extensional factoring of f.
+def unique_classwise(classes, values, admissible, differs):
+    """Decide uniqueness among class-constant maps one class at a time.
 
-    Returns True/False, or None when the search space exceeds the bound.
+    A candidate sends every class to one of `values`.  It satisfies the
+    constraint when `admissible(cls, v)` holds for its value v on every
+    class, and it differs from the given map when `differs(cls, v)` holds
+    on some class.  The satisfying candidates are therefore the product of
+    the classes' admissible values: if some class admits no value there is
+    no satisfying candidate, and the given map is vacuously unique;
+    otherwise a second one exists iff some class admits a value that
+    differs.  This is the answer of the |values|^|classes| enumeration,
+    from |classes| * |values| calls of `admissible`.
+    """
+    admitted = [(cls, [v for v in values if admissible(cls, v)])
+                for cls in classes]
+    if any(not vs for _, vs in admitted):
+        return True
+    return not any(differs(cls, v) for cls, vs in admitted for v in vs)
+
+
+def verify_unique_factoring(f, Q, g, bound=1_000_000):
+    """Confirm g is the only extensional factoring of f.
+
+    Returns True/False, or None when the |cod|^|classes| candidate maps
+    exceed the bound.
     """
     quo = Q.as_setoid()
     classes = quo.classes()
-    size = len(f.cod.elements) ** len(classes)
-    if size > bound:
+    if len(f.cod.elements) ** len(classes) > bound:
         return None
-    from itertools import product as iproduct
+    eq = f.cod.eq
 
-    for choice in iproduct(f.cod.elements, repeat=len(classes)):
-        mapping = {}
-        for cls, val in zip(classes, choice):
-            for a in cls:
-                mapping[a] = val
-        cand = SetoidFn(quo, f.cod, mapping)
-        agrees = all(f.cod.eq(cand(x), f(x)) for x in quo.elements)
-        if agrees and not fn_equal(cand, g):
-            return False
-    return True
+    def factors(cls, v):
+        return all(eq(v, f(a)) for a in cls)
+
+    if g.dom.elements != quo.elements:
+        # g equals no candidate, so it is unique only when nothing factors f
+        return not all(any(factors(cls, v) for v in f.cod.elements)
+                       for cls in classes)
+    return unique_classwise(classes, f.cod.elements, factors,
+                            lambda cls, v: any(not eq(v, g(a)) for a in cls))

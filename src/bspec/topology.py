@@ -615,8 +615,19 @@ def reindex_certificate(c, positions):
 def find_certificate(sp, target, depth=4, cap=2000):
     """Search for a derivation of `target` using generator, constant, sum,
     and composition nodes only.  Returns None when nothing is found within
-    the depth and table budget."""
+    the depth and table budget.
+
+    Every rule the search applies keeps equal two points that no generator
+    separates, so a target separating such points is refuted up front.  The
+    search stops once the target's table is found: tables are never
+    overwritten, so the certificate is the one a full search would find.
+    """
     order = sp.carrier.elements
+    blocks = {}
+    for x in order:
+        profile = tuple(g.values[x] for g in sp.gens)
+        if blocks.setdefault(profile, target(x)) != target(x):
+            return None
 
     def key(values):
         return tuple(values[x] for x in order)
@@ -625,10 +636,9 @@ def find_certificate(sp, target, depth=4, cap=2000):
     found = {}
 
     def consider(k, cert):
-        if k in found:
-            return False
-        found[k] = cert
-        return True
+        if k not in found:
+            found[k] = cert
+        return k == target_key
 
     vals = set(target.values.values()) | {Fraction(0), Fraction(1)}
     for q in sorted(vals):
@@ -650,29 +660,30 @@ def find_certificate(sp, target, depth=4, cap=2000):
             return CBic(baffine(a, b), cert)
         return None
 
-    for _ in range(depth):
-        if target_key in found:
-            break
-        items = list(found.items())
-        if len(found) > cap:
-            break
+    def grow(items):
+        """One round of every rule over the tables known at its start; it
+        ends early at the target's table or past the table budget."""
         for tbl, cert in items:
             table = dict(zip(order, tbl))
             hit = affine_hit(table, cert)
             if hit is not None:
                 new = {x: eval_bic(hit.phi, table[x]) for x in order}
-                consider(key(new), hit)
+                if consider(key(new), hit):
+                    return
             for phi in (bneg(BID), babs(BID)):
                 new = {x: eval_bic(phi, table[x]) for x in order}
-                consider(key(new), CBic(phi, cert))
+                if consider(key(new), CBic(phi, cert)):
+                    return
         for t1, c1 in items:
             for t2, c2 in items:
                 summed = tuple(a + b for a, b in zip(t1, t2))
-                consider(summed, CAdd(c1, c2))
-                if len(found) > cap:
-                    break
-            if len(found) > cap:
-                break
+                if consider(summed, CAdd(c1, c2)) or len(found) > cap:
+                    return
+
+    for _ in range(depth):
+        if target_key in found or len(found) > cap:
+            break
+        grow(list(found.items()))
     if target_key in found:
         cert = found[target_key]
         if validate_certificate(sp, target, cert).ok:

@@ -83,15 +83,16 @@ suite main {
 
 
 def test_failed_mediator_skips_uniqueness():
-    # the legs disagree along 0 <= 1, so no mediator exists and the
-    # uniqueness search never runs
+    # the legs disagree along 0 <= 1, so no mediator exists and neither the
+    # triangles nor the uniqueness check run
     checks = _checks(COCONE_DOC)
     assert [(law, status) for law, status, _ in checks] == [
         ("universal.S.mediator", "fail"),
-        ("universal.S.triangles", "pass"),
+        ("universal.S.triangles", "skipped"),
         ("universal.S.uniqueness", "skipped"),
     ]
     assert "triangle" in checks[0][2][0]
+    assert checks[1][2] == ["mediator failed"]
     assert checks[2][2] == ["mediator failed"]
 
 
@@ -117,3 +118,25 @@ def test_second_mediator_fails_uniqueness_only(monkeypatch):
         ("universal.S.uniqueness", "fail",
          ["unique (a second mediator satisfies all triangles)"]),
     ]
+
+
+def test_bounds_reach_limits_built_inside_other_checks():
+    # every check of the fixture builds an inverse limit of REV; with a
+    # bound of 5 search nodes, each of them stops at that bound
+    checks = _checks(INVERSE.read_text(), RunConfig(uniq_bound=5))
+    error = ["error (enumerate_compatible visited more than bound=5 search nodes)"]
+    runs = {law: witness for law, status, witness in checks
+            if law.endswith(".run")}
+    assert set(runs) == {
+        "limit-inverse.run", "universal-inverse.run", "functoriality.run",
+        "cofinal.run", "product.run", "duality2.run", "converse-duals.run"}
+    assert all(witness == error for witness in runs.values())
+    assert all(status == "fail" for law, status, _ in checks
+               if law.endswith(".run"))
+
+
+def test_thread_bound_reaches_direct_limits_built_inside_other_checks():
+    text = (INVERSE.parent / "constant.bsp").read_text()
+    runs = {law for law, status, witness in _checks(text, RunConfig(thread_bound=1))
+            if law.endswith(".run") and status == "fail"}
+    assert {"product.run", "duality.run", "converse-duals.run"} <= runs
