@@ -158,21 +158,24 @@ def cmd_iso(args):
         _, cof = env.cofinals[args.cofinal]
         t0 = time.perf_counter()
         if s.direction == COVARIANT:
-            iso = cofinal_direct_iso(s, cof, thread_bound=args.thread_bound)
             lim = direct_limit(s, cap=args.thread_bound)
+            iso = cofinal_direct_iso(s, cof, lim=lim,
+                                     thread_bound=args.thread_bound)
         else:
-            iso = cofinal_inverse_iso(s, cof, uniq_bound=args.uniq_bound)
             lim = inverse_limit(s, bound=args.uniq_bound)
+            iso = cofinal_inverse_iso(s, cof, lim=lim,
+                                      uniq_bound=args.uniq_bound)
         report.add("iso", f"cofinal.{args.spectrum}.{args.cofinal}",
                    iso.findings,
                    witness=(f"classes={lim.class_count()}",),
                    elapsed=time.perf_counter() - t0)
     else:
-        from .runner import check_duality
+        from .runner import SuiteLimits, check_duality
 
         config = _config(args)
         t0 = time.perf_counter()
-        check_duality(env, (args.duality,), config, report, "iso")
+        check_duality(env, (args.duality,), config, report, "iso",
+                      SuiteLimits(config))
     return _emit(report, args)
 
 

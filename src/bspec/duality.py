@@ -340,14 +340,13 @@ class DualityResult:
     findings: list = field(default_factory=list)
 
 
-def duality_direct_to_inverse(s, fixed, pools, lim=None,
-                              uniq_bound=1_000_000, thread_bound=10_000):
+def duality_direct_to_inverse(s, fixed, pools, lim=None, uniq_bound=1_000_000):
     """Compatible choices of morphisms into the fixed space correspond to
     morphisms out of the direct limit, two-sidedly and topologically."""
     induced, carriers_mc = induce_spectrum(s, fixed, "A_i", pools)
     inv = inverse_limit(induced, uniq_bound)
     if lim is None:
-        lim = direct_limit(s, cap=thread_bound)
+        lim = direct_limit(s)
     findings = []
 
     # forward: a compatible choice acts classwise on the limit
@@ -562,14 +561,13 @@ class ConverseResult:
     findings: list = field(default_factory=list)
 
 
-def converse_dual_inverse(s, fixed, pools, uniq_bound=1_000_000,
-                          thread_bound=10_000):
+def converse_dual_inverse(s, fixed, pools, lim=None, thread_bound=10_000):
     """From the direct limit of hom-into-fixed carriers over a contravariant
-    spectrum to morphisms out of its inverse limit; an embedding exactly
-    when every element extends to a compatible choice."""
+    spectrum to morphisms out of its inverse limit `lim`; an embedding
+    exactly when every element extends to a compatible choice."""
     induced, carriers_mc = induce_spectrum(s, fixed, "B_i", pools)
     lim_mor = direct_limit(induced, cap=thread_bound)
-    inv = inverse_limit(s, uniq_bound)
+    inv = inverse_limit(s) if lim is None else lim
     findings = []
 
     hom_witnesses, class_tokens = [], []
@@ -640,12 +638,13 @@ def converse_dual_inverse(s, fixed, pools, uniq_bound=1_000_000,
                           hypothesis_witness, embedding_checked, findings)
 
 
-def converse_dual_direct(s, fixed, pools, thread_bound=10_000):
+def converse_dual_direct(s, fixed, pools, lim=None, thread_bound=10_000):
     """From the direct limit of hom-out-of-fixed carriers over a covariant
     spectrum to morphisms into its direct limit; morphism property only."""
     induced, carriers_mc = induce_spectrum(s, fixed, "A_ii", pools)
     lim_mor = direct_limit(induced, cap=thread_bound)
-    lim = direct_limit(s, cap=thread_bound)
+    if lim is None:
+        lim = direct_limit(s, cap=thread_bound)
     findings = []
 
     hom_witnesses, class_tokens = [], []
@@ -655,9 +654,8 @@ def converse_dual_direct(s, fixed, pools, thread_bound=10_000):
         table = {x: tag_token(i, w.h(x)) for x in fixed.carrier.elements}
         h = make_fn(fixed.carrier, lim.carrier, table)
         certs = {}
-        for k, g in enumerate(lim.space.gens):
-            thread = lim.threads[_thread_position(lim, k)]
-            certs[k] = lift_certificate(fixed, w, thread.certs[i])
+        for k, n in enumerate(lim.gen_threads):
+            certs[k] = lift_certificate(fixed, w, lim.threads[n].certs[i])
         hom_witnesses.append(MorphismWitness(h, certs))
         class_tokens.append(cls_tok)
     hom_pool = make_mor_carrier(fixed, lim.space, hom_witnesses,
@@ -684,13 +682,3 @@ def converse_dual_direct(s, fixed, pools, thread_bound=10_000):
         for f in check_morphism(lim_mor.space, hom_pool.space, witness):
             findings.append(Finding("to-hom-" + f.law, f.witness, f.note))
     return ConverseResult(to_hom, witness, hom_pool, findings=findings)
-
-
-def _thread_position(lim, gen_index):
-    """Thread whose limit function is the given subbase generator."""
-    g = lim.space.gens[gen_index]
-    for n, t in enumerate(lim.threads):
-        fn = thread_to_sum_function(lim.spectrum, t, lim.carrier)
-        if fn.values == g.values:
-            return n
-    raise DualityError("generator without a generating thread")

@@ -285,10 +285,9 @@ def direct_sum_equality(F, i, x, j, y):
 
 def direct_sum_equality_exhaustive(F, i, x, j, y):
     """Oracle for direct_sum_equality: scan every common upper bound."""
-    for k in F.index.elements:
-        if F.index.leq(i, k) and F.index.leq(j, k):
-            if F.carrier(k).eq(F.transport(i, k)(x), F.transport(j, k)(y)):
-                return True
+    for k in F.index.common_upper_bounds[(i, j)]:
+        if F.carrier(k).eq(F.transport(i, k)(x), F.transport(j, k)(y)):
+            return True
     return False
 
 

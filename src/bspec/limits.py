@@ -92,6 +92,7 @@ class DirectLimit:
     carrier: Setoid   # tagged pairs with the transport-agreement equality
     threads: list
     space: BSpace
+    gen_threads: list  # per generator: position of the thread that made it
 
     def class_of(self, i, x):
         return tag_token(i, x)
@@ -124,8 +125,8 @@ def direct_limit(s, threads=None, cap=10_000):
     els, rel = direct_sum_pairs(s.fam)
     quotient = quotient_by(discrete(els), rel)
     carrier = quotient.as_setoid()
-    space_obj, threads = sum_space(s, threads, cap, carrier)
-    return DirectLimit(s, quotient, carrier, threads, space_obj)
+    space_obj, threads, gen_threads = sum_space(s, threads, cap, carrier)
+    return DirectLimit(s, quotient, carrier, threads, space_obj, gen_threads)
 
 
 @dataclass(eq=False)
@@ -217,25 +218,20 @@ def limit_legs_cocone(lim):
     s = lim.spectrum
     legs = {}
     for i in s.index.elements:
-        # a thread function pulled back along the class map is the thread's
-        # own component; positions in the deduped subbase may differ from
-        # thread order, so match by value
+        # a generator pulled back along the class map is the component at i
+        # of the thread that made it, certified by that thread
+        embed = lim.embed(i)
         certs = {}
         for k, g in enumerate(lim.space.gens):
-            pulled = compose_rfun(g, lim.embed(i))
-            found = None
-            for t in lim.threads:
-                if t.at(i).values == pulled.values and i in t.certs:
-                    rep = validate_certificate(s.space(i), pulled, t.certs[i])
-                    if rep.ok:
-                        found = t.certs[i]
-                        break
-            if found is None:
+            pulled = compose_rfun(g, embed)
+            found = lim.threads[lim.gen_threads[k]].certs.get(i)
+            if found is None or not validate_certificate(
+                    s.space(i), pulled, found).ok:
                 found = certificate_for(s.space(i), pulled)
             if found is None:
                 raise LimitError(f"class map at {i} is not a morphism")
             certs[k] = found
-        legs[i] = MorphismWitness(lim.embed(i), certs)
+        legs[i] = MorphismWitness(embed, certs)
     return Cocone(lim.space, legs)
 
 
@@ -262,16 +258,9 @@ def limit_map(s, t, psi, lim_s=None, lim_t=None):
     if psi.continuity is not None:
         certs = {}
         for k, g in enumerate(lim_t.space.gens):
-            # find the thread generating g, pull it back through the map
-            src_thread = None
-            for h_obj in lim_t.threads:
-                fn = thread_to_sum_function(t, h_obj, lim_t.carrier)
-                if fn.values == g.values:
-                    src_thread = h_obj
-                    break
-            if src_thread is None:
-                raise LimitError("limit generator without a generating thread")
-            pulled_thread = pullback_thread(s, t, psi, src_thread)
+            # pull the thread that made g back through the map
+            pulled_thread = pullback_thread(
+                s, t, psi, lim_t.threads[lim_t.gen_threads[k]])
             pulled = thread_to_sum_function(s, pulled_thread, lim_s.carrier)
             pos = gen_position(lim_s.space, pulled)
             certs[k] = CGen(pos) if pos is not None else certificate_for(
@@ -378,7 +367,8 @@ class ProductLimitResult:
     findings: list = field(default_factory=list)
 
 
-def product_limit_bijection(s, t, prod=None, thread_bound=10_000):
+def product_limit_bijection(s, t, prod=None, lim_s=None, lim_t=None,
+                            thread_bound=10_000):
     """The limit of a product spectrum against the product of the limits."""
     from .spectra import product_spectrum
     from .topology import product_space
@@ -386,8 +376,10 @@ def product_limit_bijection(s, t, prod=None, thread_bound=10_000):
     if prod is None:
         prod, _ = product_spectrum(s, t)
     lim_prod = direct_limit(prod, cap=thread_bound)
-    lim_s = direct_limit(s, cap=thread_bound)
-    lim_t = direct_limit(t, cap=thread_bound)
+    if lim_s is None:
+        lim_s = direct_limit(s, cap=thread_bound)
+    if lim_t is None:
+        lim_t = direct_limit(t, cap=thread_bound)
     pair_space, pr1, pr2 = product_space(lim_s.space, lim_t.space)
     findings = []
 
@@ -717,15 +709,18 @@ def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None,
     return CofinalIso(forward, backward, fw, bw, findings)
 
 
-def product_inverse_morphism(s, t, prod=None, bound=1_000_000):
+def product_inverse_morphism(s, t, prod=None, lim_s=None, lim_t=None,
+                             bound=1_000_000):
     """Pairing of compatible choices into the product spectrum's limit."""
     from .spectra import product_spectrum
     from .topology import product_space
 
     if prod is None:
         prod, _ = product_spectrum(s, t)
-    lim_s = inverse_limit(s, bound)
-    lim_t = inverse_limit(t, bound)
+    if lim_s is None:
+        lim_s = inverse_limit(s, bound)
+    if lim_t is None:
+        lim_t = inverse_limit(t, bound)
     lim_prod = inverse_limit(prod, bound)
     pair_space, pr1, pr2 = product_space(lim_s.space, lim_t.space)
     findings = []

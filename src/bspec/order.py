@@ -67,6 +67,14 @@ class DirectedIndex:
                 raise NotDirected(f"fold of upper bounds is not above {i}")
         return t
 
+    @cached_property
+    def common_upper_bounds(self):
+        """(i, j) -> the elements above both i and j, in carrier order."""
+        els = self.elements
+        above = {i: [k for k in els if (i, k) in self.pairs] for i in els}
+        return {(i, j): tuple(k for k in above[i] if (j, k) in self.pairs)
+                for i in els for j in els}
+
     def order_pairs(self):
         return sorted(self.pairs)
 

@@ -46,7 +46,7 @@ from .limits import (
 from .order import validate_cofinal, validate_directed
 from .randgen import random_direct_family
 from .report import Finding, Report
-from .setoid import fn_equal, split_tag
+from .setoid import fn_equal, is_equivalence, split_tag
 from .spectra import (
     compose_spectrum_maps,
     identity_spectrum_map,
@@ -67,6 +67,31 @@ class RunConfig:
     seed: int = 0
 
 
+class SuiteLimits:
+    """The limit of each spectrum, built the first time a check needs it.
+
+    One lives for one run_suite call, so a document run again (under the
+    same or another config) builds its limits again.  A build that raises
+    is not kept: every check that needs the limit meets the bound again
+    and reports its own error.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self._direct = {}
+        self._inverse = {}
+
+    def direct(self, s):
+        if s not in self._direct:
+            self._direct[s] = direct_limit(s, cap=self.config.thread_bound)
+        return self._direct[s]
+
+    def inverse(self, s):
+        if s not in self._inverse:
+            self._inverse[s] = inverse_limit(s, bound=self.config.uniq_bound)
+        return self._inverse[s]
+
+
 def run_suite(doc, suite_name=None, config=None):
     """Run one suite (or a synthesized default) over an elaborated document."""
     config = config or RunConfig()
@@ -74,6 +99,7 @@ def run_suite(doc, suite_name=None, config=None):
         raise ConfigError("bounds must be positive")
     env = elaborate(doc, cert_depth=config.cert_depth)
     report = Report()
+    lims = SuiteLimits(config)
     checks = _suite_checks(doc, suite_name)
     for suite, kind, args, line in checks:
         runner = CHECKS.get(kind)
@@ -82,7 +108,7 @@ def run_suite(doc, suite_name=None, config=None):
         before = len(report.records)
         t0 = time.perf_counter()
         try:
-            runner(env, args, config, report, suite)
+            runner(env, args, config, report, suite, lims)
         except DslError:
             raise
         except Exception as exc:  # surfaced as a failing record, not a crash
@@ -125,7 +151,7 @@ def _one_arg(args, kind):
     return args[0]
 
 
-def check_family(env, args, config, report, suite):
+def check_family(env, args, config, report, suite, lims):
     name = _one_arg(args, "family")
     if name not in env.families:
         raise UnresolvedReference(f"no family named {name!r}")
@@ -139,7 +165,7 @@ def check_family(env, args, config, report, suite):
         report.add(suite, f"family.{name}.{law}", fs)
 
 
-def check_spectrum(env, args, config, report, suite):
+def check_spectrum(env, args, config, report, suite, lims):
     name = _one_arg(args, "spectrum")
     s = env.spectrum(name)
     findings = validate_spectrum(s)
@@ -149,7 +175,7 @@ def check_spectrum(env, args, config, report, suite):
     report.add(suite, f"spectrum.{name}.composite-witnesses", comp)
 
 
-def check_equivalence(env, args, config, report, suite):
+def check_equivalence(env, args, config, report, suite, lims):
     """Transport-agreement equality is an equivalence; the top-element
     normalization agrees with the exhaustive upper-bound search.  Also runs
     on seeded random families over the same index."""
@@ -169,31 +195,41 @@ def check_equivalence(env, args, config, report, suite):
                 if rel[(a, b)] != direct_sum_equality_exhaustive(
                         fam, a[0], a[1], b[0], b[1]):
                     bad_oracle.append(Finding("oracle", (a, b)))
-        for a in tagged:
-            if not rel[(a, a)]:
-                bad_eq.append(Finding("reflexive", (a,)))
-        for a in tagged:
-            for b in tagged:
-                if rel[(a, b)] and not rel[(b, a)]:
-                    bad_eq.append(Finding("symmetric", (a, b)))
-                if rel[(a, b)]:
-                    for c in tagged:
-                        if rel[(b, c)] and not rel[(a, c)]:
-                            bad_eq.append(Finding("transitive", (a, b, c)))
+        pairs = [p for p, related in rel.items() if related]
+        if not is_equivalence(tagged, pairs):
+            bad_eq.extend(_equivalence_violations(tagged, rel))
     report.add(suite, f"equivalence.{name}.laws", bad_eq)
     report.add(suite, f"equivalence.{name}.top-vs-search", bad_oracle)
 
 
-def check_limit_direct(env, args, config, report, suite):
+def _equivalence_violations(tagged, rel):
+    """Every reflexivity, symmetry and transitivity violation, in scan order."""
+    bad = []
+    for a in tagged:
+        if not rel[(a, a)]:
+            bad.append(Finding("reflexive", (a,)))
+    for a in tagged:
+        for b in tagged:
+            if rel[(a, b)] and not rel[(b, a)]:
+                bad.append(Finding("symmetric", (a, b)))
+            if rel[(a, b)]:
+                for c in tagged:
+                    if rel[(b, c)] and not rel[(a, c)]:
+                        bad.append(Finding("transitive", (a, b, c)))
+    return bad
+
+
+def check_limit_direct(env, args, config, report, suite, lims):
     name = _one_arg(args, "limit-direct")
     s = env.spectrum(name)
-    lim = direct_limit(s, cap=config.thread_bound)
+    lim = lims.direct(s)
+    class_of = {a: cls for cls in lim.carrier.classes() for a in cls}
     bad = []
     for t in lim.threads:
         fn = thread_to_sum_function(s, t, lim.carrier)
         for a in lim.carrier.elements:
-            for b in lim.carrier.elements:
-                if lim.carrier.eq(a, b) and fn(a) != fn(b):
+            for b in class_of[a]:
+                if fn(a) != fn(b):
                     bad.append(Finding("class-constant", (a, b)))
     report.add(suite, f"limit.{name}.thread-extensionality", bad)
     report.add(suite, f"limit.{name}.export", [],
@@ -201,10 +237,10 @@ def check_limit_direct(env, args, config, report, suite):
                         f"gens={len(lim.space.gens)}"))
 
 
-def check_limit_inverse(env, args, config, report, suite):
+def check_limit_inverse(env, args, config, report, suite, lims):
     name = _one_arg(args, "limit-inverse")
     s = env.spectrum(name)
-    lim = inverse_limit(s, bound=config.uniq_bound)
+    lim = lims.inverse(s)
     ok = top_determinacy_check(lim)
     report.add(suite, f"limit.{name}.top-determinacy",
                [] if ok else [Finding("determinacy")])
@@ -213,14 +249,14 @@ def check_limit_inverse(env, args, config, report, suite):
                         f"gens={len(lim.space.gens)}"))
 
 
-def check_universal_direct(env, args, config, report, suite):
+def check_universal_direct(env, args, config, report, suite, lims):
     """Mediator out of the limit: the limit's own legs by default, or a
     declared cocone when a second name is given."""
     if len(args) not in (1, 2):
         raise ConfigError("check universal-direct takes 'SPECTRUM [COCONE]'")
     name = args[0]
     s = env.spectrum(name)
-    lim = direct_limit(s, cap=config.thread_bound)
+    lim = lims.direct(s)
     if len(args) == 2:
         if args[1] not in env.cocones:
             raise UnresolvedReference(f"no cocone named {args[1]!r}")
@@ -236,12 +272,12 @@ def check_universal_direct(env, args, config, report, suite):
                       for i in s.index.elements))
 
 
-def check_universal_inverse(env, args, config, report, suite):
+def check_universal_inverse(env, args, config, report, suite, lims):
     if len(args) not in (1, 2):
         raise ConfigError("check universal-inverse takes 'SPECTRUM [CONE]'")
     name = args[0]
     s = env.spectrum(name)
-    lim = inverse_limit(s, bound=config.uniq_bound)
+    lim = lims.inverse(s)
     if len(args) == 2:
         if args[1] not in env.cones:
             raise UnresolvedReference(f"no cone named {args[1]!r}")
@@ -289,13 +325,13 @@ def _compose(f, g):
     return compose(f, g)
 
 
-def check_functoriality(env, args, config, report, suite):
+def check_functoriality(env, args, config, report, suite, lims):
     name = _one_arg(args, "functoriality")
     s = env.spectrum(name)
     ident = identity_spectrum_map(s)
     bad = []
     if s.direction == COVARIANT:
-        lim = direct_limit(s, cap=config.thread_bound)
+        lim = lims.direct(s)
         fwd, _ = limit_map(s, s, ident, lim, lim)
         if not all(lim.carrier.eq(fwd(t), t) for t in lim.carrier.elements):
             bad.append(Finding("identity"))
@@ -304,7 +340,7 @@ def check_functoriality(env, args, config, report, suite):
         if not fn_equal(fwd2, fwd):
             bad.append(Finding("composition"))
     else:
-        lim = inverse_limit(s, bound=config.uniq_bound)
+        lim = lims.inverse(s)
         fwd, _ = inverse_limit_map(s, s, ident, lim, lim)
         if not all(lim.carrier.eq(fwd(t), t) for t in lim.carrier.elements):
             bad.append(Finding("identity"))
@@ -315,7 +351,7 @@ def check_functoriality(env, args, config, report, suite):
     report.add(suite, f"functoriality.{name}", bad)
 
 
-def check_cofinal(env, args, config, report, suite):
+def check_cofinal(env, args, config, report, suite, lims):
     if len(args) != 2:
         raise ConfigError("check cofinal takes 'SPECTRUM COFINAL'")
     s = env.spectrum(args[0])
@@ -325,16 +361,18 @@ def check_cofinal(env, args, config, report, suite):
     report.add(suite, f"cofinal.{args[1]}.moduli",
                validate_cofinal(s.index, cof))
     if s.direction == COVARIANT:
-        iso = cofinal_direct_iso(s, cof, thread_bound=config.thread_bound)
+        iso = cofinal_direct_iso(s, cof, lim=lims.direct(s),
+                                 thread_bound=config.thread_bound)
     else:
-        iso = cofinal_inverse_iso(s, cof, uniq_bound=config.uniq_bound)
+        iso = cofinal_inverse_iso(s, cof, lim=lims.inverse(s),
+                                  uniq_bound=config.uniq_bound)
     round_trip = [f for f in iso.findings if f.law.startswith("round-trip")]
     rest = [f for f in iso.findings if not f.law.startswith("round-trip")]
     report.add(suite, f"cofinal.{args[0]}.round-trips", round_trip)
     report.add(suite, f"cofinal.{args[0]}.morphisms", rest)
 
 
-def check_product(env, args, config, report, suite):
+def check_product(env, args, config, report, suite, lims):
     if len(args) != 2:
         raise ConfigError("check product takes two spectrum names")
     s = env.spectrum(args[0])
@@ -342,14 +380,18 @@ def check_product(env, args, config, report, suite):
     if s.direction != t.direction:
         raise ConfigError("product factors must share a direction")
     if s.direction == COVARIANT:
-        res = product_limit_bijection(s, t, thread_bound=config.thread_bound)
+        res = product_limit_bijection(s, t, lim_s=lims.direct(s),
+                                      lim_t=lims.direct(t),
+                                      thread_bound=config.thread_bound)
         count = [f for f in res.findings if f.law == "class-count"]
         rest = [f for f in res.findings if f.law != "class-count"]
         report.add(suite, f"product.{args[0]}x{args[1]}.bijection", rest)
         report.add(suite, f"product.{args[0]}x{args[1]}.class-count", count,
                    witness=tuple(str(c) for c in res.counts))
     else:
-        res = product_inverse_morphism(s, t, bound=config.uniq_bound)
+        res = product_inverse_morphism(s, t, lim_s=lims.inverse(s),
+                                       lim_t=lims.inverse(t),
+                                       bound=config.uniq_bound)
         report.add(suite, f"product.{args[0]}x{args[1]}.pairing", res.findings,
                    witness=tuple(str(c) for c in res.counts))
 
@@ -374,12 +416,13 @@ def _build_pools(env, pool_name, config, shape_hint=None):
     return s, fixed, pools
 
 
-def check_duality(env, args, config, report, suite):
+def check_duality(env, args, config, report, suite, lims):
     name = _one_arg(args, "duality")
     s, fixed, pools = _build_pools(env, name, config)
-    res = duality_direct_to_inverse(s, fixed, pools,
-                                    uniq_bound=config.uniq_bound,
-                                    thread_bound=config.thread_bound)
+    # over a spectrum of the wrong direction the duality raises its own error
+    lim = lims.direct(s) if s.direction == COVARIANT else None
+    res = duality_direct_to_inverse(s, fixed, pools, lim=lim,
+                                    uniq_bound=config.uniq_bound)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     embed = [f for f in res.findings if f.law == "embedding"]
     rest = [f for f in res.findings
@@ -391,10 +434,12 @@ def check_duality(env, args, config, report, suite):
     report.add(suite, f"duality.{name}.morphisms", rest)
 
 
-def check_duality2(env, args, config, report, suite):
+def check_duality2(env, args, config, report, suite, lims):
     name = _one_arg(args, "duality2")
     s, fixed, pools = _build_pools(env, name, config)
-    res = duality_inverse_hom(s, fixed, pools, uniq_bound=config.uniq_bound)
+    lim = lims.inverse(s) if s.direction == CONTRAVARIANT else None
+    res = duality_inverse_hom(s, fixed, pools, lim=lim,
+                              uniq_bound=config.uniq_bound)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     rest = [f for f in res.findings if not f.law.startswith("round-trip")]
     card = str(res.hom_pool.setoid.class_count()) if res.hom_pool else "?"
@@ -403,12 +448,11 @@ def check_duality2(env, args, config, report, suite):
     report.add(suite, f"duality2.{name}.morphisms", rest)
 
 
-def check_converse_duals(env, args, config, report, suite):
+def check_converse_duals(env, args, config, report, suite, lims):
     name = _one_arg(args, "converse-duals")
     s, fixed, pools = _build_pools(env, name, config)
     if s.direction == CONTRAVARIANT:
-        res = converse_dual_inverse(s, fixed, pools,
-                                    uniq_bound=config.uniq_bound,
+        res = converse_dual_inverse(s, fixed, pools, lim=lims.inverse(s),
                                     thread_bound=config.thread_bound)
         report.add(suite, f"converse.{name}.morphism", res.findings)
         if res.hypothesis_holds:
@@ -418,12 +462,12 @@ def check_converse_duals(env, args, config, report, suite):
                        witness=("hypothesis fails at "
                                 + ",".join(res.hypothesis_witness),))
     else:
-        res = converse_dual_direct(s, fixed, pools,
+        res = converse_dual_direct(s, fixed, pools, lim=lims.direct(s),
                                    thread_bound=config.thread_bound)
         report.add(suite, f"converse.{name}.morphism", res.findings)
 
 
-def check_directed(env, args, config, report, suite):
+def check_directed(env, args, config, report, suite, lims):
     name = _one_arg(args, "directed")
     if name not in env.directeds:
         raise UnresolvedReference(f"no directed block named {name!r}")

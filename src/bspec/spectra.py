@@ -267,7 +267,15 @@ def validate_thread(s, t, check_certs=True):
 
 def enumerate_threads(s, cap=10_000):
     """All compatible choices whose components are generators or constants
-    from the declared pool, by backtracking along a linear extension."""
+    from the declared pool, by backtracking along a linear extension.
+
+    Every order pair that `validate_thread` checks is checked here: the
+    reflexive pair (i, i) when a candidate at i is listed, every other
+    pair when the later of its two indices is assigned.  So the threads
+    returned pass `validate_thread`.
+    """
+    from .topology import CConst, rconst
+
     els = list(s.index.elements)
     els.sort(key=lambda i: sum(1 for j in els if s.index.leq(j, i)))
     candidates = {}
@@ -284,8 +292,10 @@ def enumerate_threads(s, cap=10_000):
             key = tuple(Fraction(q) for _ in sp.carrier.elements)
             if key not in seen:
                 seen.add(key)
-                from .topology import CConst, rconst
                 cands.append((rconst(sp.carrier, q), CConst(Fraction(q))))
+        if s.index.leq(i, i):
+            cands = [(f, c) for f, c in cands
+                     if s.induced_map(i, i, f).values == f.values]
         candidates[i] = cands
 
     out = []
@@ -318,7 +328,9 @@ def enumerate_threads(s, cap=10_000):
         for f, c in candidates[i]:
             visited += 1
             if visited > cap:
-                raise ThreadBoundExceeded(visited)
+                raise ThreadBoundExceeded(
+                    f"enumerate_threads visited more than thread_bound={cap} "
+                    "candidates")
             if compatible(assigned, i, f):
                 assigned[i] = f
                 certs[i] = c
@@ -350,6 +362,10 @@ def thread_to_sum_function(s, t, sum_s=None):
         raise IncompatibleThread(str(findings[0]))
     if sum_s is None:
         sum_s = direct_sum_setoid(s.fam)
+    return _sum_function(t, sum_s)
+
+
+def _sum_function(t, sum_s):
     values = {}
     for a in sum_s.elements:
         i, x = split_tag(a)
@@ -358,23 +374,34 @@ def thread_to_sum_function(s, t, sum_s=None):
 
 
 def sum_space(s, threads=None, cap=10_000, sum_s=None):
-    """The direct-sum carrier topologized by the thread functions."""
+    """The direct-sum carrier topologized by the thread functions.
+
+    Returns the space, the threads, and for each generator the position of
+    the thread that made it.  Threads passed in are validated; enumerated
+    ones are compatible by construction.
+    """
     if s.direction != COVARIANT:
         raise SpectrumError("sum space is built over a covariant spectrum")
-    if threads is None:
+    given = threads is not None
+    if not given:
         threads = enumerate_threads(s, cap)
     if sum_s is None:
         sum_s = direct_sum_setoid(s.fam)
-    gens, names, seen = [], [], set()
+    gens, names, gen_threads, seen = [], [], [], set()
     for n, t in enumerate(threads):
-        f = thread_to_sum_function(s, t, sum_s)
+        if given:
+            f = thread_to_sum_function(s, t, sum_s)
+        else:
+            f = _sum_function(t, sum_s)
         key = tuple(f.values[x] for x in sum_s.elements)
         if key in seen:
             continue
         seen.add(key)
         gens.append(f)
         names.append(f"thr{n}")
-    return BSpace(sum_s, Subbase(sum_s, tuple(gens), tuple(names))), threads
+        gen_threads.append(n)
+    space = BSpace(sum_s, Subbase(sum_s, tuple(gens), tuple(names)))
+    return space, threads, gen_threads
 
 
 # --- maps between spectra ----------------------------------------------------
@@ -474,7 +501,7 @@ def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None, cap=10_000):
     component, and the sum map pulls one back to the pulled-back thread."""
     findings = []
     sum_src = direct_sum_setoid(s.fam)
-    space_s, threads_s = sum_space(s, threads_s, cap, sum_src)
+    space_s, threads_s, _ = sum_space(s, threads_s, cap, sum_src)
     for i in s.index.elements:
         for t_obj in threads_s:
             f = thread_to_sum_function(s, t_obj, sum_src)
@@ -496,7 +523,7 @@ def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None, cap=10_000):
         findings.append(Finding("not-continuous", ()))
         return findings
     sum_dst = direct_sum_setoid(t.fam)
-    space_t, threads_t = sum_space(t, threads_t, cap, sum_dst)
+    space_t, threads_t, _ = sum_space(t, threads_t, cap, sum_dst)
     smap = sigma_spectrum_map(s, t, psi, sum_src, sum_dst)
     for h_obj in threads_t:
         g = thread_to_sum_function(t, h_obj, sum_dst)

@@ -8,8 +8,14 @@ path gives the same answer.
 from fractions import Fraction
 from itertools import product as iproduct
 
+from bspec.families import (
+    direct_sum_equality,
+    direct_sum_equality_exhaustive,
+    sum_elements,
+)
 from bspec.limits import NonUnique
-from bspec.setoid import SetoidFn, fn_equal, tag_token
+from bspec.report import Finding
+from bspec.setoid import SetoidFn, fn_equal, split_tag, tag_token
 from bspec.topology import (
     BID,
     CAdd,
@@ -153,3 +159,30 @@ def find_certificate_exhaustive(sp, target, depth=4, cap=2000):
         if validate_certificate(sp, target, cert).ok:
             return cert
     return None
+
+
+def equivalence_findings_scan(fams):
+    """The runner's equivalence check over every pair and triple of tagged
+    elements: the (laws, top-vs-search) findings over the given families."""
+    bad_eq, bad_oracle = [], []
+    for fam in fams:
+        tagged = [split_tag(t) for t in sum_elements(fam)]
+        rel = {}
+        for a in tagged:
+            for b in tagged:
+                rel[(a, b)] = direct_sum_equality(fam, a[0], a[1], b[0], b[1])
+                if rel[(a, b)] != direct_sum_equality_exhaustive(
+                        fam, a[0], a[1], b[0], b[1]):
+                    bad_oracle.append(Finding("oracle", (a, b)))
+        for a in tagged:
+            if not rel[(a, a)]:
+                bad_eq.append(Finding("reflexive", (a,)))
+        for a in tagged:
+            for b in tagged:
+                if rel[(a, b)] and not rel[(b, a)]:
+                    bad_eq.append(Finding("symmetric", (a, b)))
+                if rel[(a, b)]:
+                    for c in tagged:
+                        if rel[(b, c)] and not rel[(a, c)]:
+                            bad_eq.append(Finding("transitive", (a, b, c)))
+    return bad_eq, bad_oracle

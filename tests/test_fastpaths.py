@@ -3,21 +3,25 @@ path it replaced.  Hypothesis runs derandomized, so the suite stays
 deterministic."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bspec import runner
 from bspec.families import (
     CONTRAVARIANT,
     COVARIANT,
+    DirectFamily,
     direct_sum_equality,
     direct_sum_equality_exhaustive,
     direct_sum_setoid,
     sum_elements,
 )
 from bspec.limits import direct_limit, inverse_limit
-from bspec.order import DirectedIndex, NotDirected, top_element
+from bspec.order import DirectedIndex, NotDirected, chain, top_element
 from bspec.randgen import random_direct_family, random_directed_index, random_spectrum
+from bspec.report import Report
 from bspec.setoid import (
     Setoid,
     SetoidFn,
@@ -25,10 +29,14 @@ from bspec.setoid import (
     check_equivalence,
     closure_rst,
     discrete,
+    identity,
     make_setoid,
     split_tag,
 )
+from bspec.spectra import thread_to_sum_function, validate_thread
 from bspec.topology import map_setoid
+
+from oracles import equivalence_findings_scan
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -172,3 +180,81 @@ def test_classes_returns_a_fresh_list():
     assert s.classes() == [("a", "b"), ("c",)]
     assert s.class_count() == 2
     assert s.class_repr("b") == "a"
+
+
+@FAST
+@given(seeds)
+def test_generators_record_the_threads_that_made_them(seed):
+    rng = random.Random(seed)
+    index = random_directed_index(rng)
+    fam = random_direct_family(rng, index, COVARIANT, allow_merged=True)
+    s = random_spectrum(rng, index, COVARIANT, family=fam)
+    lim = direct_limit(s)
+    # the enumerated threads pass the validation the limit no longer repeats
+    assert all(validate_thread(s, t) == [] for t in lim.threads)
+    assert len(lim.gen_threads) == len(lim.space.gens)
+    for k, n in enumerate(lim.gen_threads):
+        made = thread_to_sum_function(s, lim.threads[n], lim.carrier)
+        assert made.values == lim.space.gens[k].values
+    # and every thread's function is one of the generators
+    gens = {tuple(g.values.items()) for g in lim.space.gens}
+    assert all(tuple(thread_to_sum_function(s, t, lim.carrier).values.items())
+               in gens for t in lim.threads)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(seeds)
+def test_cached_upper_bounds_match_leq_scan(seed):
+    D = random_directed_index(random.Random(seed))
+    for i in D.elements:
+        for j in D.elements:
+            assert D.common_upper_bounds[(i, j)] == tuple(
+                k for k in D.elements if D.leq(i, k) and D.leq(j, k))
+
+
+class _Recording(Report):
+    """A report that also keeps every finding of every law."""
+
+    def __init__(self):
+        super().__init__()
+        self.findings = {}
+
+    def add(self, suite, law, findings=None, **kwargs):
+        self.findings[law] = list(findings or [])
+        super().add(suite, law, findings, **kwargs)
+
+
+@st.composite
+def non_transitive_carriers(draw):
+    """A Setoid built by hand whose pairs relate e0 ~ e1 ~ e2 but not
+    e0 ~ e2; other pairs are drawn, so reflexivity and symmetry may fail
+    as well."""
+    n = draw(st.integers(min_value=3, max_value=4))
+    els = tuple(f"e{k}" for k in range(n))
+    pairs = {(a, a) for a in els}
+    pairs |= {("e0", "e1"), ("e1", "e0"), ("e1", "e2"), ("e2", "e1")}
+    every = st.tuples(st.sampled_from(els), st.sampled_from(els))
+    pairs |= draw(st.sets(every, max_size=4))
+    pairs -= draw(st.sets(every, max_size=3))
+    pairs |= {("e0", "e1"), ("e1", "e2")}
+    pairs -= {("e0", "e2")}
+    return Setoid(els, frozenset(pairs))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(non_transitive_carriers(), st.integers(min_value=1, max_value=3), seeds)
+def test_equivalence_laws_match_the_triple_scan(carrier, length, seed):
+    index = chain(length)
+    fam = DirectFamily(index, COVARIANT, {i: carrier for i in index.elements},
+                       {p: identity(carrier) for p in index.order_pairs()})
+    env = SimpleNamespace(spectrum=lambda name: SimpleNamespace(fam=fam, index=index))
+    config = runner.RunConfig(seed=seed)
+    report = _Recording()
+    runner.check_equivalence(env, ("S",), config, report, "t", None)
+    # the same families the check draws: the spectrum's, then five random ones
+    rng = random.Random(seed)
+    fams = [fam] + [random_direct_family(rng, index, COVARIANT) for _ in range(5)]
+    laws, oracle = equivalence_findings_scan(fams)
+    assert any(f.law == "transitive" for f in laws)
+    assert report.findings["equivalence.S.laws"] == laws
+    assert report.findings["equivalence.S.top-vs-search"] == oracle

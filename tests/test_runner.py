@@ -1,10 +1,13 @@
 """Suite runs whose reports depend on the configured bounds and on how the
 universal checks attribute their laws."""
 
+import gc
 import json
+import weakref
+from collections import Counter
 from pathlib import Path
 
-from bspec import runner
+from bspec import duality, limits, runner
 from bspec.dsl import parse
 from bspec.limits import NonUnique
 from bspec.report import emit_report
@@ -137,6 +140,62 @@ def test_bounds_reach_limits_built_inside_other_checks():
 
 def test_thread_bound_reaches_direct_limits_built_inside_other_checks():
     text = (INVERSE.parent / "constant.bsp").read_text()
-    runs = {law for law, status, witness in _checks(text, RunConfig(thread_bound=1))
+    runs = {law: witness
+            for law, status, witness in _checks(text, RunConfig(thread_bound=1))
             if law.endswith(".run") and status == "fail"}
-    assert {"product.run", "duality.run", "converse-duals.run"} <= runs
+    assert {"product.run", "duality.run", "converse-duals.run"} <= set(runs)
+    error = ["error (enumerate_threads visited more than thread_bound=1 candidates)"]
+    assert all(witness == error for witness in runs.values())
+
+
+def _count_limit_builds(monkeypatch):
+    """Count every direct and inverse limit built, wherever it is built
+    from; returns the counts per spectrum, weak references to the limits
+    built, in order, and the environments the runner elaborated."""
+    built, made, envs = Counter(), [], []
+    for name in ("direct_limit", "inverse_limit"):
+        original = getattr(limits, name)
+
+        def counted(s, *args, _build=original, **kwargs):
+            built[s] += 1
+            lim = _build(s, *args, **kwargs)
+            made.append(weakref.ref(lim))
+            return lim
+
+        for module in (runner, limits, duality):
+            monkeypatch.setattr(module, name, counted)
+    elaborate = runner.elaborate
+
+    def recorded(*args, **kwargs):
+        envs.append(elaborate(*args, **kwargs))
+        return envs[-1]
+
+    monkeypatch.setattr(runner, "elaborate", recorded)
+    return built, made, envs
+
+
+def test_each_declared_spectrum_gets_one_limit_per_suite(monkeypatch):
+    # built by each check on its own, the limit of CSPEC would be built 6
+    # times and that of REV 8 times
+    for fixture in ("cspec.bsp", "inverse.bsp"):
+        built, _, envs = _count_limit_builds(monkeypatch)
+        run_suite(parse((INVERSE.parent / fixture).read_text()))
+        declared = envs[-1].spectra.values()
+        assert declared and all(built[s] == 1 for s in declared), fixture
+        # the spectra a check derives (products, restrictions, induced
+        # spectra) are new objects, each built once
+        assert set(built.values()) == {1}, fixture
+
+
+def test_two_suite_runs_share_no_limit(monkeypatch):
+    # nothing keeps a limit once its run_suite call returns, so a second
+    # run of the same parsed document builds every limit again
+    _, made, envs = _count_limit_builds(monkeypatch)
+    doc = parse(INVERSE.read_text())
+    run_suite(doc)
+    first = len(made)
+    envs.clear()
+    gc.collect()
+    assert first > 0 and all(ref() is None for ref in made)
+    run_suite(doc)
+    assert len(made) == 2 * first

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from bspec.families import direct_sum_setoid
+from bspec.families import COVARIANT, DirectFamily, direct_sum_setoid
 from bspec.fixtures import chain3, cspec, constant_cspec
-from bspec.setoid import make_fn
+from bspec.order import chain
+from bspec.setoid import SetoidFn, discrete, make_fn
 from bspec.spectra import (
     IncompatibleThread,
+    Spectrum,
     Thread,
     ThreadBoundExceeded,
     check_induced_square,
@@ -21,10 +23,11 @@ from bspec.spectra import (
     thread_to_sum_function,
     validate_spectrum,
     validate_spectrum_map,
+    validate_thread,
     SpectrumMap,
 )
 from bspec.fixtures import eo_cofinal
-from bspec.topology import CConst, rconst, validate_certificate
+from bspec.topology import CConst, RFun, rconst, space, validate_certificate
 
 
 def test_constant_spectrum_valid():
@@ -108,7 +111,7 @@ def test_constant_thread_gives_constant_sum_function():
 
 def test_sum_space_carrier_and_gens():
     s = cspec()
-    sp, threads = sum_space(s)
+    sp, threads, _ = sum_space(s)
     assert sp.carrier.class_count() == 1
     # two constant threads give two generators (0 and 1)
     assert len(sp.gens) == 2
@@ -116,7 +119,7 @@ def test_sum_space_carrier_and_gens():
 
 def test_empty_thread_list_gives_empty_subbase():
     s = cspec()
-    sp, _ = sum_space(s, threads=[])
+    sp, _, _ = sum_space(s, threads=[])
     assert sp.gens == ()
 
 
@@ -181,7 +184,7 @@ def test_product_spectrum_valid():
     assert validate_spectrum(prod) == []
     threads = enumerate_threads(prod)
     assert threads  # at least the pooled constants survive
-    sp, _ = sum_space(prod, threads)
+    sp, _, _ = sum_space(prod, threads)
     assert sp.carrier.class_count() == 4
 
 
@@ -189,7 +192,7 @@ def test_product_spectrum_cspec():
     s = cspec()
     prod, _ = product_spectrum(s, s)
     assert validate_spectrum(prod) == []
-    sp, _ = sum_space(prod)
+    sp, _, _ = sum_space(prod)
     assert sp.carrier.class_count() == 1
 
 
@@ -204,3 +207,18 @@ def test_thread_bound_exceeded():
     s = constant_cspec()
     with pytest.raises(ThreadBoundExceeded):
         enumerate_threads(s, cap=1)
+
+
+def test_enumerated_threads_pass_validation_at_the_reflexive_pair():
+    # a family whose transport along 0 <= 0 swaps the two points breaks the
+    # family-identity law; the generator it moves is no compatible choice
+    X = discrete(["a", "b"])
+    index = chain(1)
+    swap = SetoidFn(X, X, {"a": "b", "b": "a"})
+    fam = DirectFamily(index, COVARIANT, {"0": X}, {("0", "0"): swap})
+    sp = space(X, [RFun(X, {"a": 0, "b": 1})], ["f"])
+    s = Spectrum(fam, {"0": sp.subbase}, {})
+    threads = enumerate_threads(s)
+    assert [t.certs["0"] for t in threads] == [CConst(Fraction(0)),
+                                                CConst(Fraction(1))]
+    assert all(validate_thread(s, t) == [] for t in threads)
