@@ -38,7 +38,9 @@ KERNEL_ERRORS = (SetoidError, OrderError, FamilyError, TopologyError,
 def _add_common(p):
     p.add_argument("file", help="document to load")
     p.add_argument("--thread-bound", type=int, default=10_000)
-    p.add_argument("--cert-depth", type=int, default=4)
+    p.add_argument("--cert-depth", type=int, metavar="N",
+                   help="ignored: certificates are constructed, not searched;"
+                        " kept so existing command lines still run")
     p.add_argument("--uniq-bound", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", metavar="PATH",
@@ -75,8 +77,8 @@ def build_parser():
 
 
 def _config(args):
-    return RunConfig(args.thread_bound, args.cert_depth, args.uniq_bound,
-                     args.seed)
+    return RunConfig(thread_bound=args.thread_bound,
+                     uniq_bound=args.uniq_bound, seed=args.seed)
 
 
 def _emit(report, args):
@@ -129,7 +131,7 @@ def limit_export_text(name, lim, inverse=False):
 
 def cmd_limit(args):
     doc = _load(args)
-    env = elaborate(doc, cert_depth=args.cert_depth)
+    env = elaborate(doc)
     report = Report()
     name = args.direct or args.inverse
     t0 = time.perf_counter()
@@ -147,7 +149,7 @@ def cmd_limit(args):
 
 def cmd_iso(args):
     doc = _load(args)
-    env = elaborate(doc, cert_depth=args.cert_depth)
+    env = elaborate(doc)
     report = Report()
     if args.cofinal:
         if not args.spectrum:

@@ -367,7 +367,7 @@ class Elaborated:
         return BSpace(sub.carrier, sub)
 
 
-def elaborate(doc, cert_depth=4, cert_cap=2000):
+def elaborate(doc):
     """Build every block into its kernel object, resolving references."""
     out = Elaborated(doc)
     for b in doc.of_kind("setoid"):
@@ -509,7 +509,7 @@ def elaborate(doc, cert_depth=4, cert_cap=2000):
             witness_certs.setdefault((i, j), {})[
                 tgt_sub.names.index(gen_name)] = cert
         # composite edges are derived by lifting first; anything still
-        # missing (including declared-auto edges) is searched for
+        # missing (including declared-auto edges) is constructed
         probe = Spectrum(fam, subbases, witness_certs, pool)
         witness_certs = probe.witness_certs
         missing = []
@@ -521,8 +521,7 @@ def elaborate(doc, cert_depth=4, cert_cap=2000):
             if any(k not in have for k in range(len(tgt.gens))):
                 missing.append((i, j))
         if missing:
-            witness_certs = autofill_witnesses(
-                fam, subbases, witness_certs, cert_depth, cert_cap)
+            witness_certs = autofill_witnesses(fam, subbases, witness_certs)
         out.spectra[b.name] = Spectrum(fam, subbases, witness_certs, pool)
 
     for b in doc.of_kind("cofinal"):
@@ -576,8 +575,7 @@ def elaborate(doc, cert_depth=4, cert_cap=2000):
                 src, dst = apex, s.space(i)
             certs = {}
             for k, g in enumerate(dst.gens):
-                cert = certificate_for(src, compose_rfun(g, h), cert_depth,
-                                       cert_cap)
+                cert = certificate_for(src, compose_rfun(g, h))
                 if cert is None:
                     raise TypeMismatch(
                         f"leg {i} admits no certificate for generator {k}",

@@ -35,7 +35,6 @@ from .topology import (
     compose_rfun,
     exp_eval_certificate,
     exponential_space,
-    gen_position,
     lift_certificate,
     validate_certificate,
 )
@@ -94,7 +93,7 @@ def make_mor_carrier(src, dst, witnesses, names=None):
     return mc
 
 
-def enumerate_morphisms(src, dst, depth=4, cap=4096):
+def enumerate_morphisms(src, dst, cap=4096):
     """All extensional maps that admit certificates for every target
     generator, as witnesses; the map space itself is capped."""
     src_classes = src.carrier.classes()
@@ -111,7 +110,7 @@ def enumerate_morphisms(src, dst, depth=4, cap=4096):
         certs = {}
         ok = True
         for k, g in enumerate(dst.gens):
-            cert = certificate_for(src, compose_rfun(g, h), depth)
+            cert = certificate_for(src, compose_rfun(g, h))
             if cert is None:
                 ok = False
                 break
@@ -365,9 +364,7 @@ def duality_direct_to_inverse(s, fixed, pools, lim=None, uniq_bound=1_000_000):
                 for i in s.index.elements
             }
             pulled = thread_to_sum_function(s, Thread(thread_funcs), lim.carrier)
-            pos = gen_position(lim.space, pulled)
-            cert = CGen(pos) if pos is not None else certificate_for(
-                lim.space, pulled)
+            cert = certificate_for(lim.space, pulled)
             if cert is None:
                 findings.append(Finding("hom-cert", (tok, k)))
                 cert = CGen(0)
@@ -418,17 +415,13 @@ def duality_direct_to_inverse(s, fixed, pools, lim=None, uniq_bound=1_000_000):
     to_certs = {}
     for k, g in enumerate(hom_pool.space.gens):
         pulled = compose_rfun(g, to_hom)
-        pos = gen_position(inv.space, pulled)
-        to_certs[k] = CGen(pos) if pos is not None else certificate_for(
-            inv.space, pulled)
+        to_certs[k] = certificate_for(inv.space, pulled)
         if to_certs[k] is None:
             findings.append(Finding("to-hom-cert", (k,)))
     from_certs = {}
     for k, g in enumerate(inv.space.gens):
         pulled = compose_rfun(g, from_hom)
-        pos = gen_position(hom_pool.space, pulled)
-        from_certs[k] = CGen(pos) if pos is not None else certificate_for(
-            hom_pool.space, pulled)
+        from_certs[k] = certificate_for(hom_pool.space, pulled)
         if from_certs[k] is None:
             findings.append(Finding("from-hom-cert", (k,)))
     to_w = MorphismWitness(to_hom, to_certs)
@@ -525,17 +518,13 @@ def duality_inverse_hom(s, fixed, pools, lim=None, uniq_bound=1_000_000):
     to_certs = {}
     for k, g in enumerate(hom_pool.space.gens):
         pulled = compose_rfun(g, to_hom)
-        pos = gen_position(inv_mor.space, pulled)
-        to_certs[k] = CGen(pos) if pos is not None else certificate_for(
-            inv_mor.space, pulled)
+        to_certs[k] = certificate_for(inv_mor.space, pulled)
         if to_certs[k] is None:
             findings.append(Finding("to-hom-cert", (k,)))
     from_certs = {}
     for k, g in enumerate(inv_mor.space.gens):
         pulled = compose_rfun(g, from_hom)
-        pos = gen_position(hom_pool.space, pulled)
-        from_certs[k] = CGen(pos) if pos is not None else certificate_for(
-            hom_pool.space, pulled)
+        from_certs[k] = certificate_for(hom_pool.space, pulled)
         if from_certs[k] is None:
             findings.append(Finding("from-hom-cert", (k,)))
     to_w = MorphismWitness(to_hom, to_certs)
@@ -580,9 +569,7 @@ def converse_dual_inverse(s, fixed, pools, lim=None, thread_bound=10_000):
         certs = {}
         for k, f0 in enumerate(fixed.gens):
             pulled = compose_rfun(f0, h)
-            pos = gen_position(inv.space, pulled)
-            cert = CGen(pos) if pos is not None else certificate_for(
-                inv.space, pulled)
+            cert = certificate_for(inv.space, pulled)
             if cert is None:
                 findings.append(Finding("hom-cert", (cls_tok, k)))
                 cert = CGen(0)
@@ -607,9 +594,7 @@ def converse_dual_inverse(s, fixed, pools, lim=None, thread_bound=10_000):
     certs = {}
     for k, g in enumerate(hom_pool.space.gens):
         pulled = compose_rfun(g, to_hom)
-        pos = gen_position(lim_mor.space, pulled)
-        certs[k] = CGen(pos) if pos is not None else certificate_for(
-            lim_mor.space, pulled)
+        certs[k] = certificate_for(lim_mor.space, pulled)
         if certs[k] is None:
             findings.append(Finding("to-hom-cert", (k,)))
     witness = MorphismWitness(to_hom, certs)
@@ -672,9 +657,7 @@ def converse_dual_direct(s, fixed, pools, lim=None, thread_bound=10_000):
     certs = {}
     for k, g in enumerate(hom_pool.space.gens):
         pulled = compose_rfun(g, to_hom)
-        pos = gen_position(lim_mor.space, pulled)
-        certs[k] = CGen(pos) if pos is not None else certificate_for(
-            lim_mor.space, pulled)
+        certs[k] = certificate_for(lim_mor.space, pulled)
         if certs[k] is None:
             findings.append(Finding("to-hom-cert", (k,)))
     witness = MorphismWitness(to_hom, certs)

@@ -41,6 +41,7 @@ from .spectra import (
     Thread,
     pullback_thread,
     restrict_spectrum,
+    sum_function,
     sum_space,
     thread_to_sum_function,
 )
@@ -177,15 +178,10 @@ def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
             i: compose_rfun(g, c.legs[i].h) for i in s.index.elements
         }
         pulled = thread_to_sum_function(s, Thread(thread_funcs), lim.carrier)
-        pos = gen_position(lim.space, pulled)
-        if pos is not None:
-            certs[k] = CGen(pos)
-        else:
-            found = certificate_for(lim.space, pulled)
-            if found is None:
-                raise IllFormedCocone(
-                    f"no certificate for apex generator {k} over the limit subbase")
-            certs[k] = found
+        certs[k] = certificate_for(lim.space, pulled)
+        if certs[k] is None:
+            raise IllFormedCocone(
+                f"no certificate for apex generator {k} over the limit subbase")
     witness = Mediator(h, certs)
     bad = check_morphism(lim.space, apex, witness)
     if bad:
@@ -261,10 +257,9 @@ def limit_map(s, t, psi, lim_s=None, lim_t=None):
             # pull the thread that made g back through the map
             pulled_thread = pullback_thread(
                 s, t, psi, lim_t.threads[lim_t.gen_threads[k]])
-            pulled = thread_to_sum_function(s, pulled_thread, lim_s.carrier)
-            pos = gen_position(lim_s.space, pulled)
-            certs[k] = CGen(pos) if pos is not None else certificate_for(
-                lim_s.space, pulled)
+            # pullback_thread has validated the thread
+            pulled = sum_function(pulled_thread, lim_s.carrier)
+            certs[k] = certificate_for(lim_s.space, pulled)
             if certs[k] is None:
                 raise LimitError("no certificate for a pulled-back generator")
         witness = MorphismWitness(fwd, certs)
@@ -336,17 +331,13 @@ def cofinal_direct_iso(s, cof, lim=None, sub_lim=None, thread_bound=10_000):
     fwd_certs = {}
     for k, g in enumerate(lim.space.gens):
         pulled = compose_rfun(g, forward)
-        pos = gen_position(sub_lim.space, pulled)
-        fwd_certs[k] = CGen(pos) if pos is not None else certificate_for(
-            sub_lim.space, pulled)
+        fwd_certs[k] = certificate_for(sub_lim.space, pulled)
         if fwd_certs[k] is None:
             findings.append(Finding("forward-cert", (k,)))
     bwd_certs = {}
     for k, g in enumerate(sub_lim.space.gens):
         pulled = compose_rfun(g, backward)
-        pos = gen_position(lim.space, pulled)
-        bwd_certs[k] = CGen(pos) if pos is not None else certificate_for(
-            lim.space, pulled)
+        bwd_certs[k] = certificate_for(lim.space, pulled)
         if bwd_certs[k] is None:
             findings.append(Finding("backward-cert", (k,)))
     fw = MorphismWitness(forward, fwd_certs)
@@ -404,9 +395,7 @@ def product_limit_bijection(s, t, prod=None, lim_s=None, lim_t=None,
     certs = {}
     for k, g in enumerate(pair_space.gens):
         pulled = compose_rfun(g, to_pair)
-        pos = gen_position(lim_prod.space, pulled)
-        certs[k] = CGen(pos) if pos is not None else certificate_for(
-            lim_prod.space, pulled)
+        certs[k] = certificate_for(lim_prod.space, pulled)
         if certs[k] is None:
             findings.append(Finding("pair-cert", (k,)))
     w = MorphismWitness(to_pair, certs)
@@ -625,9 +614,7 @@ def inverse_limit_map(s, t, psi, lim_s=None, lim_t=None):
         certs = {}
         for k, g in enumerate(lim_t.space.gens):
             pulled = compose_rfun(g, fwd)
-            pos = gen_position(lim_s.space, pulled)
-            certs[k] = CGen(pos) if pos is not None else certificate_for(
-                lim_s.space, pulled)
+            certs[k] = certificate_for(lim_s.space, pulled)
             if certs[k] is None:
                 raise LimitError("no certificate for a pulled-back projection")
         witness = MorphismWitness(fwd, certs)
@@ -686,17 +673,13 @@ def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None,
     fwd_certs = {}
     for k, g in enumerate(lim.space.gens):
         pulled = compose_rfun(g, forward)
-        pos = gen_position(sub_lim.space, pulled)
-        fwd_certs[k] = CGen(pos) if pos is not None else certificate_for(
-            sub_lim.space, pulled)
+        fwd_certs[k] = certificate_for(sub_lim.space, pulled)
         if fwd_certs[k] is None:
             findings.append(Finding("forward-cert", (k,)))
     bwd_certs = {}
     for k, g in enumerate(sub_lim.space.gens):
         pulled = compose_rfun(g, backward)
-        pos = gen_position(lim.space, pulled)
-        bwd_certs[k] = CGen(pos) if pos is not None else certificate_for(
-            lim.space, pulled)
+        bwd_certs[k] = certificate_for(lim.space, pulled)
         if bwd_certs[k] is None:
             findings.append(Finding("backward-cert", (k,)))
     fw = MorphismWitness(forward, fwd_certs)
@@ -745,9 +728,7 @@ def product_inverse_morphism(s, t, prod=None, lim_s=None, lim_t=None,
     certs = {}
     for k, g in enumerate(lim_prod.space.gens):
         pulled = compose_rfun(g, pairing)
-        pos = gen_position(pair_space, pulled)
-        certs[k] = CGen(pos) if pos is not None else certificate_for(
-            pair_space, pulled)
+        certs[k] = certificate_for(pair_space, pulled)
         if certs[k] is None:
             findings.append(Finding("pair-cert", (k,)))
     w = MorphismWitness(pairing, certs)

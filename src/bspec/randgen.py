@@ -4,7 +4,7 @@ Randomness only picks shapes and tables; validity is by construction.
 Families are graded by chain height in the order's condensation, so the
 composition law holds exactly.  Spectra take each subbase as the pullback
 of functions chosen at a dominating index, which makes every edge witness a
-generator match and keeps all downstream certificate searches trivial.
+generator match and keeps all downstream certificates generator leaves.
 """
 
 from __future__ import annotations

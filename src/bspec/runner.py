@@ -59,10 +59,9 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
     thread_bound: int = 10_000
-    cert_depth: int = 4
     uniq_bound: int = 1_000_000
     seed: int = 0
 
@@ -95,9 +94,9 @@ class SuiteLimits:
 def run_suite(doc, suite_name=None, config=None):
     """Run one suite (or a synthesized default) over an elaborated document."""
     config = config or RunConfig()
-    if config.thread_bound <= 0 or config.uniq_bound <= 0 or config.cert_depth <= 0:
+    if config.thread_bound <= 0 or config.uniq_bound <= 0:
         raise ConfigError("bounds must be positive")
-    env = elaborate(doc, cert_depth=config.cert_depth)
+    env = elaborate(doc)
     report = Report()
     lims = SuiteLimits(config)
     checks = _suite_checks(doc, suite_name)
@@ -408,11 +407,9 @@ def _build_pools(env, pool_name, config, shape_hint=None):
     pools = {}
     for i in s.index.elements:
         if hom_into:
-            pools[i] = enumerate_morphisms(s.space(i), fixed,
-                                           depth=config.cert_depth)
+            pools[i] = enumerate_morphisms(s.space(i), fixed)
         else:
-            pools[i] = enumerate_morphisms(fixed, s.space(i),
-                                           depth=config.cert_depth)
+            pools[i] = enumerate_morphisms(fixed, s.space(i))
     return s, fixed, pools
 
 

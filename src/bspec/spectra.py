@@ -132,8 +132,8 @@ class Spectrum:
         return compose_rfun(f, self.fam.transport(i, j))
 
 
-def autofill_witnesses(fam, subbases, given=None, depth=4, cap=2000):
-    """Complete a witness table, searching for any certificate not supplied."""
+def autofill_witnesses(fam, subbases, given=None):
+    """Complete a witness table, constructing any certificate not supplied."""
     certs = {k: dict(v) for k, v in (given or {}).items()}
     for i, j in fam.order_pairs():
         if i == j:
@@ -146,7 +146,7 @@ def autofill_witnesses(fam, subbases, given=None, depth=4, cap=2000):
             if k in table:
                 continue
             pulled = compose_rfun(g, fam.transport(i, j))
-            found = certificate_for(src, pulled, depth, cap)
+            found = certificate_for(src, pulled)
             if found is None:
                 raise SpectrumError(
                     f"no certificate found for generator {k} on edge ({i}, {j})")
@@ -154,11 +154,10 @@ def autofill_witnesses(fam, subbases, given=None, depth=4, cap=2000):
     return certs
 
 
-def make_spectrum(fam, subbases, witness_certs=None, pool=(0, 1), auto=False,
-                  depth=4, cap=2000):
+def make_spectrum(fam, subbases, witness_certs=None, pool=(0, 1), auto=False):
     pool = tuple(Fraction(q) for q in pool)
     if auto:
-        witness_certs = autofill_witnesses(fam, subbases, witness_certs, depth, cap)
+        witness_certs = autofill_witnesses(fam, subbases, witness_certs)
     s = Spectrum(fam, dict(subbases), dict(witness_certs or {}), pool)
     findings = validate_spectrum(s)
     if findings:
@@ -362,10 +361,11 @@ def thread_to_sum_function(s, t, sum_s=None):
         raise IncompatibleThread(str(findings[0]))
     if sum_s is None:
         sum_s = direct_sum_setoid(s.fam)
-    return _sum_function(t, sum_s)
+    return sum_function(t, sum_s)
 
 
-def _sum_function(t, sum_s):
+def sum_function(t, sum_s):
+    """thread_to_sum_function for a thread already known to be compatible."""
     values = {}
     for a in sum_s.elements:
         i, x = split_tag(a)
@@ -392,7 +392,7 @@ def sum_space(s, threads=None, cap=10_000, sum_s=None):
         if given:
             f = thread_to_sum_function(s, t, sum_s)
         else:
-            f = _sum_function(t, sum_s)
+            f = sum_function(t, sum_s)
         key = tuple(f.values[x] for x in sum_s.elements)
         if key in seen:
             continue
@@ -502,9 +502,10 @@ def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None, cap=10_000):
     findings = []
     sum_src = direct_sum_setoid(s.fam)
     space_s, threads_s, _ = sum_space(s, threads_s, cap, sum_src)
+    # sum_space has validated the threads it was given
+    funcs = [sum_function(t_obj, sum_src) for t_obj in threads_s]
     for i in s.index.elements:
-        for t_obj in threads_s:
-            f = thread_to_sum_function(s, t_obj, sum_src)
+        for f, t_obj in zip(funcs, threads_s):
             for x in s.fam.carrier(i).elements:
                 if f.values[tag_token(i, x)] != t_obj.at(i)(x):
                     findings.append(Finding("tagging-pullback", (i, x)))
@@ -526,10 +527,10 @@ def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None, cap=10_000):
     space_t, threads_t, _ = sum_space(t, threads_t, cap, sum_dst)
     smap = sigma_spectrum_map(s, t, psi, sum_src, sum_dst)
     for h_obj in threads_t:
-        g = thread_to_sum_function(t, h_obj, sum_dst)
+        g = sum_function(h_obj, sum_dst)
         pulled_fun = compose_rfun(g, smap)
-        pulled_thread = pullback_thread(s, t, psi, h_obj)
-        expected = thread_to_sum_function(s, pulled_thread, sum_src)
+        # pullback_thread validates the thread it returns
+        expected = sum_function(pullback_thread(s, t, psi, h_obj), sum_src)
         if pulled_fun.values != expected.values:
             findings.append(Finding("sum-map-pullback", ()))
     return findings

@@ -1,13 +1,13 @@
 """Function-topology kernel on finite carriers.
 
 Spaces carry a finite subbase of exact-rational functions.  Membership of a
-function in the generated topology is never decided, only certified: a
-certificate is a finite derivation tree over the closure rules (generator,
-constant, sum, continuous composition, pointwise equality, and a witnessed
-uniform-limit rule).  Morphisms between spaces are maps together with one
-certificate per target generator; the lifting of certificates along such a
-witness is the constructive content of checking full morphism-hood on
-generators only.
+function in the generated topology is certified: a certificate is a finite
+derivation tree over the closure rules (generator, constant, sum, continuous
+composition, pointwise equality, and a witnessed uniform-limit rule), and
+find_certificate constructs one for every member.  Morphisms between spaces
+are maps together with one certificate per target generator; the lifting of
+certificates along such a witness is the constructive content of checking
+full morphism-hood on generators only.
 """
 
 from __future__ import annotations
@@ -332,19 +332,6 @@ def culim(rfun, witnesses):
     return CULim(tuple(sorted(rfun.table().items())), tuple(witnesses))
 
 
-def cert_depth(c):
-    if isinstance(c, (CGen, CConst)):
-        return 1
-    if isinstance(c, CAdd):
-        return 1 + max(cert_depth(c.left), cert_depth(c.right))
-    if isinstance(c, (CBic, CEq)):
-        child = c.child
-        return 1 + cert_depth(child)
-    if isinstance(c, CULim):
-        return 1 + max((cert_depth(w) for _, w in c.witnesses), default=0)
-    raise RuleMismatch(f"unknown node {c!r}")
-
-
 def cert_uses_ulim(c):
     if isinstance(c, CULim):
         return True
@@ -610,85 +597,70 @@ def reindex_certificate(c, positions):
     raise RuleMismatch(f"unknown node {c!r}")
 
 
-# --- bounded certificate search ---------------------------------------------
+# --- certificates by construction -------------------------------------------
 
-def find_certificate(sp, target, depth=4, cap=2000):
-    """Search for a derivation of `target` using generator, constant, sum,
-    and composition nodes only.  Returns None when nothing is found within
-    the depth and table budget.
+def find_certificate(sp, target):
+    """A validated derivation of `target`, or None when it is not a member.
 
-    Every rule the search applies keeps equal two points that no generator
-    separates, so a target separating such points is refuted up front.  The
-    search stops once the target's table is found: tables are never
-    overwritten, so the certificate is the one a full search would find.
+    On a finite carrier the generated topology is exactly the functions
+    constant on the blocks of points that no generator separates.  Every
+    closure rule keeps such points equal, so a target separating them is
+    refuted.  A block-constant target is a constant or phi(h): h = sum c_j g_j
+    separates the blocks and phi is the piecewise-linear interpolant through
+    (h(block), target(block)).
     """
-    order = sp.carrier.elements
-    blocks = {}
-    for x in order:
+    blocks = {}  # generator profile -> target value, in carrier order
+    for x in sp.carrier.elements:
         profile = tuple(g.values[x] for g in sp.gens)
         if blocks.setdefault(profile, target(x)) != target(x):
             return None
+    values = set(blocks.values())
+    if len(values) <= 1:
+        cert = CConst(values.pop() if values else Fraction(0))
+    else:
+        cert = CBic(*_separating_certificate(blocks, len(sp.gens)))
+    rep = validate_certificate(sp, target, cert)
+    if not rep.ok:
+        raise TopologyError(f"constructed certificate fails: {rep.findings[0]}")
+    return cert
 
-    def key(values):
-        return tuple(values[x] for x in order)
 
-    target_key = key(target.values)
-    found = {}
+def _separating_certificate(blocks, ngens):
+    """(phi, certificate of h) with h = sum c_j g_j injective on blocks.
 
-    def consider(k, cert):
-        if k not in found:
-            found[k] = cert
-        return k == target_key
+    Each c_j is the least positive integer keeping apart every pair of
+    blocks the partial sum already separates; the pairs g_j separates and
+    the partial sum does not then come apart as well.  A generator that
+    separates nothing new is left out.
+    """
+    h = [Fraction(0)] * len(blocks)
+    h_cert = None
+    for j in range(ngens):
+        col = [profile[j] for profile in blocks]
+        wanted = len(set(zip(h, col)))
+        if wanted == len(set(h)):
+            continue
+        c = 1
+        while len({t + c * g for t, g in zip(h, col)}) < wanted:
+            c += 1
+        h = [t + c * g for t, g in zip(h, col)]
+        term = CGen(j) if c == 1 else cert_scale(c, CGen(j))
+        h_cert = term if h_cert is None else CAdd(h_cert, term)
+    return _interpolant(sorted(zip(h, blocks.values()))), h_cert
 
-    vals = set(target.values.values()) | {Fraction(0), Fraction(1)}
-    for q in sorted(vals):
-        consider(tuple(Fraction(q) for _ in order), CConst(Fraction(q)))
-    for k, g in enumerate(sp.gens):
-        consider(key(g.values), CGen(k))
 
-    def affine_hit(tbl, cert):
-        # Solve target = a*t + b against a known table.
-        distinct = {}
-        for x in order:
-            distinct.setdefault(tbl[x], target(x))
-        if len(distinct) < 2:
-            return None
-        (t1, f1), (t2, f2) = list(distinct.items())[:2]
-        a = (f1 - f2) / (t1 - t2)
-        b = f1 - a * t1
-        if all(a * tbl[x] + b == target(x) for x in order):
-            return CBic(baffine(a, b), cert)
-        return None
-
-    def grow(items):
-        """One round of every rule over the tables known at its start; it
-        ends early at the target's table or past the table budget."""
-        for tbl, cert in items:
-            table = dict(zip(order, tbl))
-            hit = affine_hit(table, cert)
-            if hit is not None:
-                new = {x: eval_bic(hit.phi, table[x]) for x in order}
-                if consider(key(new), hit):
-                    return
-            for phi in (bneg(BID), babs(BID)):
-                new = {x: eval_bic(phi, table[x]) for x in order}
-                if consider(key(new), CBic(phi, cert)):
-                    return
-        for t1, c1 in items:
-            for t2, c2 in items:
-                summed = tuple(a + b for a, b in zip(t1, t2))
-                if consider(summed, CAdd(c1, c2)) or len(found) > cap:
-                    return
-
-    for _ in range(depth):
-        if target_key in found or len(found) > cap:
-            break
-        grow(list(found.items()))
-    if target_key in found:
-        cert = found[target_key]
-        if validate_certificate(sp, target, cert).ok:
-            return cert
-    return None
+def _interpolant(points):
+    """y0 + s0 (t - t0) + sum (s_k - s_{k-1}) max(t - t_k, 0): linear
+    between consecutive points (t_k, y_k), the t_k ascending."""
+    slopes = [(y2 - y1) / (t2 - t1)
+              for (t1, y1), (t2, y2) in zip(points, points[1:])]
+    t0, y0 = points[0]
+    phi = baffine(slopes[0], y0 - slopes[0] * t0)
+    for (tk, _), before, after in zip(points[1:], slopes, slopes[1:]):
+        if after != before:
+            kink = bmax(badd(BID, bconst(-tk)), bconst(0))
+            phi = badd(phi, bmul(bconst(after - before), kink))
+    return phi
 
 
 def gen_position(sp, target):
@@ -699,15 +671,15 @@ def gen_position(sp, target):
     return None
 
 
-def certificate_for(sp, target, depth=4, cap=2000):
-    """Generator match first, then constants, then bounded search."""
+def certificate_for(sp, target):
+    """Generator match first, then constants, then the construction."""
     k = gen_position(sp, target)
     if k is not None:
         return CGen(k)
     vals = set(target.values.values())
     if len(vals) == 1:
         return CConst(next(iter(vals)))
-    return find_certificate(sp, target, depth, cap)
+    return find_certificate(sp, target)
 
 
 # --- derived spaces ----------------------------------------------------------

@@ -94,9 +94,12 @@ def verify_unique_factoring_exhaustive(f, Q, g, bound=1_000_000):
 
 
 def find_certificate_exhaustive(sp, target, depth=4, cap=2000):
-    """find_certificate without the refutation and the early stop: every
-    round runs to its end, and a target no rule can reach is searched until
-    the depth or the table budget runs out."""
+    """The bounded table search find_certificate's construction replaced,
+    without its refutation and early stop: rounds of generator, constant,
+    sum, negation, absolute value and affine nodes until the target's table,
+    the depth or the table budget is reached.  It can miss members (it
+    never tries max or min); every certificate it finds, the construction
+    finds too."""
     order = sp.carrier.elements
 
     def key(values):

@@ -148,6 +148,15 @@ def test_limit_json_embeds_class_count(tmp_path, capsys):
     assert payload["checks"][0]["witness"] == ["classes=1"]
 
 
+def test_cert_depth_flag_is_accepted_and_ignored(tmp_path, capsys):
+    path = next(p for p in FIXTURES if p.stem == "inverse")
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--cert-depth", "1", "--json", str(out)]) == 0
+    capsys.readouterr()
+    golden = path.parent.parent / "tests" / "golden" / "inverse.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_bad_bounds_rejected(capsys):
     path = next(p for p in FIXTURES if p.stem == "eo1")
     assert main(["check", str(path), "--thread-bound", "0"]) == 2

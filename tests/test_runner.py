@@ -22,10 +22,8 @@ def _checks(text, config=None):
             for c in json.loads(emit_report(rep, "json"))["checks"]]
 
 
-def _widened_inverse():
-    """fixtures/inverse.bsp with three-point carriers, checking one product."""
-    text = INVERSE.read_text()
-    text = text[:text.index("cofinal EVENS")]
+def _widen(text):
+    """fixtures/inverse.bsp text with three-point carriers."""
     for old, new in [
         ("elements: a, b", "elements: a, b, c"),
         ("elements: u, v", "elements: u, v, w"),
@@ -38,6 +36,13 @@ def _widened_inverse():
     ]:
         assert old in text
         text = text.replace(old, new)
+    return text
+
+
+def _widened_inverse():
+    """The widened fixtures/inverse.bsp, checking one product."""
+    text = _widen(INVERSE.read_text())
+    text = text[:text.index("cofinal EVENS")]
     return text + "suite main {\n  check: product REV REV\n}\n"
 
 
@@ -46,6 +51,15 @@ def test_product_of_widened_inverse_spectra():
     # the pruned search finds the 9 compatible ones
     assert _checks(_widened_inverse()) == [
         ("product.REVxREV.pairing", "pass", ["9", "3", "3"])]
+
+
+def test_widened_inverse_duality_pools_every_morphism():
+    # every map of a three-point space into {0, 1/2, 1} is a morphism out
+    # of G0, since its generator separates all three points
+    checks = _checks(_widen(INVERSE.read_text()))
+    assert ("duality2.PDUAL2.round-trips", "pass",
+            ["side-cardinality=27"]) in checks
+    assert all(status == "pass" for _, status, _ in checks)
 
 
 COCONE_DOC = """\

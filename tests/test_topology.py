@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -258,3 +259,28 @@ def test_find_certificate_search():
     target2 = RFun(sp.carrier, {"p": 1, "q": 2})
     cert2 = certificate_for(sp, target2)
     assert cert2 is not None and validate_certificate(sp, target2, cert2).ok
+
+
+def test_every_map_into_three_levels_is_certified():
+    # one generator separates all three points, so every function is a
+    # member; a bounded search over sums and affine images found 15 of 27
+    carrier = discrete(["a", "b", "c"])
+    sp = space(carrier, [RFun(carrier, {"a": 0, "b": Fraction(1, 2), "c": 1})])
+    levels = (Fraction(0), Fraction(1, 2), Fraction(1))
+    for values in product(levels, repeat=3):
+        target = RFun(carrier, dict(zip("abc", values)))
+        cert = certificate_for(sp, target)
+        assert cert is not None and validate_certificate(sp, target, cert).ok
+
+
+def test_every_map_on_a_two_bit_space_is_certified():
+    # the generators separate all four points only in a weighted sum:
+    # g0 + g1 merges (1, 0) and (0, 1), so the construction needs g0 + 2 g1
+    carrier = discrete(["p", "q", "r", "s"])
+    g0 = RFun(carrier, {"p": 0, "q": 1, "r": 0, "s": 1})
+    g1 = RFun(carrier, {"p": 0, "q": 0, "r": 1, "s": 1})
+    sp = space(carrier, [g0, g1])
+    for values in product((0, 1), repeat=4):
+        target = RFun(carrier, dict(zip("pqrs", values)))
+        cert = certificate_for(sp, target)
+        assert cert is not None and validate_certificate(sp, target, cert).ok

@@ -1,6 +1,6 @@
-"""Differential tests: the classwise uniqueness decision and the refuting,
-early-stopping certificate search against the exhaustive paths they
-replaced (kept in `oracles.py`).  Hypothesis runs derandomized, so the suite
+"""Differential tests: the classwise uniqueness decision and the certificate
+construction against the exhaustive paths they replaced (kept in
+`oracles.py`).  Hypothesis runs derandomized, so the suite
 stays deterministic."""
 
 import random
@@ -45,8 +45,10 @@ from bspec.topology import (
     MorphismWitness,
     RFun,
     cert_conclusion,
+    certificate_for,
     find_certificate,
     space,
+    validate_certificate,
 )
 from oracles import (
     check_unique_cone_mediator_exhaustive,
@@ -298,12 +300,38 @@ def _certificate_case(seed):
     return sp, target
 
 
+def _block_constant(sp, target):
+    """Constant on the blocks of points that no generator separates."""
+    blocks = {}
+    return all(
+        blocks.setdefault(tuple(g(x) for g in sp.gens), target(x)) == target(x)
+        for x in sp.carrier.elements)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 @given(seeds)
-def test_find_certificate_matches_exhaustive_search(seed):
+def test_construction_finds_exactly_the_block_constant_targets(seed):
     sp, target = _certificate_case(seed)
-    assert (find_certificate(sp, target, depth=3, cap=150)
-            == find_certificate_exhaustive(sp, target, depth=3, cap=150))
+    for find in (find_certificate, certificate_for):
+        cert = find(sp, target)
+        assert (cert is not None) == _block_constant(sp, target)
+        if cert is not None:
+            assert validate_certificate(sp, target, cert).ok
+    if find_certificate_exhaustive(sp, target, depth=3, cap=150) is not None:
+        assert find_certificate(sp, target) is not None
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(seeds)
+def test_every_block_constant_target_is_constructed(seed):
+    sp, _ = _certificate_case(seed)
+    rng = random.Random(seed)
+    level = {}
+    target = RFun(sp.carrier, {
+        x: level.setdefault(tuple(g(x) for g in sp.gens), rng.choice(VALUES))
+        for x in sp.carrier.elements})
+    cert = find_certificate(sp, target)
+    assert cert is not None and validate_certificate(sp, target, cert).ok
 
 
 def test_certificate_cases_reach_both_answers():
