@@ -24,7 +24,7 @@ from .setoid import (
     split_tag,
     tag_token,
 )
-from .spectra import Spectrum, Thread, thread_to_sum_function
+from .spectra import Spectrum, Thread, sum_function
 from .topology import (
     BSpace,
     CGen,
@@ -363,7 +363,9 @@ def duality_direct_to_inverse(s, fixed, pools, lim=None, uniq_bound=1_000_000):
                 i: compose_rfun(f0, carriers_mc[i].witness(assignment[i]).h)
                 for i in s.index.elements
             }
-            pulled = thread_to_sum_function(s, Thread(thread_funcs), lim.carrier)
+            # compatible: the choice is, and f0 respects equality in the
+            # fixed space; the pairs (i, i) are the family's identity law
+            pulled = sum_function(Thread(thread_funcs), lim.carrier)
             cert = certificate_for(lim.space, pulled)
             if cert is None:
                 findings.append(Finding("hom-cert", (tok, k)))

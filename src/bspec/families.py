@@ -117,39 +117,51 @@ def _class_inverse(fn):
 
 def _saturate(pairs, carriers, given, contravariant=False):
     """Extend transports from generating edges to all pairs by composition;
-    across symmetric pairs an inverse is derived when the map allows it."""
+    across symmetric pairs an inverse is derived when the map allows it.
+
+    The known transports are indexed by source and by target, in the order
+    they were learnt, so the middle indices of a pair are the intersection
+    of two short lists.  Each composite goes through the first member of
+    that set, and the set is built by inserting the same elements in the
+    same order as a scan over all known transports would, so which middle
+    index that is does not depend on how the set was found.
+    """
     pairset = set(pairs)
-    known = {}
+    known, out_of, into = {}, {}, {}
+
+    def learn(i, j, fn):
+        if (i, j) not in known:
+            out_of.setdefault(i, []).append(j)
+            into.setdefault(j, []).append(i)
+        known[(i, j)] = fn
+
     for i, j in pairs:
         if i == j:
-            known[(i, j)] = identity(carriers[i])
+            learn(i, j, identity(carriers[i]))
     for (i, j), fn in given.items():
         if (i, j) not in pairset:
             raise MissingTransport(f"edge ({i}, {j}) is not an order pair")
-        known[(i, j)] = fn
+        learn(i, j, fn)
     changed = True
     while changed:
         changed = False
         for i, j in pairs:
             if (i, j) in known:
                 continue
-            mids = {k for (a, k) in known if a == i} & {
-                k for (k, b) in known if b == j
-            }
+            mids = set(out_of.get(i, ())) & set(into.get(j, ()))
             for k in mids:
-                if (i, k) in known and (k, j) in known:
-                    if contravariant:
-                        known[(i, j)] = compose(known[(k, j)], known[(i, k)])
-                    else:
-                        known[(i, j)] = compose(known[(i, k)], known[(k, j)])
-                    changed = True
-                    break
+                if contravariant:
+                    learn(i, j, compose(known[(k, j)], known[(i, k)]))
+                else:
+                    learn(i, j, compose(known[(i, k)], known[(k, j)]))
+                changed = True
+                break
             if (i, j) in known:
                 continue
             if (j, i) in known and (j, i) in pairset:
                 inv = _class_inverse(known[(j, i)])
                 if inv is not None:
-                    known[(i, j)] = inv
+                    learn(i, j, inv)
                     changed = True
     missing = [p for p in pairs if p not in known]
     if missing:
@@ -235,6 +247,17 @@ def validate_family(F):
 
 
 def validate_direct_family(F):
+    """Every failed identity, extensionality and composition law.
+
+    The laws are decided on class-id tables (`_direct_family_laws_hold`);
+    only a family they do not show lawful is scanned, to list its findings.
+    """
+    if _direct_family_laws_hold(F):
+        return []
+    return _validate_direct_family_scan(F)
+
+
+def _validate_direct_family_scan(F):
     findings = []
     for i in F.index.elements:
         if not fn_equal(F.transport(i, i), identity(F.carrier(i))):
@@ -254,6 +277,81 @@ def validate_direct_family(F):
             if not fn_equal(path, F.transport(i, k)):
                 findings.append(Finding("family-composition", (i, j, k)))
     return findings
+
+
+def _class_map(fn):
+    """A transport as a tuple of class ids, entry c the class of the values
+    on the c-th class of its domain; None when it separates equal elements."""
+    cod_id, value = fn.cod._class_index, fn.mapping
+    out = []
+    for cls in fn.dom._classes:
+        c = cod_id[value[cls[0]]]
+        for x in cls[1:]:
+            if cod_id[value[x]] != c:
+                return None
+        out.append(c)
+    return tuple(out)
+
+
+def _class_maps(F, pairs):
+    """The transports of `pairs` as class maps, keyed by pair.
+
+    None when class ids cannot stand for the pairwise laws: a pair naming
+    no index element, a carrier that is not an equivalence, a transport
+    that is missing, runs between other carriers than its pair names, or
+    separates equal elements.
+    """
+    base = F.index.base
+    covariant = F.direction == COVARIANT
+    maps = {}
+    for i, j in pairs:
+        fn = F.transports.get((i, j))
+        if fn is None or not (base.has(i) and base.has(j)):
+            return None
+        src = F.carriers.get(i if covariant else j)
+        dst = F.carriers.get(j if covariant else i)
+        if src is None or dst is None:
+            return None
+        if not (_same_carrier(fn.dom, src) and _same_carrier(fn.cod, dst)
+                and src.closed and dst.closed):
+            return None
+        m = _class_map(fn)
+        if m is None:
+            return None
+        maps[(i, j)] = m
+    return maps
+
+
+def _same_carrier(X, Y):
+    return X is Y or X.same_as(Y)
+
+
+def _direct_family_laws_hold(F):
+    """The identity, extensionality and composition laws on class maps.
+
+    With every transport extensional, a composite's class map is the
+    composite of the class maps, so each triple i <= j <= k compares the
+    class map of (i, k) with that of (i, j) and (j, k) composed.
+    """
+    els = F.index.elements
+    pairs = F.index.pairs
+    maps = _class_maps(F, pairs | {(i, i) for i in els})
+    if maps is None:
+        return False
+    for i in els:
+        if maps[(i, i)] != tuple(range(F.carriers[i].class_count())):
+            return False
+    above = {}
+    for j, k in pairs:
+        above.setdefault(j, []).append(k)
+    covariant = F.direction == COVARIANT
+    for i, j in pairs:
+        ij = maps[(i, j)]
+        for k in above.get(j, ()):
+            lo, hi = (ij, maps[(j, k)]) if covariant else (maps[(j, k)], ij)
+            if maps.get((i, k)) != tuple(hi[c] for c in lo):
+                return False
+    return True
 
 
 # --- the disjoint-union carrier and its equalities -------------------------
@@ -289,6 +387,43 @@ def direct_sum_equality_exhaustive(F, i, x, j, y):
         if F.carrier(k).eq(F.transport(i, k)(x), F.transport(j, k)(y)):
             return True
     return False
+
+
+def sum_equality_laws_hold(F):
+    """Whether agreement at the top is an equivalence on the tagged elements
+    and agrees with the upper-bound search on every pair, in one keyed pass.
+
+    The top is a common upper bound of every pair, so agreement there is
+    agreement at some upper bound.  The converse fails exactly when some
+    upper bound k relates two elements below it that the top separates; so
+    the two agree iff, for each k, the class at k of every element below k
+    determines its class at the top.  With an equivalence at the top,
+    agreement there is that equivalence read through the transports, so it
+    is one.  False means the pass did not show both: a law fails, or class
+    ids cannot stand for the pairwise relations (`_class_maps`).
+    """
+    if F.direction != COVARIANT:
+        return False
+    els = F.index.elements
+    # the scan reads each index back out of a tag, up to its first "@"
+    if any(i not in F.carriers or "@" in i for i in els):
+        return False
+    if not any(len(F.carriers[i]) for i in els):
+        return True  # no tagged elements, so no pairs
+    t = F.top()
+    maps = _class_maps(F, F.index.pairs)
+    if maps is None:
+        return False
+    below = {}
+    for i, k in F.index.pairs:
+        below.setdefault(k, []).append(i)
+    for k, lower in below.items():
+        top_class = {}
+        for i in lower:
+            for at_k, at_top in zip(maps[(i, k)], maps[(i, t)]):
+                if top_class.setdefault(at_k, at_top) != at_top:
+                    return False
+    return True
 
 
 def plain_sum_setoid(F):
@@ -327,15 +462,6 @@ def direct_sum_pairs(F):
 def direct_sum_setoid(F):
     """The disjoint union with the transport-agreement equality."""
     return Setoid(*direct_sum_pairs(F))
-
-
-def sum_projection_raw(token):
-    """Index tag of a sum element.
-
-    Warning: this is a raw operation, not a map of setoids; on a direct sum
-    it need not respect equality.
-    """
-    return split_tag(token)[0]
 
 
 def validate_dependent(F, assignment, flavor):

@@ -43,7 +43,6 @@ from .spectra import (
     restrict_spectrum,
     sum_function,
     sum_space,
-    thread_to_sum_function,
 )
 from .topology import (
     BSpace,
@@ -177,7 +176,9 @@ def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
         thread_funcs = {
             i: compose_rfun(g, c.legs[i].h) for i in s.index.elements
         }
-        pulled = thread_to_sum_function(s, Thread(thread_funcs), lim.carrier)
+        # compatible: the triangles give every pair i < j, the family's
+        # identity law the pairs (i, i)
+        pulled = sum_function(Thread(thread_funcs), lim.carrier)
         certs[k] = certificate_for(lim.space, pulled)
         if certs[k] is None:
             raise IllFormedCocone(

@@ -8,6 +8,7 @@ from functools import cached_property
 
 from .report import Finding
 from .setoid import (
+    NotEquivalence,
     Setoid,
     SetoidFn,
     UnknownElement,
@@ -83,42 +84,70 @@ class DirectedIndex:
 
 
 def _close_order(base, pairs):
-    """Reflexive, transitive, and extensional closure of an order relation."""
-    rel = set(pairs)
-    rel.update((i, i) for i in base.elements)
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(rel):
-            for k in base.elements:
-                if (j, k) in rel and (i, k) not in rel:
-                    rel.add((i, k))
-                    changed = True
-        for i, j in list(rel):
-            for i2 in base.elements:
-                for j2 in base.elements:
-                    if base.eq(i, i2) and base.eq(j, j2) and (i2, j2) not in rel:
-                        rel.add((i2, j2))
-                        changed = True
+    """Reflexive, transitive, and extensional closure of an order relation.
+
+    This is reachability between classes: i <= j in the closure exactly
+    when the class of j is reachable from the class of i along the given
+    pairs, since reflexivity and extensionality relate every element to its
+    whole class.  The base's equality must be an equivalence, as on every
+    carrier `make_setoid` builds; an empty base adds nothing to the pairs.
+    """
+    if not base.elements:
+        return frozenset(pairs)
+    if not base.closed:
+        raise NotEquivalence("order base equality is not an equivalence")
+    classes = base._classes
+    class_id = base._class_index
+    succ = [set() for _ in classes]
+    for i, j in pairs:
+        for x in (i, j):
+            if x not in class_id:
+                raise UnknownElement(
+                    f"{x!r} or {base.elements[0]!r} not in carrier")
+        succ[class_id[i]].add(class_id[j])
+    rel = set()
+    for a, cls in enumerate(classes):
+        seen, stack = {a}, [a]
+        while stack:
+            for b in succ[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        rel.update((x, y) for b in seen for x in cls for y in classes[b])
     return frozenset(rel)
 
 
+def _first_upper_bounds(elements, pairs):
+    """(i, j) -> the first element, in carrier order, above both.
+
+    Each element's above-list is a bit mask over carrier positions, so the
+    first common upper bound is the lowest bit of the intersection.
+    """
+    bit = {}
+    for n, k in enumerate(elements):
+        bit.setdefault(k, 1 << n)
+    above = dict.fromkeys(elements, 0)
+    for i, k in pairs:
+        if i in above and k in bit:
+            above[i] |= bit[k]
+    upper = {}
+    for i in elements:
+        for j in elements:
+            common = above[i] & above[j]
+            if not common:
+                raise NotDirected(f"no upper bound for ({i}, {j})")
+            upper[(i, j)] = elements[(common & -common).bit_length() - 1]
+    return upper
+
+
 def make_directed(base, order_pairs, closure=True, upper=None, delta=None):
-    """Build a DirectedIndex; upper-bound witnesses are scanned for when absent."""
+    """Build a DirectedIndex; upper-bound witnesses are the first common
+    upper bound in carrier order when absent."""
     if not isinstance(base, Setoid):
         base = make_setoid(base)
     pairs = _close_order(base, order_pairs) if closure else frozenset(order_pairs)
     if upper is None:
-        upper = {}
-        for i in base.elements:
-            for j in base.elements:
-                k = next(
-                    (k for k in base.elements if (i, k) in pairs and (j, k) in pairs),
-                    None,
-                )
-                if k is None:
-                    raise NotDirected(f"no upper bound for ({i}, {j})")
-                upper[(i, j)] = k
+        upper = _first_upper_bounds(base.elements, pairs)
     return DirectedIndex(base, pairs, dict(upper), dict(delta) if delta else None)
 
 

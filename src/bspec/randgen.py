@@ -157,20 +157,23 @@ def random_direct_family(rng, index, direction=COVARIANT, max_carrier=3,
                 table[x] = val
         step[(a, b)] = make_fn(dom, cod, table)
 
+    level_pos = {lv: n for n, lv in enumerate(levels)}
+    composites = {}
+
     def path(a, b):
-        # composite of level steps from height a to height b (a <= b)
-        la = levels.index(a)
-        lb = levels.index(b)
-        fns = [step[(levels[k], levels[k + 1])] for k in range(la, lb)]
-        if direction == COVARIANT:
-            out = identity(carriers_by_level[a])
-            for f in fns:
-                out = compose(out, f)
-        else:
-            out = identity(carriers_by_level[b])
-            for f in reversed(fns):
-                out = compose(out, f)
-        return out
+        # composite of level steps from height a to height b (a <= b),
+        # extended from the composite one level below b
+        if (a, b) not in composites:
+            lb = level_pos[b]
+            if lb == level_pos[a]:
+                composites[(a, b)] = identity(carriers_by_level[a])
+            else:
+                below = path(a, levels[lb - 1])
+                last = step[(levels[lb - 1], b)]
+                composites[(a, b)] = (compose(below, last)
+                                      if direction == COVARIANT
+                                      else compose(last, below))
+        return composites[(a, b)]
 
     carriers = {i: carriers_by_level[heights[i]] for i in index.elements}
     transports = {}

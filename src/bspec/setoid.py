@@ -111,6 +111,20 @@ class Setoid:
     def _class_of(self):
         return {b: cls for cls in self._classes for b in cls}
 
+    @cached_property
+    def _class_index(self):
+        """Element -> position of its class in `classes()`."""
+        return {b: n for n, cls in enumerate(self._classes) for b in cls}
+
+    @cached_property
+    def closed(self):
+        """Whether `pairs` is an equivalence on the elements.
+
+        Every carrier `make_setoid` builds is; one built by hand need not
+        be.  Deciders that work on class ids hold only when it is.
+        """
+        return is_equivalence(self.elements, self.pairs)
+
     def classes(self):
         """Equivalence classes, ordered by first representative."""
         return list(self._classes)
@@ -407,26 +421,3 @@ def unique_classwise(classes, values, admissible, differs):
     if any(not vs for _, vs in admitted):
         return True
     return not any(differs(cls, v) for cls, vs in admitted for v in vs)
-
-
-def verify_unique_factoring(f, Q, g, bound=1_000_000):
-    """Confirm g is the only extensional factoring of f.
-
-    Returns True/False, or None when the |cod|^|classes| candidate maps
-    exceed the bound.
-    """
-    quo = Q.as_setoid()
-    classes = quo.classes()
-    if len(f.cod.elements) ** len(classes) > bound:
-        return None
-    eq = f.cod.eq
-
-    def factors(cls, v):
-        return all(eq(v, f(a)) for a in cls)
-
-    if g.dom.elements != quo.elements:
-        # g equals no candidate, so it is unique only when nothing factors f
-        return not all(any(factors(cls, v) for v in f.cod.elements)
-                       for cls in classes)
-    return unique_classwise(classes, f.cod.elements, factors,
-                            lambda cls, v: any(not eq(v, g(a)) for a in cls))

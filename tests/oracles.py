@@ -2,20 +2,32 @@
 
 Each function here is the code a fast path in `bspec` replaced, unchanged
 but for its name and docstring; the differential tests check that the fast
-path gives the same answer.
+path gives the same answer.  The last section holds helpers that nothing in
+`bspec` calls any more, kept for the tests that pin their behaviour.
 """
 
 from fractions import Fraction
 from itertools import product as iproduct
 
 from bspec.families import (
+    MissingTransport,
+    _class_inverse,
     direct_sum_equality,
     direct_sum_equality_exhaustive,
     sum_elements,
 )
 from bspec.limits import NonUnique
 from bspec.report import Finding
-from bspec.setoid import SetoidFn, fn_equal, split_tag, tag_token
+from bspec.order import NotDirected
+from bspec.setoid import (
+    SetoidFn,
+    compose,
+    fn_equal,
+    identity,
+    split_tag,
+    tag_token,
+    unique_classwise,
+)
 from bspec.topology import (
     BID,
     CAdd,
@@ -189,3 +201,126 @@ def equivalence_findings_scan(fams):
                         if rel[(b, c)] and not rel[(a, c)]:
                             bad_eq.append(Finding("transitive", (a, b, c)))
     return bad_eq, bad_oracle
+
+
+def outcome(fn, *args):
+    """The value of a call, or the type and message of what it raised, so
+    a fast path and its oracle can be compared on inputs where both raise."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # compared by the caller, never hidden
+        return type(exc), str(exc)
+
+
+def saturate_rescan(pairs, carriers, given, contravariant=False):
+    """families._saturate before its known transports were indexed: every
+    unknown pair rescans all known transports for its middle indices."""
+    pairset = set(pairs)
+    known = {}
+    for i, j in pairs:
+        if i == j:
+            known[(i, j)] = identity(carriers[i])
+    for (i, j), fn in given.items():
+        if (i, j) not in pairset:
+            raise MissingTransport(f"edge ({i}, {j}) is not an order pair")
+        known[(i, j)] = fn
+    changed = True
+    while changed:
+        changed = False
+        for i, j in pairs:
+            if (i, j) in known:
+                continue
+            mids = {k for (a, k) in known if a == i} & {
+                k for (k, b) in known if b == j
+            }
+            for k in mids:
+                if (i, k) in known and (k, j) in known:
+                    if contravariant:
+                        known[(i, j)] = compose(known[(k, j)], known[(i, k)])
+                    else:
+                        known[(i, j)] = compose(known[(i, k)], known[(k, j)])
+                    changed = True
+                    break
+            if (i, j) in known:
+                continue
+            if (j, i) in known and (j, i) in pairset:
+                inv = _class_inverse(known[(j, i)])
+                if inv is not None:
+                    known[(i, j)] = inv
+                    changed = True
+    missing = [p for p in pairs if p not in known]
+    if missing:
+        raise MissingTransport(f"no transport derivable for {missing[:3]}")
+    return known
+
+
+def close_order_scan(base, pairs):
+    """order._close_order before it became reachability between classes:
+    rescan the pairs until nothing is added."""
+    rel = set(pairs)
+    rel.update((i, i) for i in base.elements)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in list(rel):
+            for k in base.elements:
+                if (j, k) in rel and (i, k) not in rel:
+                    rel.add((i, k))
+                    changed = True
+        for i, j in list(rel):
+            for i2 in base.elements:
+                for j2 in base.elements:
+                    if base.eq(i, i2) and base.eq(j, j2) and (i2, j2) not in rel:
+                        rel.add((i2, j2))
+                        changed = True
+    return frozenset(rel)
+
+
+def first_upper_bounds_scan(elements, pairs):
+    """make_directed's upper-bound table by scanning every candidate k for
+    every pair (i, j)."""
+    upper = {}
+    for i in elements:
+        for j in elements:
+            k = next(
+                (k for k in elements if (i, k) in pairs and (j, k) in pairs),
+                None,
+            )
+            if k is None:
+                raise NotDirected(f"no upper bound for ({i}, {j})")
+            upper[(i, j)] = k
+    return upper
+
+
+# --- helpers with no caller in bspec ---------------------------------------
+
+def verify_unique_factoring(f, Q, g, bound=1_000_000):
+    """Confirm g is the only extensional factoring of f.
+
+    Returns True/False, or None when the |cod|^|classes| candidate maps
+    exceed the bound.
+    """
+    quo = Q.as_setoid()
+    classes = quo.classes()
+    if len(f.cod.elements) ** len(classes) > bound:
+        return None
+    eq = f.cod.eq
+
+    def factors(cls, v):
+        return all(eq(v, f(a)) for a in cls)
+
+    if g.dom.elements != quo.elements:
+        # g equals no candidate, so it is unique only when nothing factors f
+        return not all(any(factors(cls, v) for v in f.cod.elements)
+                       for cls in classes)
+    return unique_classwise(classes, f.cod.elements, factors,
+                            lambda cls, v: any(not eq(v, g(a)) for a in cls))
+
+
+def sum_projection_raw(token):
+    """Index tag of a sum element.
+
+    Warning: this is a raw operation, not a map of setoids; on a direct sum
+    it need not respect equality.
+    """
+    return split_tag(token)[0]

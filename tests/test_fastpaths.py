@@ -13,10 +13,14 @@ from bspec.families import (
     CONTRAVARIANT,
     COVARIANT,
     DirectFamily,
+    FamilyError,
+    _direct_family_laws_hold,
+    _validate_direct_family_scan,
     direct_sum_equality,
     direct_sum_equality_exhaustive,
     direct_sum_setoid,
     sum_elements,
+    validate_direct_family,
 )
 from bspec.limits import direct_limit, inverse_limit
 from bspec.order import DirectedIndex, NotDirected, chain, top_element
@@ -36,7 +40,7 @@ from bspec.setoid import (
 from bspec.spectra import thread_to_sum_function, validate_thread
 from bspec.topology import map_setoid
 
-from oracles import equivalence_findings_scan
+from oracles import equivalence_findings_scan, outcome
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -241,20 +245,76 @@ def non_transitive_carriers(draw):
     return Setoid(els, frozenset(pairs))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(non_transitive_carriers(), st.integers(min_value=1, max_value=3), seeds)
-def test_equivalence_laws_match_the_triple_scan(carrier, length, seed):
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(non_transitive_carriers(), st.integers(min_value=1, max_value=3),
+       st.sampled_from([COVARIANT, CONTRAVARIANT]), seeds)
+def test_family_laws_on_carriers_that_are_not_transitive(carrier, length,
+                                                         direction, seed):
+    rng = random.Random(seed)
     index = chain(length)
-    fam = DirectFamily(index, COVARIANT, {i: carrier for i in index.elements},
-                       {p: identity(carrier) for p in index.order_pairs()})
+    els = carrier.elements
+    transports = {p: (identity(carrier) if rng.random() < 0.7
+                      else SetoidFn(carrier, carrier, {x: rng.choice(els) for x in els}))
+                  for p in index.order_pairs()}
+    fam = DirectFamily(index, direction, {i: carrier for i in index.elements},
+                       transports)
+    assert not _direct_family_laws_hold(fam)
+    # a carrier that is not even reflexive makes the scan raise; so must this
+    assert (outcome(validate_direct_family, fam)
+            == outcome(_validate_direct_family_scan, fam))
+
+
+def _faulty_top(seed, index):
+    """A random family whose transports into the top are random tables, so
+    the top may separate what a lower upper bound relates."""
+    rng = random.Random(seed)
+    fam = random_direct_family(rng, index, COVARIANT)
+    t = index.top
+    transports = dict(fam.transports)
+    for i in index.elements:
+        fn = transports[(i, t)]
+        transports[(i, t)] = SetoidFn(
+            fn.dom, fn.cod, {x: rng.choice(fn.cod.elements) for x in fn.dom.elements})
+    return DirectFamily(index, COVARIANT, fam.carriers, transports)
+
+
+@settings(derandomize=True, max_examples=180, deadline=None, database=None)
+@given(non_transitive_carriers(), st.integers(min_value=1, max_value=3), seeds,
+       st.sampled_from(["not-transitive", "contravariant", "faulty-top"]))
+def test_equivalence_laws_match_the_triple_scan(carrier, length, seed, kind):
+    index = chain(length)
+    if kind == "not-transitive":
+        fam = DirectFamily(index, COVARIANT, {i: carrier for i in index.elements},
+                           {p: identity(carrier) for p in index.order_pairs()})
+    elif kind == "contravariant":
+        fam = random_direct_family(random.Random(seed + 1), index, CONTRAVARIANT)
+    else:
+        fam = _faulty_top(seed + 1, index)
     env = SimpleNamespace(spectrum=lambda name: SimpleNamespace(fam=fam, index=index))
     config = runner.RunConfig(seed=seed)
     report = _Recording()
-    runner.check_equivalence(env, ("S",), config, report, "t", None)
+
+    def keyed():
+        runner.check_equivalence(env, ("S",), config, report, "t", None)
+        return (report.findings["equivalence.S.laws"],
+                report.findings["equivalence.S.top-vs-search"])
+
     # the same families the check draws: the spectrum's, then five random ones
     rng = random.Random(seed)
     fams = [fam] + [random_direct_family(rng, index, COVARIANT) for _ in range(5)]
-    laws, oracle = equivalence_findings_scan(fams)
-    assert any(f.law == "transitive" for f in laws)
-    assert report.findings["equivalence.S.laws"] == laws
-    assert report.findings["equivalence.S.top-vs-search"] == oracle
+    want = outcome(equivalence_findings_scan, fams)
+    assert outcome(keyed) == want
+    if kind == "not-transitive":
+        assert any(f.law == "transitive" for f in want[1][0])
+    if kind == "contravariant":
+        assert want[0] is FamilyError
+
+
+def test_a_faulty_top_is_found():
+    found = 0
+    for seed in range(40):
+        index = chain(1 + seed % 3)
+        laws, oracle = equivalence_findings_scan([_faulty_top(seed, index)])
+        assert laws == []  # agreement at the top is still an equivalence
+        found += bool(oracle)
+    assert found > 0

@@ -1,0 +1,309 @@
+"""Differential tests for the keyed deciders of the index and family laws:
+the order closure, saturation, the family laws and the sum-equality laws,
+each against the scan it replaced.  Hypothesis runs derandomized, so the
+suite stays deterministic."""
+
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bspec import families, order, runner, spectra
+from bspec.cli import main
+from bspec.dsl import elaborate, parse
+from bspec.duality import duality_direct_to_inverse
+from bspec.families import (
+    CONTRAVARIANT,
+    COVARIANT,
+    DirectFamily,
+    _direct_family_laws_hold,
+    _saturate,
+    _validate_direct_family_scan,
+    sum_equality_laws_hold,
+    validate_direct_family,
+)
+from bspec.limits import cocone_mediator, direct_limit
+from bspec.order import _close_order, _first_upper_bounds, chain
+from bspec.randgen import (
+    _heights,
+    random_direct_family,
+    random_directed_index,
+    random_spectrum_with_cocone,
+)
+from bspec.report import Report
+from bspec.setoid import (
+    NotEquivalence,
+    Setoid,
+    SetoidFn,
+    UnknownElement,
+    compose,
+    identity,
+    make_setoid,
+)
+
+from oracles import (
+    close_order_scan,
+    first_upper_bounds_scan,
+    outcome,
+    saturate_rescan,
+)
+
+FAST = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+directions = st.sampled_from([COVARIANT, CONTRAVARIANT])
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = sorted((ROOT / "fixtures").glob("*.bsp"))
+
+
+def _raw_map(rng, dom, cod):
+    """A random table, not checked for extensionality."""
+    return SetoidFn(dom, cod, {x: rng.choice(cod.elements) for x in dom.elements})
+
+
+# --- the order closure --------------------------------------------------------
+
+@st.composite
+def order_bases(draw):
+    """A base with merged elements and order pairs with cycles; sometimes a
+    pair names the element z outside the base."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    els = [f"e{k}" for k in range(n)]
+    two = st.tuples(st.sampled_from(els), st.sampled_from(els))
+    base = make_setoid(els, draw(st.lists(two, max_size=3)))
+    field = els + ["z"] if draw(st.integers(min_value=0, max_value=4)) == 0 else els
+    pairs = draw(st.lists(st.tuples(st.sampled_from(field), st.sampled_from(field)),
+                          max_size=12))
+    return base, pairs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(order_bases())
+def test_close_order_matches_scan(case):
+    base, pairs = case
+    got = outcome(_close_order, base, pairs)
+    assert got == outcome(close_order_scan, base, pairs)
+    # the upper-bound table, over the closure and over the raw pairs
+    for rel in ([got[1]] if got[0] == "value" else []) + [frozenset(pairs)]:
+        assert (outcome(_first_upper_bounds, base.elements, rel)
+                == outcome(first_upper_bounds_scan, base.elements, rel))
+
+
+def test_unknown_element_raises_as_the_scan_does():
+    base = make_setoid(["a", "b"], [("a", "b")])
+    for pairs in ([("a", "z")], [("z", "b")], [("a", "b"), ("b", "z")]):
+        got = outcome(_close_order, base, pairs)
+        assert got[0] is UnknownElement
+        assert got == outcome(close_order_scan, base, pairs)
+
+
+def test_closure_needs_an_equivalence_on_the_base():
+    base = Setoid(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b")}))
+    with pytest.raises(NotEquivalence):
+        _close_order(base, [("a", "b")])
+    empty = make_setoid([], empty=True)
+    assert _close_order(empty, [("a", "b")]) == {("a", "b")}
+
+
+def test_closure_of_a_long_chain():
+    names = [str(k) for k in range(200)]
+    pairs = _close_order(make_setoid(names), list(zip(names, names[1:])))
+    assert len(pairs) == 20_100
+    assert pairs == chain(200).pairs
+
+
+# --- saturation ---------------------------------------------------------------
+
+def _generating_edges(rng, fam, fault):
+    """A random set of the family's edges to saturate from; with a fault,
+    some of them are replaced by random tables, so composites along
+    different middle indices differ."""
+    given = {}
+    for i, j in fam.order_pairs():
+        if i != j and rng.random() < 0.6:
+            fn = fam.transport(i, j)
+            if fault and rng.random() < 0.5:
+                fn = _raw_map(rng, fn.dom, fn.cod)
+            given[(i, j)] = fn
+    return given
+
+
+def _tables(known):
+    return [(p, fn.dom.elements, fn.cod.elements, fn.mapping)
+            for p, fn in known.items()]
+
+
+@FAST
+@given(seeds, directions, st.booleans())
+def test_saturate_matches_rescan(seed, direction, fault):
+    rng = random.Random(seed)
+    fam = random_direct_family(rng, random_directed_index(rng, 6), direction)
+    pairs = fam.order_pairs()
+    given = _generating_edges(rng, fam, fault)
+    contra = direction == CONTRAVARIANT
+    got = outcome(_saturate, pairs, fam.carriers, given, contra)
+    want = outcome(saturate_rescan, pairs, fam.carriers, given, contra)
+    if got[0] == "value" and want[0] == "value":
+        assert _tables(got[1]) == _tables(want[1])
+    else:
+        assert got == want
+
+
+def test_saturate_derives_inverses_across_cycles():
+    index = order.make_directed(["a", "b"], [("a", "b"), ("b", "a")])
+    X = make_setoid(["p", "q"])
+    swap = SetoidFn(X, X, {"p": "q", "q": "p"})
+    given = {("a", "b"): swap}
+    got = _saturate(index.order_pairs(), {"a": X, "b": X}, given)
+    want = saturate_rescan(index.order_pairs(), {"a": X, "b": X}, given)
+    assert _tables(got) == _tables(want)
+    assert got[("b", "a")].mapping == {"p": "q", "q": "p"}
+
+
+# --- the family laws ----------------------------------------------------------
+
+FAULTS = ["none", "identity", "composition", "any"]
+
+
+def _faulty_family(rng, index, direction, fault):
+    fam = random_direct_family(rng, index, direction)
+    transports = dict(fam.transports)
+    pairs = fam.order_pairs()
+    if fault == "identity":
+        i = rng.choice(index.elements)
+        transports[(i, i)] = _raw_map(rng, fam.carrier(i), fam.carrier(i))
+    elif fault == "composition":
+        p = rng.choice(pairs)
+        transports[p] = _raw_map(rng, transports[p].dom, transports[p].cod)
+    elif fault == "any":
+        # random tables may also separate merged elements
+        for p in rng.sample(pairs, k=min(2, len(pairs))):
+            transports[p] = _raw_map(rng, transports[p].dom, transports[p].cod)
+    return DirectFamily(index, direction, fam.carriers, transports)
+
+
+@FAST
+@given(seeds, directions, st.sampled_from(FAULTS))
+def test_family_laws_match_scan(seed, direction, fault):
+    rng = random.Random(seed)
+    fam = _faulty_family(rng, random_directed_index(rng), direction, fault)
+    assert validate_direct_family(fam) == _validate_direct_family_scan(fam)
+    if fault == "none":
+        assert _direct_family_laws_hold(fam)
+
+
+def test_injected_faults_reach_every_law():
+    laws = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        direction = (COVARIANT, CONTRAVARIANT)[seed % 2]
+        fam = _faulty_family(rng, random_directed_index(rng), direction,
+                             FAULTS[1 + seed % 3])
+        laws |= {f.law for f in validate_direct_family(fam)}
+    assert laws == {"family-identity", "family-composition",
+                    "transport-extensional"}
+
+
+@FAST
+@given(seeds)
+def test_sum_equality_is_decided_on_lawful_families(seed):
+    rng = random.Random(seed)
+    fam = random_direct_family(rng, random_directed_index(rng), COVARIANT)
+    assert sum_equality_laws_hold(fam)
+
+
+# --- the scans do not run where the keyed paths decide ------------------------
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a scan ran")
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_keyed_paths_decide_every_fixture(path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(families, "_validate_direct_family_scan", _refuse)
+    monkeypatch.setattr(runner, "_equivalence_scan", _refuse)
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--json", str(out)]) == 0
+    capsys.readouterr()
+    golden = ROOT / "tests" / "golden" / f"{path.stem}.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def _chain_document(n):
+    """chain(n) with three-point carriers, one merged pair, and a
+    non-identity map on every generating edge."""
+    els = ", ".join(str(k) for k in range(n))
+    order_text = ", ".join(f"{k} <= {k + 1}" for k in range(n - 1))
+    lines = ["setoid S {", "  elements: p0, p1, p2", "  equal: p0 ~ p1", "}",
+             "directed C {", f"  elements: {els}", f"  order: {order_text}",
+             "  closure: auto", "}",
+             "family F {", "  index: C", "  direction: covariant"]
+    lines += [f"  carrier {k}: S" for k in range(n)]
+    lines += [f"  map {k} -> {k + 1}: p0 => p2, p1 => p2, p2 => p0"
+              for k in range(n - 1)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_chain40_document_elaborates_as_the_scans_do(monkeypatch):
+    text = _chain_document(40)
+    keyed = elaborate(parse(text))
+    monkeypatch.setattr(order, "_close_order", close_order_scan)
+    monkeypatch.setattr(order, "_first_upper_bounds", first_upper_bounds_scan)
+    monkeypatch.setattr(families, "_saturate", saturate_rescan)
+    monkeypatch.setattr(families, "_direct_family_laws_hold", lambda F: False)
+    scanned = elaborate(parse(text))
+    D, E = keyed.directeds["C"], scanned.directeds["C"]
+    assert D.pairs == E.pairs and len(D.pairs) == 820
+    assert D.upper == E.upper
+    assert (_tables(keyed.families["F"].transports)
+            == _tables(scanned.families["F"].transports))
+
+
+# --- threads known to be compatible are not validated again --------------------
+
+def test_compatible_threads_are_not_validated_again(monkeypatch):
+    rng = random.Random(5)
+    cases = [random_spectrum_with_cocone(rng) for _ in range(5)]
+    limits_ = [direct_limit(s) for s, _ in cases]
+    env = elaborate(parse((ROOT / "fixtures" / "constant.bsp").read_text()))
+    config = runner.RunConfig()
+    s, fixed, pools = runner._build_pools(env, "PDUAL", config)
+    lim = direct_limit(s)
+    monkeypatch.setattr(spectra, "validate_thread", _refuse)
+    for (s_c, cocone), lim_c in zip(cases, limits_):
+        assert cocone_mediator(s_c, lim_c, cocone).h is not None
+    assert duality_direct_to_inverse(s, fixed, pools, lim=lim).findings == []
+    report = Report()
+    runner.check_limit_direct(env, ("CONST",), config, report, "t",
+                              runner.SuiteLimits(config))
+    assert [r.status for r in report.records] == ["pass", "pass"]
+
+
+# --- random families ----------------------------------------------------------
+
+@FAST
+@given(seeds, directions)
+def test_random_family_composites_are_the_step_folds(seed, direction):
+    """Each transport is the fold of the level steps from the identity."""
+    rng = random.Random(seed)
+    index = random_directed_index(rng)
+    fam = random_direct_family(rng, index, direction)
+    height = _heights(index)
+    levels = sorted(set(height.values()))
+    step = {}
+    for i, j in index.order_pairs():
+        if levels.index(height[j]) == levels.index(height[i]) + 1:
+            step[(height[i], height[j])] = fam.transport(i, j)
+    for i, j in index.order_pairs():
+        lo, hi = levels.index(height[i]), levels.index(height[j])
+        fns = [step[(levels[n], levels[n + 1])] for n in range(lo, hi)]
+        if direction == COVARIANT:
+            out = identity(fam.carrier(i))
+            for f in fns:
+                out = compose(out, f)
+        else:
+            out = identity(fam.carrier(j))
+            for f in reversed(fns):
+                out = compose(out, f)
+        assert fam.transport(i, j).mapping == out.mapping

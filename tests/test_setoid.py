@@ -18,8 +18,9 @@ from bspec.setoid import (
     make_subset,
     product_setoid,
     quotient_by,
-    verify_unique_factoring,
 )
+
+from oracles import verify_unique_factoring
 
 
 def test_discrete_two_point():

@@ -39,7 +39,6 @@ from bspec.setoid import (
     make_setoid,
     quotient_by,
     unique_classwise,
-    verify_unique_factoring,
 )
 from bspec.topology import (
     MorphismWitness,
@@ -54,6 +53,7 @@ from oracles import (
     check_unique_cone_mediator_exhaustive,
     check_unique_mediator_exhaustive,
     find_certificate_exhaustive,
+    verify_unique_factoring,
     verify_unique_factoring_exhaustive,
 )
 
