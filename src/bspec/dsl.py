@@ -26,7 +26,6 @@ from .topology import (
     CEq,
     CGen,
     CULim,
-    MorphismWitness,
     RFun,
     Subbase,
     babs,
@@ -37,8 +36,7 @@ from .topology import (
     bmin,
     bmul,
     bneg,
-    certificate_for,
-    compose_rfun,
+    certify_map,
 )
 
 
@@ -195,6 +193,26 @@ def parse_names(value, stmt):
     if not value.strip():
         return []
     return [v.strip() for v in value.split(",")]
+
+
+# Compound elements are encoded as strings: tagged pairs `i@x`, choices
+# `x&y`, product pairs `(x,y)`.  An element name holding one of these
+# characters could decode as another element, so carriers and indices
+# may not use them.
+RESERVED = "@&()"
+
+
+def parse_element_names(stmt):
+    """parse_names for setoid and directed elements, refusing reserved
+    characters."""
+    names = parse_names(stmt.value, stmt)
+    for name in names:
+        for ch in RESERVED:
+            if ch in name:
+                raise SyntaxErrorDsl(
+                    f"element name {name!r} uses reserved character {ch!r}",
+                    stmt.line, stmt.col)
+    return names
 
 
 def parse_rational(token, stmt=None):
@@ -372,7 +390,7 @@ def elaborate(doc):
     out = Elaborated(doc)
     for b in doc.of_kind("setoid"):
         elements_stmt = b.one("elements", required=True)
-        elements = parse_names(elements_stmt.value, elements_stmt)
+        elements = parse_element_names(elements_stmt)
         eq_pairs = []
         eq_stmt = b.one("equal")
         if eq_stmt:
@@ -383,7 +401,7 @@ def elaborate(doc):
 
     for b in doc.of_kind("directed"):
         elements_stmt = b.one("elements", required=True)
-        elements = parse_names(elements_stmt.value, elements_stmt)
+        elements = parse_element_names(elements_stmt)
         order_stmt = b.one("order")
         pairs = parse_pairs(order_stmt.value, "<=", order_stmt) if order_stmt else []
         closure_stmt = b.one("closure")
@@ -573,15 +591,11 @@ def elaborate(doc):
             else:
                 h = make_fn(apex.carrier, s.fam.carrier(i), table)
                 src, dst = apex, s.space(i)
-            certs = {}
-            for k, g in enumerate(dst.gens):
-                cert = certificate_for(src, compose_rfun(g, h))
-                if cert is None:
-                    raise TypeMismatch(
-                        f"leg {i} admits no certificate for generator {k}",
-                        stmt.line)
-                certs[k] = cert
-            legs[i] = MorphismWitness(h, certs)
+            missing = []
+            legs[i] = certify_map(src, dst, h, "leg", missing)
+            if missing:
+                raise TypeMismatch(f"leg {i} admits no certificate for generator "
+                                   f"{missing[0].witness[0]}", stmt.line)
         from .limits import Cocone, Cone
 
         if b.kind == "cocone":

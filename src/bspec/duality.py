@@ -24,15 +24,16 @@ from .setoid import (
     split_tag,
     tag_token,
 )
-from .spectra import Spectrum, Thread, sum_function
+from .spectra import Spectrum
 from .topology import (
     BSpace,
     CGen,
     MorphismWitness,
     RFun,
-    certificate_for,
+    certify_iso,
+    certify_map,
     check_morphism,
-    compose_rfun,
+    check_morphism_as,
     exp_eval_certificate,
     exponential_space,
     lift_certificate,
@@ -107,16 +108,10 @@ def enumerate_morphisms(src, dst, cap=4096):
             for a in cls:
                 table[a] = val
         h = make_fn(src.carrier, dst.carrier, table)
-        certs = {}
-        ok = True
-        for k, g in enumerate(dst.gens):
-            cert = certificate_for(src, compose_rfun(g, h))
-            if cert is None:
-                ok = False
-                break
-            certs[k] = cert
-        if ok:
-            out.append(MorphismWitness(h, certs))
+        missing = []
+        w = certify_map(src, dst, h, "pool", missing)
+        if not missing:
+            out.append(w)
     return out
 
 
@@ -212,49 +207,32 @@ def induce_spectrum(s, fixed, shape, pools):
         raise DualityError("shape needs a covariant source spectrum")
     if shape in ("B_i", "B_ii") and s.direction != CONTRAVARIANT:
         raise DualityError("shape needs a contravariant source spectrum")
+    # Mor(F_i, fixed) reverses the spectrum's direction, Mor(fixed, F_i)
+    # keeps it
     hom_into_fixed = shape in ("A_i", "B_i")
-    out_direction = {
-        "A_i": CONTRAVARIANT,
-        "A_ii": COVARIANT,
-        "B_i": COVARIANT,
-        "B_ii": CONTRAVARIANT,
-    }[shape]
+    out_direction = s.direction
+    if hom_into_fixed:
+        out_direction = CONTRAVARIANT if s.direction == COVARIANT else COVARIANT
 
     carriers_mc = {}
     for i in s.index.elements:
-        if hom_into_fixed:
-            carriers_mc[i] = make_mor_carrier(
-                s.space(i), fixed, pools[i],
-                names=[f"{i}.m{n}" for n in range(len(pools[i]))])
-        else:
-            carriers_mc[i] = make_mor_carrier(
-                fixed, s.space(i), pools[i],
-                names=[f"{i}.m{n}" for n in range(len(pools[i]))])
+        ends = (s.space(i), fixed) if hom_into_fixed else (fixed, s.space(i))
+        carriers_mc[i] = make_mor_carrier(
+            *ends, pools[i], names=[f"{i}.m{n}" for n in range(len(pools[i]))])
 
     transports = {}
     for i, j in s.fam.order_pairs():
         if i == j:
             continue
         lam = s.fam.transport(i, j)
-        if shape == "A_i":
-            # Mor(F_j, fixed) -> Mor(F_i, fixed), h -> h after lam_ij
-            frm, to = carriers_mc[j], carriers_mc[i]
-            act = lambda w, lam=lam: compose(lam, w.h)
-        elif shape == "A_ii":
-            # Mor(fixed, F_i) -> Mor(fixed, F_j), h -> lam_ij after h
-            frm, to = carriers_mc[i], carriers_mc[j]
-            act = lambda w, lam=lam: compose(w.h, lam)
-        elif shape == "B_i":
-            # Mor(F_i, fixed) -> Mor(F_j, fixed), h -> h after lam_ji
-            frm, to = carriers_mc[i], carriers_mc[j]
-            act = lambda w, lam=lam: compose(lam, w.h)
-        else:  # B_ii
-            # Mor(fixed, F_j) -> Mor(fixed, F_i), h -> lam_ji after h
-            frm, to = carriers_mc[j], carriers_mc[i]
-            act = lambda w, lam=lam: compose(w.h, lam)
+        # a hom into fixed is pre-composed with the transport, a hom out of
+        # it post-composed; the edge runs j -> i when the result is
+        # contravariant
+        frm, to = _edge_ends(out_direction, carriers_mc, i, j)
         table = {}
         for name in frm.setoid.elements:
-            target = to.find(act(frm.witness(name)))
+            w = frm.witness(name)
+            target = to.find(compose(lam, w.h) if hom_into_fixed else compose(w.h, lam))
             if target is None:
                 raise PoolNotClosed(f"edge ({i}, {j}) pushes {name} out of the pool")
             table[name] = target
@@ -264,9 +242,17 @@ def induce_spectrum(s, fixed, shape, pools):
     fam = DirectFamily(s.index, out_direction, carriers, _saturate_reflexive(
         s, transports, carriers))
     subbases = {i: carriers_mc[i].space.subbase for i in s.index.elements}
-    certs = _induced_edge_certs(s, fixed, shape, carriers_mc)
+    certs = _induced_edge_certs(s, hom_into_fixed, out_direction, carriers_mc)
     spec = Spectrum(fam, subbases, certs, s.pool)
     return spec, carriers_mc
+
+
+def _edge_ends(direction, carriers_mc, i, j):
+    """(source, target) pool of the edge (i, j) of a spectrum with the
+    given direction."""
+    if direction == COVARIANT:
+        return carriers_mc[i], carriers_mc[j]
+    return carriers_mc[j], carriers_mc[i]
 
 
 def _saturate_reflexive(s, transports, carriers):
@@ -279,41 +265,24 @@ def _saturate_reflexive(s, transports, carriers):
     return table
 
 
-def _induced_edge_certs(s, fixed, shape, carriers_mc):
+def _induced_edge_certs(s, hom_into_fixed, direction, carriers_mc):
     """Certificates for the induced transports against the evaluation
-    subbases: evaluation generators pull back to evaluation generators,
-    except where the source spectrum's own edge certificates are routed
-    through the evaluation transform."""
+    subbases.  For homs into the fixed space evaluation generators pull back
+    to evaluation generators; for homs out of it the source spectrum's own
+    edge certificate for g0 . lam is routed through evaluation."""
     certs = {}
     for i, j in s.fam.order_pairs():
         if i == j:
             continue
         lam = s.fam.transport(i, j)
-        table = {}
-        if shape == "A_i":
-            # target subbase at i, source subbase at j (contravariant)
-            tgt, src = carriers_mc[i], carriers_mc[j]
-            for (x, k), pos in _gen_items(tgt):
-                table[pos] = CGen(src.exp.positions[(lam(x), k)])
-        elif shape == "B_i":
-            # covariant: target at j, source at i
-            tgt, src = carriers_mc[j], carriers_mc[i]
-            for (y, k), pos in _gen_items(tgt):
-                table[pos] = CGen(src.exp.positions[(lam(y), k)])
-        elif shape == "A_ii":
-            # covariant: target at j, source at i; route the source
-            # spectrum's certificate for g0 . lam through evaluation
-            tgt, src = carriers_mc[j], carriers_mc[i]
+        src, tgt = _edge_ends(direction, carriers_mc, i, j)
+        if hom_into_fixed:
+            certs[(i, j)] = {pos: CGen(src.exp.positions[(lam(x), k)])
+                             for (x, k), pos in _gen_items(tgt)}
+        else:
             edge = s.witness_certs[(i, j)]
-            for (x, k), pos in _gen_items(tgt):
-                table[pos] = exp_eval_certificate(edge[k], x, src.exp)
-        else:  # B_ii
-            # contravariant: target at i, source at j
-            tgt, src = carriers_mc[i], carriers_mc[j]
-            edge = s.witness_certs[(i, j)]
-            for (x, k), pos in _gen_items(tgt):
-                table[pos] = exp_eval_certificate(edge[k], x, src.exp)
-        certs[(i, j)] = table
+            certs[(i, j)] = {pos: exp_eval_certificate(edge[k], x, src.exp)
+                             for (x, k), pos in _gen_items(tgt)}
     return certs
 
 
@@ -349,7 +318,7 @@ def duality_direct_to_inverse(s, fixed, pools, lim=None, uniq_bound=1_000_000):
     findings = []
 
     # forward: a compatible choice acts classwise on the limit
-    hom_witnesses, hom_tokens = [], []
+    hom_witnesses = []
     for tok in inv.carrier.elements:
         assignment = inv.assignments[tok]
         table = {}
@@ -357,28 +326,10 @@ def duality_direct_to_inverse(s, fixed, pools, lim=None, uniq_bound=1_000_000):
             i, x = split_tag(cls_tok)
             table[cls_tok] = carriers_mc[i].witness(assignment[i]).h(x)
         h = make_fn(lim.carrier, fixed.carrier, table)
-        certs = {}
-        for k, f0 in enumerate(fixed.gens):
-            thread_funcs = {
-                i: compose_rfun(f0, carriers_mc[i].witness(assignment[i]).h)
-                for i in s.index.elements
-            }
-            # compatible: the choice is, and f0 respects equality in the
-            # fixed space; the pairs (i, i) are the family's identity law
-            pulled = sum_function(Thread(thread_funcs), lim.carrier)
-            cert = certificate_for(lim.space, pulled)
-            if cert is None:
-                findings.append(Finding("hom-cert", (tok, k)))
-                cert = CGen(0)
-            certs[k] = cert
-        hom_witnesses.append(MorphismWitness(h, certs))
-        hom_tokens.append(tok)
+        hom_witnesses.append(certify_map(lim.space, fixed, h, "hom", findings, (tok,)))
     if findings:
         return DualityResult(None, None, None, None, None, findings)
-    hom_pool = make_mor_carrier(lim.space, fixed, hom_witnesses,
-                                names=[f"h[{t}]" for t in hom_tokens])
-    to_hom = make_fn(inv.carrier, hom_pool.setoid,
-                     dict(zip(hom_tokens, hom_pool.setoid.elements)))
+    hom_pool, to_hom = _hom_pool(inv, lim.space, fixed, hom_witnesses)
 
     # backward: compose with the class maps of the limit
     legs = limit_legs_cocone(lim).legs
@@ -401,38 +352,28 @@ def duality_direct_to_inverse(s, fixed, pools, lim=None, uniq_bound=1_000_000):
     if findings:
         return DualityResult(None, None, None, None, hom_pool, findings)
     from_hom = make_fn(hom_pool.setoid, inv.carrier, back_table)
+    return _duality_iso(inv, hom_pool, to_hom, from_hom)
 
-    for tok in inv.carrier.elements:
-        if not inv.carrier.eq(from_hom(to_hom(tok)), tok):
-            findings.append(Finding("round-trip", (tok,)))
-    for name in hom_pool.setoid.elements:
-        if not hom_pool.setoid.eq(to_hom(from_hom(name)), name):
-            findings.append(Finding("round-trip-hom", (name,)))
+
+def _hom_pool(inv, src, dst, hom_witnesses):
+    """The pool of the morphisms src -> dst that the compatible choices of
+    `inv` give, one per token in carrier order, and the map to it."""
+    hom_pool = make_mor_carrier(src, dst, hom_witnesses,
+                                names=[f"h[{t}]" for t in inv.carrier.elements])
+    to_hom = make_fn(inv.carrier, hom_pool.setoid,
+                     dict(zip(inv.carrier.elements, hom_pool.setoid.elements)))
+    return hom_pool, to_hom
+
+
+def _duality_iso(inv, hom_pool, to_hom, from_hom):
+    """The two-sided check of to_hom: inv -> hom_pool and its inverse.  The
+    embedding of to_hom is reported between round trips and certificates."""
     ok, witness = is_embedding(to_hom)
-    if not ok:
-        findings.append(Finding("embedding", witness))
-
-    # forward is a morphism: evaluation at a class and a fixed generator
-    # pulls back to evaluation at a representative behind a projection
-    to_certs = {}
-    for k, g in enumerate(hom_pool.space.gens):
-        pulled = compose_rfun(g, to_hom)
-        to_certs[k] = certificate_for(inv.space, pulled)
-        if to_certs[k] is None:
-            findings.append(Finding("to-hom-cert", (k,)))
-    from_certs = {}
-    for k, g in enumerate(inv.space.gens):
-        pulled = compose_rfun(g, from_hom)
-        from_certs[k] = certificate_for(hom_pool.space, pulled)
-        if from_certs[k] is None:
-            findings.append(Finding("from-hom-cert", (k,)))
-    to_w = MorphismWitness(to_hom, to_certs)
-    from_w = MorphismWitness(from_hom, from_certs)
-    if not findings:
-        for f in check_morphism(inv.space, hom_pool.space, to_w):
-            findings.append(Finding("to-hom-" + f.law, f.witness, f.note))
-        for f in check_morphism(hom_pool.space, inv.space, from_w):
-            findings.append(Finding("from-hom-" + f.law, f.witness, f.note))
+    findings, (to_w, from_w) = certify_iso(
+        (("to-hom", inv.space, hom_pool.space, to_hom),
+         ("from-hom", hom_pool.space, inv.space, from_hom)),
+        (("round-trip", to_hom, from_hom), ("round-trip-hom", from_hom, to_hom)),
+        [] if ok else [Finding("embedding", witness)])
     return DualityResult(to_hom, from_hom, to_w, from_w, hom_pool, findings)
 
 
@@ -447,7 +388,7 @@ def duality_inverse_hom(s, fixed, pools, lim=None, uniq_bound=1_000_000):
         lim = inverse_limit(s, uniq_bound)
     findings = []
 
-    hom_witnesses, hom_tokens = [], []
+    hom_witnesses = []
     for tok in inv_mor.carrier.elements:
         assignment = inv_mor.assignments[tok]
         table = {}
@@ -462,28 +403,12 @@ def duality_inverse_hom(s, fixed, pools, lim=None, uniq_bound=1_000_000):
         if findings:
             return DualityResult(None, None, None, None, None, findings)
         h = make_fn(fixed.carrier, lim.carrier, table)
-        certs = {}
-        for k, g in enumerate(lim.space.gens):
-            i, pos = lim.gen_sources[k]
-            pulled = compose_rfun(g, h)
-            component = carriers_mc[i].witness(assignment[i])
-            expected = compose_rfun(s.space(i).gens[pos], component.h)
-            if expected.values == pulled.values:
-                certs[k] = component.certs[pos]
-            else:
-                cert = certificate_for(fixed, pulled)
-                if cert is None:
-                    findings.append(Finding("hom-cert", (tok, k)))
-                    cert = CGen(0)
-                certs[k] = cert
+        # proj_i . h agrees with the component at i up to equality, so the
+        # component's certificate for f certifies (f . proj_i) . h
+        certs = {k: carriers_mc[i].witness(assignment[i]).certs[pos]
+                 for k, (i, pos) in enumerate(lim.gen_sources)}
         hom_witnesses.append(MorphismWitness(h, certs))
-        hom_tokens.append(tok)
-    if findings:
-        return DualityResult(None, None, None, None, None, findings)
-    hom_pool = make_mor_carrier(fixed, lim.space, hom_witnesses,
-                                names=[f"h[{t}]" for t in hom_tokens])
-    to_hom = make_fn(inv_mor.carrier, hom_pool.setoid,
-                     dict(zip(hom_tokens, hom_pool.setoid.elements)))
+    hom_pool, to_hom = _hom_pool(inv_mor, fixed, lim.space, hom_witnesses)
 
     back_table = {}
     for name in hom_pool.setoid.elements:
@@ -506,37 +431,7 @@ def duality_inverse_hom(s, fixed, pools, lim=None, uniq_bound=1_000_000):
     if findings:
         return DualityResult(None, None, None, None, hom_pool, findings)
     from_hom = make_fn(hom_pool.setoid, inv_mor.carrier, back_table)
-
-    for tok in inv_mor.carrier.elements:
-        if not inv_mor.carrier.eq(from_hom(to_hom(tok)), tok):
-            findings.append(Finding("round-trip", (tok,)))
-    for name in hom_pool.setoid.elements:
-        if not hom_pool.setoid.eq(to_hom(from_hom(name)), name):
-            findings.append(Finding("round-trip-hom", (name,)))
-    ok, witness = is_embedding(to_hom)
-    if not ok:
-        findings.append(Finding("embedding", witness))
-
-    to_certs = {}
-    for k, g in enumerate(hom_pool.space.gens):
-        pulled = compose_rfun(g, to_hom)
-        to_certs[k] = certificate_for(inv_mor.space, pulled)
-        if to_certs[k] is None:
-            findings.append(Finding("to-hom-cert", (k,)))
-    from_certs = {}
-    for k, g in enumerate(inv_mor.space.gens):
-        pulled = compose_rfun(g, from_hom)
-        from_certs[k] = certificate_for(hom_pool.space, pulled)
-        if from_certs[k] is None:
-            findings.append(Finding("from-hom-cert", (k,)))
-    to_w = MorphismWitness(to_hom, to_certs)
-    from_w = MorphismWitness(from_hom, from_certs)
-    if not findings:
-        for f in check_morphism(inv_mor.space, hom_pool.space, to_w):
-            findings.append(Finding("to-hom-" + f.law, f.witness, f.note))
-        for f in check_morphism(hom_pool.space, inv_mor.space, from_w):
-            findings.append(Finding("from-hom-" + f.law, f.witness, f.note))
-    return DualityResult(to_hom, from_hom, to_w, from_w, hom_pool, findings)
+    return _duality_iso(inv_mor, hom_pool, to_hom, from_hom)
 
 
 # --- converse-direction maps ---------------------------------------------------
@@ -561,48 +456,18 @@ def converse_dual_inverse(s, fixed, pools, lim=None, thread_bound=10_000):
     inv = inverse_limit(s) if lim is None else lim
     findings = []
 
-    hom_witnesses, class_tokens = [], []
-    reps = lim_mor.repr_classes()
-    for cls_tok in reps:
+    hom_witnesses = []
+    for cls_tok in lim_mor.repr_classes():
         i, name = split_tag(cls_tok)
         w = carriers_mc[i].witness(name)
         table = {tok: w.h(inv.assignments[tok][i]) for tok in inv.carrier.elements}
         h = make_fn(inv.carrier, fixed.carrier, table)
-        certs = {}
-        for k, f0 in enumerate(fixed.gens):
-            pulled = compose_rfun(f0, h)
-            cert = certificate_for(inv.space, pulled)
-            if cert is None:
-                findings.append(Finding("hom-cert", (cls_tok, k)))
-                cert = CGen(0)
-            certs[k] = cert
-        hom_witnesses.append(MorphismWitness(h, certs))
-        class_tokens.append(cls_tok)
+        hom_witnesses.append(
+            certify_map(inv.space, fixed, h, "hom", findings, (cls_tok,)))
     if findings:
         return ConverseResult(None, None, None, findings=findings)
-    hom_pool = make_mor_carrier(inv.space, fixed, hom_witnesses,
-                                names=[f"h[{t}]" for t in class_tokens])
-    # the classwise map must be constant on classes of the direct limit
-    rep_of = {t: hom_pool.setoid.elements[n] for n, t in enumerate(class_tokens)}
-    table = {}
-    for tok in lim_mor.carrier.elements:
-        rep = lim_mor.carrier.class_repr(tok)
-        table[tok] = rep_of[rep]
-    to_hom = make_fn(lim_mor.carrier, hom_pool.setoid, table)
-    ok, wit = check_extensional(to_hom)
-    if not ok:
-        findings.append(Finding("classwise", wit))
-
-    certs = {}
-    for k, g in enumerate(hom_pool.space.gens):
-        pulled = compose_rfun(g, to_hom)
-        certs[k] = certificate_for(lim_mor.space, pulled)
-        if certs[k] is None:
-            findings.append(Finding("to-hom-cert", (k,)))
-    witness = MorphismWitness(to_hom, certs)
-    if not findings:
-        for f in check_morphism(lim_mor.space, hom_pool.space, witness):
-            findings.append(Finding("to-hom-" + f.law, f.witness, f.note))
+    to_hom, witness, hom_pool, findings = _classwise_to_hom(
+        lim_mor, inv.space, fixed, hom_witnesses)
 
     hypothesis_holds = True
     hypothesis_witness = ()
@@ -632,9 +497,8 @@ def converse_dual_direct(s, fixed, pools, lim=None, thread_bound=10_000):
     lim_mor = direct_limit(induced, cap=thread_bound)
     if lim is None:
         lim = direct_limit(s, cap=thread_bound)
-    findings = []
 
-    hom_witnesses, class_tokens = [], []
+    hom_witnesses = []
     for cls_tok in lim_mor.repr_classes():
         i, name = split_tag(cls_tok)
         w = carriers_mc[i].witness(name)
@@ -644,26 +508,28 @@ def converse_dual_direct(s, fixed, pools, lim=None, thread_bound=10_000):
         for k, n in enumerate(lim.gen_threads):
             certs[k] = lift_certificate(fixed, w, lim.threads[n].certs[i])
         hom_witnesses.append(MorphismWitness(h, certs))
-        class_tokens.append(cls_tok)
-    hom_pool = make_mor_carrier(fixed, lim.space, hom_witnesses,
-                                names=[f"h[{t}]" for t in class_tokens])
-    rep_of = {t: hom_pool.setoid.elements[n] for n, t in enumerate(class_tokens)}
-    table = {}
-    for tok in lim_mor.carrier.elements:
-        table[tok] = rep_of[lim_mor.carrier.class_repr(tok)]
-    to_hom = make_fn(lim_mor.carrier, hom_pool.setoid, table)
+    to_hom, witness, hom_pool, findings = _classwise_to_hom(
+        lim_mor, fixed, lim.space, hom_witnesses)
+    return ConverseResult(to_hom, witness, hom_pool, findings=findings)
+
+
+def _classwise_to_hom(lim_mor, src, dst, hom_witnesses):
+    """The map sending each class of lim_mor to the morphism src -> dst its
+    representative gives, hom_witnesses being those morphisms in class
+    order: (to_hom, its witness, the hom pool, findings)."""
+    reps = lim_mor.repr_classes()
+    hom_pool = make_mor_carrier(src, dst, hom_witnesses,
+                                names=[f"h[{t}]" for t in reps])
+    # the classwise map must be constant on classes of the direct limit
+    rep_of = dict(zip(reps, hom_pool.setoid.elements))
+    to_hom = make_fn(lim_mor.carrier, hom_pool.setoid,
+                     {tok: rep_of[lim_mor.carrier.class_repr(tok)]
+                      for tok in lim_mor.carrier.elements})
+    findings = []
     ok, wit = check_extensional(to_hom)
     if not ok:
         findings.append(Finding("classwise", wit))
-
-    certs = {}
-    for k, g in enumerate(hom_pool.space.gens):
-        pulled = compose_rfun(g, to_hom)
-        certs[k] = certificate_for(lim_mor.space, pulled)
-        if certs[k] is None:
-            findings.append(Finding("to-hom-cert", (k,)))
-    witness = MorphismWitness(to_hom, certs)
+    witness = certify_map(lim_mor.space, hom_pool.space, to_hom, "to-hom", findings)
     if not findings:
-        for f in check_morphism(lim_mor.space, hom_pool.space, witness):
-            findings.append(Finding("to-hom-" + f.law, f.witness, f.note))
-    return ConverseResult(to_hom, witness, hom_pool, findings=findings)
+        findings += check_morphism_as("to-hom", lim_mor.space, hom_pool.space, witness)
+    return to_hom, witness, hom_pool, findings

@@ -38,10 +38,8 @@ from .setoid import (
 )
 from .spectra import (
     Spectrum,
-    Thread,
     pullback_thread,
     restrict_spectrum,
-    sum_function,
     sum_space,
 )
 from .topology import (
@@ -50,8 +48,10 @@ from .topology import (
     MorphismWitness,
     RFun,
     Subbase,
-    certificate_for,
+    certify_iso,
+    certify_map,
     check_morphism,
+    check_morphism_as,
     compose_rfun,
     gen_position,
     validate_certificate,
@@ -143,8 +143,7 @@ def validate_cocone(s, c):
         if i not in c.legs:
             findings.append(Finding("leg-missing", (i,)))
             return findings
-        for f in check_morphism(s.space(i), c.apex, c.legs[i]):
-            findings.append(Finding("leg-" + f.law, (i,) + f.witness, f.note))
+        findings += check_morphism_as("leg", s.space(i), c.apex, c.legs[i], (i,))
     for i, j in s.fam.order_pairs():
         if i == j:
             continue
@@ -171,18 +170,11 @@ def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
         i, x = split_tag(token)
         table[token] = c.legs[i].h(x)
     h = make_fn(lim.carrier, apex.carrier, table)  # well-defined on classes
-    certs = {}
-    for k, g in enumerate(apex.gens):
-        thread_funcs = {
-            i: compose_rfun(g, c.legs[i].h) for i in s.index.elements
-        }
-        # compatible: the triangles give every pair i < j, the family's
-        # identity law the pairs (i, i)
-        pulled = sum_function(Thread(thread_funcs), lim.carrier)
-        certs[k] = certificate_for(lim.space, pulled)
-        if certs[k] is None:
-            raise IllFormedCocone(
-                f"no certificate for apex generator {k} over the limit subbase")
+    missing = []
+    certs = certify_map(lim.space, apex, h, "apex", missing).certs
+    if missing:
+        raise IllFormedCocone(f"no certificate for apex generator "
+                              f"{missing[0].witness[0]} over the limit subbase")
     witness = Mediator(h, certs)
     bad = check_morphism(lim.space, apex, witness)
     if bad:
@@ -216,19 +208,19 @@ def limit_legs_cocone(lim):
     legs = {}
     for i in s.index.elements:
         # a generator pulled back along the class map is the component at i
-        # of the thread that made it, certified by that thread
-        embed = lim.embed(i)
-        certs = {}
-        for k, g in enumerate(lim.space.gens):
-            pulled = compose_rfun(g, embed)
-            found = lim.threads[lim.gen_threads[k]].certs.get(i)
-            if found is None or not validate_certificate(
-                    s.space(i), pulled, found).ok:
-                found = certificate_for(s.space(i), pulled)
-            if found is None:
-                raise LimitError(f"class map at {i} is not a morphism")
-            certs[k] = found
-        legs[i] = MorphismWitness(embed, certs)
+        # of the thread that made it, certified by that thread when the
+        # thread's certificate holds
+        known = {}
+        for k, n in enumerate(lim.gen_threads):
+            found = lim.threads[n].certs.get(i)
+            if found is not None and validate_certificate(
+                    s.space(i), lim.threads[n].at(i), found).ok:
+                known[k] = found
+        missing = []
+        legs[i] = certify_map(s.space(i), lim.space, lim.embed(i), "leg", missing,
+                              known=known)
+        if missing:
+            raise LimitError(f"class map at {i} is not a morphism")
     return Cocone(lim.space, legs)
 
 
@@ -253,17 +245,15 @@ def limit_map(s, t, psi, lim_s=None, lim_t=None):
                 f"embedding components gave a non-embedding limit map at {witness_pair}")
     witness = None
     if psi.continuity is not None:
-        certs = {}
-        for k, g in enumerate(lim_t.space.gens):
-            # pull the thread that made g back through the map
-            pulled_thread = pullback_thread(
-                s, t, psi, lim_t.threads[lim_t.gen_threads[k]])
-            # pullback_thread has validated the thread
-            pulled = sum_function(pulled_thread, lim_s.carrier)
-            certs[k] = certificate_for(lim_s.space, pulled)
-            if certs[k] is None:
-                raise LimitError("no certificate for a pulled-back generator")
-        witness = MorphismWitness(fwd, certs)
+        # a generator pulled back along fwd is the sum function of its
+        # thread pulled back through psi; pullback_thread checks the
+        # continuity certificates lifted along each such thread
+        for n in lim_t.gen_threads:
+            pullback_thread(s, t, psi, lim_t.threads[n])
+        missing = []
+        witness = certify_map(lim_s.space, lim_t.space, fwd, "pullback", missing)
+        if missing:
+            raise LimitError("no certificate for a pulled-back generator")
         bad = check_morphism(lim_s.space, lim_t.space, witness)
         if bad:
             raise LimitError(str(bad[0]))
@@ -307,7 +297,6 @@ def cofinal_direct_iso(s, cof, lim=None, sub_lim=None, thread_bound=10_000):
         lim = direct_limit(s, cap=thread_bound)
     if sub_lim is None:
         sub_lim = direct_limit(sub, cap=thread_bound)
-    findings = []
 
     fwd_table = {}
     for token in sub_lim.carrier.elements:
@@ -321,33 +310,15 @@ def cofinal_direct_iso(s, cof, lim=None, sub_lim=None, thread_bound=10_000):
         j = cof.cof(i)
         bwd_table[token] = tag_token(j, s.fam.transport(i, cof.embed(j))(x))
     backward = make_fn(lim.carrier, sub_lim.carrier, bwd_table)
+    return _cofinal_iso(lim, sub_lim, forward, backward)
 
-    for token in lim.carrier.elements:
-        if not lim.carrier.eq(forward(backward(token)), token):
-            findings.append(Finding("round-trip", (token,)))
-    for token in sub_lim.carrier.elements:
-        if not sub_lim.carrier.eq(backward(forward(token)), token):
-            findings.append(Finding("round-trip-subset", (token,)))
 
-    fwd_certs = {}
-    for k, g in enumerate(lim.space.gens):
-        pulled = compose_rfun(g, forward)
-        fwd_certs[k] = certificate_for(sub_lim.space, pulled)
-        if fwd_certs[k] is None:
-            findings.append(Finding("forward-cert", (k,)))
-    bwd_certs = {}
-    for k, g in enumerate(sub_lim.space.gens):
-        pulled = compose_rfun(g, backward)
-        bwd_certs[k] = certificate_for(lim.space, pulled)
-        if bwd_certs[k] is None:
-            findings.append(Finding("backward-cert", (k,)))
-    fw = MorphismWitness(forward, fwd_certs)
-    bw = MorphismWitness(backward, bwd_certs)
-    if not findings:
-        for f in check_morphism(sub_lim.space, lim.space, fw):
-            findings.append(Finding("forward-" + f.law, f.witness, f.note))
-        for f in check_morphism(lim.space, sub_lim.space, bw):
-            findings.append(Finding("backward-" + f.law, f.witness, f.note))
+def _cofinal_iso(lim, sub_lim, forward, backward):
+    """The two-sided check of forward: sub_lim -> lim and its inverse."""
+    findings, (fw, bw) = certify_iso(
+        (("forward", sub_lim.space, lim.space, forward),
+         ("backward", lim.space, sub_lim.space, backward)),
+        (("round-trip", backward, forward), ("round-trip-subset", forward, backward)))
     return CofinalIso(forward, backward, fw, bw, findings)
 
 
@@ -393,16 +364,9 @@ def product_limit_bijection(s, t, prod=None, lim_s=None, lim_t=None,
     if image != targets:
         findings.append(Finding("surjective", ()))
 
-    certs = {}
-    for k, g in enumerate(pair_space.gens):
-        pulled = compose_rfun(g, to_pair)
-        certs[k] = certificate_for(lim_prod.space, pulled)
-        if certs[k] is None:
-            findings.append(Finding("pair-cert", (k,)))
-    w = MorphismWitness(to_pair, certs)
+    w = certify_map(lim_prod.space, pair_space, to_pair, "pair", findings)
     if not findings:
-        for f in check_morphism(lim_prod.space, pair_space, w):
-            findings.append(Finding("pair-" + f.law, f.witness, f.note))
+        findings += check_morphism_as("pair", lim_prod.space, pair_space, w)
     counts = (lim_prod.class_count(), lim_s.class_count(), lim_t.class_count())
     if counts[0] != counts[1] * counts[2]:
         findings.append(Finding("class-count", counts))
@@ -505,8 +469,7 @@ def validate_cone(s, c):
         if i not in c.legs:
             findings.append(Finding("leg-missing", (i,)))
             return findings
-        for f in check_morphism(c.apex, s.space(i), c.legs[i]):
-            findings.append(Finding("leg-" + f.law, (i,) + f.witness, f.note))
+        findings += check_morphism_as("leg", c.apex, s.space(i), c.legs[i], (i,))
     for i, j in s.fam.order_pairs():
         if i == j:
             continue
@@ -530,19 +493,10 @@ def cone_mediator(s, lim, c, uniq_bound=1_000_000):
             raise IllFormedCone(f"legs at {y} do not form a compatible choice")
         table[y] = tok
     h = make_fn(c.apex.carrier, lim.carrier, table)
-    certs = {}
-    for k, g in enumerate(lim.space.gens):
-        pulled = compose_rfun(g, h)
-        # (f . proj_i) . h = f . leg_i, certified through the leg witness
-        i, pos = lim.gen_sources[k]
-        leg_pull = compose_rfun(s.space(i).gens[pos], c.legs[i].h)
-        if leg_pull.values == pulled.values and pos in c.legs[i].certs:
-            certs[k] = c.legs[i].certs[pos]
-        else:
-            found = certificate_for(c.apex, pulled)
-            if found is None:
-                raise IllFormedCone(f"no certificate for projection generator {k}")
-            certs[k] = found
+    # (f . proj_i) . h = f . leg_i, since proj_i . h agrees with leg_i up to
+    # equality and f respects it; so the leg's certificate for f serves, and
+    # the cone check has found one for every generator of every leg
+    certs = {k: c.legs[i].certs[pos] for k, (i, pos) in enumerate(lim.gen_sources)}
     witness = Mediator(h, certs)
     bad = check_morphism(c.apex, lim.space, witness)
     if bad:
@@ -612,13 +566,10 @@ def inverse_limit_map(s, t, psi, lim_s=None, lim_t=None):
                 f"embedding components gave a non-embedding limit map at {witness_pair}")
     witness = None
     if psi.continuity is not None:
-        certs = {}
-        for k, g in enumerate(lim_t.space.gens):
-            pulled = compose_rfun(g, fwd)
-            certs[k] = certificate_for(lim_s.space, pulled)
-            if certs[k] is None:
-                raise LimitError("no certificate for a pulled-back projection")
-        witness = MorphismWitness(fwd, certs)
+        missing = []
+        witness = certify_map(lim_s.space, lim_t.space, fwd, "projection", missing)
+        if missing:
+            raise LimitError("no certificate for a pulled-back projection")
         bad = check_morphism(lim_s.space, lim_t.space, witness)
         if bad:
             raise LimitError(str(bad[0]))
@@ -663,34 +614,7 @@ def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None,
     if findings:
         return CofinalIso(None, None, None, None, findings)
     backward = make_fn(lim.carrier, sub_lim.carrier, bwd_table)
-
-    for tok in lim.carrier.elements:
-        if not lim.carrier.eq(forward(backward(tok)), tok):
-            findings.append(Finding("round-trip", (tok,)))
-    for tok in sub_lim.carrier.elements:
-        if not sub_lim.carrier.eq(backward(forward(tok)), tok):
-            findings.append(Finding("round-trip-subset", (tok,)))
-
-    fwd_certs = {}
-    for k, g in enumerate(lim.space.gens):
-        pulled = compose_rfun(g, forward)
-        fwd_certs[k] = certificate_for(sub_lim.space, pulled)
-        if fwd_certs[k] is None:
-            findings.append(Finding("forward-cert", (k,)))
-    bwd_certs = {}
-    for k, g in enumerate(sub_lim.space.gens):
-        pulled = compose_rfun(g, backward)
-        bwd_certs[k] = certificate_for(lim.space, pulled)
-        if bwd_certs[k] is None:
-            findings.append(Finding("backward-cert", (k,)))
-    fw = MorphismWitness(forward, fwd_certs)
-    bw = MorphismWitness(backward, bwd_certs)
-    if not findings:
-        for f in check_morphism(sub_lim.space, lim.space, fw):
-            findings.append(Finding("forward-" + f.law, f.witness, f.note))
-        for f in check_morphism(lim.space, sub_lim.space, bw):
-            findings.append(Finding("backward-" + f.law, f.witness, f.note))
-    return CofinalIso(forward, backward, fw, bw, findings)
+    return _cofinal_iso(lim, sub_lim, forward, backward)
 
 
 def product_inverse_morphism(s, t, prod=None, lim_s=None, lim_t=None,
@@ -726,16 +650,9 @@ def product_inverse_morphism(s, t, prod=None, lim_s=None, lim_t=None,
     if findings:
         return ProductLimitResult(None, None, (), findings)
     pairing = make_fn(pair_space.carrier, lim_prod.carrier, table)
-    certs = {}
-    for k, g in enumerate(lim_prod.space.gens):
-        pulled = compose_rfun(g, pairing)
-        certs[k] = certificate_for(pair_space, pulled)
-        if certs[k] is None:
-            findings.append(Finding("pair-cert", (k,)))
-    w = MorphismWitness(pairing, certs)
+    w = certify_map(pair_space, lim_prod.space, pairing, "pair", findings)
     if not findings:
-        for f in check_morphism(pair_space, lim_prod.space, w):
-            findings.append(Finding("pair-" + f.law, f.witness, f.note))
+        findings += check_morphism_as("pair", pair_space, lim_prod.space, w)
     counts = (lim_prod.class_count(), lim_s.carrier.class_count(),
               lim_t.carrier.class_count())
     return ProductLimitResult(pairing, w, counts, findings)

@@ -162,17 +162,14 @@ def validate_directed(D):
         for k in els:
             if D.leq(j, k) and not D.leq(i, k):
                 findings.append(Finding("leq-transitive", (i, j, k)))
+    # each i <= j against the members equal to i and to j, in carrier order
+    equal = {i: [i2 for i2 in els if D.base.eq(i, i2)] for i in els}
     for i in els:
         for j in els:
-            for i2 in els:
-                for j2 in els:
-                    if (
-                        D.base.eq(i, i2)
-                        and D.base.eq(j, j2)
-                        and D.leq(i, j)
-                        and not D.leq(i2, j2)
-                    ):
-                        findings.append(Finding("leq-extensional", (i, j, i2, j2)))
+            if D.leq(i, j):
+                findings.extend(Finding("leq-extensional", (i, j, i2, j2))
+                                for i2 in equal[i] for j2 in equal[j]
+                                if not D.leq(i2, j2))
     for i in els:
         for j in els:
             if (i, j) not in D.upper:

@@ -21,9 +21,8 @@ from .setoid import (
     identity,
     make_fn,
     make_setoid,
-    pair_token,
 )
-from .spectra import Spectrum, SpectrumMap
+from .spectra import Spectrum, SpectrumMap, product_spectrum_over
 from .topology import (
     CGen,
     CConst,
@@ -354,58 +353,9 @@ def product_with(rng, s, aux=None):
 
 def _diag_product(s, t):
     """Componentwise product of two spectra over the same index."""
-    from .setoid import split_pair
-    from .topology import product_space
-
     if s.index is not t.index and s.index.elements != t.index.elements:
         raise ValueError("factors must share an index")
-    carriers, subbases, projections = {}, {}, {}
-    for i in s.index.elements:
-        sp, pr1, pr2 = product_space(s.space(i), t.space(i))
-        carriers[i] = sp.carrier
-        subbases[i] = sp.subbase
-        projections[i] = (pr1, pr2)
-    transports = {}
-    for i, j in s.index.order_pairs():
-        if s.direction == COVARIANT:
-            dom, cod = carriers[i], carriers[j]
-            ti, tj = s.fam.transport(i, j), t.fam.transport(i, j)
-        else:
-            dom, cod = carriers[j], carriers[i]
-            ti, tj = s.fam.transport(i, j), t.fam.transport(i, j)
-        table = {}
-        for el in dom.elements:
-            x, y = split_pair(el)
-            table[el] = pair_token(ti(x), tj(y))
-        transports[(i, j)] = make_fn(dom, cod, table)
-    fam = DirectFamily(s.index, s.direction, carriers, transports)
-    certs = {}
-    for i, j in s.index.order_pairs():
-        if i == j:
-            continue
-        if s.direction == COVARIANT:
-            s_src_n = len(s.space(i).gens)
-            t_src_n = len(t.space(i).gens)
-            s_tgt_n = len(s.space(j).gens)
-            t_tgt_n = len(t.space(j).gens)
-        else:
-            s_src_n = len(s.space(j).gens)
-            t_src_n = len(t.space(j).gens)
-            s_tgt_n = len(s.space(i).gens)
-            t_tgt_n = len(t.space(i).gens)
-        from .topology import reindex_certificate
-
-        table = {}
-        for k in range(s_tgt_n):
-            table[k] = reindex_certificate(
-                s.witness_certs[(i, j)][k], {m: m for m in range(s_src_n)})
-        for k in range(t_tgt_n):
-            table[s_tgt_n + k] = reindex_certificate(
-                t.witness_certs[(i, j)][k],
-                {m: s_src_n + m for m in range(t_src_n)})
-        certs[(i, j)] = table
-    pool = tuple(sorted(set(s.pool) | set(t.pool)))
-    return Spectrum(fam, subbases, certs, pool), projections
+    return product_spectrum_over(s, t, s.index, lambda i: (i, i))
 
 
 def random_map_chain(rng, index=None, direction=COVARIANT):

@@ -27,8 +27,9 @@ from .topology import (
     MorphismWitness,
     RFun,
     Subbase,
-    certificate_for,
+    certify_map,
     check_morphism,
+    check_morphism_as,
     compose_rfun,
     compose_witnesses,
     lift_certificate,
@@ -138,19 +139,14 @@ def autofill_witnesses(fam, subbases, given=None):
     for i, j in fam.order_pairs():
         if i == j:
             continue
-        src_sub = subbases[i] if fam.direction == COVARIANT else subbases[j]
-        dst_sub = subbases[j] if fam.direction == COVARIANT else subbases[i]
-        src = BSpace(fam.carrier(i) if fam.direction == COVARIANT else fam.carrier(j), src_sub)
-        table = certs.setdefault((i, j), {})
-        for k, g in enumerate(dst_sub.gens):
-            if k in table:
-                continue
-            pulled = compose_rfun(g, fam.transport(i, j))
-            found = certificate_for(src, pulled)
-            if found is None:
-                raise SpectrumError(
-                    f"no certificate found for generator {k} on edge ({i}, {j})")
-            table[k] = found
+        src, tgt = (i, j) if fam.direction == COVARIANT else (j, i)
+        missing = []
+        certs[(i, j)] = certify_map(
+            BSpace(fam.carrier(src), subbases[src]), subbases[tgt], fam.transport(i, j),
+            "edge", missing, known=certs.get((i, j))).certs
+        if missing:
+            raise SpectrumError(f"no certificate found for generator "
+                                f"{missing[0].witness[0]} on edge ({i}, {j})")
     return certs
 
 
@@ -192,8 +188,7 @@ def validate_spectrum(s, check_composition=True):
         except SpectrumError:
             findings.append(Finding("edge-witness-missing", (i, j)))
             continue
-        for f in check_morphism(src, dst, w):
-            findings.append(Finding("edge-" + f.law, (i, j) + f.witness, f.note))
+        findings += check_morphism_as("edge", src, dst, w, (i, j))
     if findings or not check_composition:
         return findings
     # Composite edges also validate when their certificates are assembled by
@@ -540,18 +535,16 @@ def check_induced_square(s, t, psi, edge):
     """On one edge, pulling a generator through the map then the transport
     agrees with the other path around the square."""
     i, j = edge
-    out = []
-    for g in t.space(j).gens:
-        if s.direction == COVARIANT:
-            left = compose_rfun(compose_rfun(g, psi.comps[j]), s.fam.transport(i, j))
-            right = compose_rfun(compose_rfun(g, t.fam.transport(i, j)), psi.comps[i])
-        else:
-            left = compose_rfun(compose_rfun(g, psi.comps[j]), s.fam.transport(i, j))
-            right = compose_rfun(compose_rfun(g, t.fam.transport(i, j)), psi.comps[i])
+    # the square ends at the transport's target: j when covariant
+    # (psi_j . lambda_ij = mu_ij . psi_i), i when contravariant
+    # (psi_i . lambda_ij = mu_ij . psi_j)
+    src, tgt = (i, j) if s.direction == COVARIANT else (j, i)
+    for g in t.space(tgt).gens:
+        left = compose_rfun(compose_rfun(g, psi.comps[tgt]), s.fam.transport(i, j))
+        right = compose_rfun(compose_rfun(g, t.fam.transport(i, j)), psi.comps[src])
         if left.values != right.values:
-            out.append(Finding("induced-square", (i, j)))
-            break
-    return not out
+            return False
+    return True
 
 
 def restrict_spectrum(s, cof, sub_index=None):
@@ -573,64 +566,59 @@ def product_spectrum(s, t):
     """Componentwise spectrum over the product order, with each factor's
     generators pulled back through the projections."""
     from .order import product_order
+    from .setoid import split_pair
+
+    return product_spectrum_over(s, t, product_order(s.index, t.index), split_pair)
+
+
+def product_spectrum_over(s, t, index, parts):
+    """The componentwise product of s and t over `index`, whose element a
+    pairs the index elements parts(a) = (i, j) of s and t and whose order
+    maps into both factors' orders.  Returns the spectrum and, per index
+    element, the two projections."""
     from .setoid import pair_token, split_pair
-    from .topology import product_space
+    from .topology import product_space, reindex_certificate
 
     if s.direction != t.direction:
         raise SpectrumError("factors must share a direction")
-    prod_index = product_order(s.index, t.index)
     carriers, spaces, projections = {}, {}, {}
-    for a in prod_index.elements:
-        i, j = split_pair(a)
+    for a in index.elements:
+        i, j = parts(a)
         sp, pr1, pr2 = product_space(s.space(i), t.space(j))
         carriers[a] = sp.carrier
         spaces[a] = sp.subbase
         projections[a] = (pr1, pr2)
     transports = {}
-    for a, b in prod_index.order_pairs():
-        i, j = split_pair(a)
-        i2, j2 = split_pair(b)
-        if s.direction == COVARIANT:
-            dom, cod = carriers[a], carriers[b]
-            ti, tj = s.fam.transport(i, i2), t.fam.transport(j, j2)
-        else:
-            dom, cod = carriers[b], carriers[a]
-            ti, tj = s.fam.transport(i, i2), t.fam.transport(j, j2)
+    for a, b in index.order_pairs():
+        (i, j), (i2, j2) = parts(a), parts(b)
+        ti, tj = s.fam.transport(i, i2), t.fam.transport(j, j2)
+        src, tgt = (a, b) if s.direction == COVARIANT else (b, a)
         table = {}
-        for el in dom.elements:
+        for el in carriers[src].elements:
             x, y = split_pair(el)
             table[el] = pair_token(ti(x), tj(y))
-        transports[(a, b)] = make_fn(dom, cod, table)
-    fam = DirectFamily(prod_index, s.direction, carriers, transports)
-    from .topology import reindex_certificate
+        transports[(a, b)] = make_fn(carriers[src], carriers[tgt], table)
+    fam = DirectFamily(index, s.direction, carriers, transports)
 
     certs = {}
-    for a, b in prod_index.order_pairs():
+    for a, b in index.order_pairs():
         if a == b:
             continue
-        i, j = split_pair(a)
-        i2, j2 = split_pair(b)
+        (i, j), (i2, j2) = parts(a), parts(b)
         edge_s = s.witness_certs[(i, i2)] if i != i2 else None
         edge_t = t.witness_certs[(j, j2)] if j != j2 else None
-        if s.direction == COVARIANT:
-            # certificates live over the subbase at a, prove the gens at b
-            s_src_n = len(s.space(i).gens)
-            t_src_n = len(t.space(j).gens)
-            s_tgt_n = len(s.space(i2).gens)
-            t_tgt_n = len(t.space(j2).gens)
-        else:
-            # certificates live over the subbase at b, prove the gens at a
-            s_src_n = len(s.space(i2).gens)
-            t_src_n = len(t.space(j2).gens)
-            s_tgt_n = len(s.space(i).gens)
-            t_tgt_n = len(t.space(j).gens)
+        # certificates live over the subbase at the transport's source and
+        # prove the generators at its target
+        (s_src, t_src), (s_tgt, t_tgt) = (
+            ((i, j), (i2, j2)) if s.direction == COVARIANT else ((i2, j2), (i, j)))
+        s_src_n, s_tgt_n = len(s.space(s_src).gens), len(s.space(s_tgt).gens)
         first_map = {m: m for m in range(s_src_n)}
-        second_map = {m: s_src_n + m for m in range(t_src_n)}
+        second_map = {m: s_src_n + m for m in range(len(t.space(t_src).gens))}
         table = {}
         for k in range(s_tgt_n):
             base = CGen(k) if edge_s is None else edge_s[k]
             table[k] = reindex_certificate(base, first_map)
-        for k in range(t_tgt_n):
+        for k in range(len(t.space(t_tgt).gens)):
             base = CGen(k) if edge_t is None else edge_t[k]
             table[s_tgt_n + k] = reindex_certificate(base, second_map)
         certs[(a, b)] = table

@@ -535,36 +535,93 @@ def identity_witness(sp):
     return MorphismWitness(sid(sp.carrier), {k: CGen(k) for k in range(len(sp.gens))})
 
 
-def lift_certificate(src, w, c, h=None):
+def certify_map(src, dst, h, label, findings, where=(), known=None):
+    """The witness for h: src -> dst, each generator of dst pulled back
+    along h and certified over src by certificate_for.
+
+    A generator in `known` keeps the certificate given there.  One with no
+    certificate is left None in the witness and recorded in `findings` as
+    `{label}-cert` at where + (k,).
+    """
+    certs = dict(known or {})
+    for k, g in enumerate(dst.gens):
+        if k not in certs:
+            certs[k] = certificate_for(src, compose_rfun(g, h))
+            if certs[k] is None:
+                findings.append(Finding(f"{label}-cert", where + (k,)))
+    return MorphismWitness(h, certs)
+
+
+def check_morphism_as(label, src, dst, w, where=()):
+    """check_morphism's findings, each law prefixed by `label-` and each
+    witness by `where`."""
+    return [Finding(f"{label}-{f.law}", where + f.witness, f.note)
+            for f in check_morphism(src, dst, w)]
+
+
+def certify_iso(legs, trips, between=()):
+    """(findings, witnesses) for two maps claimed mutually inverse.
+
+    `legs` are the two maps as (label, src, dst, h); `trips` are round
+    trips (law, f, g), each asking that g . f be the identity on f's
+    domain.  The findings are the round trips in the order given, then
+    `between`, then each leg's missing certificates; when none of these
+    failed, check_morphism on each leg, its laws prefixed by the label.
+    A certificate built by construction is still checked, so a fault in
+    the construction is reported rather than trusted.
+    """
+    findings = [Finding(law, (x,)) for law, f, g in trips
+                for x in f.dom.elements if not f.dom.eq(g(f(x)), x)]
+    findings += between
+    witnesses = [certify_map(src, dst, h, label, findings)
+                 for label, src, dst, h in legs]
+    if not findings:
+        for (label, src, dst, _), w in zip(legs, witnesses):
+            findings += check_morphism_as(label, src, dst, w)
+    return findings, witnesses
+
+
+def map_cert(c, leaf, rekey):
+    """Rebuild a derivation: each generator leaf CGen(k) becomes leaf(k),
+    the claimed table of each equality and uniform-limit node becomes
+    rekey(table), and every other rule is carried through unchanged."""
+    if isinstance(c, CGen):
+        return leaf(c.k)
+    if isinstance(c, CConst):
+        return c
+    if isinstance(c, CAdd):
+        return CAdd(map_cert(c.left, leaf, rekey), map_cert(c.right, leaf, rekey))
+    if isinstance(c, CBic):
+        return CBic(c.phi, map_cert(c.child, leaf, rekey))
+    if isinstance(c, CEq):
+        table = rekey(c.table)
+        return CEq(map_cert(c.child, leaf, rekey), table)
+    if isinstance(c, CULim):
+        table = rekey(c.table)
+        return CULim(table, tuple(
+            (n, map_cert(sub, leaf, rekey)) for n, sub in c.witnesses))
+    raise RuleMismatch(f"unknown node {c!r}")
+
+
+def _rekey(table, keys, at):
+    """The claimed table read at at(key) for each key, sorted by key."""
+    claimed = dict(table)
+    return tuple(sorted((key, claimed[at(key)]) for key in keys))
+
+
+def lift_certificate(src, w, c):
     """Transport a derivation along a morphism witness.
 
     If c proves g over the target subbase, the lift proves g . h over the
     source subbase, replacing generator leaves by the witness certificates
     and carrying every other rule through unchanged.
     """
-    if h is None:
-        h = w.h
-    if isinstance(c, CGen):
-        if c.k not in w.certs:
-            raise MissingCertificate(f"no certificate for generator {c.k}")
-        return w.certs[c.k]
-    if isinstance(c, CConst):
-        return c
-    if isinstance(c, CAdd):
-        return CAdd(lift_certificate(src, w, c.left, h),
-                    lift_certificate(src, w, c.right, h))
-    if isinstance(c, CBic):
-        return CBic(c.phi, lift_certificate(src, w, c.child, h))
-    if isinstance(c, CEq):
-        claimed = dict(c.table)
-        pulled = tuple(sorted((x, claimed[h(x)]) for x in h.dom.elements))
-        return CEq(lift_certificate(src, w, c.child, h), pulled)
-    if isinstance(c, CULim):
-        claimed = dict(c.table)
-        pulled = tuple(sorted((x, claimed[h(x)]) for x in h.dom.elements))
-        return CULim(pulled, tuple(
-            (n, lift_certificate(src, w, sub, h)) for n, sub in c.witnesses))
-    raise RuleMismatch(f"unknown node {c!r}")
+    def leaf(k):
+        if k not in w.certs:
+            raise MissingCertificate(f"no certificate for generator {k}")
+        return w.certs[k]
+
+    return map_cert(c, leaf, lambda table: _rekey(table, w.h.dom.elements, w.h))
 
 
 def compose_witnesses(sp1, sp2, sp3, w12, w23):
@@ -580,21 +637,7 @@ def compose_witnesses(sp1, sp2, sp3, w12, w23):
 
 def reindex_certificate(c, positions):
     """Rename generator leaves; used when a subbase embeds into a larger one."""
-    if isinstance(c, CGen):
-        return CGen(positions[c.k])
-    if isinstance(c, CConst):
-        return c
-    if isinstance(c, CAdd):
-        return CAdd(reindex_certificate(c.left, positions),
-                    reindex_certificate(c.right, positions))
-    if isinstance(c, CBic):
-        return CBic(c.phi, reindex_certificate(c.child, positions))
-    if isinstance(c, CEq):
-        return CEq(reindex_certificate(c.child, positions), c.table)
-    if isinstance(c, CULim):
-        return CULim(c.table, tuple(
-            (n, reindex_certificate(sub, positions)) for n, sub in c.witnesses))
-    raise RuleMismatch(f"unknown node {c!r}")
+    return map_cert(c, lambda k: CGen(positions[k]), lambda table: table)
 
 
 # --- certificates by construction -------------------------------------------
@@ -772,34 +815,14 @@ def exponential_space(src, dst, maps, names=None):
         by_name, positions)
 
 
-def exp_eval_certificate(c, x, exp, by_name=None):
+def exp_eval_certificate(c, x, exp):
     """Turn a derivation of t over a subbase into a derivation, over the
     evaluation subbase, of the function sending a map h to t(h(x)).
 
     Generator leaves become evaluation generators at x; every other rule is
     carried through, with claimed tables re-keyed by evaluating each map.
     """
-    if by_name is None:
-        by_name = exp.by_name
-    if isinstance(c, CGen):
-        return CGen(exp.positions[(x, c.k)])
-    if isinstance(c, CConst):
-        return c
-    if isinstance(c, CAdd):
-        return CAdd(exp_eval_certificate(c.left, x, exp, by_name),
-                    exp_eval_certificate(c.right, x, exp, by_name))
-    if isinstance(c, CBic):
-        return CBic(c.phi, exp_eval_certificate(c.child, x, exp, by_name))
-    if isinstance(c, CEq):
-        claimed = dict(c.table)
-        re_keyed = tuple(sorted(
-            (name, claimed[by_name[name](x)]) for name in exp.carrier.elements))
-        return CEq(exp_eval_certificate(c.child, x, exp, by_name), re_keyed)
-    if isinstance(c, CULim):
-        claimed = dict(c.table)
-        re_keyed = tuple(sorted(
-            (name, claimed[by_name[name](x)]) for name in exp.carrier.elements))
-        return CULim(re_keyed, tuple(
-            (n, exp_eval_certificate(sub, x, exp, by_name))
-            for n, sub in c.witnesses))
-    raise RuleMismatch(f"unknown node {c!r}")
+    return map_cert(
+        c, lambda k: CGen(exp.positions[(x, k)]),
+        lambda table: _rekey(table, exp.carrier.elements,
+                             lambda name: exp.by_name[name](x)))

@@ -33,7 +33,11 @@ from bspec.topology import (
     CAdd,
     CBic,
     CConst,
+    CEq,
     CGen,
+    CULim,
+    MissingCertificate,
+    RuleMismatch,
     babs,
     baffine,
     bneg,
@@ -290,6 +294,111 @@ def first_upper_bounds_scan(elements, pairs):
                 raise NotDirected(f"no upper bound for ({i}, {j})")
             upper[(i, j)] = k
     return upper
+
+
+def leq_extensional_scan(D):
+    """validate_directed's leq-extensional findings over every quadruple of
+    elements."""
+    findings = []
+    els = D.elements
+    for i in els:
+        for j in els:
+            for i2 in els:
+                for j2 in els:
+                    if (
+                        D.base.eq(i, i2)
+                        and D.base.eq(j, j2)
+                        and D.leq(i, j)
+                        and not D.leq(i2, j2)
+                    ):
+                        findings.append(Finding("leq-extensional", (i, j, i2, j2)))
+    return findings
+
+
+# The three walks of the certificate tree that topology.map_cert replaced.
+
+def lift_certificate_walk(src, w, c, h=None):
+    """Transport a derivation along a morphism witness.
+
+    If c proves g over the target subbase, the lift proves g . h over the
+    source subbase, replacing generator leaves by the witness certificates
+    and carrying every other rule through unchanged.
+    """
+    if h is None:
+        h = w.h
+    if isinstance(c, CGen):
+        if c.k not in w.certs:
+            raise MissingCertificate(f"no certificate for generator {c.k}")
+        return w.certs[c.k]
+    if isinstance(c, CConst):
+        return c
+    if isinstance(c, CAdd):
+        return CAdd(lift_certificate_walk(src, w, c.left, h),
+                    lift_certificate_walk(src, w, c.right, h))
+    if isinstance(c, CBic):
+        return CBic(c.phi, lift_certificate_walk(src, w, c.child, h))
+    if isinstance(c, CEq):
+        claimed = dict(c.table)
+        pulled = tuple(sorted((x, claimed[h(x)]) for x in h.dom.elements))
+        return CEq(lift_certificate_walk(src, w, c.child, h), pulled)
+    if isinstance(c, CULim):
+        claimed = dict(c.table)
+        pulled = tuple(sorted((x, claimed[h(x)]) for x in h.dom.elements))
+        return CULim(pulled, tuple(
+            (n, lift_certificate_walk(src, w, sub, h)) for n, sub in c.witnesses))
+    raise RuleMismatch(f"unknown node {c!r}")
+
+
+def reindex_certificate_walk(c, positions):
+    """Rename generator leaves; used when a subbase embeds into a larger one."""
+    if isinstance(c, CGen):
+        return CGen(positions[c.k])
+    if isinstance(c, CConst):
+        return c
+    if isinstance(c, CAdd):
+        return CAdd(reindex_certificate_walk(c.left, positions),
+                    reindex_certificate_walk(c.right, positions))
+    if isinstance(c, CBic):
+        return CBic(c.phi, reindex_certificate_walk(c.child, positions))
+    if isinstance(c, CEq):
+        return CEq(reindex_certificate_walk(c.child, positions), c.table)
+    if isinstance(c, CULim):
+        return CULim(c.table, tuple(
+            (n, reindex_certificate_walk(sub, positions)) for n, sub in c.witnesses))
+    raise RuleMismatch(f"unknown node {c!r}")
+
+
+def exp_eval_certificate_walk(c, x, exp, by_name=None):
+    """Turn a derivation of t over a subbase into a derivation, over the
+    evaluation subbase, of the function sending a map h to t(h(x)).
+
+    Generator leaves become evaluation generators at x; every other rule is
+    carried through, with claimed tables re-keyed by evaluating each map.
+    """
+    if by_name is None:
+        by_name = exp.by_name
+    if isinstance(c, CGen):
+        return CGen(exp.positions[(x, c.k)])
+    if isinstance(c, CConst):
+        return c
+    if isinstance(c, CAdd):
+        return CAdd(exp_eval_certificate_walk(c.left, x, exp, by_name),
+                    exp_eval_certificate_walk(c.right, x, exp, by_name))
+    if isinstance(c, CBic):
+        return CBic(c.phi, exp_eval_certificate_walk(c.child, x, exp, by_name))
+    if isinstance(c, CEq):
+        claimed = dict(c.table)
+        re_keyed = tuple(sorted(
+            (name, claimed[by_name[name](x)]) for name in exp.carrier.elements))
+        return CEq(exp_eval_certificate_walk(c.child, x, exp, by_name), re_keyed)
+    if isinstance(c, CULim):
+        claimed = dict(c.table)
+        re_keyed = tuple(sorted(
+            (name, claimed[by_name[name](x)]) for name in exp.carrier.elements))
+        return CULim(re_keyed, tuple(
+            (n, exp_eval_certificate_walk(sub, x, exp, by_name))
+            for n, sub in c.witnesses))
+    raise RuleMismatch(f"unknown node {c!r}")
 
 
 # --- helpers with no caller in bspec ---------------------------------------

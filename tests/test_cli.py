@@ -63,6 +63,65 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "2:" in capsys.readouterr().err
 
 
+# Element names that decode as compound elements.  Without the guard the
+# inverse limit of this spectrum has one choice where there are two, and its
+# top-determinacy law fails.
+COLLIDING = """\
+setoid A {
+  elements: a&b, a
+}
+setoid B {
+  elements: c, b&c
+}
+directed D {
+  elements: 0, 1
+  order: 0 <= 1
+}
+family F {
+  index: D
+  direction: contravariant
+  carrier 0: A
+  carrier 1: B
+  map 0 -> 1: c => a&b, b&c => a
+}
+subbase GA {
+  carrier: A
+  gen g: a&b => 0, a => 1
+}
+subbase GB {
+  carrier: B
+  gen h: c => 0, b&c => 1
+}
+spectrum S {
+  family: F
+  space 0: GA
+  space 1: GB
+  witness 0 -> 1 g: (gen h)
+}
+suite main {
+  check: limit-inverse S
+}
+"""
+
+
+def test_reserved_characters_in_element_names_exit_2(tmp_path, capsys):
+    f = tmp_path / "colliding.bsp"
+    f.write_text(COLLIDING)
+    assert main(["check", str(f)]) == 2
+    assert "2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ch", list("@&()"))
+@pytest.mark.parametrize("block", ["setoid", "directed"])
+def test_reserved_characters_are_refused_with_their_line(block, ch):
+    from bspec.dsl import DslError, elaborate, parse
+
+    text = f"# {block}\n{block} X {{\n  elements: p, q{ch}r\n}}\n"
+    with pytest.raises(DslError) as err:
+        elaborate(parse(text))
+    assert err.value.line == 3 and repr(ch) in str(err.value)
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["check", "/nonexistent/nope.bsp"]) == 2
 

@@ -24,7 +24,13 @@ from bspec.families import (
     validate_direct_family,
 )
 from bspec.limits import cocone_mediator, direct_limit
-from bspec.order import _close_order, _first_upper_bounds, chain
+from bspec.order import (
+    DirectedIndex,
+    _close_order,
+    _first_upper_bounds,
+    chain,
+    validate_directed,
+)
 from bspec.randgen import (
     _heights,
     random_direct_family,
@@ -45,6 +51,7 @@ from bspec.setoid import (
 from oracles import (
     close_order_scan,
     first_upper_bounds_scan,
+    leq_extensional_scan,
     outcome,
     saturate_rescan,
 )
@@ -110,6 +117,27 @@ def test_closure_of_a_long_chain():
     pairs = _close_order(make_setoid(names), list(zip(names, names[1:])))
     assert len(pairs) == 20_100
     assert pairs == chain(200).pairs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(order_bases(), st.booleans())
+def test_leq_extensional_matches_the_quadruple_scan(case, closed):
+    base, pairs = case
+    pairs = [(i, j) for i, j in pairs if base.has(i) and base.has(j)]
+    rel = _close_order(base, pairs) if closed else frozenset(pairs)
+    D = DirectedIndex(base, rel, {})
+    keyed = [f for f in validate_directed(D) if f.law == "leq-extensional"]
+    assert keyed == leq_extensional_scan(D)
+    if closed:
+        assert keyed == []
+
+
+def test_leq_extensional_on_a_base_that_is_not_an_equivalence():
+    base = Setoid(("a", "b", "c"), frozenset({("a", "a"), ("b", "b"), ("c", "c"),
+                                              ("a", "b"), ("b", "c")}))
+    D = DirectedIndex(base, frozenset({("a", "a"), ("a", "c"), ("c", "c")}), {})
+    keyed = [f for f in validate_directed(D) if f.law == "leq-extensional"]
+    assert keyed == leq_extensional_scan(D) != []
 
 
 # --- saturation ---------------------------------------------------------------

@@ -141,6 +141,30 @@ def test_sum_morphisms_and_square():
         assert check_induced_square(s, s, psi, (i, j))
 
 
+def _rev():
+    from pathlib import Path
+    from bspec.dsl import elaborate, parse
+
+    root = Path(__file__).resolve().parent.parent
+    return elaborate(parse((root / "fixtures" / "inverse.bsp").read_text())).spectrum("REV")
+
+
+def test_induced_square_on_a_contravariant_spectrum():
+    s = _rev()
+    psi = identity_spectrum_map(s)
+    for edge in s.fam.order_pairs():
+        assert check_induced_square(s, s, psi, edge)
+    # swap the two points at index 0: psi_0 . lambda_01 = lambda_01 . psi_1
+    # fails, while every square away from index 0 still commutes
+    comps = dict(psi.comps)
+    carrier = s.fam.carrier("0")
+    comps["0"] = make_fn(carrier, carrier, {"a": "b", "b": "a"})
+    swapped = SpectrumMap(comps)
+    assert not check_induced_square(s, s, swapped, ("0", "1"))
+    assert not check_induced_square(s, s, swapped, ("0", "2"))
+    assert check_induced_square(s, s, swapped, ("1", "2"))
+
+
 def test_collapse_map_to_constant_spectrum():
     s = cspec()
     # target: constant spectrum on the one-point space with subbase {0}
