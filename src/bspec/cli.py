@@ -118,7 +118,7 @@ def limit_export_text(name, lim, inverse=False):
         for n, cls in enumerate(lim.carrier.classes()):
             i, x = lim.canonical(cls[0])
             lines.append(f"  class c{n}: {i} @ {x}")
-            lines.append(f"  members c{n}: " + ", ".join(cls))
+            lines.append(f"  members c{n}: " + ", ".join(map(str, cls)))
     for k, g in enumerate(lim.space.gens):
         name_k = lim.space.subbase.names[k]
         parts = []

@@ -195,11 +195,10 @@ def parse_names(value, stmt):
     return [v.strip() for v in value.split(",")]
 
 
-# Compound elements are encoded as strings: tagged pairs `i@x`, choices
-# `x&y`, product pairs `(x,y)`.  An element name holding one of these
-# characters could decode as another element, so carriers and indices
-# may not use them.
-RESERVED = "@&()"
+# Parentheses delimit the s-expressions whose `(table ...)` nodes name
+# elements, so a name holding one could not be written there.  Any other
+# character is fine: compound elements are tuples, not spelled-out names.
+RESERVED = "()"
 
 
 def parse_element_names(stmt):

@@ -11,19 +11,13 @@ decided by enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 
 from .families import CONTRAVARIANT, COVARIANT, DirectFamily
 from .limits import direct_limit, inverse_limit, limit_legs_cocone
 from .report import Finding
-from .setoid import (
-    check_extensional,
-    compose,
-    is_embedding,
-    make_fn,
-    split_tag,
-    tag_token,
-)
+from .setoid import Tag, compose, is_embedding, make_fn
 from .spectra import Spectrum
 from .topology import (
     BSpace,
@@ -38,6 +32,7 @@ from .topology import (
     exponential_space,
     lift_certificate,
     validate_certificate,
+    values_key,
 )
 
 
@@ -71,16 +66,18 @@ class MorCarrier:
     def witness(self, name):
         return self._witnesses[name]
 
-    def names(self):
-        return list(self.setoid.elements)
-
     def find(self, fn):
-        """Pool token pointwise equal to a map, or None."""
+        """The first pool token, in carrier order, pointwise equal to a map,
+        or None."""
+        return self._by_values.get(values_key(fn))
+
+    @cached_property
+    def _by_values(self):
+        """values_key of each pool map -> its first token in carrier order."""
+        out = {}
         for name in self.setoid.elements:
-            m = self.exp.by_name[name]
-            if all(self.dst.carrier.eq(m(x), fn(x)) for x in m.dom.elements):
-                return name
-        return None
+            out.setdefault(values_key(self.exp.by_name[name]), name)
+        return out
 
 
 def make_mor_carrier(src, dst, witnesses, names=None):
@@ -323,7 +320,7 @@ def duality_direct_to_inverse(s, fixed, pools, lim=None, uniq_bound=1_000_000):
         assignment = inv.assignments[tok]
         table = {}
         for cls_tok in lim.carrier.elements:
-            i, x = split_tag(cls_tok)
+            i, x = cls_tok
             table[cls_tok] = carriers_mc[i].witness(assignment[i]).h(x)
         h = make_fn(lim.carrier, fixed.carrier, table)
         hom_witnesses.append(certify_map(lim.space, fixed, h, "hom", findings, (tok,)))
@@ -458,7 +455,7 @@ def converse_dual_inverse(s, fixed, pools, lim=None, thread_bound=10_000):
 
     hom_witnesses = []
     for cls_tok in lim_mor.repr_classes():
-        i, name = split_tag(cls_tok)
+        i, name = cls_tok
         w = carriers_mc[i].witness(name)
         table = {tok: w.h(inv.assignments[tok][i]) for tok in inv.carrier.elements}
         h = make_fn(inv.carrier, fixed.carrier, table)
@@ -500,9 +497,9 @@ def converse_dual_direct(s, fixed, pools, lim=None, thread_bound=10_000):
 
     hom_witnesses = []
     for cls_tok in lim_mor.repr_classes():
-        i, name = split_tag(cls_tok)
+        i, name = cls_tok
         w = carriers_mc[i].witness(name)
-        table = {x: tag_token(i, w.h(x)) for x in fixed.carrier.elements}
+        table = {x: Tag((i, w.h(x))) for x in fixed.carrier.elements}
         h = make_fn(fixed.carrier, lim.carrier, table)
         certs = {}
         for k, n in enumerate(lim.gen_threads):
@@ -520,15 +517,13 @@ def _classwise_to_hom(lim_mor, src, dst, hom_witnesses):
     reps = lim_mor.repr_classes()
     hom_pool = make_mor_carrier(src, dst, hom_witnesses,
                                 names=[f"h[{t}]" for t in reps])
-    # the classwise map must be constant on classes of the direct limit
+    # constant on the classes of the direct limit by construction, which
+    # make_fn checks
     rep_of = dict(zip(reps, hom_pool.setoid.elements))
     to_hom = make_fn(lim_mor.carrier, hom_pool.setoid,
                      {tok: rep_of[lim_mor.carrier.class_repr(tok)]
                       for tok in lim_mor.carrier.elements})
     findings = []
-    ok, wit = check_extensional(to_hom)
-    if not ok:
-        findings.append(Finding("classwise", wit))
     witness = certify_map(lim_mor.space, hom_pool.space, to_hom, "to-hom", findings)
     if not findings:
         findings += check_morphism_as("to-hom", lim_mor.space, hom_pool.space, witness)

@@ -15,6 +15,7 @@ from .report import Finding
 from .setoid import (
     Setoid,
     SetoidFn,
+    Tag,
     class_pairs,
     compose,
     check_extensional,
@@ -22,8 +23,6 @@ from .setoid import (
     identity,
     is_embedding,
     make_fn,
-    split_tag,
-    tag_token,
 )
 
 COVARIANT = "covariant"
@@ -357,11 +356,7 @@ def _direct_family_laws_hold(F):
 # --- the disjoint-union carrier and its equalities -------------------------
 
 def sum_elements(F):
-    return [
-        tag_token(i, x)
-        for i in F.index.elements
-        for x in F.carrier(i).elements
-    ]
+    return [Tag((i, x)) for i in F.index.elements for x in F.carrier(i).elements]
 
 
 def sigma_equality_plain(F, i, x, j, y):
@@ -405,8 +400,7 @@ def sum_equality_laws_hold(F):
     if F.direction != COVARIANT:
         return False
     els = F.index.elements
-    # the scan reads each index back out of a tag, up to its first "@"
-    if any(i not in F.carriers or "@" in i for i in els):
+    if any(i not in F.carriers for i in els):
         return False
     if not any(len(F.carriers[i]) for i in els):
         return True  # no tagged elements, so no pairs
@@ -430,10 +424,8 @@ def plain_sum_setoid(F):
     els = sum_elements(F)
     pairs = set()
     for a in els:
-        i, x = split_tag(a)
         for b in els:
-            j, y = split_tag(b)
-            if sigma_equality_plain(F, i, x, j, y):
+            if sigma_equality_plain(F, *a, *b):
                 pairs.add((a, b))
     return Setoid(tuple(els), frozenset(pairs))
 
@@ -441,7 +433,7 @@ def plain_sum_setoid(F):
 def direct_sum_pairs(F):
     """The tagged elements and the pairs of direct_sum_equality.
 
-    Each i@x is keyed by the class of its transport to the top; the pairs
+    Each tag (i, x) is keyed by the class of its transport to the top; the pairs
     are those within one key, so they are built in O(pairs), not by
     testing all pairs of tagged elements.
     """
@@ -453,7 +445,7 @@ def direct_sum_pairs(F):
     for i in F.index.elements:
         up = F.transport(i, t)
         for x in F.carrier(i).elements:
-            a = tag_token(i, x)
+            a = Tag((i, x))
             els.append(a)
             keyed.setdefault(top.class_repr(up(x)), []).append(a)
     return tuple(els), class_pairs(keyed.values())
@@ -618,7 +610,7 @@ def embed_at(F, i, sum_s=None):
     if sum_s is None:
         sum_s = direct_sum_setoid(F) if isinstance(F, DirectFamily) else plain_sum_setoid(F)
     return make_fn(F.carrier(i), sum_s,
-                   {x: tag_token(i, x) for x in F.carrier(i).elements})
+                   {x: Tag((i, x)) for x in F.carrier(i).elements})
 
 
 def sigma_map(src, dst, m, sum_src=None, sum_dst=None):
@@ -629,8 +621,8 @@ def sigma_map(src, dst, m, sum_src=None, sum_dst=None):
         sum_dst = direct_sum_setoid(dst) if isinstance(dst, DirectFamily) else plain_sum_setoid(dst)
     table = {}
     for a in sum_src.elements:
-        i, x = split_tag(a)
-        table[a] = tag_token(i, m.comps[i](x))
+        i, x = a
+        table[a] = Tag((i, m.comps[i](x)))
     return make_fn(sum_src, sum_dst, table)
 
 

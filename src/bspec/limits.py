@@ -16,24 +16,25 @@ from .families import (
     CONTRAVARIANT,
     COVARIANT,
     direct_sum_pairs,
+    embed_at,
     enumerate_compatible,
+    sigma_map,
 )
 from .order import induced_order, top_element
 from .report import Finding
 from .setoid import (
+    Choice,
+    Pair,
     Setoid,
     SetoidFn,
+    Tag,
     class_pairs,
     compose,
     discrete,
     fn_equal,
     is_embedding,
     make_fn,
-    pair_token,
     quotient_by,
-    split_pair,
-    split_tag,
-    tag_token,
     unique_classwise,
 )
 from .spectra import (
@@ -94,19 +95,14 @@ class DirectLimit:
     space: BSpace
     gen_threads: list  # per generator: position of the thread that made it
 
-    def class_of(self, i, x):
-        return tag_token(i, x)
-
     def embed(self, i):
         """The map sending a carrier element to its class."""
-        fam = self.spectrum.fam
-        return make_fn(fam.carrier(i), self.carrier,
-                       {x: tag_token(i, x) for x in fam.carrier(i).elements})
+        return embed_at(self.spectrum.fam, i, self.carrier)
 
     def canonical(self, token):
         """Representative of a class at the top index."""
         fam = self.spectrum.fam
-        i, x = split_tag(token)
+        i, x = token
         t = fam.top()
         return t, fam.transport(i, t)(x)
 
@@ -167,7 +163,7 @@ def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
     apex = c.apex
     table = {}
     for token in lim.carrier.elements:
-        i, x = split_tag(token)
+        i, x = token
         table[token] = c.legs[i].h(x)
     h = make_fn(lim.carrier, apex.carrier, table)  # well-defined on classes
     missing = []
@@ -191,7 +187,7 @@ def _check_unique_mediator(lim, c, h, bound):
     apex = c.apex.carrier
     if len(apex.elements) ** len(classes) > bound:
         return None  # uniqueness unbounded; callers report it as skipped
-    leg_at = {tag_token(i, x): c.legs[i].h(x)
+    leg_at = {Tag((i, x)): c.legs[i].h(x)
               for i in lim.spectrum.index.elements
               for x in lim.spectrum.fam.carrier(i).elements}
     if not unique_classwise(
@@ -233,11 +229,7 @@ def limit_map(s, t, psi, lim_s=None, lim_t=None):
         lim_s = direct_limit(s)
     if lim_t is None:
         lim_t = direct_limit(t)
-    table = {}
-    for token in lim_s.carrier.elements:
-        i, x = split_tag(token)
-        table[token] = tag_token(i, psi.comps[i](x))
-    fwd = make_fn(lim_s.carrier, lim_t.carrier, table)
+    fwd = sigma_map(s.fam, t.fam, psi, lim_s.carrier, lim_t.carrier)
     if all(is_embedding(psi.comps[i])[0] for i in s.index.elements):
         ok, witness_pair = is_embedding(fwd)
         if not ok:
@@ -270,14 +262,10 @@ def common_representatives(lim, tokens):
         raise LimitError("empty class list")
     fam = lim.spectrum.fam
     if len(tokens) == 1:
-        i, x = split_tag(tokens[0])
+        i, x = tokens[0]
         return i, [x]
     t = fam.top()
-    out = []
-    for token in tokens:
-        i, x = split_tag(token)
-        out.append(fam.transport(i, t)(x))
-    return t, out
+    return t, [fam.transport(i, t)(x) for i, x in tokens]
 
 
 @dataclass
@@ -300,15 +288,15 @@ def cofinal_direct_iso(s, cof, lim=None, sub_lim=None, thread_bound=10_000):
 
     fwd_table = {}
     for token in sub_lim.carrier.elements:
-        j, y = split_tag(token)
-        fwd_table[token] = tag_token(cof.embed(j), y)
+        j, y = token
+        fwd_table[token] = Tag((cof.embed(j), y))
     forward = make_fn(sub_lim.carrier, lim.carrier, fwd_table)
 
     bwd_table = {}
     for token in lim.carrier.elements:
-        i, x = split_tag(token)
+        i, x = token
         j = cof.cof(i)
-        bwd_table[token] = tag_token(j, s.fam.transport(i, cof.embed(j))(x))
+        bwd_table[token] = Tag((j, s.fam.transport(i, cof.embed(j))(x)))
     backward = make_fn(lim.carrier, sub_lim.carrier, bwd_table)
     return _cofinal_iso(lim, sub_lim, forward, backward)
 
@@ -348,10 +336,8 @@ def product_limit_bijection(s, t, prod=None, lim_s=None, lim_t=None,
 
     table = {}
     for token in lim_prod.carrier.elements:
-        ij, xy = split_tag(token)
-        i, j = split_pair(ij)
-        x, y = split_pair(xy)
-        table[token] = pair_token(tag_token(i, x), tag_token(j, y))
+        (i, j), (x, y) = token
+        table[token] = Pair((Tag((i, x)), Tag((j, y))))
     to_pair = make_fn(lim_prod.carrier, pair_space.carrier, table)
 
     ok, witness = is_embedding(to_pair)
@@ -382,6 +368,7 @@ class InverseLimit:
     assignments: dict  # carrier token -> {index element -> carrier element}
     space: BSpace
     gen_sources: list = field(default_factory=list)  # per gen: (index, gen pos)
+    by_key: dict = field(default_factory=dict)  # _choice_key -> its first token
 
     def project(self, i):
         fam = self.spectrum.fam
@@ -389,15 +376,19 @@ class InverseLimit:
                        {tok: self.assignments[tok][i] for tok in self.carrier.elements})
 
     def token_of(self, assignment):
-        """Carrier token matching an assignment pointwise, or None."""
-        fam = self.spectrum.fam
-        for tok, a in self.assignments.items():
-            if all(fam.carrier(i).eq(a[i], assignment[i]) for i in a):
-                return tok
-        return None
+        """The first carrier token, in carrier order, matching an assignment
+        pointwise, or None."""
+        return self.by_key.get(_choice_key(self.spectrum, assignment))
 
     def class_count(self):
         return self.carrier.class_count()
+
+
+def _choice_key(s, assignment):
+    """The classes of an assignment's components, in index order: two
+    choices are equal exactly when their keys are."""
+    fam = s.fam
+    return tuple([fam.carrier(i).class_repr(assignment[i]) for i in s.index.elements])
 
 
 def inverse_limit(s, bound=1_000_000):
@@ -405,20 +396,15 @@ def inverse_limit(s, bound=1_000_000):
     if s.direction != CONTRAVARIANT:
         raise LimitError("inverse limit needs a contravariant spectrum")
     choices = enumerate_compatible(s.fam, CONTRAVARIANT, bound)
-    els = list(s.index.elements)
+    els = s.index.elements
     tokens = []
     assignments = {}
-    for n, a in enumerate(choices):
-        tok = "&".join(a[i] for i in els)
+    keyed = {}
+    for a in choices:
+        tok = Choice([a[i] for i in els])
         tokens.append(tok)
         assignments[tok] = a
-    # choices are equal when their components are, so key each by its
-    # components' classes
-    keyed = {}
-    for tok in tokens:
-        a = assignments[tok]
-        key = tuple(s.fam.carrier(i).class_repr(a[i]) for i in els)
-        keyed.setdefault(key, []).append(tok)
+        keyed.setdefault(_choice_key(s, a), []).append(tok)
     carrier = Setoid(tuple(tokens), class_pairs(keyed.values()))
     gens, names, sources = [], [], []
     seen = set()
@@ -433,7 +419,8 @@ def inverse_limit(s, bound=1_000_000):
             names.append(f"proj[{i},{s.subbases[i].names[k]}]")
             sources.append((i, k))
     space_obj = BSpace(carrier, Subbase(carrier, tuple(gens), tuple(names)))
-    return InverseLimit(s, carrier, assignments, space_obj, sources)
+    by_key = {key: toks[0] for key, toks in keyed.items()}
+    return InverseLimit(s, carrier, assignments, space_obj, sources, by_key)
 
 
 def top_determinacy_check(lim):
@@ -635,13 +622,13 @@ def product_inverse_morphism(s, t, prod=None, lim_s=None, lim_t=None,
 
     table = {}
     for a in pair_space.carrier.elements:
-        tok_s, tok_t = split_pair(a)
+        tok_s, tok_t = a
         asg_s = lim_s.assignments[tok_s]
         asg_t = lim_t.assignments[tok_t]
         paired = {}
         for ij in prod.index.elements:
-            i, j = split_pair(ij)
-            paired[ij] = pair_token(asg_s[i], asg_t[j])
+            i, j = ij
+            paired[ij] = Pair((asg_s[i], asg_t[j]))
         target = lim_prod.token_of(paired)
         if target is None:
             findings.append(Finding("pairing", (a,)))

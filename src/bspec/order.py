@@ -9,6 +9,7 @@ from functools import cached_property
 from .report import Finding
 from .setoid import (
     NotEquivalence,
+    Pair,
     Setoid,
     SetoidFn,
     UnknownElement,
@@ -17,9 +18,7 @@ from .setoid import (
     is_embedding,
     make_fn,
     make_setoid,
-    pair_token,
     product_setoid,
-    split_pair,
 )
 
 
@@ -275,7 +274,7 @@ def induced_order(D, C):
 def product_order(D1, D2):
     base = product_setoid(D1.base, D2.base)
     pairs = frozenset(
-        (pair_token(i, j), pair_token(i2, j2))
+        (Pair((i, j)), Pair((i2, j2)))
         for i in D1.elements
         for j in D2.elements
         for i2 in D1.elements
@@ -283,19 +282,13 @@ def product_order(D1, D2):
         if D1.leq(i, i2) and D2.leq(j, j2)
     )
     upper = {}
+    delta = {} if D1.delta is not None and D2.delta is not None else None
     for a in base.elements:
         for b in base.elements:
-            i, j = split_pair(a)
-            i2, j2 = split_pair(b)
-            upper[(a, b)] = pair_token(D1.up(i, i2), D2.up(j, j2))
-    delta = None
-    if D1.delta is not None and D2.delta is not None:
-        delta = {}
-        for a in base.elements:
-            for b in base.elements:
-                i, j = split_pair(a)
-                i2, j2 = split_pair(b)
-                delta[(a, b)] = pair_token(D1.delta[(i, i2)], D2.delta[(j, j2)])
+            (i, j), (i2, j2) = a, b
+            upper[(a, b)] = Pair((D1.up(i, i2), D2.up(j, j2)))
+            if delta is not None:
+                delta[(a, b)] = Pair((D1.delta[(i, i2)], D2.delta[(j, j2)]))
     return DirectedIndex(base, pairs, upper, delta)
 
 
@@ -307,7 +300,7 @@ def product_cofinal(D1, C1, D2, C2):
         members,
         prod.base,
         {
-            pair_token(k, l): pair_token(C1.embed(k), C2.embed(l))
+            Pair((k, l)): Pair((C1.embed(k), C2.embed(l)))
             for k in C1.members.elements
             for l in C2.members.elements
         },
@@ -316,7 +309,7 @@ def product_cofinal(D1, C1, D2, C2):
         prod.base,
         members,
         {
-            pair_token(i, j): pair_token(C1.cof(i), C2.cof(j))
+            Pair((i, j)): Pair((C1.cof(i), C2.cof(j)))
             for i in D1.elements
             for j in D2.elements
         },

@@ -1,7 +1,8 @@
 """Finite carriers with explicit decidable equality, and maps that respect it.
 
-Elements are opaque string tokens.  Equality is a closed set of pairs, so
-every law in the package can be checked by exhaustive enumeration.
+Elements are opaque hashables: plain names, or the compound elements built
+below.  Equality is a closed set of pairs, so every law in the package can
+be checked by exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -214,41 +215,47 @@ def _check_equivalence_scan(elements, pairs):
     return None
 
 
-# Token helpers for compound carriers.  Pair tokens are parenthesized so
-# they nest; tag tokens split on the first separator, so the index part
-# must not contain one (plain names and pair tokens never do).
+# Compound elements.  Each is a tuple, so two of them are equal exactly when
+# their parts are, whatever characters the parts' names hold; the subclass
+# only adds the text an element is rendered as in reports and exports.  A
+# plain 2-tuple could not tell a tag from a pair there, so each gets its own.
 
-def pair_token(x, y):
-    return f"({x},{y})"
+class _Compound(tuple):
+    """Rendered as its parts' text, joined by `sep`, between `opener` and
+    `closer`."""
 
+    __slots__ = ()
+    opener = sep = closer = ""
 
-def split_pair(t):
-    if not (t.startswith("(") and t.endswith(")")):
-        raise UnknownElement(f"not a pair token: {t!r}")
-    depth = 0
-    for n, ch in enumerate(t):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return t[1:n], t[n + 1:-1]
-    raise UnknownElement(f"not a pair token: {t!r}")
+    def __str__(self):
+        return self.opener + self.sep.join(map(str, self)) + self.closer
 
 
-def tag_token(i, x):
-    return f"{i}@{x}"
+class Tag(_Compound):
+    """(i, x): x in the carrier at index i, an element of a disjoint union."""
+
+    __slots__ = ()
+    sep = "@"
 
 
-def split_tag(t):
-    i, x = t.split("@", 1)
-    return i, x
+class Pair(_Compound):
+    """(x, y): an element of a product."""
+
+    __slots__ = ()
+    opener, sep, closer = "(", ",", ")"
+
+
+class Choice(_Compound):
+    """One component per index element, in index order: a dependent choice."""
+
+    __slots__ = ()
+    sep = "&"
 
 
 def product_setoid(X, Y):
-    elements = tuple(pair_token(x, y) for x in X.elements for y in Y.elements)
+    elements = tuple(Pair((x, y)) for x in X.elements for y in Y.elements)
     pairs = class_pairs(
-        [pair_token(x, y) for x in cx for y in cy]
+        [Pair((x, y)) for x in cx for y in cy]
         for cx in X._classes
         for cy in Y._classes
     )

@@ -15,12 +15,13 @@ from .families import (
     constant_direct_family,
     direct_sum_setoid,
     restrict_family,
+    sigma_map,
     validate_direct_family,
     validate_family_map,
 )
 from .order import induced_order
 from .report import Finding
-from .setoid import compose, make_fn, split_tag, tag_token
+from .setoid import Pair, Tag, compose, make_fn
 from .topology import (
     BSpace,
     CGen,
@@ -363,7 +364,7 @@ def sum_function(t, sum_s):
     """thread_to_sum_function for a thread already known to be compatible."""
     values = {}
     for a in sum_s.elements:
-        i, x = split_tag(a)
+        i, x = a
         values[a] = t.at(i)(x)
     return RFun(sum_s, values)
 
@@ -477,19 +478,6 @@ def pullback_thread(s, t, psi, thread_over_t):
     return pulled
 
 
-def sigma_spectrum_map(s, t, psi, sum_src=None, sum_dst=None):
-    """The induced map of direct sums, (i, x) -> (i, psi_i(x))."""
-    if sum_src is None:
-        sum_src = direct_sum_setoid(s.fam)
-    if sum_dst is None:
-        sum_dst = direct_sum_setoid(t.fam)
-    table = {}
-    for a in sum_src.elements:
-        i, x = split_tag(a)
-        table[a] = tag_token(i, psi.comps[i](x))
-    return make_fn(sum_src, sum_dst, table)
-
-
 def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None, cap=10_000):
     """The tagging maps and the induced sum map are morphisms for the sum
     topologies: tagging pulls a thread function back to the thread's own
@@ -502,7 +490,7 @@ def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None, cap=10_000):
     for i in s.index.elements:
         for f, t_obj in zip(funcs, threads_s):
             for x in s.fam.carrier(i).elements:
-                if f.values[tag_token(i, x)] != t_obj.at(i)(x):
+                if f.values[Tag((i, x))] != t_obj.at(i)(x):
                     findings.append(Finding("tagging-pullback", (i, x)))
         # each pulled-back generator carries the thread's own certificate
         for t_obj in threads_s:
@@ -520,7 +508,7 @@ def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None, cap=10_000):
         return findings
     sum_dst = direct_sum_setoid(t.fam)
     space_t, threads_t, _ = sum_space(t, threads_t, cap, sum_dst)
-    smap = sigma_spectrum_map(s, t, psi, sum_src, sum_dst)
+    smap = sigma_map(s.fam, t.fam, psi, sum_src, sum_dst)
     for h_obj in threads_t:
         g = sum_function(h_obj, sum_dst)
         pulled_fun = compose_rfun(g, smap)
@@ -566,9 +554,8 @@ def product_spectrum(s, t):
     """Componentwise spectrum over the product order, with each factor's
     generators pulled back through the projections."""
     from .order import product_order
-    from .setoid import split_pair
 
-    return product_spectrum_over(s, t, product_order(s.index, t.index), split_pair)
+    return product_spectrum_over(s, t, product_order(s.index, t.index), lambda a: a)
 
 
 def product_spectrum_over(s, t, index, parts):
@@ -576,7 +563,6 @@ def product_spectrum_over(s, t, index, parts):
     pairs the index elements parts(a) = (i, j) of s and t and whose order
     maps into both factors' orders.  Returns the spectrum and, per index
     element, the two projections."""
-    from .setoid import pair_token, split_pair
     from .topology import product_space, reindex_certificate
 
     if s.direction != t.direction:
@@ -595,8 +581,8 @@ def product_spectrum_over(s, t, index, parts):
         src, tgt = (a, b) if s.direction == COVARIANT else (b, a)
         table = {}
         for el in carriers[src].elements:
-            x, y = split_pair(el)
-            table[el] = pair_token(ti(x), tj(y))
+            x, y = el
+            table[el] = Pair((ti(x), tj(y)))
         transports[(a, b)] = make_fn(carriers[src], carriers[tgt], table)
     fam = DirectFamily(index, s.direction, carriers, transports)
 

@@ -27,7 +27,6 @@ from .setoid import (
     compose,
     make_fn,
     product_setoid,
-    split_pair,
 )
 
 
@@ -266,9 +265,6 @@ class Subbase:
                 raise TopologyError("generator lives on a different carrier")
         if not self.names:
             self.names = tuple(f"g{k}" for k in range(len(self.gens)))
-
-    def gen_index(self, name):
-        return self.names.index(name)
 
 
 @dataclass(eq=False)
@@ -730,10 +726,8 @@ def certificate_for(sp, target):
 def product_space(b1, b2):
     """Product carrier with the subbase of both factors pulled back."""
     carrier = product_setoid(b1.carrier, b2.carrier)
-    pr1 = make_fn(carrier, b1.carrier,
-                  {t: split_pair(t)[0] for t in carrier.elements})
-    pr2 = make_fn(carrier, b2.carrier,
-                  {t: split_pair(t)[1] for t in carrier.elements})
+    pr1 = make_fn(carrier, b1.carrier, {t: t[0] for t in carrier.elements})
+    pr2 = make_fn(carrier, b2.carrier, {t: t[1] for t in carrier.elements})
     gens = [compose_rfun(f, pr1) for f in b1.gens]
     gens += [compose_rfun(g, pr2) for g in b2.gens]
     names = tuple(f"{n}.1" for n in b1.subbase.names) + tuple(
@@ -752,6 +746,12 @@ def relative_space(b, sub):
                   Subbase(sub.carrier, gens, b.subbase.names))
 
 
+def values_key(f):
+    """The classes of a map's values, in domain order: maps between the same
+    carriers are pointwise equal exactly when their keys are."""
+    return tuple([f.cod.class_repr(f(x)) for x in f.dom.elements])
+
+
 def map_setoid(maps, names=None):
     """Carrier of maps with pointwise equality of their tables."""
     if names is None:
@@ -760,9 +760,7 @@ def map_setoid(maps, names=None):
     by_name = dict(zip(names, maps))
     keyed = {}
     for a in names:
-        f = by_name[a]
-        key = tuple(f.cod.class_repr(f(x)) for x in f.dom.elements)
-        keyed.setdefault(key, []).append(a)
+        keyed.setdefault(values_key(by_name[a]), []).append(a)
     return Setoid(els, class_pairs(keyed.values())), by_name
 
 

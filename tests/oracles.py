@@ -24,8 +24,6 @@ from bspec.setoid import (
     compose,
     fn_equal,
     identity,
-    split_tag,
-    tag_token,
     unique_classwise,
 )
 from bspec.topology import (
@@ -59,7 +57,7 @@ def check_unique_mediator_exhaustive(lim, c, h, bound):
                 table[a] = val
         cand = SetoidFn(lim.carrier, c.apex.carrier, table)
         agrees = all(
-            c.apex.carrier.eq(cand(tag_token(i, x)), c.legs[i].h(x))
+            c.apex.carrier.eq(cand((i, x)), c.legs[i].h(x))
             for i in lim.spectrum.index.elements
             for x in lim.spectrum.fam.carrier(i).elements
         )
@@ -185,7 +183,7 @@ def equivalence_findings_scan(fams):
     elements: the (laws, top-vs-search) findings over the given families."""
     bad_eq, bad_oracle = [], []
     for fam in fams:
-        tagged = [split_tag(t) for t in sum_elements(fam)]
+        tagged = sum_elements(fam)
         rel = {}
         for a in tagged:
             for b in tagged:
@@ -401,6 +399,26 @@ def exp_eval_certificate_walk(c, x, exp, by_name=None):
     raise RuleMismatch(f"unknown node {c!r}")
 
 
+def token_of_scan(lim, assignment):
+    """InverseLimit.token_of before it was indexed by component classes:
+    the first choice, in carrier order, matching the assignment."""
+    fam = lim.spectrum.fam
+    for tok, a in lim.assignments.items():
+        if all(fam.carrier(i).eq(a[i], assignment[i]) for i in a):
+            return tok
+    return None
+
+
+def find_scan(mc, fn):
+    """MorCarrier.find before it was indexed by value classes: the first
+    pool token, in carrier order, pointwise equal to the map."""
+    for name in mc.setoid.elements:
+        m = mc.exp.by_name[name]
+        if all(mc.dst.carrier.eq(m(x), fn(x)) for x in m.dom.elements):
+            return name
+    return None
+
+
 # --- helpers with no caller in bspec ---------------------------------------
 
 def verify_unique_factoring(f, Q, g, bound=1_000_000):
@@ -432,4 +450,4 @@ def sum_projection_raw(token):
     Warning: this is a raw operation, not a map of setoids; on a direct sum
     it need not respect equality.
     """
-    return split_tag(token)[0]
+    return token[0]

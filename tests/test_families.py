@@ -30,7 +30,7 @@ from bspec.families import (
 )
 from bspec.fixtures import chain3, collapse_family
 from bspec.order import chain
-from bspec.setoid import discrete, make_fn, make_setoid, split_tag, tag_token
+from bspec.setoid import discrete, make_fn, make_setoid
 
 from oracles import sum_projection_raw
 
@@ -106,8 +106,8 @@ def test_top_canonicalization_matches_exhaustive_search():
     fam = collapse_family()
     for a in direct_sum_setoid(fam).elements:
         for b in direct_sum_setoid(fam).elements:
-            i, x = split_tag(a)
-            j, y = split_tag(b)
+            i, x = a
+            j, y = b
             assert direct_sum_equality(fam, i, x, j, y) == \
                 direct_sum_equality_exhaustive(fam, i, x, j, y)
 
@@ -158,7 +158,7 @@ def test_family_map_and_sigma():
     }
     m = family_map(fam, const, comps)
     sm = sigma_map(fam, const, m)
-    assert sm(tag_token("0", "a")) == tag_token("0", "z")
+    assert sm(("0", "a")) == ("0", "z")
     ok, witness = all_components_embeddings(m)
     assert not ok  # the 0-component collapses a and b
     ident = identity_family_map(fam)
@@ -189,7 +189,7 @@ def test_tagging_map_is_function_but_not_embedding():
 
 
 def test_sum_projection_is_raw():
-    assert sum_projection_raw(tag_token("1", "u")) == "1"
+    assert sum_projection_raw(("1", "u")) == "1"
 
 
 def test_pi_map_acts_componentwise():

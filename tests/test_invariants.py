@@ -25,7 +25,7 @@ from bspec.limits import (
 )
 from bspec.order import DirectedIndex, make_directed, validate_directed
 from bspec.randgen import random_spectrum, thicken_spectrum
-from bspec.setoid import compose, discrete, is_embedding, make_fn, tag_token
+from bspec.setoid import compose, discrete, is_embedding, make_fn
 from bspec.spectra import check_induced_square, constant_spectrum, SpectrumMap
 from bspec.topology import CConst, rconst, space
 
@@ -89,7 +89,7 @@ def test_cyclic_preorder_limit_is_one_carrier():
     lim = direct_limit(s)
     assert lim.class_count() == 2
     for x in sp.carrier.elements:
-        assert lim.carrier.eq(tag_token("0", x), tag_token("1", x))
+        assert lim.carrier.eq(("0", x), ("1", x))
 
 
 def test_induced_square_with_collapse_map():
@@ -109,8 +109,7 @@ def test_induced_square_with_collapse_map():
 def test_common_representatives_mixed_indices():
     s = constant_cspec()
     lim = direct_limit(s)
-    i, xs = common_representatives(
-        lim, [tag_token("0", "p"), tag_token("1", "q")])
+    i, xs = common_representatives(lim, [("0", "p"), ("1", "q")])
     assert i == "2"  # at or above the pairwise upper bound 1
     assert xs == ["p", "q"]
 

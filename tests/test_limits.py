@@ -31,7 +31,7 @@ from bspec.limits import (
     top_determinacy_check,
 )
 from bspec.order import chain
-from bspec.setoid import discrete, fn_equal, is_embedding, make_fn, tag_token
+from bspec.setoid import discrete, fn_equal, is_embedding, make_fn
 from bspec.spectra import (
     SpectrumMap,
     constant_spectrum,
@@ -52,7 +52,7 @@ from bspec.topology import (
 def test_collapse_limit_is_a_point():
     lim = direct_limit(cspec())
     assert lim.class_count() == 1
-    i, x = lim.canonical(tag_token("0", "a"))
+    i, x = lim.canonical(("0", "a"))
     assert (i, x) == ("2", "z")
 
 
@@ -110,7 +110,7 @@ def test_constant_spectrum_identity_cocone_gives_iso():
     w = cocone_mediator(s, lim, Cocone(apex, legs))
     # classwise, the mediator reads off the representative value
     for tok in lim.carrier.elements:
-        i, x = tok.split("@", 1)
+        i, x = tok
         assert w.h(tok) == x
     ok, _ = is_embedding(w.h)
     assert ok
@@ -165,9 +165,9 @@ def test_limit_map_collapse():
 def test_common_representatives():
     s = cspec()
     lim = direct_limit(s)
-    i, xs = common_representatives(lim, [tag_token("0", "a")])
+    i, xs = common_representatives(lim, [("0", "a")])
     assert (i, xs) == ("0", ["a"])
-    i, xs = common_representatives(lim, [tag_token("0", "a"), tag_token("0", "b")])
+    i, xs = common_representatives(lim, [("0", "a"), ("0", "b")])
     assert i == "2" and xs == ["z", "z"]
 
 

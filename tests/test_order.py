@@ -80,8 +80,8 @@ def test_product_order():
     dd = product_order(chain3(), chain3())
     assert validate_directed(dd) == []
     assert len(dd.elements) == 9
-    assert not dd.leq("(0,2)", "(2,0)") and not dd.leq("(2,0)", "(0,2)")
-    assert dd.up("(0,2)", "(2,0)") == "(2,2)"
+    assert not dd.leq(("0", "2"), ("2", "0")) and not dd.leq(("2", "0"), ("0", "2"))
+    assert dd.up(("0", "2"), ("2", "0")) == ("2", "2")
 
 
 def test_product_cofinal():

@@ -132,6 +132,6 @@ def test_product_setoid_equality():
     x = make_setoid(["a", "b"], [("a", "b")])
     y = discrete(["p", "q"])
     p = product_setoid(x, y)
-    assert p.eq("(a,p)", "(b,p)")
-    assert not p.eq("(a,p)", "(a,q)")
+    assert p.eq(("a", "p"), ("b", "p"))
+    assert not p.eq(("a", "p"), ("a", "q"))
     assert p.class_count() == 2
