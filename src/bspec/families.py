@@ -16,13 +16,13 @@ from .setoid import (
     Setoid,
     SetoidFn,
     Tag,
-    class_pairs,
     compose,
     check_extensional,
     fn_equal,
     identity,
     is_embedding,
     make_fn,
+    setoid_by_key,
 )
 
 COVARIANT = "covariant"
@@ -281,7 +281,7 @@ def _validate_direct_family_scan(F):
 def _class_map(fn):
     """A transport as a tuple of class ids, entry c the class of the values
     on the c-th class of its domain; None when it separates equal elements."""
-    cod_id, value = fn.cod._class_index, fn.mapping
+    cod_id, value = fn.cod.class_id, fn.mapping
     out = []
     for cls in fn.dom._classes:
         c = cod_id[value[cls[0]]]
@@ -430,30 +430,24 @@ def plain_sum_setoid(F):
     return Setoid(tuple(els), frozenset(pairs))
 
 
-def direct_sum_pairs(F):
-    """The tagged elements and the pairs of direct_sum_equality.
+def direct_sum_setoid(F):
+    """The disjoint union with the transport-agreement equality.
 
-    Each tag (i, x) is keyed by the class of its transport to the top; the pairs
-    are those within one key, so they are built in O(pairs), not by
-    testing all pairs of tagged elements.
+    Each tag (i, x) is keyed by the class of its transport to the top, so
+    the classes are read off in one pass, not by testing all pairs of
+    tagged elements.
     """
     if F.direction != COVARIANT:
         raise FamilyError("direct sum equality needs a covariant family")
     t = F.top()
-    top = F.carrier(t)
-    els, keyed = [], {}
+    top_id = F.carrier(t).class_id
+    els, keys = [], []
     for i in F.index.elements:
-        up = F.transport(i, t)
+        up = F.transport(i, t).mapping
         for x in F.carrier(i).elements:
-            a = Tag((i, x))
-            els.append(a)
-            keyed.setdefault(top.class_repr(up(x)), []).append(a)
-    return tuple(els), class_pairs(keyed.values())
-
-
-def direct_sum_setoid(F):
-    """The disjoint union with the transport-agreement equality."""
-    return Setoid(*direct_sum_pairs(F))
+            els.append(Tag((i, x)))
+            keys.append(top_id[up[x]])
+    return setoid_by_key(els, keys)
 
 
 def validate_dependent(F, assignment, flavor):

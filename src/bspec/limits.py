@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .families import (
     CONTRAVARIANT,
     COVARIANT,
-    direct_sum_pairs,
+    direct_sum_setoid,
     embed_at,
     enumerate_compatible,
     sigma_map,
@@ -28,13 +28,11 @@ from .setoid import (
     Setoid,
     SetoidFn,
     Tag,
-    class_pairs,
     compose,
-    discrete,
     fn_equal,
     is_embedding,
     make_fn,
-    quotient_by,
+    setoid_by_key,
     unique_classwise,
 )
 from .spectra import (
@@ -89,7 +87,6 @@ class Mediator(MorphismWitness):
 @dataclass(eq=False)
 class DirectLimit:
     spectrum: Spectrum
-    quotient: object  # QuotientSetoid over the raw tagged pairs
     carrier: Setoid   # tagged pairs with the transport-agreement equality
     threads: list
     space: BSpace
@@ -118,11 +115,9 @@ def direct_limit(s, threads=None, cap=10_000):
     """Quotient carrier plus the factored thread topology."""
     if s.direction != COVARIANT:
         raise LimitError("direct limit needs a covariant spectrum")
-    els, rel = direct_sum_pairs(s.fam)
-    quotient = quotient_by(discrete(els), rel)
-    carrier = quotient.as_setoid()
+    carrier = direct_sum_setoid(s.fam)
     space_obj, threads, gen_threads = sum_space(s, threads, cap, carrier)
-    return DirectLimit(s, quotient, carrier, threads, space_obj, gen_threads)
+    return DirectLimit(s, carrier, threads, space_obj, gen_threads)
 
 
 @dataclass(eq=False)
@@ -397,15 +392,14 @@ def inverse_limit(s, bound=1_000_000):
         raise LimitError("inverse limit needs a contravariant spectrum")
     choices = enumerate_compatible(s.fam, CONTRAVARIANT, bound)
     els = s.index.elements
-    tokens = []
-    assignments = {}
-    keyed = {}
+    tokens, keys, assignments, by_key = [], [], {}, {}
     for a in choices:
         tok = Choice([a[i] for i in els])
         tokens.append(tok)
+        keys.append(_choice_key(s, a))
         assignments[tok] = a
-        keyed.setdefault(_choice_key(s, a), []).append(tok)
-    carrier = Setoid(tuple(tokens), class_pairs(keyed.values()))
+        by_key.setdefault(keys[-1], tok)
+    carrier = setoid_by_key(tuple(tokens), keys)
     gens, names, sources = [], [], []
     seen = set()
     for i in els:
@@ -419,7 +413,6 @@ def inverse_limit(s, bound=1_000_000):
             names.append(f"proj[{i},{s.subbases[i].names[k]}]")
             sources.append((i, k))
     space_obj = BSpace(carrier, Subbase(carrier, tuple(gens), tuple(names)))
-    by_key = {key: toks[0] for key, toks in keyed.items()}
     return InverseLimit(s, carrier, assignments, space_obj, sources, by_key)
 
 

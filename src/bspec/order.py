@@ -68,6 +68,14 @@ class DirectedIndex:
         return t
 
     @cached_property
+    def above(self):
+        """i -> the set of elements k with i <= k, read off the pairs."""
+        above = {}
+        for i, k in self.pairs:
+            above.setdefault(i, set()).add(k)
+        return above
+
+    @cached_property
     def common_upper_bounds(self):
         """(i, j) -> the elements above both i and j, in carrier order."""
         els = self.elements
@@ -96,7 +104,7 @@ def _close_order(base, pairs):
     if not base.closed:
         raise NotEquivalence("order base equality is not an equivalence")
     classes = base._classes
-    class_id = base._class_index
+    class_id = base.class_id
     succ = [set() for _ in classes]
     for i, j in pairs:
         for x in (i, j):
@@ -157,10 +165,15 @@ def validate_directed(D):
     for i in els:
         if not D.leq(i, i):
             findings.append(Finding("leq-reflexive", (i,)))
-    for i, j in D.pairs:
-        for k in els:
-            if D.leq(j, k) and not D.leq(i, k):
-                findings.append(Finding("leq-transitive", (i, j, k)))
+    # i <= j <= k forces i <= k exactly when above(j) lies in above(i);
+    # only a relation that fails that, or names an unknown element, is scanned
+    above = D.above
+    if not all(D.base.has(i) and D.base.has(j) and above.get(j, set()) <= above[i]
+               for i, j in D.pairs):
+        for i, j in D.pairs:
+            for k in els:
+                if D.leq(j, k) and not D.leq(i, k):
+                    findings.append(Finding("leq-transitive", (i, j, k)))
     # each i <= j against the members equal to i and to j, in carrier order
     equal = {i: [i2 for i2 in els if D.base.eq(i, i2)] for i in els}
     for i in els:

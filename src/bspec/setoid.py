@@ -1,8 +1,9 @@
 """Finite carriers with explicit decidable equality, and maps that respect it.
 
 Elements are opaque hashables: plain names, or the compound elements built
-below.  Equality is a closed set of pairs, so every law in the package can
-be checked by exhaustive enumeration.
+below.  Equality labels every element with the id of its class, so each
+law in the package is decided by comparing ids, and the equality as a set
+of pairs is derived only for the validators and oracles that read it.
 """
 
 from __future__ import annotations
@@ -49,82 +50,77 @@ class NotClassConstant(SetoidError):
 
 def closure_rst(elements, pairs):
     """Reflexive-symmetric-transitive closure of `pairs` over `elements`."""
-    parent = {x: x for x in elements}
+    return make_setoid(elements, pairs, empty=True).pairs
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
+def _row_ids(elements, pairs):
+    """Class ids read off a pair set: each element not yet labelled takes a
+    new id, and so do the members of its row not yet labelled.  These are
+    the classes when the pairs are an equivalence."""
+    rows = {}
     for a, b in pairs:
-        if a not in parent or b not in parent:
-            raise UnknownElement(f"equality pair ({a}, {b}) mentions unknown element")
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups = {}
-    for x in elements:
-        groups.setdefault(find(x), []).append(x)
-    return class_pairs(groups.values())
+        rows.setdefault(a, []).append(b)
+    known, ids, n = frozenset(elements), {}, 0
+    for a in elements:
+        if a not in ids:
+            for b in (a, *rows.get(a, ())):
+                if b in known:
+                    ids.setdefault(b, n)
+            n += 1
+    return ids
 
 
-def class_pairs(classes):
-    """All pairs within each class: the equivalence whose classes are given."""
-    return frozenset((x, y) for cls in classes for x in cls for y in cls)
-
-
-@dataclass(frozen=True)
 class Setoid:
-    """A finite carrier together with a closed equivalence relation."""
+    """A finite carrier whose equality labels each element with a class id.
 
-    elements: tuple
-    pairs: frozenset
+    Ids number the classes by their first member in carrier order, so two
+    carriers with the same elements have the same equality exactly when
+    they have the same labelling.  The constructors in this package pass
+    the classes as keys (`setoid_by_key`).  A carrier built by hand from a
+    pair set keeps those pairs; when they are not an equivalence (`closed`
+    is False), `eq` answers from them, and the deciders that compare class
+    ids do not hold.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", frozenset(self.elements))
+    def __init__(self, elements, pairs=None, class_id=None):
+        self.elements = tuple(elements)
+        self._given = None if pairs is None else frozenset(pairs)
+        if class_id is None:
+            class_id = _row_ids(self.elements, self._given)
+            self.closed = is_equivalence(self.elements, self._given)
+        else:
+            self.closed = True
+        self.class_id = class_id
 
     def has(self, a):
-        return a in self._index
+        return a in self.class_id
 
     def eq(self, a, b):
-        if a not in self._index or b not in self._index:
+        ids = self.class_id
+        if a not in ids or b not in ids:
             raise UnknownElement(f"{a!r} or {b!r} not in carrier")
-        return (a, b) in self.pairs
+        if self.closed:
+            return ids[a] == ids[b]
+        return (a, b) in self._given
+
+    @cached_property
+    def pairs(self):
+        """The equality as a set of pairs: the pairs given by hand, or
+        every pair within one class."""
+        if self._given is not None:
+            return self._given
+        return frozenset((x, y) for cls in self._classes for x in cls for y in cls)
 
     @cached_property
     def _classes(self):
-        pos = {a: n for n, a in enumerate(self.elements)}
-        rows = {}
-        for a, b in self.pairs:
-            if b in pos:
-                rows.setdefault(a, []).append(b)
-        seen, out = set(), []
-        for a in self.elements:
-            if a in seen:
-                continue
-            cls = tuple(sorted(rows.get(a, ()), key=pos.__getitem__))
-            seen.update(cls)
-            out.append(cls)
-        return tuple(out)
-
-    @cached_property
-    def _class_of(self):
-        return {b: cls for cls in self._classes for b in cls}
-
-    @cached_property
-    def _class_index(self):
-        """Element -> position of its class in `classes()`."""
-        return {b: n for n, cls in enumerate(self._classes) for b in cls}
-
-    @cached_property
-    def closed(self):
-        """Whether `pairs` is an equivalence on the elements.
-
-        Every carrier `make_setoid` builds is; one built by hand need not
-        be.  Deciders that work on class ids hold only when it is.
-        """
-        return is_equivalence(self.elements, self.pairs)
+        out, ids = [], self.class_id
+        for x in self.elements:
+            n = ids[x]
+            if n == len(out):
+                out.append([x])
+            else:
+                out[n].append(x)
+        return tuple(map(tuple, out))
 
     def classes(self):
         """Equivalence classes, ordered by first representative."""
@@ -133,7 +129,7 @@ class Setoid:
     def class_repr(self, a):
         """First element in carrier order equal to `a`."""
         try:
-            return self._class_of[a][0]
+            return self._classes[self.class_id[a]][0]
         except KeyError:
             raise UnknownElement(a) from None
 
@@ -141,16 +137,27 @@ class Setoid:
         return len(self._classes)
 
     def is_discrete(self):
-        return len(self.pairs) == len(self.elements)
+        return len(self._classes) == len(self.elements)
 
     def same_as(self, other):
-        return self.elements == other.elements and self.pairs == other.pairs
+        return self is other or self.elements == other.elements and (
+            self.class_id == other.class_id if self.closed and other.closed
+            else self.pairs == other.pairs)
 
     def __len__(self):
         return len(self.elements)
 
     def __repr__(self):
         return f"Setoid({list(self.elements)}, classes={self.class_count()})"
+
+
+def setoid_by_key(elements, keys):
+    """The carrier on which two elements are equal exactly when their keys
+    are; keys[n] is the key of elements[n]."""
+    first, ids = {}, {}
+    for x, k in zip(elements, keys):
+        ids[x] = first.setdefault(k, len(first))
+    return Setoid(elements, class_id=ids)
 
 
 def make_setoid(elements, eq_pairs=(), empty=False):
@@ -163,7 +170,21 @@ def make_setoid(elements, eq_pairs=(), empty=False):
             if e in seen:
                 raise DuplicateElement(e)
             seen.add(e)
-    return Setoid(elements, closure_rst(elements, eq_pairs))
+    parent = {x: x for x in elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in eq_pairs:
+        if a not in parent or b not in parent:
+            raise UnknownElement(f"equality pair ({a}, {b}) mentions unknown element")
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return setoid_by_key(elements, [find(x) for x in elements])
 
 
 def discrete(elements):
@@ -254,12 +275,8 @@ class Choice(_Compound):
 
 def product_setoid(X, Y):
     elements = tuple(Pair((x, y)) for x in X.elements for y in Y.elements)
-    pairs = class_pairs(
-        [Pair((x, y)) for x in cx for y in cy]
-        for cx in X._classes
-        for cy in Y._classes
-    )
-    return Setoid(elements, pairs)
+    xid, yid = X.class_id, Y.class_id
+    return setoid_by_key(elements, [(xid[x], yid[y]) for x, y in elements])
 
 
 class SetoidFn:
@@ -289,19 +306,34 @@ class SetoidFn:
         return f"SetoidFn({items})"
 
 
-def check_extensional(f):
-    """True iff equal arguments go to equal values; else (False, witness pair).
+def _value_ids(f):
+    """Argument -> class id of its value, in domain order."""
+    ids = f.cod.class_id
+    return {x: ids[y] for x, y in f.mapping.items()}
 
-    Only pairs within one class are compared, in carrier order, so the
-    witness is the first failing pair of the all-pairs scan.
+
+def _first_split(groups, label):
+    """(first member, first member labelled otherwise) of the first group
+    whose members do not all share one label, or None.
+
+    When the groups are the classes of a labelling, listed by first member
+    in carrier order, this is the first pair the all-pairs scan finds in
+    one group with two labels: every member of a split group is in such a
+    pair, so the scan's first is the first member of the first split group.
     """
-    class_of = f.dom._class_of
-    for x in f.dom.elements:
-        fx = f(x)
-        for y in class_of[x]:
-            if not f.cod.eq(fx, f(y)):
-                return False, (x, y)
-    return True, None
+    for g in groups:
+        c = label[g[0]]
+        for y in g[1:]:
+            if label[y] != c:
+                return g[0], y
+    return None
+
+
+def check_extensional(f):
+    """True iff equal arguments go to equal values; else (False, witness
+    pair), the first failing pair of the all-pairs scan."""
+    bad = _first_split(f.dom._classes, _value_ids(f))
+    return (True, None) if bad is None else (False, bad)
 
 
 def make_fn(dom, cod, mapping, check=True):
@@ -328,24 +360,18 @@ def fn_equal(f, g):
     """Pointwise equality up to codomain equality."""
     if f.dom.elements != g.dom.elements:
         return False
-    return all(f.cod.eq(f(x), g(x)) for x in f.dom.elements)
+    ids, fm, gm = f.cod.class_id, f.mapping, g.mapping
+    return all(ids[fm[x]] == ids[gm[x]] for x in f.dom.elements)
 
 
 def is_embedding(f):
-    """True iff equal values force equal arguments; else (False, witness pair).
-
-    Only arguments whose values share a class are compared, in carrier
-    order, so the witness is the first failing pair of the all-pairs scan.
-    """
-    key = {x: f.cod.class_repr(f(x)) for x in f.dom.elements}
+    """True iff equal values force equal arguments; else (False, witness
+    pair), the first failing pair of the all-pairs scan."""
     fibres = {}
-    for x in f.dom.elements:
-        fibres.setdefault(key[x], []).append(x)
-    for x in f.dom.elements:
-        for y in fibres[key[x]]:
-            if not f.dom.eq(x, y):
-                return False, (x, y)
-    return True, None
+    for x, c in _value_ids(f).items():
+        fibres.setdefault(c, []).append(x)
+    bad = _first_split(fibres.values(), f.dom.class_id)
+    return (True, None) if bad is None else (False, bad)
 
 
 @dataclass(frozen=True)
@@ -372,14 +398,10 @@ class QuotientSetoid:
     """The same elements with a coarser validated equivalence."""
 
     base: Setoid
-    pairs: frozenset
-
-    @cached_property
-    def _setoid(self):
-        return Setoid(self.base.elements, self.pairs)
+    carrier: Setoid
 
     def as_setoid(self):
-        return self._setoid
+        return self.carrier
 
     def canonical(self):
         """The identity-rule map from the base onto the quotient."""
@@ -391,23 +413,26 @@ class QuotientSetoid:
 
 
 def quotient_by(X, rel_pairs):
-    """Quotient X by a relation, validating it is a coarser extensional equivalence."""
+    """Quotient X by a relation, validating it is an equivalence in one of
+    whose classes every class of X lies."""
     rel = frozenset(rel_pairs)
     bad = check_equivalence(X.elements, rel)
     if bad:
         raise NotEquivalence(f"relation fails {bad[0]} at {bad[1]}")
-    for a, b in X.pairs:
-        if (a, b) not in rel:
-            raise NotExtensional(f"relation does not respect carrier equality at ({a}, {b})")
-    return QuotientSetoid(X, rel)
+    carrier = Setoid(X.elements, class_id=_row_ids(X.elements, rel))
+    bad = _first_split(X._classes, carrier.class_id)
+    if bad:
+        raise NotExtensional("relation does not respect carrier equality at "
+                             f"({bad[0]}, {bad[1]})")
+    return QuotientSetoid(X, carrier)
 
 
 def factor_through_quotient(f, Q):
     """The unique map g off the quotient with g after canonical = f."""
-    for a, b in Q.pairs:
-        if not f.cod.eq(f(a), f(b)):
-            raise NotClassConstant(f"map separates identified pair ({a}, {b})")
-    return SetoidFn(Q.as_setoid(), f.cod, f.table())
+    bad = _first_split(Q.carrier._classes, _value_ids(f))
+    if bad:
+        raise NotClassConstant(f"map separates identified pair ({bad[0]}, {bad[1]})")
+    return SetoidFn(Q.carrier, f.cod, f.table())
 
 
 def unique_classwise(classes, values, admissible, differs):

@@ -21,7 +21,7 @@ from .families import (
 )
 from .order import induced_order
 from .report import Finding
-from .setoid import Pair, Tag, compose, make_fn
+from .setoid import Pair, compose, make_fn
 from .topology import (
     BSpace,
     CGen,
@@ -75,8 +75,14 @@ class Spectrum:
     def _complete_witnesses(self):
         """Fill in composite edges by lifting through an intermediate index.
 
-        Only missing edges are derived; supplied certificates are kept.
+        Only missing edges are derived; supplied certificates are kept.  An
+        edge (i, j) lifts through the first k, in index order, with
+        i <= k <= j and both of its edges known.
         """
+        above, below = self.index.above, {}
+        for k in self.index.elements:
+            for j in above.get(k, ()):
+                below.setdefault(j, []).append(k)
         pairs = [p for p in self.fam.order_pairs() if p[0] != p[1]]
         changed = True
         while changed:
@@ -84,10 +90,8 @@ class Spectrum:
             for i, j in pairs:
                 if (i, j) in self.witness_certs:
                     continue
-                for k in self.index.elements:
-                    if k in (i, j):
-                        continue
-                    if not (self.index.leq(i, k) and self.index.leq(k, j)):
+                for k in below[j]:
+                    if k in (i, j) or k not in above[i]:
                         continue
                     if (i, k) not in self.witness_certs or (k, j) not in self.witness_certs:
                         continue
@@ -261,89 +265,63 @@ def validate_thread(s, t, check_certs=True):
 
 
 def enumerate_threads(s, cap=10_000):
-    """All compatible choices whose components are generators or constants
-    from the declared pool, by backtracking along a linear extension.
+    """All compatible choices over a covariant spectrum whose components are
+    generators or constants from the declared pool.
 
-    Every order pair that `validate_thread` checks is checked here: the
-    reflexive pair (i, i) when a candidate at i is listed, every other
-    pair when the later of its two indices is assigned.  So the threads
-    returned pass `validate_thread`.
+    A thread is fixed by its component at the top t, since f_i = f_t .
+    lambda_it: each top candidate is pulled back to every index and looked
+    up among that index's candidates by its values.  The choice is a thread
+    when every order pair (i, j), reflexive ones included, agrees:
+    f_j . lambda_ij = f_i, that is f_t(lambda_jt(lambda_ij(x))) =
+    f_t(lambda_it(x)) on the carrier at i.  The pairs of top elements those
+    equations tie are collected once, so the threads returned pass
+    `validate_thread`.  They come ordered by their candidates' positions,
+    read in index order, which is the order a backtracking search along
+    the index finds them in; `cap` bounds the top candidates tried.
     """
     from .topology import CConst, rconst
 
-    els = list(s.index.elements)
-    els.sort(key=lambda i: sum(1 for j in els if s.index.leq(j, i)))
-    candidates = {}
+    if s.direction != COVARIANT:
+        raise SpectrumError("threads are enumerated over a covariant spectrum")
+    fam, els = s.fam, s.index.elements
+    candidates, position = {}, {}
     for i in els:
         sp = s.space(i)
-        cands = []
-        seen = set()
+        found = {}
         for k, g in enumerate(sp.gens):
-            key = tuple(g.values[x] for x in sp.carrier.elements)
-            if key not in seen:
-                seen.add(key)
-                cands.append((g, CGen(k)))
+            found.setdefault(tuple([g.values[x] for x in sp.carrier.elements]),
+                             (g, CGen(k)))
         for q in s.pool:
-            key = tuple(Fraction(q) for _ in sp.carrier.elements)
-            if key not in seen:
-                seen.add(key)
-                cands.append((rconst(sp.carrier, q), CConst(Fraction(q))))
-        if s.index.leq(i, i):
-            cands = [(f, c) for f, c in cands
-                     if s.induced_map(i, i, f).values == f.values]
-        candidates[i] = cands
-
-    out = []
-    visited = 0
-
-    def compatible(assigned, i, f):
-        for j, g in assigned.items():
-            if s.index.leq(j, i):
-                if s.direction == COVARIANT:
-                    if s.induced_map(j, i, f).values != g.values:
-                        return False
-                else:
-                    if s.induced_map(j, i, g).values != f.values:
-                        return False
-            if s.index.leq(i, j):
-                if s.direction == COVARIANT:
-                    if s.induced_map(i, j, g).values != f.values:
-                        return False
-                else:
-                    if s.induced_map(i, j, f).values != g.values:
-                        return False
-        return True
-
-    def extend(pos, assigned, certs):
-        nonlocal visited
-        if pos == len(els):
-            out.append(Thread(dict(assigned), dict(certs)))
-            return
-        i = els[pos]
-        for f, c in candidates[i]:
-            visited += 1
-            if visited > cap:
-                raise ThreadBoundExceeded(
-                    f"enumerate_threads visited more than thread_bound={cap} "
-                    "candidates")
-            if compatible(assigned, i, f):
-                assigned[i] = f
-                certs[i] = c
-                extend(pos + 1, assigned, certs)
-                del assigned[i]
-                del certs[i]
-
-    extend(0, {}, {})
-    # Dedupe pointwise-equal threads.
-    seen, unique = set(), []
-    for t in out:
-        key = tuple(
-            tuple(t.at(i).values[x] for x in s.fam.carrier(i).elements)
-            for i in els)
-        if key not in seen:
-            seen.add(key)
-            unique.append(t)
-    return unique
+            key = tuple(q for _ in sp.carrier.elements)
+            if key not in found:
+                found[key] = (rconst(sp.carrier, q), CConst(q))
+        candidates[i] = list(found.values())
+        position[i] = {key: n for n, key in enumerate(found)}
+    t = fam.top()
+    to_top = {i: fam.transport(i, t).mapping for i in els}
+    at_top = {i: [to_top[i][x] for x in fam.carrier(i).elements] for i in els}
+    tied = set()
+    for i, j in s.index.pairs:
+        via = list(map(to_top[j].__getitem__,
+                       map(fam.transport(i, j).mapping.__getitem__,
+                           fam.carrier(i).elements)))
+        if via != at_top[i]:
+            tied.update(zip(via, at_top[i]))
+    chosen = set()
+    for n, (g, _) in enumerate(candidates[t], 1):
+        if n > cap:
+            raise ThreadBoundExceeded(
+                f"enumerate_threads visited more than thread_bound={cap} "
+                "candidates")
+        v = g.values
+        if any(v[a] != v[b] for a, b in tied):
+            continue
+        pos = tuple(position[i].get(tuple([v[y] for y in at_top[i]])) for i in els)
+        if None not in pos:
+            chosen.add(pos)
+    return [Thread({i: candidates[i][p][0] for i, p in zip(els, pos)},
+                   {i: candidates[i][p][1] for i, p in zip(els, pos)})
+            for pos in sorted(chosen)]
 
 
 def thread_to_sum_function(s, t, sum_s=None):
@@ -485,14 +463,10 @@ def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None, cap=10_000):
     findings = []
     sum_src = direct_sum_setoid(s.fam)
     space_s, threads_s, _ = sum_space(s, threads_s, cap, sum_src)
-    # sum_space has validated the threads it was given
-    funcs = [sum_function(t_obj, sum_src) for t_obj in threads_s]
+    # sum_space has validated the threads it was given; each tagging map
+    # pulls a thread function back to the thread's own component, so it
+    # carries that component's certificate
     for i in s.index.elements:
-        for f, t_obj in zip(funcs, threads_s):
-            for x in s.fam.carrier(i).elements:
-                if f.values[Tag((i, x))] != t_obj.at(i)(x):
-                    findings.append(Finding("tagging-pullback", (i, x)))
-        # each pulled-back generator carries the thread's own certificate
         for t_obj in threads_s:
             c = t_obj.certs.get(i)
             if c is None:

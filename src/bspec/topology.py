@@ -23,10 +23,10 @@ from .setoid import (
     SetoidFn,
     Subset,
     check_extensional,
-    class_pairs,
     compose,
     make_fn,
     product_setoid,
+    setoid_by_key,
 )
 
 
@@ -71,7 +71,7 @@ class RFun:
                 raise TopologyError(f"function not total, missing {x!r}")
             v = values[x]
             vals[x] = v if type(v) is Fraction else Fraction(v)
-        for cls in carrier.classes():
+        for cls in carrier._classes:
             v = vals[cls[0]]
             for x in cls[1:]:
                 if vals[x] != v:
@@ -756,12 +756,8 @@ def map_setoid(maps, names=None):
     """Carrier of maps with pointwise equality of their tables."""
     if names is None:
         names = [f"m{k}" for k in range(len(maps))]
-    els = tuple(names)
     by_name = dict(zip(names, maps))
-    keyed = {}
-    for a in names:
-        keyed.setdefault(values_key(by_name[a]), []).append(a)
-    return Setoid(els, class_pairs(keyed.values())), by_name
+    return setoid_by_key(tuple(names), [values_key(f) for f in maps]), by_name
 
 
 @dataclass(eq=False)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from bspec.families import (
+    COVARIANT,
     MissingTransport,
     _class_inverse,
     direct_sum_equality,
@@ -19,6 +20,7 @@ from bspec.families import (
 from bspec.limits import NonUnique
 from bspec.report import Finding
 from bspec.order import NotDirected
+from bspec.spectra import Thread, ThreadBoundExceeded
 from bspec.setoid import (
     SetoidFn,
     compose,
@@ -40,6 +42,8 @@ from bspec.topology import (
     baffine,
     bneg,
     eval_bic,
+    lift_certificate,
+    rconst,
     validate_certificate,
 )
 
@@ -313,6 +317,52 @@ def leq_extensional_scan(D):
     return findings
 
 
+
+def leq_transitive_scan(D):
+    """validate_directed's leq-transitive findings over every order pair and
+    every element."""
+    findings = []
+    els = D.elements
+    for i, j in D.pairs:
+        for k in els:
+            if D.leq(j, k) and not D.leq(i, k):
+                findings.append(Finding("leq-transitive", (i, j, k)))
+    return findings
+
+
+def complete_witnesses_scan(self):
+    """Spectrum._complete_witnesses before it read above- and below-lists:
+    every missing edge rescans the index for its first middle element, with
+    two `leq` calls each.  Fills `self.witness_certs` in place."""
+    pairs = [p for p in self.fam.order_pairs() if p[0] != p[1]]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in pairs:
+            if (i, j) in self.witness_certs:
+                continue
+            for k in self.index.elements:
+                if k in (i, j):
+                    continue
+                if not (self.index.leq(i, k) and self.index.leq(k, j)):
+                    continue
+                if (i, k) not in self.witness_certs or (k, j) not in self.witness_certs:
+                    continue
+                if self.direction == COVARIANT:
+                    w_low = self.edge_witness(i, k)
+                    lower = self.space(i)
+                    upper_certs = self.witness_certs[(k, j)]
+                else:
+                    w_low = self.edge_witness(k, j)
+                    lower = self.space(j)
+                    upper_certs = self.witness_certs[(i, k)]
+                self.witness_certs[(i, j)] = {
+                    m: lift_certificate(lower, w_low, c)
+                    for m, c in upper_certs.items()
+                }
+                changed = True
+                break
+
 # The three walks of the certificate tree that topology.map_cert replaced.
 
 def lift_certificate_walk(src, w, c, h=None):
@@ -417,6 +467,92 @@ def find_scan(mc, fn):
         if all(mc.dst.carrier.eq(m(x), fn(x)) for x in m.dom.elements):
             return name
     return None
+
+
+def enumerate_threads_backtracking(s, cap=10_000):
+    """spectra.enumerate_threads before threads were read off the top
+    component: all compatible choices whose components are generators or
+    constants from the declared pool, by backtracking along a linear
+    extension.
+
+    Every order pair that `validate_thread` checks is checked here: the
+    reflexive pair (i, i) when a candidate at i is listed, every other
+    pair when the later of its two indices is assigned.  So the threads
+    returned pass `validate_thread`.
+    """
+    els = list(s.index.elements)
+    els.sort(key=lambda i: sum(1 for j in els if s.index.leq(j, i)))
+    candidates = {}
+    for i in els:
+        sp = s.space(i)
+        cands = []
+        seen = set()
+        for k, g in enumerate(sp.gens):
+            key = tuple(g.values[x] for x in sp.carrier.elements)
+            if key not in seen:
+                seen.add(key)
+                cands.append((g, CGen(k)))
+        for q in s.pool:
+            key = tuple(Fraction(q) for _ in sp.carrier.elements)
+            if key not in seen:
+                seen.add(key)
+                cands.append((rconst(sp.carrier, q), CConst(Fraction(q))))
+        if s.index.leq(i, i):
+            cands = [(f, c) for f, c in cands
+                     if s.induced_map(i, i, f).values == f.values]
+        candidates[i] = cands
+
+    out = []
+    visited = 0
+
+    def compatible(assigned, i, f):
+        for j, g in assigned.items():
+            if s.index.leq(j, i):
+                if s.direction == COVARIANT:
+                    if s.induced_map(j, i, f).values != g.values:
+                        return False
+                else:
+                    if s.induced_map(j, i, g).values != f.values:
+                        return False
+            if s.index.leq(i, j):
+                if s.direction == COVARIANT:
+                    if s.induced_map(i, j, g).values != f.values:
+                        return False
+                else:
+                    if s.induced_map(i, j, f).values != g.values:
+                        return False
+        return True
+
+    def extend(pos, assigned, certs):
+        nonlocal visited
+        if pos == len(els):
+            out.append(Thread(dict(assigned), dict(certs)))
+            return
+        i = els[pos]
+        for f, c in candidates[i]:
+            visited += 1
+            if visited > cap:
+                raise ThreadBoundExceeded(
+                    f"enumerate_threads visited more than thread_bound={cap} "
+                    "candidates")
+            if compatible(assigned, i, f):
+                assigned[i] = f
+                certs[i] = c
+                extend(pos + 1, assigned, certs)
+                del assigned[i]
+                del certs[i]
+
+    extend(0, {}, {})
+    # Dedupe pointwise-equal threads.
+    seen, unique = set(), []
+    for t in out:
+        key = tuple(
+            tuple(t.at(i).values[x] for x in s.fam.carrier(i).elements)
+            for i in els)
+        if key not in seen:
+            seen.add(key)
+            unique.append(t)
+    return unique
 
 
 # --- helpers with no caller in bspec ---------------------------------------

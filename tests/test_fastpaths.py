@@ -3,6 +3,7 @@ path it replaced.  Hypothesis runs derandomized, so the suite stays
 deterministic."""
 
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -36,10 +37,10 @@ from bspec.setoid import (
     identity,
     make_setoid,
 )
-from bspec.spectra import thread_to_sum_function, validate_thread
-from bspec.topology import map_setoid
+from bspec.spectra import Spectrum, thread_to_sum_function, validate_thread
+from bspec.topology import CAdd, CConst, map_setoid
 
-from oracles import equivalence_findings_scan, outcome
+from oracles import complete_witnesses_scan, equivalence_findings_scan, outcome
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -317,3 +318,22 @@ def test_a_faulty_top_is_found():
         assert laws == []  # agreement at the top is still an equivalence
         found += bool(oracle)
     assert found > 0
+
+
+@FAST
+@given(seeds, st.sampled_from([COVARIANT, CONTRAVARIANT]),
+       st.integers(min_value=1, max_value=7))
+def test_complete_witnesses_matches_the_rescan(seed, direction, length):
+    # each supplied certificate is labelled with its edge, so a composite
+    # records the middle index it was lifted through
+    rng = random.Random(seed)
+    index = chain(length) if rng.random() < 0.5 else random_directed_index(rng)
+    s = random_spectrum(rng, index, direction)
+    supplied = {}
+    for n, (edge, certs) in enumerate(sorted(s.witness_certs.items())):
+        if rng.random() < 0.6:
+            supplied[edge] = {m: CAdd(c, CConst(Fraction(n))) for m, c in certs.items()}
+    got = Spectrum(s.fam, s.subbases, {e: dict(c) for e, c in supplied.items()}, s.pool)
+    s.witness_certs = {e: dict(c) for e, c in supplied.items()}
+    complete_witnesses_scan(s)
+    assert got.witness_certs == s.witness_certs

@@ -52,6 +52,7 @@ from oracles import (
     close_order_scan,
     first_upper_bounds_scan,
     leq_extensional_scan,
+    leq_transitive_scan,
     outcome,
     saturate_rescan,
 )
@@ -130,6 +131,22 @@ def test_leq_extensional_matches_the_quadruple_scan(case, closed):
     assert keyed == leq_extensional_scan(D)
     if closed:
         assert keyed == []
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(order_bases(), st.booleans())
+def test_leq_transitive_matches_the_scan(case, closed):
+    base, pairs = case
+    closed = closed and all(base.has(x) for p in pairs for x in p)
+    rel = _close_order(base, pairs) if closed else frozenset(pairs)
+    D = DirectedIndex(base, rel, {})
+
+    def keyed():
+        return [f for f in validate_directed(D) if f.law == "leq-transitive"]
+
+    assert outcome(keyed) == outcome(leq_transitive_scan, D)
+    if closed:
+        assert keyed() == []
 
 
 def test_leq_extensional_on_a_base_that_is_not_an_equivalence():
