@@ -38,9 +38,6 @@ KERNEL_ERRORS = (SetoidError, OrderError, FamilyError, TopologyError,
 def _add_common(p):
     p.add_argument("file", help="document to load")
     p.add_argument("--thread-bound", type=int, default=10_000)
-    p.add_argument("--cert-depth", type=int, metavar="N",
-                   help="ignored: certificates are constructed, not searched;"
-                        " kept so existing command lines still run")
     p.add_argument("--uniq-bound", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", metavar="PATH",
@@ -139,7 +136,7 @@ def cmd_limit(args):
     if args.direct:
         lim = direct_limit(s, cap=args.thread_bound)
     else:
-        lim = inverse_limit(s, bound=args.uniq_bound)
+        lim = inverse_limit(s)
     report.add("limit", f"limit.{name}.build", [],
                witness=(f"classes={lim.class_count()}",),
                elapsed=time.perf_counter() - t0)
@@ -164,9 +161,8 @@ def cmd_iso(args):
             iso = cofinal_direct_iso(s, cof, lim=lim,
                                      thread_bound=args.thread_bound)
         else:
-            lim = inverse_limit(s, bound=args.uniq_bound)
-            iso = cofinal_inverse_iso(s, cof, lim=lim,
-                                      uniq_bound=args.uniq_bound)
+            lim = inverse_limit(s)
+            iso = cofinal_inverse_iso(s, cof, lim=lim)
         report.add("iso", f"cofinal.{args.spectrum}.{args.cofinal}",
                    iso.findings,
                    witness=(f"classes={lim.class_count()}",),

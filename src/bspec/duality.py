@@ -305,11 +305,11 @@ class DualityResult:
     findings: list = field(default_factory=list)
 
 
-def duality_direct_to_inverse(s, fixed, pools, lim=None, uniq_bound=1_000_000):
+def duality_direct_to_inverse(s, fixed, pools, lim=None):
     """Compatible choices of morphisms into the fixed space correspond to
     morphisms out of the direct limit, two-sidedly and topologically."""
     induced, carriers_mc = induce_spectrum(s, fixed, "A_i", pools)
-    inv = inverse_limit(induced, uniq_bound)
+    inv = inverse_limit(induced)
     if lim is None:
         lim = direct_limit(s)
     findings = []
@@ -376,13 +376,13 @@ def _duality_iso(inv, hom_pool, to_hom, from_hom):
 
 # --- second duality: hom into an inverse limit --------------------------------
 
-def duality_inverse_hom(s, fixed, pools, lim=None, uniq_bound=1_000_000):
+def duality_inverse_hom(s, fixed, pools, lim=None):
     """Compatible choices of morphisms out of the fixed space correspond to
     morphisms into the inverse limit."""
     induced, carriers_mc = induce_spectrum(s, fixed, "B_ii", pools)
-    inv_mor = inverse_limit(induced, uniq_bound)
+    inv_mor = inverse_limit(induced)
     if lim is None:
-        lim = inverse_limit(s, uniq_bound)
+        lim = inverse_limit(s)
     findings = []
 
     hom_witnesses = []

@@ -45,10 +45,6 @@ class InvalidMap(FamilyError):
     pass
 
 
-class EnumerationBoundExceeded(FamilyError):
-    pass
-
-
 @dataclass(eq=False)
 class Family:
     """Carriers indexed by a setoid, with transports along equal indices."""
@@ -448,102 +444,6 @@ def direct_sum_setoid(F):
             els.append(Tag((i, x)))
             keys.append(top_id[up[x]])
     return setoid_by_key(els, keys)
-
-
-def validate_dependent(F, assignment, flavor):
-    """Check an index-wide choice of elements against the transports."""
-    findings = []
-    if isinstance(F, DirectFamily):
-        if flavor == "plain":
-            findings.append(Finding("flavor-mismatch", (),
-                                    "plain flavor on a direct family"))
-            return findings
-        if (flavor == COVARIANT) != (F.direction == COVARIANT):
-            findings.append(Finding("flavor-mismatch", (),
-                                    f"family is {F.direction}"))
-            return findings
-    elif flavor != "plain":
-        findings.append(Finding("flavor-mismatch", (),
-                                "ordered flavor on a plain family"))
-        return findings
-    for i in F.index.elements:
-        if i not in assignment:
-            findings.append(Finding("assignment-partial", (i,)))
-            return findings
-    if flavor == "plain":
-        for i, j in F.diagonal_pairs():
-            if not F.carrier(j).eq(assignment[j], F.transport(i, j)(assignment[i])):
-                findings.append(Finding("dependent-compat", (i, j)))
-        return findings
-    for i, j in F.order_pairs():
-        if flavor == COVARIANT:
-            if not F.carrier(j).eq(assignment[j], F.transport(i, j)(assignment[i])):
-                findings.append(Finding("dependent-compat", (i, j)))
-        else:
-            if not F.carrier(i).eq(assignment[i], F.transport(i, j)(assignment[j])):
-                findings.append(Finding("dependent-compat", (i, j)))
-    return findings
-
-
-def enumerate_compatible(F, flavor, bound=1_000_000):
-    """All valid index-wide choices, as dicts, by pruned backtracking.
-
-    The bound caps the search nodes visited (candidate values tried), not
-    the product of carrier sizes; the search assigns determining indices
-    first, so forced components are filled without branching.
-    """
-    els = list(F.index.elements)
-    if isinstance(F, DirectFamily):
-        below = {i: sum(1 for j in els if F.index.leq(j, i)) for i in els}
-        # covariant choices are determined from below, contravariant from above
-        els.sort(key=lambda i: below[i],
-                 reverse=(flavor == CONTRAVARIANT))
-
-    def ok(assigned, i, x):
-        for j, y in assigned.items():
-            if flavor == "plain":
-                if F.index.eq(i, j):
-                    if not F.carrier(j).eq(y, F.transport(i, j)(x)):
-                        return False
-                continue
-            if F.index.leq(j, i):
-                if flavor == COVARIANT:
-                    if not F.carrier(i).eq(x, F.transport(j, i)(y)):
-                        return False
-                else:
-                    if not F.carrier(j).eq(y, F.transport(j, i)(x)):
-                        return False
-            if F.index.leq(i, j):
-                if flavor == COVARIANT:
-                    if not F.carrier(j).eq(y, F.transport(i, j)(x)):
-                        return False
-                else:
-                    if not F.carrier(i).eq(x, F.transport(i, j)(y)):
-                        return False
-        return True
-
-    out = []
-    visited = 0
-
-    def extend(pos, assigned):
-        nonlocal visited
-        if pos == len(els):
-            out.append({i: assigned[i] for i in F.index.elements})
-            return
-        i = els[pos]
-        for x in F.carrier(i).elements:
-            visited += 1
-            if visited > bound:
-                raise EnumerationBoundExceeded(
-                    f"enumerate_compatible visited more than bound={bound} "
-                    "search nodes")
-            if ok(assigned, i, x):
-                assigned[i] = x
-                extend(pos + 1, assigned)
-                del assigned[i]
-
-    extend(0, {})
-    return out
 
 
 # --- maps between families -------------------------------------------------

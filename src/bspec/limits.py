@@ -17,7 +17,6 @@ from .families import (
     COVARIANT,
     direct_sum_setoid,
     embed_at,
-    enumerate_compatible,
     sigma_map,
 )
 from .order import induced_order, top_element
@@ -386,11 +385,37 @@ def _choice_key(s, assignment):
     return tuple([fam.carrier(i).class_repr(assignment[i]) for i in s.index.elements])
 
 
-def inverse_limit(s, bound=1_000_000):
-    """All order-compatible choices, topologized by the projections."""
+def inverse_limit(s):
+    """The order-compatible choices, one per top element, topologized by
+    the projections.
+
+    A compatible choice is fixed up to equality by its component at the
+    top t, since compatibility on (i, t) gives a_i = lambda_it(a_t).  So
+    each top element x, in top-carrier order, is pulled back to the choice
+    a_t = x, a_i = lambda_it(x), which is kept when every order pair
+    (i, j), reflexive ones included, agrees by class id: a_i and
+    lambda_ij(a_j) lie in one class at i.  Every class of compatible
+    choices has a token, and on discrete carriers the tokens are the
+    choices themselves, in the order a search from the top finds them.
+    """
     if s.direction != CONTRAVARIANT:
         raise LimitError("inverse limit needs a contravariant spectrum")
-    choices = enumerate_compatible(s.fam, CONTRAVARIANT, bound)
+    fam, els = s.fam, s.index.elements
+    t = fam.top()
+    down = {i: fam.transport(i, t).mapping for i in els}
+    laws = [(fam.carrier(i).class_id, fam.transport(i, j).mapping, i, j)
+            for i, j in s.index.pairs]
+    choices = []
+    for x in fam.carrier(t).elements:
+        a = {i: x if i == t else down[i][x] for i in els}
+        if all(ids[a[i]] == ids[lam[a[j]]] for ids, lam, i, j in laws):
+            choices.append(a)
+    return _limit_of_choices(s, choices)
+
+
+def _limit_of_choices(s, choices):
+    """The inverse-limit carrier on the listed compatible choices, one
+    token each in list order, topologized by the projections."""
     els = s.index.elements
     tokens, keys, assignments, by_key = [], [], {}, {}
     for a in choices:
@@ -417,19 +442,19 @@ def inverse_limit(s, bound=1_000_000):
 
 
 def top_determinacy_check(lim):
-    """Compatible choices are pinned by their value at the top element."""
+    """Every top element pulls back to a compatible choice, as in
+    `inverse_limit`.
+
+    Equal top elements pull back to equal choices, since the transports
+    are extensional, and every compatible choice equals the pull-back of
+    its top component; so this fails exactly when some pull-back is not
+    compatible.
+    """
     s = lim.spectrum
     t = top_element(s.index)
     fam = s.fam
-    seen = {}
-    for tok, a in lim.assignments.items():
-        key = fam.carrier(t).class_repr(a[t])
-        if key in seen and not lim.carrier.eq(seen[key], tok):
-            return False
-        seen[key] = tok
-    # and every top value extends to a choice
     for x in fam.carrier(t).elements:
-        a = {i: fam.transport(i, t)(x) for i in s.index.elements}
+        a = {i: x if i == t else fam.transport(i, t)(x) for i in s.index.elements}
         if lim.token_of(a) is None:
             return False
     return True
@@ -556,16 +581,15 @@ def inverse_limit_map(s, t, psi, lim_s=None, lim_t=None):
     return fwd, witness
 
 
-def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None,
-                        uniq_bound=1_000_000):
+def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None):
     """Mutually inverse morphisms between an inverse limit and its cofinal
     restriction: restriction in one direction, transport fill-in in the other."""
     sub_index = induced_order(s.index, cof)
     sub = restrict_spectrum(s, cof, sub_index)
     if lim is None:
-        lim = inverse_limit(s, uniq_bound)
+        lim = inverse_limit(s)
     if sub_lim is None:
-        sub_lim = inverse_limit(sub, uniq_bound)
+        sub_lim = inverse_limit(sub)
     findings = []
 
     fwd_table = {}
@@ -597,8 +621,7 @@ def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None,
     return _cofinal_iso(lim, sub_lim, forward, backward)
 
 
-def product_inverse_morphism(s, t, prod=None, lim_s=None, lim_t=None,
-                             bound=1_000_000):
+def product_inverse_morphism(s, t, prod=None, lim_s=None, lim_t=None):
     """Pairing of compatible choices into the product spectrum's limit."""
     from .spectra import product_spectrum
     from .topology import product_space
@@ -606,10 +629,10 @@ def product_inverse_morphism(s, t, prod=None, lim_s=None, lim_t=None,
     if prod is None:
         prod, _ = product_spectrum(s, t)
     if lim_s is None:
-        lim_s = inverse_limit(s, bound)
+        lim_s = inverse_limit(s)
     if lim_t is None:
-        lim_t = inverse_limit(t, bound)
-    lim_prod = inverse_limit(prod, bound)
+        lim_t = inverse_limit(t)
+    lim_prod = inverse_limit(prod)
     pair_space, pr1, pr2 = product_space(lim_s.space, lim_t.space)
     findings = []
 

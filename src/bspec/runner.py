@@ -83,7 +83,7 @@ class SuiteLimits:
 
     def inverse(self, s):
         if s not in self._inverse:
-            self._inverse[s] = inverse_limit(s, bound=self.config.uniq_bound)
+            self._inverse[s] = inverse_limit(s)
         return self._inverse[s]
 
 
@@ -361,8 +361,7 @@ def check_cofinal(env, args, config, report, suite, lims):
         iso = cofinal_direct_iso(s, cof, lim=lims.direct(s),
                                  thread_bound=config.thread_bound)
     else:
-        iso = cofinal_inverse_iso(s, cof, lim=lims.inverse(s),
-                                  uniq_bound=config.uniq_bound)
+        iso = cofinal_inverse_iso(s, cof, lim=lims.inverse(s))
     round_trip = [f for f in iso.findings if f.law.startswith("round-trip")]
     rest = [f for f in iso.findings if not f.law.startswith("round-trip")]
     report.add(suite, f"cofinal.{args[0]}.round-trips", round_trip)
@@ -387,8 +386,7 @@ def check_product(env, args, config, report, suite, lims):
                    witness=tuple(str(c) for c in res.counts))
     else:
         res = product_inverse_morphism(s, t, lim_s=lims.inverse(s),
-                                       lim_t=lims.inverse(t),
-                                       bound=config.uniq_bound)
+                                       lim_t=lims.inverse(t))
         report.add(suite, f"product.{args[0]}x{args[1]}.pairing", res.findings,
                    witness=tuple(str(c) for c in res.counts))
 
@@ -416,8 +414,7 @@ def check_duality(env, args, config, report, suite, lims):
     s, fixed, pools = _build_pools(env, name, config)
     # over a spectrum of the wrong direction the duality raises its own error
     lim = lims.direct(s) if s.direction == COVARIANT else None
-    res = duality_direct_to_inverse(s, fixed, pools, lim=lim,
-                                    uniq_bound=config.uniq_bound)
+    res = duality_direct_to_inverse(s, fixed, pools, lim=lim)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     embed = [f for f in res.findings if f.law == "embedding"]
     rest = [f for f in res.findings
@@ -433,8 +430,7 @@ def check_duality2(env, args, config, report, suite, lims):
     name = _one_arg(args, "duality2")
     s, fixed, pools = _build_pools(env, name, config)
     lim = lims.inverse(s) if s.direction == CONTRAVARIANT else None
-    res = duality_inverse_hom(s, fixed, pools, lim=lim,
-                              uniq_bound=config.uniq_bound)
+    res = duality_inverse_hom(s, fixed, pools, lim=lim)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     rest = [f for f in res.findings if not f.law.startswith("round-trip")]
     card = str(res.hom_pool.setoid.class_count()) if res.hom_pool else "?"

@@ -217,13 +217,13 @@ def test_limit_json_embeds_class_count(tmp_path, capsys):
     assert payload["checks"][0]["witness"] == ["classes=1"]
 
 
-def test_cert_depth_flag_is_accepted_and_ignored(tmp_path, capsys):
+def test_cert_depth_flag_is_refused(capsys):
+    # certificates are constructed, not searched, so no depth bounds them
     path = next(p for p in FIXTURES if p.stem == "inverse")
-    out = tmp_path / "report.json"
-    assert main(["check", str(path), "--cert-depth", "1", "--json", str(out)]) == 0
-    capsys.readouterr()
-    golden = path.parent.parent / "tests" / "golden" / "inverse.json"
-    assert out.read_bytes() == golden.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(path), "--cert-depth", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cert-depth" in capsys.readouterr().err
 
 
 def test_bad_bounds_rejected(capsys):

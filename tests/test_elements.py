@@ -194,10 +194,8 @@ def suite_statuses(s, fixed):
                 "shape": "hom-out-of-fixed"}})
     doc = parse("suite main {\n"
                 + "".join(f"  check: {c}\n" for c in CHECKS[s.direction]) + "}\n")
-    # the bound keeps out products whose inverse limit has thousands of
-    # choices in one class, which take a minute to build on either side
     with mock.patch.object(runner, "elaborate", lambda _: env):
-        report = run_suite(doc, None, RunConfig(uniq_bound=2_000))
+        report = run_suite(doc, None, RunConfig())
     return [(r.law, r.status) for r in report.records]
 
 

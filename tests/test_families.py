@@ -4,7 +4,6 @@ from bspec.families import (
     COVARIANT,
     CONTRAVARIANT,
     DirectFamily,
-    EnumerationBoundExceeded,
     FamilyError,
     FamilyMap,
     NotMonotone,
@@ -15,7 +14,6 @@ from bspec.families import (
     direct_sum_equality_exhaustive,
     direct_sum_setoid,
     embed_at,
-    enumerate_compatible,
     family_map,
     identity_family_map,
     make_direct_family,
@@ -24,7 +22,6 @@ from bspec.families import (
     restrict_family,
     sigma_equality_plain,
     sigma_map,
-    validate_dependent,
     validate_direct_family,
     validate_family_map,
 )
@@ -32,7 +29,12 @@ from bspec.fixtures import chain3, collapse_family
 from bspec.order import chain
 from bspec.setoid import discrete, make_fn, make_setoid
 
-from oracles import sum_projection_raw
+from oracles import (
+    EnumerationBoundExceeded,
+    enumerate_compatible,
+    sum_projection_raw,
+    validate_dependent,
+)
 
 
 def test_constant_family_valid():
