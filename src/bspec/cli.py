@@ -104,22 +104,23 @@ def cmd_check(args):
 
 def limit_export_text(name, lim, inverse=False):
     lines = [f"limit-export {name} {{"]
+    classes = lim.carrier.classes()
     if inverse:
         lines.append(f"  choices: {lim.class_count()}")
-        for n, tok in enumerate(lim.carrier.elements):
+        for n, cls in enumerate(classes):
             parts = ", ".join(
-                f"{i} => {x}" for i, x in lim.assignments[tok].items())
+                f"{i} => {x}" for i, x in lim.assignments[cls[0]].items())
             lines.append(f"  choice c{n}: {parts}")
     else:
         lines.append(f"  classes: {lim.class_count()}")
-        for n, cls in enumerate(lim.carrier.classes()):
+        for n, cls in enumerate(classes):
             i, x = lim.canonical(cls[0])
             lines.append(f"  class c{n}: {i} @ {x}")
             lines.append(f"  members c{n}: " + ", ".join(map(str, cls)))
     for k, g in enumerate(lim.space.gens):
         name_k = lim.space.subbase.names[k]
         parts = []
-        for n, cls in enumerate(lim.carrier.classes()):
+        for n, cls in enumerate(classes):
             parts.append(f"c{n} => {g(cls[0])}")
         lines.append(f"  gen {name_k}: " + ", ".join(parts))
     lines.append("}")

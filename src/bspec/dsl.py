@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import COVARIANT, CONTRAVARIANT, make_direct_family
+from .families import COVARIANT, CONTRAVARIANT, make_direct_family, oriented
 from .order import CofinalSubset, make_directed
 from .setoid import make_fn, make_setoid
 from .spectra import Spectrum, autofill_witnesses
@@ -436,10 +436,8 @@ def elaborate(doc):
                                      s.line)
             i, j = s.args[0], s.args[2]
             table = dict(parse_pairs(s.value, "=>", s))
-            if direction == COVARIANT:
-                dom, cod = carriers.get(i), carriers.get(j)
-            else:
-                dom, cod = carriers.get(j), carriers.get(i)
+            src, tgt = oriented(direction, i, j)
+            dom, cod = carriers.get(src), carriers.get(tgt)
             if dom is None or cod is None:
                 raise UnresolvedReference(f"map for unknown carrier ({i}, {j})",
                                           s.line)
@@ -511,10 +509,8 @@ def elaborate(doc):
                 raise SyntaxErrorDsl("explicit witnesses name the generator",
                                      s.line)
             gen_name = s.args[3]
-            if fam.direction == COVARIANT:
-                tgt_sub, src_sub = subbases.get(j), subbases.get(i)
-            else:
-                tgt_sub, src_sub = subbases.get(i), subbases.get(j)
+            src, tgt = fam.ends(i, j)
+            src_sub, tgt_sub = subbases.get(src), subbases.get(tgt)
             if tgt_sub is None or src_sub is None:
                 raise UnresolvedReference(
                     f"witness for unknown spaces ({i}, {j})", s.line)
@@ -533,7 +529,7 @@ def elaborate(doc):
         for i, j in fam.order_pairs():
             if i == j:
                 continue
-            tgt = subbases[j] if fam.direction == COVARIANT else subbases[i]
+            tgt = subbases[fam.ends(i, j)[1]]
             have = witness_certs.get((i, j), {})
             if any(k not in have for k in range(len(tgt.gens))):
                 missing.append((i, j))

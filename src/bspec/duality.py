@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iproduct
 
-from .families import CONTRAVARIANT, COVARIANT, DirectFamily
+from .families import CONTRAVARIANT, COVARIANT, DirectFamily, oriented
 from .limits import direct_limit, inverse_limit, limit_legs_cocone
 from .report import Finding
-from .setoid import Tag, compose, is_embedding, make_fn
+from .setoid import Tag, compose, identity, is_embedding, make_fn
 from .spectra import Spectrum
 from .topology import (
     BSpace,
@@ -112,34 +112,29 @@ def enumerate_morphisms(src, dst, cap=4096):
     return out
 
 
-def precompose_action(lam, mid_src, mid_dst, fixed, pool_from, pool_to):
-    """Send a morphism out of mid_dst to its composite after lam.
+def precompose_action(lam, pool_from, pool_to):
+    """Send a morphism out of lam's codomain to its composite after lam.
 
-    lam : mid_src -> mid_dst; elements of pool_from map mid_dst -> fixed;
-    the composite lands in pool_to (else the pool is not closed).
+    lam is a carrier map; the composite of each element of pool_from lands
+    in pool_to, else PoolNotClosed names the first that does not.
     """
     table = {}
     for name in pool_from.setoid.elements:
-        w = pool_from.witness(name)
-        composite = compose(lam.h, w.h)
-        target = pool_to.find(composite)
+        target = pool_to.find(compose(lam, pool_from.witness(name).h))
         if target is None:
-            raise PoolNotClosed(f"composite of {name} leaves the pool")
+            raise PoolNotClosed(f"pushes {name} out of the pool")
         table[name] = target
     return make_fn(pool_from.setoid, pool_to.setoid, table)
 
 
-def postcompose_action(mu, mid_src, mid_dst, fixed, pool_from, pool_to):
-    """Send a morphism into mid_src to its composite followed by mu.
-
-    mu : mid_src -> mid_dst; elements of pool_from map fixed -> mid_src.
-    """
+def postcompose_action(mu, pool_from, pool_to):
+    """Send a morphism into mu's domain to its composite followed by mu,
+    a carrier map; PoolNotClosed as for precompose_action."""
     table = {}
     for name in pool_from.setoid.elements:
-        w = pool_from.witness(name)
-        target = pool_to.find(compose(w.h, mu.h))
+        target = pool_to.find(compose(pool_from.witness(name).h, mu))
         if target is None:
-            raise PoolNotClosed(f"composite of {name} leaves the pool")
+            raise PoolNotClosed(f"pushes {name} out of the pool")
         table[name] = target
     return make_fn(pool_from.setoid, pool_to.setoid, table)
 
@@ -217,52 +212,31 @@ def induce_spectrum(s, fixed, shape, pools):
         carriers_mc[i] = make_mor_carrier(
             *ends, pools[i], names=[f"{i}.m{n}" for n in range(len(pools[i]))])
 
+    # a hom into fixed is pre-composed with the transport, a hom out of it
+    # post-composed
+    act = precompose_action if hom_into_fixed else postcompose_action
     transports = {}
     for i, j in s.fam.order_pairs():
         if i == j:
             continue
-        lam = s.fam.transport(i, j)
-        # a hom into fixed is pre-composed with the transport, a hom out of
-        # it post-composed; the edge runs j -> i when the result is
-        # contravariant
-        frm, to = _edge_ends(out_direction, carriers_mc, i, j)
-        table = {}
-        for name in frm.setoid.elements:
-            w = frm.witness(name)
-            target = to.find(compose(lam, w.h) if hom_into_fixed else compose(w.h, lam))
-            if target is None:
-                raise PoolNotClosed(f"edge ({i}, {j}) pushes {name} out of the pool")
-            table[name] = target
-        transports[(i, j)] = make_fn(frm.setoid, to.setoid, table)
+        a, b = oriented(out_direction, i, j)
+        try:
+            transports[(i, j)] = act(s.fam.transport(i, j), carriers_mc[a],
+                                     carriers_mc[b])
+        except PoolNotClosed as exc:
+            raise PoolNotClosed(f"edge ({i}, {j}) {exc}") from None
 
     carriers = {i: carriers_mc[i].setoid for i in s.index.elements}
-    fam = DirectFamily(s.index, out_direction, carriers, _saturate_reflexive(
-        s, transports, carriers))
+    transports.update({(i, i): identity(carriers[i])
+                       for i, j in s.fam.order_pairs() if i == j})
+    fam = DirectFamily(s.index, out_direction, carriers, transports)
     subbases = {i: carriers_mc[i].space.subbase for i in s.index.elements}
-    certs = _induced_edge_certs(s, hom_into_fixed, out_direction, carriers_mc)
+    certs = _induced_edge_certs(s, fam, hom_into_fixed, carriers_mc)
     spec = Spectrum(fam, subbases, certs, s.pool)
     return spec, carriers_mc
 
 
-def _edge_ends(direction, carriers_mc, i, j):
-    """(source, target) pool of the edge (i, j) of a spectrum with the
-    given direction."""
-    if direction == COVARIANT:
-        return carriers_mc[i], carriers_mc[j]
-    return carriers_mc[j], carriers_mc[i]
-
-
-def _saturate_reflexive(s, transports, carriers):
-    from .setoid import identity
-
-    table = dict(transports)
-    for i, j in s.fam.order_pairs():
-        if i == j:
-            table[(i, j)] = identity(carriers[i])
-    return table
-
-
-def _induced_edge_certs(s, hom_into_fixed, direction, carriers_mc):
+def _induced_edge_certs(s, fam, hom_into_fixed, carriers_mc):
     """Certificates for the induced transports against the evaluation
     subbases.  For homs into the fixed space evaluation generators pull back
     to evaluation generators; for homs out of it the source spectrum's own
@@ -272,7 +246,8 @@ def _induced_edge_certs(s, hom_into_fixed, direction, carriers_mc):
         if i == j:
             continue
         lam = s.fam.transport(i, j)
-        src, tgt = _edge_ends(direction, carriers_mc, i, j)
+        a, b = fam.ends(i, j)
+        src, tgt = carriers_mc[a], carriers_mc[b]
         if hom_into_fixed:
             certs[(i, j)] = {pos: CGen(src.exp.positions[(lam(x), k)])
                              for (x, k), pos in _gen_items(tgt)}

@@ -29,6 +29,17 @@ COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
 
 
+def oriented(direction, lower, upper):
+    """(lower, upper) for a covariant family, (upper, lower) otherwise.
+
+    The one place orientation is read: given the two indices of an order
+    pair i <= j it returns the domain and codomain index of its transport,
+    and given what belongs to two consecutive edges it returns them in the
+    order the transports apply.
+    """
+    return (lower, upper) if direction == COVARIANT else (upper, lower)
+
+
 class FamilyError(Exception):
     pass
 
@@ -87,6 +98,16 @@ class DirectFamily:
     def transport(self, i, j):
         return self.transports[(i, j)]
 
+    def ends(self, i, j):
+        """The domain index, then the codomain index, of the transport of
+        i <= j: `oriented`, inlined, as it runs once per pair."""
+        return (i, j) if self.direction == COVARIANT else (j, i)
+
+    def through(self, i, k, j):
+        """The composite of the transports of i <= k and k <= j."""
+        return compose(*oriented(self.direction, self.transport(i, k),
+                                 self.transport(k, j)))
+
     def order_pairs(self):
         return self.index.order_pairs()
 
@@ -110,7 +131,7 @@ def _class_inverse(fn):
     return None
 
 
-def _saturate(pairs, carriers, given, contravariant=False):
+def _saturate(pairs, carriers, given, direction=COVARIANT):
     """Extend transports from generating edges to all pairs by composition;
     across symmetric pairs an inverse is derived when the map allows it.
 
@@ -145,10 +166,8 @@ def _saturate(pairs, carriers, given, contravariant=False):
                 continue
             mids = set(out_of.get(i, ())) & set(into.get(j, ()))
             for k in mids:
-                if contravariant:
-                    learn(i, j, compose(known[(k, j)], known[(i, k)]))
-                else:
-                    learn(i, j, compose(known[(i, k)], known[(k, j)]))
+                learn(i, j, compose(*oriented(direction, known[(i, k)],
+                                              known[(k, j)])))
                 changed = True
                 break
             if (i, j) in known:
@@ -202,13 +221,10 @@ def make_direct_family(index, direction, carriers, transports=None):
             raise FamilyError(f"no carrier given for index element {i}")
     given = dict(transports or {})
     for (i, j), fn in given.items():
-        src = carriers[i] if direction == COVARIANT else carriers[j]
-        dst = carriers[j] if direction == COVARIANT else carriers[i]
-        if not (fn.dom.same_as(src) and fn.cod.same_as(dst)):
+        a, b = oriented(direction, i, j)
+        if not (fn.dom.same_as(carriers[a]) and fn.cod.same_as(carriers[b])):
             raise FamilyError(f"transport for ({i}, {j}) has wrong end carriers")
-    pairs = index.order_pairs()
-    table = _saturate(pairs, carriers, given,
-                      contravariant=direction == CONTRAVARIANT)
+    table = _saturate(index.order_pairs(), carriers, given, direction)
     fam = DirectFamily(index, direction, carriers, table)
     findings = validate_direct_family(fam)
     if findings:
@@ -265,11 +281,7 @@ def _validate_direct_family_scan(F):
         for k in F.index.elements:
             if not F.index.leq(j, k):
                 continue
-            if F.direction == COVARIANT:
-                path = compose(F.transport(i, j), F.transport(j, k))
-            else:
-                path = compose(F.transport(j, k), F.transport(i, j))
-            if not fn_equal(path, F.transport(i, k)):
+            if not fn_equal(F.through(i, j, k), F.transport(i, k)):
                 findings.append(Finding("family-composition", (i, j, k)))
     return findings
 
@@ -289,7 +301,8 @@ def _class_map(fn):
 
 
 def _class_maps(F, pairs):
-    """The transports of `pairs` as class maps, keyed by pair.
+    """The transports of `pairs` as class maps, keyed by the transport's
+    (domain index, codomain index).
 
     None when class ids cannot stand for the pairwise laws: a pair naming
     no index element, a carrier that is not an equivalence, a transport
@@ -297,14 +310,15 @@ def _class_maps(F, pairs):
     separates equal elements.
     """
     base = F.index.base
-    covariant = F.direction == COVARIANT
+    dom, cod = F.ends(0, 1)  # where the two ends sit in an order pair
     maps = {}
-    for i, j in pairs:
-        fn = F.transports.get((i, j))
+    for pair in pairs:
+        i, j = pair
+        fn = F.transports.get(pair)
         if fn is None or not (base.has(i) and base.has(j)):
             return None
-        src = F.carriers.get(i if covariant else j)
-        dst = F.carriers.get(j if covariant else i)
+        a, b = pair[dom], pair[cod]
+        src, dst = F.carriers.get(a), F.carriers.get(b)
         if src is None or dst is None:
             return None
         if not (_same_carrier(fn.dom, src) and _same_carrier(fn.cod, dst)
@@ -313,7 +327,7 @@ def _class_maps(F, pairs):
         m = _class_map(fn)
         if m is None:
             return None
-        maps[(i, j)] = m
+        maps[(a, b)] = m
     return maps
 
 
@@ -325,26 +339,24 @@ def _direct_family_laws_hold(F):
     """The identity, extensionality and composition laws on class maps.
 
     With every transport extensional, a composite's class map is the
-    composite of the class maps, so each triple i <= j <= k compares the
-    class map of (i, k) with that of (i, j) and (j, k) composed.
+    composite of the class maps.  The maps are keyed by (domain, codomain)
+    index, so in either direction each chain a -> b -> c of transports
+    compares the class map of (a, c) with that of (a, b) and (b, c)
+    composed.
     """
     els = F.index.elements
-    pairs = F.index.pairs
-    maps = _class_maps(F, pairs | {(i, i) for i in els})
+    maps = _class_maps(F, F.index.pairs | {(i, i) for i in els})
     if maps is None:
         return False
     for i in els:
         if maps[(i, i)] != tuple(range(F.carriers[i].class_count())):
             return False
-    above = {}
-    for j, k in pairs:
-        above.setdefault(j, []).append(k)
-    covariant = F.direction == COVARIANT
-    for i, j in pairs:
-        ij = maps[(i, j)]
-        for k in above.get(j, ()):
-            lo, hi = (ij, maps[(j, k)]) if covariant else (maps[(j, k)], ij)
-            if maps.get((i, k)) != tuple(hi[c] for c in lo):
+    out_of = {}
+    for (b, c), bc in maps.items():
+        out_of.setdefault(b, []).append((c, bc))
+    for (a, b), ab in maps.items():
+        for c, bc in out_of[b]:
+            if maps.get((a, c)) != tuple(bc[x] for x in ab):
                 return False
     return True
 
@@ -470,18 +482,13 @@ def validate_family_map(src, dst, m):
         if not ok:
             findings.append(Finding("component-extensional", (i,) + witness))
     if isinstance(src, DirectFamily):
-        pairs = src.order_pairs()
-        contra = src.direction == CONTRAVARIANT
+        pairs, direction = src.order_pairs(), src.direction
     else:
-        pairs = src.diagonal_pairs()
-        contra = False
+        pairs, direction = src.diagonal_pairs(), COVARIANT
     for i, j in pairs:
-        if contra:
-            left = compose(src.transport(i, j), m.comps[i])
-            right = compose(m.comps[j], dst.transport(i, j))
-        else:
-            left = compose(src.transport(i, j), m.comps[j])
-            right = compose(m.comps[i], dst.transport(i, j))
+        a, b = oriented(direction, i, j)
+        left = compose(src.transport(i, j), m.comps[b])
+        right = compose(m.comps[a], dst.transport(i, j))
         if not fn_equal(left, right):
             findings.append(Finding("naturality", (i, j)))
     return findings

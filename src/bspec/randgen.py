@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .families import COVARIANT, CONTRAVARIANT, DirectFamily
+from .families import COVARIANT, CONTRAVARIANT, DirectFamily, oriented
 from .limits import Cocone, Cone
 from .order import CofinalSubset, DirectedIndex, chain, make_directed, top_element
 from .setoid import (
@@ -144,11 +144,7 @@ def random_direct_family(rng, index, direction=COVARIANT, max_carrier=3,
         carriers_by_level[lv] = make_setoid(names, eq_pairs)
     step = {}
     for a, b in zip(levels, levels[1:]):
-        lo, hi = carriers_by_level[a], carriers_by_level[b]
-        if direction == COVARIANT:
-            dom, cod = lo, hi
-        else:
-            dom, cod = hi, lo
+        dom, cod = oriented(direction, carriers_by_level[a], carriers_by_level[b])
         table = {}
         for cls in dom.classes():
             val = rng.choice(cod.classes())[0]
@@ -169,9 +165,7 @@ def random_direct_family(rng, index, direction=COVARIANT, max_carrier=3,
             else:
                 below = path(a, levels[lb - 1])
                 last = step[(levels[lb - 1], b)]
-                composites[(a, b)] = (compose(below, last)
-                                      if direction == COVARIANT
-                                      else compose(last, below))
+                composites[(a, b)] = compose(*oriented(direction, below, last))
         return composites[(a, b)]
 
     carriers = {i: carriers_by_level[heights[i]] for i in index.elements}
@@ -285,8 +279,8 @@ def thicken_spectrum(rng, s):
         carriers[i] = seen_carriers[key]
     transports = {}
     for (i, j), fn in fam.transports.items():
-        dom_key = id(fam.carrier(i) if fam.direction == COVARIANT else fam.carrier(j))
-        cod_key = id(fam.carrier(j) if fam.direction == COVARIANT else fam.carrier(i))
+        a, b = fam.ends(i, j)
+        dom_key, cod_key = id(fam.carrier(a)), id(fam.carrier(b))
         table = dict(fn.mapping)
         table[pads[dom_key]] = pads[cod_key]
         transports[(i, j)] = make_fn(seen_carriers[dom_key],

@@ -14,6 +14,7 @@ from .families import (
     FamilyMap,
     constant_direct_family,
     direct_sum_setoid,
+    oriented,
     restrict_family,
     sigma_map,
     validate_direct_family,
@@ -77,7 +78,9 @@ class Spectrum:
 
         Only missing edges are derived; supplied certificates are kept.  An
         edge (i, j) lifts through the first k, in index order, with
-        i <= k <= j and both of its edges known.
+        i <= k <= j and both of its edges known: the certificates of the
+        edge whose transport applies second are lifted along the witness
+        of the one that applies first.
         """
         above, below = self.index.above, {}
         for k in self.index.elements:
@@ -95,17 +98,12 @@ class Spectrum:
                         continue
                     if (i, k) not in self.witness_certs or (k, j) not in self.witness_certs:
                         continue
-                    if self.direction == COVARIANT:
-                        w_low = self.edge_witness(i, k)
-                        lower = self.space(i)
-                        upper_certs = self.witness_certs[(k, j)]
-                    else:
-                        w_low = self.edge_witness(k, j)
-                        lower = self.space(j)
-                        upper_certs = self.witness_certs[(i, k)]
+                    first, second = oriented(self.direction, (i, k), (k, j))
+                    lower = self.space(self.fam.ends(i, j)[0])
+                    w_low = self.edge_witness(*first)
                     self.witness_certs[(i, j)] = {
                         m: lift_certificate(lower, w_low, c)
-                        for m, c in upper_certs.items()
+                        for m, c in self.witness_certs[second].items()
                     }
                     changed = True
                     break
@@ -123,9 +121,8 @@ class Spectrum:
 
     def edge_ends(self, i, j):
         """(source space, target space) of the transport for edge (i, j)."""
-        if self.direction == COVARIANT:
-            return self.space(i), self.space(j)
-        return self.space(j), self.space(i)
+        a, b = self.fam.ends(i, j)
+        return self.space(a), self.space(b)
 
     def edge_witness(self, i, j):
         certs = self.witness_certs.get((i, j))
@@ -144,7 +141,7 @@ def autofill_witnesses(fam, subbases, given=None):
     for i, j in fam.order_pairs():
         if i == j:
             continue
-        src, tgt = (i, j) if fam.direction == COVARIANT else (j, i)
+        src, tgt = fam.ends(i, j)
         missing = []
         certs[(i, j)] = certify_map(
             BSpace(fam.carrier(src), subbases[src]), subbases[tgt], fam.transport(i, j),
@@ -202,20 +199,13 @@ def validate_spectrum(s, check_composition=True):
         for k in s.index.elements:
             if i == j or j == k or not s.index.leq(j, k):
                 continue
-            if s.direction == COVARIANT:
-                lo, mid = s.space(i), s.space(j)
-                hi = s.space(k)
-                w1, w2 = s.edge_witness(i, j), s.edge_witness(j, k)
-                composite = compose_witnesses(lo, mid, hi, w1, w2)
-                for f in check_morphism(lo, hi, composite):
-                    findings.append(Finding("composite-" + f.law, (i, j, k)))
-            else:
-                hi, mid = s.space(k), s.space(j)
-                lo = s.space(i)
-                w2, w1 = s.edge_witness(j, k), s.edge_witness(i, j)
-                composite = compose_witnesses(hi, mid, lo, w2, w1)
-                for f in check_morphism(hi, lo, composite):
-                    findings.append(Finding("composite-" + f.law, (i, j, k)))
+            src, tgt = s.edge_ends(i, k)
+            first, second = oriented(s.direction, (i, j), (j, k))
+            composite = compose_witnesses(src, s.space(j), tgt,
+                                          s.edge_witness(*first),
+                                          s.edge_witness(*second))
+            for f in check_morphism(src, tgt, composite):
+                findings.append(Finding("composite-" + f.law, (i, j, k)))
     return findings
 
 
@@ -238,20 +228,16 @@ class Thread:
 
 
 def validate_thread(s, t, check_certs=True):
+    if s.direction != COVARIANT:
+        raise SpectrumError("threads are validated over a covariant spectrum")
     findings = []
     for i in s.index.elements:
         if i not in t.funcs:
             findings.append(Finding("thread-partial", (i,)))
             return findings
     for i, j in s.fam.order_pairs():
-        if s.direction == COVARIANT:
-            pulled = s.induced_map(i, j, t.at(j))
-            if pulled.values != t.at(i).values:
-                findings.append(Finding("thread-compat", (i, j)))
-        else:
-            pulled = s.induced_map(i, j, t.at(i))
-            if pulled.values != t.at(j).values:
-                findings.append(Finding("thread-compat", (i, j)))
+        if s.induced_map(i, j, t.at(j)).values != t.at(i).values:
+            findings.append(Finding("thread-compat", (i, j)))
     if check_certs:
         for i in s.index.elements:
             c = t.certs.get(i)
@@ -497,10 +483,9 @@ def check_induced_square(s, t, psi, edge):
     """On one edge, pulling a generator through the map then the transport
     agrees with the other path around the square."""
     i, j = edge
-    # the square ends at the transport's target: j when covariant
-    # (psi_j . lambda_ij = mu_ij . psi_i), i when contravariant
-    # (psi_i . lambda_ij = mu_ij . psi_j)
-    src, tgt = (i, j) if s.direction == COVARIANT else (j, i)
+    # the square ends at the transport's target:
+    # psi_tgt . lambda_ij = mu_ij . psi_src
+    src, tgt = s.fam.ends(i, j)
     for g in t.space(tgt).gens:
         left = compose_rfun(compose_rfun(g, psi.comps[tgt]), s.fam.transport(i, j))
         right = compose_rfun(compose_rfun(g, t.fam.transport(i, j)), psi.comps[src])
@@ -552,7 +537,7 @@ def product_spectrum_over(s, t, index, parts):
     for a, b in index.order_pairs():
         (i, j), (i2, j2) = parts(a), parts(b)
         ti, tj = s.fam.transport(i, i2), t.fam.transport(j, j2)
-        src, tgt = (a, b) if s.direction == COVARIANT else (b, a)
+        src, tgt = oriented(s.direction, a, b)
         table = {}
         for el in carriers[src].elements:
             x, y = el
@@ -569,8 +554,7 @@ def product_spectrum_over(s, t, index, parts):
         edge_t = t.witness_certs[(j, j2)] if j != j2 else None
         # certificates live over the subbase at the transport's source and
         # prove the generators at its target
-        (s_src, t_src), (s_tgt, t_tgt) = (
-            ((i, j), (i2, j2)) if s.direction == COVARIANT else ((i2, j2), (i, j)))
+        (s_src, t_src), (s_tgt, t_tgt) = oriented(s.direction, (i, j), (i2, j2))
         s_src_n, s_tgt_n = len(s.space(s_src).gens), len(s.space(s_tgt).gens)
         first_map = {m: m for m in range(s_src_n)}
         second_map = {m: s_src_n + m for m in range(len(t.space(t_src).gens))}

@@ -42,10 +42,6 @@ class ValueMismatch(TopologyError):
     pass
 
 
-class WitnessGap(TopologyError):
-    pass
-
-
 class MissingCertificate(TopologyError):
     pass
 
@@ -402,12 +398,20 @@ def validate_certificate(sp, f, c, ulim_allowed=True, ulim_max=8):
                 if n != expected:
                     findings.append(Finding("witness-gap", (expected,)))
                     return
-            limit = dict(node.table)
+            limit, carrier = dict(node.table), sp.carrier
+            # the first element the claimed limit misses or values apart
+            # from the first element equal to it
+            bad = next((x for x in carrier.elements if x not in limit
+                        or Fraction(limit[x])
+                        != Fraction(limit[carrier.class_repr(x)])), None)
+            if bad is not None:
+                findings.append(Finding("ulim-table", (bad,)))
+                return
             for n, sub in node.witnesses:
                 walk(sub)
                 try:
                     g = cert_conclusion(sp, sub)
-                except TopologyError as exc:
+                except (TopologyError, NotExtensional) as exc:
                     findings.append(Finding("subderivation", (n,), str(exc)))
                     return
                 tol = Fraction(1, 2 ** n)

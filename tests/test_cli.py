@@ -151,6 +151,59 @@ def test_limit_export_inverse(capsys):
     assert "choices: 2" in out
 
 
+MERGED_INVERSE = """\
+setoid X0 {
+  elements: a, b, c
+  equal: a ~ b
+}
+setoid X1 {
+  elements: u, v, w
+  equal: u ~ v
+}
+directed D {
+  elements: 0, 1
+  order: 0 <= 1
+}
+family F {
+  index: D
+  direction: contravariant
+  carrier 0: X0
+  carrier 1: X1
+  map 0 -> 1: u => a, v => b, w => c
+}
+subbase G0 {
+  carrier: X0
+  gen g0: a => 0, b => 0, c => 1
+}
+subbase G1 {
+  carrier: X1
+  gen g1: u => 0, v => 0, w => 1
+}
+spectrum S {
+  family: F
+  space 0: G0
+  space 1: G1
+  witness 0 -> 1 g0: (gen g1)
+}
+"""
+
+
+def test_limit_export_inverse_numbers_choices_by_class(tmp_path, capsys):
+    # a ~ b and u ~ v make (a, u) and (b, v) one choice: each class gets
+    # one choice line, from its first token, and the gen lines use the
+    # same numbering
+    f = tmp_path / "merged.bsp"
+    f.write_text(MERGED_INVERSE)
+    assert main(["limit", str(f), "--inverse", "S"]) == 0
+    out = capsys.readouterr().out
+    assert out.split("}")[0] == (
+        "limit-export S {\n"
+        "  choices: 2\n"
+        "  choice c0: 0 => a, 1 => u\n"
+        "  choice c1: 0 => c, 1 => w\n"
+        "  gen proj[0,g0]: c0 => 0, c1 => 1\n")
+
+
 def test_iso_cofinal(capsys):
     path = next(p for p in FIXTURES if p.stem == "eo1")
     assert main(["iso", str(path), "--cofinal", "EVENS",

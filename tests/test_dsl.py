@@ -168,3 +168,86 @@ certificate VIA_ULIM {
     assert validate_certificate(sp, f, env.certificates["VIA_EQ"]).ok
     rep = validate_certificate(sp, f, env.certificates["VIA_ULIM"])
     assert rep.ok and rep.witnessed
+
+
+def test_contravariant_edge_constructs_the_unwritten_witnesses():
+    # the transport of 0 <= 1 runs from the carrier at 1 to the one at 0,
+    # so its certificates prove the two generators at 0; only one of them
+    # is written out, and the subbase at 1 has a single generator
+    text = """\
+setoid X0 {
+  elements: a, b
+}
+setoid X1 {
+  elements: u, v, w
+}
+directed D {
+  elements: 0, 1
+  order: 0 <= 1
+}
+family F {
+  index: D
+  direction: contravariant
+  carrier 0: X0
+  carrier 1: X1
+  map 0 -> 1: u => a, v => b, w => b
+}
+subbase G0 {
+  carrier: X0
+  gen g: a => 0, b => 1
+  gen h: a => 1, b => 0
+}
+subbase G1 {
+  carrier: X1
+  gen k: u => 0, v => 1, w => 1
+}
+spectrum S {
+  family: F
+  space 0: G0
+  space 1: G1
+  witness 0 -> 1 g: (gen k)
+}
+"""
+    s = elaborate(parse(text)).spectrum("S")
+    assert sorted(s.witness_certs[("0", "1")]) == [0, 1]
+    assert validate_spectrum(s) == []
+
+
+def test_malformed_ulim_witness_fails_the_spectrum_check():
+    # the uniform-limit table misses q: the edge check reports it as a
+    # finding instead of the run stopping with an error
+    from bspec.runner import run_suite
+
+    text = """\
+setoid X {
+  elements: p, q
+}
+directed D {
+  elements: 0, 1
+  order: 0 <= 1
+}
+family F {
+  index: D
+  carrier 0: X
+  carrier 1: X
+  map 0 -> 1: p => p, q => q
+}
+subbase G {
+  carrier: X
+  gen f: p => 0, q => 1
+}
+spectrum S {
+  family: F
+  space 0: G
+  space 1: G
+  witness 0 -> 1 f: (ulim (table p => 0) (w 1 (gen f)))
+}
+suite main {
+  check: spectrum S
+}
+"""
+    records = run_suite(parse(text)).records
+    assert [(r.law, r.status) for r in records] == [
+        ("spectrum.S.edge-witnesses", "fail"),
+        ("spectrum.S.composite-witnesses", "pass")]
+    assert "ulim-table at q" in str(records[0].witness)

@@ -21,7 +21,6 @@ from bspec.setoid import compose, discrete, fn_equal, identity, make_fn
 from bspec.spectra import constant_spectrum, validate_spectrum
 from bspec.topology import (
     CGen,
-    MorphismWitness,
     check_morphism,
     rconst,
     space,
@@ -56,7 +55,7 @@ def test_precompose_and_postcompose_actions():
     swap_name = next(n for n in mc.setoid.elements
                      if mc.witness(n).h("p") == "q" and mc.witness(n).h("q") == "p")
     swap = mc.witness(swap_name)
-    act = precompose_action(swap, sp, sp, sp, mc, mc)
+    act = precompose_action(swap.h, mc, mc)
     # composing with the swap twice is the identity action
     act2 = {n: act(act(n)) for n in mc.setoid.elements}
     for n in mc.setoid.elements:
@@ -64,7 +63,7 @@ def test_precompose_and_postcompose_actions():
     # swap+(swap) = identity morphism
     ident_name = mc.find(identity(sp.carrier))
     assert mc.setoid.eq(act(swap_name), ident_name)
-    post = postcompose_action(swap, sp, sp, sp, mc, mc)
+    post = postcompose_action(swap.h, mc, mc)
     assert mc.setoid.eq(post(swap_name), ident_name)
 
 
@@ -78,10 +77,9 @@ def test_action_contravariance_on_composition():
             lam, kap = mc.witness(n1), mc.witness(n2)
             comp = compose(kap.h, lam.h)  # lam after kap
             comp_name = mc.find(comp)
-            act_comp = precompose_action(
-                MorphismWitness(comp, dict(lam.certs)), sp, sp, sp, mc, mc)
-            act_lam = precompose_action(lam, sp, sp, sp, mc, mc)
-            act_kap = precompose_action(kap, sp, sp, sp, mc, mc)
+            act_comp = precompose_action(comp, mc, mc)
+            act_lam = precompose_action(lam.h, mc, mc)
+            act_kap = precompose_action(kap.h, mc, mc)
             for n in names:
                 assert mc.setoid.eq(act_comp(n), act_kap(act_lam(n)))
 

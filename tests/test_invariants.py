@@ -45,10 +45,9 @@ def test_postcompose_covariant_on_composition():
         for n2 in names:
             mu, nu = mc.witness(n1), mc.witness(n2)
             comp = compose(nu.h, mu.h)  # mu after nu
-            act_comp = postcompose_action(
-                type(mu)(comp, dict(mu.certs)), sp, sp, sp, mc, mc)
-            act_mu = postcompose_action(mu, sp, sp, sp, mc, mc)
-            act_nu = postcompose_action(nu, sp, sp, sp, mc, mc)
+            act_comp = postcompose_action(comp, mc, mc)
+            act_mu = postcompose_action(mu.h, mc, mc)
+            act_nu = postcompose_action(nu.h, mc, mc)
             for n in names:
                 assert mc.setoid.eq(act_comp(n), act_mu(act_nu(n)))
 

@@ -185,9 +185,9 @@ def test_saturate_matches_rescan(seed, direction, fault):
     fam = random_direct_family(rng, random_directed_index(rng, 6), direction)
     pairs = fam.order_pairs()
     given = _generating_edges(rng, fam, fault)
-    contra = direction == CONTRAVARIANT
-    got = outcome(_saturate, pairs, fam.carriers, given, contra)
-    want = outcome(saturate_rescan, pairs, fam.carriers, given, contra)
+    got = outcome(_saturate, pairs, fam.carriers, given, direction)
+    want = outcome(saturate_rescan, pairs, fam.carriers, given,
+                   direction == CONTRAVARIANT)
     if got[0] == "value" and want[0] == "value":
         assert _tables(got[1]) == _tables(want[1])
     else:

@@ -9,6 +9,7 @@ from bspec.setoid import SetoidFn, discrete, make_fn
 from bspec.spectra import (
     IncompatibleThread,
     Spectrum,
+    SpectrumError,
     Thread,
     ThreadBoundExceeded,
     check_induced_square,
@@ -163,6 +164,13 @@ def test_induced_square_on_a_contravariant_spectrum():
     assert not check_induced_square(s, s, swapped, ("0", "1"))
     assert not check_induced_square(s, s, swapped, ("0", "2"))
     assert check_induced_square(s, s, swapped, ("1", "2"))
+
+
+def test_validate_thread_refuses_a_contravariant_spectrum():
+    s = _rev()
+    t = Thread({i: s.space(i).gens[0] for i in s.index.elements})
+    with pytest.raises(SpectrumError):
+        validate_thread(s, t)
 
 
 def test_collapse_map_to_constant_spectrum():

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from bspec.fixtures import x2_space
+from bspec.report import Finding
 from bspec.setoid import discrete, make_fn, make_setoid, make_subset
 from bspec.topology import (
     BID,
@@ -12,6 +13,7 @@ from bspec.topology import (
     CBic,
     CConst,
     CGen,
+    CULim,
     MorphismWitness,
     RFun,
     babs,
@@ -173,6 +175,33 @@ def test_ulim_witnessed_mode():
     assert not rep.ok and rep.findings[0].law == "witness-gap"
     rep = validate_certificate(sp, f, cert, ulim_allowed=False)
     assert not rep.ok
+
+
+def test_ulim_table_missing_an_element_is_a_finding():
+    X = make_setoid(["p", "q", "r"])
+    sp = space(X, [RFun(X, {"p": 0, "q": 1, "r": 1})])
+    cert = CULim((("p", Fraction(0)), ("q", Fraction(1))), ((1, CGen(0)),))
+    rep = validate_certificate(sp, sp.gens[0], cert)
+    assert not rep.ok and rep.findings == [Finding("ulim-table", ("r",))]
+    # a missing first element of a class is reported before its members
+    Y = make_setoid(["p", "q"], [("p", "q")])
+    sp = space(Y, [RFun(Y, {"p": 0, "q": 0})])
+    cert = CULim((("q", Fraction(0)),), ((1, CGen(0)),))
+    rep = validate_certificate(sp, sp.gens[0], cert)
+    assert not rep.ok and rep.findings == [Finding("ulim-table", ("p",))]
+
+
+def test_ulim_table_separating_equal_elements_is_a_finding():
+    X = make_setoid(["p", "q", "r"], [("p", "q")])
+    sp = space(X, [RFun(X, {"p": 0, "q": 0, "r": 1})])
+    table = (("p", Fraction(0)), ("q", Fraction(1)), ("r", Fraction(1)))
+    rep = validate_certificate(sp, sp.gens[0], CULim(table, ((1, CGen(0)),)))
+    assert not rep.ok and rep.findings == [Finding("ulim-table", ("q",))]
+    # inside another uniform limit the same table is reported, not raised
+    outer = CULim(tuple(sorted(sp.gens[0].table().items())),
+                  ((1, CULim(table, ((1, CGen(0)),))),))
+    rep = validate_certificate(sp, sp.gens[0], outer)
+    assert not rep.ok and rep.findings[0] == Finding("ulim-table", ("q",))
 
 
 def test_identity_and_swap_morphisms():
