@@ -16,13 +16,7 @@ from pathlib import Path
 from .dsl import DslError, elaborate, parse
 from .duality import DualityError
 from .families import COVARIANT, FamilyError
-from .limits import (
-    LimitError,
-    cofinal_direct_iso,
-    cofinal_inverse_iso,
-    direct_limit,
-    inverse_limit,
-)
+from .limits import LimitError, Limits, cofinal_direct_iso, cofinal_inverse_iso
 from .order import OrderError
 from .report import Report, emit_report
 from .runner import ConfigError, RunConfig, run_suite
@@ -134,10 +128,8 @@ def cmd_limit(args):
     name = args.direct or args.inverse
     t0 = time.perf_counter()
     s = env.spectrum(name)
-    if args.direct:
-        lim = direct_limit(s, cap=args.thread_bound)
-    else:
-        lim = inverse_limit(s)
+    lims = Limits(args.thread_bound)
+    lim = lims.direct(s) if args.direct else lims.inverse(s)
     report.add("limit", f"limit.{name}.build", [],
                witness=(f"classes={lim.class_count()}",),
                elapsed=time.perf_counter() - t0)
@@ -149,6 +141,7 @@ def cmd_iso(args):
     doc = _load(args)
     env = elaborate(doc)
     report = Report()
+    lims = Limits(args.thread_bound)
     if args.cofinal:
         if not args.spectrum:
             raise ConfigError("--cofinal needs --spectrum")
@@ -157,24 +150,18 @@ def cmd_iso(args):
             raise DslError(f"no cofinal block named {args.cofinal!r}")
         _, cof = env.cofinals[args.cofinal]
         t0 = time.perf_counter()
-        if s.direction == COVARIANT:
-            lim = direct_limit(s, cap=args.thread_bound)
-            iso = cofinal_direct_iso(s, cof, lim=lim,
-                                     thread_bound=args.thread_bound)
-        else:
-            lim = inverse_limit(s)
-            iso = cofinal_inverse_iso(s, cof, lim=lim)
+        build, iso_of = ((lims.direct, cofinal_direct_iso) if s.direction == COVARIANT
+                         else (lims.inverse, cofinal_inverse_iso))
+        lim = build(s)
+        iso = iso_of(s, cof, lims)
         report.add("iso", f"cofinal.{args.spectrum}.{args.cofinal}",
                    iso.findings,
                    witness=(f"classes={lim.class_count()}",),
                    elapsed=time.perf_counter() - t0)
     else:
-        from .runner import SuiteLimits, check_duality
+        from .runner import check_duality
 
-        config = _config(args)
-        t0 = time.perf_counter()
-        check_duality(env, (args.duality,), config, report, "iso",
-                      SuiteLimits(config))
+        check_duality(env, (args.duality,), _config(args), report, "iso", lims)
     return _emit(report, args)
 
 

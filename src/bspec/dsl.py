@@ -95,6 +95,15 @@ class Block:
             raise SyntaxErrorDsl(f"duplicate {key!r} line", hits[1].line)
         return hits[0]
 
+    def one_of(self, key, allowed):
+        """The value of an optional line, which must be one of `allowed`;
+        the first is the default."""
+        stmt = self.one(key)
+        value = stmt.value.strip() if stmt else allowed[0]
+        if value not in allowed:
+            raise TypeMismatch(f"unknown {key} {value!r}", stmt.line)
+        return value
+
     def many(self, key):
         return [s for s in self.stmts if s.key == key]
 
@@ -414,12 +423,7 @@ def elaborate(doc):
             raise UnresolvedReference(f"no directed block named {index_name!r}",
                                       index_stmt.line)
         index = out.directeds[index_name]
-        direction_stmt = b.one("direction")
-        direction = (direction_stmt.value.strip()
-                     if direction_stmt else COVARIANT)
-        if direction not in (COVARIANT, CONTRAVARIANT):
-            raise TypeMismatch(f"unknown direction {direction!r}",
-                               direction_stmt.line)
+        direction = b.one_of("direction", (COVARIANT, CONTRAVARIANT))
         carriers = {}
         for s in b.many("carrier"):
             if len(s.args) != 1:
@@ -609,15 +613,11 @@ def elaborate(doc):
         if space_name not in out.subbases:
             raise UnresolvedReference(f"no subbase named {space_name!r}",
                                       space_stmt.line)
-        search_stmt = b.one("search")
-        search = search_stmt.value.strip() if search_stmt else "auto"
-        shape_stmt = b.one("shape")
-        shape = shape_stmt.value.strip() if shape_stmt else "hom-into-fixed"
+        b.one_of("search", ("auto",))  # pools are always enumerated
         out.pools[b.name] = {
             "spectrum": spec_name,
             "space": space_name,
-            "search": search,
-            "shape": shape,
+            "shape": b.one_of("shape", ("hom-into-fixed", "hom-out-of-fixed")),
         }
 
     return out

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import product as iproduct
 
 from .families import CONTRAVARIANT, COVARIANT, DirectFamily, oriented
-from .limits import direct_limit, inverse_limit, limit_legs_cocone
+from .limits import limit_legs_cocone
 from .report import Finding
 from .setoid import Tag, compose, identity, is_embedding, make_fn
 from .spectra import Spectrum
@@ -280,13 +280,11 @@ class DualityResult:
     findings: list = field(default_factory=list)
 
 
-def duality_direct_to_inverse(s, fixed, pools, lim=None):
+def duality_direct_to_inverse(s, fixed, pools, lims):
     """Compatible choices of morphisms into the fixed space correspond to
     morphisms out of the direct limit, two-sidedly and topologically."""
     induced, carriers_mc = induce_spectrum(s, fixed, "A_i", pools)
-    inv = inverse_limit(induced)
-    if lim is None:
-        lim = direct_limit(s)
+    inv, lim = lims.inverse(induced), lims.direct(s)
     findings = []
 
     # forward: a compatible choice acts classwise on the limit
@@ -351,13 +349,11 @@ def _duality_iso(inv, hom_pool, to_hom, from_hom):
 
 # --- second duality: hom into an inverse limit --------------------------------
 
-def duality_inverse_hom(s, fixed, pools, lim=None):
+def duality_inverse_hom(s, fixed, pools, lims):
     """Compatible choices of morphisms out of the fixed space correspond to
     morphisms into the inverse limit."""
     induced, carriers_mc = induce_spectrum(s, fixed, "B_ii", pools)
-    inv_mor = inverse_limit(induced)
-    if lim is None:
-        lim = inverse_limit(s)
+    inv_mor, lim = lims.inverse(induced), lims.inverse(s)
     findings = []
 
     hom_witnesses = []
@@ -419,13 +415,12 @@ class ConverseResult:
     findings: list = field(default_factory=list)
 
 
-def converse_dual_inverse(s, fixed, pools, lim=None, thread_bound=10_000):
+def converse_dual_inverse(s, fixed, pools, lims):
     """From the direct limit of hom-into-fixed carriers over a contravariant
-    spectrum to morphisms out of its inverse limit `lim`; an embedding
-    exactly when every element extends to a compatible choice."""
+    spectrum to morphisms out of its inverse limit; an embedding exactly
+    when every element extends to a compatible choice."""
     induced, carriers_mc = induce_spectrum(s, fixed, "B_i", pools)
-    lim_mor = direct_limit(induced, cap=thread_bound)
-    inv = inverse_limit(s) if lim is None else lim
+    lim_mor, inv = lims.direct(induced), lims.inverse(s)
     findings = []
 
     hom_witnesses = []
@@ -462,13 +457,11 @@ def converse_dual_inverse(s, fixed, pools, lim=None, thread_bound=10_000):
                           hypothesis_witness, embedding_checked, findings)
 
 
-def converse_dual_direct(s, fixed, pools, lim=None, thread_bound=10_000):
+def converse_dual_direct(s, fixed, pools, lims):
     """From the direct limit of hom-out-of-fixed carriers over a covariant
     spectrum to morphisms into its direct limit; morphism property only."""
     induced, carriers_mc = induce_spectrum(s, fixed, "A_ii", pools)
-    lim_mor = direct_limit(induced, cap=thread_bound)
-    if lim is None:
-        lim = direct_limit(s, cap=thread_bound)
+    lim_mor, lim = lims.direct(induced), lims.direct(s)
 
     hom_witnesses = []
     for cls_tok in lim_mor.repr_classes():

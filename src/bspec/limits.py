@@ -19,7 +19,7 @@ from .families import (
     embed_at,
     sigma_map,
 )
-from .order import induced_order, top_element
+from .order import top_element
 from .report import Finding
 from .setoid import (
     Choice,
@@ -110,12 +110,12 @@ class DirectLimit:
         return [cls[0] for cls in self.carrier.classes()]
 
 
-def direct_limit(s, threads=None, cap=10_000):
+def direct_limit(s, cap=10_000):
     """Quotient carrier plus the factored thread topology."""
     if s.direction != COVARIANT:
         raise LimitError("direct limit needs a covariant spectrum")
     carrier = direct_sum_setoid(s.fam)
-    space_obj, threads, gen_threads = sum_space(s, threads, cap, carrier)
+    space_obj, threads, gen_threads = sum_space(s, None, cap, carrier)
     return DirectLimit(s, carrier, threads, space_obj, gen_threads)
 
 
@@ -214,15 +214,12 @@ def limit_legs_cocone(lim):
     return Cocone(lim.space, legs)
 
 
-def limit_map(s, t, psi, lim_s=None, lim_t=None):
+def limit_map(s, t, psi, lims):
     """The induced map of direct limits, classwise on representatives.
 
     When every component embeds, the induced map is checked to embed too.
     """
-    if lim_s is None:
-        lim_s = direct_limit(s)
-    if lim_t is None:
-        lim_t = direct_limit(t)
+    lim_s, lim_t = lims.direct(s), lims.direct(t)
     fwd = sigma_map(s.fam, t.fam, psi, lim_s.carrier, lim_t.carrier)
     if all(is_embedding(psi.comps[i])[0] for i in s.index.elements):
         ok, witness_pair = is_embedding(fwd)
@@ -271,14 +268,10 @@ class CofinalIso:
     findings: list = field(default_factory=list)
 
 
-def cofinal_direct_iso(s, cof, lim=None, sub_lim=None, thread_bound=10_000):
+def cofinal_direct_iso(s, cof, lims):
     """Mutually inverse morphisms between the limit and its cofinal restriction."""
-    sub_index = induced_order(s.index, cof)
-    sub = restrict_spectrum(s, cof, sub_index)
-    if lim is None:
-        lim = direct_limit(s, cap=thread_bound)
-    if sub_lim is None:
-        sub_lim = direct_limit(sub, cap=thread_bound)
+    sub = restrict_spectrum(s, cof)
+    lim, sub_lim = lims.direct(s), lims.direct(sub)
 
     fwd_table = {}
     for token in sub_lim.carrier.elements:
@@ -312,19 +305,13 @@ class ProductLimitResult:
     findings: list = field(default_factory=list)
 
 
-def product_limit_bijection(s, t, prod=None, lim_s=None, lim_t=None,
-                            thread_bound=10_000):
+def product_limit_bijection(s, t, lims):
     """The limit of a product spectrum against the product of the limits."""
     from .spectra import product_spectrum
     from .topology import product_space
 
-    if prod is None:
-        prod, _ = product_spectrum(s, t)
-    lim_prod = direct_limit(prod, cap=thread_bound)
-    if lim_s is None:
-        lim_s = direct_limit(s, cap=thread_bound)
-    if lim_t is None:
-        lim_t = direct_limit(t, cap=thread_bound)
+    prod, _ = product_spectrum(s, t)
+    lim_prod, lim_s, lim_t = lims.direct(prod), lims.direct(s), lims.direct(t)
     pair_space, pr1, pr2 = product_space(lim_s.space, lim_t.space)
     findings = []
 
@@ -441,6 +428,33 @@ def _limit_of_choices(s, choices):
     return InverseLimit(s, carrier, assignments, space_obj, sources, by_key)
 
 
+class Limits:
+    """The limit of each spectrum, built the first time it is asked for.
+
+    Every limit a check needs comes from here: a declared spectrum's, and
+    those of the spectra a check derives from it (a cofinal restriction, a
+    product, an induced morphism-space spectrum), each direct one under the
+    one thread bound.  Limits are keyed by spectrum identity.  A build that
+    raises is not kept: every check that needs the limit meets the bound
+    again and reports its own error.
+    """
+
+    def __init__(self, thread_bound=10_000):
+        self.thread_bound = thread_bound
+        self._direct = {}
+        self._inverse = {}
+
+    def direct(self, s):
+        if s not in self._direct:
+            self._direct[s] = direct_limit(s, cap=self.thread_bound)
+        return self._direct[s]
+
+    def inverse(self, s):
+        if s not in self._inverse:
+            self._inverse[s] = inverse_limit(s)
+        return self._inverse[s]
+
+
 def top_determinacy_check(lim):
     """Every top element pulls back to a compatible choice, as in
     `inverse_limit`.
@@ -547,15 +561,12 @@ def limit_projections_cone(lim):
     return Cone(lim.space, legs)
 
 
-def inverse_limit_map(s, t, psi, lim_s=None, lim_t=None):
+def inverse_limit_map(s, t, psi, lims):
     """The induced map of inverse limits, componentwise.
 
     When every component embeds, the induced map is checked to embed too.
     """
-    if lim_s is None:
-        lim_s = inverse_limit(s)
-    if lim_t is None:
-        lim_t = inverse_limit(t)
+    lim_s, lim_t = lims.inverse(s), lims.inverse(t)
     table = {}
     for tok, a in lim_s.assignments.items():
         image = {i: psi.comps[i](a[i]) for i in s.index.elements}
@@ -581,15 +592,11 @@ def inverse_limit_map(s, t, psi, lim_s=None, lim_t=None):
     return fwd, witness
 
 
-def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None):
+def cofinal_inverse_iso(s, cof, lims):
     """Mutually inverse morphisms between an inverse limit and its cofinal
     restriction: restriction in one direction, transport fill-in in the other."""
-    sub_index = induced_order(s.index, cof)
-    sub = restrict_spectrum(s, cof, sub_index)
-    if lim is None:
-        lim = inverse_limit(s)
-    if sub_lim is None:
-        sub_lim = inverse_limit(sub)
+    sub = restrict_spectrum(s, cof)
+    lim, sub_lim = lims.inverse(s), lims.inverse(sub)
     findings = []
 
     fwd_table = {}
@@ -609,7 +616,7 @@ def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None):
 
     bwd_table = {}
     for tok, a in lim.assignments.items():
-        restricted = {j: a[cof.embed(j)] for j in sub_index.elements}
+        restricted = {j: a[cof.embed(j)] for j in sub.index.elements}
         target = sub_lim.token_of(restricted)
         if target is None:
             findings.append(Finding("restriction", (tok,)))
@@ -621,18 +628,13 @@ def cofinal_inverse_iso(s, cof, lim=None, sub_lim=None):
     return _cofinal_iso(lim, sub_lim, forward, backward)
 
 
-def product_inverse_morphism(s, t, prod=None, lim_s=None, lim_t=None):
+def product_inverse_morphism(s, t, lims):
     """Pairing of compatible choices into the product spectrum's limit."""
     from .spectra import product_spectrum
     from .topology import product_space
 
-    if prod is None:
-        prod, _ = product_spectrum(s, t)
-    if lim_s is None:
-        lim_s = inverse_limit(s)
-    if lim_t is None:
-        lim_t = inverse_limit(t)
-    lim_prod = inverse_limit(prod)
+    prod, _ = product_spectrum(s, t)
+    lim_s, lim_t, lim_prod = lims.inverse(s), lims.inverse(t), lims.inverse(prod)
     pair_space, pr1, pr2 = product_space(lim_s.space, lim_t.space)
     findings = []
 

@@ -147,15 +147,13 @@ def _first_upper_bounds(elements, pairs):
     return upper
 
 
-def make_directed(base, order_pairs, closure=True, upper=None, delta=None):
-    """Build a DirectedIndex; upper-bound witnesses are the first common
-    upper bound in carrier order when absent."""
+def make_directed(base, order_pairs, closure=True):
+    """Build a DirectedIndex whose upper-bound witnesses are the first
+    common upper bound in carrier order."""
     if not isinstance(base, Setoid):
         base = make_setoid(base)
     pairs = _close_order(base, order_pairs) if closure else frozenset(order_pairs)
-    if upper is None:
-        upper = _first_upper_bounds(base.elements, pairs)
-    return DirectedIndex(base, pairs, dict(upper), dict(delta) if delta else None)
+    return DirectedIndex(base, pairs, _first_upper_bounds(base.elements, pairs))
 
 
 def validate_directed(D):

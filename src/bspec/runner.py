@@ -29,13 +29,12 @@ from .families import (
     validate_direct_family,
 )
 from .limits import (
+    Limits,
     NonUnique,
     cocone_mediator,
     cofinal_direct_iso,
     cofinal_inverse_iso,
     cone_mediator,
-    direct_limit,
-    inverse_limit,
     limit_legs_cocone,
     limit_map,
     limit_projections_cone,
@@ -62,39 +61,17 @@ class RunConfig:
     seed: int = 0
 
 
-class SuiteLimits:
-    """The limit of each spectrum, built the first time a check needs it.
-
-    One lives for one run_suite call, so a document run again (under the
-    same or another config) builds its limits again.  A build that raises
-    is not kept: every check that needs the limit meets the bound again
-    and reports its own error.
-    """
-
-    def __init__(self, config):
-        self.config = config
-        self._direct = {}
-        self._inverse = {}
-
-    def direct(self, s):
-        if s not in self._direct:
-            self._direct[s] = direct_limit(s, cap=self.config.thread_bound)
-        return self._direct[s]
-
-    def inverse(self, s):
-        if s not in self._inverse:
-            self._inverse[s] = inverse_limit(s)
-        return self._inverse[s]
-
-
 def run_suite(doc, suite_name=None, config=None):
-    """Run one suite (or a synthesized default) over an elaborated document."""
+    """Run one suite (or a synthesized default) over an elaborated document.
+
+    The checks share one Limits for this call only, so a document run
+    again (under the same or another config) builds its limits again."""
     config = config or RunConfig()
     if config.thread_bound <= 0 or config.uniq_bound <= 0:
         raise ConfigError("bounds must be positive")
     env = elaborate(doc)
     report = Report()
-    lims = SuiteLimits(config)
+    lims = Limits(config.thread_bound)
     checks = _suite_checks(doc, suite_name)
     for suite, kind, args, line in checks:
         runner = CHECKS.get(kind)
@@ -325,26 +302,18 @@ def _report_universal(report, suite, name, mediate, commutes):
 def check_functoriality(env, args, config, report, suite, lims):
     name = _one_arg(args, "functoriality")
     s = env.spectrum(name)
+    build, induced_map = ((lims.direct, limit_map) if s.direction == COVARIANT
+                          else (lims.inverse, inverse_limit_map))
+    lim = build(s)
     ident = identity_spectrum_map(s)
     bad = []
-    if s.direction == COVARIANT:
-        lim = lims.direct(s)
-        fwd, _ = limit_map(s, s, ident, lim, lim)
-        if not all(lim.carrier.eq(fwd(t), t) for t in lim.carrier.elements):
-            bad.append(Finding("identity"))
-        twice = compose_spectrum_maps(s, s, s, ident, ident)
-        fwd2, _ = limit_map(s, s, twice, lim, lim)
-        if not fn_equal(fwd2, fwd):
-            bad.append(Finding("composition"))
-    else:
-        lim = lims.inverse(s)
-        fwd, _ = inverse_limit_map(s, s, ident, lim, lim)
-        if not all(lim.carrier.eq(fwd(t), t) for t in lim.carrier.elements):
-            bad.append(Finding("identity"))
-        twice = compose_spectrum_maps(s, s, s, ident, ident)
-        fwd2, _ = inverse_limit_map(s, s, twice, lim, lim)
-        if not fn_equal(fwd2, fwd):
-            bad.append(Finding("composition"))
+    fwd, _ = induced_map(s, s, ident, lims)
+    if not all(lim.carrier.eq(fwd(t), t) for t in lim.carrier.elements):
+        bad.append(Finding("identity"))
+    twice = compose_spectrum_maps(s, s, s, ident, ident)
+    fwd2, _ = induced_map(s, s, twice, lims)
+    if not fn_equal(fwd2, fwd):
+        bad.append(Finding("composition"))
     report.add(suite, f"functoriality.{name}", bad)
 
 
@@ -357,11 +326,8 @@ def check_cofinal(env, args, config, report, suite, lims):
     d_name, cof = env.cofinals[args[1]]
     report.add(suite, f"cofinal.{args[1]}.moduli",
                validate_cofinal(s.index, cof))
-    if s.direction == COVARIANT:
-        iso = cofinal_direct_iso(s, cof, lim=lims.direct(s),
-                                 thread_bound=config.thread_bound)
-    else:
-        iso = cofinal_inverse_iso(s, cof, lim=lims.inverse(s))
+    iso_of = cofinal_direct_iso if s.direction == COVARIANT else cofinal_inverse_iso
+    iso = iso_of(s, cof, lims)
     round_trip = [f for f in iso.findings if f.law.startswith("round-trip")]
     rest = [f for f in iso.findings if not f.law.startswith("round-trip")]
     report.add(suite, f"cofinal.{args[0]}.round-trips", round_trip)
@@ -376,30 +342,25 @@ def check_product(env, args, config, report, suite, lims):
     if s.direction != t.direction:
         raise ConfigError("product factors must share a direction")
     if s.direction == COVARIANT:
-        res = product_limit_bijection(s, t, lim_s=lims.direct(s),
-                                      lim_t=lims.direct(t),
-                                      thread_bound=config.thread_bound)
+        res = product_limit_bijection(s, t, lims)
         count = [f for f in res.findings if f.law == "class-count"]
         rest = [f for f in res.findings if f.law != "class-count"]
         report.add(suite, f"product.{args[0]}x{args[1]}.bijection", rest)
         report.add(suite, f"product.{args[0]}x{args[1]}.class-count", count,
                    witness=tuple(str(c) for c in res.counts))
     else:
-        res = product_inverse_morphism(s, t, lim_s=lims.inverse(s),
-                                       lim_t=lims.inverse(t))
+        res = product_inverse_morphism(s, t, lims)
         report.add(suite, f"product.{args[0]}x{args[1]}.pairing", res.findings,
                    witness=tuple(str(c) for c in res.counts))
 
 
-def _build_pools(env, pool_name, config, shape_hint=None):
+def _build_pools(env, pool_name):
     if pool_name not in env.pools:
         raise UnresolvedReference(f"no pool named {pool_name!r}")
     desc = env.pools[pool_name]
     s = env.spectrum(desc["spectrum"])
     fixed = env.space(desc["space"])
-    if desc["search"] != "auto":
-        raise ConfigError("only search: auto pools are supported")
-    hom_into = (desc["shape"] != "hom-out-of-fixed")
+    hom_into = desc["shape"] == "hom-into-fixed"
     pools = {}
     for i in s.index.elements:
         if hom_into:
@@ -411,10 +372,8 @@ def _build_pools(env, pool_name, config, shape_hint=None):
 
 def check_duality(env, args, config, report, suite, lims):
     name = _one_arg(args, "duality")
-    s, fixed, pools = _build_pools(env, name, config)
-    # over a spectrum of the wrong direction the duality raises its own error
-    lim = lims.direct(s) if s.direction == COVARIANT else None
-    res = duality_direct_to_inverse(s, fixed, pools, lim=lim)
+    s, fixed, pools = _build_pools(env, name)
+    res = duality_direct_to_inverse(s, fixed, pools, lims)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     embed = [f for f in res.findings if f.law == "embedding"]
     rest = [f for f in res.findings
@@ -428,9 +387,8 @@ def check_duality(env, args, config, report, suite, lims):
 
 def check_duality2(env, args, config, report, suite, lims):
     name = _one_arg(args, "duality2")
-    s, fixed, pools = _build_pools(env, name, config)
-    lim = lims.inverse(s) if s.direction == CONTRAVARIANT else None
-    res = duality_inverse_hom(s, fixed, pools, lim=lim)
+    s, fixed, pools = _build_pools(env, name)
+    res = duality_inverse_hom(s, fixed, pools, lims)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     rest = [f for f in res.findings if not f.law.startswith("round-trip")]
     card = str(res.hom_pool.setoid.class_count()) if res.hom_pool else "?"
@@ -441,10 +399,9 @@ def check_duality2(env, args, config, report, suite, lims):
 
 def check_converse_duals(env, args, config, report, suite, lims):
     name = _one_arg(args, "converse-duals")
-    s, fixed, pools = _build_pools(env, name, config)
+    s, fixed, pools = _build_pools(env, name)
     if s.direction == CONTRAVARIANT:
-        res = converse_dual_inverse(s, fixed, pools, lim=lims.inverse(s),
-                                    thread_bound=config.thread_bound)
+        res = converse_dual_inverse(s, fixed, pools, lims)
         report.add(suite, f"converse.{name}.morphism", res.findings)
         if res.hypothesis_holds:
             report.add(suite, f"converse.{name}.embedding", [])
@@ -453,8 +410,7 @@ def check_converse_duals(env, args, config, report, suite, lims):
                        witness=("hypothesis fails at "
                                 + ",".join(map(str, res.hypothesis_witness)),))
     else:
-        res = converse_dual_direct(s, fixed, pools, lim=lims.direct(s),
-                                   thread_bound=config.thread_bound)
+        res = converse_dual_direct(s, fixed, pools, lims)
         report.add(suite, f"converse.{name}.morphism", res.findings)
 
 

@@ -174,7 +174,7 @@ def constant_spectrum(index, sp, pool=(0, 1), direction=COVARIANT):
     return Spectrum(fam, subbases, certs, tuple(Fraction(q) for q in pool))
 
 
-def validate_spectrum(s, check_composition=True):
+def validate_spectrum(s):
     findings = [f for f in validate_direct_family(s.fam)]
     for i in s.index.elements:
         if i not in s.subbases:
@@ -191,7 +191,7 @@ def validate_spectrum(s, check_composition=True):
             findings.append(Finding("edge-witness-missing", (i, j)))
             continue
         findings += check_morphism_as("edge", src, dst, w, (i, j))
-    if findings or not check_composition:
+    if findings:
         return findings
     # Composite edges also validate when their certificates are assembled by
     # lifting through an intermediate index.
@@ -494,10 +494,9 @@ def check_induced_square(s, t, psi, edge):
     return True
 
 
-def restrict_spectrum(s, cof, sub_index=None):
+def restrict_spectrum(s, cof):
     """The spectrum reindexed along a cofinal subset's embedding."""
-    if sub_index is None:
-        sub_index = induced_order(s.index, cof)
+    sub_index = induced_order(s.index, cof)
     h = make_fn(sub_index.base, s.index.base, cof.embed.table())
     fam = restrict_family(s.fam, sub_index, h)
     subbases = {j: s.subbases[cof.embed(j)] for j in sub_index.elements}

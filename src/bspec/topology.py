@@ -376,7 +376,10 @@ class CertReport:
             self.findings = []
 
 
-def validate_certificate(sp, f, c, ulim_allowed=True, ulim_max=8):
+ULIM_MAX = 8  # most witnesses a uniform-limit node may list
+
+
+def validate_certificate(sp, f, c, ulim_allowed=True):
     """Check a derivation is well-formed and concludes exactly f."""
     findings = []
     witnessed = False
@@ -392,7 +395,7 @@ def validate_certificate(sp, f, c, ulim_allowed=True, ulim_max=8):
             if not ns:
                 findings.append(Finding("ulim-empty"))
                 return
-            if len(ns) > ulim_max:
+            if len(ns) > ULIM_MAX:
                 findings.append(Finding("ulim-depth", (len(ns),)))
             for expected, n in enumerate(ns, start=1):
                 if n != expected:

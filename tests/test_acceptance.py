@@ -35,6 +35,7 @@ from bspec.fixtures import (
     x2_space,
 )
 from bspec.limits import (
+    Limits,
     cocone_mediator,
     cofinal_direct_iso,
     cofinal_inverse_iso,
@@ -213,27 +214,29 @@ def test_criterion_4_functoriality():
     ok = True
     for _ in range(20):
         s, t, u, psi, xi = random_map_chain(rng)
-        lim_s, lim_t, lim_u = direct_limit(s), direct_limit(t), direct_limit(u)
-        ident, _ = limit_map(s, s, identity_spectrum_map(s), lim_s, lim_s)
+        lims = Limits()
+        lim_s = lims.direct(s)
+        ident, _ = limit_map(s, s, identity_spectrum_map(s), lims)
         ok = ok and all(
             lim_s.carrier.eq(ident(a), a) for a in lim_s.carrier.elements)
-        f_psi, _ = limit_map(s, t, psi, lim_s, lim_t)
-        f_xi, _ = limit_map(t, u, xi, lim_t, lim_u)
+        f_psi, _ = limit_map(s, t, psi, lims)
+        f_xi, _ = limit_map(t, u, xi, lims)
         both = compose_spectrum_maps(s, t, u, psi, xi)
-        f_both, _ = limit_map(s, u, both, lim_s, lim_u)
+        f_both, _ = limit_map(s, u, both, lims)
         ok = ok and fn_equal(f_both, compose(f_psi, f_xi))
         if not ok:
             break
     for _ in range(20):
         s, t, u, psi, xi = random_map_chain(rng, direction=CONTRAVARIANT)
-        lim_s, lim_t, lim_u = inverse_limit(s), inverse_limit(t), inverse_limit(u)
-        ident, _ = inverse_limit_map(s, s, identity_spectrum_map(s), lim_s, lim_s)
+        lims = Limits()
+        lim_s = lims.inverse(s)
+        ident, _ = inverse_limit_map(s, s, identity_spectrum_map(s), lims)
         ok = ok and all(
             lim_s.carrier.eq(ident(a), a) for a in lim_s.carrier.elements)
-        f_psi, _ = inverse_limit_map(s, t, psi, lim_s, lim_t)
-        f_xi, _ = inverse_limit_map(t, u, xi, lim_t, lim_u)
+        f_psi, _ = inverse_limit_map(s, t, psi, lims)
+        f_xi, _ = inverse_limit_map(t, u, xi, lims)
         both = compose_spectrum_maps(s, t, u, psi, xi)
-        f_both, _ = inverse_limit_map(s, u, both, lim_s, lim_u)
+        f_both, _ = inverse_limit_map(s, u, both, lims)
         ok = ok and fn_equal(f_both, compose(f_psi, f_xi))
         if not ok:
             break
@@ -247,20 +250,20 @@ def test_criterion_5_cofinality():
         ok = ok and validate_cofinal(eo_index(m), eo_cofinal(m)) == []
     for m in (1, 2):
         s = constant_spectrum(eo_index(m), x2_space(), (0, 1))
-        iso = cofinal_direct_iso(s, eo_cofinal(m))
+        iso = cofinal_direct_iso(s, eo_cofinal(m), Limits())
         ok = ok and iso.findings == []
         s2 = constant_spectrum(eo_index(m), x2_space(), (0, 1),
                                direction=CONTRAVARIANT)
-        iso2 = cofinal_inverse_iso(s2, eo_cofinal(m))
+        iso2 = cofinal_inverse_iso(s2, eo_cofinal(m), Limits())
         ok = ok and iso2.findings == []
     for _ in range(30):
         index, cof = random_cofinal_instance(rng)
         ok = ok and validate_cofinal(index, cof) == []
         s = random_spectrum(rng, index, COVARIANT)
-        iso = cofinal_direct_iso(s, cof)
+        iso = cofinal_direct_iso(s, cof, Limits())
         ok = ok and iso.findings == []
         s2 = random_spectrum(rng, index, CONTRAVARIANT)
-        iso2 = cofinal_inverse_iso(s2, cof)
+        iso2 = cofinal_inverse_iso(s2, cof, Limits())
         ok = ok and iso2.findings == []
         if not ok:
             break
@@ -317,7 +320,7 @@ def test_criterion_7_products():
     for _ in range(5):
         pairs.append((random_spectrum(rng), random_spectrum(rng)))
     for s, t in pairs:
-        res = product_limit_bijection(s, t)
+        res = product_limit_bijection(s, t, Limits())
         ok = ok and res.findings == []
         ok = ok and res.counts[0] == res.counts[1] * res.counts[2]
         if not ok:
@@ -330,7 +333,7 @@ def test_criterion_7_products():
         contra.append((random_spectrum(rng, direction=CONTRAVARIANT),
                        random_spectrum(rng, direction=CONTRAVARIANT)))
     for s, t in contra:
-        res = product_inverse_morphism(s, t)
+        res = product_inverse_morphism(s, t, Limits())
         ok = ok and res.findings == []
         if not ok:
             break
@@ -343,20 +346,20 @@ def test_criterion_8_duality():
 
     s = constant_cspec()
     pools = {i: enumerate_morphisms(sp, sp) for i in s.index.elements}
-    res = duality_direct_to_inverse(s, sp, pools)
+    res = duality_direct_to_inverse(s, sp, pools, Limits())
     ok = ok and res.findings == []
 
     s2 = cspec()
     pools2 = {i: enumerate_morphisms(s2.space(i), sp) for i in s2.index.elements}
-    res2 = duality_direct_to_inverse(s2, sp, pools2)
+    res2 = duality_direct_to_inverse(s2, sp, pools2, Limits())
     ok = ok and res2.findings == []
 
     contra = constant_spectrum(chain3(), sp, (0, 1), CONTRAVARIANT)
     pools3 = {i: enumerate_morphisms(sp, sp) for i in contra.index.elements}
-    res3 = duality_inverse_hom(contra, sp, pools3)
+    res3 = duality_inverse_hom(contra, sp, pools3, Limits())
     ok = ok and res3.findings == []
 
-    res4 = converse_dual_inverse(contra, sp, pools3)
+    res4 = converse_dual_inverse(contra, sp, pools3, Limits())
     ok = ok and res4.findings == [] and res4.hypothesis_holds \
         and res4.embedding_checked
 
@@ -384,12 +387,12 @@ def test_criterion_8_duality():
     one = space(discrete(["o"]), [rconst(discrete(["o"]), 0)], ["c"])
     pools5 = {i: enumerate_morphisms(gapped.space(i), one)
               for i in gapped.index.elements}
-    res5 = converse_dual_inverse(gapped, one, pools5)
+    res5 = converse_dual_inverse(gapped, one, pools5, Limits())
     ok = ok and res5.findings == [] and res5.hypothesis_holds is False \
         and not res5.embedding_checked
 
     pools6 = {i: enumerate_morphisms(sp, sp) for i in s.index.elements}
-    res6 = converse_dual_direct(s, sp, pools6)
+    res6 = converse_dual_direct(s, sp, pools6, Limits())
     ok = ok and res6.findings == []
     _conclude("criterion-8 duality", ok)
 

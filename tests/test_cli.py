@@ -132,6 +132,22 @@ def test_reserved_characters_are_refused_with_their_line(block, ch):
     assert err.value.line == 3 and repr(ch) in str(err.value)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("shape: hom-out-of-fixed", "shape: hom-out-of-fix"),
+    ("search: auto", "search: manual"),
+])
+def test_odd_pool_lines_are_refused_with_their_line(tmp_path, capsys, old, new):
+    # a misspelled shape was read as hom-into-fixed, and an unknown search
+    # failed the checks naming the pool instead of refusing the document
+    text = next(p for p in FIXTURES if p.stem == "constant").read_text()
+    line = text.splitlines().index(f"  {old}") + 1
+    doc = tmp_path / "odd.bsp"
+    doc.write_text(text.replace(old, new, 1))
+    assert main(["check", str(doc)]) == 2
+    key, value = new.split(": ")
+    assert f"bspec: {line}:0: unknown {key} {value!r}" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["check", "/nonexistent/nope.bsp"]) == 2
 

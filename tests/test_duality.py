@@ -17,6 +17,7 @@ from bspec.duality import (
     precompose_action,
     postcompose_action,
 )
+from bspec.limits import Limits
 from bspec.setoid import compose, discrete, fn_equal, identity, make_fn
 from bspec.spectra import constant_spectrum, validate_spectrum
 from bspec.topology import (
@@ -148,7 +149,7 @@ def test_duality_principle_constant_spectrum():
     s = constant_cspec()
     sp = x2_space()
     pools = {i: enumerate_morphisms(sp, sp) for i in s.index.elements}
-    res = duality_direct_to_inverse(s, sp, pools)
+    res = duality_direct_to_inverse(s, sp, pools, Limits())
     assert res.findings == []
     assert res.hom_pool.setoid.class_count() == 4
 
@@ -157,7 +158,7 @@ def test_duality_principle_one_point_fixed():
     s = cspec()
     one = one_point_space()
     pools = {i: enumerate_morphisms(s.space(i), one) for i in s.index.elements}
-    res = duality_direct_to_inverse(s, one, pools)
+    res = duality_direct_to_inverse(s, one, pools, Limits())
     assert res.findings == []
     assert res.hom_pool.setoid.class_count() == 1
 
@@ -166,7 +167,7 @@ def test_duality_principle_cspec_01_pool():
     s = cspec()
     sp = x2_space()
     pools = {i: enumerate_morphisms(s.space(i), sp) for i in s.index.elements}
-    res = duality_direct_to_inverse(s, sp, pools)
+    res = duality_direct_to_inverse(s, sp, pools, Limits())
     assert res.findings == []
     # both sides are in bijection, so cardinalities agree
     assert res.hom_pool.setoid.class_count() == len(res.to_hom.dom.elements)
@@ -180,7 +181,7 @@ def test_second_duality_constant_spectrum():
     sp = x2_space()
     s = _contra_constant(sp)
     pools = {i: enumerate_morphisms(sp, sp) for i in s.index.elements}
-    res = duality_inverse_hom(s, sp, pools)
+    res = duality_inverse_hom(s, sp, pools, Limits())
     assert res.findings == []
     assert res.hom_pool.setoid.class_count() == 4
 
@@ -190,7 +191,7 @@ def test_second_duality_one_point_fixed():
     s = _contra_constant(sp)
     one = one_point_space()
     pools = {i: enumerate_morphisms(one, sp) for i in s.index.elements}
-    res = duality_inverse_hom(s, one, pools)
+    res = duality_inverse_hom(s, one, pools, Limits())
     assert res.findings == []
     # one side is the inverse-limit carrier itself (two constant choices)
     assert res.hom_pool.setoid.class_count() == 2
@@ -200,7 +201,7 @@ def test_converse_dual_inverse_constant():
     sp = x2_space()
     s = _contra_constant(sp)
     pools = {i: enumerate_morphisms(sp, sp) for i in s.index.elements}
-    res = converse_dual_inverse(s, sp, pools)
+    res = converse_dual_inverse(s, sp, pools, Limits())
     assert res.findings == []
     assert res.hypothesis_holds is True
     assert res.embedding_checked
@@ -232,7 +233,7 @@ def test_converse_dual_inverse_hypothesis_fails():
     assert validate_spectrum(s) == []
     one = one_point_space()
     pools = {i: enumerate_morphisms(s.space(i), one) for i in s.index.elements}
-    res = converse_dual_inverse(s, one, pools)
+    res = converse_dual_inverse(s, one, pools, Limits())
     assert res.findings == []  # morphism property still verified
     assert res.hypothesis_holds is False
     assert res.hypothesis_witness == ("0", "b")
@@ -243,7 +244,7 @@ def test_converse_dual_direct_constant():
     sp = x2_space()
     s = constant_cspec()
     pools = {i: enumerate_morphisms(sp, sp) for i in s.index.elements}
-    res = converse_dual_direct(s, sp, pools)
+    res = converse_dual_direct(s, sp, pools, Limits())
     assert res.findings == []
 
 
@@ -251,7 +252,7 @@ def test_converse_dual_direct_one_point_fixed():
     s = cspec()
     one = one_point_space()
     pools = {i: enumerate_morphisms(one, s.space(i)) for i in s.index.elements}
-    res = converse_dual_direct(s, one, pools)
+    res = converse_dual_direct(s, one, pools, Limits())
     assert res.findings == []
 
 

@@ -15,7 +15,7 @@ import pytest
 from bspec import duality, limits, spectra, topology
 from bspec.families import CONTRAVARIANT
 from bspec.fixtures import chain3, constant_cspec, cspec, eo_cofinal, eo_index, x2_space
-from bspec.limits import LimitError, IllFormedCocone, direct_limit, inverse_limit
+from bspec.limits import LimitError, IllFormedCocone, Limits, direct_limit
 from bspec.spectra import SpectrumError, constant_spectrum, identity_spectrum_map
 from bspec.topology import CConst
 
@@ -48,11 +48,14 @@ def miss(monkeypatch, prefix, n=0, wrong=False):
 
 def skew(monkeypatch, module, pick):
     """module.make_fn sends the first class of a picked map's domain where
-    the map sends its last class."""
+    the map sends its last class; returns the list of the (domain, codomain)
+    pairs it skewed, filled as it does."""
     real = module.make_fn
+    fired = []
 
     def fake(dom, cod, mapping, check=True):
         if pick(dom, cod):
+            fired.append((dom, cod))
             mapping = dict(mapping)
             classes = dom.classes()
             for a in classes[0]:
@@ -60,13 +63,13 @@ def skew(monkeypatch, module, pick):
         return real(dom, cod, mapping, check)
 
     monkeypatch.setattr(module, "make_fn", fake)
+    return fired
 
 
 def _cofinal_direct():
     s = constant_spectrum(eo_index(1), x2_space(), (0, 1))
-    cof = eo_cofinal(1)
-    sub = spectra.restrict_spectrum(s, cof)
-    return s, cof, direct_limit(s), direct_limit(sub)
+    lims = Limits()
+    return s, eo_cofinal(1), lims, lims.direct(s)
 
 
 def _contra(index):
@@ -75,9 +78,8 @@ def _contra(index):
 
 def _cofinal_inverse():
     s = _contra(eo_index(1))
-    cof = eo_cofinal(1)
-    sub = spectra.restrict_spectrum(s, cof)
-    return s, cof, inverse_limit(s), inverse_limit(sub)
+    lims = Limits()
+    return s, eo_cofinal(1), lims, lims.inverse(s)
 
 
 def _pools(s, src_of, dst_of):
@@ -99,9 +101,9 @@ def _pools(s, src_of, dst_of):
 ])
 def test_cofinal_iso_certificate_paths(monkeypatch, build, iso, prefix, n, wrong,
                                        expected):
-    s, cof, lim, sub_lim = build()
+    s, cof, lims, _ = build()
     miss(monkeypatch, prefix, n=n, wrong=wrong)
-    assert laws(iso(s, cof, lim=lim, sub_lim=sub_lim).findings) == expected
+    assert laws(iso(s, cof, lims).findings) == expected
 
 
 @pytest.mark.parametrize("build, iso, skewed, expected", [
@@ -117,12 +119,12 @@ def test_cofinal_iso_certificate_paths(monkeypatch, build, iso, prefix, n, wrong
      [("round-trip", ("p&p&p",)), ("round-trip-subset", ("p&p",))]),
 ])
 def test_cofinal_iso_round_trip(monkeypatch, build, iso, skewed, expected):
-    s, cof, lim, sub_lim = build()
-    ends = (lim.carrier, sub_lim.carrier)
-    if skewed == "forward":
-        ends = ends[::-1]
-    skew(monkeypatch, limits, lambda dom, cod: (dom, cod) == ends)
-    assert laws(iso(s, cof, lim=lim, sub_lim=sub_lim).findings) == expected
+    s, cof, lims, lim = build()
+    # backward runs from the limit to the restriction's, forward into it
+    end = 0 if skewed == "backward" else 1
+    fired = skew(monkeypatch, limits, lambda *ends: ends[end] is lim.carrier)
+    assert laws(iso(s, cof, lims).findings) == expected
+    assert len(fired) == 1
 
 
 # --- dualities ---------------------------------------------------------------
@@ -175,7 +177,7 @@ def test_duality_certificate_paths(monkeypatch, build, dual, prefix, n, wrong,
                                    expected):
     s, sp, pools = build()
     miss(monkeypatch, prefix, n=n, wrong=wrong)
-    assert laws(dual(s, sp, pools).findings) == expected
+    assert laws(dual(s, sp, pools, Limits()).findings) == expected
 
 
 @pytest.mark.parametrize("build, dual, pick, expected", [
@@ -189,15 +191,16 @@ def test_duality_certificate_paths(monkeypatch, build, dual, prefix, n, wrong,
 def test_duality_round_trip(monkeypatch, build, dual, pick, expected):
     s, sp, pools = build()
     skew(monkeypatch, duality, pick)
-    assert laws(dual(s, sp, pools).findings) == expected
+    assert laws(dual(s, sp, pools, Limits()).findings) == expected
 
 
 def test_iso_findings_keep_their_order(monkeypatch):
-    s, cof, lim, sub_lim = _cofinal_direct()
+    s, cof, lims, lim = _cofinal_direct()
     with monkeypatch.context() as m:
-        skew(m, limits, lambda dom, cod: dom is lim.carrier and cod is sub_lim.carrier)
+        fired = skew(m, limits, lambda dom, cod: dom is lim.carrier)
         miss(m, "thr", n=0)
-        found = laws(limits.cofinal_direct_iso(s, cof, lim=lim, sub_lim=sub_lim).findings)
+        found = laws(limits.cofinal_direct_iso(s, cof, lims).findings)
+    assert len(fired) == 1
     assert found == [
         ("round-trip", ("0@p",)), ("round-trip", ("1@p",)), ("round-trip", ("2@p",)),
         ("round-trip-subset", ("0@p",)), ("round-trip-subset", ("2@p",)),
@@ -205,7 +208,7 @@ def test_iso_findings_keep_their_order(monkeypatch):
     s, sp, pools = _duality_direct()
     skew(monkeypatch, duality, _to_hom)
     miss(monkeypatch, "ev[", n=0)
-    assert laws(duality.duality_direct_to_inverse(s, sp, pools).findings) == (
+    assert laws(duality.duality_direct_to_inverse(s, sp, pools, Limits()).findings) == (
         _TO_HOM_SKEWED + [("from-hom-cert", (0,))])
 
 
@@ -223,13 +226,13 @@ def test_product_limit_bijection_certificate_paths(monkeypatch, prefix, n, wrong
                                                    expected):
     s = constant_cspec()
     miss(monkeypatch, prefix, n=n, wrong=wrong)
-    assert laws(limits.product_limit_bijection(s, s).findings) == expected
+    assert laws(limits.product_limit_bijection(s, s, Limits()).findings) == expected
 
 
 def test_product_limit_bijection_not_injective(monkeypatch):
     s = constant_cspec()
     skew(monkeypatch, limits, _skew_pairs)
-    assert laws(limits.product_limit_bijection(s, s).findings) == [
+    assert laws(limits.product_limit_bijection(s, s, Limits()).findings) == [
         ("injective", ("(0,0)@(p,p)", "(0,0)@(q,q)")), ("surjective", ())]
 
 
@@ -241,7 +244,7 @@ def test_product_inverse_morphism_certificate_paths(monkeypatch, prefix, n, wron
                                                     expected):
     s = _contra(chain3())
     miss(monkeypatch, prefix, n=n, wrong=wrong)
-    assert laws(limits.product_inverse_morphism(s, s).findings) == expected
+    assert laws(limits.product_inverse_morphism(s, s, Limits()).findings) == expected
 
 
 # --- converse duals ------------------------------------------------------------
@@ -254,7 +257,7 @@ def test_product_inverse_morphism_certificate_paths(monkeypatch, prefix, n, wron
 def test_converse_dual_inverse_paths(monkeypatch, prefix, n, wrong, expected):
     s, sp, pools = _duality_inverse()
     miss(monkeypatch, prefix, n=n, wrong=wrong)
-    assert laws(duality.converse_dual_inverse(s, sp, pools).findings) == expected
+    assert laws(duality.converse_dual_inverse(s, sp, pools, Limits()).findings) == expected
 
 
 @pytest.mark.parametrize("n, wrong, expected", [
@@ -264,17 +267,18 @@ def test_converse_dual_inverse_paths(monkeypatch, prefix, n, wrong, expected):
 def test_converse_dual_direct_paths(monkeypatch, n, wrong, expected):
     s, sp, pools = _duality_direct()
     miss(monkeypatch, "thr", n=n, wrong=wrong)
-    assert laws(duality.converse_dual_direct(s, sp, pools).findings) == expected
+    assert laws(duality.converse_dual_direct(s, sp, pools, Limits()).findings) == expected
 
 
 # --- callers that raise on a miss ------------------------------------------------
 
 def test_inverse_limit_map_raises_on_a_miss(monkeypatch):
     s = _contra(chain3())
-    lim = inverse_limit(s)
+    lims = Limits()
+    lims.inverse(s)
     miss(monkeypatch, "proj[", n=0)
     with pytest.raises(LimitError, match="no certificate for a pulled-back projection"):
-        limits.inverse_limit_map(s, s, identity_spectrum_map(s), lim, lim)
+        limits.inverse_limit_map(s, s, identity_spectrum_map(s), lims)
 
 
 def test_cocone_mediator_raises_on_a_miss(monkeypatch):

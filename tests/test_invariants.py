@@ -18,6 +18,7 @@ from bspec.families import (
 )
 from bspec.fixtures import chain3, collapse_family, constant_cspec, x2_space
 from bspec.limits import (
+    Limits,
     common_representatives,
     direct_limit,
     inverse_limit_map,
@@ -69,14 +70,12 @@ def test_limit_map_embedding_propagation():
     for _ in range(5):
         s = random_spectrum(rng)
         t, incl = thicken_spectrum(rng, s)
-        lim_s = direct_limit(s)
-        lim_t = direct_limit(t)
-        fwd, _ = limit_map(s, t, incl, lim_s, lim_t)  # raises if not embedding
+        fwd, _ = limit_map(s, t, incl, Limits())  # raises if not embedding
         assert is_embedding(fwd)[0]
     for _ in range(5):
         s = random_spectrum(rng, direction=CONTRAVARIANT)
         t, incl = thicken_spectrum(rng, s)
-        fwd, _ = inverse_limit_map(s, t, incl)
+        fwd, _ = inverse_limit_map(s, t, incl, Limits())
         assert is_embedding(fwd)[0]
 
 
@@ -228,7 +227,7 @@ def test_second_duality_over_product_index():
     one = space(discrete(["o"]), [rconst(discrete(["o"]), 0)], ["c"])
     pools = {ij: enumerate_morphisms(one, prod.space(ij))
              for ij in prod.index.elements}
-    res = duality_inverse_hom(prod, one, pools)
+    res = duality_inverse_hom(prod, one, pools, Limits())
     assert res.findings == []
 
 
@@ -236,7 +235,7 @@ def test_cofinal_iso_over_product_index():
     # componentwise cofinal subset of a product order, exercised through
     # the full restriction-and-isomorphism pipeline
     from bspec.fixtures import eo_cofinal, eo_index, x2_space
-    from bspec.limits import cofinal_direct_iso
+    from bspec.limits import Limits, cofinal_direct_iso
     from bspec.order import product_cofinal, product_order
     from bspec.spectra import constant_spectrum
 
@@ -245,5 +244,5 @@ def test_cofinal_iso_over_product_index():
     prod = product_order(d, d)
     pc = product_cofinal(d, c, d, c)
     s = constant_spectrum(prod, x2_space(), (0, 1))
-    iso = cofinal_direct_iso(s, pc)
+    iso = cofinal_direct_iso(s, pc, Limits())
     assert iso.findings == []

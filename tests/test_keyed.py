@@ -23,7 +23,7 @@ from bspec.families import (
     sum_equality_laws_hold,
     validate_direct_family,
 )
-from bspec.limits import cocone_mediator, direct_limit
+from bspec.limits import Limits, cocone_mediator, direct_limit
 from bspec.order import (
     DirectedIndex,
     _close_order,
@@ -313,15 +313,15 @@ def test_compatible_threads_are_not_validated_again(monkeypatch):
     limits_ = [direct_limit(s) for s, _ in cases]
     env = elaborate(parse((ROOT / "fixtures" / "constant.bsp").read_text()))
     config = runner.RunConfig()
-    s, fixed, pools = runner._build_pools(env, "PDUAL", config)
-    lim = direct_limit(s)
+    s, fixed, pools = runner._build_pools(env, "PDUAL")
+    lims = Limits()
+    lims.direct(s)
     monkeypatch.setattr(spectra, "validate_thread", _refuse)
     for (s_c, cocone), lim_c in zip(cases, limits_):
         assert cocone_mediator(s_c, lim_c, cocone).h is not None
-    assert duality_direct_to_inverse(s, fixed, pools, lim=lim).findings == []
+    assert duality_direct_to_inverse(s, fixed, pools, lims).findings == []
     report = Report()
-    runner.check_limit_direct(env, ("CONST",), config, report, "t",
-                              runner.SuiteLimits(config))
+    runner.check_limit_direct(env, ("CONST",), config, report, "t", Limits())
     assert [r.status for r in report.records] == ["pass", "pass"]
 
 

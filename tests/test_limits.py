@@ -15,6 +15,7 @@ from bspec.limits import (
     Cocone,
     Cone,
     IllFormedCocone,
+    Limits,
     cocone_mediator,
     cofinal_direct_iso,
     cofinal_inverse_iso,
@@ -135,15 +136,16 @@ def test_ill_formed_cocone_rejected():
 
 def test_limit_map_identity_and_composition():
     s = constant_cspec()
-    lim = direct_limit(s)
+    lims = Limits()
+    lim = lims.direct(s)
     ident = identity_spectrum_map(s)
-    fwd, w = limit_map(s, s, ident, lim, lim)
+    fwd, w = limit_map(s, s, ident, lims)
     for tok in lim.carrier.elements:
         assert lim.carrier.eq(fwd(tok), tok)
     assert w is not None
     assert check_morphism(lim.space, lim.space, w) == []
     composed = compose_spectrum_maps(s, s, s, ident, ident)
-    fwd2, _ = limit_map(s, s, composed, lim, lim)
+    fwd2, _ = limit_map(s, s, composed, lims)
     assert fn_equal(fwd2, fwd)
 
 
@@ -158,7 +160,7 @@ def test_limit_map_collapse():
     }
     conts = {i: {0: CConst(Fraction(0))} for i in s.index.elements}
     psi = SpectrumMap(comps, conts)
-    fwd, w = limit_map(s, tsp, psi)
+    fwd, w = limit_map(s, tsp, psi, Limits())
     assert w is not None
 
 
@@ -177,7 +179,7 @@ def test_cofinal_direct_identity_subset():
 
     s = constant_cspec()
     cof = CofinalSubset(s.index.base, sid(s.index.base), sid(s.index.base))
-    iso = cofinal_direct_iso(s, cof)
+    iso = cofinal_direct_iso(s, cof, Limits())
     assert iso.findings == []
     for tok in iso.forward.dom.elements:
         assert iso.forward.cod.eq(iso.forward(tok), tok)
@@ -186,26 +188,26 @@ def test_cofinal_direct_identity_subset():
 def test_cofinal_direct_eo1():
     d = eo_index(1)
     sp = constant_spectrum(d, x2_space(), (0, 1))
-    iso = cofinal_direct_iso(sp, eo_cofinal(1))
+    iso = cofinal_direct_iso(sp, eo_cofinal(1), Limits())
     assert iso.findings == []
 
 
 def test_cofinal_direct_collapse_style():
     s = cspec()
-    iso = cofinal_direct_iso(s, eo_cofinal(1))
+    iso = cofinal_direct_iso(s, eo_cofinal(1), Limits())
     assert iso.findings == []
 
 
 def test_product_limit_bijection_constant():
     s = constant_cspec()
-    res = product_limit_bijection(s, s)
+    res = product_limit_bijection(s, s, Limits())
     assert res.findings == []
     assert res.counts == (4, 2, 2)
 
 
 def test_product_limit_bijection_cspec():
     s = cspec()
-    res = product_limit_bijection(s, s)
+    res = product_limit_bijection(s, s, Limits())
     assert res.findings == []
     assert res.counts == (1, 1, 1)
 
@@ -315,14 +317,15 @@ def test_cone_mediator_constant_spectrum():
 
 def test_inverse_limit_map_identity_and_functoriality():
     sp = _reversed_collapse_spectrum()
-    lim = inverse_limit(sp)
+    lims = Limits()
+    lim = lims.inverse(sp)
     ident = identity_spectrum_map(sp)
-    fwd, w = inverse_limit_map(sp, sp, ident, lim, lim)
+    fwd, w = inverse_limit_map(sp, sp, ident, lims)
     for tok in lim.carrier.elements:
         assert lim.carrier.eq(fwd(tok), tok)
     assert w is not None
     composed = compose_spectrum_maps(sp, sp, sp, ident, ident)
-    fwd2, _ = inverse_limit_map(sp, sp, composed, lim, lim)
+    fwd2, _ = inverse_limit_map(sp, sp, composed, lims)
     assert fn_equal(fwd2, fwd)
 
 
@@ -332,16 +335,16 @@ def test_cofinal_inverse_identity_and_eo():
 
     sp = _reversed_collapse_spectrum()
     cof = CofinalSubset(sp.index.base, sid(sp.index.base), sid(sp.index.base))
-    iso = cofinal_inverse_iso(sp, cof)
+    iso = cofinal_inverse_iso(sp, cof, Limits())
     assert iso.findings == []
     d = eo_index(1)
     s2 = constant_spectrum(d, x2_space(), (0, 1), direction=CONTRAVARIANT)
-    iso2 = cofinal_inverse_iso(s2, eo_cofinal(1))
+    iso2 = cofinal_inverse_iso(s2, eo_cofinal(1), Limits())
     assert iso2.findings == []
 
 
 def test_product_inverse_morphism_constant():
     s = constant_spectrum(chain3(), x2_space(), (0, 1), direction=CONTRAVARIANT)
-    res = product_inverse_morphism(s, s)
+    res = product_inverse_morphism(s, s, Limits())
     assert res.findings == []
     assert res.counts[0] == res.counts[1] * res.counts[2] == 4

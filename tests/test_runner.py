@@ -7,7 +7,7 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
-from bspec import duality, limits, runner
+from bspec import limits, runner
 from bspec.dsl import parse
 from bspec.limits import NonUnique
 from bspec.report import emit_report
@@ -168,19 +168,23 @@ def test_thread_bound_reaches_direct_limits_built_inside_other_checks():
 def _count_limit_builds(monkeypatch):
     """Count every direct and inverse limit built, wherever it is built
     from; returns the counts per spectrum, weak references to the limits
-    built, in order, and the environments the runner elaborated."""
-    built, made, envs = Counter(), [], []
-    for name in ("direct_limit", "inverse_limit"):
-        original = getattr(limits, name)
+    built, in order, the environments the runner elaborated, and the
+    (spectrum, thread bound) of each direct build, None for a build that
+    was given no bound."""
+    built, made, envs, caps = Counter(), [], [], []
+    direct, inverse = limits.direct_limit, limits.inverse_limit
 
-        def counted(s, *args, _build=original, **kwargs):
-            built[s] += 1
-            lim = _build(s, *args, **kwargs)
-            made.append(weakref.ref(lim))
-            return lim
+    def counted(s, lim):
+        built[s] += 1
+        made.append(weakref.ref(lim))
+        return lim
 
-        for module in (runner, limits, duality):
-            monkeypatch.setattr(module, name, counted)
+    def direct_counted(s, cap=None):
+        caps.append((s, cap))
+        return counted(s, direct(s) if cap is None else direct(s, cap=cap))
+
+    monkeypatch.setattr(limits, "direct_limit", direct_counted)
+    monkeypatch.setattr(limits, "inverse_limit", lambda s: counted(s, inverse(s)))
     elaborate = runner.elaborate
 
     def recorded(*args, **kwargs):
@@ -188,14 +192,14 @@ def _count_limit_builds(monkeypatch):
         return envs[-1]
 
     monkeypatch.setattr(runner, "elaborate", recorded)
-    return built, made, envs
+    return built, made, envs, caps
 
 
 def test_each_declared_spectrum_gets_one_limit_per_suite(monkeypatch):
     # built by each check on its own, the limit of CSPEC would be built 6
     # times and that of REV 8 times
     for fixture in ("cspec.bsp", "inverse.bsp"):
-        built, _, envs = _count_limit_builds(monkeypatch)
+        built, _, envs, _ = _count_limit_builds(monkeypatch)
         run_suite(parse((INVERSE.parent / fixture).read_text()))
         declared = envs[-1].spectra.values()
         assert declared and all(built[s] == 1 for s in declared), fixture
@@ -207,7 +211,7 @@ def test_each_declared_spectrum_gets_one_limit_per_suite(monkeypatch):
 def test_two_suite_runs_share_no_limit(monkeypatch):
     # nothing keeps a limit once its run_suite call returns, so a second
     # run of the same parsed document builds every limit again
-    _, made, envs = _count_limit_builds(monkeypatch)
+    _, made, envs, _ = _count_limit_builds(monkeypatch)
     doc = parse(INVERSE.read_text())
     run_suite(doc)
     first = len(made)
@@ -216,3 +220,38 @@ def test_two_suite_runs_share_no_limit(monkeypatch):
     assert first > 0 and all(ref() is None for ref in made)
     run_suite(doc)
     assert len(made) == 2 * first
+
+
+def test_every_direct_limit_is_built_under_the_configured_bound(monkeypatch):
+    # the declared spectra's limits and those of the spectra a check
+    # derives: the product (constant, cspec), the cofinal restriction (eo1,
+    # eo2) and the induced morphism-space spectra of the converse duals
+    # (constant, inverse)
+    derived = {"constant.bsp": 2, "cspec.bsp": 1, "eo1.bsp": 1, "eo2.bsp": 1,
+               "inverse.bsp": 1}
+    for fixture, count in derived.items():
+        _, _, envs, caps = _count_limit_builds(monkeypatch)
+        report = run_suite(parse((INVERSE.parent / fixture).read_text()), None,
+                           RunConfig(thread_bound=777))
+        assert not report.failed, fixture
+        assert caps and {cap for _, cap in caps} == {777}, fixture
+        declared = set(envs[-1].spectra.values())
+        assert sum(s not in declared for s, _ in caps) == count, fixture
+
+
+def _suite_of(text, check):
+    """text with its suite replaced by one running the single check."""
+    return text[:text.index("suite main {")] + f"suite main {{\n  check: {check}\n}}\n"
+
+
+def test_a_duality_over_the_wrong_direction_reports_its_own_error():
+    # PCONV is over the contravariant REV, PCONVERSE over the covariant
+    # CONST: the duality refuses the spectrum before any limit is built
+    for fixture, check, error in [
+            ("inverse.bsp", "duality PCONV",
+             "error (shape needs a covariant source spectrum)"),
+            ("constant.bsp", "duality2 PCONVERSE",
+             "error (shape needs a contravariant source spectrum)")]:
+        text = _suite_of((INVERSE.parent / fixture).read_text(), check)
+        kind = check.split()[0]
+        assert _checks(text) == [(f"{kind}.run", "fail", [error])]
