@@ -31,11 +31,15 @@ KERNEL_ERRORS = (SetoidError, OrderError, FamilyError, TopologyError,
 
 def _add_common(p):
     p.add_argument("file", help="document to load")
-    p.add_argument("--thread-bound", type=int, default=10_000)
-    p.add_argument("--uniq-bound", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", metavar="PATH",
                    help="also write the report as JSON to PATH ('-' for stdout)")
+
+
+def _add_suite(p):
+    _add_common(p)
+    p.add_argument("--uniq-bound", type=int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--suite", help="suite block to run (default: all)")
 
 
 def build_parser():
@@ -44,9 +48,7 @@ def build_parser():
         description="verify finite spectra: limits, cofinality, duality")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="run a suite of checks")
-    _add_common(p_check)
-    p_check.add_argument("--suite", help="suite block to run (default: all)")
+    _add_suite(sub.add_parser("check", help="run a suite of checks"))
 
     p_limit = sub.add_parser("limit", help="compute a limit and export it")
     _add_common(p_limit)
@@ -61,15 +63,12 @@ def build_parser():
     group.add_argument("--duality", metavar="POOL")
     p_iso.add_argument("--spectrum", help="spectrum name (with --cofinal)")
 
-    p_report = sub.add_parser("report", help="run a suite and write JSON")
-    _add_common(p_report)
-    p_report.add_argument("--suite", help="suite block to run (default: all)")
+    _add_suite(sub.add_parser("report", help="run a suite and write JSON"))
     return parser
 
 
 def _config(args):
-    return RunConfig(thread_bound=args.thread_bound,
-                     uniq_bound=args.uniq_bound, seed=args.seed)
+    return RunConfig(uniq_bound=args.uniq_bound, seed=args.seed)
 
 
 def _emit(report, args):
@@ -128,7 +127,7 @@ def cmd_limit(args):
     name = args.direct or args.inverse
     t0 = time.perf_counter()
     s = env.spectrum(name)
-    lims = Limits(args.thread_bound)
+    lims = Limits()
     lim = lims.direct(s) if args.direct else lims.inverse(s)
     report.add("limit", f"limit.{name}.build", [],
                witness=(f"classes={lim.class_count()}",),
@@ -141,7 +140,7 @@ def cmd_iso(args):
     doc = _load(args)
     env = elaborate(doc)
     report = Report()
-    lims = Limits(args.thread_bound)
+    lims = Limits()
     if args.cofinal:
         if not args.spectrum:
             raise ConfigError("--cofinal needs --spectrum")
@@ -161,7 +160,7 @@ def cmd_iso(args):
     else:
         from .runner import check_duality
 
-        check_duality(env, (args.duality,), _config(args), report, "iso", lims)
+        check_duality(env, (args.duality,), RunConfig(), report, "iso", lims)
     return _emit(report, args)
 
 

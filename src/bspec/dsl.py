@@ -403,8 +403,7 @@ def elaborate(doc):
         eq_stmt = b.one("equal")
         if eq_stmt:
             eq_pairs = parse_pairs(eq_stmt.value, "~", eq_stmt)
-        empty_stmt = b.one("empty")
-        empty = empty_stmt is not None and empty_stmt.value.strip() == "true"
+        empty = b.one_of("empty", ("false", "true")) == "true"
         out.setoids[b.name] = make_setoid(elements, eq_pairs, empty=empty)
 
     for b in doc.of_kind("directed"):
@@ -412,9 +411,8 @@ def elaborate(doc):
         elements = parse_element_names(elements_stmt)
         order_stmt = b.one("order")
         pairs = parse_pairs(order_stmt.value, "<=", order_stmt) if order_stmt else []
-        closure_stmt = b.one("closure")
-        closure = closure_stmt is None or closure_stmt.value.strip() == "auto"
-        out.directeds[b.name] = make_directed(elements, pairs, closure=closure)
+        b.one_of("closure", ("auto",))  # the order is always closed
+        out.directeds[b.name] = make_directed(elements, pairs)
 
     for b in doc.of_kind("family"):
         index_stmt = b.one("index", required=True)

@@ -428,16 +428,6 @@ def sum_equality_laws_hold(F):
     return True
 
 
-def plain_sum_setoid(F):
-    els = sum_elements(F)
-    pairs = set()
-    for a in els:
-        for b in els:
-            if sigma_equality_plain(F, *a, *b):
-                pairs.add((a, b))
-    return Setoid(tuple(els), frozenset(pairs))
-
-
 def direct_sum_setoid(F):
     """The disjoint union with the transport-agreement equality.
 
@@ -506,20 +496,14 @@ def identity_family_map(F):
     return FamilyMap({i: identity(F.carrier(i)) for i in F.index.elements})
 
 
-def embed_at(F, i, sum_s=None):
+def embed_at(F, i, sum_s):
     """The tagging map of one carrier into the disjoint union."""
-    if sum_s is None:
-        sum_s = direct_sum_setoid(F) if isinstance(F, DirectFamily) else plain_sum_setoid(F)
     return make_fn(F.carrier(i), sum_s,
                    {x: Tag((i, x)) for x in F.carrier(i).elements})
 
 
-def sigma_map(src, dst, m, sum_src=None, sum_dst=None):
+def sigma_map(src, dst, m, sum_src, sum_dst):
     """The induced map on disjoint unions, (i, x) -> (i, m_i(x))."""
-    if sum_src is None:
-        sum_src = direct_sum_setoid(src) if isinstance(src, DirectFamily) else plain_sum_setoid(src)
-    if sum_dst is None:
-        sum_dst = direct_sum_setoid(dst) if isinstance(dst, DirectFamily) else plain_sum_setoid(dst)
     table = {}
     for a in sum_src.elements:
         i, x = a

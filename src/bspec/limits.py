@@ -110,12 +110,12 @@ class DirectLimit:
         return [cls[0] for cls in self.carrier.classes()]
 
 
-def direct_limit(s, cap=10_000):
+def direct_limit(s):
     """Quotient carrier plus the factored thread topology."""
     if s.direction != COVARIANT:
         raise LimitError("direct limit needs a covariant spectrum")
     carrier = direct_sum_setoid(s.fam)
-    space_obj, threads, gen_threads = sum_space(s, None, cap, carrier)
+    space_obj, threads, gen_threads = sum_space(s, carrier)
     return DirectLimit(s, carrier, threads, space_obj, gen_threads)
 
 
@@ -433,20 +433,18 @@ class Limits:
 
     Every limit a check needs comes from here: a declared spectrum's, and
     those of the spectra a check derives from it (a cofinal restriction, a
-    product, an induced morphism-space spectrum), each direct one under the
-    one thread bound.  Limits are keyed by spectrum identity.  A build that
-    raises is not kept: every check that needs the limit meets the bound
-    again and reports its own error.
+    product, an induced morphism-space spectrum).  Limits are keyed by
+    spectrum identity.  A build that raises is not kept: every check that
+    needs the limit meets the error again and reports it.
     """
 
-    def __init__(self, thread_bound=10_000):
-        self.thread_bound = thread_bound
+    def __init__(self):
         self._direct = {}
         self._inverse = {}
 
     def direct(self, s):
         if s not in self._direct:
-            self._direct[s] = direct_limit(s, cap=self.thread_bound)
+            self._direct[s] = direct_limit(s)
         return self._direct[s]
 
     def inverse(self, s):

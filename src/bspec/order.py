@@ -147,12 +147,12 @@ def _first_upper_bounds(elements, pairs):
     return upper
 
 
-def make_directed(base, order_pairs, closure=True):
+def make_directed(base, order_pairs):
     """Build a DirectedIndex whose upper-bound witnesses are the first
     common upper bound in carrier order."""
     if not isinstance(base, Setoid):
         base = make_setoid(base)
-    pairs = _close_order(base, order_pairs) if closure else frozenset(order_pairs)
+    pairs = _close_order(base, order_pairs)
     return DirectedIndex(base, pairs, _first_upper_bounds(base.elements, pairs))
 
 

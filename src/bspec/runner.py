@@ -56,7 +56,6 @@ class ConfigError(Exception):
 
 @dataclass(kw_only=True)
 class RunConfig:
-    thread_bound: int = 10_000
     uniq_bound: int = 1_000_000
     seed: int = 0
 
@@ -67,11 +66,11 @@ def run_suite(doc, suite_name=None, config=None):
     The checks share one Limits for this call only, so a document run
     again (under the same or another config) builds its limits again."""
     config = config or RunConfig()
-    if config.thread_bound <= 0 or config.uniq_bound <= 0:
+    if config.uniq_bound <= 0:
         raise ConfigError("bounds must be positive")
     env = elaborate(doc)
     report = Report()
-    lims = Limits(config.thread_bound)
+    lims = Limits()
     checks = _suite_checks(doc, suite_name)
     for suite, kind, args, line in checks:
         runner = CHECKS.get(kind)

@@ -336,12 +336,11 @@ def check_extensional(f):
     return (True, None) if bad is None else (False, bad)
 
 
-def make_fn(dom, cod, mapping, check=True):
+def make_fn(dom, cod, mapping):
     f = SetoidFn(dom, cod, mapping)
-    if check:
-        ok, witness = check_extensional(f)
-        if not ok:
-            raise NotExtensional(f"map not extensional at {witness}")
+    ok, witness = check_extensional(f)
+    if not ok:
+        raise NotExtensional(f"map not extensional at {witness}")
     return f
 
 

@@ -51,10 +51,6 @@ class IncompatibleThread(SpectrumError):
     pass
 
 
-class ThreadBoundExceeded(SpectrumError):
-    pass
-
-
 @dataclass(eq=False)
 class Spectrum:
     """A direct family with a subbase at each index and a certificate dict
@@ -250,7 +246,7 @@ def validate_thread(s, t, check_certs=True):
     return findings
 
 
-def enumerate_threads(s, cap=10_000):
+def enumerate_threads(s):
     """All compatible choices over a covariant spectrum whose components are
     generators or constants from the declared pool.
 
@@ -263,7 +259,7 @@ def enumerate_threads(s, cap=10_000):
     equations tie are collected once, so the threads returned pass
     `validate_thread`.  They come ordered by their candidates' positions,
     read in index order, which is the order a backtracking search along
-    the index finds them in; `cap` bounds the top candidates tried.
+    the index finds them in.
     """
     from .topology import CConst, rconst
 
@@ -294,11 +290,7 @@ def enumerate_threads(s, cap=10_000):
         if via != at_top[i]:
             tied.update(zip(via, at_top[i]))
     chosen = set()
-    for n, (g, _) in enumerate(candidates[t], 1):
-        if n > cap:
-            raise ThreadBoundExceeded(
-                f"enumerate_threads visited more than thread_bound={cap} "
-                "candidates")
+    for g, _ in candidates[t]:
         v = g.values
         if any(v[a] != v[b] for a, b in tied):
             continue
@@ -310,7 +302,7 @@ def enumerate_threads(s, cap=10_000):
             for pos in sorted(chosen)]
 
 
-def thread_to_sum_function(s, t, sum_s=None):
+def thread_to_sum_function(s, t, sum_s):
     """The function (i, x) -> component-at-i applied to x, on the direct sum.
 
     Compatibility of the components makes it constant on sum classes; the
@@ -319,8 +311,6 @@ def thread_to_sum_function(s, t, sum_s=None):
     findings = validate_thread(s, t, check_certs=False)
     if findings:
         raise IncompatibleThread(str(findings[0]))
-    if sum_s is None:
-        sum_s = direct_sum_setoid(s.fam)
     return sum_function(t, sum_s)
 
 
@@ -333,7 +323,7 @@ def sum_function(t, sum_s):
     return RFun(sum_s, values)
 
 
-def sum_space(s, threads=None, cap=10_000, sum_s=None):
+def sum_space(s, sum_s, threads=None):
     """The direct-sum carrier topologized by the thread functions.
 
     Returns the space, the threads, and for each generator the position of
@@ -344,9 +334,7 @@ def sum_space(s, threads=None, cap=10_000, sum_s=None):
         raise SpectrumError("sum space is built over a covariant spectrum")
     given = threads is not None
     if not given:
-        threads = enumerate_threads(s, cap)
-    if sum_s is None:
-        sum_s = direct_sum_setoid(s.fam)
+        threads = enumerate_threads(s)
     gens, names, gen_threads, seen = [], [], [], set()
     for n, t in enumerate(threads):
         if given:
@@ -442,13 +430,13 @@ def pullback_thread(s, t, psi, thread_over_t):
     return pulled
 
 
-def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None, cap=10_000):
+def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None):
     """The tagging maps and the induced sum map are morphisms for the sum
     topologies: tagging pulls a thread function back to the thread's own
     component, and the sum map pulls one back to the pulled-back thread."""
     findings = []
     sum_src = direct_sum_setoid(s.fam)
-    space_s, threads_s, _ = sum_space(s, threads_s, cap, sum_src)
+    space_s, threads_s, _ = sum_space(s, sum_src, threads_s)
     # sum_space has validated the threads it was given; each tagging map
     # pulls a thread function back to the thread's own component, so it
     # carries that component's certificate
@@ -467,7 +455,7 @@ def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None, cap=10_000):
         findings.append(Finding("not-continuous", ()))
         return findings
     sum_dst = direct_sum_setoid(t.fam)
-    space_t, threads_t, _ = sum_space(t, threads_t, cap, sum_dst)
+    space_t, threads_t, _ = sum_space(t, sum_dst, threads_t)
     smap = sigma_map(s.fam, t.fam, psi, sum_src, sum_dst)
     for h_obj in threads_t:
         g = sum_function(h_obj, sum_dst)

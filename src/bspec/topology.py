@@ -379,7 +379,7 @@ class CertReport:
 ULIM_MAX = 8  # most witnesses a uniform-limit node may list
 
 
-def validate_certificate(sp, f, c, ulim_allowed=True):
+def validate_certificate(sp, f, c):
     """Check a derivation is well-formed and concludes exactly f."""
     findings = []
     witnessed = False
@@ -388,9 +388,6 @@ def validate_certificate(sp, f, c, ulim_allowed=True):
         nonlocal witnessed
         if isinstance(node, CULim):
             witnessed = True
-            if not ulim_allowed:
-                findings.append(Finding("ulim-not-allowed"))
-                return
             ns = [n for n, _ in node.witnesses]
             if not ns:
                 findings.append(Finding("ulim-empty"))

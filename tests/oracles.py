@@ -23,7 +23,7 @@ from bspec.families import (
 from bspec.limits import NonUnique, _limit_of_choices
 from bspec.report import Finding
 from bspec.order import NotDirected
-from bspec.spectra import Thread, ThreadBoundExceeded
+from bspec.spectra import Thread
 from bspec.setoid import (
     SetoidFn,
     compose,
@@ -472,6 +472,10 @@ def find_scan(mc, fn):
     return None
 
 
+class BacktrackingBoundExceeded(Exception):
+    """The backtracking oracle tried more candidates than its cap."""
+
+
 def enumerate_threads_backtracking(s, cap=10_000):
     """spectra.enumerate_threads before threads were read off the top
     component: all compatible choices whose components are generators or
@@ -481,7 +485,8 @@ def enumerate_threads_backtracking(s, cap=10_000):
     Every order pair that `validate_thread` checks is checked here: the
     reflexive pair (i, i) when a candidate at i is listed, every other
     pair when the later of its two indices is assigned.  So the threads
-    returned pass `validate_thread`.
+    returned pass `validate_thread`.  The search is exponential in the
+    index, so `cap` bounds the candidates it tries.
     """
     els = list(s.index.elements)
     els.sort(key=lambda i: sum(1 for j in els if s.index.leq(j, i)))
@@ -535,9 +540,8 @@ def enumerate_threads_backtracking(s, cap=10_000):
         for f, c in candidates[i]:
             visited += 1
             if visited > cap:
-                raise ThreadBoundExceeded(
-                    f"enumerate_threads visited more than thread_bound={cap} "
-                    "candidates")
+                raise BacktrackingBoundExceeded(
+                    f"backtracking tried more than {cap} candidates")
             if compatible(assigned, i, f):
                 assigned[i] = f
                 certs[i] = c

@@ -24,6 +24,7 @@ from bspec.families import (
     COVARIANT,
     direct_sum_equality,
     direct_sum_equality_exhaustive,
+    direct_sum_setoid,
     sum_elements,
 )
 from bspec.fixtures import (
@@ -150,10 +151,9 @@ def test_criterion_2_thread_functions_descend_to_classes():
         spectra.append(random_spectrum(rng))
     ok = True
     for s in spectra:
-        carrier = None
+        carrier = direct_sum_setoid(s.fam)
         for t in enumerate_threads(s):
-            f = thread_to_sum_function(s, t)
-            carrier = f.carrier
+            f = thread_to_sum_function(s, t, carrier)
             for a in carrier.elements:
                 for b in carrier.elements:
                     if carrier.eq(a, b) and f(a) != f(b):

@@ -1,9 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from bspec.cli import main
+from bspec.cli import build_parser, main
 from bspec.report import Report, emit_report
 
 FIXTURES = sorted(Path(__file__).resolve().parent.parent.glob("fixtures/*.bsp"))
@@ -297,8 +298,45 @@ def test_cert_depth_flag_is_refused(capsys):
 
 def test_bad_bounds_rejected(capsys):
     path = next(p for p in FIXTURES if p.stem == "eo1")
-    assert main(["check", str(path), "--thread-bound", "0"]) == 2
+    assert main(["check", str(path), "--uniq-bound", "0"]) == 2
     assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("limit fixtures/inverse.bsp --inverse REV --thread-bound -3 --uniq-bound -1"
+     " --seed 9", "--thread-bound"),
+    ("iso fixtures/inverse.bsp --cofinal EVENS --spectrum REV --uniq-bound -1",
+     "--uniq-bound"),
+    ("check fixtures/eo1.bsp --thread-bound 1", "--thread-bound"),
+    ("report fixtures/eo1.bsp --thread-bound 1", "--thread-bound"),
+])
+def test_flags_a_subcommand_does_not_read_are_refused(capsys, argv, flag):
+    # threads are read off the top index in one pass, so no bound caps
+    # them; limit and iso run no uniqueness search and draw no random
+    # family, so they take no --uniq-bound or --seed
+    root = FIXTURES[0].parent.parent
+    args = argv.split()
+    args[1] = str(root / args[1])
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    parser = build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {name: sorted(opt for a in p._actions for opt in a.option_strings
+                          if opt not in ("-h", "--help"))
+             for name, p in subs.items()}
+    suite = ["--json", "--seed", "--suite", "--uniq-bound"]
+    assert flags == {
+        "check": suite,
+        "report": suite,
+        "limit": ["--direct", "--inverse", "--json"],
+        "iso": ["--cofinal", "--duality", "--json", "--spectrum"],
+    }
 
 
 def test_invalid_content_rejected_cleanly(tmp_path, capsys):

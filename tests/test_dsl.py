@@ -251,3 +251,28 @@ suite main {
         ("spectrum.S.edge-witnesses", "fail"),
         ("spectrum.S.composite-witnesses", "pass")]
     assert "ulim-table at q" in str(records[0].witness)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("  elements: p, q\n", "  elements: p, q\n  empty: maybe\n"),
+    ("  closure: auto\n", "  closure: none\n"),
+], ids=["empty", "closure"])
+def test_odd_setoid_and_directed_lines_are_refused_with_their_line(
+        tmp_path, capsys, old, new):
+    # `empty: maybe` was read as false, and any closure but auto left the
+    # order unclosed, so the index failed with an unrelated missing bound
+    from bspec.cli import main
+
+    text = (FIXTURES[0].parent / "constant.bsp").read_text().replace(old, new, 1)
+    odd = new.splitlines()[-1]
+    line = text.splitlines().index(odd) + 1
+    doc = tmp_path / "odd.bsp"
+    doc.write_text(text)
+    assert main(["check", str(doc)]) == 2
+    key, value = odd.strip().split(": ")
+    assert f"bspec: {line}:0: unknown {key} {value!r}" in capsys.readouterr().err
+
+
+def test_empty_true_elaborates_an_empty_setoid():
+    env = elaborate(parse("setoid E {\n  elements:\n  empty: true\n}\n"))
+    assert len(env.setoids["E"]) == 0

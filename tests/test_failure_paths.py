@@ -53,14 +53,14 @@ def skew(monkeypatch, module, pick):
     real = module.make_fn
     fired = []
 
-    def fake(dom, cod, mapping, check=True):
+    def fake(dom, cod, mapping):
         if pick(dom, cod):
             fired.append((dom, cod))
             mapping = dict(mapping)
             classes = dom.classes()
             for a in classes[0]:
                 mapping[a] = mapping[classes[-1][0]]
-        return real(dom, cod, mapping, check)
+        return real(dom, cod, mapping)
 
     monkeypatch.setattr(module, "make_fn", fake)
     return fired

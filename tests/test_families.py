@@ -159,13 +159,14 @@ def test_family_map_and_sigma():
         for i in fam.index.elements
     }
     m = family_map(fam, const, comps)
-    sm = sigma_map(fam, const, m)
+    sm = sigma_map(fam, const, m, direct_sum_setoid(fam), direct_sum_setoid(const))
     assert sm(("0", "a")) == ("0", "z")
     ok, witness = all_components_embeddings(m)
     assert not ok  # the 0-component collapses a and b
     ident = identity_family_map(fam)
-    si = sigma_map(fam, fam, ident)
-    for el in direct_sum_setoid(fam).elements:
+    s = direct_sum_setoid(fam)
+    si = sigma_map(fam, fam, ident, s, s)
+    for el in s.elements:
         assert si(el) == el
 
 

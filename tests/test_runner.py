@@ -3,6 +3,7 @@ universal checks attribute their laws."""
 
 import gc
 import json
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -155,23 +156,13 @@ def test_bounds_reach_limits_built_inside_other_checks():
             ["uniqueness unbounded"]) in checks
 
 
-def test_thread_bound_reaches_direct_limits_built_inside_other_checks():
-    text = (INVERSE.parent / "constant.bsp").read_text()
-    runs = {law: witness
-            for law, status, witness in _checks(text, RunConfig(thread_bound=1))
-            if law.endswith(".run") and status == "fail"}
-    assert {"product.run", "duality.run", "converse-duals.run"} <= set(runs)
-    error = ["error (enumerate_threads visited more than thread_bound=1 candidates)"]
-    assert all(witness == error for witness in runs.values())
-
-
 def _count_limit_builds(monkeypatch):
     """Count every direct and inverse limit built, wherever it is built
     from; returns the counts per spectrum, weak references to the limits
     built, in order, the environments the runner elaborated, and the
-    (spectrum, thread bound) of each direct build, None for a build that
-    was given no bound."""
-    built, made, envs, caps = Counter(), [], [], []
+    (spectrum, builder) of each direct build: the `Limits` whose method
+    called `direct_limit`, None for a call from anywhere else."""
+    built, made, envs, owners = Counter(), [], [], []
     direct, inverse = limits.direct_limit, limits.inverse_limit
 
     def counted(s, lim):
@@ -179,9 +170,10 @@ def _count_limit_builds(monkeypatch):
         made.append(weakref.ref(lim))
         return lim
 
-    def direct_counted(s, cap=None):
-        caps.append((s, cap))
-        return counted(s, direct(s) if cap is None else direct(s, cap=cap))
+    def direct_counted(s):
+        caller = sys._getframe(1).f_locals.get("self")
+        owners.append((s, caller if isinstance(caller, limits.Limits) else None))
+        return counted(s, direct(s))
 
     monkeypatch.setattr(limits, "direct_limit", direct_counted)
     monkeypatch.setattr(limits, "inverse_limit", lambda s: counted(s, inverse(s)))
@@ -192,7 +184,7 @@ def _count_limit_builds(monkeypatch):
         return envs[-1]
 
     monkeypatch.setattr(runner, "elaborate", recorded)
-    return built, made, envs, caps
+    return built, made, envs, owners
 
 
 def test_each_declared_spectrum_gets_one_limit_per_suite(monkeypatch):
@@ -211,18 +203,19 @@ def test_each_declared_spectrum_gets_one_limit_per_suite(monkeypatch):
 def test_two_suite_runs_share_no_limit(monkeypatch):
     # nothing keeps a limit once its run_suite call returns, so a second
     # run of the same parsed document builds every limit again
-    _, made, envs, _ = _count_limit_builds(monkeypatch)
+    _, made, envs, owners = _count_limit_builds(monkeypatch)
     doc = parse(INVERSE.read_text())
     run_suite(doc)
     first = len(made)
     envs.clear()
+    owners.clear()
     gc.collect()
     assert first > 0 and all(ref() is None for ref in made)
     run_suite(doc)
     assert len(made) == 2 * first
 
 
-def test_every_direct_limit_is_built_under_the_configured_bound(monkeypatch):
+def test_every_direct_limit_comes_from_the_suites_one_limits(monkeypatch):
     # the declared spectra's limits and those of the spectra a check
     # derives: the product (constant, cspec), the cofinal restriction (eo1,
     # eo2) and the induced morphism-space spectra of the converse duals
@@ -230,13 +223,20 @@ def test_every_direct_limit_is_built_under_the_configured_bound(monkeypatch):
     derived = {"constant.bsp": 2, "cspec.bsp": 1, "eo1.bsp": 1, "eo2.bsp": 1,
                "inverse.bsp": 1}
     for fixture, count in derived.items():
-        _, _, envs, caps = _count_limit_builds(monkeypatch)
-        report = run_suite(parse((INVERSE.parent / fixture).read_text()), None,
-                           RunConfig(thread_bound=777))
+        _, _, envs, owners = _count_limit_builds(monkeypatch)
+        suite_lims = []
+
+        def suite_limits(real=limits.Limits):
+            suite_lims.append(real())
+            return suite_lims[-1]
+
+        monkeypatch.setattr(runner, "Limits", suite_limits)
+        report = run_suite(parse((INVERSE.parent / fixture).read_text()))
         assert not report.failed, fixture
-        assert caps and {cap for _, cap in caps} == {777}, fixture
+        assert len(suite_lims) == 1, fixture
+        assert owners and {lims for _, lims in owners} == set(suite_lims), fixture
         declared = set(envs[-1].spectra.values())
-        assert sum(s not in declared for s, _ in caps) == count, fixture
+        assert sum(s not in declared for s, _ in owners) == count, fixture
 
 
 def _suite_of(text, check):
@@ -255,3 +255,38 @@ def test_a_duality_over_the_wrong_direction_reports_its_own_error():
         text = _suite_of((INVERSE.parent / fixture).read_text(), check)
         kind = check.split()[0]
         assert _checks(text) == [(f"{kind}.run", "fail", [error])]
+
+
+def test_threads_are_not_capped():
+    # one thread per pool constant: 10,001 of them, read off the top in one
+    # pass over its candidates
+    pool = ", ".join(map(str, range(10_001)))
+    text = f"""\
+setoid P {{
+  elements: p
+}}
+directed D {{
+  elements: 0, 1
+  order: 0 <= 1
+}}
+family F {{
+  index: D
+  direction: covariant
+  carrier 0: P
+  carrier 1: P
+  map 0 -> 1: p => p
+}}
+subbase SP {{
+  carrier: P
+}}
+spectrum S {{
+  family: F
+  space 0: SP
+  space 1: SP
+  pool: {pool}
+}}
+suite main {{
+  check: limit-direct S
+}}
+"""
+    assert ("limit.S.export", "pass", ["classes=1", "gens=10001"]) in _checks(text)

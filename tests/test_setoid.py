@@ -6,6 +6,7 @@ from bspec.setoid import (
     NotClassConstant,
     NotEquivalence,
     NotExtensional,
+    SetoidFn,
     check_extensional,
     compose,
     discrete,
@@ -54,7 +55,7 @@ def test_duplicate_and_empty_rejected():
 def test_extensionality_check():
     dom = make_setoid(["a", "b"], [("a", "b")])
     cod = discrete(["p", "q"])
-    f = make_fn(dom, cod, {"a": "p", "b": "q"}, check=False)
+    f = SetoidFn(dom, cod, {"a": "p", "b": "q"})
     ok, witness = check_extensional(f)
     assert not ok and set(witness) == {"a", "b"}
     with pytest.raises(NotExtensional):

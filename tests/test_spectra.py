@@ -11,7 +11,6 @@ from bspec.spectra import (
     Spectrum,
     SpectrumError,
     Thread,
-    ThreadBoundExceeded,
     check_induced_square,
     check_sum_morphisms,
     enumerate_threads,
@@ -100,19 +99,19 @@ def test_incompatible_thread_rejected():
         "2": rconst(s.fam.carrier("2"), 0),
     }
     with pytest.raises(IncompatibleThread):
-        thread_to_sum_function(s, Thread(funcs))
+        thread_to_sum_function(s, Thread(funcs), direct_sum_setoid(s.fam))
 
 
 def test_constant_thread_gives_constant_sum_function():
     s = cspec()
     t = Thread({i: rconst(s.fam.carrier(i), 5) for i in s.index.elements})
-    f = thread_to_sum_function(s, t)
+    f = thread_to_sum_function(s, t, direct_sum_setoid(s.fam))
     assert set(f.values.values()) == {Fraction(5)}
 
 
 def test_sum_space_carrier_and_gens():
     s = cspec()
-    sp, threads, _ = sum_space(s)
+    sp, threads, _ = sum_space(s, direct_sum_setoid(s.fam))
     assert sp.carrier.class_count() == 1
     # two constant threads give two generators (0 and 1)
     assert len(sp.gens) == 2
@@ -120,7 +119,7 @@ def test_sum_space_carrier_and_gens():
 
 def test_empty_thread_list_gives_empty_subbase():
     s = cspec()
-    sp, _, _ = sum_space(s, threads=[])
+    sp, _, _ = sum_space(s, direct_sum_setoid(s.fam), threads=[])
     assert sp.gens == ()
 
 
@@ -216,7 +215,7 @@ def test_product_spectrum_valid():
     assert validate_spectrum(prod) == []
     threads = enumerate_threads(prod)
     assert threads  # at least the pooled constants survive
-    sp, _, _ = sum_space(prod, threads)
+    sp, _, _ = sum_space(prod, direct_sum_setoid(prod.fam), threads)
     assert sp.carrier.class_count() == 4
 
 
@@ -224,7 +223,7 @@ def test_product_spectrum_cspec():
     s = cspec()
     prod, _ = product_spectrum(s, s)
     assert validate_spectrum(prod) == []
-    sp, _, _ = sum_space(prod)
+    sp, _, _ = sum_space(prod, direct_sum_setoid(prod.fam))
     assert sp.carrier.class_count() == 1
 
 
@@ -233,12 +232,6 @@ def test_sum_morphisms_flags_missing_continuity():
     bare = SpectrumMap(identity_spectrum_map(s).comps, None)
     findings = check_sum_morphisms(s, s, bare)
     assert any(f.law == "not-continuous" for f in findings)
-
-
-def test_thread_bound_exceeded():
-    s = constant_cspec()
-    with pytest.raises(ThreadBoundExceeded):
-        enumerate_threads(s, cap=1)
 
 
 def test_enumerated_threads_pass_validation_at_the_reflexive_pair():

@@ -18,7 +18,6 @@ from bspec.setoid import SetoidFn
 from bspec.spectra import (
     Spectrum,
     SpectrumError,
-    ThreadBoundExceeded,
     constant_spectrum,
     enumerate_threads,
     validate_thread,
@@ -107,14 +106,6 @@ def test_threads_over_a_contravariant_spectrum_are_refused():
     s = constant_spectrum(chain(2), x2_space(), direction="contravariant")
     with pytest.raises(SpectrumError):
         enumerate_threads(s)
-
-
-def test_the_cap_counts_top_candidates():
-    # the generator and the two pool constants are the three top candidates
-    s = constant_spectrum(chain(3), x2_space(), pool=(0, 1))
-    assert len(enumerate_threads(s, cap=3)) == 3
-    with pytest.raises(ThreadBoundExceeded, match="thread_bound=2 candidates"):
-        enumerate_threads(s, cap=2)
 
 
 def test_thread_order_follows_candidate_positions():
