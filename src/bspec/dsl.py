@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .families import COVARIANT, CONTRAVARIANT, make_direct_family, oriented
 from .order import CofinalSubset, make_directed
@@ -223,12 +224,18 @@ def parse_element_names(stmt):
     return names
 
 
+@lru_cache(maxsize=4096)
+def _rational(token):
+    """The Fraction a token spells; equal tokens share one object."""
+    if "/" in token:
+        num, den = token.split("/", 1)
+        return Fraction(int(num), int(den))
+    return Fraction(int(token))
+
+
 def parse_rational(token, stmt=None):
     try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(token))
+        return _rational(token)
     except (ValueError, ZeroDivisionError):
         line = stmt.line if stmt else None
         raise TypeMismatch(f"not a rational: {token!r}", line)

@@ -97,7 +97,9 @@ def enumerate_morphisms(src, dst, cap=4096):
     src_classes = src.carrier.classes()
     total = len(dst.carrier.elements) ** len(src_classes)
     if total > cap:
-        raise DualityError(f"map space of size {total} exceeds the bound")
+        raise DualityError(
+            f"map space |dst|^|src classes| = {len(dst.carrier.elements)}^"
+            f"{len(src_classes)} = {total} exceeds the bound cap={cap}")
     out = []
     for choice in iproduct(dst.carrier.elements, repeat=len(src_classes)):
         table = {}

@@ -269,16 +269,16 @@ def enumerate_threads(s):
     candidates, position = {}, {}
     for i in els:
         sp = s.space(i)
-        found = {}
+        found, pos = [], {}  # each value tuple is hashed once
         for k, g in enumerate(sp.gens):
-            found.setdefault(tuple([g.values[x] for x in sp.carrier.elements]),
-                             (g, CGen(k)))
+            key = tuple([g.values[x] for x in sp.carrier.elements])
+            if pos.setdefault(key, len(found)) == len(found):
+                found.append((g, CGen(k)))
         for q in s.pool:
             key = tuple(q for _ in sp.carrier.elements)
-            if key not in found:
-                found[key] = (rconst(sp.carrier, q), CConst(q))
-        candidates[i] = list(found.values())
-        position[i] = {key: n for n, key in enumerate(found)}
+            if pos.setdefault(key, len(found)) == len(found):
+                found.append((rconst(sp.carrier, q), CConst(q)))
+        candidates[i], position[i] = found, pos
     t = fam.top()
     to_top = {i: fam.transport(i, t).mapping for i in els}
     at_top = {i: [to_top[i][x] for x in fam.carrier(i).elements] for i in els}
@@ -327,28 +327,29 @@ def sum_space(s, sum_s, threads=None):
     """The direct-sum carrier topologized by the thread functions.
 
     Returns the space, the threads, and for each generator the position of
-    the thread that made it.  Threads passed in are validated; enumerated
-    ones are compatible by construction.
+    the thread that made it.  Threads passed in are validated, and one whose
+    function repeats an earlier one's makes no generator.  Enumerated ones
+    are compatible by construction and make one generator each: their
+    candidate positions differ and the candidates at each index differ by
+    value, so their functions already differ.
     """
     if s.direction != COVARIANT:
         raise SpectrumError("sum space is built over a covariant spectrum")
-    given = threads is not None
-    if not given:
+    if threads is None:
         threads = enumerate_threads(s)
-    gens, names, gen_threads, seen = [], [], [], set()
-    for n, t in enumerate(threads):
-        if given:
+        gens = [sum_function(t, sum_s) for t in threads]
+        gen_threads = list(range(len(threads)))
+    else:
+        gens, gen_threads, seen = [], [], set()
+        for n, t in enumerate(threads):
             f = thread_to_sum_function(s, t, sum_s)
-        else:
-            f = sum_function(t, sum_s)
-        key = tuple(f.values[x] for x in sum_s.elements)
-        if key in seen:
-            continue
-        seen.add(key)
-        gens.append(f)
-        names.append(f"thr{n}")
-        gen_threads.append(n)
-    space = BSpace(sum_s, Subbase(sum_s, tuple(gens), tuple(names)))
+            key = tuple(f.values[x] for x in sum_s.elements)
+            if key not in seen:
+                seen.add(key)
+                gens.append(f)
+                gen_threads.append(n)
+    names = tuple(f"thr{n}" for n in gen_threads)
+    space = BSpace(sum_s, Subbase(sum_s, tuple(gens), names))
     return space, threads, gen_threads
 
 

@@ -70,7 +70,7 @@ class RFun:
         for cls in carrier._classes:
             v = vals[cls[0]]
             for x in cls[1:]:
-                if vals[x] != v:
+                if vals[x] is not v and vals[x] != v:
                     raise NotExtensional(
                         f"function separates equal elements {cls[0]!r}, {x!r}")
         self.carrier = carrier
@@ -92,10 +92,25 @@ def rconst(carrier, q):
     return RFun(carrier, {x: q for x in carrier.elements})
 
 
+def _rfun(carrier, values):
+    """The RFun of a table already total, Fraction-valued and extensional
+    on `carrier`, in carrier order."""
+    f = RFun.__new__(RFun)
+    f.carrier, f.values = carrier, values
+    return f
+
+
 def compose_rfun(f, h):
     """Pull an RFun back along a carrier map: (f . h)(x) = f(h(x))."""
     values = f.values
-    return RFun(h.dom, {x: values[h(x)] for x in h.dom.elements})
+    table = {x: values[y] for x, y in h.mapping.items()}
+    if h.cod.same_as(f.carrier) and (h.dom.is_discrete()
+                                     or check_extensional(h)[0]):
+        # f is an RFun, so it is extensional.  So x ~ x' gives
+        # h(x) ~ h(x'), which gives f(h(x)) == f(h(x')): the table needs no
+        # value-by-value check.
+        return _rfun(h.dom, table)
+    return RFun(h.dom, table)
 
 
 # --- the closed grammar of continuous reals-to-reals functions -------------
@@ -434,6 +449,8 @@ def validate_certificate(sp, f, c):
         conclusion = cert_conclusion(sp, c)
     except TopologyError as exc:
         return CertReport(False, witnessed, [Finding("conclusion", (), str(exc))])
+    if conclusion.values == f.values:
+        return CertReport(True, witnessed, [])
     for x in sp.carrier.elements:
         if conclusion(x) != f(x):
             return CertReport(
@@ -508,6 +525,7 @@ def check_morphism(src, dst, w):
         findings.append(Finding("map-extensional", witness))
     if not (w.h.dom.same_as(src.carrier) and w.h.cod.same_as(dst.carrier)):
         findings.append(Finding("map-carriers"))
+    if findings:
         return findings
     for k, g in enumerate(dst.gens):
         if k not in w.certs:

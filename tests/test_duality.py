@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from bspec.families import CONTRAVARIANT
 from bspec.fixtures import chain3, constant_cspec, cspec, x2_space
 from bspec.duality import (
+    DualityError,
     PoolNotClosed,
     check_precompose_is_morphism,
     converse_dual_direct,
@@ -257,8 +259,17 @@ def test_converse_dual_direct_one_point_fixed():
 
 
 def test_enumerate_morphisms_cap():
-    sp = x2_space()
     big = space(discrete([f"e{k}" for k in range(8)]),
                 [rconst(discrete([f"e{k}" for k in range(8)]), 0)])
-    with pytest.raises(Exception):
+    with pytest.raises(DualityError, match=re.escape(
+            "map space |dst|^|src classes| = 8^8 = 16777216 exceeds the bound "
+            "cap=10")):
         enumerate_morphisms(big, big, cap=10)
+
+
+def test_enumerate_morphisms_names_the_default_cap():
+    pts = discrete([f"e{k}" for k in range(6)])
+    six = space(pts, [rconst(pts, 0)])
+    with pytest.raises(DualityError, match=re.escape(
+            "= 6^6 = 46656 exceeds the bound cap=4096")):
+        enumerate_morphisms(six, six)

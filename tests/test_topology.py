@@ -6,7 +6,7 @@ import pytest
 
 from bspec.fixtures import x2_space
 from bspec.report import Finding
-from bspec.setoid import discrete, make_fn, make_setoid, make_subset
+from bspec.setoid import SetoidFn, discrete, make_fn, make_setoid, make_subset
 from bspec.topology import (
     BID,
     CAdd,
@@ -217,6 +217,19 @@ def test_identity_and_swap_morphisms():
     w3 = MorphismWitness(swap, {})
     laws = {f.law for f in check_morphism(sp, sp, w3)}
     assert "missing-certificate" in laws
+
+
+def test_a_map_that_is_not_extensional_is_a_finding():
+    X = make_setoid(["a", "b"], [("a", "b")])
+    Y = discrete(["p", "q"])
+    src = space(X, [rconst(X, 0)])
+    dst = space(Y, [RFun(Y, {"p": 0, "q": 1})])
+    w = MorphismWitness(SetoidFn(X, Y, {"a": "p", "b": "q"}), {0: CGen(0)})
+    assert check_morphism(src, dst, w) == [Finding("map-extensional", ("a", "b"))]
+    # on the wrong carriers as well: both findings, in that order
+    w = MorphismWitness(SetoidFn(X, Y, {"a": "p", "b": "q"}), {})
+    assert check_morphism(src, src, w) == [
+        Finding("map-extensional", ("a", "b")), Finding("map-carriers")]
 
 
 def test_lift_replaces_generator_leaves():
