@@ -1,9 +1,7 @@
-"""Families of carriers over an index, with transport maps along the order.
-
-Plain families transport along the index equality; direct families transport
-along the order, either covariantly or contravariantly.  Transports may be
-supplied on a generating set of edges and are extended by composition, with
-every composition path checked to agree.
+"""Families of carriers over a directed index, with transport maps along the
+order, either covariantly or contravariantly.  Transports may be supplied on
+a generating set of edges and are extended by composition, with every
+composition path checked to agree.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from dataclasses import dataclass
 from .order import DirectedIndex
 from .report import Finding
 from .setoid import (
-    Setoid,
     SetoidFn,
     Tag,
     compose,
@@ -54,29 +51,6 @@ class NotMonotone(FamilyError):
 
 class InvalidMap(FamilyError):
     pass
-
-
-@dataclass(eq=False)
-class Family:
-    """Carriers indexed by a setoid, with transports along equal indices."""
-
-    index: Setoid
-    carriers: dict
-    transports: dict  # (i, j) with i = j in the index -> SetoidFn
-
-    def carrier(self, i):
-        return self.carriers[i]
-
-    def transport(self, i, j):
-        return self.transports[(i, j)]
-
-    def diagonal_pairs(self):
-        return [
-            (i, j)
-            for i in self.index.elements
-            for j in self.index.elements
-            if self.index.eq(i, j)
-        ]
 
 
 @dataclass(eq=False)
@@ -183,35 +157,6 @@ def _saturate(pairs, carriers, given, direction=COVARIANT):
     return known
 
 
-def make_family(index, carriers, transports=None):
-    carriers = dict(carriers)
-    for i in index.elements:
-        if i not in carriers:
-            raise FamilyError(f"no carrier given for index element {i}")
-    pairs = [
-        (i, j)
-        for i in index.elements
-        for j in index.elements
-        if index.eq(i, j)
-    ]
-    table = _saturate(pairs, carriers, dict(transports or {}))
-    fam = Family(index, carriers, table)
-    findings = validate_family(fam)
-    if findings:
-        raise FamilyError(str(findings[0]))
-    return fam
-
-
-def constant_family(index, carrier):
-    transports = {
-        (i, j): identity(carrier)
-        for i in index.elements
-        for j in index.elements
-        if index.eq(i, j)
-    }
-    return make_family(index, {i: carrier for i in index.elements}, transports)
-
-
 def make_direct_family(index, direction, carriers, transports=None):
     if direction not in (COVARIANT, CONTRAVARIANT):
         raise FamilyError(f"unknown direction {direction!r}")
@@ -236,25 +181,6 @@ def constant_direct_family(index, carrier, direction=COVARIANT):
     transports = {p: identity(carrier) for p in index.order_pairs()}
     return make_direct_family(index, direction,
                               {i: carrier for i in index.elements}, transports)
-
-
-def validate_family(F):
-    findings = []
-    for i in F.index.elements:
-        if not fn_equal(F.transport(i, i), identity(F.carrier(i))):
-            findings.append(Finding("family-identity", (i,)))
-    for i, j in F.diagonal_pairs():
-        ok, witness = check_extensional(F.transport(i, j))
-        if not ok:
-            findings.append(Finding("transport-extensional", (i, j) + witness))
-        for k in F.index.elements:
-            if F.index.eq(j, k):
-                if not fn_equal(
-                    compose(F.transport(i, j), F.transport(j, k)),
-                    F.transport(i, k),
-                ):
-                    findings.append(Finding("family-composition", (i, j, k)))
-    return findings
 
 
 def validate_direct_family(F):
@@ -367,11 +293,6 @@ def sum_elements(F):
     return [Tag((i, x)) for i in F.index.elements for x in F.carrier(i).elements]
 
 
-def sigma_equality_plain(F, i, x, j, y):
-    """Equality on the disjoint union of a plain family."""
-    return F.index.eq(i, j) and F.carrier(j).eq(F.transport(i, j)(x), y)
-
-
 def direct_sum_equality(F, i, x, j, y):
     """Tagged pairs are equal when their transports meet at the top element.
 
@@ -471,12 +392,8 @@ def validate_family_map(src, dst, m):
         ok, witness = check_extensional(f)
         if not ok:
             findings.append(Finding("component-extensional", (i,) + witness))
-    if isinstance(src, DirectFamily):
-        pairs, direction = src.order_pairs(), src.direction
-    else:
-        pairs, direction = src.diagonal_pairs(), COVARIANT
-    for i, j in pairs:
-        a, b = oriented(direction, i, j)
+    for i, j in src.order_pairs():
+        a, b = src.ends(i, j)
         left = compose(src.transport(i, j), m.comps[b])
         right = compose(m.comps[a], dst.transport(i, j))
         if not fn_equal(left, right):

@@ -27,6 +27,7 @@ from .setoid import (
     Setoid,
     SetoidFn,
     Tag,
+    _fn,
     compose,
     fn_equal,
     is_embedding,
@@ -353,8 +354,9 @@ class InverseLimit:
 
     def project(self, i):
         fam = self.spectrum.fam
-        return make_fn(self.carrier, fam.carrier(i),
-                       {tok: self.assignments[tok][i] for tok in self.carrier.elements})
+        # the carrier is keyed by the components' classes: equal tokens agree
+        return _fn(self.carrier, fam.carrier(i),
+                   {tok: self.assignments[tok][i] for tok in self.carrier.elements})
 
     def token_of(self, assignment):
         """The first carrier token, in carrier order, matching an assignment

@@ -142,8 +142,11 @@ def check_spectrum(env, args, config, report, suite, lims):
     findings = validate_spectrum(s)
     edge = [f for f in findings if not f.law.startswith("composite")]
     comp = [f for f in findings if f.law.startswith("composite")]
+    # validate_spectrum stops before the composites on any other finding
+    skip = ("edge witnesses failed",) if edge else ()
     report.add(suite, f"spectrum.{name}.edge-witnesses", edge)
-    report.add(suite, f"spectrum.{name}.composite-witnesses", comp)
+    report.add(suite, f"spectrum.{name}.composite-witnesses", comp,
+               skipped=bool(skip), witness=skip)
 
 
 def check_equivalence(env, args, config, report, suite, lims):

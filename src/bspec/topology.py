@@ -22,9 +22,9 @@ from .setoid import (
     Setoid,
     SetoidFn,
     Subset,
+    _fn,
     check_extensional,
     compose,
-    make_fn,
     product_setoid,
     setoid_by_key,
 )
@@ -748,8 +748,9 @@ def certificate_for(sp, target):
 def product_space(b1, b2):
     """Product carrier with the subbase of both factors pulled back."""
     carrier = product_setoid(b1.carrier, b2.carrier)
-    pr1 = make_fn(carrier, b1.carrier, {t: t[0] for t in carrier.elements})
-    pr2 = make_fn(carrier, b2.carrier, {t: t[1] for t in carrier.elements})
+    # the carrier is keyed by the factors' class ids, so both respect classes
+    pr1 = _fn(carrier, b1.carrier, {t: t[0] for t in carrier.elements})
+    pr2 = _fn(carrier, b2.carrier, {t: t[1] for t in carrier.elements})
     gens = [compose_rfun(f, pr1) for f in b1.gens]
     gens += [compose_rfun(g, pr2) for g in b2.gens]
     names = tuple(f"{n}.1" for n in b1.subbase.names) + tuple(

@@ -249,8 +249,9 @@ suite main {
     records = run_suite(parse(text)).records
     assert [(r.law, r.status) for r in records] == [
         ("spectrum.S.edge-witnesses", "fail"),
-        ("spectrum.S.composite-witnesses", "pass")]
+        ("spectrum.S.composite-witnesses", "skipped")]
     assert "ulim-table at q" in str(records[0].witness)
+    assert records[1].witness == ("edge witnesses failed",)
 
 
 @pytest.mark.parametrize("old, new", [

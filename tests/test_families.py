@@ -9,7 +9,6 @@ from bspec.families import (
     NotMonotone,
     all_components_embeddings,
     constant_direct_family,
-    constant_family,
     direct_sum_equality,
     direct_sum_equality_exhaustive,
     direct_sum_setoid,
@@ -17,10 +16,8 @@ from bspec.families import (
     family_map,
     identity_family_map,
     make_direct_family,
-    make_family,
     pi_map,
     restrict_family,
-    sigma_equality_plain,
     sigma_map,
     validate_direct_family,
     validate_family_map,
@@ -35,6 +32,7 @@ from oracles import (
     sum_projection_raw,
     validate_dependent,
 )
+from plain_families import constant_family, make_family, sigma_equality_plain
 
 
 def test_constant_family_valid():

@@ -1,0 +1,181 @@
+"""Maps built from checked maps: each map that `setoid._fn` builds without
+checking it (composites, identities, projections) against the checked
+`SetoidFn`/`make_fn` build of the same table, and the checked constructor
+and `check_extensional` against the scans they replaced.  Hypothesis runs
+derandomized, so the suite stays deterministic."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bspec.families import CONTRAVARIANT
+from bspec.limits import inverse_limit
+from bspec.randgen import random_spectrum
+from bspec.setoid import (
+    DomainMismatch,
+    Setoid,
+    SetoidFn,
+    UnknownElement,
+    _first_split,
+    _value_ids,
+    check_extensional,
+    compose,
+    identity,
+    make_fn,
+    setoid_by_key,
+)
+from bspec.topology import RFun, product_space, space
+
+from oracles import outcome
+
+FAST = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _random_setoid(rng, prefix):
+    """A carrier of up to five elements: discrete, merged, or built by hand
+    from a pair set that need not be an equivalence."""
+    els = tuple(f"{prefix}{k}" for k in range(rng.randint(1, 5)))
+    kind = rng.choice(["discrete", "merged", "pairs"])
+    if kind == "discrete":
+        return setoid_by_key(els, els)
+    if kind == "merged":
+        return setoid_by_key(els, [rng.randrange(2) for _ in els])
+    pairs = {(rng.choice(els), rng.choice(els)) for _ in range(rng.randint(0, 8))}
+    return Setoid(els, pairs)
+
+
+def _random_fn(rng, dom, cod):
+    """A checked map with a random table, listed in a shuffled order."""
+    keys = list(dom.elements)
+    rng.shuffle(keys)
+    return SetoidFn(dom, cod, {x: rng.choice(cod.elements) for x in keys})
+
+
+def _copy(X):
+    """A carrier with X's elements and equality that is not X itself."""
+    if X.closed:
+        return Setoid(X.elements, class_id=dict(X.class_id))
+    return Setoid(X.elements, X.pairs)
+
+
+def _parts(f):
+    return f.dom, f.cod, list(f.mapping.items())
+
+
+def _checked_scan(dom, cod, mapping):
+    """SetoidFn's checks as one Python loop per check, in domain order."""
+    missing = [x for x in dom.elements if x not in mapping]
+    if missing:
+        raise DomainMismatch(f"map not total, missing {missing[:3]}")
+    for x in dom.elements:
+        if not cod.has(mapping[x]):
+            raise UnknownElement(f"value {mapping[x]!r} of {x!r} not in codomain")
+    return [(x, mapping[x]) for x in dom.elements]
+
+
+def _extensional_scan(f):
+    """check_extensional as the scan over every class of the domain."""
+    bad = _first_split(f.dom._classes, _value_ids(f))
+    return (True, None) if bad is None else (False, bad)
+
+
+@FAST
+@given(seeds)
+def test_compose_matches_the_checked_build(seed):
+    rng = random.Random(seed)
+    X, Y, Z = (_random_setoid(rng, p) for p in "xyz")
+    f = _random_fn(rng, X, Y)
+    # g starts at Y, at a copy of Y, or at a carrier that differs from Y
+    g_dom = rng.choice([Y, _copy(Y), _random_setoid(rng, "y")])
+    g = _random_fn(rng, g_dom, Z)
+
+    def checked(f, g):
+        if not f.cod.same_as(g.dom):
+            raise DomainMismatch("codomain of first map differs from domain of second")
+        return SetoidFn(f.dom, g.cod, {x: g(f(x)) for x in f.dom.elements})
+
+    got, want = outcome(compose, f, g), outcome(checked, f, g)
+    if want[0] == "value":
+        assert got[0] == "value"
+        assert _parts(got[1]) == _parts(want[1])
+        assert check_extensional(got[1]) == check_extensional(want[1])
+    else:
+        assert got == want
+
+
+@FAST
+@given(seeds)
+def test_identity_matches_the_checked_build(seed):
+    X = _random_setoid(random.Random(seed), "x")
+    f = identity(X)
+    assert _parts(f) == _parts(make_fn(X, X, {x: x for x in X.elements}))
+    assert check_extensional(f) == (True, None)
+
+
+@FAST
+@given(seeds)
+def test_check_extensional_matches_the_class_scan(seed):
+    rng = random.Random(seed)
+    X, Y = _random_setoid(rng, "x"), _random_setoid(rng, "y")
+    f = _random_fn(rng, X, Y)
+    assert check_extensional(f) == _extensional_scan(f)
+    if X.is_discrete():
+        assert check_extensional(f) == (True, None)
+
+
+@FAST
+@given(seeds)
+def test_checked_constructor_keeps_its_table_and_its_messages(seed):
+    rng = random.Random(seed)
+    X, Y = _random_setoid(rng, "x"), _random_setoid(rng, "y")
+    keys = list(X.elements)
+    rng.shuffle(keys)
+    # drop some arguments, and send some to values outside the codomain
+    keys = [x for x in keys if rng.random() > 0.15]
+    table = {x: rng.choice(Y.elements + ("w0", "w1")) if rng.random() < 0.3
+             else rng.choice(Y.elements) for x in keys}
+    got = outcome(lambda: list(SetoidFn(X, Y, table).mapping.items()))
+    assert got == outcome(_checked_scan, X, Y, table)
+
+
+def test_checked_constructor_names_the_first_three_missing_and_the_first_bad():
+    X = setoid_by_key(("a", "b", "c", "d"), "abcd")
+    Y = setoid_by_key(("p",), "p")
+    with pytest.raises(DomainMismatch) as exc:
+        SetoidFn(X, Y, {"c": "p"})
+    assert str(exc.value) == "map not total, missing ['a', 'b', 'd']"
+    with pytest.raises(UnknownElement) as exc:
+        SetoidFn(X, Y, {"d": "q", "a": "p", "b": "r", "c": "p"})
+    assert str(exc.value) == "value 'r' of 'b' not in codomain"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seeds)
+def test_inverse_limit_projections_are_maps(seed):
+    s = random_spectrum(random.Random(seed), direction=CONTRAVARIANT)
+    lim = inverse_limit(s)
+    for i in s.index.elements:
+        p = lim.project(i)
+        checked = make_fn(lim.carrier, s.fam.carrier(i), p.table())
+        assert _parts(p) == _parts(checked)
+
+
+def _random_space(rng, els):
+    """A merged or discrete carrier with one class-constant generator."""
+    X = setoid_by_key(els, [rng.randrange(len(els)) for _ in els])
+    vals = [rng.randint(-2, 2) for _ in X.classes()]
+    return space(X, [RFun(X, {x: vals[X.class_id[x]] for x in els})])
+
+
+@FAST
+@given(seeds)
+def test_product_projections_are_maps(seed):
+    rng = random.Random(seed)
+    b1 = _random_space(rng, ("a", "b", "c")[:rng.randint(1, 3)])
+    b2 = _random_space(rng, ("p", "q", "r")[:rng.randint(1, 3)])
+    sp, pr1, pr2 = product_space(b1, b2)
+    for pr, b in ((pr1, b1), (pr2, b2)):
+        assert pr.dom is sp.carrier and pr.cod is b.carrier
+        assert _parts(pr) == _parts(make_fn(sp.carrier, b.carrier, pr.table()))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +248,31 @@ def test_enumerated_threads_pass_validation_at_the_reflexive_pair():
     assert [t.certs["0"] for t in threads] == [CConst(Fraction(0)),
                                                 CConst(Fraction(1))]
     assert all(validate_thread(s, t) == [] for t in threads)
+
+
+def test_a_wrong_composite_certificate_fails_the_composite_law(monkeypatch):
+    # every edge witness is right, but the composite 0 -> 1 -> 2 claims
+    # the pulled-back generator of A2 is constant 1, where it is 0
+    from bspec import spectra
+    from bspec.dsl import parse
+    from bspec.runner import run_suite
+
+    compose_witnesses = spectra.compose_witnesses
+
+    def wrong_first_cert(*args):
+        w = compose_witnesses(*args)
+        w.certs[0] = CConst(Fraction(1))
+        return w
+
+    monkeypatch.setattr(spectra, "compose_witnesses", wrong_first_cert)
+    [bad] = validate_spectrum(cspec())
+    assert (bad.law, bad.witness) == ("composite-witness-certificate",
+                                      ("0", "1", "2"))
+    text = (Path(__file__).parent.parent / "fixtures" / "cspec.bsp").read_text()
+    text = text[:text.index("suite main")] + "suite main {\n check: spectrum CSPEC\n}\n"
+    records = run_suite(parse(text)).records
+    assert [(r.law, r.status) for r in records] == [
+        ("spectrum.CSPEC.edge-witnesses", "pass"),
+        ("spectrum.CSPEC.composite-witnesses", "fail")]
+    assert records[1].witness[0].startswith(
+        "composite-witness-certificate at 0, 1, 2")
