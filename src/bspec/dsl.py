@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .families import COVARIANT, CONTRAVARIANT, make_direct_family, oriented
+from .limits import Legs
 from .order import CofinalSubset, make_directed
 from .setoid import make_fn, make_setoid
 from .spectra import Spectrum, autofill_witnesses
@@ -123,21 +124,12 @@ class SpecDocument:
         return [b for b in self.blocks if b.kind == kind]
 
 
-def _strip_comment(line):
-    out = []
-    for ch in line:
-        if ch == "#":
-            break
-        out.append(ch)
-    return "".join(out)
-
-
 def parse(text):
     """Parse a document; errors carry line and column positions."""
     doc = SpecDocument()
     current = None
     for n, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).rstrip()
+        line = raw.partition("#")[0].rstrip()
         stripped = line.strip()
         if not stripped:
             continue
@@ -384,8 +376,8 @@ class Elaborated:
     certificates: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict)
     cofinals: dict = field(default_factory=dict)  # name -> (directed name, CofinalSubset)
-    cocones: dict = field(default_factory=dict)   # name -> (spectrum name, Cocone)
-    cones: dict = field(default_factory=dict)     # name -> (spectrum name, Cone)
+    cocones: dict = field(default_factory=dict)   # name -> (spectrum name, Legs)
+    cones: dict = field(default_factory=dict)     # name -> (spectrum name, Legs)
     pools: dict = field(default_factory=dict)     # name -> pool description
 
     def spectrum(self, name, line=None):
@@ -589,23 +581,17 @@ def elaborate(doc):
                 raise UnresolvedReference(f"leg for unknown index {i!r}",
                                           stmt.line)
             table = dict(parse_pairs(stmt.value, "=>", stmt))
-            if b.kind == "cocone":
-                h = make_fn(s.fam.carrier(i), apex.carrier, table)
-                src, dst = s.space(i), apex
-            else:
-                h = make_fn(apex.carrier, s.fam.carrier(i), table)
-                src, dst = apex, s.space(i)
+            # a cocone's legs run into its apex, a cone's out of it
+            src, dst = oriented(COVARIANT if b.kind == "cocone" else CONTRAVARIANT,
+                                s.space(i), apex)
+            h = make_fn(src.carrier, dst.carrier, table)
             missing = []
             legs[i] = certify_map(src, dst, h, "leg", missing)
             if missing:
                 raise TypeMismatch(f"leg {i} admits no certificate for generator "
                                    f"{missing[0].witness[0]}", stmt.line)
-        from .limits import Cocone, Cone
-
-        if b.kind == "cocone":
-            out.cocones[b.name] = (spec_name, Cocone(apex, legs))
-        else:
-            out.cones[b.name] = (spec_name, Cone(apex, legs))
+        named = out.cocones if b.kind == "cocone" else out.cones
+        named[b.name] = (spec_name, Legs(apex, legs))
 
     for b in doc.of_kind("pool"):
         spec_stmt = b.one("spectrum", required=True)

@@ -15,7 +15,6 @@ from functools import cached_property
 from itertools import product as iproduct
 
 from .families import CONTRAVARIANT, COVARIANT, DirectFamily, oriented
-from .limits import limit_legs_cocone
 from .report import Finding
 from .setoid import Tag, compose, identity, is_embedding, make_fn
 from .spectra import Spectrum
@@ -301,20 +300,32 @@ def duality_direct_to_inverse(s, fixed, pools, lims):
         hom_witnesses.append(certify_map(lim.space, fixed, h, "hom", findings, (tok,)))
     if findings:
         return DualityResult(None, None, None, None, None, findings)
-    hom_pool, to_hom = _hom_pool(inv, lim.space, fixed, hom_witnesses)
+    return _from_hom(s, lim, fixed, inv, carriers_mc, hom_witnesses)
 
-    # backward: compose with the class maps of the limit
-    legs = limit_legs_cocone(lim).legs
-    back_table = {}
+
+def _from_hom(s, lim, fixed, inv, carriers_mc, hom_witnesses):
+    """The shared tail of the two dualities.
+
+    The homs between the limit and the fixed space, one per token of
+    `inv` in carrier order, form the hom pool.  The way back composes each
+    hom with the limit's leg at i, through `oriented`, finds the composite
+    in the pool at i, and reads the compatible choice these form.  Then
+    to_hom: inv -> hom pool and that map are checked two-sidedly, with
+    the embedding of to_hom reported between round trips and certificates.
+    """
+    hom_pool = make_mor_carrier(*oriented(s.direction, lim.space, fixed), hom_witnesses,
+                                names=[f"h[{t}]" for t in inv.carrier.elements])
+    to_hom = make_fn(inv.carrier, hom_pool.setoid,
+                     dict(zip(inv.carrier.elements, hom_pool.setoid.elements)))
+    legs = {i: lim.leg(i) for i in s.index.elements}
+    findings, back_table = [], {}
     for name in hom_pool.setoid.elements:
-        w = hom_pool.witness(name)
+        h = hom_pool.witness(name).h
         assignment = {}
-        for i in s.index.elements:
-            comp = compose(legs[i].h, w.h)
-            found = carriers_mc[i].find(comp)
+        for i, leg in legs.items():
+            found = carriers_mc[i].find(compose(*oriented(s.direction, leg, h)))
             if found is None:
-                raise PoolNotClosed(
-                    f"composite with the class map at {i} leaves the pool")
+                raise PoolNotClosed(f"{name} composed with the leg at {i} leaves the pool")
             assignment[i] = found
         tok = inv.token_of(assignment)
         if tok is None:
@@ -324,22 +335,6 @@ def duality_direct_to_inverse(s, fixed, pools, lims):
     if findings:
         return DualityResult(None, None, None, None, hom_pool, findings)
     from_hom = make_fn(hom_pool.setoid, inv.carrier, back_table)
-    return _duality_iso(inv, hom_pool, to_hom, from_hom)
-
-
-def _hom_pool(inv, src, dst, hom_witnesses):
-    """The pool of the morphisms src -> dst that the compatible choices of
-    `inv` give, one per token in carrier order, and the map to it."""
-    hom_pool = make_mor_carrier(src, dst, hom_witnesses,
-                                names=[f"h[{t}]" for t in inv.carrier.elements])
-    to_hom = make_fn(inv.carrier, hom_pool.setoid,
-                     dict(zip(inv.carrier.elements, hom_pool.setoid.elements)))
-    return hom_pool, to_hom
-
-
-def _duality_iso(inv, hom_pool, to_hom, from_hom):
-    """The two-sided check of to_hom: inv -> hom_pool and its inverse.  The
-    embedding of to_hom is reported between round trips and certificates."""
     ok, witness = is_embedding(to_hom)
     findings, (to_w, from_w) = certify_iso(
         (("to-hom", inv.space, hom_pool.space, to_hom),
@@ -378,30 +373,7 @@ def duality_inverse_hom(s, fixed, pools, lims):
         certs = {k: carriers_mc[i].witness(assignment[i]).certs[pos]
                  for k, (i, pos) in enumerate(lim.gen_sources)}
         hom_witnesses.append(MorphismWitness(h, certs))
-    hom_pool, to_hom = _hom_pool(inv_mor, fixed, lim.space, hom_witnesses)
-
-    back_table = {}
-    for name in hom_pool.setoid.elements:
-        w = hom_pool.witness(name)
-        assignment = {}
-        for i in s.index.elements:
-            component = make_fn(
-                fixed.carrier, s.fam.carrier(i),
-                {x: lim.assignments[w.h(x)][i] for x in fixed.carrier.elements})
-            found = carriers_mc[i].find(component)
-            if found is None:
-                raise PoolNotClosed(
-                    f"component at {i} of {name} leaves the pool")
-            assignment[i] = found
-        tok = inv_mor.token_of(assignment)
-        if tok is None:
-            findings.append(Finding("from-hom-compat", (name,)))
-            continue
-        back_table[name] = tok
-    if findings:
-        return DualityResult(None, None, None, None, hom_pool, findings)
-    from_hom = make_fn(hom_pool.setoid, inv_mor.carrier, back_table)
-    return _duality_iso(inv_mor, hom_pool, to_hom, from_hom)
+    return _from_hom(s, lim, fixed, inv_mor, carriers_mc, hom_witnesses)
 
 
 # --- converse-direction maps ---------------------------------------------------

@@ -17,6 +17,7 @@ from .families import (
     COVARIANT,
     direct_sum_setoid,
     embed_at,
+    oriented,
     sigma_map,
 )
 from .order import top_element
@@ -61,11 +62,7 @@ class LimitError(Exception):
     pass
 
 
-class IllFormedCocone(LimitError):
-    pass
-
-
-class IllFormedCone(LimitError):
+class IllFormedLegs(LimitError):
     pass
 
 
@@ -82,6 +79,78 @@ class Mediator(MorphismWitness):
     unique: bool | None = None
 
 
+# --- what both limits share: legs, mediators, induced maps -------------------
+
+@dataclass(eq=False)
+class Legs:
+    """Compatible legs between the spaces of a spectrum and one apex.
+
+    Over a covariant spectrum they run into the apex (a cocone), over a
+    contravariant one out of it (a cone): `oriented` reads which, as it
+    does for the transports and for a limit's own legs `lim.leg(i)`.
+    """
+
+    apex: BSpace
+    legs: dict  # index element -> MorphismWitness between s.space(i) and the apex
+
+
+def validate_legs(s, c):
+    findings = []
+    for i in s.index.elements:
+        if i not in c.legs:
+            findings.append(Finding("leg-missing", (i,)))
+            return findings
+        findings += check_morphism_as(
+            "leg", *oriented(s.direction, s.space(i), c.apex), c.legs[i], (i,))
+    for i, j in s.fam.order_pairs():
+        if i == j:
+            continue
+        via = compose(*oriented(s.direction, s.fam.transport(i, j), c.legs[j].h))
+        if not fn_equal(via, c.legs[i].h):
+            findings.append(Finding("triangle", (i, j)))
+    return findings
+
+
+def commutes(s, lim, c, h):
+    """Whether h, a map out of a direct limit or into an inverse limit,
+    composed with the limit's leg at each index gives the leg of c there."""
+    return all(fn_equal(compose(*oriented(s.direction, lim.leg(i), h)), c.legs[i].h)
+               for i in s.index.elements)
+
+
+def _mediator(s, lim, c, h, certs, unique):
+    """The Mediator h between the limit and the apex of c, checked as a
+    morphism and against every leg; `unique()` is its uniqueness outcome."""
+    witness = Mediator(h, certs)
+    bad = check_morphism(*oriented(s.direction, lim.space, c.apex), witness)
+    if bad:
+        raise IllFormedLegs(str(bad[0]))
+    if not commutes(s, lim, c, h):
+        raise IllFormedLegs("mediator does not commute with every leg")
+    witness.unique = unique()
+    return witness
+
+
+def _induced_map(lim_s, lim_t, psi, fwd, label, what):
+    """The induced map fwd of limits, checked to embed when every
+    component embeds, and certified when psi carries continuity."""
+    if all(is_embedding(psi.comps[i])[0] for i in lim_s.spectrum.index.elements):
+        ok, witness_pair = is_embedding(fwd)
+        if not ok:
+            raise LimitError(
+                f"embedding components gave a non-embedding limit map at {witness_pair}")
+    if psi.continuity is None:
+        return fwd, None
+    missing = []
+    witness = certify_map(lim_s.space, lim_t.space, fwd, label, missing)
+    if missing:
+        raise LimitError(f"no certificate for a pulled-back {what}")
+    bad = check_morphism(lim_s.space, lim_t.space, witness)
+    if bad:
+        raise LimitError(str(bad[0]))
+    return fwd, witness
+
+
 # --- direct limits -----------------------------------------------------------
 
 @dataclass(eq=False)
@@ -92,8 +161,8 @@ class DirectLimit:
     space: BSpace
     gen_threads: list  # per generator: position of the thread that made it
 
-    def embed(self, i):
-        """The map sending a carrier element to its class."""
+    def leg(self, i):
+        """The map sending a carrier element at i to its class."""
         return embed_at(self.spectrum.fam, i, self.carrier)
 
     def canonical(self, token):
@@ -120,30 +189,6 @@ def direct_limit(s):
     return DirectLimit(s, carrier, threads, space_obj, gen_threads)
 
 
-@dataclass(eq=False)
-class Cocone:
-    """Compatible legs out of a covariant spectrum into one space."""
-
-    apex: BSpace
-    legs: dict  # index element -> MorphismWitness into the apex
-
-
-def validate_cocone(s, c):
-    findings = []
-    for i in s.index.elements:
-        if i not in c.legs:
-            findings.append(Finding("leg-missing", (i,)))
-            return findings
-        findings += check_morphism_as("leg", s.space(i), c.apex, c.legs[i], (i,))
-    for i, j in s.fam.order_pairs():
-        if i == j:
-            continue
-        left = compose(s.fam.transport(i, j), c.legs[j].h)
-        if not fn_equal(left, c.legs[i].h):
-            findings.append(Finding("triangle", (i, j)))
-    return findings
-
-
 def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
     """The unique morphism out of the limit commuting with every leg, as a
     Mediator that records whether its uniqueness search ran.
@@ -152,29 +197,21 @@ def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
     composed with the legs forms a thread, whose limit function is the
     pullback of the generator.
     """
-    findings = validate_cocone(s, c)
+    findings = validate_legs(s, c)
     if findings:
-        raise IllFormedCocone(str(findings[0]))
-    apex = c.apex
+        raise IllFormedLegs(str(findings[0]))
     table = {}
     for token in lim.carrier.elements:
         i, x = token
         table[token] = c.legs[i].h(x)
-    h = make_fn(lim.carrier, apex.carrier, table)  # well-defined on classes
+    h = make_fn(lim.carrier, c.apex.carrier, table)  # well-defined on classes
     missing = []
-    certs = certify_map(lim.space, apex, h, "apex", missing).certs
+    certs = certify_map(lim.space, c.apex, h, "apex", missing).certs
     if missing:
-        raise IllFormedCocone(f"no certificate for apex generator "
-                              f"{missing[0].witness[0]} over the limit subbase")
-    witness = Mediator(h, certs)
-    bad = check_morphism(lim.space, apex, witness)
-    if bad:
-        raise IllFormedCocone(str(bad[0]))
-    for i in s.index.elements:
-        if not fn_equal(compose(lim.embed(i), h), c.legs[i].h):
-            raise IllFormedCocone(f"mediator does not commute with leg {i}")
-    witness.unique = _check_unique_mediator(lim, c, h, uniq_bound)
-    return witness
+        raise IllFormedLegs(f"no certificate for apex generator "
+                            f"{missing[0].witness[0]} over the limit subbase")
+    return _mediator(s, lim, c, h, certs,
+                     lambda: _check_unique_mediator(lim, c, h, uniq_bound))
 
 
 def _check_unique_mediator(lim, c, h, bound):
@@ -194,7 +231,7 @@ def _check_unique_mediator(lim, c, h, bound):
 
 
 def limit_legs_cocone(lim):
-    """The limit's own class maps as a cocone over its spectrum."""
+    """The limit's own legs, its class maps, as a cocone over its spectrum."""
     s = lim.spectrum
     legs = {}
     for i in s.index.elements:
@@ -208,11 +245,11 @@ def limit_legs_cocone(lim):
                     s.space(i), lim.threads[n].at(i), found).ok:
                 known[k] = found
         missing = []
-        legs[i] = certify_map(s.space(i), lim.space, lim.embed(i), "leg", missing,
+        legs[i] = certify_map(s.space(i), lim.space, lim.leg(i), "leg", missing,
                               known=known)
         if missing:
             raise LimitError(f"class map at {i} is not a morphism")
-    return Cocone(lim.space, legs)
+    return Legs(lim.space, legs)
 
 
 def limit_map(s, t, psi, lims):
@@ -222,42 +259,13 @@ def limit_map(s, t, psi, lims):
     """
     lim_s, lim_t = lims.direct(s), lims.direct(t)
     fwd = sigma_map(s.fam, t.fam, psi, lim_s.carrier, lim_t.carrier)
-    if all(is_embedding(psi.comps[i])[0] for i in s.index.elements):
-        ok, witness_pair = is_embedding(fwd)
-        if not ok:
-            raise LimitError(
-                f"embedding components gave a non-embedding limit map at {witness_pair}")
-    witness = None
     if psi.continuity is not None:
         # a generator pulled back along fwd is the sum function of its
         # thread pulled back through psi; pullback_thread checks the
         # continuity certificates lifted along each such thread
         for n in lim_t.gen_threads:
             pullback_thread(s, t, psi, lim_t.threads[n])
-        missing = []
-        witness = certify_map(lim_s.space, lim_t.space, fwd, "pullback", missing)
-        if missing:
-            raise LimitError("no certificate for a pulled-back generator")
-        bad = check_morphism(lim_s.space, lim_t.space, witness)
-        if bad:
-            raise LimitError(str(bad[0]))
-    return fwd, witness
-
-
-def common_representatives(lim, tokens):
-    """One index and a representative there for each listed class.
-
-    A single class keeps its own index; several classes are normalized at
-    the top element.
-    """
-    if not tokens:
-        raise LimitError("empty class list")
-    fam = lim.spectrum.fam
-    if len(tokens) == 1:
-        i, x = tokens[0]
-        return i, [x]
-    t = fam.top()
-    return t, [fam.transport(i, t)(x) for i, x in tokens]
+    return _induced_map(lim_s, lim_t, psi, fwd, "pullback", "generator")
 
 
 @dataclass
@@ -352,7 +360,8 @@ class InverseLimit:
     gen_sources: list = field(default_factory=list)  # per gen: (index, gen pos)
     by_key: dict = field(default_factory=dict)  # _choice_key -> its first token
 
-    def project(self, i):
+    def leg(self, i):
+        """The projection to the carrier at i."""
         fam = self.spectrum.fam
         # the carrier is keyed by the components' classes: equal tokens agree
         return _fn(self.carrier, fam.carrier(i),
@@ -474,57 +483,26 @@ def top_determinacy_check(lim):
     return True
 
 
-@dataclass(eq=False)
-class Cone:
-    """Compatible legs from one space into a contravariant spectrum."""
-
-    apex: BSpace
-    legs: dict  # index element -> MorphismWitness out of the apex
-
-
-def validate_cone(s, c):
-    findings = []
-    for i in s.index.elements:
-        if i not in c.legs:
-            findings.append(Finding("leg-missing", (i,)))
-            return findings
-        findings += check_morphism_as("leg", c.apex, s.space(i), c.legs[i], (i,))
-    for i, j in s.fam.order_pairs():
-        if i == j:
-            continue
-        via = compose(c.legs[j].h, s.fam.transport(i, j))
-        if not fn_equal(via, c.legs[i].h):
-            findings.append(Finding("triangle", (i, j)))
-    return findings
-
-
 def cone_mediator(s, lim, c, uniq_bound=1_000_000):
     """The unique morphism into the limit commuting with every projection,
     as a Mediator that records whether its uniqueness search ran."""
-    findings = validate_cone(s, c)
+    findings = validate_legs(s, c)
     if findings:
-        raise IllFormedCone(str(findings[0]))
+        raise IllFormedLegs(str(findings[0]))
     table = {}
     for y in c.apex.carrier.elements:
         assignment = {i: c.legs[i].h(y) for i in s.index.elements}
         tok = lim.token_of(assignment)
         if tok is None:
-            raise IllFormedCone(f"legs at {y} do not form a compatible choice")
+            raise IllFormedLegs(f"legs at {y} do not form a compatible choice")
         table[y] = tok
     h = make_fn(c.apex.carrier, lim.carrier, table)
     # (f . proj_i) . h = f . leg_i, since proj_i . h agrees with leg_i up to
     # equality and f respects it; so the leg's certificate for f serves, and
     # the cone check has found one for every generator of every leg
     certs = {k: c.legs[i].certs[pos] for k, (i, pos) in enumerate(lim.gen_sources)}
-    witness = Mediator(h, certs)
-    bad = check_morphism(c.apex, lim.space, witness)
-    if bad:
-        raise IllFormedCone(str(bad[0]))
-    for i in s.index.elements:
-        if not fn_equal(compose(h, lim.project(i)), c.legs[i].h):
-            raise IllFormedCone(f"mediator does not commute with projection {i}")
-    witness.unique = _check_unique_cone_mediator(s, lim, c, h, uniq_bound)
-    return witness
+    return _mediator(s, lim, c, h, certs,
+                     lambda: _check_unique_cone_mediator(s, lim, c, h, uniq_bound))
 
 
 def _check_unique_cone_mediator(s, lim, c, h, bound):
@@ -545,11 +523,11 @@ def _check_unique_cone_mediator(s, lim, c, h, bound):
 
 
 def limit_projections_cone(lim):
-    """The limit's own projections as a cone over its spectrum."""
+    """The limit's own legs, its projections, as a cone over its spectrum."""
     s = lim.spectrum
     legs = {}
     for i in s.index.elements:
-        proj = lim.project(i)
+        proj = lim.leg(i)
         certs = {}
         for k, f in enumerate(s.space(i).gens):
             pulled = compose_rfun(f, proj)
@@ -558,7 +536,7 @@ def limit_projections_cone(lim):
                 raise LimitError("projection generator missing from limit subbase")
             certs[k] = CGen(pos)
         legs[i] = MorphismWitness(proj, certs)
-    return Cone(lim.space, legs)
+    return Legs(lim.space, legs)
 
 
 def inverse_limit_map(s, t, psi, lims):
@@ -575,21 +553,7 @@ def inverse_limit_map(s, t, psi, lims):
             raise LimitError("image of a compatible choice is not compatible")
         table[tok] = target
     fwd = make_fn(lim_s.carrier, lim_t.carrier, table)
-    if all(is_embedding(psi.comps[i])[0] for i in s.index.elements):
-        ok, witness_pair = is_embedding(fwd)
-        if not ok:
-            raise LimitError(
-                f"embedding components gave a non-embedding limit map at {witness_pair}")
-    witness = None
-    if psi.continuity is not None:
-        missing = []
-        witness = certify_map(lim_s.space, lim_t.space, fwd, "projection", missing)
-        if missing:
-            raise LimitError("no certificate for a pulled-back projection")
-        bad = check_morphism(lim_s.space, lim_t.space, witness)
-        if bad:
-            raise LimitError(str(bad[0]))
-    return fwd, witness
+    return _induced_map(lim_s, lim_t, psi, fwd, "projection", "projection")
 
 
 def cofinal_inverse_iso(s, cof, lims):

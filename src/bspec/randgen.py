@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .families import COVARIANT, CONTRAVARIANT, DirectFamily, oriented
-from .limits import Cocone, Cone
+from .limits import Legs
 from .order import CofinalSubset, DirectedIndex, chain, make_directed, top_element
 from .setoid import (
     compose,
@@ -413,7 +413,7 @@ def random_spectrum_with_cocone(rng, index=None, n_apex=2, max_carrier=3,
         h = compose(fam.transport(i, top), t_map)
         certs = {k: CGen(k) for k in range(len(apex_gens))}
         legs[i] = MorphismWitness(h, certs)
-    return s, Cocone(apex, legs)
+    return s, Legs(apex, legs)
 
 
 def random_spectrum_with_cone(rng, index=None, n_apex=2, max_carrier=3,
@@ -461,7 +461,7 @@ def random_spectrum_with_cone(rng, index=None, n_apex=2, max_carrier=3,
             key = tuple(g.values[y] for y in apex_carrier.elements)
             certs[k] = CGen(positions[key])
         legs[i] = MorphismWitness(legs_h[i], certs)
-    return s, Cone(apex, legs)
+    return s, Legs(apex, legs)
 
 
 # --- cofinal instances ------------------------------------------------------------

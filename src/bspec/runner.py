@@ -34,6 +34,7 @@ from .limits import (
     cocone_mediator,
     cofinal_direct_iso,
     cofinal_inverse_iso,
+    commutes,
     cone_mediator,
     limit_legs_cocone,
     limit_map,
@@ -46,7 +47,7 @@ from .limits import (
 from .order import validate_cofinal, validate_directed
 from .randgen import random_direct_family
 from .report import Finding, Report
-from .setoid import compose, fn_equal, is_equivalence
+from .setoid import fn_equal, is_equivalence
 from .spectra import compose_spectrum_maps, identity_spectrum_map, validate_spectrum
 
 
@@ -234,59 +235,43 @@ def check_limit_inverse(env, args, config, report, suite, lims):
 def check_universal_direct(env, args, config, report, suite, lims):
     """Mediator out of the limit: the limit's own legs by default, or a
     declared cocone when a second name is given."""
-    if len(args) not in (1, 2):
-        raise ConfigError("check universal-direct takes 'SPECTRUM [COCONE]'")
-    name = args[0]
-    s = env.spectrum(name)
-    lim = lims.direct(s)
-    if len(args) == 2:
-        if args[1] not in env.cocones:
-            raise UnresolvedReference(f"no cocone named {args[1]!r}")
-        spec_name, cocone = env.cocones[args[1]]
-        if spec_name != name:
-            raise ConfigError(f"cocone {args[1]} is over {spec_name}, not {name}")
-    else:
-        cocone = limit_legs_cocone(lim)
-    _report_universal(
-        report, suite, name,
-        lambda: cocone_mediator(s, lim, cocone, uniq_bound=config.uniq_bound),
-        lambda w: all(fn_equal(compose(lim.embed(i), w.h), cocone.legs[i].h)
-                      for i in s.index.elements))
+    _check_universal(env, args, config, report, suite, "universal-direct", "cocone",
+                     env.cocones, lims.direct, limit_legs_cocone, cocone_mediator)
 
 
 def check_universal_inverse(env, args, config, report, suite, lims):
-    if len(args) not in (1, 2):
-        raise ConfigError("check universal-inverse takes 'SPECTRUM [CONE]'")
-    name = args[0]
-    s = env.spectrum(name)
-    lim = lims.inverse(s)
-    if len(args) == 2:
-        if args[1] not in env.cones:
-            raise UnresolvedReference(f"no cone named {args[1]!r}")
-        spec_name, cone = env.cones[args[1]]
-        if spec_name != name:
-            raise ConfigError(f"cone {args[1]} is over {spec_name}, not {name}")
-    else:
-        cone = limit_projections_cone(lim)
-    _report_universal(
-        report, suite, name,
-        lambda: cone_mediator(s, lim, cone, uniq_bound=config.uniq_bound),
-        lambda w: all(fn_equal(compose(w.h, lim.project(i)), cone.legs[i].h)
-                      for i in s.index.elements))
+    """Mediator into the limit: the limit's own legs by default, or a
+    declared cone when a second name is given."""
+    _check_universal(env, args, config, report, suite, "universal-inverse", "cone",
+                     env.cones, lims.inverse, limit_projections_cone, cone_mediator)
 
 
-def _report_universal(report, suite, name, mediate, commutes):
+def _check_universal(env, args, config, report, suite, kind, legs_kind, declared,
+                     build, own_legs, mediate):
     """The mediator, triangle and uniqueness laws of one universal check.
 
     Uniqueness takes its status from the mediator's own check: pass when
     it ran, skipped when it exceeded the bound.  When the mediator failed,
     neither the triangles nor uniqueness ran, and both are skipped.
     """
+    if len(args) not in (1, 2):
+        raise ConfigError(f"check {kind} takes 'SPECTRUM [{legs_kind.upper()}]'")
+    name = args[0]
+    s = env.spectrum(name)
+    lim = build(s)
+    if len(args) == 2:
+        if args[1] not in declared:
+            raise UnresolvedReference(f"no {legs_kind} named {args[1]!r}")
+        spec_name, legs = declared[args[1]]
+        if spec_name != name:
+            raise ConfigError(f"{legs_kind} {args[1]} is over {spec_name}, not {name}")
+    else:
+        legs = own_legs(lim)
     exists, triangles, unique = [], [], []
     skip = ("mediator failed",)
     try:
-        w = mediate()
-        if not commutes(w):
+        w = mediate(s, lim, legs, uniq_bound=config.uniq_bound)
+        if not commutes(s, lim, legs, w.h):
             triangles.append(Finding("triangles"))
         skip = ("uniqueness unbounded",) if w.unique is None else ()
     except NonUnique as exc:

@@ -187,7 +187,7 @@ def test_criterion_3_universal_properties():
             break
         ok = ok and _witness_ok(lim.space, cocone.apex, w)
         ok = ok and all(
-            fn_equal(compose(lim.embed(i), w.h), cocone.legs[i].h)
+            fn_equal(compose(lim.leg(i), w.h), cocone.legs[i].h)
             for i in s.index.elements)
 
     produced = 0
@@ -204,7 +204,7 @@ def test_criterion_3_universal_properties():
             break
         ok = ok and _witness_ok(cone.apex, lim.space, w)
         ok = ok and all(
-            fn_equal(compose(w.h, lim.project(i)), cone.legs[i].h)
+            fn_equal(compose(w.h, lim.leg(i)), cone.legs[i].h)
             for i in s.index.elements)
     _conclude("criterion-3 universal-properties", ok)
 
@@ -290,7 +290,7 @@ def test_criterion_6_constant_spectrum_limit_is_the_space():
     fwd_w = MorphismWitness(fwd, fwd_certs)
     ok = ok and _witness_ok(lim.space, target, fwd_w)
 
-    back = lim.embed("0")
+    back = lim.leg("0")
     back_certs = {}
     for k, g in enumerate(lim.space.gens):
         pulled = compose_rfun(g, back)

@@ -44,17 +44,31 @@ def test_cspec_document_shape():
 
 
 def test_elaborate_cspec():
-    doc = parse((FIXTURES[0].parent / "cspec.bsp").read_text())
+    text = (FIXTURES[0].parent / "cspec.bsp").read_text()
+    doc = parse(text)
     env = elaborate(doc)
     s = env.spectrum("CSPEC")
     assert validate_spectrum(s) == []
     assert s.fam.carrier("0").elements == ("a", "b")
+    # a comment runs from the first '#' to the end of its line, wherever
+    # that '#' is and however many follow it
+    commented = text.replace("setoid A0 {\n  elements: a, b\n",
+                             "#setoid X {\nsetoid A0 {\n## a, b, c\n"
+                             "  elements: a, b # , c\n  #elements: c\n")
+    assert commented != text
+    again = parse(commented)
+    assert documents_equal(doc, again)
+    assert elaborate(again).spectrum("CSPEC").fam.carrier("0").elements == ("a", "b")
 
 
 def test_syntax_error_locations():
     with pytest.raises(SyntaxErrorDsl) as err:
         parse("setoid A {\n  elements a, b\n}\n")
     assert err.value.line == 2
+    # comment lines keep their numbers; a '#' cuts the rest of its line
+    with pytest.raises(SyntaxErrorDsl) as err:
+        parse("# one\n## two\nsetoid A { # three\n  elements a, b # four: c\n}\n")
+    assert err.value.line == 4
     with pytest.raises(SyntaxErrorDsl) as err:
         parse("setoid A {\n  elements: a\n")
     assert err.value.line == 1

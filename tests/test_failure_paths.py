@@ -15,7 +15,7 @@ import pytest
 from bspec import duality, limits, spectra, topology
 from bspec.families import CONTRAVARIANT
 from bspec.fixtures import chain3, constant_cspec, cspec, eo_cofinal, eo_index, x2_space
-from bspec.limits import LimitError, IllFormedCocone, Limits, direct_limit
+from bspec.limits import LimitError, IllFormedLegs, Limits, direct_limit
 from bspec.spectra import SpectrumError, constant_spectrum, identity_spectrum_map
 from bspec.topology import CConst
 
@@ -286,7 +286,7 @@ def test_cocone_mediator_raises_on_a_miss(monkeypatch):
     lim = direct_limit(s)
     cocone = limits.limit_legs_cocone(lim)
     miss(monkeypatch, "thr", n=0)
-    with pytest.raises(IllFormedCocone, match="no certificate for apex generator 0"):
+    with pytest.raises(IllFormedLegs, match="no certificate for apex generator 0"):
         limits.cocone_mediator(s, lim, cocone)
 
 

@@ -19,7 +19,6 @@ from bspec.families import (
 from bspec.fixtures import chain3, collapse_family, constant_cspec, x2_space
 from bspec.limits import (
     Limits,
-    common_representatives,
     direct_limit,
     inverse_limit_map,
     limit_map,
@@ -102,14 +101,6 @@ def test_induced_square_with_collapse_map():
     psi = SpectrumMap(comps, {i: {0: CConst(0)} for i in s.index.elements})
     for edge in s.fam.order_pairs():
         assert check_induced_square(s, tgt, psi, edge)
-
-
-def test_common_representatives_mixed_indices():
-    s = constant_cspec()
-    lim = direct_limit(s)
-    i, xs = common_representatives(lim, [("0", "p"), ("1", "q")])
-    assert i == "2"  # at or above the pairwise upper bound 1
-    assert xs == ["p", "q"]
 
 
 def test_runner_skip_keeps_exit_zero(tmp_path, capsys):

@@ -12,14 +12,12 @@ from bspec.fixtures import (
     x2_space,
 )
 from bspec.limits import (
-    Cocone,
-    Cone,
-    IllFormedCocone,
+    IllFormedLegs,
+    Legs,
     Limits,
     cocone_mediator,
     cofinal_direct_iso,
     cofinal_inverse_iso,
-    common_representatives,
     cone_mediator,
     direct_limit,
     inverse_limit,
@@ -68,9 +66,9 @@ def test_embed_maps_are_extensional_and_commute():
     for i, j in s.fam.order_pairs():
         via = make_fn(
             s.fam.carrier(i), lim.carrier,
-            {x: lim.embed(j)(s.fam.transport(i, j)(x))
+            {x: lim.leg(j)(s.fam.transport(i, j)(x))
              for x in s.fam.carrier(i).elements})
-        assert fn_equal(via, lim.embed(i))
+        assert fn_equal(via, lim.leg(i))
 
 
 def test_limit_own_legs_give_identity_mediator():
@@ -94,7 +92,7 @@ def test_cocone_into_point_space():
             {0: CConst(Fraction(0))})
         for i in s.index.elements
     }
-    w = cocone_mediator(s, lim, Cocone(apex, legs))
+    w = cocone_mediator(s, lim, Legs(apex, legs))
     assert all(w.h(tok) == "o" for tok in lim.carrier.elements)
 
 
@@ -108,7 +106,7 @@ def test_constant_spectrum_identity_cocone_gives_iso():
         i: MorphismWitness(sid(apex.carrier), {0: CGen(0)})
         for i in s.index.elements
     }
-    w = cocone_mediator(s, lim, Cocone(apex, legs))
+    w = cocone_mediator(s, lim, Legs(apex, legs))
     # classwise, the mediator reads off the representative value
     for tok in lim.carrier.elements:
         i, x = tok
@@ -130,8 +128,8 @@ def test_ill_formed_cocone_rejected():
         for i in s.index.elements
     }
     legs["1"] = MorphismWitness(legs["1"].h, {})  # drop the certificate
-    with pytest.raises(IllFormedCocone):
-        cocone_mediator(s, lim, Cocone(apex, legs))
+    with pytest.raises(IllFormedLegs):
+        cocone_mediator(s, lim, Legs(apex, legs))
 
 
 def test_limit_map_identity_and_composition():
@@ -162,15 +160,6 @@ def test_limit_map_collapse():
     psi = SpectrumMap(comps, conts)
     fwd, w = limit_map(s, tsp, psi, Limits())
     assert w is not None
-
-
-def test_common_representatives():
-    s = cspec()
-    lim = direct_limit(s)
-    i, xs = common_representatives(lim, [("0", "a")])
-    assert (i, xs) == ("0", ["a"])
-    i, xs = common_representatives(lim, [("0", "a"), ("0", "b")])
-    assert i == "2" and xs == ["z", "z"]
 
 
 def test_cofinal_direct_identity_subset():
@@ -309,7 +298,7 @@ def test_cone_mediator_constant_spectrum():
 
     legs = {i: MorphismWitness(sid(apex.carrier), {0: CGen(0)})
             for i in s.index.elements}
-    w = cone_mediator(s, lim, Cone(apex, legs))
+    w = cone_mediator(s, lim, Legs(apex, legs))
     # p maps to the constant-p choice
     tok = w.h("p")
     assert lim.assignments[tok]["0"] == "p"

@@ -157,7 +157,7 @@ def test_inverse_limit_projections_are_maps(seed):
     s = random_spectrum(random.Random(seed), direction=CONTRAVARIANT)
     lim = inverse_limit(s)
     for i in s.index.elements:
-        p = lim.project(i)
+        p = lim.leg(i)
         checked = make_fn(lim.carrier, s.fam.carrier(i), p.table())
         assert _parts(p) == _parts(checked)
 

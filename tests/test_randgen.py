@@ -5,7 +5,7 @@ from bspec.families import (
     COVARIANT,
     validate_direct_family,
 )
-from bspec.limits import validate_cocone, validate_cone
+from bspec.limits import validate_legs
 from bspec.order import validate_cofinal, validate_directed
 from bspec.randgen import (
     enumerate_directed_indices,
@@ -73,11 +73,11 @@ def test_random_cocones_and_cones_valid():
     for _ in range(12):
         s, cocone = random_spectrum_with_cocone(rng)
         assert validate_spectrum(s) == []
-        assert validate_cocone(s, cocone) == []
+        assert validate_legs(s, cocone) == []
     for _ in range(12):
         s, cone = random_spectrum_with_cone(rng)
         assert validate_spectrum(s) == []
-        assert validate_cone(s, cone) == []
+        assert validate_legs(s, cone) == []
 
 
 def test_random_cofinal_instances_valid():

@@ -8,8 +8,10 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from bspec import limits, runner
-from bspec.dsl import parse
+from bspec.dsl import UnresolvedReference, parse
 from bspec.limits import NonUnique
 from bspec.report import emit_report
 from bspec.runner import RunConfig, run_suite
@@ -112,6 +114,90 @@ def test_failed_mediator_skips_uniqueness():
     assert "triangle" in checks[0][2][0]
     assert checks[1][2] == ["mediator failed"]
     assert checks[2][2] == ["mediator failed"]
+
+
+CONE_DOC = """\
+setoid X2 {
+  elements: p, q
+}
+directed D {
+  elements: 0, 1
+  order: 0 <= 1
+}
+family F {
+  index: D
+  direction: contravariant
+  carrier 0: X2
+  carrier 1: X2
+  map 0 -> 1: p => p, q => q
+}
+subbase FX {
+  carrier: X2
+  gen f: p => 0, q => 1
+}
+spectrum S {
+  family: F
+  space 0: FX
+  space 1: FX
+  witness 0 -> 1 f: (gen f)
+}
+cone SWAP {
+  spectrum: S
+  apex: FX
+  leg 0: p => p, q => q
+  leg 1: p => q, q => p
+}
+suite main {
+  check: universal-inverse S SWAP
+}
+"""
+
+
+def test_failed_cone_mediator_skips_uniqueness():
+    # the mirror of the cocone case: the legs disagree along 0 <= 1
+    checks = _checks(CONE_DOC)
+    assert [(law, status) for law, status, _ in checks] == [
+        ("universal.S.mediator", "fail"),
+        ("universal.S.triangles", "skipped"),
+        ("universal.S.uniqueness", "skipped"),
+    ]
+    assert "triangle" in checks[0][2][0]
+    assert checks[1][2] == ["mediator failed"]
+    assert checks[2][2] == ["mediator failed"]
+
+
+def _over_t(doc, legs_kind):
+    """The document with a second spectrum T and the legs block over it."""
+    spectrum_s = doc[doc.index("spectrum S {"):doc.index(f"{legs_kind} SWAP {{")]
+    doc = doc.replace(f"{legs_kind} SWAP {{", spectrum_s.replace("spectrum S", "spectrum T")
+                      + f"{legs_kind} SWAP {{")
+    return doc.replace("  spectrum: S\n", "  spectrum: T\n")
+
+
+def _refusal(doc, kind):
+    """The one error record of a suite whose universal check was refused."""
+    [(law, status, witness)] = _checks(doc)
+    assert (law, status) == (f"{kind}.run", "fail")
+    return witness
+
+
+@pytest.mark.parametrize("doc, kind, legs_kind", [
+    (COCONE_DOC, "universal-direct", "cocone"),
+    (CONE_DOC, "universal-inverse", "cone"),
+], ids=["universal-direct", "universal-inverse"])
+def test_universal_checks_refuse_their_arguments(doc, kind, legs_kind):
+    line = f"check: {kind} S SWAP"
+    for args in ("", " S SWAP EXTRA"):
+        assert _refusal(doc.replace(line, f"check: {kind}{args}"), kind) == [
+            f"error (check {kind} takes 'SPECTRUM [{legs_kind.upper()}]')"]
+    with pytest.raises(UnresolvedReference, match=f"no {legs_kind} named 'X'"):
+        _checks(doc.replace(line, f"check: {kind} S X"))
+    assert _refusal(_over_t(doc, legs_kind), kind) == [
+        f"error ({legs_kind} SWAP is over T, not S)"]
+    # the legs block over T serves a check of T
+    assert [law for law, _, _ in _checks(
+        _over_t(doc, legs_kind).replace(line, f"check: {kind} T SWAP"))] == [
+        "universal.T.mediator", "universal.T.triangles", "universal.T.uniqueness"]
 
 
 def test_uniqueness_status_follows_the_search():

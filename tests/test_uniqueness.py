@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from bspec.families import CONTRAVARIANT, COVARIANT
 from bspec.limits import (
-    Cocone,
-    Cone,
     InverseLimit,
+    Legs,
     NonUnique,
     _check_unique_cone_mediator,
     _check_unique_mediator,
@@ -91,7 +90,7 @@ def _cocone_cases(seed):
     legs = {i: MorphismWitness(_random_table(rng, s.fam.carrier(i), apex), {})
             if rng.random() < 0.3 else c.legs[i]
             for i in s.index.elements}
-    other = Cocone(c.apex, legs)
+    other = Legs(c.apex, legs)
     h2 = _random_table(rng, lim.carrier, apex)
     bound = rng.choice(BOUNDS)
     return [(lim, c, h, bound), (lim, c, h2, bound), (lim, other, h, bound),
@@ -116,7 +115,7 @@ def _cone_cases(seed):
     legs = {i: MorphismWitness(_random_table(rng, apex, s.fam.carrier(i)), {})
             if rng.random() < 0.3 else c.legs[i]
             for i in s.index.elements}
-    other = Cone(c.apex, legs)
+    other = Legs(c.apex, legs)
     h2 = _random_table(rng, apex, lim.carrier)
     bound = rng.choice(BOUNDS)
     return [(s, lim, c, h, bound), (s, lim, c, h2, bound),
@@ -197,7 +196,7 @@ def test_defective_inverse_limit_is_not_unique():
     lim = InverseLimit(s, carrier, {"t1": choice, "t2": dict(choice)},
                        space(carrier, []))
     apex = space(discrete(["y"]), [])
-    cone = Cone(apex, {
+    cone = Legs(apex, {
         i: MorphismWitness(SetoidFn(apex.carrier, s.fam.carrier(i),
                                     {"y": choice[i]}), {})
         for i in s.index.elements})
