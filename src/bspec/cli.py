@@ -19,7 +19,7 @@ from .families import COVARIANT, FamilyError
 from .limits import LimitError, Limits, cofinal_direct_iso, cofinal_inverse_iso
 from .order import OrderError
 from .report import Report, emit_report
-from .runner import ConfigError, RunConfig, run_suite
+from .runner import ConfigError, RunConfig, cofinal_over, run_suite
 from .setoid import SetoidError
 from .spectra import SpectrumError
 from .topology import TopologyError
@@ -144,10 +144,7 @@ def cmd_iso(args):
     if args.cofinal:
         if not args.spectrum:
             raise ConfigError("--cofinal needs --spectrum")
-        s = env.spectrum(args.spectrum)
-        if args.cofinal not in env.cofinals:
-            raise DslError(f"no cofinal block named {args.cofinal!r}")
-        _, cof = env.cofinals[args.cofinal]
+        s, cof = cofinal_over(env, args.spectrum, args.cofinal)
         t0 = time.perf_counter()
         build, iso_of = ((lims.direct, cofinal_direct_iso) if s.direction == COVARIANT
                          else (lims.inverse, cofinal_inverse_iso))

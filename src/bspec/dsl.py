@@ -39,6 +39,7 @@ from .topology import (
     bmul,
     bneg,
     certify_map,
+    raise_first,
 )
 
 
@@ -587,9 +588,8 @@ def elaborate(doc):
             h = make_fn(src.carrier, dst.carrier, table)
             missing = []
             legs[i] = certify_map(src, dst, h, "leg", missing)
-            if missing:
-                raise TypeMismatch(f"leg {i} admits no certificate for generator "
-                                   f"{missing[0].witness[0]}", stmt.line)
+            raise_first(missing, lambda text: TypeMismatch(text, stmt.line),
+                        lambda k: f"leg {i} admits no certificate for generator {k}")
         named = out.cocones if b.kind == "cocone" else out.cones
         named[b.name] = (spec_name, Legs(apex, legs))
 

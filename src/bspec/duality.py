@@ -26,7 +26,6 @@ from .topology import (
     certify_iso,
     certify_map,
     check_morphism,
-    check_morphism_as,
     exp_eval_certificate,
     exponential_space,
     lift_certificate,
@@ -80,10 +79,8 @@ class MorCarrier:
 
 
 def make_mor_carrier(src, dst, witnesses, names=None):
-    for n, w in enumerate(witnesses):
-        bad = check_morphism(src, dst, w)
-        if bad:
-            raise DualityError(f"pool element {n} is not a morphism: {bad[0]}")
+    """The pool of witnesses, morphisms src -> dst already checked where
+    they were made, as a MorCarrier."""
     exp = exponential_space(src, dst, witnesses, names)
     mc = MorCarrier(src, dst, exp)
     mc._witnesses = dict(zip(exp.carrier.elements, witnesses))
@@ -191,8 +188,9 @@ def induce_spectrum(s, fixed, shape, pools):
     """Build the morphism-space spectrum of the given shape over s's index.
 
     pools maps each index element to a list of MorphismWitness values of
-    the appropriate type; each pool must be closed under the induced
-    transports.
+    the appropriate type, each a morphism already checked, as
+    enumerate_morphisms gives them; each pool must be closed under the
+    induced transports.
     """
     if shape not in SHAPES:
         raise DualityError(f"unknown shape {shape!r}")
@@ -373,7 +371,17 @@ def duality_inverse_hom(s, fixed, pools, lims):
         certs = {k: carriers_mc[i].witness(assignment[i]).certs[pos]
                  for k, (i, pos) in enumerate(lim.gen_sources)}
         hom_witnesses.append(MorphismWitness(h, certs))
+    _check_assembled(fixed, lim.space, hom_witnesses)
     return _from_hom(s, lim, fixed, inv_mor, carriers_mc, hom_witnesses)
+
+
+def _check_assembled(src, dst, witnesses):
+    """Check hom witnesses whose certificates were assembled from other
+    certificates rather than built by certify_map, as morphisms src -> dst."""
+    for n, w in enumerate(witnesses):
+        bad = check_morphism(src, dst, w)
+        if bad:
+            raise DualityError(f"pool element {n} is not a morphism: {bad[0]}")
 
 
 # --- converse-direction maps ---------------------------------------------------
@@ -443,10 +451,10 @@ def converse_dual_direct(s, fixed, pools, lims):
         w = carriers_mc[i].witness(name)
         table = {x: Tag((i, w.h(x))) for x in fixed.carrier.elements}
         h = make_fn(fixed.carrier, lim.carrier, table)
-        certs = {}
-        for k, n in enumerate(lim.gen_threads):
-            certs[k] = lift_certificate(fixed, w, lim.threads[n].certs[i])
+        certs = {k: lift_certificate(fixed, w, lim.threads[n].certs[i])
+                 for k, n in enumerate(lim.gen_threads)}
         hom_witnesses.append(MorphismWitness(h, certs))
+    _check_assembled(fixed, lim.space, hom_witnesses)
     to_hom, witness, hom_pool, findings = _classwise_to_hom(
         lim_mor, fixed, lim.space, hom_witnesses)
     return ConverseResult(to_hom, witness, hom_pool, findings=findings)
@@ -467,6 +475,4 @@ def _classwise_to_hom(lim_mor, src, dst, hom_witnesses):
                       for tok in lim_mor.carrier.elements})
     findings = []
     witness = certify_map(lim_mor.space, hom_pool.space, to_hom, "to-hom", findings)
-    if not findings:
-        findings += check_morphism_as("to-hom", lim_mor.space, hom_pool.space, witness)
     return to_hom, witness, hom_pool, findings

@@ -38,13 +38,13 @@ from .setoid import (
 )
 from .spectra import (
     Spectrum,
+    product_spectrum,
     pullback_thread,
     restrict_spectrum,
     sum_space,
 )
 from .topology import (
     BSpace,
-    CGen,
     MorphismWitness,
     RFun,
     Subbase,
@@ -52,9 +52,8 @@ from .topology import (
     certify_map,
     check_morphism,
     check_morphism_as,
-    compose_rfun,
-    gen_position,
-    validate_certificate,
+    product_space,
+    raise_first,
 )
 
 
@@ -118,15 +117,24 @@ def commutes(s, lim, c, h):
                for i in s.index.elements)
 
 
+def own_legs(lim):
+    """The limit's own legs, its class maps or projections, as Legs."""
+    s = lim.spectrum
+    legs = {}
+    for i in s.index.elements:
+        missing = []
+        legs[i] = certify_map(*oriented(s.direction, s.space(i), lim.space), lim.leg(i),
+                              "leg", missing)
+        raise_first(missing, LimitError, lambda k: f"leg at {i} is not a morphism")
+    return Legs(lim.space, legs)
+
+
 def _mediator(s, lim, c, h, certs, unique):
-    """The Mediator h between the limit and the apex of c, checked as a
-    morphism and against every leg; `unique()` is its uniqueness outcome."""
-    witness = Mediator(h, certs)
-    bad = check_morphism(*oriented(s.direction, lim.space, c.apex), witness)
-    if bad:
-        raise IllFormedLegs(str(bad[0]))
+    """The Mediator h, its certificates checked, tested against every leg
+    of c; `unique()` is its uniqueness outcome."""
     if not commutes(s, lim, c, h):
         raise IllFormedLegs("mediator does not commute with every leg")
+    witness = Mediator(h, certs)
     witness.unique = unique()
     return witness
 
@@ -143,11 +151,7 @@ def _induced_map(lim_s, lim_t, psi, fwd, label, what):
         return fwd, None
     missing = []
     witness = certify_map(lim_s.space, lim_t.space, fwd, label, missing)
-    if missing:
-        raise LimitError(f"no certificate for a pulled-back {what}")
-    bad = check_morphism(lim_s.space, lim_t.space, witness)
-    if bad:
-        raise LimitError(str(bad[0]))
+    raise_first(missing, LimitError, lambda k: f"no certificate for a pulled-back {what}")
     return fwd, witness
 
 
@@ -207,9 +211,8 @@ def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
     h = make_fn(lim.carrier, c.apex.carrier, table)  # well-defined on classes
     missing = []
     certs = certify_map(lim.space, c.apex, h, "apex", missing).certs
-    if missing:
-        raise IllFormedLegs(f"no certificate for apex generator "
-                            f"{missing[0].witness[0]} over the limit subbase")
+    raise_first(missing, IllFormedLegs,
+                lambda k: f"no certificate for apex generator {k} over the limit subbase")
     return _mediator(s, lim, c, h, certs,
                      lambda: _check_unique_mediator(lim, c, h, uniq_bound))
 
@@ -228,28 +231,6 @@ def _check_unique_mediator(lim, c, h, bound):
             lambda cls, v: any(not apex.eq(v, h(a)) for a in cls)):
         raise NonUnique("a second mediator satisfies all triangles")
     return True
-
-
-def limit_legs_cocone(lim):
-    """The limit's own legs, its class maps, as a cocone over its spectrum."""
-    s = lim.spectrum
-    legs = {}
-    for i in s.index.elements:
-        # a generator pulled back along the class map is the component at i
-        # of the thread that made it, certified by that thread when the
-        # thread's certificate holds
-        known = {}
-        for k, n in enumerate(lim.gen_threads):
-            found = lim.threads[n].certs.get(i)
-            if found is not None and validate_certificate(
-                    s.space(i), lim.threads[n].at(i), found).ok:
-                known[k] = found
-        missing = []
-        legs[i] = certify_map(s.space(i), lim.space, lim.leg(i), "leg", missing,
-                              known=known)
-        if missing:
-            raise LimitError(f"class map at {i} is not a morphism")
-    return Legs(lim.space, legs)
 
 
 def limit_map(s, t, psi, lims):
@@ -316,12 +297,9 @@ class ProductLimitResult:
 
 def product_limit_bijection(s, t, lims):
     """The limit of a product spectrum against the product of the limits."""
-    from .spectra import product_spectrum
-    from .topology import product_space
-
     prod, _ = product_spectrum(s, t)
     lim_prod, lim_s, lim_t = lims.direct(prod), lims.direct(s), lims.direct(t)
-    pair_space, pr1, pr2 = product_space(lim_s.space, lim_t.space)
+    pair_space, _, _ = product_space(lim_s.space, lim_t.space)
     findings = []
 
     table = {}
@@ -341,8 +319,6 @@ def product_limit_bijection(s, t, lims):
         findings.append(Finding("surjective", ()))
 
     w = certify_map(lim_prod.space, pair_space, to_pair, "pair", findings)
-    if not findings:
-        findings += check_morphism_as("pair", lim_prod.space, pair_space, w)
     counts = (lim_prod.class_count(), lim_s.class_count(), lim_t.class_count())
     if counts[0] != counts[1] * counts[2]:
         findings.append(Finding("class-count", counts))
@@ -498,9 +474,12 @@ def cone_mediator(s, lim, c, uniq_bound=1_000_000):
         table[y] = tok
     h = make_fn(c.apex.carrier, lim.carrier, table)
     # (f . proj_i) . h = f . leg_i, since proj_i . h agrees with leg_i up to
-    # equality and f respects it; so the leg's certificate for f serves, and
-    # the cone check has found one for every generator of every leg
+    # equality and f respects it; so the leg's certificate for f serves.  It
+    # is read off the legs, not built, so it is checked here
     certs = {k: c.legs[i].certs[pos] for k, (i, pos) in enumerate(lim.gen_sources)}
+    bad = check_morphism(c.apex, lim.space, MorphismWitness(h, certs))
+    if bad:
+        raise IllFormedLegs(str(bad[0]))
     return _mediator(s, lim, c, h, certs,
                      lambda: _check_unique_cone_mediator(s, lim, c, h, uniq_bound))
 
@@ -520,23 +499,6 @@ def _check_unique_cone_mediator(s, lim, c, h, bound):
             lambda cls, tok: any(not lim.carrier.eq(tok, h(y)) for y in cls)):
         raise NonUnique("a second cone mediator satisfies all triangles")
     return True
-
-
-def limit_projections_cone(lim):
-    """The limit's own legs, its projections, as a cone over its spectrum."""
-    s = lim.spectrum
-    legs = {}
-    for i in s.index.elements:
-        proj = lim.leg(i)
-        certs = {}
-        for k, f in enumerate(s.space(i).gens):
-            pulled = compose_rfun(f, proj)
-            pos = gen_position(lim.space, pulled)
-            if pos is None:
-                raise LimitError("projection generator missing from limit subbase")
-            certs[k] = CGen(pos)
-        legs[i] = MorphismWitness(proj, certs)
-    return Legs(lim.space, legs)
 
 
 def inverse_limit_map(s, t, psi, lims):
@@ -594,12 +556,9 @@ def cofinal_inverse_iso(s, cof, lims):
 
 def product_inverse_morphism(s, t, lims):
     """Pairing of compatible choices into the product spectrum's limit."""
-    from .spectra import product_spectrum
-    from .topology import product_space
-
     prod, _ = product_spectrum(s, t)
     lim_s, lim_t, lim_prod = lims.inverse(s), lims.inverse(t), lims.inverse(prod)
-    pair_space, pr1, pr2 = product_space(lim_s.space, lim_t.space)
+    pair_space, _, _ = product_space(lim_s.space, lim_t.space)
     findings = []
 
     table = {}
@@ -620,8 +579,6 @@ def product_inverse_morphism(s, t, lims):
         return ProductLimitResult(None, None, (), findings)
     pairing = make_fn(pair_space.carrier, lim_prod.carrier, table)
     w = certify_map(pair_space, lim_prod.space, pairing, "pair", findings)
-    if not findings:
-        findings += check_morphism_as("pair", pair_space, lim_prod.space, w)
     counts = (lim_prod.class_count(), lim_s.carrier.class_count(),
               lim_t.carrier.class_count())
     return ProductLimitResult(pairing, w, counts, findings)

@@ -36,10 +36,9 @@ from .limits import (
     cofinal_inverse_iso,
     commutes,
     cone_mediator,
-    limit_legs_cocone,
     limit_map,
-    limit_projections_cone,
     inverse_limit_map,
+    own_legs,
     product_inverse_morphism,
     product_limit_bijection,
     top_determinacy_check,
@@ -236,18 +235,18 @@ def check_universal_direct(env, args, config, report, suite, lims):
     """Mediator out of the limit: the limit's own legs by default, or a
     declared cocone when a second name is given."""
     _check_universal(env, args, config, report, suite, "universal-direct", "cocone",
-                     env.cocones, lims.direct, limit_legs_cocone, cocone_mediator)
+                     env.cocones, lims.direct, cocone_mediator)
 
 
 def check_universal_inverse(env, args, config, report, suite, lims):
     """Mediator into the limit: the limit's own legs by default, or a
     declared cone when a second name is given."""
     _check_universal(env, args, config, report, suite, "universal-inverse", "cone",
-                     env.cones, lims.inverse, limit_projections_cone, cone_mediator)
+                     env.cones, lims.inverse, cone_mediator)
 
 
 def _check_universal(env, args, config, report, suite, kind, legs_kind, declared,
-                     build, own_legs, mediate):
+                     build, mediate):
     """The mediator, triangle and uniqueness laws of one universal check.
 
     Uniqueness takes its status from the mediator's own check: pass when
@@ -304,13 +303,24 @@ def check_functoriality(env, args, config, report, suite, lims):
     report.add(suite, f"functoriality.{name}", bad)
 
 
+def cofinal_over(env, spec_name, cof_name):
+    """(spectrum, cofinal subset) for the two names, refused unless the
+    cofinal block is declared over the spectrum's own index."""
+    s = env.spectrum(spec_name)
+    if cof_name not in env.cofinals:
+        raise UnresolvedReference(f"no cofinal block named {cof_name!r}")
+    d_name, cof = env.cofinals[cof_name]
+    if env.directeds[d_name] is not s.index:
+        index_name = next(n for n, d in env.directeds.items() if d is s.index)
+        raise ConfigError(f"cofinal {cof_name} is over {d_name}, not {index_name}, "
+                          f"the index of {spec_name}")
+    return s, cof
+
+
 def check_cofinal(env, args, config, report, suite, lims):
     if len(args) != 2:
         raise ConfigError("check cofinal takes 'SPECTRUM COFINAL'")
-    s = env.spectrum(args[0])
-    if args[1] not in env.cofinals:
-        raise UnresolvedReference(f"no cofinal block named {args[1]!r}")
-    d_name, cof = env.cofinals[args[1]]
+    s, cof = cofinal_over(env, *args)
     report.add(suite, f"cofinal.{args[1]}.moduli",
                validate_cofinal(s.index, cof))
     iso_of = cofinal_direct_iso if s.direction == COVARIANT else cofinal_inverse_iso

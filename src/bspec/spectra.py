@@ -35,6 +35,7 @@ from .topology import (
     compose_rfun,
     compose_witnesses,
     lift_certificate,
+    raise_first,
     validate_certificate,
 )
 
@@ -142,9 +143,8 @@ def autofill_witnesses(fam, subbases, given=None):
         certs[(i, j)] = certify_map(
             BSpace(fam.carrier(src), subbases[src]), subbases[tgt], fam.transport(i, j),
             "edge", missing, known=certs.get((i, j))).certs
-        if missing:
-            raise SpectrumError(f"no certificate found for generator "
-                                f"{missing[0].witness[0]} on edge ({i}, {j})")
+        raise_first(missing, SpectrumError,
+                    lambda k: f"no certificate found for generator {k} on edge ({i}, {j})")
     return certs
 
 

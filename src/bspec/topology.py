@@ -339,16 +339,6 @@ def culim(rfun, witnesses):
     return CULim(tuple(sorted(rfun.table().items())), tuple(witnesses))
 
 
-def cert_uses_ulim(c):
-    if isinstance(c, CULim):
-        return True
-    if isinstance(c, CAdd):
-        return cert_uses_ulim(c.left) or cert_uses_ulim(c.right)
-    if isinstance(c, (CBic, CEq)):
-        return cert_uses_ulim(c.child)
-    return False
-
-
 def cert_conclusion(sp, c):
     """The function a derivation proves membership for, computed per rule."""
     carrier = sp.carrier
@@ -557,17 +547,34 @@ def certify_map(src, dst, h, label, findings, where=(), known=None):
     """The witness for h: src -> dst, each generator of dst pulled back
     along h and certified over src by certificate_for.
 
-    A generator in `known` keeps the certificate given there.  One with no
-    certificate is left None in the witness and recorded in `findings` as
-    `{label}-cert` at where + (k,).
+    Each certificate built here is validated here, once; a failure is
+    recorded in `findings` as `{label}-witness-certificate` at
+    where + (generator name,).  A generator with no certificate is left
+    None and recorded as `{label}-cert` at where + (k,).  One in `known`
+    keeps the certificate given there, for the law that reads it to check.
     """
     certs = dict(known or {})
     for k, g in enumerate(dst.gens):
-        if k not in certs:
-            certs[k] = certificate_for(src, compose_rfun(g, h))
-            if certs[k] is None:
-                findings.append(Finding(f"{label}-cert", where + (k,)))
+        if k in certs:
+            continue
+        pulled = compose_rfun(g, h)
+        certs[k] = certificate_for(src, pulled)
+        if certs[k] is None:
+            findings.append(Finding(f"{label}-cert", where + (k,)))
+            continue
+        rep = validate_certificate(src, pulled, certs[k])
+        findings.extend(Finding(f"{label}-witness-certificate",
+                                where + (dst.subbase.names[k],), str(f))
+                        for f in rep.findings)
     return MorphismWitness(h, certs)
+
+
+def raise_first(findings, exc, miss):
+    """Raise exc(text) for the first of certify_map's findings, if any:
+    text is miss(k) for a generator k with no certificate, else the finding."""
+    if findings:
+        f = findings[0]
+        raise exc(miss(f.witness[-1]) if f.law.endswith("-cert") else str(f))
 
 
 def check_morphism_as(label, src, dst, w, where=()):
@@ -583,19 +590,13 @@ def certify_iso(legs, trips, between=()):
     `legs` are the two maps as (label, src, dst, h); `trips` are round
     trips (law, f, g), each asking that g . f be the identity on f's
     domain.  The findings are the round trips in the order given, then
-    `between`, then each leg's missing certificates; when none of these
-    failed, check_morphism on each leg, its laws prefixed by the label.
-    A certificate built by construction is still checked, so a fault in
-    the construction is reported rather than trusted.
+    `between`, then certify_map's findings for each leg in turn.
     """
     findings = [Finding(law, (x,)) for law, f, g in trips
                 for x in f.dom.elements if not f.dom.eq(g(f(x)), x)]
     findings += between
     witnesses = [certify_map(src, dst, h, label, findings)
                  for label, src, dst, h in legs]
-    if not findings:
-        for (label, src, dst, _), w in zip(legs, witnesses):
-            findings += check_morphism_as(label, src, dst, w)
     return findings, witnesses
 
 
@@ -661,7 +662,7 @@ def reindex_certificate(c, positions):
 # --- certificates by construction -------------------------------------------
 
 def find_certificate(sp, target):
-    """A validated derivation of `target`, or None when it is not a member.
+    """A derivation of `target`, or None when it is not a member.
 
     On a finite carrier the generated topology is exactly the functions
     constant on the blocks of points that no generator separates.  Every
@@ -677,13 +678,8 @@ def find_certificate(sp, target):
             return None
     values = set(blocks.values())
     if len(values) <= 1:
-        cert = CConst(values.pop() if values else Fraction(0))
-    else:
-        cert = CBic(*_separating_certificate(blocks, len(sp.gens)))
-    rep = validate_certificate(sp, target, cert)
-    if not rep.ok:
-        raise TopologyError(f"constructed certificate fails: {rep.findings[0]}")
-    return cert
+        return CConst(values.pop() if values else Fraction(0))
+    return CBic(*_separating_certificate(blocks, len(sp.gens)))
 
 
 def _separating_certificate(blocks, ngens):

@@ -361,3 +361,15 @@ family F {
 """)
     assert main(["check", str(doc)]) == 2
     assert "family-composition" in capsys.readouterr().err
+
+
+def test_iso_refuses_a_cofinal_block_over_another_index(tmp_path, capsys):
+    path = next(p for p in FIXTURES if p.stem == "eo1")
+    text = path.read_text(encoding="utf-8").replace(
+        "directed: EO1\n  members: 0, 2\n  cof: 0 => 0, 1 => 2, 2 => 2",
+        "directed: OTHER\n  members: b\n  cof: a => b, b => b")
+    f = tmp_path / "other.bsp"
+    f.write_text(text + "\ndirected OTHER {\n  elements: a, b\n  order: a <= b\n}\n")
+    assert main(["iso", str(f), "--cofinal", "EVENS", "--spectrum", "EOSPEC"]) == 2
+    assert capsys.readouterr().err == (
+        "bspec: cofinal EVENS is over OTHER, not EO1, the index of EOSPEC\n")

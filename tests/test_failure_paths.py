@@ -16,8 +16,9 @@ from bspec import duality, limits, spectra, topology
 from bspec.families import CONTRAVARIANT
 from bspec.fixtures import chain3, constant_cspec, cspec, eo_cofinal, eo_index, x2_space
 from bspec.limits import LimitError, IllFormedLegs, Limits, direct_limit
+from bspec.setoid import discrete
 from bspec.spectra import SpectrumError, constant_spectrum, identity_spectrum_map
-from bspec.topology import CConst
+from bspec.topology import CConst, MorphismWitness, RFun, space
 
 
 def laws(findings):
@@ -281,13 +282,63 @@ def test_inverse_limit_map_raises_on_a_miss(monkeypatch):
         limits.inverse_limit_map(s, s, identity_spectrum_map(s), lims)
 
 
+def test_inverse_limit_map_raises_on_a_wrong_certificate(monkeypatch):
+    s = _contra(chain3())
+    lims = Limits()
+    lims.inverse(s)
+    miss(monkeypatch, "proj[", n=0, wrong=True)
+    with pytest.raises(LimitError, match=r"witness-certificate at proj\[0,f\]"):
+        limits.inverse_limit_map(s, s, identity_spectrum_map(s), lims)
+
+
 def test_cocone_mediator_raises_on_a_miss(monkeypatch):
     s = cspec()
     lim = direct_limit(s)
-    cocone = limits.limit_legs_cocone(lim)
+    cocone = limits.own_legs(lim)
     miss(monkeypatch, "thr", n=0)
     with pytest.raises(IllFormedLegs, match="no certificate for apex generator 0"):
         limits.cocone_mediator(s, lim, cocone)
+
+
+def test_cocone_mediator_raises_on_a_wrong_certificate(monkeypatch):
+    s = cspec()
+    lim = direct_limit(s)
+    cocone = limits.own_legs(lim)
+    miss(monkeypatch, "thr", n=0, wrong=True)
+    with pytest.raises(IllFormedLegs, match="witness-certificate at thr0"):
+        limits.cocone_mediator(s, lim, cocone)
+
+
+# --- certificates assembled rather than built ------------------------------------
+
+def test_cone_mediator_checks_the_certificates_it_reads_off_the_legs():
+    carrier = discrete(["a", "b", "c"])
+    sp = space(carrier, [RFun(carrier, {"a": 0, "b": 1, "c": 1}),
+                         RFun(carrier, {"a": 0, "b": 0, "c": 1})], ["f", "g"])
+    s = constant_spectrum(chain3(), sp, direction=CONTRAVARIANT)
+    lim = Limits().inverse(s)
+    cone = limits.own_legs(lim)
+    limits.cone_mediator(s, lim, cone)
+    # each limit generator now reads the leg's certificate for the other one
+    lim.gen_sources = lim.gen_sources[::-1]
+    with pytest.raises(IllFormedLegs, match="witness-certificate"):
+        limits.cone_mediator(s, lim, cone)
+
+
+def test_second_duality_checks_the_component_certificates():
+    s, sp, pools = _duality_inverse()
+    wrong = {i: [MorphismWitness(w.h, {k: CConst(Fraction(99)) for k in w.certs})
+                 for w in pool]
+             for i, pool in pools.items()}
+    with pytest.raises(duality.DualityError, match="is not a morphism"):
+        duality.duality_inverse_hom(s, sp, wrong, Limits())
+
+
+def test_converse_dual_direct_checks_the_lifted_certificates(monkeypatch):
+    s, sp, pools = _duality_direct()
+    monkeypatch.setattr(duality, "lift_certificate", lambda *args: CConst(Fraction(99)))
+    with pytest.raises(duality.DualityError, match="pool element 0 is not a morphism"):
+        duality.converse_dual_direct(s, sp, pools, Limits())
 
 
 def test_autofill_raises_on_a_miss(monkeypatch):

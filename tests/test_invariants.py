@@ -194,7 +194,7 @@ def test_sigma_map_collapse_counterexample():
 def test_inverse_limit_over_product_index():
     # index tokens of a product order contain commas; projection generator
     # provenance must survive them
-    from bspec.limits import cone_mediator, inverse_limit, limit_projections_cone
+    from bspec.limits import cone_mediator, inverse_limit, own_legs
     from bspec.order import chain
     from bspec.spectra import product_spectrum
 
@@ -202,7 +202,7 @@ def test_inverse_limit_over_product_index():
     prod, _ = product_spectrum(s, s)
     lim = inverse_limit(prod)
     assert lim.class_count() == 4
-    cone = limit_projections_cone(lim)
+    cone = own_legs(lim)
     w = cone_mediator(prod, lim, cone)
     for tok in lim.carrier.elements:
         assert lim.carrier.eq(w.h(tok), tok)

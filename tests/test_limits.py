@@ -22,9 +22,8 @@ from bspec.limits import (
     direct_limit,
     inverse_limit,
     inverse_limit_map,
-    limit_legs_cocone,
     limit_map,
-    limit_projections_cone,
+    own_legs,
     product_inverse_morphism,
     product_limit_bijection,
     top_determinacy_check,
@@ -74,7 +73,7 @@ def test_embed_maps_are_extensional_and_commute():
 def test_limit_own_legs_give_identity_mediator():
     s = constant_cspec()
     lim = direct_limit(s)
-    c = limit_legs_cocone(lim)
+    c = own_legs(lim)
     w = cocone_mediator(s, lim, c)
     for tok in lim.carrier.elements:
         assert lim.carrier.eq(w.h(tok), tok)
@@ -284,7 +283,7 @@ def test_inverse_limit_empty_carrier():
 def test_cone_mediator_projections_identity():
     sp = _reversed_collapse_spectrum()
     lim = inverse_limit(sp)
-    cone = limit_projections_cone(lim)
+    cone = own_legs(lim)
     w = cone_mediator(sp, lim, cone)
     for tok in lim.carrier.elements:
         assert lim.carrier.eq(w.h(tok), tok)

@@ -376,3 +376,23 @@ suite main {{
 }}
 """
     assert ("limit.S.export", "pass", ["classes=1", "gens=10001"]) in _checks(text)
+
+
+EO1 = INVERSE.parent / "eo1.bsp"
+
+
+def _cofinal_over_other():
+    """fixtures/eo1.bsp with its cofinal block EVENS declared over another
+    index, OTHER, instead of EOSPEC's index EO1."""
+    text = EO1.read_text(encoding="utf-8")
+    old = "directed: EO1\n  members: 0, 2\n  cof: 0 => 0, 1 => 2, 2 => 2"
+    assert old in text
+    return (text.replace(old, "directed: OTHER\n  members: b\n  cof: a => b, b => b")
+            + "\ndirected OTHER {\n  elements: a, b\n  order: a <= b\n}\n")
+
+
+def test_a_cofinal_block_over_another_index_is_refused():
+    refused = [(status, witness) for law, status, witness in _checks(_cofinal_over_other())
+               if law.startswith("cofinal.")]
+    assert refused == [
+        ("fail", ["error (cofinal EVENS is over OTHER, not EO1, the index of EOSPEC)"])]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bspec import dsl, limits, randgen, spectra, topology
+from bspec import dsl, randgen, spectra, topology
 from bspec.cli import main
 from bspec.families import COVARIANT, direct_sum_setoid
 from bspec.fixtures import x2_space
@@ -200,7 +200,7 @@ def test_reports_do_not_depend_on_the_shortcuts(path, tmp_path, capsys,
     """Every fixture's report with each rational parsed afresh and every
     pullback built by the checked constructor is its golden report."""
     monkeypatch.setattr(dsl, "_rational", dsl._rational.__wrapped__)
-    for module in (topology, spectra, limits, randgen):
+    for module in (topology, spectra, randgen):
         monkeypatch.setattr(module, "compose_rfun", _pullback_by_value)
     out = tmp_path / "report.json"
     assert main(["check", str(path), "--json", str(out)]) == 0

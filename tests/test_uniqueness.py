@@ -19,8 +19,7 @@ from bspec.limits import (
     cone_mediator,
     direct_limit,
     inverse_limit,
-    limit_legs_cocone,
-    limit_projections_cone,
+    own_legs,
 )
 from bspec.randgen import (
     random_certificate,
@@ -81,7 +80,7 @@ def _cocone_cases(seed):
         fam = random_direct_family(rng, index, COVARIANT, allow_merged=True)
         s = random_spectrum(rng, index, COVARIANT, family=fam)
         lim = direct_limit(s)
-        c = limit_legs_cocone(lim)
+        c = own_legs(lim)
     else:
         s, c = random_spectrum_with_cocone(rng)
         lim = direct_limit(s)
@@ -106,7 +105,7 @@ def _cone_cases(seed):
         fam = random_direct_family(rng, index, CONTRAVARIANT, allow_merged=True)
         s = random_spectrum(rng, index, CONTRAVARIANT, family=fam)
         lim = inverse_limit(s)
-        c = limit_projections_cone(lim)
+        c = own_legs(lim)
     else:
         s, c = random_spectrum_with_cone(rng)
         lim = inverse_limit(s)
