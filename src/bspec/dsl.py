@@ -498,14 +498,12 @@ def elaborate(doc):
             for tok in parse_names(pool_stmt.value, pool_stmt)
         ) if pool_stmt else (Fraction(0), Fraction(1))
         witness_certs = {}
-        auto_edges = []
         for s in b.many("witness"):
             if len(s.args) not in (3, 4) or s.args[1] != "->":
                 raise SyntaxErrorDsl(
                     "witness lines read 'witness i -> j [gen]: CERT|auto'", s.line)
             i, j = s.args[0], s.args[2]
             if s.value.strip() == "auto":
-                auto_edges.append((i, j))
                 continue
             if len(s.args) != 4:
                 raise SyntaxErrorDsl("explicit witnesses name the generator",

@@ -451,8 +451,8 @@ def converse_dual_direct(s, fixed, pools, lims):
         w = carriers_mc[i].witness(name)
         table = {x: Tag((i, w.h(x))) for x in fixed.carrier.elements}
         h = make_fn(fixed.carrier, lim.carrier, table)
-        certs = {k: lift_certificate(fixed, w, lim.threads[n].certs[i])
-                 for k, n in enumerate(lim.gen_threads)}
+        certs = {k: lift_certificate(fixed, w, t.certs[i])
+                 for k, t in enumerate(lim.threads)}
         hom_witnesses.append(MorphismWitness(h, certs))
     _check_assembled(fixed, lim.space, hom_witnesses)
     to_hom, witness, hom_pool, findings = _classwise_to_hom(

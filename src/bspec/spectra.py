@@ -11,14 +11,10 @@ from fractions import Fraction
 from .families import (
     COVARIANT,
     DirectFamily,
-    FamilyMap,
     constant_direct_family,
-    direct_sum_setoid,
     oriented,
     restrict_family,
-    sigma_map,
     validate_direct_family,
-    validate_family_map,
 )
 from .order import induced_order
 from .report import Finding
@@ -36,7 +32,6 @@ from .topology import (
     compose_witnesses,
     lift_certificate,
     raise_first,
-    validate_certificate,
 )
 
 
@@ -45,10 +40,6 @@ class SpectrumError(Exception):
 
 
 class NotContinuous(SpectrumError):
-    pass
-
-
-class IncompatibleThread(SpectrumError):
     pass
 
 
@@ -149,7 +140,6 @@ def autofill_witnesses(fam, subbases, given=None):
 
 
 def make_spectrum(fam, subbases, witness_certs=None, pool=(0, 1), auto=False):
-    pool = tuple(Fraction(q) for q in pool)
     if auto:
         witness_certs = autofill_witnesses(fam, subbases, witness_certs)
     s = Spectrum(fam, dict(subbases), dict(witness_certs or {}), pool)
@@ -167,7 +157,7 @@ def constant_spectrum(index, sp, pool=(0, 1), direction=COVARIANT):
     for i, j in fam.order_pairs():
         if i != j:
             certs[(i, j)] = {k: CGen(k) for k in range(len(sp.gens))}
-    return Spectrum(fam, subbases, certs, tuple(Fraction(q) for q in pool))
+    return Spectrum(fam, subbases, certs, pool)
 
 
 def validate_spectrum(s):
@@ -223,29 +213,6 @@ class Thread:
         return self.funcs[i]
 
 
-def validate_thread(s, t, check_certs=True):
-    if s.direction != COVARIANT:
-        raise SpectrumError("threads are validated over a covariant spectrum")
-    findings = []
-    for i in s.index.elements:
-        if i not in t.funcs:
-            findings.append(Finding("thread-partial", (i,)))
-            return findings
-    for i, j in s.fam.order_pairs():
-        if s.induced_map(i, j, t.at(j)).values != t.at(i).values:
-            findings.append(Finding("thread-compat", (i, j)))
-    if check_certs:
-        for i in s.index.elements:
-            c = t.certs.get(i)
-            if c is None:
-                findings.append(Finding("thread-cert-missing", (i,)))
-                continue
-            rep = validate_certificate(s.space(i), t.at(i), c)
-            if not rep.ok:
-                findings.append(Finding("thread-cert", (i,), str(rep.findings[0])))
-    return findings
-
-
 def enumerate_threads(s):
     """All compatible choices over a covariant spectrum whose components are
     generators or constants from the declared pool.
@@ -256,10 +223,10 @@ def enumerate_threads(s):
     when every order pair (i, j), reflexive ones included, agrees:
     f_j . lambda_ij = f_i, that is f_t(lambda_jt(lambda_ij(x))) =
     f_t(lambda_it(x)) on the carrier at i.  The pairs of top elements those
-    equations tie are collected once, so the threads returned pass
-    `validate_thread`.  They come ordered by their candidates' positions,
-    read in index order, which is the order a backtracking search along
-    the index finds them in.
+    equations tie are collected once, so every thread returned is
+    compatible at every order pair.  They come ordered by their
+    candidates' positions, read in index order, which is the order a
+    backtracking search along the index finds them in.
     """
     from .topology import CConst, rconst
 
@@ -302,20 +269,10 @@ def enumerate_threads(s):
             for pos in sorted(chosen)]
 
 
-def thread_to_sum_function(s, t, sum_s):
-    """The function (i, x) -> component-at-i applied to x, on the direct sum.
-
-    Compatibility of the components makes it constant on sum classes; the
-    extensionality check happens in the RFun constructor.
-    """
-    findings = validate_thread(s, t, check_certs=False)
-    if findings:
-        raise IncompatibleThread(str(findings[0]))
-    return sum_function(t, sum_s)
-
-
 def sum_function(t, sum_s):
-    """thread_to_sum_function for a thread already known to be compatible."""
+    """The function (i, x) -> component-at-i applied to x, on the direct sum,
+    of a compatible thread; the RFun constructor refuses one that is not
+    constant on sum classes."""
     values = {}
     for a in sum_s.elements:
         i, x = a
@@ -323,34 +280,20 @@ def sum_function(t, sum_s):
     return RFun(sum_s, values)
 
 
-def sum_space(s, sum_s, threads=None):
+def sum_space(s, sum_s):
     """The direct-sum carrier topologized by the thread functions.
 
-    Returns the space, the threads, and for each generator the position of
-    the thread that made it.  Threads passed in are validated, and one whose
-    function repeats an earlier one's makes no generator.  Enumerated ones
-    are compatible by construction and make one generator each: their
-    candidate positions differ and the candidates at each index differ by
-    value, so their functions already differ.
+    Returns the space and the threads; thread n makes generator n, `thr{n}`.
+    The threads are compatible by construction and their functions differ:
+    their candidate positions differ and the candidates at each index
+    differ by value.
     """
     if s.direction != COVARIANT:
         raise SpectrumError("sum space is built over a covariant spectrum")
-    if threads is None:
-        threads = enumerate_threads(s)
-        gens = [sum_function(t, sum_s) for t in threads]
-        gen_threads = list(range(len(threads)))
-    else:
-        gens, gen_threads, seen = [], [], set()
-        for n, t in enumerate(threads):
-            f = thread_to_sum_function(s, t, sum_s)
-            key = tuple(f.values[x] for x in sum_s.elements)
-            if key not in seen:
-                seen.add(key)
-                gens.append(f)
-                gen_threads.append(n)
-    names = tuple(f"thr{n}" for n in gen_threads)
-    space = BSpace(sum_s, Subbase(sum_s, tuple(gens), names))
-    return space, threads, gen_threads
+    threads = enumerate_threads(s)
+    gens = tuple(sum_function(t, sum_s) for t in threads)
+    names = tuple(f"thr{n}" for n in range(len(threads)))
+    return BSpace(sum_s, Subbase(sum_s, gens, names)), threads
 
 
 # --- maps between spectra ----------------------------------------------------
@@ -362,9 +305,6 @@ class SpectrumMap:
     comps: dict  # index element -> SetoidFn
     continuity: dict | None = None  # index element -> {gen index -> certificate}
 
-    def family_map(self):
-        return FamilyMap(dict(self.comps))
-
     def at(self, i):
         return self.comps[i]
 
@@ -372,20 +312,6 @@ class SpectrumMap:
         if self.continuity is None or i not in self.continuity:
             raise NotContinuous(f"no continuity certificates at {i}")
         return MorphismWitness(self.comps[i], dict(self.continuity[i]))
-
-
-def validate_spectrum_map(s, t, psi):
-    findings = validate_family_map(s.fam, t.fam, psi.family_map())
-    if psi.continuity is not None:
-        for i in s.index.elements:
-            try:
-                w = psi.witness(s.space(i), i)
-            except NotContinuous:
-                findings.append(Finding("continuity-missing", (i,)))
-                continue
-            for f in check_morphism(s.space(i), t.space(i), w):
-                findings.append(Finding("continuity-" + f.law, (i,) + f.witness))
-    return findings
 
 
 def identity_spectrum_map(s):
@@ -409,78 +335,6 @@ def compose_spectrum_maps(s, t, u, psi, xi):
                                   xi.witness(t.space(i), i))
             continuity[i] = w.certs
     return SpectrumMap(comps, continuity)
-
-
-def pullback_thread(s, t, psi, thread_over_t):
-    """Compose a compatible choice over the target with the map components;
-    certificates come from lifting through the continuity witnesses."""
-    if psi.continuity is None:
-        raise NotContinuous("pullback needs continuity certificates")
-    funcs, certs = {}, {}
-    for i in s.index.elements:
-        w = psi.witness(s.space(i), i)
-        funcs[i] = compose_rfun(thread_over_t.at(i), psi.comps[i])
-        c = thread_over_t.certs.get(i)
-        if c is None:
-            raise IncompatibleThread(f"target thread lacks a certificate at {i}")
-        certs[i] = lift_certificate(s.space(i), w, c)
-    pulled = Thread(funcs, certs)
-    findings = validate_thread(s, pulled)
-    if findings:
-        raise IncompatibleThread(str(findings[0]))
-    return pulled
-
-
-def check_sum_morphisms(s, t, psi, threads_s=None, threads_t=None):
-    """The tagging maps and the induced sum map are morphisms for the sum
-    topologies: tagging pulls a thread function back to the thread's own
-    component, and the sum map pulls one back to the pulled-back thread."""
-    findings = []
-    sum_src = direct_sum_setoid(s.fam)
-    space_s, threads_s, _ = sum_space(s, sum_src, threads_s)
-    # sum_space has validated the threads it was given; each tagging map
-    # pulls a thread function back to the thread's own component, so it
-    # carries that component's certificate
-    for i in s.index.elements:
-        for t_obj in threads_s:
-            c = t_obj.certs.get(i)
-            if c is None:
-                findings.append(Finding("tagging-cert-missing", (i,)))
-                continue
-            rep = validate_certificate(s.space(i), t_obj.at(i), c)
-            if not rep.ok:
-                findings.append(Finding("tagging-cert", (i,)))
-    if psi is None:
-        return findings
-    if psi.continuity is None:
-        findings.append(Finding("not-continuous", ()))
-        return findings
-    sum_dst = direct_sum_setoid(t.fam)
-    space_t, threads_t, _ = sum_space(t, sum_dst, threads_t)
-    smap = sigma_map(s.fam, t.fam, psi, sum_src, sum_dst)
-    for h_obj in threads_t:
-        g = sum_function(h_obj, sum_dst)
-        pulled_fun = compose_rfun(g, smap)
-        # pullback_thread validates the thread it returns
-        expected = sum_function(pullback_thread(s, t, psi, h_obj), sum_src)
-        if pulled_fun.values != expected.values:
-            findings.append(Finding("sum-map-pullback", ()))
-    return findings
-
-
-def check_induced_square(s, t, psi, edge):
-    """On one edge, pulling a generator through the map then the transport
-    agrees with the other path around the square."""
-    i, j = edge
-    # the square ends at the transport's target:
-    # psi_tgt . lambda_ij = mu_ij . psi_src
-    src, tgt = s.fam.ends(i, j)
-    for g in t.space(tgt).gens:
-        left = compose_rfun(compose_rfun(g, psi.comps[tgt]), s.fam.transport(i, j))
-        right = compose_rfun(compose_rfun(g, t.fam.transport(i, j)), psi.comps[src])
-        if left.values != right.values:
-            return False
-    return True
 
 
 def restrict_spectrum(s, cof):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .families import COVARIANT, make_direct_family
-from .order import CofinalSubset, chain
-from .setoid import discrete, make_fn
-from .spectra import Spectrum, constant_spectrum
-from .topology import CConst, CGen, RFun, Subbase, space
+from bspec.families import COVARIANT, make_direct_family
+from bspec.order import CofinalSubset, chain
+from bspec.setoid import discrete, make_fn
+from bspec.spectra import Spectrum, constant_spectrum
+from bspec.topology import CConst, CGen, RFun, Subbase, space
 
 
 def chain3():

@@ -27,14 +27,6 @@ from bspec.families import (
     direct_sum_setoid,
     sum_elements,
 )
-from bspec.fixtures import (
-    chain3,
-    constant_cspec,
-    cspec,
-    eo_cofinal,
-    eo_index,
-    x2_space,
-)
 from bspec.limits import (
     Limits,
     cocone_mediator,
@@ -67,7 +59,6 @@ from bspec.spectra import (
     constant_spectrum,
     enumerate_threads,
     identity_spectrum_map,
-    thread_to_sum_function,
 )
 from bspec.topology import (
     BID,
@@ -96,6 +87,16 @@ from bspec.topology import (
     space,
     validate_certificate,
 )
+
+from structures import (
+    chain3,
+    constant_cspec,
+    cspec,
+    eo_cofinal,
+    eo_index,
+    x2_space,
+)
+from thread_laws import thread_to_sum_function
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted(ROOT.glob("fixtures/*.bsp"))

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from bspec.families import CONTRAVARIANT
-from bspec.fixtures import chain3, constant_cspec, cspec, x2_space
 from bspec.duality import (
     DualityError,
     PoolNotClosed,
@@ -28,6 +27,8 @@ from bspec.topology import (
     rconst,
     space,
 )
+
+from structures import chain3, constant_cspec, cspec, x2_space
 
 
 def one_point_space():

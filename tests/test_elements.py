@@ -15,7 +15,6 @@ from bspec import runner
 from bspec.dsl import Elaborated, parse
 from bspec.duality import enumerate_morphisms, make_mor_carrier
 from bspec.families import CONTRAVARIANT, COVARIANT, DirectFamily, make_direct_family
-from bspec.fixtures import x2_space
 from bspec.limits import direct_limit, inverse_limit
 from bspec.order import DirectedIndex, chain, make_directed
 from bspec.randgen import random_spectrum
@@ -34,6 +33,7 @@ from bspec.spectra import Spectrum, make_spectrum
 from bspec.topology import CGen, RFun, Subbase, map_cert
 
 from oracles import find_scan, token_of_scan
+from structures import x2_space
 
 FAST = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

@@ -14,11 +14,12 @@ import pytest
 
 from bspec import duality, limits, spectra, topology
 from bspec.families import CONTRAVARIANT
-from bspec.fixtures import chain3, constant_cspec, cspec, eo_cofinal, eo_index, x2_space
 from bspec.limits import LimitError, IllFormedLegs, Limits, direct_limit
 from bspec.setoid import discrete
 from bspec.spectra import SpectrumError, constant_spectrum, identity_spectrum_map
 from bspec.topology import CConst, MorphismWitness, RFun, space
+
+from structures import chain3, constant_cspec, cspec, eo_cofinal, eo_index, x2_space
 
 
 def laws(findings):
@@ -272,6 +273,24 @@ def test_converse_dual_direct_paths(monkeypatch, n, wrong, expected):
 
 
 # --- callers that raise on a miss ------------------------------------------------
+
+def test_limit_map_raises_on_a_miss(monkeypatch):
+    s = cspec()
+    lims = Limits()
+    lims.direct(s)
+    miss(monkeypatch, "thr", n=0)
+    with pytest.raises(LimitError, match="no certificate for a pulled-back generator"):
+        limits.limit_map(s, s, identity_spectrum_map(s), lims)
+
+
+def test_limit_map_raises_on_a_wrong_certificate(monkeypatch):
+    s = cspec()
+    lims = Limits()
+    lims.direct(s)
+    miss(monkeypatch, "thr", n=0, wrong=True)
+    with pytest.raises(LimitError, match="pullback-witness-certificate at thr0"):
+        limits.limit_map(s, s, identity_spectrum_map(s), lims)
+
 
 def test_inverse_limit_map_raises_on_a_miss(monkeypatch):
     s = _contra(chain3())

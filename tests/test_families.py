@@ -22,7 +22,6 @@ from bspec.families import (
     validate_direct_family,
     validate_family_map,
 )
-from bspec.fixtures import chain3, collapse_family
 from bspec.order import chain
 from bspec.setoid import discrete, make_fn, make_setoid
 
@@ -33,6 +32,7 @@ from oracles import (
     validate_dependent,
 )
 from plain_families import constant_family, make_family, sigma_equality_plain
+from structures import chain3, collapse_family
 
 
 def test_constant_family_valid():

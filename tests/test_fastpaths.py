@@ -37,10 +37,11 @@ from bspec.setoid import (
     identity,
     make_setoid,
 )
-from bspec.spectra import Spectrum, thread_to_sum_function, validate_thread
+from bspec.spectra import Spectrum
 from bspec.topology import CAdd, CConst, map_setoid
 
 from oracles import complete_witnesses_scan, equivalence_findings_scan, outcome
+from thread_laws import thread_to_sum_function, validate_thread
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -196,9 +197,9 @@ def test_generators_record_the_threads_that_made_them(seed):
     lim = direct_limit(s)
     # the enumerated threads pass the validation the limit no longer repeats
     assert all(validate_thread(s, t) == [] for t in lim.threads)
-    assert len(lim.gen_threads) == len(lim.space.gens)
-    for k, n in enumerate(lim.gen_threads):
-        made = thread_to_sum_function(s, lim.threads[n], lim.carrier)
+    assert len(lim.threads) == len(lim.space.gens)
+    for k, t in enumerate(lim.threads):
+        made = thread_to_sum_function(s, t, lim.carrier)
         assert made.values == lim.space.gens[k].values
     # and every thread's function is one of the generators
     gens = {tuple(g.values.items()) for g in lim.space.gens}

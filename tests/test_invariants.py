@@ -16,7 +16,6 @@ from bspec.families import (
     family_map,
     sigma_map,
 )
-from bspec.fixtures import chain3, collapse_family, constant_cspec, x2_space
 from bspec.limits import (
     Limits,
     direct_limit,
@@ -26,8 +25,11 @@ from bspec.limits import (
 from bspec.order import DirectedIndex, make_directed, validate_directed
 from bspec.randgen import random_spectrum, thicken_spectrum
 from bspec.setoid import compose, discrete, is_embedding, make_fn
-from bspec.spectra import check_induced_square, constant_spectrum, SpectrumMap
+from bspec.spectra import constant_spectrum, SpectrumMap
 from bspec.topology import CConst, rconst, space
+
+from structures import chain3, collapse_family, constant_cspec, x2_space
+from thread_laws import check_induced_square
 
 
 def test_delta_can_serve_as_upper_function():
@@ -225,7 +227,7 @@ def test_second_duality_over_product_index():
 def test_cofinal_iso_over_product_index():
     # componentwise cofinal subset of a product order, exercised through
     # the full restriction-and-isomorphism pipeline
-    from bspec.fixtures import eo_cofinal, eo_index, x2_space
+    from structures import eo_cofinal, eo_index, x2_space
     from bspec.limits import Limits, cofinal_direct_iso
     from bspec.order import product_cofinal, product_order
     from bspec.spectra import constant_spectrum

@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bspec import families, order, runner, spectra
+from bspec import families, order, runner
 from bspec.cli import main
 from bspec.dsl import elaborate, parse
-from bspec.duality import duality_direct_to_inverse
 from bspec.families import (
     CONTRAVARIANT,
     COVARIANT,
@@ -23,7 +22,6 @@ from bspec.families import (
     sum_equality_laws_hold,
     validate_direct_family,
 )
-from bspec.limits import Limits, cocone_mediator, direct_limit
 from bspec.order import (
     DirectedIndex,
     _close_order,
@@ -35,9 +33,7 @@ from bspec.randgen import (
     _heights,
     random_direct_family,
     random_directed_index,
-    random_spectrum_with_cocone,
 )
-from bspec.report import Report
 from bspec.setoid import (
     NotEquivalence,
     Setoid,
@@ -303,26 +299,6 @@ def test_chain40_document_elaborates_as_the_scans_do(monkeypatch):
     assert D.upper == E.upper
     assert (_tables(keyed.families["F"].transports)
             == _tables(scanned.families["F"].transports))
-
-
-# --- threads known to be compatible are not validated again --------------------
-
-def test_compatible_threads_are_not_validated_again(monkeypatch):
-    rng = random.Random(5)
-    cases = [random_spectrum_with_cocone(rng) for _ in range(5)]
-    limits_ = [direct_limit(s) for s, _ in cases]
-    env = elaborate(parse((ROOT / "fixtures" / "constant.bsp").read_text()))
-    config = runner.RunConfig()
-    s, fixed, pools = runner._build_pools(env, "PDUAL")
-    lims = Limits()
-    lims.direct(s)
-    monkeypatch.setattr(spectra, "validate_thread", _refuse)
-    for (s_c, cocone), lim_c in zip(cases, limits_):
-        assert cocone_mediator(s_c, lim_c, cocone).h is not None
-    assert duality_direct_to_inverse(s, fixed, pools, lims).findings == []
-    report = Report()
-    runner.check_limit_direct(env, ("CONST",), config, report, "t", Limits())
-    assert [r.status for r in report.records] == ["pass", "pass"]
 
 
 # --- random families ----------------------------------------------------------

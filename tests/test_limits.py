@@ -3,14 +3,6 @@ from fractions import Fraction
 import pytest
 
 from bspec.families import CONTRAVARIANT, make_direct_family
-from bspec.fixtures import (
-    chain3,
-    constant_cspec,
-    cspec,
-    eo_cofinal,
-    eo_index,
-    x2_space,
-)
 from bspec.limits import (
     IllFormedLegs,
     Legs,
@@ -44,6 +36,15 @@ from bspec.topology import (
     check_morphism,
     rconst,
     space,
+)
+
+from structures import (
+    chain3,
+    constant_cspec,
+    cspec,
+    eo_cofinal,
+    eo_index,
+    x2_space,
 )
 
 
@@ -114,21 +115,41 @@ def test_constant_spectrum_identity_cocone_gives_iso():
     assert ok
 
 
+def _constants_only():
+    """The two points p, q whose only generator is the constant 0: a map
+    into it is a morphism, one out of it that separates p and q is not."""
+    X = discrete(["p", "q"])
+    return space(X, [rconst(X, 0)], ["z"])
+
+
+def _identity_legs(s, src, dst):
+    """The identity of {p, q} at every index, certified by CGen(0), which
+    claims the pulled-back generator is the source's first one."""
+    h = make_fn(src.carrier, dst.carrier, {"p": "p", "q": "q"})
+    return {i: MorphismWitness(h, {0: CGen(0)}) for i in s.index.elements}
+
+
 def test_ill_formed_cocone_rejected():
-    s = constant_cspec()
-    lim = direct_limit(s)
-    pt = discrete(["o"])
-    apex = space(pt, [rconst(pt, 0)], ["c"])
-    legs = {
-        i: MorphismWitness(
-            make_fn(s.fam.carrier(i), pt,
-                    {x: "o" for x in s.fam.carrier(i).elements}),
-            {0: CConst(Fraction(0))})
-        for i in s.index.elements
-    }
-    legs["1"] = MorphismWitness(legs["1"].h, {})  # drop the certificate
+    # every triangle commutes, but no leg is a morphism: the apex generator
+    # separates p and q, and the spaces of the spectrum hold only constants
+    z = _constants_only()
+    s = constant_spectrum(chain3(), z)
+    apex = x2_space()
     with pytest.raises(IllFormedLegs):
-        cocone_mediator(s, lim, Legs(apex, legs))
+        cocone_mediator(s, direct_limit(s), Legs(apex, _identity_legs(s, z, apex)))
+
+
+def test_ill_formed_cone_rejected():
+    z = _constants_only()
+    s = constant_spectrum(chain3(), x2_space(), direction=CONTRAVARIANT)
+    lim = inverse_limit(s)
+    legs = _identity_legs(s, z, x2_space())
+    with pytest.raises(IllFormedLegs, match="witness-certificate"):
+        cone_mediator(s, lim, Legs(z, legs))
+    # the cone mediator reads the leg certificates: a missing one is refused
+    bare = {i: MorphismWitness(w.h, {}) for i, w in legs.items()}
+    with pytest.raises(IllFormedLegs, match="missing-certificate"):
+        cone_mediator(s, lim, Legs(z, bare))
 
 
 def test_limit_map_identity_and_composition():

@@ -1,6 +1,5 @@
 import pytest
 
-from bspec.fixtures import chain3, eo_cofinal, eo_index
 from bspec.order import (
     CofinalSubset,
     NotDirected,
@@ -14,6 +13,8 @@ from bspec.order import (
     validate_directed,
 )
 from bspec.setoid import discrete, identity, make_fn
+
+from structures import chain3, eo_cofinal, eo_index
 
 
 def test_chain3_valid_with_delta():

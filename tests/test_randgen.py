@@ -3,6 +3,7 @@ import random
 from bspec.families import (
     CONTRAVARIANT,
     COVARIANT,
+    oriented,
     validate_direct_family,
 )
 from bspec.limits import validate_legs
@@ -18,8 +19,10 @@ from bspec.randgen import (
     random_spectrum_with_cocone,
     random_spectrum_with_cone,
 )
-from bspec.spectra import validate_spectrum, validate_spectrum_map
-from bspec.topology import cert_conclusion, validate_certificate
+from bspec.spectra import validate_spectrum
+from bspec.topology import cert_conclusion, check_morphism_as, validate_certificate
+
+from thread_laws import validate_spectrum_map
 
 
 def test_enumerated_indices_are_valid_and_nontrivial():
@@ -68,16 +71,24 @@ def test_random_map_chains_valid():
         assert validate_spectrum_map(t, u, xi) == []
 
 
+def _legs_are_morphisms(s, c):
+    return all(check_morphism_as("leg", *oriented(s.direction, s.space(i), c.apex),
+                                 c.legs[i], (i,)) == []
+               for i in s.index.elements)
+
+
 def test_random_cocones_and_cones_valid():
     rng = random.Random(4)
     for _ in range(12):
         s, cocone = random_spectrum_with_cocone(rng)
         assert validate_spectrum(s) == []
         assert validate_legs(s, cocone) == []
+        assert _legs_are_morphisms(s, cocone)
     for _ in range(12):
         s, cone = random_spectrum_with_cone(rng)
         assert validate_spectrum(s) == []
         assert validate_legs(s, cone) == []
+        assert _legs_are_morphisms(s, cone)
 
 
 def test_random_cofinal_instances_valid():

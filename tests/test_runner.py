@@ -166,6 +166,20 @@ def test_failed_cone_mediator_skips_uniqueness():
     assert checks[2][2] == ["mediator failed"]
 
 
+@pytest.mark.parametrize("doc", [COCONE_DOC, CONE_DOC],
+                         ids=["universal-direct", "universal-inverse"])
+def test_a_mediator_that_does_not_commute_fails_the_mediator_law(doc, monkeypatch):
+    # the mediator tests its own triangles, so a failure there fails `mediator`
+    monkeypatch.setattr(limits, "commutes", lambda *args: False)
+    doc = doc.replace("leg 1: p => q, q => p", "leg 1: p => p, q => q")
+    assert _checks(doc) == [
+        ("universal.S.mediator", "fail",
+         ["mediator (mediator does not commute with every leg)"]),
+        ("universal.S.triangles", "skipped", ["mediator failed"]),
+        ("universal.S.uniqueness", "skipped", ["mediator failed"]),
+    ]
+
+
 def _over_t(doc, legs_kind):
     """The document with a second spectrum T and the legs block over it."""
     spectrum_s = doc[doc.index("spectrum S {"):doc.index(f"{legs_kind} SWAP {{")]

@@ -4,31 +4,33 @@ from pathlib import Path
 import pytest
 
 from bspec.families import COVARIANT, DirectFamily, direct_sum_setoid
-from bspec.fixtures import chain3, cspec, constant_cspec
 from bspec.order import chain
 from bspec.setoid import SetoidFn, discrete, make_fn
 from bspec.spectra import (
-    IncompatibleThread,
     Spectrum,
     SpectrumError,
     Thread,
-    check_induced_square,
-    check_sum_morphisms,
     enumerate_threads,
     identity_spectrum_map,
     make_spectrum,
     product_spectrum,
-    pullback_thread,
     restrict_spectrum,
     sum_space,
-    thread_to_sum_function,
     validate_spectrum,
-    validate_spectrum_map,
-    validate_thread,
     SpectrumMap,
 )
-from bspec.fixtures import eo_cofinal
 from bspec.topology import CConst, RFun, rconst, space, validate_certificate
+
+from structures import chain3, constant_cspec, cspec, eo_cofinal
+from thread_laws import (
+    IncompatibleThread,
+    check_induced_square,
+    check_sum_morphisms,
+    pullback_thread,
+    thread_to_sum_function,
+    validate_spectrum_map,
+    validate_thread,
+)
 
 
 def test_constant_spectrum_valid():
@@ -112,16 +114,10 @@ def test_constant_thread_gives_constant_sum_function():
 
 def test_sum_space_carrier_and_gens():
     s = cspec()
-    sp, threads, _ = sum_space(s, direct_sum_setoid(s.fam))
+    sp, threads = sum_space(s, direct_sum_setoid(s.fam))
     assert sp.carrier.class_count() == 1
     # two constant threads give two generators (0 and 1)
     assert len(sp.gens) == 2
-
-
-def test_empty_thread_list_gives_empty_subbase():
-    s = cspec()
-    sp, _, _ = sum_space(s, direct_sum_setoid(s.fam), threads=[])
-    assert sp.gens == ()
 
 
 def test_pullback_thread_identity():
@@ -214,9 +210,8 @@ def test_product_spectrum_valid():
     t = constant_cspec()
     prod, projections = product_spectrum(s, t)
     assert validate_spectrum(prod) == []
-    threads = enumerate_threads(prod)
+    sp, threads = sum_space(prod, direct_sum_setoid(prod.fam))
     assert threads  # at least the pooled constants survive
-    sp, _, _ = sum_space(prod, direct_sum_setoid(prod.fam), threads)
     assert sp.carrier.class_count() == 4
 
 
@@ -224,7 +219,7 @@ def test_product_spectrum_cspec():
     s = cspec()
     prod, _ = product_spectrum(s, s)
     assert validate_spectrum(prod) == []
-    sp, _, _ = sum_space(prod, direct_sum_setoid(prod.fam))
+    sp, _ = sum_space(prod, direct_sum_setoid(prod.fam))
     assert sp.carrier.class_count() == 1
 
 

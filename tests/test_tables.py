@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 from bspec import dsl, randgen, spectra, topology
 from bspec.cli import main
 from bspec.families import COVARIANT, direct_sum_setoid
-from bspec.fixtures import x2_space
-from bspec.order import chain
 from bspec.randgen import (
     random_certificate,
     random_direct_family,
@@ -22,7 +20,7 @@ from bspec.randgen import (
 )
 from bspec.report import Finding
 from bspec.setoid import Setoid, SetoidFn, setoid_by_key
-from bspec.spectra import constant_spectrum, sum_space
+from bspec.spectra import sum_space
 from bspec.topology import (
     RFun,
     cert_conclusion,
@@ -150,24 +148,10 @@ def test_enumerated_threads_give_distinct_generators(seed):
     pool = rng.choice([(0, 1), (0,), (1, 0, Fraction(1, 2)), ()])
     s = random_spectrum(rng, index, COVARIANT, family=fam, pool=pool)
     sum_s = direct_sum_setoid(fam)
-    sp, threads, gen_threads = sum_space(s, sum_s)
+    sp, threads = sum_space(s, sum_s)
     tables = [tuple(g.values[x] for x in sum_s.elements) for g in sp.gens]
-    assert len(set(tables)) == len(tables)
-    assert gen_threads == list(range(len(threads)))
-    # the same threads passed in go through the dedupe and keep them all
-    sp2, _, gen_threads2 = sum_space(s, sum_s, threads)
-    assert gen_threads2 == gen_threads
-    assert sp2.subbase.names == sp.subbase.names
-    assert [g.values for g in sp2.gens] == [g.values for g in sp.gens]
-
-
-def test_threads_passed_in_twice_make_one_generator():
-    s = constant_spectrum(chain(3), x2_space(), pool=(0,))
-    sum_s = direct_sum_setoid(s.fam)
-    _, threads, _ = sum_space(s, sum_s)
-    sp, _, gen_threads = sum_space(s, sum_s, threads + threads)
-    assert gen_threads == list(range(len(threads)))
-    assert len(sp.gens) == len(threads)
+    assert len(set(tables)) == len(tables) == len(threads)
+    assert sp.subbase.names == tuple(f"thr{n}" for n in range(len(threads)))
 
 
 def test_equal_rationals_parse_equal():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bspec.families import COVARIANT, DirectFamily
-from bspec.fixtures import x2_space
 from bspec.order import chain
 from bspec.randgen import random_rational, random_spectrum
 from bspec.setoid import SetoidFn
@@ -20,11 +19,12 @@ from bspec.spectra import (
     SpectrumError,
     constant_spectrum,
     enumerate_threads,
-    validate_thread,
 )
 from bspec.topology import RFun, Subbase
 
 from oracles import enumerate_threads_backtracking
+from structures import x2_space
+from thread_laws import validate_thread
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 FAULTS = ("none", "swapped-identity", "not-composing", "extra-generators")

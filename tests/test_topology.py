@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 
-from bspec.fixtures import x2_space
 from bspec.report import Finding
 from bspec.setoid import SetoidFn, discrete, make_fn, make_setoid, make_subset
 from bspec.topology import (
@@ -47,6 +46,8 @@ from bspec.topology import (
     space,
     validate_certificate,
 )
+
+from structures import x2_space
 
 
 def test_eval_exact():
