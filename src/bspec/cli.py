@@ -38,7 +38,6 @@ def _add_common(p):
 def _add_suite(p):
     _add_common(p)
     p.add_argument("--uniq-bound", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite", help="suite block to run (default: all)")
 
 
@@ -68,7 +67,7 @@ def build_parser():
 
 
 def _config(args):
-    return RunConfig(uniq_bound=args.uniq_bound, seed=args.seed)
+    return RunConfig(uniq_bound=args.uniq_bound)
 
 
 def _emit(report, args):

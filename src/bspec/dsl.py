@@ -523,8 +523,8 @@ def elaborate(doc):
                 tgt_sub.names.index(gen_name)] = cert
         # composite edges are derived by lifting first; anything still
         # missing (including declared-auto edges) is constructed
-        probe = Spectrum(fam, subbases, witness_certs, pool)
-        witness_certs = probe.witness_certs
+        spectrum = Spectrum(fam, subbases, witness_certs, pool)
+        witness_certs = spectrum.witness_certs
         missing = []
         for i, j in fam.order_pairs():
             if i == j:
@@ -534,8 +534,8 @@ def elaborate(doc):
             if any(k not in have for k in range(len(tgt.gens))):
                 missing.append((i, j))
         if missing:
-            witness_certs = autofill_witnesses(fam, subbases, witness_certs)
-        out.spectra[b.name] = Spectrum(fam, subbases, witness_certs, pool)
+            spectrum.witness_certs = autofill_witnesses(fam, subbases, witness_certs)
+        out.spectra[b.name] = spectrum
 
     for b in doc.of_kind("cofinal"):
         d_stmt = b.one("directed", required=True)

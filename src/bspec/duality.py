@@ -272,9 +272,6 @@ def _gen_items(mc):
 @dataclass
 class DualityResult:
     to_hom: object      # map from the compatible-choice side to the hom side
-    from_hom: object
-    to_hom_witness: object
-    from_hom_witness: object
     hom_pool: object    # MorCarrier on the hom side
     findings: list = field(default_factory=list)
 
@@ -297,7 +294,7 @@ def duality_direct_to_inverse(s, fixed, pools, lims):
         h = make_fn(lim.carrier, fixed.carrier, table)
         hom_witnesses.append(certify_map(lim.space, fixed, h, "hom", findings, (tok,)))
     if findings:
-        return DualityResult(None, None, None, None, None, findings)
+        return DualityResult(None, None, findings)
     return _from_hom(s, lim, fixed, inv, carriers_mc, hom_witnesses)
 
 
@@ -331,15 +328,15 @@ def _from_hom(s, lim, fixed, inv, carriers_mc, hom_witnesses):
             continue
         back_table[name] = tok
     if findings:
-        return DualityResult(None, None, None, None, hom_pool, findings)
+        return DualityResult(None, hom_pool, findings)
     from_hom = make_fn(hom_pool.setoid, inv.carrier, back_table)
     ok, witness = is_embedding(to_hom)
-    findings, (to_w, from_w) = certify_iso(
+    findings = certify_iso(
         (("to-hom", inv.space, hom_pool.space, to_hom),
          ("from-hom", hom_pool.space, inv.space, from_hom)),
         (("round-trip", to_hom, from_hom), ("round-trip-hom", from_hom, to_hom)),
         [] if ok else [Finding("embedding", witness)])
-    return DualityResult(to_hom, from_hom, to_w, from_w, hom_pool, findings)
+    return DualityResult(to_hom, hom_pool, findings)
 
 
 # --- second duality: hom into an inverse limit --------------------------------
@@ -364,7 +361,7 @@ def duality_inverse_hom(s, fixed, pools, lims):
                 break
             table[x] = target_tok
         if findings:
-            return DualityResult(None, None, None, None, None, findings)
+            return DualityResult(None, None, findings)
         h = make_fn(fixed.carrier, lim.carrier, table)
         # proj_i . h agrees with the component at i up to equality, so the
         # component's certificate for f certifies (f . proj_i) . h
@@ -388,8 +385,6 @@ def _check_assembled(src, dst, witnesses):
 
 @dataclass
 class ConverseResult:
-    to_hom: object
-    witness: object
     hom_pool: object
     hypothesis_holds: bool | None = None
     hypothesis_witness: tuple = ()
@@ -414,8 +409,8 @@ def converse_dual_inverse(s, fixed, pools, lims):
         hom_witnesses.append(
             certify_map(inv.space, fixed, h, "hom", findings, (cls_tok,)))
     if findings:
-        return ConverseResult(None, None, None, findings=findings)
-    to_hom, witness, hom_pool, findings = _classwise_to_hom(
+        return ConverseResult(None, findings=findings)
+    to_hom, hom_pool, findings = _classwise_to_hom(
         lim_mor, inv.space, fixed, hom_witnesses)
 
     hypothesis_holds = True
@@ -435,7 +430,7 @@ def converse_dual_inverse(s, fixed, pools, lims):
         if not ok:
             findings.append(Finding("embedding", wit))
         embedding_checked = True
-    return ConverseResult(to_hom, witness, hom_pool, hypothesis_holds,
+    return ConverseResult(hom_pool, hypothesis_holds,
                           hypothesis_witness, embedding_checked, findings)
 
 
@@ -455,15 +450,15 @@ def converse_dual_direct(s, fixed, pools, lims):
                  for k, t in enumerate(lim.threads)}
         hom_witnesses.append(MorphismWitness(h, certs))
     _check_assembled(fixed, lim.space, hom_witnesses)
-    to_hom, witness, hom_pool, findings = _classwise_to_hom(
+    _, hom_pool, findings = _classwise_to_hom(
         lim_mor, fixed, lim.space, hom_witnesses)
-    return ConverseResult(to_hom, witness, hom_pool, findings=findings)
+    return ConverseResult(hom_pool, findings=findings)
 
 
 def _classwise_to_hom(lim_mor, src, dst, hom_witnesses):
     """The map sending each class of lim_mor to the morphism src -> dst its
     representative gives, hom_witnesses being those morphisms in class
-    order: (to_hom, its witness, the hom pool, findings)."""
+    order: (to_hom, the hom pool, findings)."""
     reps = lim_mor.repr_classes()
     hom_pool = make_mor_carrier(src, dst, hom_witnesses,
                                 names=[f"h[{t}]" for t in reps])
@@ -474,5 +469,5 @@ def _classwise_to_hom(lim_mor, src, dst, hom_witnesses):
                      {tok: rep_of[lim_mor.carrier.class_repr(tok)]
                       for tok in lim_mor.carrier.elements})
     findings = []
-    witness = certify_map(lim_mor.space, hom_pool.space, to_hom, "to-hom", findings)
-    return to_hom, witness, hom_pool, findings
+    certify_map(lim_mor.space, hom_pool.space, to_hom, "to-hom", findings)
+    return to_hom, hom_pool, findings

@@ -13,6 +13,7 @@ from .report import Finding
 from .setoid import (
     SetoidFn,
     Tag,
+    _fn,
     compose,
     check_extensional,
     fn_equal,
@@ -414,9 +415,13 @@ def identity_family_map(F):
 
 
 def embed_at(F, i, sum_s):
-    """The tagging map of one carrier into the disjoint union."""
-    return make_fn(F.carrier(i), sum_s,
-                   {x: Tag((i, x)) for x in F.carrier(i).elements})
+    """The tagging map of one carrier into the disjoint union, unchecked.
+
+    `sum_s` must be `direct_sum_setoid(F)`, and F's transports extensional:
+    that setoid keys each tag (i, x) by the top class of x's transport, so
+    equal elements at i get equal tags."""
+    return _fn(F.carrier(i), sum_s,
+               {x: Tag((i, x)) for x in F.carrier(i).elements})
 
 
 def sigma_map(src, dst, m, sum_src, sum_dst):

@@ -169,6 +169,8 @@ class DirectLimit:
 
     def leg(self, i):
         """The map sending a carrier element at i to its class."""
+        # the carrier is the direct sum setoid of a family with extensional
+        # transports, so embed_at's unchecked build is a map
         return embed_at(self.spectrum.fam, i, self.carrier)
 
     def canonical(self, token):
@@ -248,9 +250,6 @@ def limit_map(s, t, psi, lims):
 @dataclass
 class CofinalIso:
     forward: SetoidFn      # limit over the subset -> limit over the whole index
-    backward: SetoidFn
-    forward_witness: MorphismWitness
-    backward_witness: MorphismWitness
     findings: list = field(default_factory=list)
 
 
@@ -276,17 +275,15 @@ def cofinal_direct_iso(s, cof, lims):
 
 def _cofinal_iso(lim, sub_lim, forward, backward):
     """The two-sided check of forward: sub_lim -> lim and its inverse."""
-    findings, (fw, bw) = certify_iso(
+    findings = certify_iso(
         (("forward", sub_lim.space, lim.space, forward),
          ("backward", lim.space, sub_lim.space, backward)),
         (("round-trip", backward, forward), ("round-trip-subset", forward, backward)))
-    return CofinalIso(forward, backward, fw, bw, findings)
+    return CofinalIso(forward, findings)
 
 
 @dataclass
 class ProductLimitResult:
-    to_pair: SetoidFn
-    witness: MorphismWitness
     counts: tuple
     findings: list = field(default_factory=list)
 
@@ -314,11 +311,11 @@ def product_limit_bijection(s, t, lims):
     if image != targets:
         findings.append(Finding("surjective", ()))
 
-    w = certify_map(lim_prod.space, pair_space, to_pair, "pair", findings)
+    certify_map(lim_prod.space, pair_space, to_pair, "pair", findings)
     counts = (lim_prod.class_count(), lim_s.class_count(), lim_t.class_count())
     if counts[0] != counts[1] * counts[2]:
         findings.append(Finding("class-count", counts))
-    return ProductLimitResult(to_pair, w, counts, findings)
+    return ProductLimitResult(counts, findings)
 
 
 # --- inverse limits ----------------------------------------------------------
@@ -535,7 +532,7 @@ def cofinal_inverse_iso(s, cof, lims):
             continue
         fwd_table[tok] = target
     if findings:
-        return CofinalIso(None, None, None, None, findings)
+        return CofinalIso(None, findings)
     forward = make_fn(sub_lim.carrier, lim.carrier, fwd_table)
 
     bwd_table = {}
@@ -547,7 +544,7 @@ def cofinal_inverse_iso(s, cof, lims):
             continue
         bwd_table[tok] = target
     if findings:
-        return CofinalIso(None, None, None, None, findings)
+        return CofinalIso(None, findings)
     backward = make_fn(lim.carrier, sub_lim.carrier, bwd_table)
     return _cofinal_iso(lim, sub_lim, forward, backward)
 
@@ -574,9 +571,9 @@ def product_inverse_morphism(s, t, lims):
             continue
         table[a] = target
     if findings:
-        return ProductLimitResult(None, None, (), findings)
+        return ProductLimitResult((), findings)
     pairing = make_fn(pair_space.carrier, lim_prod.carrier, table)
-    w = certify_map(pair_space, lim_prod.space, pairing, "pair", findings)
+    certify_map(pair_space, lim_prod.space, pairing, "pair", findings)
     counts = (lim_prod.class_count(), lim_s.carrier.class_count(),
               lim_t.carrier.class_count())
-    return ProductLimitResult(pairing, w, counts, findings)
+    return ProductLimitResult(counts, findings)

@@ -58,7 +58,7 @@ class Report:
 
 
 def emit_report(report, fmt="human", color=False):
-    """Render a report; JSON output is stable for a fixed (document, config, seed)."""
+    """Render a report; JSON output is stable for a fixed document and configuration."""
     if fmt == "json":
         payload = {
             "schema": 1,

@@ -12,18 +12,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .families import COVARIANT, CONTRAVARIANT, DirectFamily, oriented
-from .limits import Legs
-from .order import CofinalSubset, DirectedIndex, chain, make_directed, top_element
-from .setoid import (
+from bspec.families import COVARIANT, CONTRAVARIANT, DirectFamily, oriented
+from bspec.limits import Legs
+from bspec.order import CofinalSubset, DirectedIndex, chain, make_directed, top_element
+from bspec.setoid import (
     compose,
     discrete,
     identity,
     make_fn,
     make_setoid,
 )
-from .spectra import Spectrum, SpectrumMap, product_spectrum_over
-from .topology import (
+from bspec.spectra import Spectrum, SpectrumMap, product_spectrum_over
+from bspec.topology import (
     CGen,
     CConst,
     CAdd,
@@ -311,7 +311,7 @@ def thicken_spectrum(rng, s):
 
 def collapse_to_point(s):
     """The constant one-point spectrum and the unique map into it."""
-    from .spectra import constant_spectrum
+    from bspec.spectra import constant_spectrum
 
     pt = discrete(["o"])
     tgt = constant_spectrum(s.index, space(pt, [rconst(pt, 0)], ["c"]),
@@ -327,7 +327,7 @@ def collapse_to_point(s):
 
 def product_with(rng, s, aux=None):
     """The product spectrum s x aux together with the first projection."""
-    from .spectra import constant_spectrum
+    from bspec.spectra import constant_spectrum
 
     if aux is None:
         carrier = discrete([f"w{k}" for k in range(rng.randint(1, 2))])
@@ -358,7 +358,7 @@ def random_map_chain(rng, index=None, direction=COVARIANT):
     Backward steps are projections off a product; forward steps are padding
     inclusions or the collapse onto the constant point spectrum.
     """
-    from .spectra import identity_spectrum_map
+    from bspec.spectra import identity_spectrum_map
 
     pattern = rng.choice(["projections", "inclusions", "mixed", "plain"])
     if pattern == "projections":
@@ -490,7 +490,7 @@ def random_cofinal_instance(rng, max_len=4):
     chains with the componentwise modulus."""
     if rng.random() < 0.6:
         return random_chain_with_cofinal(rng, max_len)
-    from .order import product_cofinal, product_order
+    from bspec.order import product_cofinal, product_order
 
     d1, c1 = random_chain_with_cofinal(rng, 3)
     d2, c2 = random_chain_with_cofinal(rng, 3)
@@ -518,6 +518,6 @@ def random_certificate(rng, sp, depth=5):
         ])
         return CBic(phi, random_certificate(rng, sp, depth - 1))
     child = random_certificate(rng, sp, depth - 1)
-    from .topology import cert_conclusion
+    from bspec.topology import cert_conclusion
 
     return ceq(child, cert_conclusion(sp, child))

@@ -42,17 +42,6 @@ from bspec.limits import (
     product_limit_bijection,
 )
 from bspec.order import validate_cofinal
-from bspec.randgen import (
-    enumerate_directed_indices,
-    random_certificate,
-    random_cofinal_instance,
-    random_direct_family,
-    random_map_chain,
-    random_rational,
-    random_spectrum,
-    random_spectrum_with_cocone,
-    random_spectrum_with_cone,
-)
 from bspec.setoid import compose, discrete, fn_equal, make_fn
 from bspec.spectra import (
     compose_spectrum_maps,
@@ -88,6 +77,17 @@ from bspec.topology import (
     validate_certificate,
 )
 
+from randgen import (
+    enumerate_directed_indices,
+    random_certificate,
+    random_cofinal_instance,
+    random_direct_family,
+    random_map_chain,
+    random_rational,
+    random_spectrum,
+    random_spectrum_with_cocone,
+    random_spectrum_with_cone,
+)
 from structures import (
     chain3,
     constant_cspec,
@@ -512,7 +512,7 @@ def test_criterion_10_cli():
     for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "bspec.cli", "report", str(path),
-             "--seed", "5", "--json", "-"],
+             "--json", "-"],
             capture_output=True, text=True, cwd=ROOT)
         ok = ok and proc.returncode == 0
         payload = proc.stdout.splitlines()[-1]

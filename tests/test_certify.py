@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bspec.randgen import random_certificate, random_rational
 from bspec.setoid import SetoidFn, make_setoid
 from bspec.topology import (
     CConst,
@@ -33,6 +32,7 @@ from oracles import (
     outcome,
     reindex_certificate_walk,
 )
+from randgen import random_certificate, random_rational
 
 FAST = settings(derandomize=True, max_examples=120, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

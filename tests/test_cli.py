@@ -238,8 +238,8 @@ def test_json_reports_stable(tmp_path, capsys):
     path = next(p for p in FIXTURES if p.stem == "eo1")
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    assert main(["report", str(path), "--json", str(out1), "--seed", "7"]) == 0
-    assert main(["report", str(path), "--json", str(out2), "--seed", "7"]) == 0
+    assert main(["report", str(path), "--json", str(out1)]) == 0
+    assert main(["report", str(path), "--json", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
@@ -309,11 +309,13 @@ def test_bad_bounds_rejected(capsys):
      "--uniq-bound"),
     ("check fixtures/eo1.bsp --thread-bound 1", "--thread-bound"),
     ("report fixtures/eo1.bsp --thread-bound 1", "--thread-bound"),
+    ("check fixtures/eo1.bsp --seed 1", "--seed"),
+    ("report fixtures/eo1.bsp --seed 1", "--seed"),
 ])
 def test_flags_a_subcommand_does_not_read_are_refused(capsys, argv, flag):
     # threads are read off the top index in one pass, so no bound caps
-    # them; limit and iso run no uniqueness search and draw no random
-    # family, so they take no --uniq-bound or --seed
+    # them; limit and iso run no uniqueness search, so they take no
+    # --uniq-bound; no check draws a random family, so none takes --seed
     root = FIXTURES[0].parent.parent
     args = argv.split()
     args[1] = str(root / args[1])
@@ -330,7 +332,7 @@ def test_each_subcommand_takes_exactly_its_flags():
     flags = {name: sorted(opt for a in p._actions for opt in a.option_strings
                           if opt not in ("-h", "--help"))
              for name, p in subs.items()}
-    suite = ["--json", "--seed", "--suite", "--uniq-bound"]
+    suite = ["--json", "--suite", "--uniq-bound"]
     assert flags == {
         "check": suite,
         "report": suite,

@@ -17,7 +17,6 @@ from bspec.duality import enumerate_morphisms, make_mor_carrier
 from bspec.families import CONTRAVARIANT, COVARIANT, DirectFamily, make_direct_family
 from bspec.limits import direct_limit, inverse_limit
 from bspec.order import DirectedIndex, chain, make_directed
-from bspec.randgen import random_spectrum
 from bspec.runner import RunConfig, run_suite
 from bspec.setoid import (
     Choice,
@@ -33,6 +32,7 @@ from bspec.spectra import Spectrum, make_spectrum
 from bspec.topology import CGen, RFun, Subbase, map_cert
 
 from oracles import find_scan, token_of_scan
+from randgen import random_spectrum
 from structures import x2_space
 
 FAST = settings(derandomize=True, max_examples=40, deadline=None, database=None)

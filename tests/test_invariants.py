@@ -23,11 +23,11 @@ from bspec.limits import (
     limit_map,
 )
 from bspec.order import DirectedIndex, make_directed, validate_directed
-from bspec.randgen import random_spectrum, thicken_spectrum
 from bspec.setoid import compose, discrete, is_embedding, make_fn
 from bspec.spectra import constant_spectrum, SpectrumMap
 from bspec.topology import CConst, rconst, space
 
+from randgen import random_spectrum, thicken_spectrum
 from structures import chain3, collapse_family, constant_cspec, x2_space
 from thread_laws import check_induced_square
 

@@ -17,13 +17,13 @@ from bspec.dsl import Elaborated, parse
 from bspec.families import CONTRAVARIANT, DirectFamily
 from bspec.limits import _choice_key, inverse_limit, top_determinacy_check
 from bspec.order import chain
-from bspec.randgen import random_directed_index, random_spectrum
 from bspec.runner import run_suite
 from bspec.setoid import SetoidFn, discrete, make_fn
 from bspec.spectra import Spectrum, constant_spectrum, product_spectrum
 from bspec.topology import RFun, space
 
 from oracles import inverse_limit_backtracking
+from randgen import random_directed_index, random_spectrum
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 FAULTS = ("none", "swapped-identity", "not-composing", "product")

@@ -29,11 +29,6 @@ from bspec.order import (
     chain,
     validate_directed,
 )
-from bspec.randgen import (
-    _heights,
-    random_direct_family,
-    random_directed_index,
-)
 from bspec.setoid import (
     NotEquivalence,
     Setoid,
@@ -51,6 +46,11 @@ from oracles import (
     leq_transitive_scan,
     outcome,
     saturate_rescan,
+)
+from randgen import (
+    _heights,
+    random_direct_family,
+    random_directed_index,
 )
 
 FAST = settings(derandomize=True, max_examples=80, deadline=None, database=None)

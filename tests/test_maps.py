@@ -1,17 +1,16 @@
 """Maps built from checked maps: each map that `setoid._fn` builds without
-checking it (composites, identities, projections) against the checked
-`SetoidFn`/`make_fn` build of the same table, and the checked constructor
-and `check_extensional` against the scans they replaced.  Hypothesis runs
-derandomized, so the suite stays deterministic."""
+checking it (composites, identities, projections, limit legs) against the
+checked `SetoidFn`/`make_fn` build of the same table, and the checked
+constructor and `check_extensional` against the scans they replaced.
+Hypothesis runs derandomized, so the suite stays deterministic."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bspec.families import CONTRAVARIANT
-from bspec.limits import inverse_limit
-from bspec.randgen import random_spectrum
+from bspec.families import CONTRAVARIANT, COVARIANT, oriented
+from bspec.limits import direct_limit, inverse_limit
 from bspec.setoid import (
     DomainMismatch,
     Setoid,
@@ -28,6 +27,7 @@ from bspec.setoid import (
 from bspec.topology import RFun, product_space, space
 
 from oracles import outcome
+from randgen import random_spectrum
 
 FAST = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -153,13 +153,18 @@ def test_checked_constructor_names_the_first_three_missing_and_the_first_bad():
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(seeds)
-def test_inverse_limit_projections_are_maps(seed):
-    s = random_spectrum(random.Random(seed), direction=CONTRAVARIANT)
-    lim = inverse_limit(s)
-    for i in s.index.elements:
-        p = lim.leg(i)
-        checked = make_fn(lim.carrier, s.fam.carrier(i), p.table())
-        assert _parts(p) == _parts(checked)
+def test_limit_legs_are_maps(seed):
+    """The class maps into a direct limit and the projections out of an
+    inverse one."""
+    for direction, build in ((COVARIANT, direct_limit),
+                             (CONTRAVARIANT, inverse_limit)):
+        s = random_spectrum(random.Random(seed), direction=direction)
+        lim = build(s)
+        for i in s.index.elements:
+            leg = lim.leg(i)
+            ends = oriented(direction, s.fam.carrier(i), lim.carrier)
+            checked = make_fn(*ends, leg.table())
+            assert _parts(leg) == _parts(checked)
 
 
 def _random_space(rng, els):

@@ -8,7 +8,10 @@ from bspec.families import (
 )
 from bspec.limits import validate_legs
 from bspec.order import validate_cofinal, validate_directed
-from bspec.randgen import (
+from bspec.spectra import validate_spectrum
+from bspec.topology import cert_conclusion, check_morphism_as, validate_certificate
+
+from randgen import (
     enumerate_directed_indices,
     random_certificate,
     random_cofinal_instance,
@@ -19,9 +22,6 @@ from bspec.randgen import (
     random_spectrum_with_cocone,
     random_spectrum_with_cone,
 )
-from bspec.spectra import validate_spectrum
-from bspec.topology import cert_conclusion, check_morphism_as, validate_certificate
-
 from thread_laws import validate_spectrum_map
 
 

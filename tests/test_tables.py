@@ -9,15 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bspec import dsl, randgen, spectra, topology
+from bspec import dsl, spectra, topology
 from bspec.cli import main
 from bspec.families import COVARIANT, direct_sum_setoid
-from bspec.randgen import (
-    random_certificate,
-    random_direct_family,
-    random_directed_index,
-    random_spectrum,
-)
 from bspec.report import Finding
 from bspec.setoid import Setoid, SetoidFn, setoid_by_key
 from bspec.spectra import sum_space
@@ -30,6 +24,12 @@ from bspec.topology import (
 )
 
 from oracles import outcome
+from randgen import (
+    random_certificate,
+    random_direct_family,
+    random_directed_index,
+    random_spectrum,
+)
 
 FAST = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -184,7 +184,7 @@ def test_reports_do_not_depend_on_the_shortcuts(path, tmp_path, capsys,
     """Every fixture's report with each rational parsed afresh and every
     pullback built by the checked constructor is its golden report."""
     monkeypatch.setattr(dsl, "_rational", dsl._rational.__wrapped__)
-    for module in (topology, spectra, randgen):
+    for module in (topology, spectra):
         monkeypatch.setattr(module, "compose_rfun", _pullback_by_value)
     out = tmp_path / "report.json"
     assert main(["check", str(path), "--json", str(out)]) == 0

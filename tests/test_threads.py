@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from bspec.families import COVARIANT, DirectFamily
 from bspec.order import chain
-from bspec.randgen import random_rational, random_spectrum
 from bspec.setoid import SetoidFn
 from bspec.spectra import (
     Spectrum,
@@ -23,6 +22,7 @@ from bspec.spectra import (
 from bspec.topology import RFun, Subbase
 
 from oracles import enumerate_threads_backtracking
+from randgen import random_rational, random_spectrum
 from structures import x2_space
 from thread_laws import validate_thread
 

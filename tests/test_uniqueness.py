@@ -21,14 +21,6 @@ from bspec.limits import (
     inverse_limit,
     own_legs,
 )
-from bspec.randgen import (
-    random_certificate,
-    random_direct_family,
-    random_directed_index,
-    random_spectrum,
-    random_spectrum_with_cocone,
-    random_spectrum_with_cone,
-)
 from bspec.setoid import (
     SetoidFn,
     closure_rst,
@@ -53,6 +45,14 @@ from oracles import (
     find_certificate_exhaustive,
     verify_unique_factoring,
     verify_unique_factoring_exhaustive,
+)
+from randgen import (
+    random_certificate,
+    random_direct_family,
+    random_directed_index,
+    random_spectrum,
+    random_spectrum_with_cocone,
+    random_spectrum_with_cone,
 )
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None, database=None)

@@ -21,6 +21,7 @@ TO_MOVE = "to move: only tests call it"
 KEPT = {
     # the closure rules of a Bishop topology and the uniform-continuity
     # modulus they rest on
+    "topology.ceq": PAPER,
     "topology.culim": PAPER,
     "topology.cert_mul": PAPER,
     "topology.cert_max": PAPER,
@@ -28,11 +29,14 @@ KEPT = {
     "topology.bic_modulus": PAPER,
     "topology.relative_space": PAPER,
     "families.pi_map": PAPER,
+    "order.product_cofinal": PAPER,
     "setoid.make_subset": PAPER,
     "setoid.factor_through_quotient": PAPER,
     "setoid.closure_rst": PAPER,
     "setoid.quotient_by": PUBLIC,
     "spectra.make_spectrum": PUBLIC,
+    "order.chain": PUBLIC,
+    "spectra.constant_spectrum": PUBLIC,
     "dsl.print_document": TO_MOVE,
     "dsl.documents_equal": TO_MOVE,
     "duality.check_precompose_is_morphism": TO_MOVE,
@@ -40,12 +44,6 @@ KEPT = {
     "families.family_map": TO_MOVE,
     "families.identity_family_map": TO_MOVE,
     "families.all_components_embeddings": TO_MOVE,
-    "randgen.enumerate_directed_indices": TO_MOVE,
-    "randgen.random_certificate": TO_MOVE,
-    "randgen.random_cofinal_instance": TO_MOVE,
-    "randgen.random_map_chain": TO_MOVE,
-    "randgen.random_spectrum_with_cocone": TO_MOVE,
-    "randgen.random_spectrum_with_cone": TO_MOVE,
     "topology.identity_witness": TO_MOVE,
     "topology.morphism": TO_MOVE,
 }
