@@ -424,7 +424,7 @@ def embed_at(F, i, sum_s):
                {x: Tag((i, x)) for x in F.carrier(i).elements})
 
 
-def sigma_map(src, dst, m, sum_src, sum_dst):
+def sigma_map(m, sum_src, sum_dst):
     """The induced map on disjoint unions, (i, x) -> (i, m_i(x))."""
     table = {}
     for a in sum_src.elements:
@@ -433,7 +433,7 @@ def sigma_map(src, dst, m, sum_src, sum_dst):
     return make_fn(sum_src, sum_dst, table)
 
 
-def pi_map(src, dst, m, assignment):
+def pi_map(m, assignment):
     """The induced action on an index-wide choice, applied componentwise."""
     return {i: m.comps[i](assignment[i]) for i in assignment}
 

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 from .families import (
     CONTRAVARIANT,
     COVARIANT,
+    all_components_embeddings,
     direct_sum_setoid,
     embed_at,
     oriented,
+    pi_map,
     sigma_map,
 )
 from .order import top_element
@@ -143,19 +145,18 @@ def _mediator(s, lim, c, h, certs, unique):
 
 
 def _induced_map(lim_s, lim_t, psi, fwd, label, what):
-    """The induced map fwd of limits, checked to embed when every
-    component embeds, and certified when psi carries continuity."""
-    if all(is_embedding(psi.comps[i])[0] for i in lim_s.spectrum.index.elements):
+    """The induced map fwd of limits of the family map psi, checked to
+    embed when every component embeds, and certified as a morphism of the
+    limit spaces."""
+    if all_components_embeddings(psi)[0]:
         ok, witness_pair = is_embedding(fwd)
         if not ok:
             raise LimitError(
                 f"embedding components gave a non-embedding limit map at {witness_pair}")
-    if psi.continuity is None:
-        return fwd, None
     missing = []
     witness = certify_map(lim_s.space, lim_t.space, fwd, label, missing)
     raise_first(missing, LimitError, lambda k: f"no certificate for a pulled-back {what}")
-    return fwd, witness
+    return witness
 
 
 # --- direct limits -----------------------------------------------------------
@@ -238,12 +239,13 @@ def _check_unique_mediator(lim, c, h, bound):
 
 
 def limit_map(s, t, psi, lims):
-    """The induced map of direct limits, classwise on representatives.
+    """The morphism of direct limits induced by the family map psi of the
+    spectra s and t, classwise on representatives, as its witness.
 
     When every component embeds, the induced map is checked to embed too.
     """
     lim_s, lim_t = lims.direct(s), lims.direct(t)
-    fwd = sigma_map(s.fam, t.fam, psi, lim_s.carrier, lim_t.carrier)
+    fwd = sigma_map(psi, lim_s.carrier, lim_t.carrier)
     return _induced_map(lim_s, lim_t, psi, fwd, "pullback", "generator")
 
 
@@ -497,15 +499,15 @@ def _check_unique_cone_mediator(s, lim, c, h, bound):
 
 
 def inverse_limit_map(s, t, psi, lims):
-    """The induced map of inverse limits, componentwise.
+    """The morphism of inverse limits induced by the family map psi of the
+    spectra s and t, componentwise, as its witness.
 
     When every component embeds, the induced map is checked to embed too.
     """
     lim_s, lim_t = lims.inverse(s), lims.inverse(t)
     table = {}
     for tok, a in lim_s.assignments.items():
-        image = {i: psi.comps[i](a[i]) for i in s.index.elements}
-        target = lim_t.token_of(image)
+        target = lim_t.token_of(pi_map(psi, a))
         if target is None:
             raise LimitError("image of a compatible choice is not compatible")
         table[tok] = target

@@ -21,8 +21,10 @@ from .duality import (
 from .families import (
     CONTRAVARIANT,
     COVARIANT,
+    FamilyMap,
     direct_sum_equality,
     direct_sum_equality_exhaustive,
+    identity_family_map,
     sum_elements,
     sum_equality_laws_hold,
     validate_direct_family,
@@ -43,8 +45,8 @@ from .limits import (
 )
 from .order import validate_cofinal, validate_directed
 from .report import Finding, Report
-from .setoid import fn_equal, is_equivalence
-from .spectra import compose_spectrum_maps, identity_spectrum_map, validate_spectrum
+from .setoid import compose, fn_equal, is_equivalence
+from .spectra import validate_spectrum
 
 
 class ConfigError(Exception):
@@ -282,13 +284,13 @@ def check_functoriality(env, args, config, report, suite, lims):
     build, induced_map = ((lims.direct, limit_map) if s.direction == COVARIANT
                           else (lims.inverse, inverse_limit_map))
     lim = build(s)
-    ident = identity_spectrum_map(s)
+    ident = identity_family_map(s.fam)
     bad = []
-    fwd, _ = induced_map(s, s, ident, lims)
+    fwd = induced_map(s, s, ident, lims).h
     if not all(lim.carrier.eq(fwd(t), t) for t in lim.carrier.elements):
         bad.append(Finding("identity"))
-    twice = compose_spectrum_maps(s, s, s, ident, ident)
-    fwd2, _ = induced_map(s, s, twice, lims)
+    twice = FamilyMap({i: compose(f, f) for i, f in ident.comps.items()})
+    fwd2 = induced_map(s, s, twice, lims).h
     if not fn_equal(fwd2, fwd):
         bad.append(Finding("composition"))
     report.add(suite, f"functoriality.{name}", bad)

@@ -18,7 +18,7 @@ from .families import (
 )
 from .order import induced_order
 from .report import Finding
-from .setoid import Pair, compose, make_fn
+from .setoid import Pair, make_fn
 from .topology import (
     BSpace,
     CGen,
@@ -36,10 +36,6 @@ from .topology import (
 
 
 class SpectrumError(Exception):
-    pass
-
-
-class NotContinuous(SpectrumError):
     pass
 
 
@@ -294,47 +290,6 @@ def sum_space(s, sum_s):
     gens = tuple(sum_function(t, sum_s) for t in threads)
     names = tuple(f"thr{n}" for n in range(len(threads)))
     return BSpace(sum_s, Subbase(sum_s, gens, names)), threads
-
-
-# --- maps between spectra ----------------------------------------------------
-
-@dataclass(eq=False)
-class SpectrumMap:
-    """A family map, optionally with per-index continuity certificates."""
-
-    comps: dict  # index element -> SetoidFn
-    continuity: dict | None = None  # index element -> {gen index -> certificate}
-
-    def at(self, i):
-        return self.comps[i]
-
-    def witness(self, src_space, i):
-        if self.continuity is None or i not in self.continuity:
-            raise NotContinuous(f"no continuity certificates at {i}")
-        return MorphismWitness(self.comps[i], dict(self.continuity[i]))
-
-
-def identity_spectrum_map(s):
-    from .setoid import identity as sid
-    comps = {i: sid(s.fam.carrier(i)) for i in s.index.elements}
-    conts = {
-        i: {k: CGen(k) for k in range(len(s.space(i).gens))}
-        for i in s.index.elements
-    }
-    return SpectrumMap(comps, conts)
-
-
-def compose_spectrum_maps(s, t, u, psi, xi):
-    comps = {i: compose(psi.comps[i], xi.comps[i]) for i in psi.comps}
-    continuity = None
-    if psi.continuity is not None and xi.continuity is not None:
-        continuity = {}
-        for i in comps:
-            w = compose_witnesses(s.space(i), t.space(i), u.space(i),
-                                  psi.witness(s.space(i), i),
-                                  xi.witness(t.space(i), i))
-            continuity[i] = w.certs
-    return SpectrumMap(comps, continuity)
 
 
 def restrict_spectrum(s, cof):

@@ -530,19 +530,6 @@ def check_morphism(src, dst, w):
     return findings
 
 
-def morphism(src, dst, h, certs):
-    w = MorphismWitness(h, dict(certs))
-    findings = check_morphism(src, dst, w)
-    if findings:
-        raise MissingCertificate(str(findings[0]))
-    return w
-
-
-def identity_witness(sp):
-    from .setoid import identity as sid
-    return MorphismWitness(sid(sp.carrier), {k: CGen(k) for k in range(len(sp.gens))})
-
-
 def certify_map(src, dst, h, label, findings, where=(), known=None):
     """The witness for h: src -> dst, each generator of dst pulled back
     along h and certified over src by certificate_for.

@@ -22,7 +22,7 @@ from bspec.setoid import (
     make_fn,
     make_setoid,
 )
-from bspec.spectra import Spectrum, SpectrumMap, product_spectrum_over
+from bspec.spectra import Spectrum, product_spectrum_over
 from bspec.topology import (
     CGen,
     CConst,
@@ -42,6 +42,8 @@ from bspec.topology import (
     rconst,
     space,
 )
+
+from thread_laws import ContinuousMap, identity_continuous
 
 
 def random_rational(rng, lo=-4, hi=4, den=4):
@@ -306,7 +308,7 @@ def thicken_spectrum(rng, s):
         i: {k: CGen(k) for k in range(len(s.space(i).gens))}
         for i in s.index.elements
     }
-    return big, SpectrumMap(comps, conts)
+    return big, ContinuousMap(comps, conts)
 
 
 def collapse_to_point(s):
@@ -322,7 +324,7 @@ def collapse_to_point(s):
         for i in s.index.elements
     }
     conts = {i: {0: CConst(Fraction(0))} for i in s.index.elements}
-    return tgt, SpectrumMap(comps, conts)
+    return tgt, ContinuousMap(comps, conts)
 
 
 def product_with(rng, s, aux=None):
@@ -342,7 +344,7 @@ def product_with(rng, s, aux=None):
         pr1, _ = projections[i]
         comps[i] = pr1
         conts[i] = {k: CGen(k) for k in range(len(s.space(i).gens))}
-    return prod, SpectrumMap(comps, conts)
+    return prod, ContinuousMap(comps, conts)
 
 
 def _diag_product(s, t):
@@ -358,8 +360,6 @@ def random_map_chain(rng, index=None, direction=COVARIANT):
     Backward steps are projections off a product; forward steps are padding
     inclusions or the collapse onto the constant point spectrum.
     """
-    from bspec.spectra import identity_spectrum_map
-
     pattern = rng.choice(["projections", "inclusions", "mixed", "plain"])
     if pattern == "projections":
         u = random_spectrum(rng, index, direction)
@@ -377,7 +377,7 @@ def random_map_chain(rng, index=None, direction=COVARIANT):
         u, xi = collapse_to_point(t)
         return s, t, u, psi, xi
     s = random_spectrum(rng, index, direction)
-    t, psi = s, identity_spectrum_map(s)
+    t, psi = s, identity_continuous(s)
     u, xi = collapse_to_point(t)
     return s, t, u, psi, xi
 

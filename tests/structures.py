@@ -5,6 +5,9 @@ COLLAPSE: a covariant family over CHAIN3 whose carriers shrink to a point.
 X2: the discrete two-point carrier {p, q}.
 EO(m): the chain {0..2m} with its even members as a cofinal subset.
 CSPEC: COLLAPSE with 0/1-valued subbases and explicit edge certificates.
+
+Also two witness builders: `morphism`, a witness checked on construction,
+and `identity_witness`, the identity of a space by generator certificates.
 """
 
 from __future__ import annotations
@@ -13,9 +16,18 @@ from fractions import Fraction
 
 from bspec.families import COVARIANT, make_direct_family
 from bspec.order import CofinalSubset, chain
-from bspec.setoid import discrete, make_fn
+from bspec.setoid import discrete, identity, make_fn
 from bspec.spectra import Spectrum, constant_spectrum
-from bspec.topology import CConst, CGen, RFun, Subbase, space
+from bspec.topology import (
+    CConst,
+    CGen,
+    MissingCertificate,
+    MorphismWitness,
+    RFun,
+    Subbase,
+    check_morphism,
+    space,
+)
 
 
 def chain3():
@@ -81,3 +93,17 @@ def cspec(pool=(0, 1)):
 def constant_cspec(pool=(0, 1)):
     """Constant spectrum over CHAIN3 on the two-point space."""
     return constant_spectrum(chain3(), x2_space(), pool=pool)
+
+
+def morphism(src, dst, h, certs):
+    """The witness (h, certs), refused with MissingCertificate unless it
+    shows h: src -> dst a morphism."""
+    w = MorphismWitness(h, dict(certs))
+    findings = check_morphism(src, dst, w)
+    if findings:
+        raise MissingCertificate(str(findings[0]))
+    return w
+
+
+def identity_witness(sp):
+    return MorphismWitness(identity(sp.carrier), {k: CGen(k) for k in range(len(sp.gens))})

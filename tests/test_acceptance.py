@@ -25,6 +25,7 @@ from bspec.families import (
     direct_sum_equality,
     direct_sum_equality_exhaustive,
     direct_sum_setoid,
+    identity_family_map,
     sum_elements,
 )
 from bspec.limits import (
@@ -43,12 +44,7 @@ from bspec.limits import (
 )
 from bspec.order import validate_cofinal
 from bspec.setoid import compose, discrete, fn_equal, make_fn
-from bspec.spectra import (
-    compose_spectrum_maps,
-    constant_spectrum,
-    enumerate_threads,
-    identity_spectrum_map,
-)
+from bspec.spectra import constant_spectrum, enumerate_threads
 from bspec.topology import (
     BID,
     CGen,
@@ -72,7 +68,6 @@ from bspec.topology import (
     compose_rfun,
     eval_bic,
     lift_certificate,
-    morphism,
     space,
     validate_certificate,
 )
@@ -94,9 +89,10 @@ from structures import (
     cspec,
     eo_cofinal,
     eo_index,
+    morphism,
     x2_space,
 )
-from thread_laws import thread_to_sum_function
+from thread_laws import compose_continuous, thread_to_sum_function, validate_spectrum_map
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted(ROOT.glob("fixtures/*.bsp"))
@@ -218,13 +214,14 @@ def test_criterion_4_functoriality():
         s, t, u, psi, xi = random_map_chain(rng)
         lims = Limits()
         lim_s = lims.direct(s)
-        ident, _ = limit_map(s, s, identity_spectrum_map(s), lims)
+        ident = limit_map(s, s, identity_family_map(s.fam), lims).h
         ok = ok and all(
             lim_s.carrier.eq(ident(a), a) for a in lim_s.carrier.elements)
-        f_psi, _ = limit_map(s, t, psi, lims)
-        f_xi, _ = limit_map(t, u, xi, lims)
-        both = compose_spectrum_maps(s, t, u, psi, xi)
-        f_both, _ = limit_map(s, u, both, lims)
+        f_psi = limit_map(s, t, psi, lims).h
+        f_xi = limit_map(t, u, xi, lims).h
+        both = compose_continuous(s, t, u, psi, xi)
+        ok = ok and validate_spectrum_map(s, u, both) == []
+        f_both = limit_map(s, u, both, lims).h
         ok = ok and fn_equal(f_both, compose(f_psi, f_xi))
         if not ok:
             break
@@ -232,13 +229,14 @@ def test_criterion_4_functoriality():
         s, t, u, psi, xi = random_map_chain(rng, direction=CONTRAVARIANT)
         lims = Limits()
         lim_s = lims.inverse(s)
-        ident, _ = inverse_limit_map(s, s, identity_spectrum_map(s), lims)
+        ident = inverse_limit_map(s, s, identity_family_map(s.fam), lims).h
         ok = ok and all(
             lim_s.carrier.eq(ident(a), a) for a in lim_s.carrier.elements)
-        f_psi, _ = inverse_limit_map(s, t, psi, lims)
-        f_xi, _ = inverse_limit_map(t, u, xi, lims)
-        both = compose_spectrum_maps(s, t, u, psi, xi)
-        f_both, _ = inverse_limit_map(s, u, both, lims)
+        f_psi = inverse_limit_map(s, t, psi, lims).h
+        f_xi = inverse_limit_map(t, u, xi, lims).h
+        both = compose_continuous(s, t, u, psi, xi)
+        ok = ok and validate_spectrum_map(s, u, both) == []
+        f_both = inverse_limit_map(s, u, both, lims).h
         ok = ok and fn_equal(f_both, compose(f_psi, f_xi))
         if not ok:
             break

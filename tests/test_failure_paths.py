@@ -13,11 +13,11 @@ from fractions import Fraction
 import pytest
 
 from bspec import duality, limits, spectra, topology
-from bspec.families import CONTRAVARIANT
+from bspec.families import CONTRAVARIANT, COVARIANT, identity_family_map
 from bspec.limits import LimitError, IllFormedLegs, Limits, direct_limit
 from bspec.setoid import discrete
-from bspec.spectra import SpectrumError, constant_spectrum, identity_spectrum_map
-from bspec.topology import CConst, MorphismWitness, RFun, space
+from bspec.spectra import SpectrumError, constant_spectrum
+from bspec.topology import CConst, MorphismWitness, RFun, rconst, space
 
 from structures import chain3, constant_cspec, cspec, eo_cofinal, eo_index, x2_space
 
@@ -280,7 +280,7 @@ def test_limit_map_raises_on_a_miss(monkeypatch):
     lims.direct(s)
     miss(monkeypatch, "thr", n=0)
     with pytest.raises(LimitError, match="no certificate for a pulled-back generator"):
-        limits.limit_map(s, s, identity_spectrum_map(s), lims)
+        limits.limit_map(s, s, identity_family_map(s.fam), lims)
 
 
 def test_limit_map_raises_on_a_wrong_certificate(monkeypatch):
@@ -289,7 +289,7 @@ def test_limit_map_raises_on_a_wrong_certificate(monkeypatch):
     lims.direct(s)
     miss(monkeypatch, "thr", n=0, wrong=True)
     with pytest.raises(LimitError, match="pullback-witness-certificate at thr0"):
-        limits.limit_map(s, s, identity_spectrum_map(s), lims)
+        limits.limit_map(s, s, identity_family_map(s.fam), lims)
 
 
 def test_inverse_limit_map_raises_on_a_miss(monkeypatch):
@@ -298,7 +298,7 @@ def test_inverse_limit_map_raises_on_a_miss(monkeypatch):
     lims.inverse(s)
     miss(monkeypatch, "proj[", n=0)
     with pytest.raises(LimitError, match="no certificate for a pulled-back projection"):
-        limits.inverse_limit_map(s, s, identity_spectrum_map(s), lims)
+        limits.inverse_limit_map(s, s, identity_family_map(s.fam), lims)
 
 
 def test_inverse_limit_map_raises_on_a_wrong_certificate(monkeypatch):
@@ -307,7 +307,23 @@ def test_inverse_limit_map_raises_on_a_wrong_certificate(monkeypatch):
     lims.inverse(s)
     miss(monkeypatch, "proj[", n=0, wrong=True)
     with pytest.raises(LimitError, match=r"witness-certificate at proj\[0,f\]"):
-        limits.inverse_limit_map(s, s, identity_spectrum_map(s), lims)
+        limits.inverse_limit_map(s, s, identity_family_map(s.fam), lims)
+
+
+@pytest.mark.parametrize("direction, induced, what", [
+    (COVARIANT, "limit_map", "generator"),
+    (CONTRAVARIANT, "inverse_limit_map", "projection"),
+])
+def test_induced_map_of_components_that_are_not_continuous(direction, induced, what):
+    # identity components from X2 under the constants alone into X2 under a
+    # generator that separates p and q: a family map whose components are
+    # not morphisms, so neither is the map of limits it induces
+    index, sp = chain3(), x2_space()
+    coarse = constant_spectrum(index, space(sp.carrier, [rconst(sp.carrier, 0)], ["c"]),
+                               (0, 1), direction=direction)
+    fine = constant_spectrum(index, sp, (0, 1), direction=direction)
+    with pytest.raises(LimitError, match=f"^no certificate for a pulled-back {what}$"):
+        getattr(limits, induced)(coarse, fine, identity_family_map(coarse.fam), Limits())
 
 
 def test_cocone_mediator_raises_on_a_miss(monkeypatch):

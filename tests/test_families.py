@@ -157,13 +157,13 @@ def test_family_map_and_sigma():
         for i in fam.index.elements
     }
     m = family_map(fam, const, comps)
-    sm = sigma_map(fam, const, m, direct_sum_setoid(fam), direct_sum_setoid(const))
+    sm = sigma_map(m, direct_sum_setoid(fam), direct_sum_setoid(const))
     assert sm(("0", "a")) == ("0", "z")
     ok, witness = all_components_embeddings(m)
     assert not ok  # the 0-component collapses a and b
     ident = identity_family_map(fam)
     s = direct_sum_setoid(fam)
-    si = sigma_map(fam, fam, ident, s, s)
+    si = sigma_map(ident, s, s)
     for el in s.elements:
         assert si(el) == el
 
@@ -197,7 +197,7 @@ def test_pi_map_acts_componentwise():
     fam = collapse_family()
     ident = identity_family_map(fam)
     phi = {"0": "a", "1": "u", "2": "z"}
-    assert pi_map(fam, fam, ident, phi) == phi
+    assert pi_map(ident, phi) == phi
 
 
 def test_restrict_family_to_evens():

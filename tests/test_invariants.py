@@ -13,6 +13,7 @@ from bspec.families import (
     CONTRAVARIANT,
     constant_direct_family,
     direct_sum_setoid,
+    FamilyMap,
     family_map,
     sigma_map,
 )
@@ -24,8 +25,8 @@ from bspec.limits import (
 )
 from bspec.order import DirectedIndex, make_directed, validate_directed
 from bspec.setoid import compose, discrete, is_embedding, make_fn
-from bspec.spectra import constant_spectrum, SpectrumMap
-from bspec.topology import CConst, rconst, space
+from bspec.spectra import constant_spectrum
+from bspec.topology import rconst, space
 
 from randgen import random_spectrum, thicken_spectrum
 from structures import chain3, collapse_family, constant_cspec, x2_space
@@ -62,7 +63,7 @@ def test_sigma_map_embedding_propagation():
         for i in fam.index.elements
     })
     s = direct_sum_setoid(fam)
-    sm = sigma_map(fam, fam, ident, s, s)
+    sm = sigma_map(ident, s, s)
     assert is_embedding(sm)[0]
 
 
@@ -71,12 +72,12 @@ def test_limit_map_embedding_propagation():
     for _ in range(5):
         s = random_spectrum(rng)
         t, incl = thicken_spectrum(rng, s)
-        fwd, _ = limit_map(s, t, incl, Limits())  # raises if not embedding
+        fwd = limit_map(s, t, incl, Limits()).h  # raises if not embedding
         assert is_embedding(fwd)[0]
     for _ in range(5):
         s = random_spectrum(rng, direction=CONTRAVARIANT)
         t, incl = thicken_spectrum(rng, s)
-        fwd, _ = inverse_limit_map(s, t, incl, Limits())
+        fwd = inverse_limit_map(s, t, incl, Limits()).h
         assert is_embedding(fwd)[0]
 
 
@@ -100,7 +101,7 @@ def test_induced_square_with_collapse_map():
                    {x: "o" for x in s.fam.carrier(i).elements})
         for i in s.index.elements
     }
-    psi = SpectrumMap(comps, {i: {0: CConst(0)} for i in s.index.elements})
+    psi = FamilyMap(comps)
     for edge in s.fam.order_pairs():
         assert check_induced_square(s, tgt, psi, edge)
 
@@ -178,7 +179,7 @@ def test_sigma_map_collapse_counterexample():
     })
     src = direct_sum_setoid(fam)
     dst = direct_sum_setoid(const)
-    sm = sigma_map(fam, const, collapse, src, dst)
+    sm = sigma_map(collapse, src, dst)
     # COLLAPSE already has a one-class sum, so this particular collapse is
     # still injective on classes; a genuinely two-class source shows the
     # counterexample
@@ -188,7 +189,7 @@ def test_sigma_map_collapse_counterexample():
         for i in two.index.elements
     })
     src2 = direct_sum_setoid(two)
-    sm2 = sigma_map(two, const, crush, src2, dst)
+    sm2 = sigma_map(crush, src2, dst)
     ok, witness = is_embedding(sm2)
     assert not ok and witness is not None
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bspec.families import CONTRAVARIANT, make_direct_family
+from bspec.families import CONTRAVARIANT, FamilyMap, identity_family_map, make_direct_family
 from bspec.limits import (
     IllFormedLegs,
     Legs,
@@ -21,13 +21,8 @@ from bspec.limits import (
     top_determinacy_check,
 )
 from bspec.order import chain
-from bspec.setoid import discrete, fn_equal, is_embedding, make_fn
-from bspec.spectra import (
-    SpectrumMap,
-    constant_spectrum,
-    identity_spectrum_map,
-    compose_spectrum_maps,
-)
+from bspec.setoid import compose, discrete, fn_equal, is_embedding, make_fn
+from bspec.spectra import constant_spectrum
 from bspec.topology import (
     CConst,
     CGen,
@@ -156,15 +151,13 @@ def test_limit_map_identity_and_composition():
     s = constant_cspec()
     lims = Limits()
     lim = lims.direct(s)
-    ident = identity_spectrum_map(s)
-    fwd, w = limit_map(s, s, ident, lims)
+    ident = identity_family_map(s.fam)
+    w = limit_map(s, s, ident, lims)
     for tok in lim.carrier.elements:
-        assert lim.carrier.eq(fwd(tok), tok)
-    assert w is not None
+        assert lim.carrier.eq(w.h(tok), tok)
     assert check_morphism(lim.space, lim.space, w) == []
-    composed = compose_spectrum_maps(s, s, s, ident, ident)
-    fwd2, _ = limit_map(s, s, composed, lims)
-    assert fn_equal(fwd2, fwd)
+    twice = FamilyMap({i: compose(f, f) for i, f in ident.comps.items()})
+    assert fn_equal(limit_map(s, s, twice, lims).h, w.h)
 
 
 def test_limit_map_collapse():
@@ -176,10 +169,9 @@ def test_limit_map_collapse():
                    {x: "z" for x in s.fam.carrier(i).elements})
         for i in s.index.elements
     }
-    conts = {i: {0: CConst(Fraction(0))} for i in s.index.elements}
-    psi = SpectrumMap(comps, conts)
-    fwd, w = limit_map(s, tsp, psi, Limits())
-    assert w is not None
+    lims = Limits()
+    w = limit_map(s, tsp, FamilyMap(comps), lims)
+    assert check_morphism(lims.direct(s).space, lims.direct(tsp).space, w) == []
 
 
 def test_cofinal_direct_identity_subset():
@@ -328,14 +320,13 @@ def test_inverse_limit_map_identity_and_functoriality():
     sp = _reversed_collapse_spectrum()
     lims = Limits()
     lim = lims.inverse(sp)
-    ident = identity_spectrum_map(sp)
-    fwd, w = inverse_limit_map(sp, sp, ident, lims)
+    ident = identity_family_map(sp.fam)
+    w = inverse_limit_map(sp, sp, ident, lims)
     for tok in lim.carrier.elements:
-        assert lim.carrier.eq(fwd(tok), tok)
-    assert w is not None
-    composed = compose_spectrum_maps(sp, sp, sp, ident, ident)
-    fwd2, _ = inverse_limit_map(sp, sp, composed, lims)
-    assert fn_equal(fwd2, fwd)
+        assert lim.carrier.eq(w.h(tok), tok)
+    assert check_morphism(lim.space, lim.space, w) == []
+    twice = FamilyMap({i: compose(f, f) for i, f in ident.comps.items()})
+    assert fn_equal(inverse_limit_map(sp, sp, twice, lims).h, w.h)
 
 
 def test_cofinal_inverse_identity_and_eo():

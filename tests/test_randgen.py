@@ -22,7 +22,7 @@ from randgen import (
     random_spectrum_with_cocone,
     random_spectrum_with_cone,
 )
-from thread_laws import validate_spectrum_map
+from thread_laws import check_sum_morphisms, validate_spectrum_map
 
 
 def test_enumerated_indices_are_valid_and_nontrivial():
@@ -60,11 +60,15 @@ def test_random_spectra_valid():
 
 
 def test_random_map_chains_valid():
+    # the maps and, over covariant spectra, the induced maps of sums with
+    # their pulled-back threads
     rng = random.Random(3)
     for _ in range(12):
         s, t, u, psi, xi = random_map_chain(rng)
         assert validate_spectrum_map(s, t, psi) == []
         assert validate_spectrum_map(t, u, xi) == []
+        assert check_sum_morphisms(s, t, psi) == []
+        assert check_sum_morphisms(t, u, xi) == []
     for _ in range(6):
         s, t, u, psi, xi = random_map_chain(rng, direction=CONTRAVARIANT)
         assert validate_spectrum_map(s, t, psi) == []

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from bspec.families import COVARIANT, DirectFamily, direct_sum_setoid
+from bspec.families import COVARIANT, DirectFamily, FamilyMap, direct_sum_setoid
 from bspec.order import chain
 from bspec.setoid import SetoidFn, discrete, make_fn
 from bspec.spectra import (
@@ -11,21 +11,21 @@ from bspec.spectra import (
     SpectrumError,
     Thread,
     enumerate_threads,
-    identity_spectrum_map,
     make_spectrum,
     product_spectrum,
     restrict_spectrum,
     sum_space,
     validate_spectrum,
-    SpectrumMap,
 )
 from bspec.topology import CConst, RFun, rconst, space, validate_certificate
 
 from structures import chain3, constant_cspec, cspec, eo_cofinal
 from thread_laws import (
+    ContinuousMap,
     IncompatibleThread,
     check_induced_square,
     check_sum_morphisms,
+    identity_continuous,
     pullback_thread,
     thread_to_sum_function,
     validate_spectrum_map,
@@ -122,7 +122,7 @@ def test_sum_space_carrier_and_gens():
 
 def test_pullback_thread_identity():
     s = cspec()
-    psi = identity_spectrum_map(s)
+    psi = identity_continuous(s)
     for t in enumerate_threads(s):
         back = pullback_thread(s, s, psi, t)
         for i in s.index.elements:
@@ -131,7 +131,7 @@ def test_pullback_thread_identity():
 
 def test_sum_morphisms_and_square():
     s = constant_cspec()
-    psi = identity_spectrum_map(s)
+    psi = identity_continuous(s)
     assert validate_spectrum_map(s, s, psi) == []
     assert check_sum_morphisms(s, s, psi) == []
     for (i, j) in s.fam.order_pairs():
@@ -148,7 +148,7 @@ def _rev():
 
 def test_induced_square_on_a_contravariant_spectrum():
     s = _rev()
-    psi = identity_spectrum_map(s)
+    psi = identity_continuous(s)
     for edge in s.fam.order_pairs():
         assert check_induced_square(s, s, psi, edge)
     # swap the two points at index 0: psi_0 . lambda_01 = lambda_01 . psi_1
@@ -156,7 +156,7 @@ def test_induced_square_on_a_contravariant_spectrum():
     comps = dict(psi.comps)
     carrier = s.fam.carrier("0")
     comps["0"] = make_fn(carrier, carrier, {"a": "b", "b": "a"})
-    swapped = SpectrumMap(comps)
+    swapped = FamilyMap(comps)
     assert not check_induced_square(s, s, swapped, ("0", "1"))
     assert not check_induced_square(s, s, swapped, ("0", "2"))
     assert check_induced_square(s, s, swapped, ("1", "2"))
@@ -185,7 +185,7 @@ def test_collapse_map_to_constant_spectrum():
         for i in s.index.elements
     }
     conts = {i: {0: CConst(Fraction(0))} for i in s.index.elements}
-    psi = SpectrumMap(comps, conts)
+    psi = ContinuousMap(comps, conts)
     assert validate_spectrum_map(s, tsp, psi) == []
     assert check_sum_morphisms(s, tsp, psi) == []
     const_threads = enumerate_threads(tsp)
@@ -225,7 +225,7 @@ def test_product_spectrum_cspec():
 
 def test_sum_morphisms_flags_missing_continuity():
     s = constant_cspec()
-    bare = SpectrumMap(identity_spectrum_map(s).comps, None)
+    bare = ContinuousMap(identity_continuous(s).comps)
     findings = check_sum_morphisms(s, s, bare)
     assert any(f.law == "not-continuous" for f in findings)
 

@@ -37,9 +37,7 @@ from bspec.topology import (
     culim,
     eval_bic,
     exponential_space,
-    identity_witness,
     lift_certificate,
-    morphism,
     product_space,
     rconst,
     relative_space,
@@ -47,7 +45,7 @@ from bspec.topology import (
     validate_certificate,
 )
 
-from structures import x2_space
+from structures import identity_witness, morphism, x2_space
 
 
 def test_eval_exact():

@@ -28,7 +28,6 @@ KEPT = {
     "topology.cert_min": PAPER,
     "topology.bic_modulus": PAPER,
     "topology.relative_space": PAPER,
-    "families.pi_map": PAPER,
     "order.product_cofinal": PAPER,
     "setoid.make_subset": PAPER,
     "setoid.factor_through_quotient": PAPER,
@@ -42,10 +41,6 @@ KEPT = {
     "duality.check_precompose_is_morphism": TO_MOVE,
     "duality.check_postcompose_is_morphism": TO_MOVE,
     "families.family_map": TO_MOVE,
-    "families.identity_family_map": TO_MOVE,
-    "families.all_components_embeddings": TO_MOVE,
-    "topology.identity_witness": TO_MOVE,
-    "topology.morphism": TO_MOVE,
 }
 
 

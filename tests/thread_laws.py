@@ -2,10 +2,13 @@
 
 The kernel proves what these check at the level of the limit: a direct
 limit's threads are compatible by construction (`enumerate_threads`), and
-an induced map of limits is certified as a morphism of the limit spaces
-(`certify_map`).  These helpers state the same facts index by index, so
-tests can check the constructions against them.
+the map of limits a family map induces is certified as a morphism of the
+limit spaces (`certify_map`).  These helpers state the same facts index by
+index, so tests can check the constructions against them.  For that a map
+of spectra carries continuity certificates at each index: `ContinuousMap`.
 """
+
+from dataclasses import dataclass
 
 from bspec.families import (
     COVARIANT,
@@ -15,16 +18,19 @@ from bspec.families import (
     validate_family_map,
 )
 from bspec.report import Finding
+from bspec.setoid import compose, identity
 from bspec.spectra import (
-    NotContinuous,
     SpectrumError,
     Thread,
     sum_function,
     sum_space,
 )
 from bspec.topology import (
+    CGen,
+    MorphismWitness,
     check_morphism,
     compose_rfun,
+    compose_witnesses,
     lift_certificate,
     validate_certificate,
 )
@@ -32,6 +38,41 @@ from bspec.topology import (
 
 class IncompatibleThread(SpectrumError):
     pass
+
+
+class NotContinuous(SpectrumError):
+    pass
+
+
+@dataclass(eq=False)
+class ContinuousMap(FamilyMap):
+    """A family map with, per index, certificates that its component is a
+    morphism of the spaces there."""
+
+    continuity: dict | None = None  # index element -> {gen index -> certificate}
+
+    def witness(self, i):
+        if self.continuity is None or i not in self.continuity:
+            raise NotContinuous(f"no continuity certificates at {i}")
+        return MorphismWitness(self.comps[i], dict(self.continuity[i]))
+
+
+def identity_continuous(s):
+    """The identity map of s, each component certified by its generators."""
+    return ContinuousMap(
+        {i: identity(s.fam.carrier(i)) for i in s.index.elements},
+        {i: {k: CGen(k) for k in range(len(s.space(i).gens))}
+         for i in s.index.elements})
+
+
+def compose_continuous(s, t, u, psi, xi):
+    """xi after psi, for psi: s -> t and xi: t -> u, with each index's
+    certificates composed."""
+    comps = {i: compose(psi.comps[i], xi.comps[i]) for i in psi.comps}
+    return ContinuousMap(comps, {
+        i: compose_witnesses(s.space(i), t.space(i), u.space(i),
+                             psi.witness(i), xi.witness(i)).certs
+        for i in comps})
 
 
 def validate_thread(s, t, check_certs=True):
@@ -70,11 +111,11 @@ def thread_to_sum_function(s, t, sum_s):
 
 
 def validate_spectrum_map(s, t, psi):
-    findings = validate_family_map(s.fam, t.fam, FamilyMap(dict(psi.comps)))
+    findings = validate_family_map(s.fam, t.fam, psi)
     if psi.continuity is not None:
         for i in s.index.elements:
             try:
-                w = psi.witness(s.space(i), i)
+                w = psi.witness(i)
             except NotContinuous:
                 findings.append(Finding("continuity-missing", (i,)))
                 continue
@@ -90,7 +131,7 @@ def pullback_thread(s, t, psi, thread_over_t):
         raise NotContinuous("pullback needs continuity certificates")
     funcs, certs = {}, {}
     for i in s.index.elements:
-        w = psi.witness(s.space(i), i)
+        w = psi.witness(i)
         funcs[i] = compose_rfun(thread_over_t.at(i), psi.comps[i])
         c = thread_over_t.certs.get(i)
         if c is None:
@@ -128,7 +169,7 @@ def check_sum_morphisms(s, t, psi):
         return findings
     sum_dst = direct_sum_setoid(t.fam)
     _, threads_t = sum_space(t, sum_dst)
-    smap = sigma_map(s.fam, t.fam, psi, sum_src, sum_dst)
+    smap = sigma_map(psi, sum_src, sum_dst)
     for h_obj in threads_t:
         g = sum_function(h_obj, sum_dst)
         pulled_fun = compose_rfun(g, smap)
