@@ -17,7 +17,7 @@ from .families import (
     DirectFamily,
     make_direct_family,
 )
-from .topology import BSpace, RFun, Subbase, space, validate_certificate
+from .topology import BSpace, RFun, space, validate_certificate
 from .spectra import Spectrum, constant_spectrum, make_spectrum
 from .limits import direct_limit, inverse_limit
 from .dsl import elaborate, parse
@@ -37,7 +37,6 @@ __all__ = [
     "Setoid",
     "SetoidFn",
     "Spectrum",
-    "Subbase",
     "chain",
     "constant_spectrum",
     "direct_limit",

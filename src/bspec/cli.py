@@ -109,8 +109,7 @@ def limit_export_text(name, lim, inverse=False):
             i, x = lim.canonical(cls[0])
             lines.append(f"  class c{n}: {i} @ {x}")
             lines.append(f"  members c{n}: " + ", ".join(map(str, cls)))
-    for k, g in enumerate(lim.space.gens):
-        name_k = lim.space.subbase.names[k]
+    for name_k, g in zip(lim.space.names, lim.space.gens):
         parts = []
         for n, cls in enumerate(classes):
             parts.append(f"c{n} => {g(cls[0])}")

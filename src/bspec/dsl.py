@@ -29,7 +29,6 @@ from .topology import (
     CGen,
     CULim,
     RFun,
-    Subbase,
     babs,
     badd,
     bcomp,
@@ -330,28 +329,28 @@ def _table_from_node(node, line):
     return out
 
 
-def build_certificate(node, subbase, line):
+def build_certificate(node, sp, line):
     """Certificate tree from a parsed expression, generator names resolved
-    against the given subbase."""
+    against the names of the space sp."""
     if isinstance(node, str):
         raise TypeMismatch(f"bare token {node!r} is not a certificate", line)
     head = node[0]
     if head == "gen":
         name = node[1]
-        if name not in subbase.names:
+        if name not in sp.names:
             raise UnresolvedReference(f"no generator named {name!r}", line)
-        return CGen(subbase.names.index(name))
+        return CGen(sp.names.index(name))
     if head == "const":
         return CConst(parse_rational(node[1]))
     if head == "add":
-        return CAdd(build_certificate(node[1], subbase, line),
-                    build_certificate(node[2], subbase, line))
+        return CAdd(build_certificate(node[1], sp, line),
+                    build_certificate(node[2], sp, line))
     if head == "bic":
         return CBic(build_bic(node[1], line),
-                    build_certificate(node[2], subbase, line))
+                    build_certificate(node[2], sp, line))
     if head == "eq":
         table = _table_from_node(node[2], line)
-        return CEq(build_certificate(node[1], subbase, line),
+        return CEq(build_certificate(node[1], sp, line),
                    tuple(sorted(table.items())))
     if head == "ulim":
         table = _table_from_node(node[1], line)
@@ -360,7 +359,7 @@ def build_certificate(node, subbase, line):
             if not isinstance(wnode, list) or wnode[0] != "w":
                 raise TypeMismatch("uniform-limit witnesses are (w n CERT)", line)
             witnesses.append((int(wnode[1]),
-                              build_certificate(wnode[2], subbase, line)))
+                              build_certificate(wnode[2], sp, line)))
         return CULim(tuple(sorted(table.items())), tuple(witnesses))
     raise TypeMismatch(f"unknown certificate head {head!r}", line)
 
@@ -373,7 +372,7 @@ class Elaborated:
     setoids: dict = field(default_factory=dict)
     directeds: dict = field(default_factory=dict)
     families: dict = field(default_factory=dict)
-    subbases: dict = field(default_factory=dict)
+    subbases: dict = field(default_factory=dict)  # name -> BSpace
     certificates: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict)
     cofinals: dict = field(default_factory=dict)  # name -> (directed name, CofinalSubset)
@@ -389,8 +388,7 @@ class Elaborated:
     def space(self, name, line=None):
         if name not in self.subbases:
             raise UnresolvedReference(f"no subbase named {name!r}", line)
-        sub = self.subbases[name]
-        return BSpace(sub.carrier, sub)
+        return self.subbases[name]
 
 
 def elaborate(doc):
@@ -465,7 +463,7 @@ def elaborate(doc):
             }
             gens.append(RFun(carrier, table))
             names.append(s.args[0])
-        out.subbases[b.name] = Subbase(carrier, tuple(gens), tuple(names))
+        out.subbases[b.name] = BSpace(carrier, tuple(gens), tuple(names))
 
     for b in doc.of_kind("certificate"):
         over_stmt = b.one("over", required=True)
@@ -484,14 +482,25 @@ def elaborate(doc):
             raise UnresolvedReference(f"no family named {fam_name!r}",
                                       fam_stmt.line)
         fam = out.families[fam_name]
-        subbases = {}
+        # one space per index element, over the family's carrier there
+        spaces = {}
         for s in b.many("space"):
             if len(s.args) != 1:
                 raise SyntaxErrorDsl("space lines read 'space i: SUBBASE'", s.line)
-            ref = s.value.strip()
+            i, ref = s.args[0], s.value.strip()
             if ref not in out.subbases:
                 raise UnresolvedReference(f"no subbase named {ref!r}", s.line)
-            subbases[s.args[0]] = out.subbases[ref]
+            if i not in fam.index.elements:
+                raise UnresolvedReference(f"space for unknown index {i!r}", s.line)
+            if i in spaces:
+                raise SyntaxErrorDsl(f"duplicate space line for index {i!r}", s.line)
+            if not out.subbases[ref].carrier.same_as(fam.carrier(i)):
+                raise TypeMismatch(
+                    f"subbase {ref!r} is not over the carrier at index {i!r}", s.line)
+            spaces[i] = out.subbases[ref]
+        for i in fam.index.elements:
+            if i not in spaces:
+                raise UnresolvedReference(f"no space line for index {i!r}", b.line)
         pool_stmt = b.one("pool")
         pool = tuple(
             parse_rational(tok, pool_stmt)
@@ -510,7 +519,7 @@ def elaborate(doc):
                                      s.line)
             gen_name = s.args[3]
             src, tgt = fam.ends(i, j)
-            src_sub, tgt_sub = subbases.get(src), subbases.get(tgt)
+            src_sub, tgt_sub = spaces.get(src), spaces.get(tgt)
             if tgt_sub is None or src_sub is None:
                 raise UnresolvedReference(
                     f"witness for unknown spaces ({i}, {j})", s.line)
@@ -523,18 +532,18 @@ def elaborate(doc):
                 tgt_sub.names.index(gen_name)] = cert
         # composite edges are derived by lifting first; anything still
         # missing (including declared-auto edges) is constructed
-        spectrum = Spectrum(fam, subbases, witness_certs, pool)
+        spectrum = Spectrum(fam, spaces, witness_certs, pool)
         witness_certs = spectrum.witness_certs
         missing = []
         for i, j in fam.order_pairs():
             if i == j:
                 continue
-            tgt = subbases[fam.ends(i, j)[1]]
+            tgt = spaces[fam.ends(i, j)[1]]
             have = witness_certs.get((i, j), {})
             if any(k not in have for k in range(len(tgt.gens))):
                 missing.append((i, j))
         if missing:
-            spectrum.witness_certs = autofill_witnesses(fam, subbases, witness_certs)
+            spectrum.witness_certs = autofill_witnesses(fam, spaces, witness_certs)
         out.spectra[b.name] = spectrum
 
     for b in doc.of_kind("cofinal"):

@@ -11,7 +11,6 @@ decided by enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product as iproduct
 
 from .families import CONTRAVARIANT, COVARIANT, DirectFamily, oriented
@@ -19,18 +18,15 @@ from .report import Finding
 from .setoid import Tag, compose, identity, is_embedding, make_fn
 from .spectra import Spectrum
 from .topology import (
-    BSpace,
     CGen,
+    MorCarrier,
     MorphismWitness,
-    RFun,
     certify_iso,
     certify_map,
     check_morphism,
     exp_eval_certificate,
     exponential_space,
     lift_certificate,
-    validate_certificate,
-    values_key,
 )
 
 
@@ -43,48 +39,6 @@ class PoolNotClosed(DualityError):
 
 
 SHAPES = ("A_i", "A_ii", "B_i", "B_ii")
-
-
-@dataclass(eq=False)
-class MorCarrier:
-    """A finite pool of validated morphism witnesses between two spaces."""
-
-    src: BSpace
-    dst: BSpace
-    exp: object  # ExpSpace over the pool
-
-    @property
-    def setoid(self):
-        return self.exp.carrier
-
-    @property
-    def space(self):
-        return self.exp.space
-
-    def witness(self, name):
-        return self._witnesses[name]
-
-    def find(self, fn):
-        """The first pool token, in carrier order, pointwise equal to a map,
-        or None."""
-        return self._by_values.get(values_key(fn))
-
-    @cached_property
-    def _by_values(self):
-        """values_key of each pool map -> its first token in carrier order."""
-        out = {}
-        for name in self.setoid.elements:
-            out.setdefault(values_key(self.exp.by_name[name]), name)
-        return out
-
-
-def make_mor_carrier(src, dst, witnesses, names=None):
-    """The pool of witnesses, morphisms src -> dst already checked where
-    they were made, as a MorCarrier."""
-    exp = exponential_space(src, dst, witnesses, names)
-    mc = MorCarrier(src, dst, exp)
-    mc._witnesses = dict(zip(exp.carrier.elements, witnesses))
-    return mc
 
 
 def enumerate_morphisms(src, dst, cap=4096):
@@ -117,69 +71,24 @@ def precompose_action(lam, pool_from, pool_to):
     in pool_to, else PoolNotClosed names the first that does not.
     """
     table = {}
-    for name in pool_from.setoid.elements:
-        target = pool_to.find(compose(lam, pool_from.witness(name).h))
+    for name, w in pool_from.witnesses.items():
+        target = pool_to.find(compose(lam, w.h))
         if target is None:
             raise PoolNotClosed(f"pushes {name} out of the pool")
         table[name] = target
-    return make_fn(pool_from.setoid, pool_to.setoid, table)
+    return make_fn(pool_from.carrier, pool_to.carrier, table)
 
 
 def postcompose_action(mu, pool_from, pool_to):
     """Send a morphism into mu's domain to its composite followed by mu,
     a carrier map; PoolNotClosed as for precompose_action."""
     table = {}
-    for name in pool_from.setoid.elements:
-        target = pool_to.find(compose(pool_from.witness(name).h, mu))
+    for name, w in pool_from.witnesses.items():
+        target = pool_to.find(compose(w.h, mu))
         if target is None:
             raise PoolNotClosed(f"pushes {name} out of the pool")
         table[name] = target
-    return make_fn(pool_from.setoid, pool_to.setoid, table)
-
-
-def check_precompose_is_morphism(lam_pool, from_pool, to_pool, fixed):
-    """The pre-composition action is itself a morphism of exponential
-    spaces: every evaluation generator pulls back to a transformed
-    derivation over the action's source evaluation subbase."""
-    findings = []
-    for phi_name in from_pool.setoid.elements:
-        phi = from_pool.witness(phi_name)
-        for y in lam_pool.dst.carrier.elements:
-            for k, f0 in enumerate(fixed.gens):
-                # pulled generator: lam -> f0(phi(lam(y)))
-                values = {
-                    name: f0(phi.h(lam_pool.witness(name).h(y)))
-                    for name in lam_pool.setoid.elements
-                }
-                target = RFun(lam_pool.setoid, values)
-                cert = exp_eval_certificate(phi.certs[k], y, lam_pool.exp)
-                rep = validate_certificate(lam_pool.space, target, cert)
-                if not rep.ok:
-                    findings.append(Finding("precompose-cert",
-                                            (phi_name, y, k)))
-    return findings
-
-
-def check_postcompose_is_morphism(mu_pool, from_pool, fixed):
-    """The post-composition action is a morphism of exponential spaces:
-    evaluating the composite at a point is evaluation at the image point,
-    which is itself a generator of the action's source subbase."""
-    findings = []
-    for theta_name in from_pool.setoid.elements:
-        theta = from_pool.witness(theta_name)
-        for x in fixed.carrier.elements:
-            for k in range(len(mu_pool.dst.gens)):
-                g0 = mu_pool.dst.gens[k]
-                values = {
-                    name: g0(mu_pool.witness(name).h(theta.h(x)))
-                    for name in mu_pool.setoid.elements
-                }
-                target = RFun(mu_pool.setoid, values)
-                pos = mu_pool.exp.positions.get((theta.h(x), k))
-                if pos is None or mu_pool.exp.gens[pos].values != target.values:
-                    findings.append(Finding("postcompose-gen",
-                                            (theta_name, x, k)))
-    return findings
+    return make_fn(pool_from.carrier, pool_to.carrier, table)
 
 
 # --- the four induced spectra ------------------------------------------------
@@ -190,7 +99,7 @@ def induce_spectrum(s, fixed, shape, pools):
     pools maps each index element to a list of MorphismWitness values of
     the appropriate type, each a morphism already checked, as
     enumerate_morphisms gives them; each pool must be closed under the
-    induced transports.
+    induced transports.  The space at i is the pool at i, a MorCarrier.
     """
     if shape not in SHAPES:
         raise DualityError(f"unknown shape {shape!r}")
@@ -205,10 +114,10 @@ def induce_spectrum(s, fixed, shape, pools):
     if hom_into_fixed:
         out_direction = CONTRAVARIANT if s.direction == COVARIANT else COVARIANT
 
-    carriers_mc = {}
+    spaces = {}
     for i in s.index.elements:
         ends = (s.space(i), fixed) if hom_into_fixed else (fixed, s.space(i))
-        carriers_mc[i] = make_mor_carrier(
+        spaces[i] = exponential_space(
             *ends, pools[i], names=[f"{i}.m{n}" for n in range(len(pools[i]))])
 
     # a hom into fixed is pre-composed with the transport, a hom out of it
@@ -220,22 +129,19 @@ def induce_spectrum(s, fixed, shape, pools):
             continue
         a, b = oriented(out_direction, i, j)
         try:
-            transports[(i, j)] = act(s.fam.transport(i, j), carriers_mc[a],
-                                     carriers_mc[b])
+            transports[(i, j)] = act(s.fam.transport(i, j), spaces[a], spaces[b])
         except PoolNotClosed as exc:
             raise PoolNotClosed(f"edge ({i}, {j}) {exc}") from None
 
-    carriers = {i: carriers_mc[i].setoid for i in s.index.elements}
+    carriers = {i: spaces[i].carrier for i in s.index.elements}
     transports.update({(i, i): identity(carriers[i])
                        for i, j in s.fam.order_pairs() if i == j})
     fam = DirectFamily(s.index, out_direction, carriers, transports)
-    subbases = {i: carriers_mc[i].space.subbase for i in s.index.elements}
-    certs = _induced_edge_certs(s, fam, hom_into_fixed, carriers_mc)
-    spec = Spectrum(fam, subbases, certs, s.pool)
-    return spec, carriers_mc
+    certs = _induced_edge_certs(s, fam, hom_into_fixed, spaces)
+    return Spectrum(fam, spaces, certs, s.pool)
 
 
-def _induced_edge_certs(s, fam, hom_into_fixed, carriers_mc):
+def _induced_edge_certs(s, fam, hom_into_fixed, spaces):
     """Certificates for the induced transports against the evaluation
     subbases.  For homs into the fixed space evaluation generators pull back
     to evaluation generators; for homs out of it the source spectrum's own
@@ -246,21 +152,21 @@ def _induced_edge_certs(s, fam, hom_into_fixed, carriers_mc):
             continue
         lam = s.fam.transport(i, j)
         a, b = fam.ends(i, j)
-        src, tgt = carriers_mc[a], carriers_mc[b]
+        src, tgt = spaces[a], spaces[b]
         if hom_into_fixed:
-            certs[(i, j)] = {pos: CGen(src.exp.positions[(lam(x), k)])
+            certs[(i, j)] = {pos: CGen(src.positions[(lam(x), k)])
                              for (x, k), pos in _gen_items(tgt)}
         else:
             edge = s.witness_certs[(i, j)]
-            certs[(i, j)] = {pos: exp_eval_certificate(edge[k], x, src.exp)
+            certs[(i, j)] = {pos: exp_eval_certificate(edge[k], x, src)
                              for (x, k), pos in _gen_items(tgt)}
     return certs
 
 
-def _gen_items(mc):
-    """Unique (element, target gen index) -> subbase position items."""
+def _gen_items(pool):
+    """Unique (element, target gen index) -> generator position items."""
     seen = set()
-    for (x, k), pos in mc.exp.positions.items():
+    for (x, k), pos in pool.positions.items():
         if pos in seen:
             continue
         seen.add(pos)
@@ -272,14 +178,14 @@ def _gen_items(mc):
 @dataclass
 class DualityResult:
     to_hom: object      # map from the compatible-choice side to the hom side
-    hom_pool: object    # MorCarrier on the hom side
+    hom_pool: MorCarrier | None  # the homs between the limit and the fixed space
     findings: list = field(default_factory=list)
 
 
 def duality_direct_to_inverse(s, fixed, pools, lims):
     """Compatible choices of morphisms into the fixed space correspond to
     morphisms out of the direct limit, two-sidedly and topologically."""
-    induced, carriers_mc = induce_spectrum(s, fixed, "A_i", pools)
+    induced = induce_spectrum(s, fixed, "A_i", pools)
     inv, lim = lims.inverse(induced), lims.direct(s)
     findings = []
 
@@ -290,35 +196,36 @@ def duality_direct_to_inverse(s, fixed, pools, lims):
         table = {}
         for cls_tok in lim.carrier.elements:
             i, x = cls_tok
-            table[cls_tok] = carriers_mc[i].witness(assignment[i]).h(x)
+            table[cls_tok] = induced.spaces[i].witnesses[assignment[i]].h(x)
         h = make_fn(lim.carrier, fixed.carrier, table)
         hom_witnesses.append(certify_map(lim.space, fixed, h, "hom", findings, (tok,)))
     if findings:
         return DualityResult(None, None, findings)
-    return _from_hom(s, lim, fixed, inv, carriers_mc, hom_witnesses)
+    return _from_hom(s, lim, fixed, inv, hom_witnesses)
 
 
-def _from_hom(s, lim, fixed, inv, carriers_mc, hom_witnesses):
+def _from_hom(s, lim, fixed, inv, hom_witnesses):
     """The shared tail of the two dualities.
 
     The homs between the limit and the fixed space, one per token of
     `inv` in carrier order, form the hom pool.  The way back composes each
     hom with the limit's leg at i, through `oriented`, finds the composite
-    in the pool at i, and reads the compatible choice these form.  Then
+    in the pool at i, the space at i of inv's spectrum, and reads the
+    compatible choice these form.  Then
     to_hom: inv -> hom pool and that map are checked two-sidedly, with
     the embedding of to_hom reported between round trips and certificates.
     """
-    hom_pool = make_mor_carrier(*oriented(s.direction, lim.space, fixed), hom_witnesses,
-                                names=[f"h[{t}]" for t in inv.carrier.elements])
-    to_hom = make_fn(inv.carrier, hom_pool.setoid,
-                     dict(zip(inv.carrier.elements, hom_pool.setoid.elements)))
+    hom_pool = exponential_space(*oriented(s.direction, lim.space, fixed), hom_witnesses,
+                                 names=[f"h[{t}]" for t in inv.carrier.elements])
+    to_hom = make_fn(inv.carrier, hom_pool.carrier,
+                     dict(zip(inv.carrier.elements, hom_pool.carrier.elements)))
     legs = {i: lim.leg(i) for i in s.index.elements}
+    pools = inv.spectrum.spaces
     findings, back_table = [], {}
-    for name in hom_pool.setoid.elements:
-        h = hom_pool.witness(name).h
+    for name, w in hom_pool.witnesses.items():
         assignment = {}
         for i, leg in legs.items():
-            found = carriers_mc[i].find(compose(*oriented(s.direction, leg, h)))
+            found = pools[i].find(compose(*oriented(s.direction, leg, w.h)))
             if found is None:
                 raise PoolNotClosed(f"{name} composed with the leg at {i} leaves the pool")
             assignment[i] = found
@@ -329,11 +236,11 @@ def _from_hom(s, lim, fixed, inv, carriers_mc, hom_witnesses):
         back_table[name] = tok
     if findings:
         return DualityResult(None, hom_pool, findings)
-    from_hom = make_fn(hom_pool.setoid, inv.carrier, back_table)
+    from_hom = make_fn(hom_pool.carrier, inv.carrier, back_table)
     ok, witness = is_embedding(to_hom)
     findings = certify_iso(
-        (("to-hom", inv.space, hom_pool.space, to_hom),
-         ("from-hom", hom_pool.space, inv.space, from_hom)),
+        (("to-hom", inv.space, hom_pool, to_hom),
+         ("from-hom", hom_pool, inv.space, from_hom)),
         (("round-trip", to_hom, from_hom), ("round-trip-hom", from_hom, to_hom)),
         [] if ok else [Finding("embedding", witness)])
     return DualityResult(to_hom, hom_pool, findings)
@@ -344,7 +251,7 @@ def _from_hom(s, lim, fixed, inv, carriers_mc, hom_witnesses):
 def duality_inverse_hom(s, fixed, pools, lims):
     """Compatible choices of morphisms out of the fixed space correspond to
     morphisms into the inverse limit."""
-    induced, carriers_mc = induce_spectrum(s, fixed, "B_ii", pools)
+    induced = induce_spectrum(s, fixed, "B_ii", pools)
     inv_mor, lim = lims.inverse(induced), lims.inverse(s)
     findings = []
 
@@ -353,7 +260,7 @@ def duality_inverse_hom(s, fixed, pools, lims):
         assignment = inv_mor.assignments[tok]
         table = {}
         for x in fixed.carrier.elements:
-            target = {i: carriers_mc[i].witness(assignment[i]).h(x)
+            target = {i: induced.spaces[i].witnesses[assignment[i]].h(x)
                       for i in s.index.elements}
             target_tok = lim.token_of(target)
             if target_tok is None:
@@ -365,11 +272,11 @@ def duality_inverse_hom(s, fixed, pools, lims):
         h = make_fn(fixed.carrier, lim.carrier, table)
         # proj_i . h agrees with the component at i up to equality, so the
         # component's certificate for f certifies (f . proj_i) . h
-        certs = {k: carriers_mc[i].witness(assignment[i]).certs[pos]
+        certs = {k: induced.spaces[i].witnesses[assignment[i]].certs[pos]
                  for k, (i, pos) in enumerate(lim.gen_sources)}
         hom_witnesses.append(MorphismWitness(h, certs))
     _check_assembled(fixed, lim.space, hom_witnesses)
-    return _from_hom(s, lim, fixed, inv_mor, carriers_mc, hom_witnesses)
+    return _from_hom(s, lim, fixed, inv_mor, hom_witnesses)
 
 
 def _check_assembled(src, dst, witnesses):
@@ -385,7 +292,7 @@ def _check_assembled(src, dst, witnesses):
 
 @dataclass
 class ConverseResult:
-    hom_pool: object
+    hom_pool: MorCarrier | None
     hypothesis_holds: bool | None = None
     hypothesis_witness: tuple = ()
     embedding_checked: bool = False
@@ -396,14 +303,14 @@ def converse_dual_inverse(s, fixed, pools, lims):
     """From the direct limit of hom-into-fixed carriers over a contravariant
     spectrum to morphisms out of its inverse limit; an embedding exactly
     when every element extends to a compatible choice."""
-    induced, carriers_mc = induce_spectrum(s, fixed, "B_i", pools)
+    induced = induce_spectrum(s, fixed, "B_i", pools)
     lim_mor, inv = lims.direct(induced), lims.inverse(s)
     findings = []
 
     hom_witnesses = []
     for cls_tok in lim_mor.repr_classes():
         i, name = cls_tok
-        w = carriers_mc[i].witness(name)
+        w = induced.spaces[i].witnesses[name]
         table = {tok: w.h(inv.assignments[tok][i]) for tok in inv.carrier.elements}
         h = make_fn(inv.carrier, fixed.carrier, table)
         hom_witnesses.append(
@@ -437,13 +344,13 @@ def converse_dual_inverse(s, fixed, pools, lims):
 def converse_dual_direct(s, fixed, pools, lims):
     """From the direct limit of hom-out-of-fixed carriers over a covariant
     spectrum to morphisms into its direct limit; morphism property only."""
-    induced, carriers_mc = induce_spectrum(s, fixed, "A_ii", pools)
+    induced = induce_spectrum(s, fixed, "A_ii", pools)
     lim_mor, lim = lims.direct(induced), lims.direct(s)
 
     hom_witnesses = []
     for cls_tok in lim_mor.repr_classes():
         i, name = cls_tok
-        w = carriers_mc[i].witness(name)
+        w = induced.spaces[i].witnesses[name]
         table = {x: Tag((i, w.h(x))) for x in fixed.carrier.elements}
         h = make_fn(fixed.carrier, lim.carrier, table)
         certs = {k: lift_certificate(fixed, w, t.certs[i])
@@ -460,14 +367,14 @@ def _classwise_to_hom(lim_mor, src, dst, hom_witnesses):
     representative gives, hom_witnesses being those morphisms in class
     order: (to_hom, the hom pool, findings)."""
     reps = lim_mor.repr_classes()
-    hom_pool = make_mor_carrier(src, dst, hom_witnesses,
-                                names=[f"h[{t}]" for t in reps])
+    hom_pool = exponential_space(src, dst, hom_witnesses,
+                                 names=[f"h[{t}]" for t in reps])
     # constant on the classes of the direct limit by construction, which
     # make_fn checks
-    rep_of = dict(zip(reps, hom_pool.setoid.elements))
-    to_hom = make_fn(lim_mor.carrier, hom_pool.setoid,
+    rep_of = dict(zip(reps, hom_pool.carrier.elements))
+    to_hom = make_fn(lim_mor.carrier, hom_pool.carrier,
                      {tok: rep_of[lim_mor.carrier.class_repr(tok)]
                       for tok in lim_mor.carrier.elements})
     findings = []
-    certify_map(lim_mor.space, hom_pool.space, to_hom, "to-hom", findings)
+    certify_map(lim_mor.space, hom_pool, to_hom, "to-hom", findings)
     return to_hom, hom_pool, findings

@@ -48,7 +48,6 @@ from .topology import (
     BSpace,
     MorphismWitness,
     RFun,
-    Subbase,
     certify_iso,
     certify_map,
     check_morphism,
@@ -397,17 +396,18 @@ def _limit_of_choices(s, choices):
     gens, names, sources = [], [], []
     seen = set()
     for i in els:
-        for k, f in enumerate(s.space(i).gens):
+        sp = s.space(i)
+        for k, f in enumerate(sp.gens):
             values = {tok: f(assignments[tok][i]) for tok in tokens}
             key = tuple(values[tok] for tok in tokens)
             if key in seen:
                 continue
             seen.add(key)
             gens.append(RFun(carrier, values))
-            names.append(f"proj[{i},{s.subbases[i].names[k]}]")
+            names.append(f"proj[{i},{sp.names[k]}]")
             sources.append((i, k))
-    space_obj = BSpace(carrier, Subbase(carrier, tuple(gens), tuple(names)))
-    return InverseLimit(s, carrier, assignments, space_obj, sources, by_key)
+    return InverseLimit(s, carrier, assignments,
+                        BSpace(carrier, tuple(gens), tuple(names)), sources, by_key)
 
 
 class Limits:

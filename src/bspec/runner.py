@@ -368,7 +368,7 @@ def check_duality(env, args, config, report, suite, lims):
     embed = [f for f in res.findings if f.law == "embedding"]
     rest = [f for f in res.findings
             if not f.law.startswith("round-trip") and f.law != "embedding"]
-    card = str(res.hom_pool.setoid.class_count()) if res.hom_pool else "?"
+    card = str(res.hom_pool.carrier.class_count()) if res.hom_pool else "?"
     report.add(suite, f"duality.{name}.round-trips", round_trip,
                witness=(f"side-cardinality={card}",))
     report.add(suite, f"duality.{name}.embedding", embed)
@@ -381,7 +381,7 @@ def check_duality2(env, args, config, report, suite, lims):
     res = duality_inverse_hom(s, fixed, pools, lims)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     rest = [f for f in res.findings if not f.law.startswith("round-trip")]
-    card = str(res.hom_pool.setoid.class_count()) if res.hom_pool else "?"
+    card = str(res.hom_pool.carrier.class_count()) if res.hom_pool else "?"
     report.add(suite, f"duality2.{name}.round-trips", round_trip,
                witness=(f"side-cardinality={card}",))
     report.add(suite, f"duality2.{name}.morphisms", rest)

@@ -24,7 +24,6 @@ from .topology import (
     CGen,
     MorphismWitness,
     RFun,
-    Subbase,
     certify_map,
     check_morphism,
     check_morphism_as,
@@ -41,15 +40,16 @@ class SpectrumError(Exception):
 
 @dataclass(eq=False)
 class Spectrum:
-    """A direct family with a subbase at each index and a certificate dict
-    per order edge witnessing that the transport is a morphism.
+    """A direct family with a space at each index, over the family's carrier
+    there, and a certificate dict per order edge witnessing that the
+    transport is a morphism.
 
     Induced maps between topologies are definitional (precompose with the
     transport) and are computed on demand, never stored.
     """
 
     fam: DirectFamily
-    subbases: dict  # index element -> Subbase
+    spaces: dict  # index element -> BSpace
     witness_certs: dict  # (i, j) order pair -> {target gen index -> certificate}
     pool: tuple = (Fraction(0), Fraction(1))  # constants usable in threads
 
@@ -101,7 +101,7 @@ class Spectrum:
         return self.fam.direction
 
     def space(self, i):
-        return BSpace(self.fam.carrier(i), self.subbases[i])
+        return self.spaces[i]
 
     def edge_ends(self, i, j):
         """(source space, target space) of the transport for edge (i, j)."""
@@ -119,7 +119,7 @@ class Spectrum:
         return compose_rfun(f, self.fam.transport(i, j))
 
 
-def autofill_witnesses(fam, subbases, given=None):
+def autofill_witnesses(fam, spaces, given=None):
     """Complete a witness table, constructing any certificate not supplied."""
     certs = {k: dict(v) for k, v in (given or {}).items()}
     for i, j in fam.order_pairs():
@@ -128,17 +128,17 @@ def autofill_witnesses(fam, subbases, given=None):
         src, tgt = fam.ends(i, j)
         missing = []
         certs[(i, j)] = certify_map(
-            BSpace(fam.carrier(src), subbases[src]), subbases[tgt], fam.transport(i, j),
+            spaces[src], spaces[tgt], fam.transport(i, j),
             "edge", missing, known=certs.get((i, j))).certs
         raise_first(missing, SpectrumError,
                     lambda k: f"no certificate found for generator {k} on edge ({i}, {j})")
     return certs
 
 
-def make_spectrum(fam, subbases, witness_certs=None, pool=(0, 1), auto=False):
-    if auto:
-        witness_certs = autofill_witnesses(fam, subbases, witness_certs)
-    s = Spectrum(fam, dict(subbases), dict(witness_certs or {}), pool)
+def make_spectrum(fam, spaces, witness_certs=None, pool=(0, 1)):
+    """The validated spectrum, the certificates not in witness_certs
+    constructed and those given kept."""
+    s = Spectrum(fam, dict(spaces), autofill_witnesses(fam, spaces, witness_certs), pool)
     findings = validate_spectrum(s)
     if findings:
         raise SpectrumError(str(findings[0]))
@@ -148,18 +148,18 @@ def make_spectrum(fam, subbases, witness_certs=None, pool=(0, 1), auto=False):
 def constant_spectrum(index, sp, pool=(0, 1), direction=COVARIANT):
     """One space, identity transports, generator certificates everywhere."""
     fam = constant_direct_family(index, sp.carrier, direction)
-    subbases = {i: sp.subbase for i in index.elements}
+    spaces = {i: sp for i in index.elements}
     certs = {}
     for i, j in fam.order_pairs():
         if i != j:
             certs[(i, j)] = {k: CGen(k) for k in range(len(sp.gens))}
-    return Spectrum(fam, subbases, certs, pool)
+    return Spectrum(fam, spaces, certs, pool)
 
 
 def validate_spectrum(s):
     findings = [f for f in validate_direct_family(s.fam)]
     for i in s.index.elements:
-        if i not in s.subbases:
+        if i not in s.spaces:
             findings.append(Finding("subbase-missing", (i,)))
     if findings:
         return findings
@@ -289,7 +289,7 @@ def sum_space(s, sum_s):
     threads = enumerate_threads(s)
     gens = tuple(sum_function(t, sum_s) for t in threads)
     names = tuple(f"thr{n}" for n in range(len(threads)))
-    return BSpace(sum_s, Subbase(sum_s, gens, names)), threads
+    return BSpace(sum_s, gens, names), threads
 
 
 def restrict_spectrum(s, cof):
@@ -297,13 +297,13 @@ def restrict_spectrum(s, cof):
     sub_index = induced_order(s.index, cof)
     h = make_fn(sub_index.base, s.index.base, cof.embed.table())
     fam = restrict_family(s.fam, sub_index, h)
-    subbases = {j: s.subbases[cof.embed(j)] for j in sub_index.elements}
+    spaces = {j: s.spaces[cof.embed(j)] for j in sub_index.elements}
     certs = {}
     for a, b in sub_index.order_pairs():
         if a == b:
             continue
         certs[(a, b)] = dict(s.witness_certs[(cof.embed(a), cof.embed(b))])
-    return Spectrum(fam, subbases, certs, s.pool)
+    return Spectrum(fam, spaces, certs, s.pool)
 
 
 def product_spectrum(s, t):
@@ -328,7 +328,7 @@ def product_spectrum_over(s, t, index, parts):
         i, j = parts(a)
         sp, pr1, pr2 = product_space(s.space(i), t.space(j))
         carriers[a] = sp.carrier
-        spaces[a] = sp.subbase
+        spaces[a] = sp
         projections[a] = (pr1, pr2)
     transports = {}
     for a, b in index.order_pairs():

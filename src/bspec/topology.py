@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .report import Finding
 from .setoid import (
@@ -262,10 +263,13 @@ def bic_modulus(e, n, eps):
     raise TopologyError(f"unknown expression tag {e.tag!r}")
 
 
-# --- subbases, spaces, certificates ----------------------------------------
+# --- spaces, certificates --------------------------------------------------
 
 @dataclass(eq=False)
-class Subbase:
+class BSpace:
+    """A carrier with the topology its subbase `gens` generates (the
+    implicit closure); generator k is named names[k], `g{k}` by default."""
+
     carrier: Setoid
     gens: tuple  # RFun values on the carrier
     names: tuple = ()
@@ -278,20 +282,8 @@ class Subbase:
             self.names = tuple(f"g{k}" for k in range(len(self.gens)))
 
 
-@dataclass(eq=False)
-class BSpace:
-    """A carrier plus a subbase; the topology is the implicit closure."""
-
-    carrier: Setoid
-    subbase: Subbase
-
-    @property
-    def gens(self):
-        return self.subbase.gens
-
-
 def space(carrier, gens, names=()):
-    return BSpace(carrier, Subbase(carrier, tuple(gens), tuple(names)))
+    return BSpace(carrier, tuple(gens), tuple(names))
 
 
 # Certificate nodes.  Conclusions are computed per rule; validation compares
@@ -519,13 +511,13 @@ def check_morphism(src, dst, w):
         return findings
     for k, g in enumerate(dst.gens):
         if k not in w.certs:
-            findings.append(Finding("missing-certificate", (dst.subbase.names[k],)))
+            findings.append(Finding("missing-certificate", (dst.names[k],)))
             continue
         pulled = compose_rfun(g, w.h)
         rep = validate_certificate(src, pulled, w.certs[k])
         if not rep.ok:
             findings.extend(
-                Finding("witness-certificate", (dst.subbase.names[k],), str(f))
+                Finding("witness-certificate", (dst.names[k],), str(f))
                 for f in rep.findings)
     return findings
 
@@ -551,7 +543,7 @@ def certify_map(src, dst, h, label, findings, where=(), known=None):
             continue
         rep = validate_certificate(src, pulled, certs[k])
         findings.extend(Finding(f"{label}-witness-certificate",
-                                where + (dst.subbase.names[k],), str(f))
+                                where + (dst.names[k],), str(f))
                         for f in rep.findings)
     return MorphismWitness(h, certs)
 
@@ -736,9 +728,8 @@ def product_space(b1, b2):
     pr2 = _fn(carrier, b2.carrier, {t: t[1] for t in carrier.elements})
     gens = [compose_rfun(f, pr1) for f in b1.gens]
     gens += [compose_rfun(g, pr2) for g in b2.gens]
-    names = tuple(f"{n}.1" for n in b1.subbase.names) + tuple(
-        f"{n}.2" for n in b2.subbase.names)
-    return BSpace(carrier, Subbase(carrier, tuple(gens), names)), pr1, pr2
+    names = tuple(f"{n}.1" for n in b1.names) + tuple(f"{n}.2" for n in b2.names)
+    return BSpace(carrier, tuple(gens), names), pr1, pr2
 
 
 def relative_space(b, sub):
@@ -748,8 +739,7 @@ def relative_space(b, sub):
     if not sub.ambient.same_as(b.carrier):
         raise TopologyError("subset of a different carrier")
     gens = tuple(compose_rfun(g, sub.inject) for g in b.gens)
-    return BSpace(sub.carrier,
-                  Subbase(sub.carrier, gens, b.subbase.names))
+    return BSpace(sub.carrier, gens, b.names)
 
 
 def values_key(f):
@@ -766,36 +756,43 @@ def map_setoid(maps, names=None):
     return setoid_by_key(tuple(names), [values_key(f) for f in maps]), by_name
 
 
-@dataclass(eq=False)
-class ExpSpace:
-    """An exponential space over a supplied list of maps.
+@dataclass(eq=False, kw_only=True)
+class MorCarrier(BSpace):
+    """A finite pool of morphism witnesses between two spaces, as the space
+    exponential_space makes of it: the maps, equal when pointwise equal,
+    under the pointwise-evaluation subbase.
 
-    positions maps (source class representative, target generator index) to
-    the generator position of the corresponding evaluation function.
+    positions maps (source element, target generator index) to the
+    position of the generator evaluating a map there.
     """
 
-    space: BSpace
     by_name: dict  # carrier token -> SetoidFn
-    positions: dict  # (element repr, target gen index) -> subbase position
+    positions: dict  # (source element, target gen index) -> generator position
+    witnesses: dict  # carrier token -> MorphismWitness
 
-    @property
-    def carrier(self):
-        return self.space.carrier
+    def find(self, fn):
+        """The first pool token, in carrier order, pointwise equal to a map,
+        or None."""
+        return self._by_values.get(values_key(fn))
 
-    @property
-    def gens(self):
-        return self.space.gens
+    @cached_property
+    def _by_values(self):
+        """values_key of each pool map -> its first token in carrier order."""
+        out = {}
+        for name in self.carrier.elements:
+            out.setdefault(values_key(self.by_name[name]), name)
+        return out
 
 
-def exponential_space(src, dst, maps, names=None):
-    """Pointwise-evaluation subbase on a supplied finite list of maps.
+def exponential_space(src, dst, witnesses, names=None):
+    """The pool of witnesses, morphisms src -> dst already checked where
+    they were made, under the pointwise-evaluation subbase.
 
     Generators are indexed by a source element and a target generator, and
     evaluate a map at the element then through the generator.  The carrier
     of all morphisms is never enumerated here; callers supply the list.
     """
-    carrier, by_name = map_setoid(
-        [m.h if isinstance(m, MorphismWitness) else m for m in maps], names)
+    carrier, by_name = map_setoid([w.h for w in witnesses], names)
     gens, gen_names = [], []
     positions = {}
     for x in src.carrier.elements:
@@ -806,16 +803,16 @@ def exponential_space(src, dst, maps, names=None):
             values = {name: g(by_name[name](xr)) for name in carrier.elements}
             positions[(xr, k)] = len(gens)
             gens.append(RFun(carrier, values))
-            gen_names.append(f"ev[{xr},{dst.subbase.names[k]}]")
+            gen_names.append(f"ev[{xr},{dst.names[k]}]")
     for x in src.carrier.elements:
         for k in range(len(dst.gens)):
             positions[(x, k)] = positions[(src.carrier.class_repr(x), k)]
-    return ExpSpace(
-        BSpace(carrier, Subbase(carrier, tuple(gens), tuple(gen_names))),
-        by_name, positions)
+    return MorCarrier(carrier, tuple(gens), tuple(gen_names), by_name=by_name,
+                      positions=positions,
+                      witnesses=dict(zip(carrier.elements, witnesses)))
 
 
-def exp_eval_certificate(c, x, exp):
+def exp_eval_certificate(c, x, pool):
     """Turn a derivation of t over a subbase into a derivation, over the
     evaluation subbase, of the function sending a map h to t(h(x)).
 
@@ -823,6 +820,6 @@ def exp_eval_certificate(c, x, exp):
     carried through, with claimed tables re-keyed by evaluating each map.
     """
     return map_cert(
-        c, lambda k: CGen(exp.positions[(x, k)]),
-        lambda table: _rekey(table, exp.carrier.elements,
-                             lambda name: exp.by_name[name](x)))
+        c, lambda k: CGen(pool.positions[(x, k)]),
+        lambda table: _rekey(table, pool.carrier.elements,
+                             lambda name: pool.by_name[name](x)))

@@ -462,12 +462,12 @@ def token_of_scan(lim, assignment):
     return None
 
 
-def find_scan(mc, fn):
+def find_scan(pool, fn):
     """MorCarrier.find before it was indexed by value classes: the first
     pool token, in carrier order, pointwise equal to the map."""
-    for name in mc.setoid.elements:
-        m = mc.exp.by_name[name]
-        if all(mc.dst.carrier.eq(m(x), fn(x)) for x in m.dom.elements):
+    for name in pool.carrier.elements:
+        m = pool.by_name[name]
+        if all(m.cod.eq(m(x), fn(x)) for x in m.dom.elements):
             return name
     return None
 

@@ -22,15 +22,15 @@ from bspec.setoid import (
     make_fn,
     make_setoid,
 )
-from bspec.spectra import Spectrum, product_spectrum_over
+from bspec.spectra import Spectrum, make_spectrum, product_spectrum_over
 from bspec.topology import (
     CGen,
     CConst,
     CAdd,
     CBic,
+    BSpace,
     MorphismWitness,
     RFun,
-    Subbase,
     babs,
     badd,
     baffine,
@@ -192,7 +192,7 @@ def _extensional_tables(rng, carrier, count):
 def random_spectrum(rng, index=None, direction=COVARIANT, n_base=2,
                     max_carrier=3, pool=(0, 1), base_functions=None,
                     family=None):
-    """A random valid spectrum whose subbases are pullbacks of functions
+    """A random valid spectrum whose generators are pullbacks of functions
     picked at dominating indices, so every edge witness is a generator match."""
     if index is None:
         index = random_directed_index(rng)
@@ -205,17 +205,17 @@ def random_spectrum(rng, index=None, direction=COVARIANT, n_base=2,
                 RFun(family.carrier(top), tbl)
                 for tbl in _extensional_tables(rng, family.carrier(top), n_base)
             ]
-        subbases, certs = {}, {}
+        spaces, certs = {}, {}
         for i in index.elements:
             gens = tuple(
                 compose_rfun(u, family.transport(i, top))
                 for u in base_functions)
-            subbases[i] = Subbase(family.carrier(i), gens,
-                                  tuple(f"u{k}" for k in range(len(gens))))
+            spaces[i] = BSpace(family.carrier(i), gens,
+                               tuple(f"u{k}" for k in range(len(gens))))
         for i, j in index.order_pairs():
             if i != j:
                 certs[(i, j)] = {k: CGen(k) for k in range(len(base_functions))}
-        return Spectrum(family, subbases, certs, tuple(Fraction(q) for q in pool))
+        return Spectrum(family, spaces, certs, tuple(Fraction(q) for q in pool))
     # contravariant: base functions at every index, pulled up the order
     base_at = {}
     for m in index.elements:
@@ -237,9 +237,9 @@ def random_spectrum(rng, index=None, direction=COVARIANT, n_base=2,
                 gens.append(g)
         gens_at[j] = tuple(gens)
         keys_at[j] = keys
-    subbases = {
-        j: Subbase(family.carrier(j), gens_at[j],
-                   tuple(f"u{m}k{k}" for m, k in keys_at[j]))
+    spaces = {
+        j: BSpace(family.carrier(j), gens_at[j],
+                  tuple(f"u{m}k{k}" for m, k in keys_at[j]))
         for j in index.elements
     }
     certs = {}
@@ -255,7 +255,7 @@ def random_spectrum(rng, index=None, direction=COVARIANT, n_base=2,
                 if tuple(gg.values[x] for x in family.carrier(j).elements) == key)
             table[pos] = CGen(target)
         certs[(i, j)] = table
-    return Spectrum(family, subbases, certs, tuple(Fraction(q) for q in pool))
+    return Spectrum(family, spaces, certs, tuple(Fraction(q) for q in pool))
 
 
 # --- spectrum maps -------------------------------------------------------------
@@ -288,7 +288,7 @@ def thicken_spectrum(rng, s):
         transports[(i, j)] = make_fn(seen_carriers[dom_key],
                                      seen_carriers[cod_key], table)
     big_fam = DirectFamily(s.index, fam.direction, carriers, transports)
-    subbases = {}
+    spaces = {}
     for i in s.index.elements:
         key = id(fam.carrier(i))
         gens = []
@@ -296,8 +296,8 @@ def thicken_spectrum(rng, s):
             values = dict(g.values)
             values[pads[key]] = Fraction(0)
             gens.append(RFun(carriers[i], values))
-        subbases[i] = Subbase(carriers[i], tuple(gens), s.subbases[i].names)
-    big = Spectrum(big_fam, subbases, {
+        spaces[i] = BSpace(carriers[i], tuple(gens), s.space(i).names)
+    big = Spectrum(big_fam, spaces, {
         k: dict(v) for k, v in s.witness_certs.items()}, s.pool)
     comps = {
         i: make_fn(fam.carrier(i), carriers[i],
@@ -309,6 +309,26 @@ def thicken_spectrum(rng, s):
         for i in s.index.elements
     }
     return big, ContinuousMap(comps, conts)
+
+
+FLIP = baffine(-1, 1)  # t -> 1 - t
+
+
+def reflect_spectrum(s):
+    """s with each generator g replaced by 1 - g, and the identity onto it,
+    certified at each index by `1 - g` over g: a map whose certificates
+    are not the generators they prove, so composing two of them composes
+    their certificates for real."""
+    spaces = {}
+    for i in s.index.elements:
+        sp = s.space(i)
+        spaces[i] = BSpace(sp.carrier, tuple(
+            RFun(sp.carrier, {x: 1 - v for x, v in g.values.items()}) for g in sp.gens),
+            sp.names)
+    comps = {i: identity(s.fam.carrier(i)) for i in s.index.elements}
+    conts = {i: {k: CBic(FLIP, CGen(k)) for k in range(len(s.space(i).gens))}
+             for i in s.index.elements}
+    return make_spectrum(s.fam, spaces, pool=s.pool), ContinuousMap(comps, conts)
 
 
 def collapse_to_point(s):
@@ -358,9 +378,10 @@ def random_map_chain(rng, index=None, direction=COVARIANT):
     """Spectra s, t, u with continuous maps s -> t -> u, valid by shape.
 
     Backward steps are projections off a product; forward steps are padding
-    inclusions or the collapse onto the constant point spectrum.
+    inclusions or the collapse onto the constant point spectrum; the
+    reflections g -> 1 - g go back and forth.
     """
-    pattern = rng.choice(["projections", "inclusions", "mixed", "plain"])
+    pattern = rng.choice(["projections", "inclusions", "mixed", "plain", "reflections"])
     if pattern == "projections":
         u = random_spectrum(rng, index, direction)
         t, xi = product_with(rng, u)
@@ -376,6 +397,11 @@ def random_map_chain(rng, index=None, direction=COVARIANT):
         t, psi = thicken_spectrum(rng, s)
         u, xi = collapse_to_point(t)
         return s, t, u, psi, xi
+    if pattern == "reflections":
+        s = random_spectrum(rng, index, direction)
+        t, psi = reflect_spectrum(s)
+        u, xi = reflect_spectrum(t)
+        return s, t, u, psi, xi
     s = random_spectrum(rng, index, direction)
     t, psi = s, identity_continuous(s)
     u, xi = collapse_to_point(t)
@@ -387,7 +413,7 @@ def random_map_chain(rng, index=None, direction=COVARIANT):
 def random_spectrum_with_cocone(rng, index=None, n_apex=2, max_carrier=3,
                                 pool=(0, 1)):
     """A covariant spectrum plus a valid cocone whose legs factor through
-    the top index, with apex generators pulled back into the subbases."""
+    the top index, with apex generators pulled back into the spaces."""
     if index is None:
         index = random_directed_index(rng)
     fam = random_direct_family(rng, index, COVARIANT, max_carrier)

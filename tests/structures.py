@@ -4,7 +4,7 @@ CHAIN3: the three-element chain 0 <= 1 <= 2.
 COLLAPSE: a covariant family over CHAIN3 whose carriers shrink to a point.
 X2: the discrete two-point carrier {p, q}.
 EO(m): the chain {0..2m} with its even members as a cofinal subset.
-CSPEC: COLLAPSE with 0/1-valued subbases and explicit edge certificates.
+CSPEC: COLLAPSE with 0/1-valued generators and explicit edge certificates.
 
 Also two witness builders: `morphism`, a witness checked on construction,
 and `identity_witness`, the identity of a space by generator certificates.
@@ -23,8 +23,8 @@ from bspec.topology import (
     CGen,
     MissingCertificate,
     MorphismWitness,
+    BSpace,
     RFun,
-    Subbase,
     check_morphism,
     space,
 )
@@ -79,9 +79,9 @@ def cspec(pool=(0, 1)):
     """COLLAPSE with 0/1-valued generators and explicit edge witnesses."""
     fam = collapse_family()
     carriers = fam.carriers
-    f0 = Subbase(carriers["0"], (RFun(carriers["0"], {"a": 0, "b": 1}),), ("f0",))
-    f1 = Subbase(carriers["1"], (RFun(carriers["1"], {"u": 0, "v": 1}),), ("f1",))
-    f2 = Subbase(carriers["2"], (RFun(carriers["2"], {"z": 0}),), ("f2",))
+    f0 = BSpace(carriers["0"], (RFun(carriers["0"], {"a": 0, "b": 1}),), ("f0",))
+    f1 = BSpace(carriers["1"], (RFun(carriers["1"], {"u": 0, "v": 1}),), ("f1",))
+    f2 = BSpace(carriers["2"], (RFun(carriers["2"], {"z": 0}),), ("f2",))
     witnesses = {
         ("0", "1"): {0: CGen(0)},       # f1 pulled back is exactly f0
         ("1", "2"): {0: CConst(Fraction(0))},

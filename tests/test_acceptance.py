@@ -366,7 +366,7 @@ def test_criterion_8_duality():
     # hypothesis failure: the embedding check is skipped, morphism still holds
     from bspec.families import make_direct_family
     from bspec.spectra import Spectrum
-    from bspec.topology import Subbase, rconst
+    from bspec.topology import BSpace, rconst
 
     carriers = {
         "0": discrete(["a", "b"]),
@@ -377,12 +377,12 @@ def test_criterion_8_duality():
     t21 = make_fn(carriers["2"], carriers["1"], {"z": "u"})
     fam = make_direct_family(chain3(), CONTRAVARIANT, carriers,
                              {("0", "1"): t10, ("1", "2"): t21})
-    subbases = {
-        "0": Subbase(carriers["0"], (RFun(carriers["0"], {"a": 0, "b": 1}),), ("f0",)),
-        "1": Subbase(carriers["1"], (rconst(carriers["1"], 0),), ("f1",)),
-        "2": Subbase(carriers["2"], (rconst(carriers["2"], 0),), ("f2",)),
+    spaces = {
+        "0": BSpace(carriers["0"], (RFun(carriers["0"], {"a": 0, "b": 1}),), ("f0",)),
+        "1": BSpace(carriers["1"], (rconst(carriers["1"], 0),), ("f1",)),
+        "2": BSpace(carriers["2"], (rconst(carriers["2"], 0),), ("f2",)),
     }
-    gapped = Spectrum(fam, subbases, {("0", "1"): {0: CGen(0)},
+    gapped = Spectrum(fam, spaces, {("0", "1"): {0: CGen(0)},
                                       ("1", "2"): {0: CGen(0)}}, (0, 1))
     one = space(discrete(["o"]), [rconst(discrete(["o"]), 0)], ["c"])
     pools5 = {i: enumerate_morphisms(gapped.space(i), one)

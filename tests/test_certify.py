@@ -91,7 +91,8 @@ def test_reindex_certificate_matches_the_walk(seed):
 def test_exp_eval_certificate_matches_the_walk(seed):
     rng = random.Random(seed)
     src, dst = _space(rng, "x"), _space(rng, "y")
-    exp = exponential_space(src, dst, [_map(rng, src, dst) for _ in range(rng.randint(1, 4))])
+    exp = exponential_space(src, dst, [MorphismWitness(_map(rng, src, dst), {})
+                                       for _ in range(rng.randint(1, 4))])
     c = _derivation(rng, dst)
     for x in src.carrier.elements:
         assert (outcome(exp_eval_certificate, c, x, exp)

@@ -64,6 +64,31 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "2:" in capsys.readouterr().err
 
 
+# Spectra whose space lines do not give each index one space over the
+# family's carrier there: (the refused line, the message).
+HOSTILE = sorted(Path(__file__).resolve().parent.glob("hostile/*.bsp"))
+REFUSALS = {
+    "coarser-equality": ("space 0: FX2C",
+                         "subbase 'FX2C' is not over the carrier at index '0'"),
+    "duplicate-space": ("space 1: FX2", "duplicate space line for index '1'"),
+    "foreign-setoid": ("space 1: FY2", "subbase 'FY2' is not over the carrier at index '1'"),
+    "foreign-setoid-auto": ("space 1: FY2",
+                            "subbase 'FY2' is not over the carrier at index '1'"),
+    "missing-space": ("spectrum EOSPEC {", "no space line for index '2'"),
+    "unknown-index": ("space 7: FX2", "space for unknown index '7'"),
+}
+
+
+@pytest.mark.parametrize("path", HOSTILE, ids=lambda p: p.stem)
+def test_space_lines_not_matching_the_family_are_refused(path, capsys):
+    refused, message = REFUSALS[path.stem]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # the last match: a duplicate line is refused where it repeats
+    line = max(n for n, text in enumerate(lines, start=1) if text.strip() == refused)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"bspec: {line}:0: {message}\n"
+
+
 # Element names that decode as compound elements.  Without the guard the
 # inverse limit of this spectrum has one choice where there are two, and its
 # top-determinacy law fails.

@@ -174,11 +174,10 @@ certificate VIA_ULIM {
 }
 """
     env = elaborate(parse(text))
-    from bspec.topology import BSpace, RFun, validate_certificate
+    from bspec.topology import RFun, validate_certificate
 
-    sub = env.subbases["FX"]
-    sp = BSpace(sub.carrier, sub)
-    f = RFun(sub.carrier, {"p": 0, "q": 1})
+    sp = env.space("FX")
+    f = RFun(sp.carrier, {"p": 0, "q": 1})
     assert validate_certificate(sp, f, env.certificates["VIA_EQ"]).ok
     rep = validate_certificate(sp, f, env.certificates["VIA_ULIM"])
     assert rep.ok and rep.witnessed

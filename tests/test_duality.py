@@ -7,25 +7,29 @@ from bspec.families import CONTRAVARIANT
 from bspec.duality import (
     DualityError,
     PoolNotClosed,
-    check_precompose_is_morphism,
     converse_dual_direct,
     converse_dual_inverse,
     duality_direct_to_inverse,
     duality_inverse_hom,
     enumerate_morphisms,
     induce_spectrum,
-    make_mor_carrier,
     precompose_action,
     postcompose_action,
 )
 from bspec.limits import Limits
+from bspec.report import Finding
 from bspec.setoid import compose, discrete, fn_equal, identity, make_fn
 from bspec.spectra import constant_spectrum, validate_spectrum
 from bspec.topology import (
+    BSpace,
     CGen,
+    RFun,
     check_morphism,
+    exp_eval_certificate,
+    exponential_space,
     rconst,
     space,
+    validate_certificate,
 )
 
 from structures import chain3, constant_cspec, cspec, x2_space
@@ -47,52 +51,71 @@ def test_enumerate_morphisms_on_two_point_space():
 def test_mor_carrier_equality_is_pointwise():
     sp = x2_space()
     mors = enumerate_morphisms(sp, sp)
-    mc = make_mor_carrier(sp, sp, mors)
-    assert mc.setoid.class_count() == 4
+    mc = exponential_space(sp, sp, mors)
+    assert mc.carrier.class_count() == 4
     assert mc.find(identity(sp.carrier)) is not None
 
 
 def test_precompose_and_postcompose_actions():
     sp = x2_space()
     mors = enumerate_morphisms(sp, sp)
-    mc = make_mor_carrier(sp, sp, mors)
-    swap_name = next(n for n in mc.setoid.elements
-                     if mc.witness(n).h("p") == "q" and mc.witness(n).h("q") == "p")
-    swap = mc.witness(swap_name)
+    mc = exponential_space(sp, sp, mors)
+    swap_name = next(n for n in mc.carrier.elements
+                     if mc.witnesses[n].h("p") == "q" and mc.witnesses[n].h("q") == "p")
+    swap = mc.witnesses[swap_name]
     act = precompose_action(swap.h, mc, mc)
     # composing with the swap twice is the identity action
-    act2 = {n: act(act(n)) for n in mc.setoid.elements}
-    for n in mc.setoid.elements:
-        assert mc.setoid.eq(act2[n], n)
+    act2 = {n: act(act(n)) for n in mc.carrier.elements}
+    for n in mc.carrier.elements:
+        assert mc.carrier.eq(act2[n], n)
     # swap+(swap) = identity morphism
     ident_name = mc.find(identity(sp.carrier))
-    assert mc.setoid.eq(act(swap_name), ident_name)
+    assert mc.carrier.eq(act(swap_name), ident_name)
     post = postcompose_action(swap.h, mc, mc)
-    assert mc.setoid.eq(post(swap_name), ident_name)
+    assert mc.carrier.eq(post(swap_name), ident_name)
 
 
 def test_action_contravariance_on_composition():
     sp = x2_space()
     mors = enumerate_morphisms(sp, sp)
-    mc = make_mor_carrier(sp, sp, mors)
-    names = mc.setoid.elements
+    mc = exponential_space(sp, sp, mors)
+    names = mc.carrier.elements
     for n1 in names:
         for n2 in names:
-            lam, kap = mc.witness(n1), mc.witness(n2)
+            lam, kap = mc.witnesses[n1], mc.witnesses[n2]
             comp = compose(kap.h, lam.h)  # lam after kap
             comp_name = mc.find(comp)
             act_comp = precompose_action(comp, mc, mc)
             act_lam = precompose_action(lam.h, mc, mc)
             act_kap = precompose_action(kap.h, mc, mc)
             for n in names:
-                assert mc.setoid.eq(act_comp(n), act_kap(act_lam(n)))
+                assert mc.carrier.eq(act_comp(n), act_kap(act_lam(n)))
+
+
+def check_precompose_is_morphism(lam_pool, from_pool, src, fixed):
+    """The pre-composition action is itself a morphism of exponential
+    spaces: every evaluation generator pulls back to a transformed
+    derivation over the action's source evaluation subbase.  The maps of
+    lam_pool run from src into the space the maps of from_pool start at."""
+    findings = []
+    for phi_name, phi in from_pool.witnesses.items():
+        for y in src.carrier.elements:
+            for k, f0 in enumerate(fixed.gens):
+                # pulled generator: lam -> f0(phi(lam(y)))
+                values = {name: f0(phi.h(lam.h(y)))
+                          for name, lam in lam_pool.witnesses.items()}
+                target = RFun(lam_pool.carrier, values)
+                cert = exp_eval_certificate(phi.certs[k], y, lam_pool)
+                if not validate_certificate(lam_pool, target, cert).ok:
+                    findings.append(Finding("precompose-cert", (phi_name, y, k)))
+    return findings
 
 
 def test_precompose_is_exponential_morphism():
     sp = x2_space()
     mors = enumerate_morphisms(sp, sp)
-    mc = make_mor_carrier(sp, sp, mors)
-    assert check_precompose_is_morphism(mc, mc, mc, sp) == []
+    mc = exponential_space(sp, sp, mors)
+    assert check_precompose_is_morphism(mc, mc, sp, sp) == []
 
 
 def test_induced_spectra_constant_source():
@@ -100,26 +123,26 @@ def test_induced_spectra_constant_source():
     sp = x2_space()
     pools = {i: enumerate_morphisms(sp, sp) for i in s.index.elements}
     for shape in ("A_i", "A_ii"):
-        spec, mcs = induce_spectrum(s, sp, shape, pools)
+        spec = induce_spectrum(s, sp, shape, pools)
         assert validate_spectrum(spec) == []
         # identity transports on the pool
         for (i, j) in spec.fam.order_pairs():
             tr = spec.fam.transport(i, j)
             for n in tr.dom.elements:
-                src_w = mcs[i if shape == "A_ii" else j].witness(n)
+                src_w = spec.space(i if shape == "A_ii" else j).witnesses[n]
                 dst_name = tr(n)
-                dst_mc = mcs[j if shape == "A_ii" else i]
-                assert fn_equal(dst_mc.witness(dst_name).h, src_w.h)
+                dst_pool = spec.space(j if shape == "A_ii" else i)
+                assert fn_equal(dst_pool.witnesses[dst_name].h, src_w.h)
 
 
 def test_induced_spectrum_one_point_fixed():
     s = cspec()
     one = one_point_space()
     pools = {i: enumerate_morphisms(s.space(i), one) for i in s.index.elements}
-    spec, mcs = induce_spectrum(s, one, "A_i", pools)
+    spec = induce_spectrum(s, one, "A_i", pools)
     assert validate_spectrum(spec) == []
     for i in s.index.elements:
-        assert mcs[i].setoid.class_count() == 1
+        assert spec.space(i).carrier.class_count() == 1
 
 
 def test_pool_not_closed_detected():
@@ -154,7 +177,7 @@ def test_duality_principle_constant_spectrum():
     pools = {i: enumerate_morphisms(sp, sp) for i in s.index.elements}
     res = duality_direct_to_inverse(s, sp, pools, Limits())
     assert res.findings == []
-    assert res.hom_pool.setoid.class_count() == 4
+    assert res.hom_pool.carrier.class_count() == 4
 
 
 def test_duality_principle_one_point_fixed():
@@ -163,7 +186,7 @@ def test_duality_principle_one_point_fixed():
     pools = {i: enumerate_morphisms(s.space(i), one) for i in s.index.elements}
     res = duality_direct_to_inverse(s, one, pools, Limits())
     assert res.findings == []
-    assert res.hom_pool.setoid.class_count() == 1
+    assert res.hom_pool.carrier.class_count() == 1
 
 
 def test_duality_principle_cspec_01_pool():
@@ -173,7 +196,7 @@ def test_duality_principle_cspec_01_pool():
     res = duality_direct_to_inverse(s, sp, pools, Limits())
     assert res.findings == []
     # both sides are in bijection, so cardinalities agree
-    assert res.hom_pool.setoid.class_count() == len(res.to_hom.dom.elements)
+    assert res.hom_pool.carrier.class_count() == len(res.to_hom.dom.elements)
 
 
 def _contra_constant(spx):
@@ -186,7 +209,7 @@ def test_second_duality_constant_spectrum():
     pools = {i: enumerate_morphisms(sp, sp) for i in s.index.elements}
     res = duality_inverse_hom(s, sp, pools, Limits())
     assert res.findings == []
-    assert res.hom_pool.setoid.class_count() == 4
+    assert res.hom_pool.carrier.class_count() == 4
 
 
 def test_second_duality_one_point_fixed():
@@ -197,7 +220,7 @@ def test_second_duality_one_point_fixed():
     res = duality_inverse_hom(s, one, pools, Limits())
     assert res.findings == []
     # one side is the inverse-limit carrier itself (two constant choices)
-    assert res.hom_pool.setoid.class_count() == 2
+    assert res.hom_pool.carrier.class_count() == 2
 
 
 def test_converse_dual_inverse_constant():
@@ -215,7 +238,6 @@ def test_converse_dual_inverse_hypothesis_fails():
     # through it: the top transport misses one element below
     from bspec.families import make_direct_family
     from bspec.spectra import Spectrum
-    from bspec.topology import RFun, Subbase
 
     carriers = {
         "0": discrete(["a", "b"]),
@@ -226,13 +248,13 @@ def test_converse_dual_inverse_hypothesis_fails():
     t21 = make_fn(carriers["2"], carriers["1"], {"z": "u"})
     fam = make_direct_family(chain3(), CONTRAVARIANT, carriers,
                              {("0", "1"): t10, ("1", "2"): t21})
-    subbases = {
-        "0": Subbase(carriers["0"], (RFun(carriers["0"], {"a": 0, "b": 1}),), ("f0",)),
-        "1": Subbase(carriers["1"], (rconst(carriers["1"], 0),), ("f1",)),
-        "2": Subbase(carriers["2"], (rconst(carriers["2"], 0),), ("f2",)),
+    spaces = {
+        "0": BSpace(carriers["0"], (RFun(carriers["0"], {"a": 0, "b": 1}),), ("f0",)),
+        "1": BSpace(carriers["1"], (rconst(carriers["1"], 0),), ("f1",)),
+        "2": BSpace(carriers["2"], (rconst(carriers["2"], 0),), ("f2",)),
     }
     certs = {("0", "1"): {0: CGen(0)}, ("1", "2"): {0: CGen(0)}}
-    s = Spectrum(fam, subbases, certs, (Fraction(0), Fraction(1)))
+    s = Spectrum(fam, spaces, certs, (Fraction(0), Fraction(1)))
     assert validate_spectrum(s) == []
     one = one_point_space()
     pools = {i: enumerate_morphisms(s.space(i), one) for i in s.index.elements}

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from bspec import runner
 from bspec.dsl import Elaborated, parse
-from bspec.duality import enumerate_morphisms, make_mor_carrier
+from bspec.duality import enumerate_morphisms
 from bspec.families import CONTRAVARIANT, COVARIANT, DirectFamily, make_direct_family
 from bspec.limits import direct_limit, inverse_limit
 from bspec.order import DirectedIndex, chain, make_directed
@@ -29,7 +29,7 @@ from bspec.setoid import (
     product_setoid,
 )
 from bspec.spectra import Spectrum, make_spectrum
-from bspec.topology import CGen, RFun, Subbase, map_cert
+from bspec.topology import BSpace, CGen, RFun, exponential_space, map_cert
 
 from oracles import find_scan, token_of_scan
 from randgen import random_spectrum
@@ -46,9 +46,8 @@ def test_inverse_limit_keeps_choices_that_render_alike():
     A, B = discrete(["a&b", "a"]), discrete(["c", "b&c"])
     fam = make_direct_family(chain(2), CONTRAVARIANT, {"0": A, "1": B},
                              {("0", "1"): make_fn(B, A, {"c": "a&b", "b&c": "a"})})
-    s = make_spectrum(fam, {"0": Subbase(A, (RFun(A, {"a&b": 0, "a": 1}),), ("g",)),
-                            "1": Subbase(B, (RFun(B, {"c": 0, "b&c": 1}),), ("h",))},
-                      auto=True)
+    s = make_spectrum(fam, {"0": BSpace(A, (RFun(A, {"a&b": 0, "a": 1}),), ("g",)),
+                            "1": BSpace(B, (RFun(B, {"c": 0, "b&c": 1}),), ("h",))})
     lim = inverse_limit(s)
     assert lim.carrier.elements == (("a&b", "c"), ("a", "b&c"))
     assert [str(t) for t in lim.carrier.elements] == ["a&b&c", "a&b&c"]
@@ -62,9 +61,8 @@ def test_direct_limit_keeps_tags_that_render_alike():
     A, B = discrete(["y@z", "w"]), discrete(["z", "v"])
     fam = make_direct_family(index, COVARIANT, {"x": A, "x@y": B},
                              {("x", "x@y"): make_fn(A, B, {"y@z": "v", "w": "z"})})
-    s = make_spectrum(fam, {"x": Subbase(A, (RFun(A, {"y@z": 0, "w": 1}),)),
-                            "x@y": Subbase(B, (RFun(B, {"z": 1, "v": 0}),))},
-                      auto=True)
+    s = make_spectrum(fam, {"x": BSpace(A, (RFun(A, {"y@z": 0, "w": 1}),)),
+                            "x@y": BSpace(B, (RFun(B, {"z": 1, "v": 0}),))})
     lim = direct_limit(s)
     assert len(set(lim.carrier.elements)) == 4
     assert str(Tag(("x", "y@z"))) == str(Tag(("x@y", "z"))) == "x@y@z"
@@ -112,7 +110,7 @@ def test_find_matches_the_scan(seed, direction):
     s = random_spectrum(rng, direction=direction)
     fixed = x2_space()
     for src, dst in ((s.space(s.index.top), fixed), (fixed, s.space(s.index.top))):
-        mc = make_mor_carrier(src, dst, enumerate_morphisms(src, dst))
+        mc = exponential_space(src, dst, enumerate_morphisms(src, dst))
         # every table src -> dst, pool member or not, extensional or not
         for values in islice(product(dst.carrier.elements,
                                      repeat=len(src.carrier.elements)), 300):
@@ -131,10 +129,10 @@ def rename_setoid(X, name):
                   frozenset((name[a], name[b]) for a, b in X.pairs))
 
 
-def rename_subbase(sb, name, carrier):
+def rename_space(sp, name, carrier):
     gens = tuple(RFun(carrier, {name[x]: v for x, v in g.values.items()})
-                 for g in sb.gens)
-    return Subbase(carrier, gens, sb.names)
+                 for g in sp.gens)
+    return BSpace(carrier, gens, sp.names)
 
 
 def rename_spectrum(s, name):
@@ -163,11 +161,11 @@ def rename_spectrum(s, name):
                        {name[i]: setoid(c) for i, c in s.fam.carriers.items()},
                        {(name[i], name[j]): fn(t)
                         for (i, j), t in s.fam.transports.items()})
-    subbases = {name[i]: rename_subbase(sb, name, setoid(sb.carrier))
-                for i, sb in s.subbases.items()}
+    spaces = {name[i]: rename_space(sp, name, setoid(sp.carrier))
+              for i, sp in s.spaces.items()}
     certs = {(name[i], name[j]): {k: map_cert(c, CGen, rekey) for k, c in edge.items()}
              for (i, j), edge in s.witness_certs.items()}
-    return Spectrum(fam, subbases, certs, s.pool)
+    return Spectrum(fam, spaces, certs, s.pool)
 
 
 def limit_counts(s):
@@ -186,7 +184,7 @@ CHECKS = {
 
 def suite_statuses(s, fixed):
     """(law, status) of every record run_suite gives over the spectrum s
-    and the subbase `fixed`, a suite document naming them as S and X."""
+    and the space `fixed`, a suite document naming them as S and X."""
     env = Elaborated(None, subbases={"X": fixed}, spectra={"S": s}, pools={
         "INTO": {"spectrum": "S", "space": "X", "search": "auto",
                  "shape": "hom-into-fixed"},
@@ -212,6 +210,5 @@ def test_renaming_every_element_changes_no_answer(seed, direction, data):
     name = dict(zip(old, new))
     renamed = rename_spectrum(s, name)
     assert limit_counts(renamed) == limit_counts(s)
-    renamed_fixed = rename_subbase(fixed.subbase, name,
-                                   rename_setoid(fixed.carrier, name))
-    assert suite_statuses(renamed, renamed_fixed) == suite_statuses(s, fixed.subbase)
+    renamed_fixed = rename_space(fixed, name, rename_setoid(fixed.carrier, name))
+    assert suite_statuses(renamed, renamed_fixed) == suite_statuses(s, fixed)

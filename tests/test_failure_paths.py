@@ -37,7 +37,7 @@ def miss(monkeypatch, prefix, n=0, wrong=False):
     calls = []
 
     def fake(sp, target):
-        if sp.subbase.names and sp.subbase.names[0].startswith(prefix):
+        if sp.names and sp.names[0].startswith(prefix):
             calls.append(sp)
             if len(calls) == n + 1:
                 return CConst(Fraction(99)) if wrong else None
@@ -380,4 +380,4 @@ def test_autofill_raises_on_a_miss(monkeypatch):
     s = constant_cspec()
     miss(monkeypatch, "f", n=1)
     with pytest.raises(SpectrumError, match=r"generator 0 on edge \(0, 2\)"):
-        spectra.autofill_witnesses(s.fam, s.subbases)
+        spectra.autofill_witnesses(s.fam, s.spaces)

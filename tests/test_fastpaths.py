@@ -331,7 +331,7 @@ def test_complete_witnesses_matches_the_rescan(seed, direction, length):
     for n, (edge, certs) in enumerate(sorted(s.witness_certs.items())):
         if rng.random() < 0.6:
             supplied[edge] = {m: CAdd(c, CConst(Fraction(n))) for m, c in certs.items()}
-    got = Spectrum(s.fam, s.subbases, {e: dict(c) for e, c in supplied.items()}, s.pool)
+    got = Spectrum(s.fam, s.spaces, {e: dict(c) for e, c in supplied.items()}, s.pool)
     s.witness_certs = {e: dict(c) for e, c in supplied.items()}
     complete_witnesses_scan(s)
     assert got.witness_certs == s.witness_certs

@@ -4,11 +4,7 @@ cyclic preorders, and runner exit behavior on skipped laws."""
 
 import random
 
-from bspec.duality import (
-    enumerate_morphisms,
-    make_mor_carrier,
-    postcompose_action,
-)
+from bspec.duality import enumerate_morphisms, postcompose_action
 from bspec.families import (
     CONTRAVARIANT,
     constant_direct_family,
@@ -24,9 +20,10 @@ from bspec.limits import (
     limit_map,
 )
 from bspec.order import DirectedIndex, make_directed, validate_directed
+from bspec.report import Finding
 from bspec.setoid import compose, discrete, is_embedding, make_fn
 from bspec.spectra import constant_spectrum
-from bspec.topology import rconst, space
+from bspec.topology import RFun, exponential_space, rconst, space
 
 from randgen import random_spectrum, thicken_spectrum
 from structures import chain3, collapse_family, constant_cspec, x2_space
@@ -42,17 +39,17 @@ def test_delta_can_serve_as_upper_function():
 def test_postcompose_covariant_on_composition():
     sp = x2_space()
     mors = enumerate_morphisms(sp, sp)
-    mc = make_mor_carrier(sp, sp, mors)
-    names = mc.setoid.elements
+    mc = exponential_space(sp, sp, mors)
+    names = mc.carrier.elements
     for n1 in names:
         for n2 in names:
-            mu, nu = mc.witness(n1), mc.witness(n2)
+            mu, nu = mc.witnesses[n1], mc.witnesses[n2]
             comp = compose(nu.h, mu.h)  # mu after nu
             act_comp = postcompose_action(comp, mc, mc)
             act_mu = postcompose_action(mu.h, mc, mc)
             act_nu = postcompose_action(nu.h, mc, mc)
             for n in names:
-                assert mc.setoid.eq(act_comp(n), act_mu(act_nu(n)))
+                assert mc.carrier.eq(act_comp(n), act_mu(act_nu(n)))
 
 
 def test_sigma_map_embedding_propagation():
@@ -160,13 +157,30 @@ suite main {
     assert "skip" in out and "1 skipped" in out
 
 
+def check_postcompose_is_morphism(mu_pool, from_pool, fixed, dst):
+    """The post-composition action is a morphism of exponential spaces:
+    evaluating the composite at a point is evaluation at the image point,
+    which is itself a generator of the action's source subbase.  The maps
+    of mu_pool run into dst; those of from_pool run from fixed into where
+    the maps of mu_pool start."""
+    findings = []
+    for theta_name, theta in from_pool.witnesses.items():
+        for x in fixed.carrier.elements:
+            for k, g0 in enumerate(dst.gens):
+                values = {name: g0(mu.h(theta.h(x)))
+                          for name, mu in mu_pool.witnesses.items()}
+                target = RFun(mu_pool.carrier, values)
+                pos = mu_pool.positions.get((theta.h(x), k))
+                if pos is None or mu_pool.gens[pos].values != target.values:
+                    findings.append(Finding("postcompose-gen", (theta_name, x, k)))
+    return findings
+
+
 def test_postcompose_is_exponential_morphism():
     sp = x2_space()
     mors = enumerate_morphisms(sp, sp)
-    mc = make_mor_carrier(sp, sp, mors)
-    from bspec.duality import check_postcompose_is_morphism
-
-    assert check_postcompose_is_morphism(mc, mc, sp) == []
+    mc = exponential_space(sp, sp, mors)
+    assert check_postcompose_is_morphism(mc, mc, sp, sp) == []
 
 
 def test_sigma_map_collapse_counterexample():

@@ -66,7 +66,7 @@ def _drawn(seed, fault):
         for i, j in rng.sample(edges, rng.randint(1, len(edges))):
             transports[(i, j)] = _class_map(rng, fam.carrier(j), fam.carrier(i))
     fam = DirectFamily(index, CONTRAVARIANT, fam.carriers, transports)
-    return Spectrum(fam, s.subbases, s.witness_certs, s.pool)
+    return Spectrum(fam, s.spaces, s.witness_certs, s.pool)
 
 
 def _by_class(lim):
@@ -79,8 +79,8 @@ def _by_class(lim):
         assert len(members) == 1  # a class is one key
         keys.append(members.pop())
     gens = {name: [g.values[cls[0]] for cls in classes]
-            for name, g in zip(lim.space.subbase.names, lim.space.gens)}
-    return keys, list(lim.space.subbase.names), gens
+            for name, g in zip(lim.space.names, lim.space.gens)}
+    return keys, list(lim.space.names), gens
 
 
 def _top_class_fixes_the_class(lim):
@@ -147,7 +147,7 @@ def _broken_composite():
     transports = dict(base.fam.transports)
     transports[("0", "2")] = make_fn(X, X, {"p": "q", "q": "p", "r": "r"})
     fam = DirectFamily(base.index, CONTRAVARIANT, base.fam.carriers, transports)
-    return Spectrum(fam, base.subbases, base.witness_certs, base.pool)
+    return Spectrum(fam, base.spaces, base.witness_certs, base.pool)
 
 
 def test_top_determinacy_fails_when_a_composite_breaks():

@@ -226,15 +226,15 @@ def _reversed_collapse_spectrum():
     t21 = make_fn(carriers["2"], carriers["1"], {"z": "u", "w": "v"})
     fam = make_direct_family(chain3(), CONTRAVARIANT, carriers,
                              {("0", "1"): t10, ("1", "2"): t21})
-    from bspec.topology import RFun, Subbase
+    from bspec.topology import BSpace, RFun
 
     f2 = RFun(carriers["2"], {"z": 0, "w": 1})
     f1 = RFun(carriers["1"], {"u": 0, "v": 1})
     f0 = RFun(carriers["0"], {"a": 0, "b": 1})
-    subbases = {
-        "0": Subbase(carriers["0"], (f0,), ("f0",)),
-        "1": Subbase(carriers["1"], (f1,), ("f1",)),
-        "2": Subbase(carriers["2"], (f2,), ("f2",)),
+    spaces = {
+        "0": BSpace(carriers["0"], (f0,), ("f0",)),
+        "1": BSpace(carriers["1"], (f1,), ("f1",)),
+        "2": BSpace(carriers["2"], (f2,), ("f2",)),
     }
     certs = {
         ("0", "1"): {0: CGen(0)},  # f0 . t10 = f1
@@ -242,7 +242,7 @@ def _reversed_collapse_spectrum():
     }
     from bspec.spectra import Spectrum, validate_spectrum
 
-    sp = Spectrum(fam, subbases, certs, (Fraction(0), Fraction(1)))
+    sp = Spectrum(fam, spaces, certs, (Fraction(0), Fraction(1)))
     assert validate_spectrum(sp) == []
     return sp
 
@@ -285,10 +285,10 @@ def test_inverse_limit_empty_carrier():
     fam = make_direct_family(chain3(), CONTRAVARIANT, carriers,
                              {("0", "1"): t10, ("1", "2"): t21})
     from bspec.spectra import Spectrum
-    from bspec.topology import Subbase
+    from bspec.topology import BSpace
 
-    subbases = {i: Subbase(carriers[i], ()) for i in fam.index.elements}
-    sp = Spectrum(fam, subbases, {("0", "1"): {}, ("1", "2"): {}}, (0,))
+    spaces = {i: BSpace(carriers[i], ()) for i in fam.index.elements}
+    sp = Spectrum(fam, spaces, {("0", "1"): {}, ("1", "2"): {}}, (0,))
     lim = inverse_limit(sp)
     assert len(lim.carrier) == 0
 

@@ -44,20 +44,18 @@ def test_cspec_valid():
 def test_cspec_broken_witness_reported():
     s = cspec()
     bad = dict(s.witness_certs)
-    f2 = s.subbases["2"]
     # claim the pulled-back generator is constant 1 instead of 0
     bad[("1", "2")] = {0: CConst(Fraction(1))}
     from bspec.spectra import Spectrum
 
-    broken = Spectrum(s.fam, s.subbases, bad, s.pool)
+    broken = Spectrum(s.fam, s.spaces, bad, s.pool)
     laws = {f.law for f in validate_spectrum(broken)}
     assert any("witness-certificate" in law for law in laws)
 
 
 def test_autofill_witnesses():
     s = cspec()
-    rebuilt = make_spectrum(s.fam, s.subbases, witness_certs=None, pool=s.pool,
-                            auto=True)
+    rebuilt = make_spectrum(s.fam, s.spaces, pool=s.pool)
     assert validate_spectrum(rebuilt) == []
 
 
@@ -97,7 +95,7 @@ def test_thread_functions_are_class_constant():
 def test_incompatible_thread_rejected():
     s = cspec()
     funcs = {
-        "0": s.subbases["0"].gens[0],            # (a:0, b:1)
+        "0": s.space("0").gens[0],            # (a:0, b:1)
         "1": rconst(s.fam.carrier("1"), 0),
         "2": rconst(s.fam.carrier("2"), 0),
     }
@@ -238,7 +236,7 @@ def test_enumerated_threads_pass_validation_at_the_reflexive_pair():
     swap = SetoidFn(X, X, {"a": "b", "b": "a"})
     fam = DirectFamily(index, COVARIANT, {"0": X}, {("0", "0"): swap})
     sp = space(X, [RFun(X, {"a": 0, "b": 1})], ["f"])
-    s = Spectrum(fam, {"0": sp.subbase}, {})
+    s = Spectrum(fam, {"0": sp}, {})
     threads = enumerate_threads(s)
     assert [t.certs["0"] for t in threads] == [CConst(Fraction(0)),
                                                 CConst(Fraction(1))]

@@ -151,7 +151,7 @@ def test_enumerated_threads_give_distinct_generators(seed):
     sp, threads = sum_space(s, sum_s)
     tables = [tuple(g.values[x] for x in sum_s.elements) for g in sp.gens]
     assert len(set(tables)) == len(tables) == len(threads)
-    assert sp.subbase.names == tuple(f"thr{n}" for n in range(len(threads)))
+    assert sp.names == tuple(f"thr{n}" for n in range(len(threads)))
 
 
 def test_equal_rationals_parse_equal():

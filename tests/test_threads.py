@@ -19,7 +19,7 @@ from bspec.spectra import (
     constant_spectrum,
     enumerate_threads,
 )
-from bspec.topology import RFun, Subbase
+from bspec.topology import BSpace, RFun
 
 from oracles import enumerate_threads_backtracking
 from randgen import random_rational, random_spectrum
@@ -48,7 +48,7 @@ def _broken(seed, fault):
     rng = random.Random(seed)
     s = random_spectrum(rng, n_base=rng.randint(1, 3))
     fam, index = s.fam, s.index
-    transports, subbases = dict(fam.transports), dict(s.subbases)
+    transports, spaces = dict(fam.transports), dict(s.spaces)
     if fault == "swapped-identity":
         i = rng.choice(index.elements)
         X = fam.carrier(i)
@@ -70,11 +70,11 @@ def _broken(seed, fault):
                 for cls in X.classes():
                     values.update(dict.fromkeys(cls, random_rational(rng, 0, 1, 2)))
                 extra.append(RFun(X, values))
-            sb = subbases[i]
-            subbases[i] = Subbase(X, sb.gens + tuple(extra),
-                                  sb.names + tuple(f"e{k}" for k in range(len(extra))))
+            sp = spaces[i]
+            spaces[i] = BSpace(X, sp.gens + tuple(extra),
+                               sp.names + tuple(f"e{k}" for k in range(len(extra))))
     fam = DirectFamily(index, COVARIANT, fam.carriers, transports)
-    return Spectrum(fam, subbases, s.witness_certs, s.pool)
+    return Spectrum(fam, spaces, s.witness_certs, s.pool)
 
 
 def _listing(s, threads):

@@ -271,12 +271,12 @@ def test_product_relative_exponential():
     for a in ("p", "q"):
         for b in ("p", "q"):
             maps.append(make_fn(sp.carrier, sp.carrier, {"p": a, "q": b}))
-    exp = exponential_space(sp, sp, maps)
+    exp = exponential_space(sp, sp, [MorphismWitness(m, {}) for m in maps])
     assert len(exp.carrier) == 4
     swap_name = next(n for n, m in exp.by_name.items()
                      if m("p") == "q" and m("q") == "p")
     ev_pg = next(
-        g for g, nm in zip(exp.gens, exp.space.subbase.names) if nm == "ev[p,f]")
+        g for g, nm in zip(exp.gens, exp.names) if nm == "ev[p,f]")
     assert ev_pg(swap_name) == 1  # evaluating the swap at p lands on q
     # transforming a derivation into an evaluation derivation stays valid
     from bspec.topology import exp_eval_certificate
@@ -286,7 +286,7 @@ def test_product_relative_exponential():
     target = RFun(exp.carrier,
                   {n: 1 - sp.gens[0](exp.by_name[n]("p"))
                    for n in exp.carrier.elements})
-    assert validate_certificate(exp.space, target, ev_cert).ok
+    assert validate_certificate(exp, target, ev_cert).ok
 
 
 def test_find_certificate_search():

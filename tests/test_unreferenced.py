@@ -38,8 +38,6 @@ KEPT = {
     "spectra.constant_spectrum": PUBLIC,
     "dsl.print_document": TO_MOVE,
     "dsl.documents_equal": TO_MOVE,
-    "duality.check_precompose_is_morphism": TO_MOVE,
-    "duality.check_postcompose_is_morphism": TO_MOVE,
     "families.family_map": TO_MOVE,
 }
 
