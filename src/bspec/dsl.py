@@ -168,27 +168,6 @@ def parse(text):
     return doc
 
 
-def print_document(doc):
-    """Canonical re-emission; parse(print_document(d)) equals d."""
-    lines = []
-    for b in doc.blocks:
-        lines.append(f"{b.kind} {b.name} {{")
-        for s in b.stmts:
-            head = " ".join((s.key,) + s.args)
-            lines.append(f"  {head}: {s.value}")
-        lines.append("}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def documents_equal(a, b):
-    ka = [(blk.kind, blk.name,
-           [(s.key, s.args, s.value) for s in blk.stmts]) for blk in a.blocks]
-    kb = [(blk.kind, blk.name,
-           [(s.key, s.args, s.value) for s in blk.stmts]) for blk in b.blocks]
-    return ka == kb
-
-
 # --- value parsers -------------------------------------------------------------
 
 def parse_names(value, stmt):

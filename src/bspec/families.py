@@ -50,10 +50,6 @@ class NotMonotone(FamilyError):
     pass
 
 
-class InvalidMap(FamilyError):
-    pass
-
-
 @dataclass(eq=False)
 class DirectFamily:
     """Carriers over a directed index with transports along the order.
@@ -378,36 +374,6 @@ class FamilyMap:
 
     def at(self, i):
         return self.comps[i]
-
-
-def validate_family_map(src, dst, m):
-    findings = []
-    for i in src.index.elements:
-        if i not in m.comps:
-            findings.append(Finding("component-missing", (i,)))
-            return findings
-        f = m.comps[i]
-        if not (f.dom.same_as(src.carrier(i)) and f.cod.same_as(dst.carrier(i))):
-            findings.append(Finding("component-carriers", (i,)))
-            return findings
-        ok, witness = check_extensional(f)
-        if not ok:
-            findings.append(Finding("component-extensional", (i,) + witness))
-    for i, j in src.order_pairs():
-        a, b = src.ends(i, j)
-        left = compose(src.transport(i, j), m.comps[b])
-        right = compose(m.comps[a], dst.transport(i, j))
-        if not fn_equal(left, right):
-            findings.append(Finding("naturality", (i, j)))
-    return findings
-
-
-def family_map(src, dst, comps):
-    m = FamilyMap(dict(comps))
-    findings = validate_family_map(src, dst, m)
-    if findings:
-        raise InvalidMap(str(findings[0]))
-    return m
 
 
 def identity_family_map(F):

@@ -48,6 +48,7 @@ from .topology import (
     BSpace,
     MorphismWitness,
     RFun,
+    ValueCodes,
     certify_iso,
     certify_map,
     check_morphism,
@@ -394,12 +395,12 @@ def _limit_of_choices(s, choices):
         by_key.setdefault(keys[-1], tok)
     carrier = setoid_by_key(tuple(tokens), keys)
     gens, names, sources = [], [], []
-    seen = set()
+    codes, seen = ValueCodes(), set()
     for i in els:
         sp = s.space(i)
         for k, f in enumerate(sp.gens):
             values = {tok: f(assignments[tok][i]) for tok in tokens}
-            key = tuple(values[tok] for tok in tokens)
+            key = codes.key(values.values())
             if key in seen:
                 continue
             seen.add(key)

@@ -21,9 +21,11 @@ from .report import Finding
 from .setoid import Pair, make_fn
 from .topology import (
     BSpace,
+    CConst,
     CGen,
     MorphismWitness,
     RFun,
+    ValueCodes,
     certify_map,
     check_morphism,
     check_morphism_as,
@@ -31,6 +33,7 @@ from .topology import (
     compose_witnesses,
     lift_certificate,
     raise_first,
+    rconst,
 )
 
 
@@ -54,7 +57,7 @@ class Spectrum:
     pool: tuple = (Fraction(0), Fraction(1))  # constants usable in threads
 
     def __post_init__(self):
-        self.pool = tuple(Fraction(q) for q in self.pool)
+        self.pool = tuple(q if type(q) is Fraction else Fraction(q) for q in self.pool)
         self._complete_witnesses()
 
     def _complete_witnesses(self):
@@ -161,6 +164,8 @@ def validate_spectrum(s):
     for i in s.index.elements:
         if i not in s.spaces:
             findings.append(Finding("subbase-missing", (i,)))
+        elif not s.space(i).carrier.same_as(s.fam.carrier(i)):
+            findings.append(Finding("space-carrier", (i,)))
     if findings:
         return findings
     for i, j in s.fam.order_pairs():
@@ -215,7 +220,8 @@ def enumerate_threads(s):
 
     A thread is fixed by its component at the top t, since f_i = f_t .
     lambda_it: each top candidate is pulled back to every index and looked
-    up among that index's candidates by its values.  The choice is a thread
+    up among that index's candidates by its values, read as the codes of
+    one ValueCodes table.  The choice is a thread
     when every order pair (i, j), reflexive ones included, agrees:
     f_j . lambda_ij = f_i, that is f_t(lambda_jt(lambda_ij(x))) =
     f_t(lambda_it(x)) on the carrier at i.  The pairs of top elements those
@@ -224,21 +230,21 @@ def enumerate_threads(s):
     candidates' positions, read in index order, which is the order a
     backtracking search along the index finds them in.
     """
-    from .topology import CConst, rconst
-
     if s.direction != COVARIANT:
         raise SpectrumError("threads are enumerated over a covariant spectrum")
     fam, els = s.fam, s.index.elements
+    codes = ValueCodes()
     candidates, position = {}, {}
     for i in els:
         sp = s.space(i)
-        found, pos = [], {}  # each value tuple is hashed once
+        xs = sp.carrier.elements
+        found, pos = [], {}
         for k, g in enumerate(sp.gens):
-            key = tuple([g.values[x] for x in sp.carrier.elements])
+            key = codes.key(map(g.values.__getitem__, xs))
             if pos.setdefault(key, len(found)) == len(found):
                 found.append((g, CGen(k)))
         for q in s.pool:
-            key = tuple(q for _ in sp.carrier.elements)
+            key = codes.key([q] * len(xs))
             if pos.setdefault(key, len(found)) == len(found):
                 found.append((rconst(sp.carrier, q), CConst(q)))
         candidates[i], position[i] = found, pos
@@ -252,12 +258,13 @@ def enumerate_threads(s):
                            fam.carrier(i).elements)))
         if via != at_top[i]:
             tied.update(zip(via, at_top[i]))
+    top_xs = fam.carrier(t).elements
     chosen = set()
     for g, _ in candidates[t]:
-        v = g.values
+        v = dict(zip(top_xs, codes.key(map(g.values.__getitem__, top_xs))))
         if any(v[a] != v[b] for a, b in tied):
             continue
-        pos = tuple(position[i].get(tuple([v[y] for y in at_top[i]])) for i in els)
+        pos = tuple(position[i].get(tuple(map(v.__getitem__, at_top[i]))) for i in els)
         if None not in pos:
             chosen.add(pos)
     return [Thread({i: candidates[i][p][0] for i, p in zip(els, pos)},

@@ -88,9 +88,44 @@ class RFun:
         return f"RFun({items})"
 
 
+class ValueCodes:
+    """Small-int codes for exact values, for the value tables of one call:
+    equal values get equal codes, so tuples of codes can key a table where
+    tuples of Fractions would be hashed value by value on every lookup.
+
+    A value is hashed the first time its object is seen and found by `id`
+    after that.  Every object whose id is recorded is held here, so no id
+    is reused while the table lives.
+    """
+
+    __slots__ = ("_by_value", "_by_id", "_held")
+
+    def __init__(self):
+        self._by_value = {}  # value -> code
+        self._by_id = {}  # id of a held object -> its value's code
+        self._held = []  # every object whose id is in _by_id
+
+    def key(self, values):
+        """The codes of `values`, in order, as a tuple."""
+        values = list(values)
+        by_id = self._by_id
+        codes = tuple(map(by_id.get, map(id, values)))
+        if None in codes:
+            by_value = self._by_value
+            for v in values:
+                if id(v) not in by_id:
+                    by_id[id(v)] = by_value.setdefault(v, len(by_value))
+                    self._held.append(v)
+            codes = tuple(map(by_id.__getitem__, map(id, values)))
+        return codes
+
+
 def rconst(carrier, q):
-    q = Fraction(q)
-    return RFun(carrier, {x: q for x in carrier.elements})
+    """The constant q on carrier, every entry the one object q when q is a
+    Fraction."""
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return _rfun(carrier, dict.fromkeys(carrier.elements, q))
 
 
 def _rfun(carrier, values):
@@ -171,7 +206,8 @@ def baffine(a, b):
 
 
 def eval_bic(e, q):
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if e.tag == "const":
         return e.value
     if e.tag == "id":
@@ -648,31 +684,37 @@ def find_certificate(sp, target):
     closure rule keeps such points equal, so a target separating them is
     refuted.  A block-constant target is a constant or phi(h): h = sum c_j g_j
     separates the blocks and phi is the piecewise-linear interpolant through
-    (h(block), target(block)).
+    (h(block), target(block)).  A constant on the empty carrier is 0.
     """
-    blocks = {}  # generator profile -> target value, in carrier order
-    for x in sp.carrier.elements:
-        profile = tuple(g.values[x] for g in sp.gens)
-        if blocks.setdefault(profile, target(x)) != target(x):
+    els = sp.carrier.elements
+    codes = ValueCodes()
+    goal = codes.key(map(target.values.__getitem__, els))
+    if len(set(goal)) <= 1:
+        return CConst(target(els[0]) if els else Fraction(0))
+    # generator profiles, one per element; with no generator, all are ()
+    columns = [codes.key(map(g.values.__getitem__, els)) for g in sp.gens]
+    profiles = zip(*columns) if columns else [()] * len(els)
+    blocks = {}  # profile -> (first element, its target code), in carrier order
+    for x, profile, want in zip(els, profiles, goal):
+        if blocks.setdefault(profile, (x, want))[1] != want:
             return None
-    values = set(blocks.values())
-    if len(values) <= 1:
-        return CConst(values.pop() if values else Fraction(0))
-    return CBic(*_separating_certificate(blocks, len(sp.gens)))
+    firsts = [x for x, _ in blocks.values()]
+    return CBic(*_separating_certificate(sp.gens, target, firsts))
 
 
-def _separating_certificate(blocks, ngens):
-    """(phi, certificate of h) with h = sum c_j g_j injective on blocks.
+def _separating_certificate(gens, target, firsts):
+    """(phi, certificate of h) with h = sum c_j g_j injective on the blocks
+    whose first elements are `firsts`.
 
     Each c_j is the least positive integer keeping apart every pair of
     blocks the partial sum already separates; the pairs g_j separates and
     the partial sum does not then come apart as well.  A generator that
     separates nothing new is left out.
     """
-    h = [Fraction(0)] * len(blocks)
+    h = [Fraction(0)] * len(firsts)
     h_cert = None
-    for j in range(ngens):
-        col = [profile[j] for profile in blocks]
+    for j, gen in enumerate(gens):
+        col = [gen.values[x] for x in firsts]
         wanted = len(set(zip(h, col)))
         if wanted == len(set(h)):
             continue
@@ -682,7 +724,7 @@ def _separating_certificate(blocks, ngens):
         h = [t + c * g for t, g in zip(h, col)]
         term = CGen(j) if c == 1 else cert_scale(c, CGen(j))
         h_cert = term if h_cert is None else CAdd(h_cert, term)
-    return _interpolant(sorted(zip(h, blocks.values()))), h_cert
+    return _interpolant(sorted(zip(h, map(target.values.__getitem__, firsts)))), h_cert
 
 
 def _interpolant(points):
@@ -708,12 +750,17 @@ def gen_position(sp, target):
 
 
 def certificate_for(sp, target):
-    """Generator match first, then constants, then the construction."""
+    """Generator match first, then constants, then the construction.
+
+    A table holding one object throughout is a constant; equal values held
+    as distinct objects are left to find_certificate, which gives the same
+    answer, as it does on the empty carrier.
+    """
     k = gen_position(sp, target)
     if k is not None:
         return CGen(k)
-    vals = set(target.values.values())
-    if len(vals) == 1:
+    vals = target.values.values()
+    if len(set(map(id, vals))) == 1:
         return CConst(next(iter(vals)))
     return find_certificate(sp, target)
 

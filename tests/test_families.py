@@ -13,14 +13,12 @@ from bspec.families import (
     direct_sum_equality_exhaustive,
     direct_sum_setoid,
     embed_at,
-    family_map,
     identity_family_map,
     make_direct_family,
     pi_map,
     restrict_family,
     sigma_map,
     validate_direct_family,
-    validate_family_map,
 )
 from bspec.order import chain
 from bspec.setoid import discrete, make_fn, make_setoid
@@ -33,6 +31,7 @@ from oracles import (
 )
 from plain_families import constant_family, make_family, sigma_equality_plain
 from structures import chain3, collapse_family
+from thread_laws import family_map, validate_family_map
 
 
 def test_constant_family_valid():

@@ -10,7 +10,6 @@ from bspec.families import (
     constant_direct_family,
     direct_sum_setoid,
     FamilyMap,
-    family_map,
     sigma_map,
 )
 from bspec.limits import (
@@ -27,7 +26,7 @@ from bspec.topology import RFun, exponential_space, rconst, space
 
 from randgen import random_spectrum, thicken_spectrum
 from structures import chain3, collapse_family, constant_cspec, x2_space
-from thread_laws import check_induced_square
+from thread_laws import check_induced_square, family_map
 
 
 def test_delta_can_serve_as_upper_function():

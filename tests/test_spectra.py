@@ -5,11 +5,13 @@ import pytest
 
 from bspec.families import COVARIANT, DirectFamily, FamilyMap, direct_sum_setoid
 from bspec.order import chain
-from bspec.setoid import SetoidFn, discrete, make_fn
+from bspec.report import Finding
+from bspec.setoid import SetoidFn, discrete, make_fn, make_setoid
 from bspec.spectra import (
     Spectrum,
     SpectrumError,
     Thread,
+    constant_spectrum,
     enumerate_threads,
     make_spectrum,
     product_spectrum,
@@ -19,7 +21,7 @@ from bspec.spectra import (
 )
 from bspec.topology import CConst, RFun, rconst, space, validate_certificate
 
-from structures import chain3, constant_cspec, cspec, eo_cofinal
+from structures import chain3, constant_cspec, cspec, eo_cofinal, x2_space
 from thread_laws import (
     ContinuousMap,
     IncompatibleThread,
@@ -51,6 +53,18 @@ def test_cspec_broken_witness_reported():
     broken = Spectrum(s.fam, s.spaces, bad, s.pool)
     laws = {f.law for f in validate_spectrum(broken)}
     assert any("witness-certificate" in law for law in laws)
+
+
+def test_a_space_over_another_carrier_is_reported():
+    # index 0 of chain(1) has no edge, so no edge map reads its space: the
+    # carrier check is what finds the space's p ~ q the family does not have
+    fam = constant_spectrum(chain(1), x2_space()).fam
+    merged = make_setoid(["p", "q"], [("p", "q")])
+    bad = space(merged, [RFun(merged, {"p": 0, "q": 0})])
+    s = Spectrum(fam, {"0": bad}, {})
+    assert validate_spectrum(s) == [Finding("space-carrier", ("0",))]
+    good = Spectrum(fam, {"0": x2_space()}, {})
+    assert validate_spectrum(good) == []
 
 
 def test_autofill_witnesses():

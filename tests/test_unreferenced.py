@@ -36,9 +36,6 @@ KEPT = {
     "spectra.make_spectrum": PUBLIC,
     "order.chain": PUBLIC,
     "spectra.constant_spectrum": PUBLIC,
-    "dsl.print_document": TO_MOVE,
-    "dsl.documents_equal": TO_MOVE,
-    "families.family_map": TO_MOVE,
 }
 
 

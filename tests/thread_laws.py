@@ -1,4 +1,5 @@
-"""The componentwise thread and spectrum-map laws, kept as test helpers.
+"""The componentwise thread, family-map and spectrum-map laws, kept as
+test helpers.
 
 The kernel proves what these check at the level of the limit: a direct
 limit's threads are compatible by construction (`enumerate_threads`), and
@@ -12,13 +13,13 @@ from dataclasses import dataclass
 
 from bspec.families import (
     COVARIANT,
+    FamilyError,
     FamilyMap,
     direct_sum_setoid,
     sigma_map,
-    validate_family_map,
 )
 from bspec.report import Finding
-from bspec.setoid import compose, identity
+from bspec.setoid import check_extensional, compose, fn_equal, identity
 from bspec.spectra import (
     SpectrumError,
     Thread,
@@ -108,6 +109,40 @@ def thread_to_sum_function(s, t, sum_s):
     if findings:
         raise IncompatibleThread(str(findings[0]))
     return sum_function(t, sum_s)
+
+
+def validate_family_map(src, dst, m):
+    """A component at every index, between the carriers there, extensional,
+    and natural: transport then component equals component then transport."""
+    findings = []
+    for i in src.index.elements:
+        if i not in m.comps:
+            findings.append(Finding("component-missing", (i,)))
+            return findings
+        f = m.comps[i]
+        if not (f.dom.same_as(src.carrier(i)) and f.cod.same_as(dst.carrier(i))):
+            findings.append(Finding("component-carriers", (i,)))
+            return findings
+        ok, witness = check_extensional(f)
+        if not ok:
+            findings.append(Finding("component-extensional", (i,) + witness))
+    for i, j in src.order_pairs():
+        a, b = src.ends(i, j)
+        left = compose(src.transport(i, j), m.comps[b])
+        right = compose(m.comps[a], dst.transport(i, j))
+        if not fn_equal(left, right):
+            findings.append(Finding("naturality", (i, j)))
+    return findings
+
+
+def family_map(src, dst, comps):
+    """The family map with components `comps`, refused with FamilyError
+    unless validate_family_map passes."""
+    m = FamilyMap(dict(comps))
+    findings = validate_family_map(src, dst, m)
+    if findings:
+        raise FamilyError(str(findings[0]))
+    return m
 
 
 def validate_spectrum_map(s, t, psi):
