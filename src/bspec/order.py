@@ -84,7 +84,12 @@ class DirectedIndex:
                 for i in els for j in els}
 
     def order_pairs(self):
-        return sorted(self.pairs)
+        """The order pairs, sorted once per index."""
+        return self._order_pairs
+
+    @cached_property
+    def _order_pairs(self):
+        return tuple(sorted(self.pairs))
 
     def __repr__(self):
         return f"DirectedIndex({list(self.elements)}, rels={len(self.pairs)})"
@@ -283,24 +288,38 @@ def induced_order(D, C):
 
 
 def product_order(D1, D2):
+    """The componentwise order.  Its pairs are the products of the factors'
+    pairs between carrier elements, and its upper bounds and delta are read
+    off the factors' tables; all are made of the product carrier's own
+    Pairs.  A bound missing from a factor's table, or off its carrier,
+    raises KeyError."""
     base = product_setoid(D1.base, D2.base)
-    pairs = frozenset(
-        (Pair((i, j)), Pair((i2, j2)))
-        for i in D1.elements
-        for j in D2.elements
-        for i2 in D1.elements
-        for j2 in D2.elements
-        if D1.leq(i, i2) and D2.leq(j, j2)
-    )
-    upper = {}
-    delta = {} if D1.delta is not None and D2.delta is not None else None
+    cell = {}  # i -> j -> the base's Pair((i, j))
     for a in base.elements:
-        for b in base.elements:
-            (i, j), (i2, j2) = a, b
-            upper[(a, b)] = Pair((D1.up(i, i2), D2.up(j, j2)))
-            if delta is not None:
-                delta[(a, b)] = Pair((D1.delta[(i, i2)], D2.delta[(j, j2)]))
+        cell.setdefault(a[0], {})[a[1]] = a
+    pairs1 = [(i, i2) for i, i2 in D1.pairs if D1.base.has(i) and D1.base.has(i2)]
+    pairs2 = [(j, j2) for j, j2 in D2.pairs if D2.base.has(j) and D2.base.has(j2)]
+    pairs = frozenset((cell[i][j], cell[i2][j2])
+                      for i, i2 in pairs1 for j, j2 in pairs2)
+    upper = _product_table(D1, D2, cell, D1.upper, D2.upper)
+    delta = None
+    if D1.delta is not None and D2.delta is not None:
+        delta = _product_table(D1, D2, cell, D1.delta, D2.delta)
     return DirectedIndex(base, pairs, upper, delta)
+
+
+def _product_table(D1, D2, cell, t1, t2):
+    """((i, j), (i2, j2)) -> the Pair of t1[(i, i2)] and t2[(j, j2)], in
+    the product carrier's order."""
+    out = {}
+    for i in D1.elements:
+        for j in D2.elements:
+            a = cell[i][j]
+            for i2 in D1.elements:
+                row, over = cell[t1[(i, i2)]], cell[i2]
+                for j2 in D2.elements:
+                    out[(a, over[j2])] = row[t2[(j, j2)]]
+    return out
 
 
 def product_cofinal(D1, C1, D2, C2):

@@ -18,7 +18,7 @@ from .families import (
 )
 from .order import induced_order
 from .report import Finding
-from .setoid import Pair, make_fn
+from .setoid import make_fn
 from .topology import (
     BSpace,
     CConst,
@@ -69,11 +69,13 @@ class Spectrum:
         edge whose transport applies second are lifted along the witness
         of the one that applies first.
         """
+        pairs = [p for p in self.fam.order_pairs() if p[0] != p[1]]
+        if all(p in self.witness_certs for p in pairs):
+            return
         above, below = self.index.above, {}
         for k in self.index.elements:
             for j in above.get(k, ()):
                 below.setdefault(j, []).append(k)
-        pairs = [p for p in self.fam.order_pairs() if p[0] != p[1]]
         changed = True
         while changed:
             changed = False
@@ -276,11 +278,8 @@ def sum_function(t, sum_s):
     """The function (i, x) -> component-at-i applied to x, on the direct sum,
     of a compatible thread; the RFun constructor refuses one that is not
     constant on sum classes."""
-    values = {}
-    for a in sum_s.elements:
-        i, x = a
-        values[a] = t.at(i)(x)
-    return RFun(sum_s, values)
+    tables = {i: f.values for i, f in t.funcs.items()}
+    return RFun(sum_s, {a: tables[a[0]][a[1]] for a in sum_s.elements})
 
 
 def sum_space(s, sum_s):
@@ -325,50 +324,76 @@ def product_spectrum_over(s, t, index, parts):
     """The componentwise product of s and t over `index`, whose element a
     pairs the index elements parts(a) = (i, j) of s and t and whose order
     maps into both factors' orders.  Returns the spectrum and, per index
-    element, the two projections."""
-    from .topology import product_space, reindex_certificate
+    element, the two projections.
 
-    if s.direction != t.direction:
+    One product space is made per pair of factor spaces.  Each transport's
+    table is read off the factors' transports, onto the target carrier's
+    own Pairs, and built through make_fn.  An edge's certificate for a
+    generator pulled back from a factor is that factor's certificate at
+    its own edge (the generator itself where that edge is reflexive)
+    lifted along the projection at the edge's source; each lift is made
+    once per factor edge and source index.
+    """
+    from .topology import product_space
+
+    direction = s.direction
+    if direction != t.direction:
         raise SpectrumError("factors must share a direction")
-    carriers, spaces, projections = {}, {}, {}
-    for a in index.elements:
-        i, j = parts(a)
-        sp, pr1, pr2 = product_space(s.space(i), t.space(j))
-        carriers[a] = sp.carrier
-        spaces[a] = sp
-        projections[a] = (pr1, pr2)
+    part = {a: parts(a) for a in index.elements}
+    made, spaces, projections, cells = {}, {}, {}, {}
+    for a, (i, j) in part.items():
+        key = (s.spaces[i], t.spaces[j])
+        if key not in made:
+            sp, pr1, pr2 = product_space(*key)
+            cell = {}  # x -> y -> the carrier's own Pair((x, y))
+            for el in sp.carrier.elements:
+                cell.setdefault(el[0], {})[el[1]] = el
+            made[key] = sp, (pr1, pr2), cell
+        spaces[a], projections[a], cells[a] = made[key]
+    carriers = {a: sp.carrier for a, sp in spaces.items()}
+    pairs = index.order_pairs()
     transports = {}
-    for a, b in index.order_pairs():
-        (i, j), (i2, j2) = parts(a), parts(b)
-        ti, tj = s.fam.transport(i, i2), t.fam.transport(j, j2)
-        src, tgt = oriented(s.direction, a, b)
-        table = {}
-        for el in carriers[src].elements:
-            x, y = el
-            table[el] = Pair((ti(x), tj(y)))
+    for a, b in pairs:
+        (i, j), (i2, j2) = part[a], part[b]
+        mi = s.fam.transports[(i, i2)].mapping
+        mj = t.fam.transports[(j, j2)].mapping
+        src, tgt = oriented(direction, a, b)
+        els, cell = carriers[src].elements, cells[tgt]
+        table = {el: cell[mi[el[0]]][mj[el[1]]] for el in els}
         transports[(a, b)] = make_fn(carriers[src], carriers[tgt], table)
-    fam = DirectFamily(index, s.direction, carriers, transports)
+    fam = DirectFamily(index, direction, carriers, transports)
 
-    certs = {}
-    for a, b in index.order_pairs():
+    # certificates live over the space at the transport's source and prove
+    # the generators at its target, the first factor's first
+    certs, lifts = {}, {}
+    for a, b in pairs:
         if a == b:
             continue
-        (i, j), (i2, j2) = parts(a), parts(b)
-        edge_s = s.witness_certs[(i, i2)] if i != i2 else None
-        edge_t = t.witness_certs[(j, j2)] if j != j2 else None
-        # certificates live over the subbase at the transport's source and
-        # prove the generators at its target
-        (s_src, t_src), (s_tgt, t_tgt) = oriented(s.direction, (i, j), (i2, j2))
-        s_src_n, s_tgt_n = len(s.space(s_src).gens), len(s.space(s_tgt).gens)
-        first_map = {m: m for m in range(s_src_n)}
-        second_map = {m: s_src_n + m for m in range(len(t.space(t_src).gens))}
-        table = {}
-        for k in range(s_tgt_n):
-            base = CGen(k) if edge_s is None else edge_s[k]
-            table[k] = reindex_certificate(base, first_map)
-        for k in range(len(t.space(t_tgt).gens)):
-            base = CGen(k) if edge_t is None else edge_t[k]
-            table[s_tgt_n + k] = reindex_certificate(base, second_map)
-        certs[(a, b)] = table
+        (i, j), (i2, j2) = part[a], part[b]
+        given = (s.witness_certs[(i, i2)] if i != i2 else None,
+                 t.witness_certs[(j, j2)] if j != j2 else None)
+        src = oriented(direction, a, b)[0]
+        table = []
+        for n, (f, edge) in enumerate(((s, (i, i2)), (t, (j, j2)))):
+            key = (n, edge, src)
+            if key not in lifts:
+                # the second factor's generators follow the first's
+                base = len(s.spaces[part[src][0]].gens) if n else 0
+                lifts[key] = _lift_factor_edge(f, edge, given[n], spaces[src],
+                                               projections[src][n], base)
+            table += lifts[key]
+        certs[(a, b)] = dict(enumerate(table))
     pool = tuple(sorted(set(s.pool) | set(t.pool)))
     return Spectrum(fam, spaces, certs, pool), projections
+
+
+def _lift_factor_edge(f, edge, edge_certs, sp, pr, base):
+    """The certificates of f's generators at the target of its edge, over
+    the product space sp at the source, whose generators from f start at
+    position `base`: f's certificates at the edge, edge_certs, lifted along
+    the projection pr, or the generators themselves at a reflexive edge."""
+    f_src, f_tgt = f.fam.ends(*edge)
+    if edge_certs is None:
+        return [CGen(base + k) for k in range(len(f.spaces[f_tgt].gens))]
+    w = MorphismWitness(pr, {m: CGen(base + m) for m in range(len(f.spaces[f_src].gens))})
+    return [lift_certificate(sp, w, edge_certs[k]) for k in range(len(f.spaces[f_tgt].gens))]

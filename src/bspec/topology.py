@@ -138,10 +138,19 @@ def _rfun(carrier, values):
 
 def compose_rfun(f, h):
     """Pull an RFun back along a carrier map: (f . h)(x) = f(h(x))."""
+    return _pull_back(f, h, h.cod.same_as(f.carrier) and _respects_classes(h))
+
+
+def _respects_classes(h):
+    return h.dom.is_discrete() or check_extensional(h)[0]
+
+
+def _pull_back(f, h, checked):
+    """f . h, its table checked value by value unless `checked` says that h
+    maps into f's carrier and sends equal elements to equal ones."""
     values = f.values
     table = {x: values[y] for x, y in h.mapping.items()}
-    if h.cod.same_as(f.carrier) and (h.dom.is_discrete()
-                                     or check_extensional(h)[0]):
+    if checked:
         # f is an RFun, so it is extensional.  So x ~ x' gives
         # h(x) ~ h(x'), which gives f(h(x)) == f(h(x')): the table needs no
         # value-by-value check.
@@ -638,9 +647,12 @@ def map_cert(c, leaf, rekey):
 
 
 def _rekey(table, keys, at):
-    """The claimed table read at at(key) for each key, sorted by key."""
+    """The claimed table read at at(key) for each key, sorted by key.  A key
+    whose image the table does not claim is left out, so the rebuilt node
+    misses it as the given node misses the image, and validation says so."""
     claimed = dict(table)
-    return tuple(sorted((key, claimed[at(key)]) for key in keys))
+    return tuple(sorted((key, claimed[y]) for key in keys
+                        if (y := at(key)) in claimed))
 
 
 def lift_certificate(src, w, c):
@@ -667,11 +679,6 @@ def compose_witnesses(sp1, sp2, sp3, w12, w23):
             raise MissingCertificate(f"no certificate for generator {k}")
         certs[k] = lift_certificate(sp1, w12, w23.certs[k])
     return MorphismWitness(h, certs)
-
-
-def reindex_certificate(c, positions):
-    """Rename generator leaves; used when a subbase embeds into a larger one."""
-    return map_cert(c, lambda k: CGen(positions[k]), lambda table: table)
 
 
 # --- certificates by construction -------------------------------------------
@@ -773,8 +780,11 @@ def product_space(b1, b2):
     # the carrier is keyed by the factors' class ids, so both respect classes
     pr1 = _fn(carrier, b1.carrier, {t: t[0] for t in carrier.elements})
     pr2 = _fn(carrier, b2.carrier, {t: t[1] for t in carrier.elements})
-    gens = [compose_rfun(f, pr1) for f in b1.gens]
-    gens += [compose_rfun(g, pr2) for g in b2.gens]
+    gens = []
+    for b, pr in ((b1, pr1), (b2, pr2)):
+        respects = _respects_classes(pr)  # decided once per projection
+        gens += [_pull_back(f, pr, respects and pr.cod.same_as(f.carrier))
+                 for f in b.gens]
     names = tuple(f"{n}.1" for n in b1.names) + tuple(f"{n}.2" for n in b2.names)
     return BSpace(carrier, tuple(gens), names), pr1, pr2
 

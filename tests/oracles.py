@@ -16,19 +16,23 @@ from bspec.families import (
     FamilyError,
     MissingTransport,
     _class_inverse,
+    oriented,
     direct_sum_equality,
     direct_sum_equality_exhaustive,
     sum_elements,
 )
 from bspec.limits import NonUnique, _limit_of_choices
 from bspec.report import Finding
-from bspec.order import NotDirected
-from bspec.spectra import Thread
+from bspec.order import DirectedIndex, NotDirected
+from bspec.spectra import Spectrum, SpectrumError, Thread
 from bspec.setoid import (
+    Pair,
     SetoidFn,
     compose,
     fn_equal,
     identity,
+    make_fn,
+    product_setoid,
     unique_classwise,
 )
 from bspec.topology import (
@@ -46,6 +50,8 @@ from bspec.topology import (
     bneg,
     eval_bic,
     lift_certificate,
+    map_cert,
+    product_space,
     rconst,
     validate_certificate,
 )
@@ -366,7 +372,84 @@ def complete_witnesses_scan(self):
                 changed = True
                 break
 
-# The three walks of the certificate tree that topology.map_cert replaced.
+def product_order_scan(D1, D2):
+    """order.product_order before it read the factors' pair sets and
+    tables: every quadruple of elements through `leq`, `up` per pair."""
+    base = product_setoid(D1.base, D2.base)
+    pairs = frozenset(
+        (Pair((i, j)), Pair((i2, j2)))
+        for i in D1.elements
+        for j in D2.elements
+        for i2 in D1.elements
+        for j2 in D2.elements
+        if D1.leq(i, i2) and D2.leq(j, j2)
+    )
+    upper = {}
+    delta = {} if D1.delta is not None and D2.delta is not None else None
+    for a in base.elements:
+        for b in base.elements:
+            (i, j), (i2, j2) = a, b
+            upper[(a, b)] = Pair((D1.up(i, i2), D2.up(j, j2)))
+            if delta is not None:
+                delta[(a, b)] = Pair((D1.delta[(i, i2)], D2.delta[(j, j2)]))
+    return DirectedIndex(base, pairs, upper, delta)
+
+
+def product_spectrum_eager(s, t, index, parts):
+    """spectra.product_spectrum_over before it read the factors' tables: a
+    product space per index element, each transport's Pairs made anew, and
+    every pair's certificates renamed from the factors' without lifting, so
+    a claimed eq or ulim table stays keyed on the factor's carrier."""
+    if s.direction != t.direction:
+        raise SpectrumError("factors must share a direction")
+    carriers, spaces, projections = {}, {}, {}
+    for a in index.elements:
+        i, j = parts(a)
+        sp, pr1, pr2 = product_space(s.space(i), t.space(j))
+        carriers[a] = sp.carrier
+        spaces[a] = sp
+        projections[a] = (pr1, pr2)
+    transports = {}
+    for a, b in index.order_pairs():
+        (i, j), (i2, j2) = parts(a), parts(b)
+        ti, tj = s.fam.transport(i, i2), t.fam.transport(j, j2)
+        src, tgt = oriented(s.direction, a, b)
+        table = {}
+        for el in carriers[src].elements:
+            x, y = el
+            table[el] = Pair((ti(x), tj(y)))
+        transports[(a, b)] = make_fn(carriers[src], carriers[tgt], table)
+    fam = DirectFamily(index, s.direction, carriers, transports)
+
+    def reindex(c, positions):
+        return map_cert(c, lambda k: CGen(positions[k]), lambda table: table)
+
+    certs = {}
+    for a, b in index.order_pairs():
+        if a == b:
+            continue
+        (i, j), (i2, j2) = parts(a), parts(b)
+        edge_s = s.witness_certs[(i, i2)] if i != i2 else None
+        edge_t = t.witness_certs[(j, j2)] if j != j2 else None
+        (s_src, t_src), (s_tgt, t_tgt) = oriented(s.direction, (i, j), (i2, j2))
+        s_src_n, s_tgt_n = len(s.space(s_src).gens), len(s.space(s_tgt).gens)
+        first_map = {m: m for m in range(s_src_n)}
+        second_map = {m: s_src_n + m for m in range(len(t.space(t_src).gens))}
+        table = {}
+        for k in range(s_tgt_n):
+            base = CGen(k) if edge_s is None else edge_s[k]
+            table[k] = reindex(base, first_map)
+        for k in range(len(t.space(t_tgt).gens)):
+            base = CGen(k) if edge_t is None else edge_t[k]
+            table[s_tgt_n + k] = reindex(base, second_map)
+        certs[(a, b)] = table
+    pool = tuple(sorted(set(s.pool) | set(t.pool)))
+    return Spectrum(fam, spaces, certs, pool), projections
+
+
+# The two walks of the certificate tree that topology.map_cert replaced.  A
+# claimed table is pulled back where it claims a value: a key whose image it
+# does not claim is left out.
 
 def lift_certificate_walk(src, w, c, h=None):
     """Transport a derivation along a morphism witness.
@@ -390,32 +473,15 @@ def lift_certificate_walk(src, w, c, h=None):
         return CBic(c.phi, lift_certificate_walk(src, w, c.child, h))
     if isinstance(c, CEq):
         claimed = dict(c.table)
-        pulled = tuple(sorted((x, claimed[h(x)]) for x in h.dom.elements))
+        pulled = tuple(sorted((x, claimed[h(x)]) for x in h.dom.elements
+                              if h(x) in claimed))
         return CEq(lift_certificate_walk(src, w, c.child, h), pulled)
     if isinstance(c, CULim):
         claimed = dict(c.table)
-        pulled = tuple(sorted((x, claimed[h(x)]) for x in h.dom.elements))
+        pulled = tuple(sorted((x, claimed[h(x)]) for x in h.dom.elements
+                              if h(x) in claimed))
         return CULim(pulled, tuple(
             (n, lift_certificate_walk(src, w, sub, h)) for n, sub in c.witnesses))
-    raise RuleMismatch(f"unknown node {c!r}")
-
-
-def reindex_certificate_walk(c, positions):
-    """Rename generator leaves; used when a subbase embeds into a larger one."""
-    if isinstance(c, CGen):
-        return CGen(positions[c.k])
-    if isinstance(c, CConst):
-        return c
-    if isinstance(c, CAdd):
-        return CAdd(reindex_certificate_walk(c.left, positions),
-                    reindex_certificate_walk(c.right, positions))
-    if isinstance(c, CBic):
-        return CBic(c.phi, reindex_certificate_walk(c.child, positions))
-    if isinstance(c, CEq):
-        return CEq(reindex_certificate_walk(c.child, positions), c.table)
-    if isinstance(c, CULim):
-        return CULim(c.table, tuple(
-            (n, reindex_certificate_walk(sub, positions)) for n, sub in c.witnesses))
     raise RuleMismatch(f"unknown node {c!r}")
 
 
@@ -440,12 +506,14 @@ def exp_eval_certificate_walk(c, x, exp, by_name=None):
     if isinstance(c, CEq):
         claimed = dict(c.table)
         re_keyed = tuple(sorted(
-            (name, claimed[by_name[name](x)]) for name in exp.carrier.elements))
+            (name, claimed[by_name[name](x)]) for name in exp.carrier.elements
+            if by_name[name](x) in claimed))
         return CEq(exp_eval_certificate_walk(c.child, x, exp, by_name), re_keyed)
     if isinstance(c, CULim):
         claimed = dict(c.table)
         re_keyed = tuple(sorted(
-            (name, claimed[by_name[name](x)]) for name in exp.carrier.elements))
+            (name, claimed[by_name[name](x)]) for name in exp.carrier.elements
+            if by_name[name](x) in claimed))
         return CULim(re_keyed, tuple(
             (n, exp_eval_certificate_walk(sub, x, exp, by_name))
             for n, sub in c.witnesses))

@@ -1,6 +1,6 @@
 """The certificate fold and the certify helpers.
 
-lift_certificate, reindex_certificate and exp_eval_certificate are calls to
+lift_certificate and exp_eval_certificate are calls to
 topology.map_cert; each is checked against the walk it replaced (kept in
 tests/oracles.py) on random derivations, some under uniform-limit nodes.
 Hypothesis runs derandomized, so the suite stays deterministic."""
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bspec.setoid import SetoidFn, make_setoid
 from bspec.topology import (
     CConst,
+    CEq,
     CGen,
     MorphismWitness,
     RFun,
@@ -22,7 +23,6 @@ from bspec.topology import (
     exp_eval_certificate,
     exponential_space,
     lift_certificate,
-    reindex_certificate,
     space,
 )
 
@@ -30,7 +30,6 @@ from oracles import (
     exp_eval_certificate_walk,
     lift_certificate_walk,
     outcome,
-    reindex_certificate_walk,
 )
 from randgen import random_certificate, random_rational
 
@@ -75,19 +74,6 @@ def test_lift_certificate_matches_the_walk(seed):
 
 @FAST
 @given(seeds)
-def test_reindex_certificate_matches_the_walk(seed):
-    rng = random.Random(seed)
-    sp = _space(rng, "y")
-    positions = {k: rng.randrange(8) for k in range(len(sp.gens))}
-    if rng.random() < 0.2:
-        positions.pop(rng.randrange(len(sp.gens)))
-    c = _derivation(rng, sp)
-    assert (outcome(reindex_certificate, c, positions)
-            == outcome(reindex_certificate_walk, c, positions))
-
-
-@FAST
-@given(seeds)
 def test_exp_eval_certificate_matches_the_walk(seed):
     rng = random.Random(seed)
     src, dst = _space(rng, "x"), _space(rng, "y")
@@ -97,6 +83,18 @@ def test_exp_eval_certificate_matches_the_walk(seed):
     for x in src.carrier.elements:
         assert (outcome(exp_eval_certificate, c, x, exp)
                 == outcome(exp_eval_certificate_walk, c, x, exp))
+
+
+def test_a_lift_leaves_out_the_elements_whose_image_is_not_claimed():
+    dst_carrier, src_carrier = make_setoid(["p", "q"]), make_setoid(["a", "b", "c"])
+    dst = space(dst_carrier, [RFun(dst_carrier, {"p": 0, "q": 1})])
+    src = space(src_carrier, [RFun(src_carrier, {"a": 0, "b": 1, "c": 0})])
+    w = MorphismWitness(SetoidFn(src_carrier, dst_carrier, {"a": "p", "b": "q", "c": "p"}),
+                        {0: CGen(0)})
+    c = CEq(CGen(0), (("p", Fraction(0)),))  # claims nothing at q
+    lifted = lift_certificate(src, w, c)
+    assert lifted == CEq(CGen(0), (("a", Fraction(0)), ("c", Fraction(0))))
+    assert lifted == lift_certificate_walk(src, w, c)
 
 
 def test_certify_map_records_misses_and_keeps_known_certificates():

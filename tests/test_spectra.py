@@ -6,7 +6,7 @@ import pytest
 from bspec.families import COVARIANT, DirectFamily, FamilyMap, direct_sum_setoid
 from bspec.order import chain
 from bspec.report import Finding
-from bspec.setoid import SetoidFn, discrete, make_fn, make_setoid
+from bspec.setoid import Pair, SetoidFn, discrete, make_fn, make_setoid
 from bspec.spectra import (
     Spectrum,
     SpectrumError,
@@ -19,7 +19,16 @@ from bspec.spectra import (
     sum_space,
     validate_spectrum,
 )
-from bspec.topology import CConst, RFun, rconst, space, validate_certificate
+from bspec.topology import (
+    CConst,
+    CGen,
+    RFun,
+    ceq,
+    culim,
+    rconst,
+    space,
+    validate_certificate,
+)
 
 from structures import chain3, constant_cspec, cspec, eo_cofinal, x2_space
 from thread_laws import (
@@ -283,3 +292,85 @@ def test_a_wrong_composite_certificate_fails_the_composite_law(monkeypatch):
         ("spectrum.CSPEC.composite-witnesses", "fail")]
     assert records[1].witness[0].startswith(
         "composite-witness-certificate at 0, 1, 2")
+
+
+@pytest.mark.parametrize("direction", ["covariant", "contravariant"])
+@pytest.mark.parametrize("kind", ["eq", "ulim"])
+def test_product_certificates_claim_tables_on_the_product_carrier(kind, direction):
+    # the factor's certificate claims a table keyed on its own carrier; the
+    # product's certificate is its lift along the projection, so the claimed
+    # table is keyed on the product's carrier
+    X = discrete(["a", "b"])
+    g = RFun(X, {"a": 0, "b": 1})
+    s = constant_spectrum(chain(2), space(X, [g]), direction=direction)
+    s.witness_certs[("0", "1")] = {
+        0: ceq(CGen(0), g) if kind == "eq" else culim(g, [(1, CGen(0))])}
+    assert validate_spectrum(s) == []
+    prod, _ = product_spectrum(s, s)
+    assert validate_spectrum(prod) == []
+    cert = prod.witness_certs[(Pair(("0", "0")), Pair(("1", "1")))][1]
+    assert [x for x, _ in cert.table] == list(prod.space(Pair(("0", "0"))).carrier.elements)
+
+
+UNCLAIMED = """
+setoid X2 {
+  elements: p, q
+}
+
+directed C3 {
+  elements: 0, 1, 2
+  order: 0 <= 1, 1 <= 2
+  closure: auto
+}
+
+family F {
+  index: C3
+  direction: covariant
+  carrier 0: X2
+  carrier 1: X2
+  carrier 2: X2
+  map 0 -> 1: p => p, q => q
+  map 1 -> 2: p => p, q => q
+}
+
+subbase FX2 {
+  carrier: X2
+  gen f: p => 0, q => 1
+}
+
+spectrum S {
+  family: F
+  space 0: FX2
+  space 1: FX2
+  space 2: FX2
+  pool: 0, 1
+  witness 0 -> 1 f: (gen f)
+  witness 1 -> 2 f: (eq (gen f) (table p => 0))
+}
+
+suite main {
+  check: spectrum S
+  check: product S S
+}
+"""
+
+
+def test_a_claimed_table_that_misses_an_element_is_reported_where_it_is_lifted():
+    # the eq table at 1 -> 2 claims no value at q.  Lifting it to the
+    # derived edge 0 -> 2, and to the product's edges, leaves out the
+    # elements that go to q, so each lift misses them as the table misses
+    # q, and the spectrum check names both edges; the product check builds
+    # its product and passes
+    from bspec.dsl import parse
+    from bspec.runner import run_suite
+
+    records = run_suite(parse(UNCLAIMED)).records
+    assert [(r.law, r.status) for r in records] == [
+        ("spectrum.S.edge-witnesses", "fail"),
+        ("spectrum.S.composite-witnesses", "skipped"),
+        ("product.SxS.bijection", "pass"),
+        ("product.SxS.class-count", "pass")]
+    assert [w.split(" (")[0] for w in records[0].witness] == [
+        "edge-witness-certificate at 0, 2, f",
+        "edge-witness-certificate at 1, 2, f"]
+    assert all("equality node misses element 'q'" in w for w in records[0].witness)
