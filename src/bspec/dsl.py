@@ -18,7 +18,7 @@ from .families import COVARIANT, CONTRAVARIANT, make_direct_family, oriented
 from .limits import Legs
 from .order import CofinalSubset, make_directed
 from .setoid import make_fn, make_setoid
-from .spectra import Spectrum, autofill_witnesses
+from .spectra import Spectrum, complete_witnesses
 from .topology import (
     BID,
     BSpace,
@@ -113,12 +113,6 @@ class Block:
 @dataclass
 class SpecDocument:
     blocks: list = field(default_factory=list)
-
-    def named(self, kind, name, line=None):
-        for b in self.blocks:
-            if b.kind == kind and b.name == name:
-                return b
-        raise UnresolvedReference(f"no {kind} block named {name!r}", line)
 
     def of_kind(self, kind):
         return [b for b in self.blocks if b.kind == kind]
@@ -347,7 +341,6 @@ def build_certificate(node, sp, line):
 
 @dataclass
 class Elaborated:
-    doc: SpecDocument
     setoids: dict = field(default_factory=dict)
     directeds: dict = field(default_factory=dict)
     families: dict = field(default_factory=dict)
@@ -372,7 +365,7 @@ class Elaborated:
 
 def elaborate(doc):
     """Build every block into its kernel object, resolving references."""
-    out = Elaborated(doc)
+    out = Elaborated()
     for b in doc.of_kind("setoid"):
         elements_stmt = b.one("elements", required=True)
         elements = parse_element_names(elements_stmt)
@@ -509,21 +502,8 @@ def elaborate(doc):
             cert = build_certificate(node, src_sub, s.line)
             witness_certs.setdefault((i, j), {})[
                 tgt_sub.names.index(gen_name)] = cert
-        # composite edges are derived by lifting first; anything still
-        # missing (including declared-auto edges) is constructed
-        spectrum = Spectrum(fam, spaces, witness_certs, pool)
-        witness_certs = spectrum.witness_certs
-        missing = []
-        for i, j in fam.order_pairs():
-            if i == j:
-                continue
-            tgt = spaces[fam.ends(i, j)[1]]
-            have = witness_certs.get((i, j), {})
-            if any(k not in have for k in range(len(tgt.gens))):
-                missing.append((i, j))
-        if missing:
-            spectrum.witness_certs = autofill_witnesses(fam, spaces, witness_certs)
-        out.spectra[b.name] = spectrum
+        out.spectra[b.name] = Spectrum(
+            fam, spaces, complete_witnesses(fam, spaces, witness_certs), pool)
 
     for b in doc.of_kind("cofinal"):
         d_stmt = b.one("directed", required=True)
@@ -595,6 +575,7 @@ def elaborate(doc):
             "spectrum": spec_name,
             "space": space_name,
             "shape": b.one_of("shape", ("hom-into-fixed", "hom-out-of-fixed")),
+            "line": b.line,
         }
 
     return out

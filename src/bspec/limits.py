@@ -139,9 +139,7 @@ def _mediator(s, lim, c, h, certs, unique):
     of c; `unique()` is its uniqueness outcome."""
     if not commutes(s, lim, c, h):
         raise IllFormedLegs("mediator does not commute with every leg")
-    witness = Mediator(h, certs)
-    witness.unique = unique()
-    return witness
+    return Mediator(h, certs, unique())
 
 
 def _induced_map(lim_s, lim_t, psi, fwd, label, what):

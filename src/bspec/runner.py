@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .dsl import DslError, UnresolvedReference, elaborate
+from .dsl import DslError, TypeMismatch, UnresolvedReference, elaborate
 from .duality import (
     converse_dual_direct,
     converse_dual_inverse,
@@ -344,13 +344,23 @@ def check_product(env, args, config, report, suite, lims):
                    witness=tuple(str(c) for c in res.counts))
 
 
-def _build_pools(env, pool_name):
+def _build_pools(env, pool_name, kind):
+    """(spectrum, fixed space, morphism pool per index) of a pool block,
+    refused at the block's line unless its shape is the one check `kind`
+    reads: homs into the fixed space for duality, and for converse-duals
+    over a contravariant spectrum; homs out of it otherwise."""
     if pool_name not in env.pools:
         raise UnresolvedReference(f"no pool named {pool_name!r}")
     desc = env.pools[pool_name]
     s = env.spectrum(desc["spectrum"])
     fixed = env.space(desc["space"])
-    hom_into = desc["shape"] == "hom-into-fixed"
+    hom_into = kind == "duality" or (kind == "converse-duals"
+                                     and s.direction == CONTRAVARIANT)
+    shape = "hom-into-fixed" if hom_into else "hom-out-of-fixed"
+    if desc["shape"] != shape:
+        raise TypeMismatch(
+            f"pool {pool_name} has shape {desc['shape']}, but {kind} over the "
+            f"{s.direction} {desc['spectrum']} needs {shape}", desc["line"])
     pools = {}
     for i in s.index.elements:
         if hom_into:
@@ -362,7 +372,7 @@ def _build_pools(env, pool_name):
 
 def check_duality(env, args, config, report, suite, lims):
     name = _one_arg(args, "duality")
-    s, fixed, pools = _build_pools(env, name)
+    s, fixed, pools = _build_pools(env, name, "duality")
     res = duality_direct_to_inverse(s, fixed, pools, lims)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     embed = [f for f in res.findings if f.law == "embedding"]
@@ -377,7 +387,7 @@ def check_duality(env, args, config, report, suite, lims):
 
 def check_duality2(env, args, config, report, suite, lims):
     name = _one_arg(args, "duality2")
-    s, fixed, pools = _build_pools(env, name)
+    s, fixed, pools = _build_pools(env, name, "duality2")
     res = duality_inverse_hom(s, fixed, pools, lims)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     rest = [f for f in res.findings if not f.law.startswith("round-trip")]
@@ -389,7 +399,7 @@ def check_duality2(env, args, config, report, suite, lims):
 
 def check_converse_duals(env, args, config, report, suite, lims):
     name = _one_arg(args, "converse-duals")
-    s, fixed, pools = _build_pools(env, name)
+    s, fixed, pools = _build_pools(env, name, "converse-duals")
     if s.direction == CONTRAVARIANT:
         res = converse_dual_inverse(s, fixed, pools, lims)
         report.add(suite, f"converse.{name}.morphism", res.findings)

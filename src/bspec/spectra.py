@@ -47,8 +47,10 @@ class Spectrum:
     there, and a certificate dict per order edge witnessing that the
     transport is a morphism.
 
-    Induced maps between topologies are definitional (precompose with the
-    transport) and are computed on demand, never stored.
+    The spectrum holds the table it is given; `complete_witnesses` makes a
+    table with every edge filled in.  Induced maps between topologies are
+    definitional (precompose with the transport) and are computed on
+    demand, never stored.
     """
 
     fam: DirectFamily
@@ -58,44 +60,6 @@ class Spectrum:
 
     def __post_init__(self):
         self.pool = tuple(q if type(q) is Fraction else Fraction(q) for q in self.pool)
-        self._complete_witnesses()
-
-    def _complete_witnesses(self):
-        """Fill in composite edges by lifting through an intermediate index.
-
-        Only missing edges are derived; supplied certificates are kept.  An
-        edge (i, j) lifts through the first k, in index order, with
-        i <= k <= j and both of its edges known: the certificates of the
-        edge whose transport applies second are lifted along the witness
-        of the one that applies first.
-        """
-        pairs = [p for p in self.fam.order_pairs() if p[0] != p[1]]
-        if all(p in self.witness_certs for p in pairs):
-            return
-        above, below = self.index.above, {}
-        for k in self.index.elements:
-            for j in above.get(k, ()):
-                below.setdefault(j, []).append(k)
-        changed = True
-        while changed:
-            changed = False
-            for i, j in pairs:
-                if (i, j) in self.witness_certs:
-                    continue
-                for k in below[j]:
-                    if k in (i, j) or k not in above[i]:
-                        continue
-                    if (i, k) not in self.witness_certs or (k, j) not in self.witness_certs:
-                        continue
-                    first, second = oriented(self.direction, (i, k), (k, j))
-                    lower = self.space(self.fam.ends(i, j)[0])
-                    w_low = self.edge_witness(*first)
-                    self.witness_certs[(i, j)] = {
-                        m: lift_certificate(lower, w_low, c)
-                        for m, c in self.witness_certs[second].items()
-                    }
-                    changed = True
-                    break
 
     @property
     def index(self):
@@ -124,26 +88,60 @@ class Spectrum:
         return compose_rfun(f, self.fam.transport(i, j))
 
 
-def autofill_witnesses(fam, spaces, given=None):
-    """Complete a witness table, constructing any certificate not supplied."""
-    certs = {k: dict(v) for k, v in (given or {}).items()}
-    for i, j in fam.order_pairs():
-        if i == j:
-            continue
+def complete_witnesses(fam, spaces, given=None):
+    """A new witness table for every edge of fam, the certificates in
+    `given` kept; `given` itself is not changed.
+
+    First each edge with nothing given is lifted through an intermediate
+    index, until no more can be: edge (i, j) lifts through the first k, in
+    index order, with i <= k <= j and both of its edges known, and the
+    certificates of the edge whose transport applies second are lifted
+    along the witness of the one that applies first.  Then certify_map
+    constructs every certificate still missing; a generator it cannot
+    certify raises SpectrumError.
+    """
+    certs = {e: dict(c) for e, c in (given or {}).items()}
+    pairs = [p for p in fam.order_pairs() if p[0] != p[1]]
+    above, below = fam.index.above, {}
+    for k in fam.index.elements:
+        for j in above.get(k, ()):
+            below.setdefault(j, []).append(k)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in pairs:
+            if (i, j) in certs:
+                continue
+            for k in below[j]:
+                if k in (i, j) or k not in above[i]:
+                    continue
+                if (i, k) not in certs or (k, j) not in certs:
+                    continue
+                first, second = oriented(fam.direction, (i, k), (k, j))
+                lower = spaces[fam.ends(i, j)[0]]
+                w_low = MorphismWitness(fam.transport(*first), certs[first])
+                certs[(i, j)] = {m: lift_certificate(lower, w_low, c)
+                                 for m, c in certs[second].items()}
+                changed = True
+                break
+    for i, j in pairs:
         src, tgt = fam.ends(i, j)
+        have = certs.get((i, j), {})
+        if all(k in have for k in range(len(spaces[tgt].gens))):
+            continue
         missing = []
         certs[(i, j)] = certify_map(
             spaces[src], spaces[tgt], fam.transport(i, j),
-            "edge", missing, known=certs.get((i, j))).certs
+            "edge", missing, known=have).certs
         raise_first(missing, SpectrumError,
                     lambda k: f"no certificate found for generator {k} on edge ({i}, {j})")
     return certs
 
 
 def make_spectrum(fam, spaces, witness_certs=None, pool=(0, 1)):
-    """The validated spectrum, the certificates not in witness_certs
-    constructed and those given kept."""
-    s = Spectrum(fam, dict(spaces), autofill_witnesses(fam, spaces, witness_certs), pool)
+    """The validated spectrum, its witness table completed from
+    witness_certs by complete_witnesses."""
+    s = Spectrum(fam, dict(spaces), complete_witnesses(fam, spaces, witness_certs), pool)
     findings = validate_spectrum(s)
     if findings:
         raise SpectrumError(str(findings[0]))

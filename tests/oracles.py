@@ -44,14 +44,17 @@ from bspec.topology import (
     CGen,
     CULim,
     MissingCertificate,
+    MorphismWitness,
     RuleMismatch,
     babs,
     baffine,
     bneg,
+    certify_map,
     eval_bic,
     lift_certificate,
     map_cert,
     product_space,
+    raise_first,
     rconst,
     validate_certificate,
 )
@@ -339,38 +342,60 @@ def leq_transitive_scan(D):
     return findings
 
 
-def complete_witnesses_scan(self):
-    """Spectrum._complete_witnesses before it read above- and below-lists:
-    every missing edge rescans the index for its first middle element, with
-    two `leq` calls each.  Fills `self.witness_certs` in place."""
-    pairs = [p for p in self.fam.order_pairs() if p[0] != p[1]]
+def complete_witnesses_scan(fam, spaces, given):
+    """The lifting phase of spectra.complete_witnesses before it read above-
+    and below-lists: every missing edge rescans the index for its first
+    middle element, with two `leq` calls each.  Returns a new table."""
+    certs = {e: dict(c) for e, c in given.items()}
+    index = fam.index
+    pairs = [p for p in fam.order_pairs() if p[0] != p[1]]
     changed = True
     while changed:
         changed = False
         for i, j in pairs:
-            if (i, j) in self.witness_certs:
+            if (i, j) in certs:
                 continue
-            for k in self.index.elements:
+            for k in index.elements:
                 if k in (i, j):
                     continue
-                if not (self.index.leq(i, k) and self.index.leq(k, j)):
+                if not (index.leq(i, k) and index.leq(k, j)):
                     continue
-                if (i, k) not in self.witness_certs or (k, j) not in self.witness_certs:
+                if (i, k) not in certs or (k, j) not in certs:
                     continue
-                if self.direction == COVARIANT:
-                    w_low = self.edge_witness(i, k)
-                    lower = self.space(i)
-                    upper_certs = self.witness_certs[(k, j)]
+                if fam.direction == COVARIANT:
+                    w_low = MorphismWitness(fam.transport(i, k), dict(certs[(i, k)]))
+                    lower = spaces[i]
+                    upper_certs = certs[(k, j)]
                 else:
-                    w_low = self.edge_witness(k, j)
-                    lower = self.space(j)
-                    upper_certs = self.witness_certs[(i, k)]
-                self.witness_certs[(i, j)] = {
+                    w_low = MorphismWitness(fam.transport(k, j), dict(certs[(k, j)]))
+                    lower = spaces[j]
+                    upper_certs = certs[(i, k)]
+                certs[(i, j)] = {
                     m: lift_certificate(lower, w_low, c)
                     for m, c in upper_certs.items()
                 }
                 changed = True
                 break
+    return certs
+
+
+def autofill_witnesses(fam, spaces, given=None):
+    """The construction phase of spectra.complete_witnesses before it
+    skipped complete edges: certify_map runs on every edge, keeping the
+    certificates given."""
+    certs = {k: dict(v) for k, v in (given or {}).items()}
+    for i, j in fam.order_pairs():
+        if i == j:
+            continue
+        src, tgt = fam.ends(i, j)
+        missing = []
+        certs[(i, j)] = certify_map(
+            spaces[src], spaces[tgt], fam.transport(i, j),
+            "edge", missing, known=certs.get((i, j))).certs
+        raise_first(missing, SpectrumError,
+                    lambda k: f"no certificate found for generator {k} on edge ({i}, {j})")
+    return certs
+
 
 def product_order_scan(D1, D2):
     """order.product_order before it read the factors' pair sets and

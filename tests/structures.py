@@ -17,7 +17,7 @@ from fractions import Fraction
 from bspec.families import COVARIANT, make_direct_family
 from bspec.order import CofinalSubset, chain
 from bspec.setoid import discrete, identity, make_fn
-from bspec.spectra import Spectrum, constant_spectrum
+from bspec.spectra import Spectrum, complete_witnesses, constant_spectrum
 from bspec.topology import (
     CConst,
     CGen,
@@ -76,7 +76,8 @@ def eo_cofinal(m):
 
 
 def cspec(pool=(0, 1)):
-    """COLLAPSE with 0/1-valued generators and explicit edge witnesses."""
+    """COLLAPSE with 0/1-valued generators and explicit cover witnesses,
+    the composite edge lifted from them."""
     fam = collapse_family()
     carriers = fam.carriers
     f0 = BSpace(carriers["0"], (RFun(carriers["0"], {"a": 0, "b": 1}),), ("f0",))
@@ -86,7 +87,8 @@ def cspec(pool=(0, 1)):
         ("0", "1"): {0: CGen(0)},       # f1 pulled back is exactly f0
         ("1", "2"): {0: CConst(Fraction(0))},
     }
-    return Spectrum(fam, {"0": f0, "1": f1, "2": f2}, witnesses,
+    spaces = {"0": f0, "1": f1, "2": f2}
+    return Spectrum(fam, spaces, complete_witnesses(fam, spaces, witnesses),
                     tuple(Fraction(q) for q in pool))
 
 

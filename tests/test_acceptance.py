@@ -365,7 +365,7 @@ def test_criterion_8_duality():
 
     # hypothesis failure: the embedding check is skipped, morphism still holds
     from bspec.families import make_direct_family
-    from bspec.spectra import Spectrum
+    from bspec.spectra import Spectrum, complete_witnesses
     from bspec.topology import BSpace, rconst
 
     carriers = {
@@ -382,8 +382,8 @@ def test_criterion_8_duality():
         "1": BSpace(carriers["1"], (rconst(carriers["1"], 0),), ("f1",)),
         "2": BSpace(carriers["2"], (rconst(carriers["2"], 0),), ("f2",)),
     }
-    gapped = Spectrum(fam, spaces, {("0", "1"): {0: CGen(0)},
-                                      ("1", "2"): {0: CGen(0)}}, (0, 1))
+    covers = {("0", "1"): {0: CGen(0)}, ("1", "2"): {0: CGen(0)}}
+    gapped = Spectrum(fam, spaces, complete_witnesses(fam, spaces, covers), (0, 1))
     one = space(discrete(["o"]), [rconst(discrete(["o"]), 0)], ["c"])
     pools5 = {i: enumerate_morphisms(gapped.space(i), one)
               for i in gapped.index.elements}

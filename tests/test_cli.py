@@ -65,7 +65,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 # Spectra whose space lines do not give each index one space over the
-# family's carrier there: (the refused line, the message).
+# family's carrier there, and a pool whose shape its check does not read:
+# (the refused line, the message).
 HOSTILE = sorted(Path(__file__).resolve().parent.glob("hostile/*.bsp"))
 REFUSALS = {
     "coarser-equality": ("space 0: FX2C",
@@ -75,6 +76,8 @@ REFUSALS = {
     "foreign-setoid-auto": ("space 1: FY2",
                             "subbase 'FY2' is not over the carrier at index '1'"),
     "missing-space": ("spectrum EOSPEC {", "no space line for index '2'"),
+    "pool-shape": ("pool PCONV {", "pool PCONV has shape hom-into-fixed, but duality2 "
+                   "over the contravariant REV needs hom-out-of-fixed"),
     "unknown-index": ("space 7: FX2", "space for unknown index '7'"),
 }
 

@@ -237,7 +237,7 @@ def test_converse_dual_inverse_hypothesis_fails():
     # a contravariant spectrum where some element has no compatible choice
     # through it: the top transport misses one element below
     from bspec.families import make_direct_family
-    from bspec.spectra import Spectrum
+    from bspec.spectra import Spectrum, complete_witnesses
 
     carriers = {
         "0": discrete(["a", "b"]),
@@ -254,7 +254,8 @@ def test_converse_dual_inverse_hypothesis_fails():
         "2": BSpace(carriers["2"], (rconst(carriers["2"], 0),), ("f2",)),
     }
     certs = {("0", "1"): {0: CGen(0)}, ("1", "2"): {0: CGen(0)}}
-    s = Spectrum(fam, spaces, certs, (Fraction(0), Fraction(1)))
+    s = Spectrum(fam, spaces, complete_witnesses(fam, spaces, certs),
+                 (Fraction(0), Fraction(1)))
     assert validate_spectrum(s) == []
     one = one_point_space()
     pools = {i: enumerate_morphisms(s.space(i), one) for i in s.index.elements}

@@ -185,7 +185,7 @@ CHECKS = {
 def suite_statuses(s, fixed):
     """(law, status) of every record run_suite gives over the spectrum s
     and the space `fixed`, a suite document naming them as S and X."""
-    env = Elaborated(None, subbases={"X": fixed}, spectra={"S": s}, pools={
+    env = Elaborated(subbases={"X": fixed}, spectra={"S": s}, pools={
         "INTO": {"spectrum": "S", "space": "X", "search": "auto",
                  "shape": "hom-into-fixed"},
         "OUT": {"spectrum": "S", "space": "X", "search": "auto",

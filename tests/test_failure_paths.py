@@ -380,4 +380,4 @@ def test_autofill_raises_on_a_miss(monkeypatch):
     s = constant_cspec()
     miss(monkeypatch, "f", n=1)
     with pytest.raises(SpectrumError, match=r"generator 0 on edge \(0, 2\)"):
-        spectra.autofill_witnesses(s.fam, s.spaces)
+        spectra.complete_witnesses(s.fam, s.spaces)

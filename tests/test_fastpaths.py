@@ -36,10 +36,15 @@ from bspec.setoid import (
     identity,
     make_setoid,
 )
-from bspec.spectra import Spectrum
+from bspec.spectra import complete_witnesses
 from bspec.topology import CAdd, CConst, map_setoid
 
-from oracles import complete_witnesses_scan, equivalence_findings_scan, outcome
+from oracles import (
+    autofill_witnesses,
+    complete_witnesses_scan,
+    equivalence_findings_scan,
+    outcome,
+)
 from randgen import random_direct_family, random_directed_index, random_spectrum
 from thread_laws import thread_to_sum_function, validate_thread
 
@@ -318,20 +323,45 @@ def test_a_faulty_top_is_found():
     assert found > 0
 
 
-@FAST
+def _supplied(rng, s, kind):
+    """s's table with each certificate labelled by its edge, so a composite
+    records the middle index it was lifted through.  With "edges absent"
+    about half the edges are dropped; with "generators absent" so are
+    they, and each edge kept keeps about half its generators, possibly
+    none; with "complete" every edge is kept whole."""
+    out = {}
+    for n, (edge, certs) in enumerate(sorted(s.witness_certs.items())):
+        labelled = {m: CAdd(c, CConst(Fraction(n))) for m, c in certs.items()}
+        if kind == "complete":
+            out[edge] = labelled
+        elif rng.random() < 0.5:
+            continue
+        elif kind == "edges absent":
+            out[edge] = labelled
+        else:
+            out[edge] = {m: c for m, c in labelled.items() if rng.random() < 0.5}
+    return out
+
+
+def _two_phases(fam, spaces, given):
+    """The lifting scan, then certify_map on every edge."""
+    return autofill_witnesses(fam, spaces, complete_witnesses_scan(fam, spaces, given))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(seeds, st.sampled_from([COVARIANT, CONTRAVARIANT]),
+       st.sampled_from(["edges absent", "generators absent", "complete"]),
        st.integers(min_value=1, max_value=7))
-def test_complete_witnesses_matches_the_rescan(seed, direction, length):
-    # each supplied certificate is labelled with its edge, so a composite
-    # records the middle index it was lifted through
+def test_complete_witnesses_matches_the_rescan(seed, direction, kind, length):
+    # a lift along an edge given only some generators may raise; the
+    # builder and the two phases must then raise alike
     rng = random.Random(seed)
     index = chain(length) if rng.random() < 0.5 else random_directed_index(rng)
     s = random_spectrum(rng, index, direction)
-    supplied = {}
-    for n, (edge, certs) in enumerate(sorted(s.witness_certs.items())):
-        if rng.random() < 0.6:
-            supplied[edge] = {m: CAdd(c, CConst(Fraction(n))) for m, c in certs.items()}
-    got = Spectrum(s.fam, s.spaces, {e: dict(c) for e, c in supplied.items()}, s.pool)
-    s.witness_certs = {e: dict(c) for e, c in supplied.items()}
-    complete_witnesses_scan(s)
-    assert got.witness_certs == s.witness_certs
+    supplied = _supplied(rng, s, kind)
+    before = {e: dict(c) for e, c in supplied.items()}
+    got = outcome(complete_witnesses, s.fam, s.spaces, supplied)
+    assert supplied == before
+    assert got == outcome(_two_phases, s.fam, s.spaces, supplied)
+    if kind == "complete":
+        assert got == ("value", supplied)

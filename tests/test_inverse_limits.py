@@ -156,7 +156,7 @@ def test_top_determinacy_fails_when_a_composite_breaks():
     assert [a["2"] for a in lim.assignments.values()] == ["r"]
     assert not top_determinacy_check(lim)
     assert not top_determinacy_check(inverse_limit_backtracking(s))
-    env = Elaborated(None, spectra={"S": s})
+    env = Elaborated(spectra={"S": s})
     doc = parse("suite main {\n  check: limit-inverse S\n}\n")
     with mock.patch.object(runner, "elaborate", lambda _: env):
         report = run_suite(doc)

@@ -240,9 +240,10 @@ def _reversed_collapse_spectrum():
         ("0", "1"): {0: CGen(0)},  # f0 . t10 = f1
         ("1", "2"): {0: CGen(0)},  # f1 . t21 = f2 on {z, w}
     }
-    from bspec.spectra import Spectrum, validate_spectrum
+    from bspec.spectra import Spectrum, complete_witnesses, validate_spectrum
 
-    sp = Spectrum(fam, spaces, certs, (Fraction(0), Fraction(1)))
+    sp = Spectrum(fam, spaces, complete_witnesses(fam, spaces, certs),
+                  (Fraction(0), Fraction(1)))
     assert validate_spectrum(sp) == []
     return sp
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from bspec import limits, runner
-from bspec.dsl import UnresolvedReference, parse
+from bspec.dsl import TypeMismatch, UnresolvedReference, parse
 from bspec.limits import NonUnique
 from bspec.report import emit_report
 from bspec.runner import RunConfig, run_suite
@@ -355,6 +355,30 @@ def test_a_duality_over_the_wrong_direction_reports_its_own_error():
         text = _suite_of((INVERSE.parent / fixture).read_text(), check)
         kind = check.split()[0]
         assert _checks(text) == [(f"{kind}.run", "fail", [error])]
+
+
+@pytest.mark.parametrize("fixture, check, pool, shape, needs", [
+    # constant.bsp: CONST is covariant, PDUAL holds homs into FX2 and
+    # PCONVERSE homs out of it; inverse.bsp: REV is contravariant, PDUAL2
+    # holds homs out of G0 and PCONV homs into it
+    ("constant.bsp", "duality", "PCONVERSE", "hom-out-of-fixed", "hom-into-fixed"),
+    ("inverse.bsp", "duality", "PDUAL2", "hom-out-of-fixed", "hom-into-fixed"),
+    ("constant.bsp", "duality2", "PDUAL", "hom-into-fixed", "hom-out-of-fixed"),
+    ("inverse.bsp", "duality2", "PCONV", "hom-into-fixed", "hom-out-of-fixed"),
+    ("constant.bsp", "converse-duals", "PDUAL", "hom-into-fixed", "hom-out-of-fixed"),
+    ("inverse.bsp", "converse-duals", "PDUAL2", "hom-out-of-fixed", "hom-into-fixed"),
+])
+def test_a_pool_whose_shape_its_check_does_not_read_is_refused(fixture, check, pool,
+                                                                shape, needs):
+    text = _suite_of((INVERSE.parent / fixture).read_text(), f"{check} {pool}")
+    line = text.splitlines().index(f"pool {pool} {{") + 1
+    spectrum, direction = (("CONST", "covariant") if fixture == "constant.bsp"
+                           else ("REV", "contravariant"))
+    with pytest.raises(TypeMismatch) as exc:
+        run_suite(parse(text))
+    assert exc.value.line == line
+    assert str(exc.value) == (f"{line}:0: pool {pool} has shape {shape}, but {check} "
+                              f"over the {direction} {spectrum} needs {needs}")
 
 
 def test_threads_are_not_capped():
