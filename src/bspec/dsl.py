@@ -18,7 +18,7 @@ from .families import COVARIANT, CONTRAVARIANT, make_direct_family, oriented
 from .limits import Legs
 from .order import CofinalSubset, make_directed
 from .setoid import make_fn, make_setoid
-from .spectra import Spectrum, complete_witnesses
+from .spectra import Spectrum, SpectrumError, complete_witnesses
 from .topology import (
     BID,
     BSpace,
@@ -28,6 +28,7 @@ from .topology import (
     CEq,
     CGen,
     CULim,
+    MissingCertificate,
     RFun,
     babs,
     badd,
@@ -502,8 +503,11 @@ def elaborate(doc):
             cert = build_certificate(node, src_sub, s.line)
             witness_certs.setdefault((i, j), {})[
                 tgt_sub.names.index(gen_name)] = cert
-        out.spectra[b.name] = Spectrum(
-            fam, spaces, complete_witnesses(fam, spaces, witness_certs), pool)
+        try:
+            certs = complete_witnesses(fam, spaces, witness_certs)
+        except (SpectrumError, MissingCertificate) as exc:
+            raise DslError(str(exc), b.line) from None
+        out.spectra[b.name] = Spectrum(fam, spaces, certs, pool)
 
     for b in doc.of_kind("cofinal"):
         d_stmt = b.one("directed", required=True)

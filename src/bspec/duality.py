@@ -15,7 +15,7 @@ from itertools import product as iproduct
 
 from .families import CONTRAVARIANT, COVARIANT, DirectFamily, oriented
 from .report import Finding
-from .setoid import Tag, compose, identity, is_embedding, make_fn
+from .setoid import Tag, _fn, compose, identity, is_embedding, make_fn
 from .spectra import Spectrum
 from .topology import (
     CGen,
@@ -43,20 +43,26 @@ SHAPES = ("A_i", "A_ii", "B_i", "B_ii")
 
 def enumerate_morphisms(src, dst, cap=4096):
     """All extensional maps that admit certificates for every target
-    generator, as witnesses; the map space itself is capped."""
-    src_classes = src.carrier.classes()
-    total = len(dst.carrier.elements) ** len(src_classes)
+    generator, as witnesses; the map space itself is capped.
+
+    A candidate sends each class of src to one element of dst.  Its table
+    is listed in src's carrier order and is total, into dst and constant
+    on classes by construction, so it is built unchecked.
+    """
+    n_classes = src.carrier.class_count()
+    total = len(dst.carrier.elements) ** n_classes
     if total > cap:
         raise DualityError(
             f"map space |dst|^|src classes| = {len(dst.carrier.elements)}^"
-            f"{len(src_classes)} = {total} exceeds the bound cap={cap}")
+            f"{n_classes} = {total} exceeds the bound cap={cap}")
+    els = src.carrier.elements
+    # the class of each source element; classes are numbered in the order
+    # classes() lists them
+    class_of = list(map(src.carrier.class_id.__getitem__, els))
     out = []
-    for choice in iproduct(dst.carrier.elements, repeat=len(src_classes)):
-        table = {}
-        for cls, val in zip(src_classes, choice):
-            for a in cls:
-                table[a] = val
-        h = make_fn(src.carrier, dst.carrier, table)
+    for choice in iproduct(dst.carrier.elements, repeat=n_classes):
+        h = _fn(src.carrier, dst.carrier,
+                dict(zip(els, map(choice.__getitem__, class_of))))
         missing = []
         w = certify_map(src, dst, h, "pool", missing)
         if not missing:

@@ -23,6 +23,7 @@ from .topology import (
     BSpace,
     CConst,
     CGen,
+    MissingCertificate,
     MorphismWitness,
     RFun,
     ValueCodes,
@@ -96,9 +97,10 @@ def complete_witnesses(fam, spaces, given=None):
     index, until no more can be: edge (i, j) lifts through the first k, in
     index order, with i <= k <= j and both of its edges known, and the
     certificates of the edge whose transport applies second are lifted
-    along the witness of the one that applies first.  Then certify_map
-    constructs every certificate still missing; a generator it cannot
-    certify raises SpectrumError.
+    along the witness of the one that applies first.  A certificate is
+    lifted only when the first edge certifies every generator it names.
+    Then certify_map constructs every certificate still missing; a
+    generator it cannot certify raises SpectrumError.
     """
     certs = {e: dict(c) for e, c in (given or {}).items()}
     pairs = [p for p in fam.order_pairs() if p[0] != p[1]]
@@ -120,8 +122,12 @@ def complete_witnesses(fam, spaces, given=None):
                 first, second = oriented(fam.direction, (i, k), (k, j))
                 lower = spaces[fam.ends(i, j)[0]]
                 w_low = MorphismWitness(fam.transport(*first), certs[first])
-                certs[(i, j)] = {m: lift_certificate(lower, w_low, c)
-                                 for m, c in certs[second].items()}
+                lifted = certs[(i, j)] = {}
+                for m, c in certs[second].items():
+                    try:
+                        lifted[m] = lift_certificate(lower, w_low, c)
+                    except MissingCertificate:
+                        pass  # left to certify_map below
                 changed = True
                 break
     for i, j in pairs:

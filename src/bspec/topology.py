@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import filterfalse
 
 from .report import Finding
 from .setoid import (
@@ -23,6 +24,7 @@ from .setoid import (
     Setoid,
     SetoidFn,
     Subset,
+    UnknownElement,
     _fn,
     check_extensional,
     compose,
@@ -145,11 +147,20 @@ def _respects_classes(h):
     return h.dom.is_discrete() or check_extensional(h)[0]
 
 
+def _pull_backs(fs, h, respects=None):
+    """compose_rfun(f, h) for each RFun f of `fs`, in order, with whether h
+    sends equal elements to equal ones decided once for all of them, or
+    taken from `respects` when the caller has already decided it."""
+    if respects is None:
+        respects = _respects_classes(h)
+    return [_pull_back(f, h, respects and h.cod.same_as(f.carrier)) for f in fs]
+
+
 def _pull_back(f, h, checked):
     """f . h, its table checked value by value unless `checked` says that h
     maps into f's carrier and sends equal elements to equal ones."""
-    values = f.values
-    table = {x: values[y] for x, y in h.mapping.items()}
+    m = h.mapping
+    table = dict(zip(m, map(f.values.__getitem__, m.values())))
     if checked:
         # f is an RFun, so it is extensional.  So x ~ x' gives
         # h(x) ~ h(x'), which gives f(h(x)) == f(h(x')): the table needs no
@@ -325,6 +336,57 @@ class BSpace:
                 raise TopologyError("generator lives on a different carrier")
         if not self.names:
             self.names = tuple(f"g{k}" for k in range(len(self.gens)))
+
+    @cached_property
+    def blocks(self):
+        """The space's Blocks, built on first use and kept with the space."""
+        return _blocks(self.carrier.elements, self.gens)
+
+
+@dataclass(frozen=True)
+class Blocks:
+    """The blocks of a space, the groups of points no generator separates,
+    numbered by first element in carrier order, and the separating sum
+    h = sum c_j g_j, which is injective on them."""
+
+    firsts: tuple  # the first element of each block
+    of: tuple  # the block of each carrier element, in carrier order
+    h: tuple  # (h at a block's first element, that element), h ascending
+    h_cert: object  # certificate of h; None with fewer than two blocks
+
+
+def _blocks(els, gens):
+    """The Blocks of the carrier elements `els` under the generators `gens`.
+
+    Each c_j is the least positive integer keeping apart every pair of
+    blocks the partial sum already separates; the pairs g_j separates and
+    the partial sum does not then come apart as well.  A generator that
+    separates nothing new is left out.
+    """
+    codes = ValueCodes()
+    # generator profiles, one per element; with no generator, all are ()
+    columns = [codes.key(map(g.values.__getitem__, els)) for g in gens]
+    profiles = zip(*columns) if columns else [()] * len(els)
+    number, firsts, of = {}, [], []
+    for x, profile in zip(els, profiles):
+        n = number.setdefault(profile, len(firsts))
+        if n == len(firsts):
+            firsts.append(x)
+        of.append(n)
+    h = [Fraction(0)] * len(firsts)
+    h_cert = None
+    for j, gen in enumerate(gens):
+        col = [gen.values[x] for x in firsts]
+        wanted = len(set(zip(h, col)))
+        if wanted == len(set(h)):
+            continue
+        c = 1
+        while len({t + c * g for t, g in zip(h, col)}) < wanted:
+            c += 1
+        h = [t + c * g for t, g in zip(h, col)]
+        term = CGen(j) if c == 1 else cert_scale(c, CGen(j))
+        h_cert = term if h_cert is None else CAdd(h_cert, term)
+    return Blocks(tuple(firsts), tuple(of), tuple(sorted(zip(h, firsts))), h_cert)
 
 
 def space(carrier, gens, names=()):
@@ -554,11 +616,11 @@ def check_morphism(src, dst, w):
         findings.append(Finding("map-carriers"))
     if findings:
         return findings
-    for k, g in enumerate(dst.gens):
+    # h is extensional and on its carriers, as just shown
+    for k, pulled in enumerate(_pull_backs(dst.gens, w.h, True)):
         if k not in w.certs:
             findings.append(Finding("missing-certificate", (dst.names[k],)))
             continue
-        pulled = compose_rfun(g, w.h)
         rep = validate_certificate(src, pulled, w.certs[k])
         if not rep.ok:
             findings.extend(
@@ -578,10 +640,8 @@ def certify_map(src, dst, h, label, findings, where=(), known=None):
     keeps the certificate given there, for the law that reads it to check.
     """
     certs = dict(known or {})
-    for k, g in enumerate(dst.gens):
-        if k in certs:
-            continue
-        pulled = compose_rfun(g, h)
+    ks = list(filterfalse(certs.__contains__, range(len(dst.gens))))
+    for k, pulled in zip(ks, _pull_backs(list(map(dst.gens.__getitem__, ks)), h)):
         certs[k] = certificate_for(src, pulled)
         if certs[k] is None:
             findings.append(Finding(f"{label}-cert", where + (k,)))
@@ -692,46 +752,21 @@ def find_certificate(sp, target):
     refuted.  A block-constant target is a constant or phi(h): h = sum c_j g_j
     separates the blocks and phi is the piecewise-linear interpolant through
     (h(block), target(block)).  A constant on the empty carrier is 0.
+
+    The blocks and h are facts of the space (`BSpace.blocks`); per target
+    this compares value codes and builds the interpolant.
     """
-    els = sp.carrier.elements
+    els, values = sp.carrier.elements, target.values
     codes = ValueCodes()
-    goal = codes.key(map(target.values.__getitem__, els))
+    goal = codes.key(map(values.__getitem__, els))
     if len(set(goal)) <= 1:
         return CConst(target(els[0]) if els else Fraction(0))
-    # generator profiles, one per element; with no generator, all are ()
-    columns = [codes.key(map(g.values.__getitem__, els)) for g in sp.gens]
-    profiles = zip(*columns) if columns else [()] * len(els)
-    blocks = {}  # profile -> (first element, its target code), in carrier order
-    for x, profile, want in zip(els, profiles, goal):
-        if blocks.setdefault(profile, (x, want))[1] != want:
-            return None
-    firsts = [x for x, _ in blocks.values()]
-    return CBic(*_separating_certificate(sp.gens, target, firsts))
-
-
-def _separating_certificate(gens, target, firsts):
-    """(phi, certificate of h) with h = sum c_j g_j injective on the blocks
-    whose first elements are `firsts`.
-
-    Each c_j is the least positive integer keeping apart every pair of
-    blocks the partial sum already separates; the pairs g_j separates and
-    the partial sum does not then come apart as well.  A generator that
-    separates nothing new is left out.
-    """
-    h = [Fraction(0)] * len(firsts)
-    h_cert = None
-    for j, gen in enumerate(gens):
-        col = [gen.values[x] for x in firsts]
-        wanted = len(set(zip(h, col)))
-        if wanted == len(set(h)):
-            continue
-        c = 1
-        while len({t + c * g for t, g in zip(h, col)}) < wanted:
-            c += 1
-        h = [t + c * g for t, g in zip(h, col)]
-        term = CGen(j) if c == 1 else cert_scale(c, CGen(j))
-        h_cert = term if h_cert is None else CAdd(h_cert, term)
-    return _interpolant(sorted(zip(h, map(target.values.__getitem__, firsts)))), h_cert
+    blocks = sp.blocks
+    # the code at each block's first element, read back at every element
+    want = codes.key(map(values.__getitem__, blocks.firsts))
+    if tuple(map(want.__getitem__, blocks.of)) != goal:
+        return None
+    return CBic(_interpolant([(t, values[x]) for t, x in blocks.h]), blocks.h_cert)
 
 
 def _interpolant(points):
@@ -780,11 +815,7 @@ def product_space(b1, b2):
     # the carrier is keyed by the factors' class ids, so both respect classes
     pr1 = _fn(carrier, b1.carrier, {t: t[0] for t in carrier.elements})
     pr2 = _fn(carrier, b2.carrier, {t: t[1] for t in carrier.elements})
-    gens = []
-    for b, pr in ((b1, pr1), (b2, pr2)):
-        respects = _respects_classes(pr)  # decided once per projection
-        gens += [_pull_back(f, pr, respects and pr.cod.same_as(f.carrier))
-                 for f in b.gens]
+    gens = _pull_backs(b1.gens, pr1) + _pull_backs(b2.gens, pr2)
     names = tuple(f"{n}.1" for n in b1.names) + tuple(f"{n}.2" for n in b2.names)
     return BSpace(carrier, tuple(gens), names), pr1, pr2
 
@@ -800,9 +831,14 @@ def relative_space(b, sub):
 
 
 def values_key(f):
-    """The classes of a map's values, in domain order: maps between the same
-    carriers are pointwise equal exactly when their keys are."""
-    return tuple([f.cod.class_repr(f(x)) for x in f.dom.elements])
+    """The class ids of a map's values, in domain order: maps between the
+    same carriers are pointwise equal exactly when their keys are."""
+    ids = f.cod.class_id
+    values = list(map(f.mapping.__getitem__, f.dom.elements))
+    try:
+        return tuple(map(ids.__getitem__, values))
+    except KeyError:
+        raise UnknownElement(next(y for y in values if y not in ids)) from None
 
 
 def map_setoid(maps, names=None):

@@ -46,9 +46,12 @@ from bspec.topology import (
     MissingCertificate,
     MorphismWitness,
     RuleMismatch,
+    ValueCodes,
+    _interpolant,
     babs,
     baffine,
     bneg,
+    cert_scale,
     certify_map,
     eval_bic,
     lift_certificate,
@@ -121,6 +124,39 @@ def verify_unique_factoring_exhaustive(f, Q, g, bound=1_000_000):
         if agrees and not fn_equal(cand, g):
             return False
     return True
+
+
+def find_certificate_per_call(sp, target):
+    """find_certificate before the blocks and the separating sum were kept
+    on the space: both are rebuilt for every target."""
+    els = sp.carrier.elements
+    codes = ValueCodes()
+    goal = codes.key(map(target.values.__getitem__, els))
+    if len(set(goal)) <= 1:
+        return CConst(target(els[0]) if els else Fraction(0))
+    # generator profiles, one per element; with no generator, all are ()
+    columns = [codes.key(map(g.values.__getitem__, els)) for g in sp.gens]
+    profiles = zip(*columns) if columns else [()] * len(els)
+    blocks = {}  # profile -> (first element, its target code), in carrier order
+    for x, profile, want in zip(els, profiles, goal):
+        if blocks.setdefault(profile, (x, want))[1] != want:
+            return None
+    firsts = [x for x, _ in blocks.values()]
+    h = [Fraction(0)] * len(firsts)
+    h_cert = None
+    for j, gen in enumerate(sp.gens):
+        col = [gen.values[x] for x in firsts]
+        wanted = len(set(zip(h, col)))
+        if wanted == len(set(h)):
+            continue
+        c = 1
+        while len({t + c * g for t, g in zip(h, col)}) < wanted:
+            c += 1
+        h = [t + c * g for t, g in zip(h, col)]
+        term = CGen(j) if c == 1 else cert_scale(c, CGen(j))
+        h_cert = term if h_cert is None else CAdd(h_cert, term)
+    phi = _interpolant(sorted(zip(h, map(target.values.__getitem__, firsts))))
+    return CBic(phi, h_cert)
 
 
 def find_certificate_exhaustive(sp, target, depth=4, cap=2000):
@@ -345,7 +381,9 @@ def leq_transitive_scan(D):
 def complete_witnesses_scan(fam, spaces, given):
     """The lifting phase of spectra.complete_witnesses before it read above-
     and below-lists: every missing edge rescans the index for its first
-    middle element, with two `leq` calls each.  Returns a new table."""
+    middle element, with two `leq` calls each.  A certificate naming a
+    generator the lower edge does not certify is not lifted, as there.
+    Returns a new table."""
     certs = {e: dict(c) for e, c in given.items()}
     index = fam.index
     pairs = [p for p in fam.order_pairs() if p[0] != p[1]]
@@ -370,10 +408,12 @@ def complete_witnesses_scan(fam, spaces, given):
                     w_low = MorphismWitness(fam.transport(k, j), dict(certs[(k, j)]))
                     lower = spaces[j]
                     upper_certs = certs[(i, k)]
-                certs[(i, j)] = {
-                    m: lift_certificate(lower, w_low, c)
-                    for m, c in upper_certs.items()
-                }
+                certs[(i, j)] = {}
+                for m, c in upper_certs.items():
+                    try:
+                        certs[(i, j)][m] = lift_certificate(lower, w_low, c)
+                    except MissingCertificate:
+                        pass
                 changed = True
                 break
     return certs

@@ -65,8 +65,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 # Spectra whose space lines do not give each index one space over the
-# family's carrier there, and a pool whose shape its check does not read:
-# (the refused line, the message).
+# family's carrier there, a pool whose shape its check does not read, and
+# a spectrum with an edge no certificate proves: (the refused line, the
+# message).
 HOSTILE = sorted(Path(__file__).resolve().parent.glob("hostile/*.bsp"))
 REFUSALS = {
     "coarser-equality": ("space 0: FX2C",
@@ -78,6 +79,8 @@ REFUSALS = {
     "missing-space": ("spectrum EOSPEC {", "no space line for index '2'"),
     "pool-shape": ("pool PCONV {", "pool PCONV has shape hom-into-fixed, but duality2 "
                    "over the contravariant REV needs hom-out-of-fixed"),
+    "uncertifiable-edge": ("spectrum S {",
+                           "no certificate found for generator 0 on edge (0, 1)"),
     "unknown-index": ("space 7: FX2", "space for unknown index '7'"),
 }
 
@@ -90,6 +93,14 @@ def test_space_lines_not_matching_the_family_are_refused(path, capsys):
     line = max(n for n, text in enumerate(lines, start=1) if text.strip() == refused)
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err == f"bspec: {line}:0: {message}\n"
+
+
+def test_witnesses_given_for_different_generators_complete(capsys):
+    """Each edge of a chain certifies a different generator, so the
+    composite cannot be lifted whole: the rest is certified on the edge."""
+    path = Path(__file__).resolve().parent / "documents" / "partial-witnesses.bsp"
+    assert main(["check", str(path)]) == 0
+    assert "5 passed, 0 failed, 0 skipped" in capsys.readouterr().out
 
 
 # Element names that decode as compound elements.  Without the guard the

@@ -353,8 +353,8 @@ def _two_phases(fam, spaces, given):
        st.sampled_from(["edges absent", "generators absent", "complete"]),
        st.integers(min_value=1, max_value=7))
 def test_complete_witnesses_matches_the_rescan(seed, direction, kind, length):
-    # a lift along an edge given only some generators may raise; the
-    # builder and the two phases must then raise alike
+    # a certificate naming a generator the lower edge does not certify is
+    # left to certify_map, so a valid spectrum always completes
     rng = random.Random(seed)
     index = chain(length) if rng.random() < 0.5 else random_directed_index(rng)
     s = random_spectrum(rng, index, direction)
@@ -362,6 +362,7 @@ def test_complete_witnesses_matches_the_rescan(seed, direction, kind, length):
     before = {e: dict(c) for e, c in supplied.items()}
     got = outcome(complete_witnesses, s.fam, s.spaces, supplied)
     assert supplied == before
+    assert got[0] == "value"
     assert got == outcome(_two_phases, s.fam, s.spaces, supplied)
     if kind == "complete":
         assert got == ("value", supplied)

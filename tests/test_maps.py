@@ -1,14 +1,20 @@
 """Maps built from checked maps: each map that `setoid._fn` builds without
-checking it (composites, identities, projections, limit legs) against the
-checked `SetoidFn`/`make_fn` build of the same table, and the checked
-constructor and `check_extensional` against the scans they replaced.
+checking it (composites, identities, projections, limit legs, pool
+candidates) against the checked `SetoidFn`/`make_fn` build of the same
+table, the checked constructor and `check_extensional` against the scans
+they replaced, and the value keys pools look maps up by against the
+class-representative keys and the scan they replaced.
 Hypothesis runs derandomized, so the suite stays deterministic."""
 
 import random
+from itertools import islice, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bspec import duality
+from bspec.duality import enumerate_morphisms
 from bspec.families import CONTRAVARIANT, COVARIANT, oriented
 from bspec.limits import direct_limit, inverse_limit
 from bspec.setoid import (
@@ -17,6 +23,7 @@ from bspec.setoid import (
     SetoidFn,
     UnknownElement,
     _first_split,
+    _fn,
     _value_ids,
     check_extensional,
     compose,
@@ -24,9 +31,9 @@ from bspec.setoid import (
     make_fn,
     setoid_by_key,
 )
-from bspec.topology import RFun, product_space, space
+from bspec.topology import RFun, exponential_space, product_space, space, values_key
 
-from oracles import outcome
+from oracles import find_scan, outcome
 from randgen import random_spectrum
 
 FAST = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -184,3 +191,79 @@ def test_product_projections_are_maps(seed):
     for pr, b in ((pr1, b1), (pr2, b2)):
         assert pr.dom is sp.carrier and pr.cod is b.carrier
         assert _parts(pr) == _parts(make_fn(sp.carrier, b.carrier, pr.table()))
+
+
+def _interleaved_space(rng, prefix):
+    """A space of two to five points whose classes interleave in carrier
+    order when there are two or more, under a class-constant generator
+    taking few values, so that pools hold maps both in and out of blocks."""
+    els = tuple(f"{prefix}{k}" for k in range(rng.randint(2, 5)))
+    X = setoid_by_key(els, [k % rng.randint(1, 3) for k in range(len(els))])
+    vals = [rng.randint(0, 1) for _ in X.classes()]
+    return space(X, [RFun(X, {x: vals[X.class_id[x]] for x in els})])
+
+
+@FAST
+@given(seeds)
+def test_pool_candidates_are_the_checked_class_constant_maps(seed):
+    """Every map enumerate_morphisms tries is the make_fn build of the table
+    sending each class of the source to one target element, listed in
+    source carrier order, and they come in the order of that enumeration."""
+    rng = random.Random(seed)
+    src, dst = _interleaved_space(rng, "x"), _interleaved_space(rng, "y")
+    tried = []
+
+    def recording(src, dst, h, *args, **kwargs):
+        tried.append(h)
+        return certify(src, dst, h, *args, **kwargs)
+
+    certify = duality.certify_map
+    with patch.object(duality, "certify_map", recording):
+        pool = enumerate_morphisms(src, dst)
+    X, Y = src.carrier, dst.carrier
+    expected = []
+    for choice in product(Y.elements, repeat=X.class_count()):
+        table = {}
+        for cls, y in zip(X.classes(), choice):
+            table.update(dict.fromkeys(cls, y))
+        expected.append(make_fn(X, Y, table))
+    assert [_parts(h) for h in tried] == [_parts(h) for h in expected]
+    assert all(list(h.mapping) == list(X.elements) for h in tried)
+    assert all(w.h in tried for w in pool)
+
+
+def _values_key_by_repr(f):
+    """values_key as it read the first member of each value's class."""
+    return tuple([f.cod.class_repr(f(x)) for x in f.dom.elements])
+
+
+@FAST
+@given(seeds)
+def test_values_key_matches_the_class_representatives(seed):
+    rng = random.Random(seed)
+    X = _random_setoid(rng, "x")
+    Y = setoid_by_key(tuple(f"y{k}" for k in range(4)),
+                      [rng.randrange(2) for _ in range(4)])
+    maps = [_random_fn(rng, X, Y) for _ in range(6)]
+    for f in maps:
+        reprs = _values_key_by_repr(f)
+        assert values_key(f) == tuple(Y.class_id[r] for r in reprs)
+        for g in maps:
+            assert (values_key(f) == values_key(g)) == (reprs == _values_key_by_repr(g))
+    # a value off the codomain is refused as it was
+    off = _fn(X, Y, dict.fromkeys(X.elements, "w"))
+    assert outcome(values_key, off) == outcome(_values_key_by_repr, off)
+    assert outcome(values_key, off)[0] is UnknownElement
+
+
+@FAST
+@given(seeds)
+def test_pool_lookup_matches_the_scan(seed):
+    rng = random.Random(seed)
+    src, dst = _interleaved_space(rng, "x"), _interleaved_space(rng, "y")
+    pool = exponential_space(src, dst, enumerate_morphisms(src, dst))
+    X, Y = src.carrier, dst.carrier
+    # every table src -> dst, pool member or not, extensional or not
+    for values in islice(product(Y.elements, repeat=len(X)), 300):
+        fn = SetoidFn(X, Y, dict(zip(X.elements, values)))
+        assert pool.find(fn) == find_scan(pool, fn)

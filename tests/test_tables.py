@@ -54,6 +54,11 @@ def _pullback_by_value(f, h):
     return RFun(h.dom, {x: f(h(x)) for x in h.dom.elements})
 
 
+def _pullbacks_by_value(fs, h, respects=None):
+    """topology._pull_backs as the checked constructor computes it."""
+    return [_pullback_by_value(f, h) for f in fs]
+
+
 def _as_table(result):
     kind, value = result
     if kind == "value":
@@ -89,6 +94,16 @@ def test_compose_rfun_matches_the_checked_pullback(seed):
     fast = outcome(compose_rfun, f, h)
     slow = outcome(_pullback_by_value, f, h)
     assert _as_table(fast) == _as_table(slow)
+    # the same pullback with h's class respect decided once for several
+    # functions, some on Y and some on cod
+    fs = [f, _class_constant(rng, Y), _class_constant(rng, cod)]
+    many = outcome(topology._pull_backs, fs, h)
+    if many[0] == "value":
+        assert [_as_table(("value", g)) for g in many[1]] == [
+            _as_table(outcome(_pullback_by_value, g, h)) for g in fs]
+    else:
+        assert many == next(r for r in (outcome(_pullback_by_value, g, h) for g in fs)
+                            if r[0] != "value")
 
 
 def test_compose_rfun_refuses_a_map_into_a_coarser_equality():
@@ -186,6 +201,7 @@ def test_reports_do_not_depend_on_the_shortcuts(path, tmp_path, capsys,
     monkeypatch.setattr(dsl, "_rational", dsl._rational.__wrapped__)
     for module in (topology, spectra):
         monkeypatch.setattr(module, "compose_rfun", _pullback_by_value)
+    monkeypatch.setattr(topology, "_pull_backs", _pullbacks_by_value)
     out = tmp_path / "report.json"
     assert main(["check", str(path), "--json", str(out)]) == 0
     capsys.readouterr()
