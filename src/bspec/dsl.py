@@ -123,6 +123,7 @@ def parse(text):
     """Parse a document; errors carry line and column positions."""
     doc = SpecDocument()
     current = None
+    seen = set()  # (kind, name) of every block header read so far
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].rstrip()
         stripped = line.strip()
@@ -139,8 +140,9 @@ def parse(text):
                 raise SyntaxErrorDsl(
                     f"unknown block kind {kind!r}; expected one of "
                     + ", ".join(BLOCK_KINDS), n, 1)
-            if any(b.kind == kind and b.name == name for b in doc.blocks):
+            if (kind, name) in seen:
                 raise SyntaxErrorDsl(f"duplicate block {kind} {name}", n, 1)
+            seen.add((kind, name))
             current = Block(kind, name, [], n)
             continue
         if stripped == "}":

@@ -183,8 +183,9 @@ def constant_direct_family(index, carrier, direction=COVARIANT):
 def validate_direct_family(F):
     """Every failed identity, extensionality and composition law.
 
-    The laws are decided on class-id tables (`_direct_family_laws_hold`);
-    only a family they do not show lawful is scanned, to list its findings.
+    The laws are decided on class-id tables (`_direct_family_laws_hold`),
+    on a partial order along covers only; only a family they do not show
+    lawful is scanned over every triple i <= j <= k, to list its findings.
     """
     if _direct_family_laws_hold(F):
         return []
@@ -263,9 +264,17 @@ def _direct_family_laws_hold(F):
 
     With every transport extensional, a composite's class map is the
     composite of the class maps.  The maps are keyed by (domain, codomain)
-    index, so in either direction each chain a -> b -> c of transports
+    index, so in either direction a chain a -> b -> c of transports
     compares the class map of (a, c) with that of (a, b) and (b, c)
     composed.
+
+    On a partial order only the chains whose first transport runs along a
+    cover are compared: with the identity law, a law that holds for every
+    i < j' <= k with j' covering i holds for every i <= j <= k, by
+    induction on the longest chain from i to j through a cover
+    i < j' <= j.  Read in the order the transports run, a contravariant
+    family is a covariant one over the opposite order, whose covers are the
+    same pairs.  On any other index every chain is compared.
     """
     els = F.index.elements
     maps = _class_maps(F, F.index.pairs | {(i, i) for i in els})
@@ -277,9 +286,13 @@ def _direct_family_laws_hold(F):
     out_of = {}
     for (b, c), bc in maps.items():
         out_of.setdefault(b, []).append((c, bc))
-    for (a, b), ab in maps.items():
+    covers = F.index.covers
+    firsts = maps if covers is None else [
+        F.ends(i, j) for i in els for j in covers[i]]
+    for a, b in firsts:
+        ab = maps[(a, b)]
         for c, bc in out_of[b]:
-            if maps.get((a, c)) != tuple(bc[x] for x in ab):
+            if maps.get((a, c)) != tuple(map(bc.__getitem__, ab)):
                 return False
     return True
 

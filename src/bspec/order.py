@@ -76,6 +76,53 @@ class DirectedIndex:
         return above
 
     @cached_property
+    def covers(self):
+        """i -> the elements that cover i, in carrier order; None unless
+        the pairs are a partial order on the base's elements.
+
+        Each strict above-list is a bit mask over carrier positions, as in
+        `_first_upper_bounds`, so the covers of i are strict-above(i) less
+        the union of strict-above(m) over m in strict-above(i).
+        """
+        masks = self._above_masks
+        if masks is None:
+            return None
+        els = self.elements
+        strict = [m & ~(1 << n) for n, m in enumerate(masks)]
+        covers = {}
+        for n, i in enumerate(els):
+            rest, under = strict[n], 0
+            while rest:
+                low = rest & -rest
+                under |= strict[low.bit_length() - 1]
+                rest ^= low
+            covers[i] = _members(els, strict[n] & ~under)
+        return covers
+
+    @cached_property
+    def _above_masks(self):
+        """Each element's above-list as a bit mask over carrier positions,
+        in carrier order; None unless the pairs are a partial order on the
+        base's elements (reflexive, antisymmetric and transitive, each
+        element named once)."""
+        els = self.elements
+        pos = {k: n for n, k in enumerate(els)}
+        if len(pos) != len(els):
+            return None
+        masks = [0] * len(els)
+        for i, k in self.pairs:
+            if i not in pos or k not in pos:
+                return None
+            masks[pos[i]] |= 1 << pos[k]
+        if any(not m >> n & 1 for n, m in enumerate(masks)):
+            return None
+        for i, k in self.pairs:
+            a, b = pos[i], pos[k]
+            if masks[b] & ~masks[a] or (a != b and masks[b] >> a & 1):
+                return None
+        return masks
+
+    @cached_property
     def common_upper_bounds(self):
         """(i, j) -> the elements above both i and j, in carrier order."""
         els = self.elements
@@ -93,6 +140,16 @@ class DirectedIndex:
 
     def __repr__(self):
         return f"DirectedIndex({list(self.elements)}, rels={len(self.pairs)})"
+
+
+def _members(elements, mask):
+    """The elements at the set bits of mask, in carrier order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(elements[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def _close_order(base, pairs):
@@ -162,7 +219,12 @@ def make_directed(base, order_pairs):
 
 
 def validate_directed(D):
-    """Every failed invariant with a witness; empty report means valid."""
+    """Every failed invariant with a witness; empty report means valid.
+
+    delta-assoc is decided in O(n^2) when delta is the join of a partial
+    order (`_delta_is_join`); any other delta, or a preorder, is scanned
+    over every triple.
+    """
     findings = []
     els = D.elements
     for i in els:
@@ -211,14 +273,37 @@ def validate_directed(D):
                         D.base.eq(d, D.delta[(j, i)]) and D.base.eq(d, j)
                     ):
                         findings.append(Finding("delta-absorb", (i, j)))
-        for i in els:
-            for j in els:
-                for k in els:
-                    left = D.delta[(D.delta[(i, j)], k)]
-                    right = D.delta[(i, D.delta[(j, k)])]
-                    if not D.base.eq(left, right):
-                        findings.append(Finding("delta-assoc", (i, j, k)))
+        if not _delta_is_join(D):
+            for i in els:
+                for j in els:
+                    for k in els:
+                        left = D.delta[(D.delta[(i, j)], k)]
+                        right = D.delta[(i, D.delta[(j, k)])]
+                        if not D.base.eq(left, right):
+                            findings.append(Finding("delta-assoc", (i, j, k)))
     return findings
+
+
+def _delta_is_join(D):
+    """Whether D is a partial order whose delta is the join:
+    above(delta(i, j)) = above(i) & above(j) for all i, j, on bit masks.
+
+    Then both bracketings of three elements have the above-list
+    above(i) & above(j) & above(k), so in a partial order they are one
+    element, equal to itself in a reflexive base: delta-assoc holds.
+    """
+    masks = D._above_masks
+    if masks is None:
+        return False
+    els = D.elements
+    pos = {k: n for n, k in enumerate(els)}
+    for i in els:
+        above_i = masks[pos[i]]
+        for j in els:
+            d = pos.get(D.delta.get((i, j)))
+            if d is None or masks[d] != above_i & masks[pos[j]]:
+                return False
+    return all(D.base.eq(x, x) for x in els)
 
 
 def top_element(D):

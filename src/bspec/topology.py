@@ -189,7 +189,8 @@ BID = Bic("id")
 
 
 def bconst(q):
-    return Bic("const", (), Fraction(q))
+    """The constant q, kept as given when it is a Fraction."""
+    return Bic("const", (), q if type(q) is Fraction else Fraction(q))
 
 
 def badd(l, r):

@@ -16,6 +16,8 @@ from bspec.families import (
     FamilyError,
     MissingTransport,
     _class_inverse,
+    _class_maps,
+    _validate_direct_family_scan,
     oriented,
     direct_sum_equality,
     direct_sum_equality_exhaustive,
@@ -53,6 +55,9 @@ from bspec.topology import (
     bneg,
     cert_scale,
     certify_map,
+    check_morphism,
+    check_morphism_as,
+    compose_witnesses,
     eval_bic,
     lift_certificate,
     map_cert,
@@ -375,6 +380,146 @@ def leq_transitive_scan(D):
         for k in els:
             if D.leq(j, k) and not D.leq(i, k):
                 findings.append(Finding("leq-transitive", (i, j, k)))
+    return findings
+
+
+def hasse_covers(D):
+    """DirectedIndex.covers by brute force: j covers i when i < j and no m
+    has i < m < j.  None unless the pairs are a partial order on the
+    base's elements, each named once."""
+    els, rel = D.elements, D.pairs
+    if len(set(els)) != len(els):
+        return None
+    if any(i not in els or k not in els for i, k in rel):
+        return None
+    if any((i, i) not in rel for i in els):
+        return None
+    if any(i != k and (k, i) in rel for i, k in rel):
+        return None
+    if any((i, k) not in rel for i, j in rel for j2, k in rel if j == j2):
+        return None
+
+    def below(a, b):
+        return a != b and (a, b) in rel
+
+    return {i: tuple(j for j in els if below(i, j)
+                     and not any(below(i, m) and below(m, j) for m in els))
+            for i in els}
+
+
+def direct_family_laws_hold_triples(F):
+    """families._direct_family_laws_hold before it read covers: every
+    chain a -> b -> c of transports is compared."""
+    els = F.index.elements
+    maps = _class_maps(F, F.index.pairs | {(i, i) for i in els})
+    if maps is None:
+        return False
+    for i in els:
+        if maps[(i, i)] != tuple(range(F.carriers[i].class_count())):
+            return False
+    out_of = {}
+    for (b, c), bc in maps.items():
+        out_of.setdefault(b, []).append((c, bc))
+    for (a, b), ab in maps.items():
+        for c, bc in out_of[b]:
+            if maps.get((a, c)) != tuple(bc[x] for x in ab):
+                return False
+    return True
+
+
+def validate_directed_scan(D):
+    """order.validate_directed before delta-assoc was decided on the join:
+    every triple is scanned."""
+    findings = []
+    els = D.elements
+    for i in els:
+        if not D.leq(i, i):
+            findings.append(Finding("leq-reflexive", (i,)))
+    above = D.above
+    if not all(D.base.has(i) and D.base.has(j) and above.get(j, set()) <= above[i]
+               for i, j in D.pairs):
+        for i, j in D.pairs:
+            for k in els:
+                if D.leq(j, k) and not D.leq(i, k):
+                    findings.append(Finding("leq-transitive", (i, j, k)))
+    equal = {i: [i2 for i2 in els if D.base.eq(i, i2)] for i in els}
+    for i in els:
+        for j in els:
+            if D.leq(i, j):
+                findings.extend(Finding("leq-extensional", (i, j, i2, j2))
+                                for i2 in equal[i] for j2 in equal[j]
+                                if not D.leq(i2, j2))
+    for i in els:
+        for j in els:
+            if (i, j) not in D.upper:
+                findings.append(Finding("upper-missing", (i, j)))
+                continue
+            k = D.up(i, j)
+            if not (D.leq(i, k) and D.leq(j, k)):
+                findings.append(Finding("upper-bound", (i, j, k)))
+    if D.delta is not None:
+        for i in els:
+            for j in els:
+                if D.leq(i, j) and D.leq(j, i) and not D.base.eq(i, j):
+                    findings.append(Finding("delta-needs-poset", (i, j)))
+        for i in els:
+            for j in els:
+                d = D.delta.get((i, j))
+                if d is None:
+                    findings.append(Finding("delta-missing", (i, j)))
+                    continue
+                if not (D.leq(i, d) and D.leq(j, d)):
+                    findings.append(Finding("delta-upper", (i, j, d)))
+                if D.leq(i, j):
+                    if not (
+                        D.base.eq(d, D.delta[(j, i)]) and D.base.eq(d, j)
+                    ):
+                        findings.append(Finding("delta-absorb", (i, j)))
+        for i in els:
+            for j in els:
+                for k in els:
+                    left = D.delta[(D.delta[(i, j)], k)]
+                    right = D.delta[(i, D.delta[(j, k)])]
+                    if not D.base.eq(left, right):
+                        findings.append(Finding("delta-assoc", (i, j, k)))
+    return findings
+
+
+def validate_spectrum_scan(s):
+    """spectra.validate_spectrum before its composite witnesses were built
+    through covers, with the family findings of the family scan: every
+    triple i <= j <= k with i != j and j != k is composed."""
+    findings = _validate_direct_family_scan(s.fam)
+    for i in s.index.elements:
+        if i not in s.spaces:
+            findings.append(Finding("subbase-missing", (i,)))
+        elif not s.space(i).carrier.same_as(s.fam.carrier(i)):
+            findings.append(Finding("space-carrier", (i,)))
+    if findings:
+        return findings
+    for i, j in s.fam.order_pairs():
+        if i == j:
+            continue
+        src, dst = s.edge_ends(i, j)
+        try:
+            w = s.edge_witness(i, j)
+        except SpectrumError:
+            findings.append(Finding("edge-witness-missing", (i, j)))
+            continue
+        findings += check_morphism_as("edge", src, dst, w, (i, j))
+    if findings:
+        return findings
+    for i, j in s.fam.order_pairs():
+        for k in s.index.elements:
+            if i == j or j == k or not s.index.leq(j, k):
+                continue
+            src, tgt = s.edge_ends(i, k)
+            first, second = oriented(s.direction, (i, j), (j, k))
+            composite = compose_witnesses(src, s.space(j), tgt,
+                                          s.edge_witness(*first),
+                                          s.edge_witness(*second))
+            for f in check_morphism(src, tgt, composite):
+                findings.append(Finding("composite-" + f.law, (i, j, k)))
     return findings
 
 

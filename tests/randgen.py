@@ -16,6 +16,7 @@ from bspec.families import COVARIANT, CONTRAVARIANT, DirectFamily, oriented
 from bspec.limits import Legs
 from bspec.order import CofinalSubset, DirectedIndex, chain, make_directed, top_element
 from bspec.setoid import (
+    SetoidFn,
     compose,
     discrete,
     identity,
@@ -175,6 +176,34 @@ def random_direct_family(rng, index, direction=COVARIANT, max_carrier=3,
     for i, j in index.order_pairs():
         transports[(i, j)] = path(heights[i], heights[j])
     return DirectFamily(index, direction, carriers, transports)
+
+
+def raw_map(rng, dom, cod):
+    """A random table, not checked for extensionality."""
+    return SetoidFn(dom, cod, {x: rng.choice(cod.elements) for x in dom.elements})
+
+
+FAULTS = ["none", "identity", "composition", "any"]
+
+
+def faulty_family(rng, index, direction, fault):
+    """A random family with one kind of fault injected: a random table on
+    a reflexive pair ("identity"), on one order pair ("composition"), or
+    on two ("any"); "none" leaves it lawful."""
+    fam = random_direct_family(rng, index, direction)
+    transports = dict(fam.transports)
+    pairs = fam.order_pairs()
+    if fault == "identity":
+        i = rng.choice(index.elements)
+        transports[(i, i)] = raw_map(rng, fam.carrier(i), fam.carrier(i))
+    elif fault == "composition":
+        p = rng.choice(pairs)
+        transports[p] = raw_map(rng, transports[p].dom, transports[p].cod)
+    elif fault == "any":
+        # random tables may also separate merged elements
+        for p in rng.sample(pairs, k=min(2, len(pairs))):
+            transports[p] = raw_map(rng, transports[p].dom, transports[p].cod)
+    return DirectFamily(index, direction, fam.carriers, transports)
 
 
 def _extensional_tables(rng, carrier, count):

@@ -1,0 +1,376 @@
+"""Differential tests for the laws decided on covers: the cover relation of
+an index against a brute-force Hasse diagram, and the family composition,
+composite-witness and delta-assoc laws against the scans over every triple
+that they replaced.  Hypothesis runs derandomized, so the suite stays
+deterministic."""
+
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bspec import spectra
+from bspec.dsl import parse
+from bspec.families import (
+    CONTRAVARIANT,
+    COVARIANT,
+    _direct_family_laws_hold,
+    _validate_direct_family_scan,
+    validate_direct_family,
+)
+from bspec.order import (
+    DirectedIndex,
+    _close_order,
+    _delta_is_join,
+    chain,
+    make_directed,
+    product_order,
+    validate_directed,
+)
+from bspec.runner import run_suite
+from bspec.setoid import Setoid, SetoidFn, discrete, make_setoid
+from bspec.spectra import constant_spectrum, validate_spectrum
+from bspec.topology import CConst, RFun, space
+
+from oracles import (
+    direct_family_laws_hold_triples,
+    hasse_covers,
+    outcome,
+    validate_directed_scan,
+    validate_spectrum_scan,
+)
+from randgen import FAULTS, faulty_family, random_directed_index, random_spectrum
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+directions = st.sampled_from([COVARIANT, CONTRAVARIANT])
+KINDS = ["chain", "grid", "diamonds", "poset", "preorder", "merged"]
+kinds = st.sampled_from(KINDS)
+
+
+# --- indices ------------------------------------------------------------------
+
+def diamonds(k):
+    """m0 < l1, r1 < m1 < l2, r2 < m2 ...: k stacked diamonds."""
+    els, pairs = ["m0"], []
+    for t in range(1, k + 1):
+        for side in "lr":
+            els.append(f"{side}{t}")
+            pairs += [(f"m{t - 1}", f"{side}{t}"), (f"{side}{t}", f"m{t}")]
+        els.append(f"m{t}")
+    return make_directed(els, pairs)
+
+
+def random_poset(rng, max_size=6):
+    """Random pairs that only go up a fixed order, plus a top: a poset."""
+    n = rng.randint(1, max_size)
+    names = [str(k) for k in range(n)]
+    pairs = {(names[a], names[b]) for a in range(n) for b in range(a + 1, n)
+             if rng.random() < 0.3}
+    pairs.update((a, names[-1]) for a in names)
+    return make_directed(names, pairs)
+
+
+def random_index(rng, kind):
+    if kind == "chain":
+        return chain(rng.randint(1, 6))
+    if kind == "grid":
+        return product_order(chain(rng.randint(1, 3)), chain(rng.randint(1, 3)))
+    if kind == "diamonds":
+        return diamonds(rng.randint(1, 2))
+    if kind == "poset":
+        return random_poset(rng)
+    if kind == "preorder":  # cycles between distinct elements happen
+        return random_directed_index(rng, 5)
+    # merged: two equal elements, each <= the other after the closure
+    n = rng.randint(2, 5)
+    names = [str(k) for k in range(n)]
+    pairs = {(rng.choice(names), rng.choice(names)) for _ in range(n)}
+    pairs.update((a, names[-1]) for a in names)
+    return make_directed(make_setoid(names, [(names[0], names[1])]), pairs)
+
+
+def raw_index(rng):
+    """Random pairs over a base that may merge elements, closed or left as
+    drawn (then often neither reflexive nor transitive), sometimes naming
+    the element z off the base."""
+    n = rng.randint(1, 5)
+    names = [str(k) for k in range(n)]
+    merged = [(names[0], names[-1])] if rng.random() < 0.2 else []
+    base = make_setoid(names, merged)
+    field = names + ["z"] if rng.random() < 0.2 else names
+    pairs = {(rng.choice(field), rng.choice(field)) for _ in range(rng.randint(0, 10))}
+    if rng.random() < 0.5 and "z" not in field:
+        pairs = _close_order(base, pairs)
+    return DirectedIndex(base, frozenset(pairs), {})
+
+
+# --- covers -------------------------------------------------------------------
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(seeds, st.sampled_from(KINDS + ["raw"]))
+def test_covers_match_the_hasse_oracle(seed, kind):
+    rng = random.Random(seed)
+    D = raw_index(rng) if kind == "raw" else random_index(rng, kind)
+    assert D.covers == hasse_covers(D)
+    if kind in ("chain", "grid", "diamonds", "poset"):
+        assert D.covers is not None
+    if kind == "merged":
+        assert D.covers is None
+
+
+def test_covers_of_named_shapes():
+    assert chain(4).covers == {"0": ("1",), "1": ("2",), "2": ("3",), "3": ()}
+    assert diamonds(1).covers == {"m0": ("l1", "r1"), "l1": ("m1",),
+                                  "r1": ("m1",), "m1": ()}
+    grid = product_order(chain(2), chain(2))
+    assert grid.covers == hasse_covers(grid)
+    assert [len(c) for c in grid.covers.values()] == [2, 1, 1, 0]
+
+
+def test_covers_are_none_off_a_partial_order():
+    base = discrete(["a", "b", "c"])
+    refl = {("a", "a"), ("b", "b"), ("c", "c")}
+    not_transitive = refl | {("a", "b"), ("b", "c")}
+    cycle = refl | {("a", "b"), ("b", "a"), ("a", "c"), ("b", "c")}
+    not_reflexive = {("a", "b"), ("a", "c"), ("b", "c"), ("b", "b"), ("c", "c")}
+    off_base = refl | {("a", "z")}
+    for pairs in (not_transitive, cycle, not_reflexive, off_base):
+        D = DirectedIndex(base, frozenset(pairs), {})
+        assert D.covers is None and hasse_covers(D) is None
+    # an element named twice in a carrier built by hand
+    twice = Setoid(("a", "a"), {("a", "a")})
+    D = DirectedIndex(twice, frozenset({("a", "a")}), {})
+    assert D.covers is None and hasse_covers(D) is None
+    # a non-trivial base equality: the closure puts the two elements each
+    # below the other
+    D = make_directed(make_setoid(["a", "b"], [("a", "b")]), [])
+    assert D.covers is None
+
+
+# --- the family laws ----------------------------------------------------------
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(seeds, kinds, directions, st.sampled_from(FAULTS))
+def test_family_laws_match_the_scans(seed, kind, direction, fault):
+    rng = random.Random(seed)
+    fam = faulty_family(rng, random_index(rng, kind), direction, fault)
+    assert _direct_family_laws_hold(fam) == direct_family_laws_hold_triples(fam)
+    assert validate_direct_family(fam) == _validate_direct_family_scan(fam)
+    if fault == "none":
+        assert _direct_family_laws_hold(fam)
+
+
+@pytest.mark.parametrize("direction", [COVARIANT, CONTRAVARIANT])
+def test_a_composition_fault_off_the_covers_is_found(direction):
+    # every transport of chain(5) is right but that of 1 <= 4, which is no
+    # cover: the cover pass meets it as the composite through 1 < 2 <= 4
+    rng = random.Random(3)
+    fam = faulty_family(rng, chain(5), direction, "none")
+    while fam.transports[("1", "4")].cod.class_count() < 2:
+        fam = faulty_family(rng, chain(5), direction, "none")
+    fn = fam.transports[("1", "4")]
+    x = fn.dom.elements[0]
+    other = next(y for y in fn.cod.elements if not fn.cod.eq(y, fn(x)))
+    spoiled = {z: other if fn.dom.eq(z, x) else fn(z) for z in fn.dom.elements}
+    fam.transports[("1", "4")] = SetoidFn(fn.dom, fn.cod, spoiled)
+    assert not _direct_family_laws_hold(fam)
+    assert not direct_family_laws_hold_triples(fam)
+    findings = validate_direct_family(fam)
+    assert findings == _validate_direct_family_scan(fam) != []
+    assert {f.law for f in findings} == {"family-composition"}
+
+
+# --- delta-assoc --------------------------------------------------------------
+
+def _with_delta(rng, D, how):
+    """D with a delta: its join where it has one ("join", on chains and
+    grids), a random common upper bound per pair ("bound"), the upper-bound
+    table ("upper"), or the join with one entry dropped ("missing")."""
+    els = D.elements
+    if how == "join":
+        delta = dict(D.delta)
+    elif how == "missing":
+        delta = dict(D.delta)
+        del delta[rng.choice(sorted(delta))]
+    elif how == "bound":
+        delta = {(i, j): rng.choice(D.common_upper_bounds[(i, j)])
+                 for i in els for j in els}
+    else:
+        delta = dict(D.upper)
+    return DirectedIndex(D.base, D.pairs, D.upper, delta)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(seeds, kinds, st.sampled_from(["join", "missing", "bound", "upper"]))
+def test_validate_directed_matches_the_scan(seed, kind, how):
+    rng = random.Random(seed)
+    D = random_index(rng, kind)
+    if how in ("join", "missing") and D.delta is None:
+        how = "upper"
+    D = _with_delta(rng, D, how)
+    got = outcome(validate_directed, D)
+    assert got == outcome(validate_directed_scan, D)
+    if how == "join":
+        assert _delta_is_join(D) and got == ("value", [])
+
+
+def test_a_delta_that_is_no_join_is_scanned():
+    # on the diamond the first upper bound is the join; sending (m0, l1)
+    # to m1 instead keeps it an upper bound but breaks associativity:
+    # (l1 v m0) v l1 is l1 where l1 v (m0 v l1) is m1
+    D = diamonds(1)
+    delta = dict(D.upper)
+    assert _delta_is_join(DirectedIndex(D.base, D.pairs, D.upper, delta))
+    delta[("m0", "l1")] = "m1"
+    bad = DirectedIndex(D.base, D.pairs, D.upper, delta)
+    assert not _delta_is_join(bad)
+    findings = validate_directed(bad)
+    assert findings == validate_directed_scan(bad)
+    assert "delta-assoc" in {f.law for f in findings}
+
+
+# --- the composite-witness law ------------------------------------------------
+
+def _spoiling(edge_witness, direction, target):
+    """An edge_witness that records the edge of each witness it returns,
+    and a compose_witnesses that spoils generator 0's certificate of the
+    composite at the triple `target` only."""
+    made = {}
+    compose = spectra.compose_witnesses
+
+    def tagged(*args):
+        w = edge_witness(*args)
+        made[id(w)] = args[-2:]
+        return w
+
+    def composed(sp1, sp2, sp3, w12, w23):
+        w = compose(sp1, sp2, sp3, w12, w23)
+        first, second = made[id(w12)], made[id(w23)]
+        low, high = (first, second) if direction == COVARIANT else (second, first)
+        if (low[0], low[1], high[1]) == target:
+            w.certs[0] = CConst(Fraction(7919))
+        return w
+
+    return tagged, composed
+
+
+def _cover_triples(D):
+    return [(i, j, k) for i in D.elements for j in D.covers[i]
+            for k in D.elements if k != j and D.leq(j, k)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(seeds, kinds, directions, st.sampled_from(["none", "edge", "composite"]))
+def test_validate_spectrum_matches_the_scan(seed, kind, direction, fault):
+    rng = random.Random(seed)
+    s = random_spectrum(rng, random_index(rng, kind), direction)
+    edges = [p for p in s.fam.order_pairs() if p[0] != p[1]]
+    if fault == "edge" and edges:
+        edge = rng.choice(edges)
+        s.witness_certs[edge] = {**s.witness_certs[edge], 0: CConst(Fraction(7919))}
+    triples = _cover_triples(s.index) if s.index.covers is not None else []
+    if fault != "composite" or not triples:
+        findings = validate_spectrum(s)
+        assert findings == validate_spectrum_scan(s)
+        assert (findings == []) == (fault != "edge" or not edges)
+        return
+    target = rng.choice(triples)
+    tagged, composed = _spoiling(s.edge_witness, direction, target)
+    with mock.patch.object(s, "edge_witness", tagged), \
+            mock.patch.object(spectra, "compose_witnesses", composed):
+        findings = validate_spectrum(s)
+    with mock.patch.object(s, "edge_witness", tagged), \
+            mock.patch("oracles.compose_witnesses", composed):
+        scanned = validate_spectrum_scan(s)
+    assert findings == scanned
+    assert [f.witness for f in findings] == [target]
+
+
+def _chain_spectrum_document(n):
+    """A covariant chain(n) spectrum over a two-point carrier with identity
+    maps and a generator certificate on each cover, checked as a spectrum."""
+    els = ", ".join(str(k) for k in range(n))
+    order_text = ", ".join(f"{k} <= {k + 1}" for k in range(n - 1))
+    lines = ["setoid S {", "  elements: p, q", "}",
+             "directed C {", f"  elements: {els}", f"  order: {order_text}",
+             "  closure: auto", "}",
+             "family F {", "  index: C", "  direction: covariant"]
+    lines += [f"  carrier {k}: S" for k in range(n)]
+    lines += [f"  map {k} -> {k + 1}: p => p, q => q" for k in range(n - 1)]
+    lines += ["}", "subbase G {", "  carrier: S", "  gen g: p => 0, q => 1", "}",
+              "spectrum SP {", "  family: F"]
+    lines += [f"  space {k}: G" for k in range(n)]
+    lines += ["  pool: 0, 1"]
+    lines += [f"  witness {k} -> {k + 1} g: (gen g)" for k in range(n - 1)]
+    lines += ["}", "suite main {", "  check: spectrum SP", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_spoiled_cover_composite_past_the_first_is_reported_as_the_scan_does(
+        monkeypatch):
+    # the first composite through a cover is that of 0 < 1 <= 2
+    text = _chain_spectrum_document(5)
+    tagged, composed = _spoiling(spectra.Spectrum.edge_witness, COVARIANT,
+                                 ("1", "2", "4"))
+    monkeypatch.setattr(spectra.Spectrum, "edge_witness", tagged)
+    monkeypatch.setattr(spectra, "compose_witnesses", composed)
+
+    def records():
+        return [(r.law, r.status, r.witness) for r in run_suite(parse(text)).records]
+
+    covers = records()
+    monkeypatch.setattr(spectra, "_cover_composites_hold", lambda s: False)
+    scanned = records()
+    assert covers == scanned
+    assert [(law, status) for law, status, _ in covers] == [
+        ("spectrum.SP.edge-witnesses", "pass"),
+        ("spectrum.SP.composite-witnesses", "fail")]
+    assert covers[1][2][0].startswith("composite-witness-certificate at 1, 2, 4")
+
+
+# --- the cost, counted --------------------------------------------------------
+
+def _sixteen_points():
+    X = discrete([f"x{k}" for k in range(16)])
+    return space(X, [RFun(X, {x: Fraction(k) for k, x in enumerate(X.elements)})],
+                 ["g"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 30])
+def test_composites_are_built_only_through_covers(n, monkeypatch):
+    calls = []
+    compose = spectra.compose_witnesses
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(spectra, "compose_witnesses", counted)
+    s = constant_spectrum(chain(n), _sixteen_points())
+    assert validate_spectrum(s) == []
+    assert len(calls) == (n - 1) * (n - 2) // 2
+
+
+class _CountingDict(dict):
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("index", [lambda: chain(30),
+                                   lambda: product_order(chain(4), chain(5))],
+                         ids=["chain", "grid"])
+def test_delta_assoc_on_a_join_runs_no_triple_loop(index):
+    D = index()
+    delta = _CountingDict(D.delta)
+    assert validate_directed(DirectedIndex(D.base, D.pairs, D.upper, delta)) == []
+    n = len(D.elements)
+    # the triple loop reads the delta four times per triple; the absorption
+    # law reads it once per order pair
+    assert delta.reads <= n * n < 4 * n ** 3

@@ -309,3 +309,17 @@ def test_odd_setoid_and_directed_lines_are_refused_with_their_line(
 def test_empty_true_elaborates_an_empty_setoid():
     env = elaborate(parse("setoid E {\n  elements:\n  empty: true\n}\n"))
     assert len(env.setoids["E"]) == 0
+
+
+def test_a_duplicate_block_is_refused_at_its_own_header():
+    text = ("setoid A {\n  elements: a\n}\n"
+            "directed A {\n  elements: 0\n}\n"
+            "setoid B {\n  elements: b\n}\n"
+            "  setoid A {\n  elements: c\n}\n")
+    with pytest.raises(SyntaxErrorDsl) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (10, 1)
+    assert str(err.value) == "10:1: duplicate block setoid A"
+    # the same name in another kind of block is no duplicate
+    assert [b.kind for b in parse(text[:text.index("  setoid A")]).blocks] == [
+        "setoid", "directed", "setoid"]

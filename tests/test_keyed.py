@@ -15,7 +15,6 @@ from bspec.dsl import elaborate, parse
 from bspec.families import (
     CONTRAVARIANT,
     COVARIANT,
-    DirectFamily,
     _direct_family_laws_hold,
     _saturate,
     _validate_direct_family_scan,
@@ -48,9 +47,12 @@ from oracles import (
     saturate_rescan,
 )
 from randgen import (
+    FAULTS,
     _heights,
+    faulty_family,
     random_direct_family,
     random_directed_index,
+    raw_map,
 )
 
 FAST = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -58,11 +60,6 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 directions = st.sampled_from([COVARIANT, CONTRAVARIANT])
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.bsp"))
-
-
-def _raw_map(rng, dom, cod):
-    """A random table, not checked for extensionality."""
-    return SetoidFn(dom, cod, {x: rng.choice(cod.elements) for x in dom.elements})
 
 
 # --- the order closure --------------------------------------------------------
@@ -164,7 +161,7 @@ def _generating_edges(rng, fam, fault):
         if i != j and rng.random() < 0.6:
             fn = fam.transport(i, j)
             if fault and rng.random() < 0.5:
-                fn = _raw_map(rng, fn.dom, fn.cod)
+                fn = raw_map(rng, fn.dom, fn.cod)
             given[(i, j)] = fn
     return given
 
@@ -203,31 +200,11 @@ def test_saturate_derives_inverses_across_cycles():
 
 # --- the family laws ----------------------------------------------------------
 
-FAULTS = ["none", "identity", "composition", "any"]
-
-
-def _faulty_family(rng, index, direction, fault):
-    fam = random_direct_family(rng, index, direction)
-    transports = dict(fam.transports)
-    pairs = fam.order_pairs()
-    if fault == "identity":
-        i = rng.choice(index.elements)
-        transports[(i, i)] = _raw_map(rng, fam.carrier(i), fam.carrier(i))
-    elif fault == "composition":
-        p = rng.choice(pairs)
-        transports[p] = _raw_map(rng, transports[p].dom, transports[p].cod)
-    elif fault == "any":
-        # random tables may also separate merged elements
-        for p in rng.sample(pairs, k=min(2, len(pairs))):
-            transports[p] = _raw_map(rng, transports[p].dom, transports[p].cod)
-    return DirectFamily(index, direction, fam.carriers, transports)
-
-
 @FAST
 @given(seeds, directions, st.sampled_from(FAULTS))
 def test_family_laws_match_scan(seed, direction, fault):
     rng = random.Random(seed)
-    fam = _faulty_family(rng, random_directed_index(rng), direction, fault)
+    fam = faulty_family(rng, random_directed_index(rng), direction, fault)
     assert validate_direct_family(fam) == _validate_direct_family_scan(fam)
     if fault == "none":
         assert _direct_family_laws_hold(fam)
@@ -238,7 +215,7 @@ def test_injected_faults_reach_every_law():
     for seed in range(200):
         rng = random.Random(seed)
         direction = (COVARIANT, CONTRAVARIANT)[seed % 2]
-        fam = _faulty_family(rng, random_directed_index(rng), direction,
+        fam = faulty_family(rng, random_directed_index(rng), direction,
                              FAULTS[1 + seed % 3])
         laws |= {f.law for f in validate_direct_family(fam)}
     assert laws == {"family-identity", "family-composition",

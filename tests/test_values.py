@@ -27,6 +27,7 @@ from bspec.topology import (
     RFun,
     ValueCodes,
     bcomp,
+    bconst,
     bmax,
     cert_conclusion,
     certificate_for,
@@ -147,6 +148,15 @@ def test_a_fraction_given_is_the_fraction_kept():
         assert cert == CConst(q) and cert.value is q
         # and by its value when it is held as distinct objects
         assert find(x2_space(), RFun(X, {"p": q, "q": _fresh(q)})) == CConst(q)
+
+
+def test_a_constant_expression_keeps_the_fraction_given():
+    q = Fraction(3, 4)
+    assert bconst(q).value is q
+    assert eval_bic(bconst(q), Fraction(5)) is q
+    # other numbers become Fractions, equal to the same constant
+    assert type(bconst(2).value) is Fraction and bconst(2) == bconst(Fraction(2))
+    assert bconst(-1) == bconst(Fraction(-1))
 
 
 # --- threads ---------------------------------------------------------------------
