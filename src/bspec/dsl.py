@@ -201,12 +201,18 @@ def _rational(token):
     return Fraction(int(token))
 
 
-def parse_rational(token, stmt=None):
+def parse_rational(token, line=None):
     try:
         return _rational(token)
-    except (ValueError, ZeroDivisionError):
-        line = stmt.line if stmt else None
-        raise TypeMismatch(f"not a rational: {token!r}", line)
+    except (ValueError, ZeroDivisionError, TypeError):  # TypeError: a list
+        raise TypeMismatch(f"not a rational: {_sexpr_text(token)!r}", line) from None
+
+
+def _integer(token, line):
+    try:
+        return int(token)
+    except (ValueError, TypeError):  # TypeError: a list
+        raise TypeMismatch(f"not an integer: {_sexpr_text(token)!r}", line) from None
 
 
 def parse_pairs(value, sep, stmt):
@@ -270,29 +276,50 @@ def parse_sexpr(text, line):
     return node
 
 
+def _operands(node, line, arity, what):
+    """(head, operands) of a parsed (head ...) list, refused at `line`
+    unless its head is a word `arity` names and it has that many operands
+    (None: one or more)."""
+    if not node or not isinstance(node[0], str):
+        raise TypeMismatch(f"{what} {_sexpr_text(node)} has no head word", line)
+    head, args = node[0], node[1:]
+    if head not in arity:
+        raise TypeMismatch(f"unknown {what} head {head!r}", line)
+    n = arity[head]
+    if (len(args) != n) if n is not None else not args:
+        takes = {None: "one or more operands", 1: "1 operand"}.get(n, f"{n} operands")
+        raise TypeMismatch(f"({head} ...) takes {takes}, got {len(args)}", line)
+    return head, args
+
+
+def _sexpr_text(node):
+    """A parsed expression as it was written, less commas."""
+    if isinstance(node, str):
+        return node
+    return "(" + " ".join(map(_sexpr_text, node)) + ")"
+
+
+_BIC_OPS = {"add": badd, "mul": bmul, "max": bmax, "min": bmin, "comp": bcomp,
+            "neg": bneg, "abs": babs}
+_BIC_ARITY = {"const": 1, "id": 0, "neg": 1, "abs": 1,
+              "add": 2, "mul": 2, "max": 2, "min": 2, "comp": 2}
+_CERT_ARITY = {"gen": 1, "const": 1, "add": 2, "bic": 2, "eq": 2, "ulim": None}
+
+
 def build_bic(node, line):
     if isinstance(node, str):
-        if node == "id":
-            return BID
-        return bconst(parse_rational(node))
-    head = node[0]
+        return BID if node == "id" else bconst(parse_rational(node, line))
+    head, args = _operands(node, line, _BIC_ARITY, "expression")
     if head == "const":
-        return bconst(parse_rational(node[1]))
+        return bconst(parse_rational(args[0], line))
     if head == "id":
         return BID
-    two = {"add": badd, "mul": bmul, "max": bmax, "min": bmin, "comp": bcomp}
-    if head in two:
-        return two[head](build_bic(node[1], line), build_bic(node[2], line))
-    if head == "neg":
-        return bneg(build_bic(node[1], line))
-    if head == "abs":
-        return babs(build_bic(node[1], line))
-    raise TypeMismatch(f"unknown expression head {head!r}", line)
+    return _BIC_OPS[head](*(build_bic(a, line) for a in args))
 
 
 def _table_from_node(node, line):
     # (table a => 0, b => 1); commas were dropped by the tokenizer
-    if not isinstance(node, list) or node[0] != "table":
+    if not isinstance(node, list) or node[:1] != ["table"]:
         raise TypeMismatch("expected a (table ...) node", line)
     body = node[1:]
     if len(body) % 3 != 0:
@@ -301,7 +328,7 @@ def _table_from_node(node, line):
     for k in range(0, len(body), 3):
         if body[k + 1] != "=>" or not isinstance(body[k], str):
             raise TypeMismatch("malformed table entry", line)
-        out[body[k]] = parse_rational(body[k + 2])
+        out[body[k]] = parse_rational(body[k + 2], line)
     return out
 
 
@@ -310,34 +337,33 @@ def build_certificate(node, sp, line):
     against the names of the space sp."""
     if isinstance(node, str):
         raise TypeMismatch(f"bare token {node!r} is not a certificate", line)
-    head = node[0]
+    head, args = _operands(node, line, _CERT_ARITY, "certificate")
     if head == "gen":
-        name = node[1]
+        name = args[0]
         if name not in sp.names:
-            raise UnresolvedReference(f"no generator named {name!r}", line)
+            if isinstance(name, str):
+                raise UnresolvedReference(f"no generator named {name!r}", line)
+            raise TypeMismatch(f"{_sexpr_text(name)} is not a generator name", line)
         return CGen(sp.names.index(name))
     if head == "const":
-        return CConst(parse_rational(node[1]))
+        return CConst(parse_rational(args[0], line))
     if head == "add":
-        return CAdd(build_certificate(node[1], sp, line),
-                    build_certificate(node[2], sp, line))
+        return CAdd(build_certificate(args[0], sp, line),
+                    build_certificate(args[1], sp, line))
     if head == "bic":
-        return CBic(build_bic(node[1], line),
-                    build_certificate(node[2], sp, line))
+        return CBic(build_bic(args[0], line), build_certificate(args[1], sp, line))
     if head == "eq":
-        table = _table_from_node(node[2], line)
-        return CEq(build_certificate(node[1], sp, line),
+        table = _table_from_node(args[1], line)
+        return CEq(build_certificate(args[0], sp, line),
                    tuple(sorted(table.items())))
-    if head == "ulim":
-        table = _table_from_node(node[1], line)
-        witnesses = []
-        for wnode in node[2:]:
-            if not isinstance(wnode, list) or wnode[0] != "w":
-                raise TypeMismatch("uniform-limit witnesses are (w n CERT)", line)
-            witnesses.append((int(wnode[1]),
-                              build_certificate(wnode[2], sp, line)))
-        return CULim(tuple(sorted(table.items())), tuple(witnesses))
-    raise TypeMismatch(f"unknown certificate head {head!r}", line)
+    table = _table_from_node(args[0], line)  # ulim, the one head left
+    witnesses = []
+    for wnode in args[1:]:
+        if not isinstance(wnode, list) or wnode[:1] != ["w"] or len(wnode) != 3:
+            raise TypeMismatch("uniform-limit witnesses are (w n CERT)", line)
+        witnesses.append((_integer(wnode[1], line),
+                          build_certificate(wnode[2], sp, line)))
+    return CULim(tuple(sorted(table.items())), tuple(witnesses))
 
 
 # --- elaboration into kernel objects --------------------------------------------
@@ -433,7 +459,7 @@ def elaborate(doc):
                 raise SyntaxErrorDsl("gen lines read 'gen name: a => 0, ...'",
                                      s.line)
             table = {
-                k: parse_rational(v, s)
+                k: parse_rational(v, s.line)
                 for k, v in parse_pairs(s.value, "=>", s)
             }
             gens.append(RFun(carrier, table))
@@ -478,7 +504,7 @@ def elaborate(doc):
                 raise UnresolvedReference(f"no space line for index {i!r}", b.line)
         pool_stmt = b.one("pool")
         pool = tuple(
-            parse_rational(tok, pool_stmt)
+            parse_rational(tok, pool_stmt.line)
             for tok in parse_names(pool_stmt.value, pool_stmt)
         ) if pool_stmt else (Fraction(0), Fraction(1))
         witness_certs = {}

@@ -229,9 +229,8 @@ def _class_maps(F, pairs):
     (domain index, codomain index).
 
     None when class ids cannot stand for the pairwise laws: a pair naming
-    no index element, a carrier that is not an equivalence, a transport
-    that is missing, runs between other carriers than its pair names, or
-    separates equal elements.
+    no index element, a transport that is missing, runs between other
+    carriers than its pair names, or separates equal elements.
     """
     base = F.index.base
     dom, cod = F.ends(0, 1)  # where the two ends sit in an order pair
@@ -245,18 +244,13 @@ def _class_maps(F, pairs):
         src, dst = F.carriers.get(a), F.carriers.get(b)
         if src is None or dst is None:
             return None
-        if not (_same_carrier(fn.dom, src) and _same_carrier(fn.cod, dst)
-                and src.closed and dst.closed):
+        if not (fn.dom.same_as(src) and fn.cod.same_as(dst)):
             return None
         m = _class_map(fn)
         if m is None:
             return None
         maps[(a, b)] = m
     return maps
-
-
-def _same_carrier(X, Y):
-    return X is Y or X.same_as(Y)
 
 
 def _direct_family_laws_hold(F):

@@ -8,7 +8,6 @@ from functools import cached_property
 
 from .report import Finding
 from .setoid import (
-    NotEquivalence,
     Pair,
     Setoid,
     SetoidFn,
@@ -158,13 +157,10 @@ def _close_order(base, pairs):
     This is reachability between classes: i <= j in the closure exactly
     when the class of j is reachable from the class of i along the given
     pairs, since reflexivity and extensionality relate every element to its
-    whole class.  The base's equality must be an equivalence, as on every
-    carrier `make_setoid` builds; an empty base adds nothing to the pairs.
+    whole class.  An empty base adds nothing to the pairs.
     """
     if not base.elements:
         return frozenset(pairs)
-    if not base.closed:
-        raise NotEquivalence("order base equality is not an equivalence")
     classes = base._classes
     class_id = base.class_id
     succ = [set() for _ in classes]
@@ -240,7 +236,8 @@ def validate_directed(D):
                 if D.leq(j, k) and not D.leq(i, k):
                     findings.append(Finding("leq-transitive", (i, j, k)))
     # each i <= j against the members equal to i and to j, in carrier order
-    equal = {i: [i2 for i2 in els if D.base.eq(i, i2)] for i in els}
+    classes, class_id = D.base._classes, D.base.class_id
+    equal = {i: classes[class_id[i]] for i in els}
     for i in els:
         for j in els:
             if D.leq(i, j):
@@ -290,7 +287,7 @@ def _delta_is_join(D):
 
     Then both bracketings of three elements have the above-list
     above(i) & above(j) & above(k), so in a partial order they are one
-    element, equal to itself in a reflexive base: delta-assoc holds.
+    element, equal to itself: delta-assoc holds.
     """
     masks = D._above_masks
     if masks is None:
@@ -303,7 +300,7 @@ def _delta_is_join(D):
             d = pos.get(D.delta.get((i, j)))
             if d is None or masks[d] != above_i & masks[pos[j]]:
                 return False
-    return all(D.base.eq(x, x) for x in els)
+    return True
 
 
 def top_element(D):

@@ -54,18 +54,18 @@ def closure_rst(elements, pairs):
 
 
 def _row_ids(elements, pairs):
-    """Class ids read off a pair set: each element not yet labelled takes a
-    new id, and so do the members of its row not yet labelled.  These are
-    the classes when the pairs are an equivalence."""
+    """Class ids read off the rows of an equivalence: each element not yet
+    labelled takes a new id, and so do the members of its row, which is
+    its class."""
     rows = {}
     for a, b in pairs:
         rows.setdefault(a, []).append(b)
     known, ids, n = frozenset(elements), {}, 0
     for a in elements:
         if a not in ids:
-            for b in (a, *rows.get(a, ())):
+            for b in rows[a]:
                 if b in known:
-                    ids.setdefault(b, n)
+                    ids[b] = n
             n += 1
     return ids
 
@@ -76,20 +76,19 @@ class Setoid:
     Ids number the classes by their first member in carrier order, so two
     carriers with the same elements have the same equality exactly when
     they have the same labelling.  The constructors in this package pass
-    the classes as keys (`setoid_by_key`).  A carrier built by hand from a
-    pair set keeps those pairs; when they are not an equivalence (`closed`
-    is False), `eq` answers from them, and the deciders that compare class
-    ids do not hold.
+    the classes as keys (`setoid_by_key`).  A carrier built from a pair set
+    is labelled by its rows, and the pairs must be an equivalence: any
+    other relation raises `NotEquivalence`, naming its first violation.
     """
 
     def __init__(self, elements, pairs=None, class_id=None):
         self.elements = tuple(elements)
-        self._given = None if pairs is None else frozenset(pairs)
         if class_id is None:
-            class_id = _row_ids(self.elements, self._given)
-            self.closed = is_equivalence(self.elements, self._given)
-        else:
-            self.closed = True
+            pairs = frozenset(pairs)
+            bad = check_equivalence(self.elements, pairs)
+            if bad:
+                raise NotEquivalence(f"relation fails {bad[0]} at {bad[1]}")
+            class_id = _row_ids(self.elements, pairs)
         self.class_id = class_id
 
     def has(self, a):
@@ -99,16 +98,11 @@ class Setoid:
         ids = self.class_id
         if a not in ids or b not in ids:
             raise UnknownElement(f"{a!r} or {b!r} not in carrier")
-        if self.closed:
-            return ids[a] == ids[b]
-        return (a, b) in self._given
+        return ids[a] == ids[b]
 
     @cached_property
     def pairs(self):
-        """The equality as a set of pairs: the pairs given by hand, or
-        every pair within one class."""
-        if self._given is not None:
-            return self._given
+        """The equality as a set of pairs: every pair within one class."""
         return frozenset((x, y) for cls in self._classes for x in cls for y in cls)
 
     @cached_property
@@ -140,9 +134,8 @@ class Setoid:
         return len(self._classes) == len(self.elements)
 
     def same_as(self, other):
-        return self is other or self.elements == other.elements and (
-            self.class_id == other.class_id if self.closed and other.closed
-            else self.pairs == other.pairs)
+        return self is other or (self.elements == other.elements
+                                 and self.class_id == other.class_id)
 
     def __len__(self):
         return len(self.elements)
@@ -432,11 +425,7 @@ class QuotientSetoid:
 def quotient_by(X, rel_pairs):
     """Quotient X by a relation, validating it is an equivalence in one of
     whose classes every class of X lies."""
-    rel = frozenset(rel_pairs)
-    bad = check_equivalence(X.elements, rel)
-    if bad:
-        raise NotEquivalence(f"relation fails {bad[0]} at {bad[1]}")
-    carrier = Setoid(X.elements, class_id=_row_ids(X.elements, rel))
+    carrier = Setoid(X.elements, rel_pairs)
     bad = _first_split(X._classes, carrier.class_id)
     if bad:
         raise NotExtensional("relation does not respect carrier equality at "

@@ -65,11 +65,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 # Spectra whose space lines do not give each index one space over the
-# family's carrier there, a pool whose shape its check does not read, and
-# a spectrum with an edge no certificate proves: (the refused line, the
-# message).
+# family's carrier there, a pool whose shape its check does not read, a
+# spectrum with an edge no certificate proves, and malformed certificate
+# expressions: (the refused line, the message).
 HOSTILE = sorted(Path(__file__).resolve().parent.glob("hostile/*.bsp"))
 REFUSALS = {
+    "certificate-arity": ("witness 1 -> 2 f: (gen f f)", "(gen ...) takes 1 operand, got 2"),
+    "certificate-empty": ("expr: ()", "certificate () has no head word"),
     "coarser-equality": ("space 0: FX2C",
                          "subbase 'FX2C' is not over the carrier at index '0'"),
     "duplicate-space": ("space 1: FX2", "duplicate space line for index '1'"),
@@ -81,6 +83,8 @@ REFUSALS = {
                    "over the contravariant REV needs hom-out-of-fixed"),
     "uncertifiable-edge": ("spectrum S {",
                            "no certificate found for generator 0 on edge (0, 1)"),
+    "ulim-witness": ("witness 0 -> 1 f: (ulim (table p => 0, q => 1) (w x (gen f)))",
+                     "not an integer: 'x'"),
     "unknown-index": ("space 7: FX2", "space for unknown index '7'"),
 }
 
@@ -99,6 +103,14 @@ def test_witnesses_given_for_different_generators_complete(capsys):
     """Each edge of a chain certifies a different generator, so the
     composite cannot be lifted whole: the rest is certified on the edge."""
     path = Path(__file__).resolve().parent / "documents" / "partial-witnesses.bsp"
+    assert main(["check", str(path)]) == 0
+    assert "5 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+
+
+def test_a_contravariant_spectrum_passes_the_default_suite(capsys):
+    """With no suite block, a valid contravariant spectrum gets its family
+    and spectrum laws checked, and no covariant-only sum equality."""
+    path = Path(__file__).resolve().parent / "documents" / "contravariant-default-suite.bsp"
     assert main(["check", str(path)]) == 0
     assert "5 passed, 0 failed, 0 skipped" in capsys.readouterr().out
 

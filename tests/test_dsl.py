@@ -323,3 +323,48 @@ def test_a_duplicate_block_is_refused_at_its_own_header():
     # the same name in another kind of block is no duplicate
     assert [b.kind for b in parse(text[:text.index("  setoid A")]).blocks] == [
         "setoid", "directed", "setoid"]
+
+
+CERTIFICATE = """\
+setoid X {
+  elements: p, q
+}
+subbase FX {
+  carrier: X
+  gen f: p => 0, q => 1
+}
+certificate C {
+  over: FX
+  expr: EXPR
+}
+"""
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("(gen)", "(gen ...) takes 1 operand, got 0"),
+    ("(const)", "(const ...) takes 1 operand, got 0"),
+    ("()", "certificate () has no head word"),
+    ("((gen f))", "certificate ((gen f)) has no head word"),
+    ("(add (gen f))", "(add ...) takes 2 operands, got 1"),
+    ("(bic (add id) (gen f))", "(add ...) takes 2 operands, got 1"),
+    ("(bic (id 1) (gen f))", "(id ...) takes 0 operands, got 1"),
+    ("(bic () (gen f))", "expression () has no head word"),
+    ("(eq (gen f))", "(eq ...) takes 2 operands, got 1"),
+    ("(eq (gen f) ())", "expected a (table ...) node"),
+    ("(ulim)", "(ulim ...) takes one or more operands, got 0"),
+    ("(ulim (table p => 0, q => 1) (w))", "uniform-limit witnesses are (w n CERT)"),
+    ("(ulim (table p => 0, q => 1) (w x (gen f)))", "not an integer: 'x'"),
+    ("(ulim (table p => 0, q => 1) (w (1) (gen f)))", "not an integer: '(1)'"),
+    ("(ulim (table p => (0), q => 1))", "not a rational: '(0)'"),
+    ("(const (1))", "not a rational: '(1)'"),
+    ("(const x)", "not a rational: 'x'"),
+    ("(bic x (gen f))", "not a rational: 'x'"),
+    ("(gen f g)", "(gen ...) takes 1 operand, got 2"),
+    ("(gen (f))", "(f) is not a generator name"),
+])
+def test_a_malformed_certificate_is_refused_at_its_line(expr, message):
+    text = CERTIFICATE.replace("EXPR", expr)
+    line = text.splitlines().index(f"  expr: {expr}") + 1
+    with pytest.raises(TypeMismatch) as err:
+        elaborate(parse(text))
+    assert str(err.value) == f"{line}:0: {message}"

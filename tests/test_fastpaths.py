@@ -15,13 +15,10 @@ from bspec.families import (
     COVARIANT,
     DirectFamily,
     FamilyError,
-    _direct_family_laws_hold,
-    _validate_direct_family_scan,
     direct_sum_equality,
     direct_sum_equality_exhaustive,
     direct_sum_setoid,
     sum_elements,
-    validate_direct_family,
 )
 from bspec.limits import direct_limit, inverse_limit
 from bspec.order import DirectedIndex, NotDirected, chain, top_element
@@ -33,7 +30,7 @@ from bspec.setoid import (
     check_equivalence,
     closure_rst,
     discrete,
-    identity,
+    is_equivalence,
     make_setoid,
 )
 from bspec.spectra import complete_witnesses
@@ -45,7 +42,13 @@ from oracles import (
     equivalence_findings_scan,
     outcome,
 )
-from randgen import random_direct_family, random_directed_index, random_spectrum
+from randgen import (
+    FAULTS,
+    faulty_family,
+    random_direct_family,
+    random_directed_index,
+    random_spectrum,
+)
 from thread_laws import thread_to_sum_function, validate_thread
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -234,42 +237,6 @@ class _Recording(Report):
         super().add(suite, law, findings, **kwargs)
 
 
-@st.composite
-def non_transitive_carriers(draw):
-    """A Setoid built by hand whose pairs relate e0 ~ e1 ~ e2 but not
-    e0 ~ e2; other pairs are drawn, so reflexivity and symmetry may fail
-    as well."""
-    n = draw(st.integers(min_value=3, max_value=4))
-    els = tuple(f"e{k}" for k in range(n))
-    pairs = {(a, a) for a in els}
-    pairs |= {("e0", "e1"), ("e1", "e0"), ("e1", "e2"), ("e2", "e1")}
-    every = st.tuples(st.sampled_from(els), st.sampled_from(els))
-    pairs |= draw(st.sets(every, max_size=4))
-    pairs -= draw(st.sets(every, max_size=3))
-    pairs |= {("e0", "e1"), ("e1", "e2")}
-    pairs -= {("e0", "e2")}
-    return Setoid(els, frozenset(pairs))
-
-
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(non_transitive_carriers(), st.integers(min_value=1, max_value=3),
-       st.sampled_from([COVARIANT, CONTRAVARIANT]), seeds)
-def test_family_laws_on_carriers_that_are_not_transitive(carrier, length,
-                                                         direction, seed):
-    rng = random.Random(seed)
-    index = chain(length)
-    els = carrier.elements
-    transports = {p: (identity(carrier) if rng.random() < 0.7
-                      else SetoidFn(carrier, carrier, {x: rng.choice(els) for x in els}))
-                  for p in index.order_pairs()}
-    fam = DirectFamily(index, direction, {i: carrier for i in index.elements},
-                       transports)
-    assert not _direct_family_laws_hold(fam)
-    # a carrier that is not even reflexive makes the scan raise; so must this
-    assert (outcome(validate_direct_family, fam)
-            == outcome(_validate_direct_family_scan, fam))
-
-
 def _faulty_top(seed, index):
     """A random family whose transports into the top are random tables, so
     the top may separate what a lower upper bound relates."""
@@ -284,33 +251,52 @@ def _faulty_top(seed, index):
     return DirectFamily(index, COVARIANT, fam.carriers, transports)
 
 
+def _check_equivalence(fam):
+    """The runner's equivalence check on one family: its (laws,
+    top-vs-search) findings."""
+    env = SimpleNamespace(spectrum=lambda name: SimpleNamespace(fam=fam))
+    report = _Recording()
+    runner.check_equivalence(env, ("S",), runner.RunConfig(), report, "t", None)
+    return (report.findings["equivalence.S.laws"],
+            report.findings["equivalence.S.top-vs-search"])
+
+
 @settings(derandomize=True, max_examples=180, deadline=None, database=None)
-@given(non_transitive_carriers(), st.integers(min_value=1, max_value=3), seeds,
-       st.sampled_from(["not-transitive", "contravariant", "faulty-top"]))
-def test_equivalence_laws_match_the_triple_scan(carrier, length, seed, kind):
+@given(st.integers(min_value=1, max_value=3), seeds,
+       st.sampled_from(["contravariant", "faulty-top"]))
+def test_equivalence_laws_match_the_triple_scan(length, seed, kind):
     index = chain(length)
-    if kind == "not-transitive":
-        fam = DirectFamily(index, COVARIANT, {i: carrier for i in index.elements},
-                           {p: identity(carrier) for p in index.order_pairs()})
-    elif kind == "contravariant":
+    if kind == "contravariant":
         fam = random_direct_family(random.Random(seed + 1), index, CONTRAVARIANT)
     else:
         fam = _faulty_top(seed + 1, index)
-    env = SimpleNamespace(spectrum=lambda name: SimpleNamespace(fam=fam, index=index))
-    config = runner.RunConfig()
-    report = _Recording()
-
-    def keyed():
-        runner.check_equivalence(env, ("S",), config, report, "t", None)
-        return (report.findings["equivalence.S.laws"],
-                report.findings["equivalence.S.top-vs-search"])
-
     want = outcome(equivalence_findings_scan, [fam])
-    assert outcome(keyed) == want
-    if kind == "not-transitive":
-        assert any(f.law == "transitive" for f in want[1][0])
+    assert outcome(_check_equivalence, fam) == want
     if kind == "contravariant":
         assert want[0] is FamilyError
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(seeds, st.sampled_from(["lawful", *FAULTS[1:], "faulty-top"]))
+def test_agreement_at_the_top_is_an_equivalence(seed, kind):
+    # agreement at the top is the top's equivalence pulled back along the
+    # transports, whatever tables they hold, so `laws` passes without the
+    # triple scan, and `top-vs-search` is the pairwise pass's
+    rng = random.Random(seed)
+    index = chain(rng.randint(1, 3)) if rng.random() < 0.5 else random_directed_index(rng)
+    if kind == "lawful":
+        fam = random_direct_family(rng, index, COVARIANT, allow_merged=True)
+    elif kind == "faulty-top":
+        fam = _faulty_top(seed, index)
+    else:
+        fam = faulty_family(rng, index, COVARIANT, kind)
+    tagged = sum_elements(fam)
+    agree = [(a, b) for a in tagged for b in tagged
+             if direct_sum_equality(fam, *a, *b)]
+    assert is_equivalence(tagged, agree)
+    want = equivalence_findings_scan([fam])
+    assert want[0] == []
+    assert _check_equivalence(fam) == want
 
 
 def test_a_faulty_top_is_found():

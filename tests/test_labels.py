@@ -1,8 +1,9 @@
 """A setoid labels each element with a class id.  The deciders that compare
 ids are checked here against scans of the pair set they replaced, on random
-carriers and maps, and a carrier built by hand from pairs that are not an
-equivalence keeps its pair semantics.  Hypothesis runs derandomized, so the
-suite stays deterministic."""
+carriers and maps, and a carrier built by hand from a pair set is labelled
+as `make_setoid` labels it, or refused when the pairs are not an
+equivalence.  Hypothesis runs derandomized, so the suite stays
+deterministic."""
 
 import random
 
@@ -106,7 +107,6 @@ def random_map(rng, dom, cod):
 def test_eq_classes_and_repr_match_the_pair_set(seed):
     rng = random.Random(seed)
     X = random_carrier(rng)
-    assert X.closed
     assert X.pairs == closure_rst(X.elements, X.pairs)
     for a in X.elements:
         for b in X.elements:
@@ -118,7 +118,7 @@ def test_eq_classes_and_repr_match_the_pair_set(seed):
     # class ids are numbered by first member in carrier order
     assert [X.class_id[cls[0]] for cls in X.classes()] == list(range(X.class_count()))
     Y = Setoid(X.elements, X.pairs)
-    assert Y.closed and Y.class_id == X.class_id
+    assert Y.class_id == X.class_id
     assert X.same_as(Y) and Y.same_as(X)
     with pytest.raises(UnknownElement):
         X.eq(X.elements[0], "missing")
@@ -176,19 +176,34 @@ def test_coarseness_witness_is_the_first_pair_in_carrier_order():
         quotient_by(X, closure_rst(X.elements, [("c", "d")]))
 
 
-def test_a_hand_built_non_equivalence_keeps_its_pairs():
-    pairs = frozenset({("a", "a"), ("b", "b"), ("c", "c"),
-                       ("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")})
-    X = Setoid(("a", "b", "c"), pairs)
-    assert not X.closed
-    assert X.pairs == pairs
-    assert X.eq("a", "b") and X.eq("b", "c") and not X.eq("a", "c")
-    with pytest.raises(UnknownElement):
-        X.eq("a", "z")
-    # the same elements under the closure are another setoid
-    closed = make_setoid(X.elements, pairs)
-    assert closed.closed and closed.eq("a", "c")
-    assert not X.same_as(closed) and not closed.same_as(X)
-    assert X.same_as(Setoid(X.elements, set(pairs)))
-    # a relation that is not symmetric is not closed either
-    assert not Setoid(("a", "b"), {("a", "a"), ("b", "b"), ("a", "b")}).closed
+def test_a_hand_built_non_equivalence_is_refused():
+    # the transitive case fails at (a, b, c) and at (c, b, a); which the
+    # scan meets first follows the pair set's iteration order
+    for pairs, violations in [
+            ({("a", "b"), ("b", "a"), ("b", "b"), ("c", "c")}, ["reflexive at ('a',)"]),
+            ({("a", "a"), ("b", "b"), ("c", "c"), ("a", "b")},
+             ["symmetric at ('a', 'b')"]),
+            ({("a", "a"), ("b", "b"), ("c", "c"),
+              ("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")},
+             ["transitive at ('a', 'b', 'c')", "transitive at ('c', 'b', 'a')"])]:
+        with pytest.raises(NotEquivalence) as err:
+            Setoid(("a", "b", "c"), pairs)
+        assert str(err.value) in [f"relation fails {v}" for v in violations]
+
+
+@DIFF
+@given(seeds)
+def test_a_hand_built_pair_set_is_labelled_as_make_setoid_labels_it(seed):
+    rng = random.Random(seed)
+    els = [f"x{k}" for k in range(rng.randint(1, 5))]
+    pairs = {(rng.choice(els), rng.choice(els)) for _ in range(rng.randint(0, 8))}
+    if rng.random() < 0.5:
+        pairs = set(closure_rst(els, pairs))
+        if rng.random() < 0.5:  # break one pair, so near-equivalences appear
+            pairs.discard(rng.choice(sorted(pairs)))
+    bad = check_equivalence(els, frozenset(pairs))
+    got = outcome(Setoid, els, pairs)
+    if bad:
+        assert got == (NotEquivalence, f"relation fails {bad[0]} at {bad[1]}")
+    else:
+        assert got[1].class_id == make_setoid(els, pairs).class_id

@@ -26,6 +26,7 @@ from bspec.setoid import (
     _fn,
     _value_ids,
     check_extensional,
+    closure_rst,
     compose,
     identity,
     make_fn,
@@ -42,7 +43,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 def _random_setoid(rng, prefix):
     """A carrier of up to five elements: discrete, merged, or built by hand
-    from a pair set that need not be an equivalence."""
+    from the equivalence a random pair set generates."""
     els = tuple(f"{prefix}{k}" for k in range(rng.randint(1, 5)))
     kind = rng.choice(["discrete", "merged", "pairs"])
     if kind == "discrete":
@@ -50,7 +51,7 @@ def _random_setoid(rng, prefix):
     if kind == "merged":
         return setoid_by_key(els, [rng.randrange(2) for _ in els])
     pairs = {(rng.choice(els), rng.choice(els)) for _ in range(rng.randint(0, 8))}
-    return Setoid(els, pairs)
+    return Setoid(els, closure_rst(els, pairs))
 
 
 def _random_fn(rng, dom, cod):
@@ -62,9 +63,7 @@ def _random_fn(rng, dom, cod):
 
 def _copy(X):
     """A carrier with X's elements and equality that is not X itself."""
-    if X.closed:
-        return Setoid(X.elements, class_id=dict(X.class_id))
-    return Setoid(X.elements, X.pairs)
+    return Setoid(X.elements, class_id=dict(X.class_id))
 
 
 def _parts(f):

@@ -434,3 +434,22 @@ def test_a_cofinal_block_over_another_index_is_refused():
                if law.startswith("cofinal.")]
     assert refused == [
         ("fail", ["error (cofinal EVENS is over OTHER, not EO1, the index of EOSPEC)"])]
+
+
+DEFAULT_SUITE = Path(__file__).resolve().parent / "documents" / "contravariant-default-suite.bsp"
+
+
+def test_the_default_suite_checks_sum_equality_only_on_covariant_spectra():
+    # the document is fixtures/inverse.bsp without its suite: REV is
+    # contravariant, so the default suite has no equivalence check
+    checks = _checks(DEFAULT_SUITE.read_text())
+    assert [law for law, status, _ in checks if status != "pass"] == []
+    assert not any(law.startswith("equivalence.") for law, _, _ in checks)
+    # asked for, it is refused as before
+    text = _suite_of(INVERSE.read_text(), "equivalence REV")
+    assert _checks(text) == [
+        ("equivalence.run", "fail", ["error (direct sum equality needs a covariant family)"])]
+    # a covariant spectrum's default suite keeps it
+    constant = (INVERSE.parent / "constant.bsp").read_text()
+    default = constant[:constant.index("suite main {")]
+    assert ("equivalence.CONST.laws", "pass", []) in _checks(default)
