@@ -60,12 +60,11 @@ def _row_ids(elements, pairs):
     rows = {}
     for a, b in pairs:
         rows.setdefault(a, []).append(b)
-    known, ids, n = frozenset(elements), {}, 0
+    ids, n = {}, 0
     for a in elements:
         if a not in ids:
             for b in rows[a]:
-                if b in known:
-                    ids[b] = n
+                ids[b] = n
             n += 1
     return ids
 
@@ -77,14 +76,21 @@ class Setoid:
     carriers with the same elements have the same equality exactly when
     they have the same labelling.  The constructors in this package pass
     the classes as keys (`setoid_by_key`).  A carrier built from a pair set
-    is labelled by its rows, and the pairs must be an equivalence: any
-    other relation raises `NotEquivalence`, naming its first violation.
+    is labelled by its rows, and the pairs must be an equivalence on the
+    elements: a pair naming anything else raises `UnknownElement`, as
+    `make_setoid` does, and any other relation raises `NotEquivalence`,
+    naming its first violation.
     """
 
     def __init__(self, elements, pairs=None, class_id=None):
         self.elements = tuple(elements)
         if class_id is None:
             pairs = frozenset(pairs)
+            known = frozenset(self.elements)
+            for a, b in pairs:
+                if a not in known or b not in known:
+                    raise UnknownElement(
+                        f"equality pair ({a}, {b}) mentions unknown element")
             bad = check_equivalence(self.elements, pairs)
             if bad:
                 raise NotEquivalence(f"relation fails {bad[0]} at {bad[1]}")

@@ -61,7 +61,7 @@ def Q(x, den=None):
 class RFun:
     """A rational-valued table on a carrier; extensional by construction."""
 
-    __slots__ = ("carrier", "values")
+    __slots__ = ("carrier", "values", "__weakref__")
 
     def __init__(self, carrier, values):
         vals = {}
@@ -147,12 +147,10 @@ def _respects_classes(h):
     return h.dom.is_discrete() or check_extensional(h)[0]
 
 
-def _pull_backs(fs, h, respects=None):
+def _pull_backs(fs, h):
     """compose_rfun(f, h) for each RFun f of `fs`, in order, with whether h
-    sends equal elements to equal ones decided once for all of them, or
-    taken from `respects` when the caller has already decided it."""
-    if respects is None:
-        respects = _respects_classes(h)
+    sends equal elements to equal ones decided once for all of them."""
+    respects = _respects_classes(h)
     return [_pull_back(f, h, respects and h.cod.same_as(f.carrier)) for f in fs]
 
 
@@ -342,6 +340,13 @@ class BSpace:
     def blocks(self):
         """The space's Blocks, built on first use and kept with the space."""
         return _blocks(self.carrier.elements, self.gens)
+
+    @cached_property
+    def verdicts(self):
+        """The space's certification verdicts (`_certified`), kept with the
+        space: a key of value ids and certificate ids -> (table,
+        certificate, report)."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -617,12 +622,12 @@ def check_morphism(src, dst, w):
         findings.append(Finding("map-carriers"))
     if findings:
         return findings
-    # h is extensional and on its carriers, as just shown
-    for k, pulled in enumerate(_pull_backs(dst.gens, w.h, True)):
+    for k, g in enumerate(dst.gens):
         if k not in w.certs:
             findings.append(Finding("missing-certificate", (dst.names[k],)))
             continue
-        rep = validate_certificate(src, pulled, w.certs[k])
+        # h is extensional and on its carriers, as just shown
+        rep = _certified(src, g, w.h, True, w.certs[k])[1]
         if not rep.ok:
             findings.extend(
                 Finding("witness-certificate", (dst.names[k],), str(f))
@@ -634,24 +639,61 @@ def certify_map(src, dst, h, label, findings, where=(), known=None):
     """The witness for h: src -> dst, each generator of dst pulled back
     along h and certified over src by certificate_for.
 
-    Each certificate built here is validated here, once; a failure is
-    recorded in `findings` as `{label}-witness-certificate` at
-    where + (generator name,).  A generator with no certificate is left
-    None and recorded as `{label}-cert` at where + (k,).  One in `known`
-    keeps the certificate given there, for the law that reads it to check.
+    Each certificate built here is validated, once per table over src
+    (`_certified`); a failure is recorded in `findings` as
+    `{label}-witness-certificate` at where + (generator name,).  A
+    generator with no certificate is left None and recorded as
+    `{label}-cert` at where + (k,).  One in `known` keeps the certificate
+    given there, for the law that reads it to check.
     """
     certs = dict(known or {})
-    ks = list(filterfalse(certs.__contains__, range(len(dst.gens))))
-    for k, pulled in zip(ks, _pull_backs(list(map(dst.gens.__getitem__, ks)), h)):
-        certs[k] = certificate_for(src, pulled)
-        if certs[k] is None:
+    respects = _respects_classes(h)
+    for k in filterfalse(certs.__contains__, range(len(dst.gens))):
+        certs[k], rep = _certified(src, dst.gens[k], h, respects)
+        if rep is None:
             findings.append(Finding(f"{label}-cert", where + (k,)))
             continue
-        rep = validate_certificate(src, pulled, certs[k])
         findings.extend(Finding(f"{label}-witness-certificate",
                                 where + (dst.names[k],), str(f))
                         for f in rep.findings)
     return MorphismWitness(h, certs)
+
+
+def _certified(src, g, h, respects, *given):
+    """Pull the generator g back along h and certify the table over src:
+    (certificate, report) for the one certificate in `given`, validated,
+    or with none given for certificate_for's, (None, None) when there is
+    none.  `respects` says whether h sends equal elements to equal ones.
+
+    When h starts at src's own carrier object, the verdict is read from
+    src.verdicts, or made and kept there.  The key is the ids of the
+    table's values in carrier order, with the id of the given
+    certificate.  Each entry holds the table (whose values are those very
+    objects) and the certificate it keys on, so no id is reused while the
+    space lives; equal values held as distinct objects only miss.  A
+    certificate found is kept under its own id as well, so checking it
+    again on the same table is a lookup.
+    """
+    key = memo = None
+    if h.dom is src.carrier:
+        key = (tuple(map(id, map(g.values.__getitem__,
+                                 map(h.mapping.__getitem__, src.carrier.elements)))),
+               *map(id, given))
+        memo = src.verdicts
+        entry = memo.get(key)
+        if entry is not None:
+            return entry[1:]
+    pulled = _pull_back(g, h, respects and h.cod.same_as(g.carrier))
+    if given:
+        cert, = given
+    else:
+        cert = certificate_for(src, pulled)
+    rep = None if cert is None and not given else validate_certificate(src, pulled, cert)
+    if memo is not None:
+        memo[key] = entry = (pulled, cert, rep)
+        if not given and cert is not None:
+            memo[key + (id(cert),)] = entry
+    return cert, rep
 
 
 def raise_first(findings, exc, miss):

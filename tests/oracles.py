@@ -7,7 +7,7 @@ path gives the same answer.  The last section holds helpers that nothing in
 """
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import filterfalse, product as iproduct
 
 from bspec.families import (
     CONTRAVARIANT,
@@ -34,6 +34,7 @@ from bspec.setoid import (
     fn_equal,
     identity,
     make_fn,
+    check_extensional,
     product_setoid,
     unique_classwise,
 )
@@ -50,10 +51,12 @@ from bspec.topology import (
     RuleMismatch,
     ValueCodes,
     _interpolant,
+    _pull_backs,
     babs,
     baffine,
     bneg,
     cert_scale,
+    certificate_for,
     certify_map,
     check_morphism,
     check_morphism_as,
@@ -162,6 +165,46 @@ def find_certificate_per_call(sp, target):
         h_cert = term if h_cert is None else CAdd(h_cert, term)
     phi = _interpolant(sorted(zip(h, map(target.values.__getitem__, firsts))))
     return CBic(phi, h_cert)
+
+
+def certify_map_per_call(src, dst, h, label, findings, where=(), known=None):
+    """certify_map before a space kept its verdicts: each generator of dst
+    is pulled back, searched for and validated afresh."""
+    certs = dict(known or {})
+    ks = list(filterfalse(certs.__contains__, range(len(dst.gens))))
+    for k, pulled in zip(ks, _pull_backs(list(map(dst.gens.__getitem__, ks)), h)):
+        certs[k] = certificate_for(src, pulled)
+        if certs[k] is None:
+            findings.append(Finding(f"{label}-cert", where + (k,)))
+            continue
+        rep = validate_certificate(src, pulled, certs[k])
+        findings.extend(Finding(f"{label}-witness-certificate",
+                                where + (dst.names[k],), str(f))
+                        for f in rep.findings)
+    return MorphismWitness(h, certs)
+
+
+def check_morphism_per_call(src, dst, w):
+    """check_morphism before a space kept its verdicts: each given
+    certificate is validated afresh."""
+    findings = []
+    ok, witness = check_extensional(w.h)
+    if not ok:
+        findings.append(Finding("map-extensional", witness))
+    if not (w.h.dom.same_as(src.carrier) and w.h.cod.same_as(dst.carrier)):
+        findings.append(Finding("map-carriers"))
+    if findings:
+        return findings
+    for k, pulled in enumerate(_pull_backs(dst.gens, w.h)):
+        if k not in w.certs:
+            findings.append(Finding("missing-certificate", (dst.names[k],)))
+            continue
+        rep = validate_certificate(src, pulled, w.certs[k])
+        if not rep.ok:
+            findings.extend(
+                Finding("witness-certificate", (dst.names[k],), str(f))
+                for f in rep.findings)
+    return findings
 
 
 def find_certificate_exhaustive(sp, target, depth=4, cap=2000):

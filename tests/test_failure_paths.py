@@ -6,6 +6,13 @@ caller reports, in order.  A certificate is made to miss by replacing
 `certificate_for` in every kernel module that holds it; a round trip is
 made to fail by having `make_fn` send the first class of one map's domain
 where its last class goes.
+
+A space keeps its verdicts (`BSpace.verdicts`), so `certificate_for` is
+asked once per distinct (space, table), and a miss there is the verdict
+for every generator that pulls back to that table.  A scenario that pins
+one finding therefore has its victim on a table of its own.  Every space
+a test patches against is built inside that test, so no faked verdict
+outlives it.
 """
 
 from fractions import Fraction
@@ -13,13 +20,18 @@ from fractions import Fraction
 import pytest
 
 from bspec import duality, limits, spectra, topology
-from bspec.families import CONTRAVARIANT, COVARIANT, identity_family_map
+from bspec.families import (
+    CONTRAVARIANT,
+    COVARIANT,
+    constant_direct_family,
+    identity_family_map,
+)
 from bspec.limits import LimitError, IllFormedLegs, Limits, direct_limit
 from bspec.setoid import discrete
 from bspec.spectra import SpectrumError, constant_spectrum
 from bspec.topology import CConst, MorphismWitness, RFun, rconst, space
 
-from structures import chain3, constant_cspec, cspec, eo_cofinal, eo_index, x2_space
+from structures import chain3, constant_cspec, cspec, eo_cofinal, eo_index, x2, x2_space
 
 
 def laws(findings):
@@ -32,7 +44,9 @@ def laws(findings):
 def miss(monkeypatch, prefix, n=0, wrong=False):
     """certificate_for misses (or, with wrong, answers a certificate of the
     constant 99) on call number n, counted from 0, over a space whose first
-    generator name starts with prefix."""
+    generator name starts with prefix.  Each call is a search for a
+    distinct (space, table): a table searched before is answered from the
+    space's verdicts."""
     real = topology.certificate_for
     calls = []
 
@@ -226,9 +240,11 @@ def _skew_pairs(dom, cod):
 ])
 def test_product_limit_bijection_certificate_paths(monkeypatch, prefix, n, wrong,
                                                    expected):
-    s = constant_cspec()
+    # two spectra built apart: their constant threads hold other objects,
+    # so thr1.1 and thr1.2 pull back to tables of their own
+    s, t = constant_cspec(), constant_cspec()
     miss(monkeypatch, prefix, n=n, wrong=wrong)
-    assert laws(limits.product_limit_bijection(s, s, Limits()).findings) == expected
+    assert laws(limits.product_limit_bijection(s, t, Limits()).findings) == expected
 
 
 def test_product_limit_bijection_not_injective(monkeypatch):
@@ -267,7 +283,13 @@ def test_converse_dual_inverse_paths(monkeypatch, prefix, n, wrong, expected):
     (1, True, [("to-hom-witness-certificate", ("ev[p,thr1]",))]),
 ])
 def test_converse_dual_direct_paths(monkeypatch, n, wrong, expected):
-    s, sp, pools = _duality_direct()
+    # thread 1 is the generator 1 - f, not a constant, so ev[p,thr1] and
+    # ev[q,thr1] pull back to different tables
+    carrier = x2()
+    two = space(carrier, [RFun(carrier, {"p": 0, "q": 1}),
+                          RFun(carrier, {"p": 1, "q": 0})], ["f", "g"])
+    s, sp = constant_spectrum(chain3(), two), x2_space()
+    pools = _pools(s, lambda i: sp, s.space)
     miss(monkeypatch, "thr", n=n, wrong=wrong)
     assert laws(duality.converse_dual_direct(s, sp, pools, Limits()).findings) == expected
 
@@ -377,7 +399,12 @@ def test_converse_dual_direct_checks_the_lifted_certificates(monkeypatch):
 
 
 def test_autofill_raises_on_a_miss(monkeypatch):
-    s = constant_cspec()
+    # the constant family on X2 with a space of its own at each index:
+    # their generators hold other objects, so edges (0, 1) and (0, 2) pull
+    # back tables of their own over the space at 0
+    fam = constant_direct_family(chain3(), x2())
+    spaces = {i: space(fam.carrier(i), [RFun(fam.carrier(i), {"p": 0, "q": 1})], ["f"])
+              for i in fam.index.elements}
     miss(monkeypatch, "f", n=1)
     with pytest.raises(SpectrumError, match=r"generator 0 on edge \(0, 2\)"):
-        spectra.complete_witnesses(s.fam, s.spaces)
+        spectra.complete_witnesses(fam, spaces)

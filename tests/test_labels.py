@@ -2,8 +2,8 @@
 ids are checked here against scans of the pair set they replaced, on random
 carriers and maps, and a carrier built by hand from a pair set is labelled
 as `make_setoid` labels it, or refused when the pairs are not an
-equivalence.  Hypothesis runs derandomized, so the suite stays
-deterministic."""
+equivalence on its elements.  Hypothesis runs derandomized, so the suite
+stays deterministic."""
 
 import random
 
@@ -207,3 +207,16 @@ def test_a_hand_built_pair_set_is_labelled_as_make_setoid_labels_it(seed):
         assert got == (NotEquivalence, f"relation fails {bad[0]} at {bad[1]}")
     else:
         assert got[1].class_id == make_setoid(els, pairs).class_id
+
+
+def test_pairs_naming_an_unknown_element_are_refused():
+    # the relation is an equivalence on its own elements, but "z" is not
+    # one of the carrier's
+    pairs = {("a", "a"), ("z", "z")}
+    message = r"^equality pair \(z, z\) mentions unknown element$"
+    with pytest.raises(UnknownElement, match=message):
+        make_setoid(["a"], pairs)
+    with pytest.raises(UnknownElement, match=message):
+        Setoid(["a"], pairs)
+    with pytest.raises(UnknownElement, match=message):
+        quotient_by(make_setoid(["a"]), pairs)
