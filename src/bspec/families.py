@@ -7,6 +7,7 @@ composition path checked to agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .order import DirectedIndex
 from .report import Finding
@@ -84,6 +85,13 @@ class DirectFamily:
 
     def top(self):
         return self.index.top
+
+    @cached_property
+    def lawful(self):
+        """Whether the family laws hold (`_direct_family_laws_hold`),
+        decided on first read and kept with the family, so a family made by
+        `make_direct_family` and then checked again is decided once."""
+        return _direct_family_laws_hold(self)
 
 
 def _class_inverse(fn):
@@ -184,10 +192,11 @@ def validate_direct_family(F):
     """Every failed identity, extensionality and composition law.
 
     The laws are decided on class-id tables (`_direct_family_laws_hold`),
-    on a partial order along covers only; only a family they do not show
-    lawful is scanned over every triple i <= j <= k, to list its findings.
+    on a partial order along covers only, once per family (`F.lawful`);
+    only a family they do not show lawful is scanned over every triple
+    i <= j <= k, to list its findings.
     """
-    if _direct_family_laws_hold(F):
+    if F.lawful:
         return []
     return _validate_direct_family_scan(F)
 

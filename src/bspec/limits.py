@@ -31,12 +31,12 @@ from .setoid import (
     SetoidFn,
     Tag,
     _fn,
+    check_extensional,
     compose,
     fn_equal,
     is_embedding,
     make_fn,
     setoid_by_key,
-    unique_classwise,
 )
 from .spectra import (
     Spectrum,
@@ -73,7 +73,10 @@ class NonUnique(LimitError):
 class Mediator(MorphismWitness):
     """A mediating morphism with the outcome of its uniqueness check: True
     when the check confirmed it, None when the |codomain|^|classes|
-    class-constant candidates exceed the bound and the check did not run."""
+    class-constant candidates exceed the bound and the check did not run.
+    The check reads the class ids each domain class admits
+    (`_unique_on_class_ids`), in one pass over the domain: O(|domain|) for
+    a direct limit, O((|apex| + |limit|)·|index|) for an inverse limit."""
 
     unique: bool | None = None
 
@@ -96,6 +99,11 @@ class Legs:
 def validate_legs(s, c):
     """A leg at every index and every triangle commuting.
 
+    The triangles are checked along the covers of the index only when
+    that decides them all (`_cover_triangles_hold`); when a cover triangle
+    fails, or the covers do not decide, every order pair is scanned, so the
+    findings are the scan's.
+
     The legs are not checked as morphisms here: every `Legs` the kernel or
     a document makes comes from `certify_map`, which validates each
     certificate it makes, and each mediator checks its own certificates,
@@ -106,13 +114,47 @@ def validate_legs(s, c):
         if i not in c.legs:
             findings.append(Finding("leg-missing", (i,)))
             return findings
+    if _cover_triangles_hold(s, c):
+        return findings
     for i, j in s.fam.order_pairs():
         if i == j:
             continue
-        via = compose(*oriented(s.direction, s.fam.transport(i, j), c.legs[j].h))
-        if not fn_equal(via, c.legs[i].h):
+        if not _triangle_commutes(s, c, i, j):
             findings.append(Finding("triangle", (i, j)))
     return findings
+
+
+def _triangle_commutes(s, c, i, j):
+    """Whether the transport of i <= j and the leg at one end compose to
+    the leg at the other."""
+    via = compose(*oriented(s.direction, s.fam.transport(i, j), c.legs[j].h))
+    return fn_equal(via, c.legs[i].h)
+
+
+def _cover_triangles_hold(s, c):
+    """Whether every triangle commutes, shown on the covers i < j alone;
+    False when that does not show it.
+
+    The covers decide when the index is a partial order, the family is
+    lawful (`DirectFamily.lawful`, kept on the family, so this is one read)
+    and, over a covariant spectrum, every leg is extensional.  For i < j
+    take a cover i < m <= j:
+    by induction on the longest chain from i to j, the leg at m is the leg
+    at j after the transport of m <= j.  Covariantly, leg_i(x) is then
+    leg_j(lambda_mj(lambda_im(x))), which is leg_j(lambda_ij(x)) because
+    the composite is lambda_ij up to equality and leg_j is extensional.
+    Contravariantly, leg_i(y) is lambda_im(lambda_mj(leg_j(y))), which is
+    lambda_ij(leg_j(y)) because lambda_im is extensional, as every
+    transport of a lawful family is.
+    """
+    covers = s.index.covers
+    if covers is None or not s.fam.lawful:
+        return False
+    if s.direction == COVARIANT and not all(
+            check_extensional(c.legs[i].h)[0] for i in s.index.elements):
+        return False
+    return all(_triangle_commutes(s, c, i, j)
+               for i in s.index.elements for j in covers[i])
 
 
 def commutes(s, lim, c, h):
@@ -225,15 +267,44 @@ def _check_unique_mediator(lim, c, h, bound):
     apex = c.apex.carrier
     if len(apex.elements) ** len(classes) > bound:
         return None  # uniqueness unbounded; callers report it as skipped
-    leg_at = {Tag((i, x)): c.legs[i].h(x)
-              for i in lim.spectrum.index.elements
-              for x in lim.spectrum.fam.carrier(i).elements}
-    if not unique_classwise(
-            classes, apex.elements,
-            lambda cls, v: all(apex.eq(v, leg_at[a]) for a in cls),
-            lambda cls, v: any(not apex.eq(v, h(a)) for a in cls)):
+    # the token (i, x) admits the apex class of leg_i(x)
+    apex_id = apex.class_id
+    legs = {i: c.legs[i].h.mapping for i in lim.spectrum.index.elements}
+    admits = {a: apex_id[legs[a[0]][a[1]]] for cls in classes for a in cls}
+    if not _unique_on_class_ids(classes, admits, {k: {k} for k in admits.values()},
+                                {a: apex_id[v] for a, v in h.mapping.items()}):
         raise NonUnique("a second mediator satisfies all triangles")
     return True
+
+
+def _unique_on_class_ids(classes, admits, admitted, value_id):
+    """Whether the given map is the only class-constant map on `classes`
+    meeting the legs' constraint, decided on class ids: the answer of the
+    enumeration of every such map (kept in tests/oracles.py), in one pass
+    over the members.
+
+    Each member x admits the target values of one group, `admits[x]`, and
+    distinct groups are disjoint, so a class admits the group its members
+    share, or nothing when they do not share one.  `admitted[g]` is the
+    set of target class ids of the values of group g (absent when there
+    are none), and `value_id[x]` the class id of the given map's value at
+    x.  When some class admits nothing, no map meets the constraint and
+    the given one is vacuously unique; otherwise a second one exists
+    exactly when some class admits a value outside the class of the given
+    map's value at one of its members.
+    """
+    second = False
+    for cls in classes:
+        group = admits[cls[0]]
+        ids = admitted.get(group)
+        if not ids:
+            return True
+        for x in cls:
+            if admits[x] != group:
+                return True
+            if ids != {value_id[x]}:
+                second = True
+    return not second
 
 
 def limit_map(s, t, psi, lims):
@@ -484,15 +555,22 @@ def _check_unique_cone_mediator(s, lim, c, h, bound):
     classes = c.apex.carrier.classes()
     if len(lim.carrier.elements) ** len(classes) > bound:
         return None
-    legs = [(i, s.fam.carrier(i).eq, c.legs[i].h) for i in s.index.elements]
-
-    def admissible(cls, tok):
+    lim_id = lim.carrier.class_id
+    # a choice's key is its components' class ids in index order, read off
+    # each token's own assignment (not `lim.by_key`, which trusts the
+    # construction this check is there to catch); the apex element y
+    # admits the tokens whose key is the key of the legs at y
+    at = [(s.fam.carrier(i).class_id, c.legs[i].h.mapping, i)
+          for i in s.index.elements]
+    admitted = {}
+    for tok in lim.carrier.elements:
         a = lim.assignments[tok]
-        return all(eq(a[i], leg(y)) for y in cls for i, eq, leg in legs)
-
-    if not unique_classwise(
-            classes, lim.carrier.elements, admissible,
-            lambda cls, tok: any(not lim.carrier.eq(tok, h(y)) for y in cls)):
+        admitted.setdefault(tuple([ids[a[i]] for ids, _, i in at]),
+                            set()).add(lim_id[tok])
+    admits = {y: tuple([ids[leg[y]] for ids, leg, _ in at])
+              for cls in classes for y in cls}
+    if not _unique_on_class_ids(classes, admits, admitted,
+                                {y: lim_id[v] for y, v in h.mapping.items()}):
         raise NonUnique("a second cone mediator satisfies all triangles")
     return True
 

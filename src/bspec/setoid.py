@@ -445,23 +445,3 @@ def factor_through_quotient(f, Q):
     if bad:
         raise NotClassConstant(f"map separates identified pair ({bad[0]}, {bad[1]})")
     return SetoidFn(Q.carrier, f.cod, f.table())
-
-
-def unique_classwise(classes, values, admissible, differs):
-    """Decide uniqueness among class-constant maps one class at a time.
-
-    A candidate sends every class to one of `values`.  It satisfies the
-    constraint when `admissible(cls, v)` holds for its value v on every
-    class, and it differs from the given map when `differs(cls, v)` holds
-    on some class.  The satisfying candidates are therefore the product of
-    the classes' admissible values: if some class admits no value there is
-    no satisfying candidate, and the given map is vacuously unique;
-    otherwise a second one exists iff some class admits a value that
-    differs.  This is the answer of the |values|^|classes| enumeration,
-    from |classes| * |values| calls of `admissible`.
-    """
-    admitted = [(cls, [v for v in values if admissible(cls, v)])
-                for cls in classes]
-    if any(not vs for _, vs in admitted):
-        return True
-    return not any(differs(cls, v) for cls, vs in admitted for v in vs)

@@ -155,13 +155,17 @@ def make_spectrum(fam, spaces, witness_certs=None, pool=(0, 1)):
 
 
 def constant_spectrum(index, sp, pool=(0, 1), direction=COVARIANT):
-    """One space, identity transports, generator certificates everywhere."""
+    """One space, identity transports, generator certificates everywhere.
+
+    Every edge holds the same certificate objects, so `BSpace.verdicts`
+    validates each one once for the space, not once per edge."""
     fam = constant_direct_family(index, sp.carrier, direction)
     spaces = {i: sp for i in index.elements}
+    gens = [CGen(k) for k in range(len(sp.gens))]
     certs = {}
     for i, j in fam.order_pairs():
         if i != j:
-            certs[(i, j)] = {k: CGen(k) for k in range(len(sp.gens))}
+            certs[(i, j)] = dict(enumerate(gens))
     return Spectrum(fam, spaces, certs, pool)
 
 

@@ -30,13 +30,13 @@ from bspec.spectra import Spectrum, SpectrumError, Thread
 from bspec.setoid import (
     Pair,
     SetoidFn,
+    Tag,
     compose,
     fn_equal,
     identity,
     make_fn,
     check_extensional,
     product_setoid,
-    unique_classwise,
 )
 from bspec.topology import (
     BID,
@@ -113,6 +113,63 @@ def check_unique_cone_mediator_exhaustive(s, lim, c, h, bound):
         if agrees and not fn_equal(cand, h):
             raise NonUnique("a second cone mediator satisfies all triangles")
     return True
+
+
+def check_unique_mediator_classwise(lim, c, h, bound):
+    """limits._check_unique_mediator before it read class ids: one
+    `unique_classwise` decision over the apex values."""
+    classes = lim.carrier.classes()
+    apex = c.apex.carrier
+    if len(apex.elements) ** len(classes) > bound:
+        return None
+    leg_at = {Tag((i, x)): c.legs[i].h(x)
+              for i in lim.spectrum.index.elements
+              for x in lim.spectrum.fam.carrier(i).elements}
+    if not unique_classwise(
+            classes, apex.elements,
+            lambda cls, v: all(apex.eq(v, leg_at[a]) for a in cls),
+            lambda cls, v: any(not apex.eq(v, h(a)) for a in cls)):
+        raise NonUnique("a second mediator satisfies all triangles")
+    return True
+
+
+def check_unique_cone_mediator_classwise(s, lim, c, h, bound):
+    """limits._check_unique_cone_mediator before it read class ids: one
+    `unique_classwise` decision over the limit's tokens."""
+    classes = c.apex.carrier.classes()
+    if len(lim.carrier.elements) ** len(classes) > bound:
+        return None
+    legs = [(i, s.fam.carrier(i).eq, c.legs[i].h) for i in s.index.elements]
+
+    def admissible(cls, tok):
+        a = lim.assignments[tok]
+        return all(eq(a[i], leg(y)) for y in cls for i, eq, leg in legs)
+
+    if not unique_classwise(
+            classes, lim.carrier.elements, admissible,
+            lambda cls, tok: any(not lim.carrier.eq(tok, h(y)) for y in cls)):
+        raise NonUnique("a second cone mediator satisfies all triangles")
+    return True
+
+
+def unique_classwise(classes, values, admissible, differs):
+    """Decide uniqueness among class-constant maps one class at a time.
+
+    A candidate sends every class to one of `values`.  It satisfies the
+    constraint when `admissible(cls, v)` holds for its value v on every
+    class, and it differs from the given map when `differs(cls, v)` holds
+    on some class.  The satisfying candidates are therefore the product of
+    the classes' admissible values: if some class admits no value there is
+    no satisfying candidate, and the given map is vacuously unique;
+    otherwise a second one exists iff some class admits a value that
+    differs.  This is the answer of the |values|^|classes| enumeration,
+    from |classes| * |values| calls of `admissible`.
+    """
+    admitted = [(cls, [v for v in values if admissible(cls, v)])
+                for cls in classes]
+    if any(not vs for _, vs in admitted):
+        return True
+    return not any(differs(cls, v) for cls, vs in admitted for v in vs)
 
 
 def verify_unique_factoring_exhaustive(f, Q, g, bound=1_000_000):
@@ -563,6 +620,23 @@ def validate_spectrum_scan(s):
                                           s.edge_witness(*second))
             for f in check_morphism(src, tgt, composite):
                 findings.append(Finding("composite-" + f.law, (i, j, k)))
+    return findings
+
+
+def validate_legs_scan(s, c):
+    """limits.validate_legs before it read covers: every triangle of every
+    order pair i < j checked."""
+    findings = []
+    for i in s.index.elements:
+        if i not in c.legs:
+            findings.append(Finding("leg-missing", (i,)))
+            return findings
+    for i, j in s.fam.order_pairs():
+        if i == j:
+            continue
+        via = compose(*oriented(s.direction, s.fam.transport(i, j), c.legs[j].h))
+        if not fn_equal(via, c.legs[i].h):
+            findings.append(Finding("triangle", (i, j)))
     return findings
 
 

@@ -1,7 +1,8 @@
-"""Differential tests: the classwise uniqueness decision and the certificate
-construction against the exhaustive paths they replaced (kept in
-`oracles.py`).  Hypothesis runs derandomized, so the suite
-stays deterministic."""
+"""Differential tests: the uniqueness decision on class ids against the
+enumeration of every candidate and the class-by-class decision it replaced,
+and the certificate construction against the exhaustive search (all kept in
+`oracles.py`).  Hypothesis runs derandomized, so the suite stays
+deterministic."""
 
 import random
 from fractions import Fraction
@@ -28,7 +29,6 @@ from bspec.setoid import (
     factor_through_quotient,
     make_setoid,
     quotient_by,
-    unique_classwise,
 )
 from bspec.topology import (
     MorphismWitness,
@@ -40,9 +40,12 @@ from bspec.topology import (
     validate_certificate,
 )
 from oracles import (
+    check_unique_cone_mediator_classwise,
     check_unique_cone_mediator_exhaustive,
+    check_unique_mediator_classwise,
     check_unique_mediator_exhaustive,
     find_certificate_exhaustive,
+    unique_classwise,
     verify_unique_factoring,
     verify_unique_factoring_exhaustive,
 )
@@ -149,17 +152,34 @@ def _factoring_case(seed):
 @given(seeds)
 def test_cocone_uniqueness_matches_enumeration(seed):
     for lim, c, h, bound in _cocone_cases(seed):
-        assert (_outcome(_check_unique_mediator, lim, c, h, bound)
-                == _outcome(check_unique_mediator_exhaustive, lim, c, h, bound))
+        keyed = _outcome(_check_unique_mediator, lim, c, h, bound)
+        assert keyed == _outcome(check_unique_mediator_exhaustive, lim, c, h, bound)
+        assert keyed == _outcome(check_unique_mediator_classwise, lim, c, h, bound)
 
 
 @FAST
 @given(seeds)
 def test_cone_uniqueness_matches_enumeration(seed):
     for s, lim, c, h, bound in _cone_cases(seed):
-        assert (_outcome(_check_unique_cone_mediator, s, lim, c, h, bound)
-                == _outcome(check_unique_cone_mediator_exhaustive,
-                            s, lim, c, h, bound))
+        keyed = _outcome(_check_unique_cone_mediator, s, lim, c, h, bound)
+        assert keyed == _outcome(check_unique_cone_mediator_exhaustive,
+                                 s, lim, c, h, bound)
+        assert keyed == _outcome(check_unique_cone_mediator_classwise,
+                                 s, lim, c, h, bound)
+
+
+@FAST
+@given(seeds)
+def test_keyed_uniqueness_matches_the_classwise_decision_unbounded(seed):
+    """The keyed decision against `unique_classwise` with no bound, where
+    the enumeration would be too large to run."""
+    for lim, c, h, _ in _cocone_cases(seed):
+        assert (_outcome(_check_unique_mediator, lim, c, h, float("inf"))
+                == _outcome(check_unique_mediator_classwise, lim, c, h, float("inf")))
+    for s, lim, c, h, _ in _cone_cases(seed):
+        assert (_outcome(_check_unique_cone_mediator, s, lim, c, h, float("inf"))
+                == _outcome(check_unique_cone_mediator_classwise,
+                            s, lim, c, h, float("inf")))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -201,9 +221,9 @@ def test_defective_inverse_limit_is_not_unique():
         for i in s.index.elements})
     h = SetoidFn(apex.carrier, carrier, {"y": "t1"})
     expected = ("NonUnique", "a second cone mediator satisfies all triangles")
-    assert _outcome(_check_unique_cone_mediator, s, lim, cone, h, 10) == expected
-    assert _outcome(check_unique_cone_mediator_exhaustive,
-                    s, lim, cone, h, 10) == expected
+    for check in (_check_unique_cone_mediator, check_unique_cone_mediator_exhaustive,
+                  check_unique_cone_mediator_classwise):
+        assert _outcome(check, s, lim, cone, h, 10) == expected
 
 
 def test_factoring_with_no_admissible_value_is_unique():

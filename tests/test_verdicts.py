@@ -15,11 +15,14 @@ import weakref
 from fractions import Fraction
 from itertools import product as iproduct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bspec import duality, topology
 from bspec.families import CONTRAVARIANT, COVARIANT
+from bspec.order import chain
 from bspec.setoid import Setoid, SetoidFn, make_setoid
+from bspec.spectra import constant_spectrum, validate_spectrum
 from bspec.topology import (
     CConst,
     MorphismWitness,
@@ -231,3 +234,19 @@ def test_a_pool_validates_each_distinct_table_once(monkeypatch):
     assert len(validations) == len(searches) == 8
     tables = {tuple(v.values.values()) for _, v, _ in validations}
     assert len(tables) == 8
+
+
+@pytest.mark.parametrize("direction", [COVARIANT, CONTRAVARIANT])
+def test_a_constant_spectrum_validates_each_generator_once(monkeypatch, direction):
+    # every edge holds the same CGen objects, so the 780 edges of chain(40)
+    # share one verdict per generator
+    validations = counted(monkeypatch, "validate_certificate")
+    carrier = make_setoid(["p", "q", "r"], [("p", "q")])
+    sp = space(carrier, [RFun(carrier, {"p": 0, "q": 0, "r": 1}),
+                         RFun(carrier, {"p": 2, "q": 2, "r": 2})])
+    s = constant_spectrum(chain(40), sp, direction=direction)
+    assert validate_spectrum(s) == []
+    assert len(validations) == len(sp.gens) == 2
+    # and each edge holds its own dict of them
+    edges = list(s.witness_certs.values())
+    assert len(edges) == 780 and len({id(certs) for certs in edges}) == 780
