@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .order import DirectedIndex
+from .order import DirectedIndex, _image_positions, _members, _unordered_images
 from .report import Finding
 from .setoid import (
     SetoidFn,
@@ -319,8 +319,10 @@ def direct_sum_equality(F, i, x, j, y):
 
 
 def direct_sum_equality_exhaustive(F, i, x, j, y):
-    """Oracle for direct_sum_equality: scan every common upper bound."""
-    for k in F.index.common_upper_bounds[(i, j)]:
+    """Oracle for direct_sum_equality: scan every common upper bound, the
+    members of the two rows' intersection."""
+    position, rows = F.index._order
+    for k in _members(F.index.elements, rows[position[i]] & rows[position[j]]):
         if F.carrier(k).eq(F.transport(i, k)(x), F.transport(j, k)(y)):
             return True
     return False
@@ -430,10 +432,9 @@ def all_components_embeddings(m):
 
 def restrict_family(F, sub_index, h):
     """Reindex a direct family along a monotone map of directed indices."""
-    for a in sub_index.elements:
-        for b in sub_index.elements:
-            if sub_index.leq(a, b) and not F.index.leq(h(a), h(b)):
-                raise NotMonotone(f"({a}, {b}) maps to an unordered pair")
+    bad = next(_unordered_images(sub_index, F.index, _image_positions(F.index, h)), None)
+    if bad is not None:
+        raise NotMonotone(f"({bad[0]}, {bad[1]}) maps to an unordered pair")
     carriers = {a: F.carrier(h(a)) for a in sub_index.elements}
     transports = {}
     for a, b in sub_index.order_pairs():

@@ -36,6 +36,9 @@ class DirectedIndex:
     `upper` is total on ordered pairs.  `delta` is an optional coherent
     choice of upper bounds; when present the order must be a poset up to
     carrier equality and the (d1)-(d3) laws are validated.
+
+    `leq` is the checked entry to the order.  Everything else reads it as
+    bit rows (`_order`), built once per index.
     """
 
     base: Setoid
@@ -67,67 +70,51 @@ class DirectedIndex:
         return t
 
     @cached_property
-    def above(self):
-        """i -> the set of elements k with i <= k, read off the pairs."""
-        above = {}
+    def _order(self):
+        """(position, rows): position[k] is the first carrier position of
+        k, and rows[position[i]] has bit n set when i <= elements[n].
+
+        An element named twice in the carrier has a bit at each of its
+        positions, so a row's members list it as often as the carrier does.
+        A pair naming an element off the base sets no bit.
+        """
+        els = self.elements
+        position, bits = {}, {}
+        for n, k in enumerate(els):
+            position.setdefault(k, n)
+            bits[k] = bits.get(k, 0) | 1 << n
+        rows = [0] * len(els)
         for i, k in self.pairs:
-            above.setdefault(i, set()).add(k)
-        return above
+            if i in position and k in position:
+                rows[position[i]] |= bits[k]
+        return position, rows
 
     @cached_property
     def covers(self):
         """i -> the elements that cover i, in carrier order; None unless
-        the pairs are a partial order on the base's elements.
+        the pairs are a partial order on the base's elements, each named
+        once.
 
-        Each strict above-list is a bit mask over carrier positions, as in
-        `_first_upper_bounds`, so the covers of i are strict-above(i) less
-        the union of strict-above(m) over m in strict-above(i).
+        The covers of i are strict-above(i) less the union of
+        strict-above(m) over m in strict-above(i).  The same pass shows
+        the order antisymmetric and transitive: no such m is <= i, and
+        above(m) lies in above(i).
         """
-        masks = self._above_masks
-        if masks is None:
-            return None
+        position, rows = self._order
         els = self.elements
-        strict = [m & ~(1 << n) for n, m in enumerate(masks)]
+        if len(position) != len(els) or sum(map(int.bit_count, rows)) != len(self.pairs):
+            return None  # an element named twice, or a pair off the base
         covers = {}
-        for n, i in enumerate(els):
-            rest, under = strict[n], 0
-            while rest:
-                low = rest & -rest
-                under |= strict[low.bit_length() - 1]
-                rest ^= low
-            covers[i] = _members(els, strict[n] & ~under)
+        for n, row in enumerate(rows):
+            if not row >> n & 1:
+                return None
+            strict, under = row & ~(1 << n), 0
+            for m in _members(range(len(els)), strict):
+                if rows[m] >> n & 1 or rows[m] & ~row:
+                    return None
+                under |= rows[m] & ~(1 << m)
+            covers[els[n]] = tuple(_members(els, strict & ~under))
         return covers
-
-    @cached_property
-    def _above_masks(self):
-        """Each element's above-list as a bit mask over carrier positions,
-        in carrier order; None unless the pairs are a partial order on the
-        base's elements (reflexive, antisymmetric and transitive, each
-        element named once)."""
-        els = self.elements
-        pos = {k: n for n, k in enumerate(els)}
-        if len(pos) != len(els):
-            return None
-        masks = [0] * len(els)
-        for i, k in self.pairs:
-            if i not in pos or k not in pos:
-                return None
-            masks[pos[i]] |= 1 << pos[k]
-        if any(not m >> n & 1 for n, m in enumerate(masks)):
-            return None
-        for i, k in self.pairs:
-            a, b = pos[i], pos[k]
-            if masks[b] & ~masks[a] or (a != b and masks[b] >> a & 1):
-                return None
-        return masks
-
-    @cached_property
-    def common_upper_bounds(self):
-        """(i, j) -> the elements above both i and j, in carrier order."""
-        els = self.elements
-        above = {i: [k for k in els if (i, k) in self.pairs] for i in els}
-        return {(i, j): tuple(k for k in above[i] if (j, k) in self.pairs)
-                for i in els for j in els}
 
     def order_pairs(self):
         """The order pairs, sorted once per index."""
@@ -141,14 +128,12 @@ class DirectedIndex:
         return f"DirectedIndex({list(self.elements)}, rels={len(self.pairs)})"
 
 
-def _members(elements, mask):
-    """The elements at the set bits of mask, in carrier order."""
-    out = []
+def _members(items, mask):
+    """The items at the set bits of mask, in order, one at a time."""
     while mask:
         low = mask & -mask
-        out.append(elements[low.bit_length() - 1])
+        yield items[low.bit_length() - 1]
         mask ^= low
-    return tuple(out)
 
 
 def _close_order(base, pairs):
@@ -182,94 +167,94 @@ def _close_order(base, pairs):
     return frozenset(rel)
 
 
-def _first_upper_bounds(elements, pairs):
-    """(i, j) -> the first element, in carrier order, above both.
-
-    Each element's above-list is a bit mask over carrier positions, so the
-    first common upper bound is the lowest bit of the intersection.
-    """
-    bit = {}
-    for n, k in enumerate(elements):
-        bit.setdefault(k, 1 << n)
-    above = dict.fromkeys(elements, 0)
-    for i, k in pairs:
-        if i in above and k in bit:
-            above[i] |= bit[k]
+def _first_upper_bounds(D):
+    """(i, j) -> the first element, in carrier order, above both: the
+    lowest bit of the two rows' intersection."""
+    position, rows = D._order
+    els = D.elements
     upper = {}
-    for i in elements:
-        for j in elements:
-            common = above[i] & above[j]
+    for i in els:
+        row = rows[position[i]]
+        for j in els:
+            common = row & rows[position[j]]
             if not common:
                 raise NotDirected(f"no upper bound for ({i}, {j})")
-            upper[(i, j)] = elements[(common & -common).bit_length() - 1]
+            upper[(i, j)] = els[(common & -common).bit_length() - 1]
     return upper
 
 
 def make_directed(base, order_pairs):
     """Build a DirectedIndex whose upper-bound witnesses are the first
-    common upper bound in carrier order."""
+    common upper bound in carrier order, read off the index's own rows."""
     if not isinstance(base, Setoid):
         base = make_setoid(base)
-    pairs = _close_order(base, order_pairs)
-    return DirectedIndex(base, pairs, _first_upper_bounds(base.elements, pairs))
+    D = DirectedIndex(base, _close_order(base, order_pairs), {})
+    D.upper.update(_first_upper_bounds(D))
+    return D
 
 
 def validate_directed(D):
     """Every failed invariant with a witness; empty report means valid.
 
-    delta-assoc is decided in O(n^2) when delta is the join of a partial
-    order (`_delta_is_join`); any other delta, or a preorder, is scanned
-    over every triple.
+    Each law reads the rows of `DirectedIndex._order`: one bit test per
+    pair, and findings listed off the rows in carrier order, the order
+    pairs in `order_pairs()` order.  So i <= j <= k fails transitivity at
+    the members of row(j) & ~row(i).  An element off the base raises in
+    `leq`, where a scan over every element would meet it.  delta-assoc is
+    decided in O(n^2) when delta is the join of a partial order
+    (`_delta_is_join`); any other delta, or a preorder, is scanned over
+    every triple.
     """
     findings = []
     els = D.elements
+    position, rows = D._order
+
+    def leq(i, k):
+        """One bit test; D.leq raises on an element off the base."""
+        try:
+            return rows[position[i]] >> position[k] & 1
+        except KeyError:
+            return D.leq(i, k)
+
     for i in els:
-        if not D.leq(i, i):
+        if not leq(i, i):
             findings.append(Finding("leq-reflexive", (i,)))
-    # i <= j <= k forces i <= k exactly when above(j) lies in above(i);
-    # only a relation that fails that, or names an unknown element, is scanned
-    above = D.above
-    if not all(D.base.has(i) and D.base.has(j) and above.get(j, set()) <= above[i]
-               for i, j in D.pairs):
-        for i, j in D.pairs:
-            for k in els:
-                if D.leq(j, k) and not D.leq(i, k):
-                    findings.append(Finding("leq-transitive", (i, j, k)))
+    for i, j in D.order_pairs():
+        if i in position and j in position:
+            ks = _members(els, rows[position[j]] & ~rows[position[i]])
+        else:  # leq raises on the element off the base, as the scan does
+            ks = (k for k in els if leq(j, k) and not leq(i, k))
+        findings.extend(Finding("leq-transitive", (i, j, k)) for k in ks)
     # each i <= j against the members equal to i and to j, in carrier order
     classes, class_id = D.base._classes, D.base.class_id
-    equal = {i: classes[class_id[i]] for i in els}
     for i in els:
-        for j in els:
-            if D.leq(i, j):
-                findings.extend(Finding("leq-extensional", (i, j, i2, j2))
-                                for i2 in equal[i] for j2 in equal[j]
-                                if not D.leq(i2, j2))
+        for j in _members(els, rows[position[i]]):
+            findings.extend(Finding("leq-extensional", (i, j, i2, j2))
+                            for i2 in classes[class_id[i]] for j2 in classes[class_id[j]]
+                            if not leq(i2, j2))
     for i in els:
         for j in els:
             if (i, j) not in D.upper:
                 findings.append(Finding("upper-missing", (i, j)))
                 continue
             k = D.up(i, j)
-            if not (D.leq(i, k) and D.leq(j, k)):
+            if not (leq(i, k) and leq(j, k)):
                 findings.append(Finding("upper-bound", (i, j, k)))
     if D.delta is not None:
         for i in els:
-            for j in els:
-                if D.leq(i, j) and D.leq(j, i) and not D.base.eq(i, j):
-                    findings.append(Finding("delta-needs-poset", (i, j)))
+            findings.extend(Finding("delta-needs-poset", (i, j))
+                            for j in _members(els, rows[position[i]])
+                            if leq(j, i) and not D.base.eq(i, j))
         for i in els:
             for j in els:
                 d = D.delta.get((i, j))
                 if d is None:
                     findings.append(Finding("delta-missing", (i, j)))
                     continue
-                if not (D.leq(i, d) and D.leq(j, d)):
+                if not (leq(i, d) and leq(j, d)):
                     findings.append(Finding("delta-upper", (i, j, d)))
-                if D.leq(i, j):
-                    if not (
-                        D.base.eq(d, D.delta[(j, i)]) and D.base.eq(d, j)
-                    ):
-                        findings.append(Finding("delta-absorb", (i, j)))
+                if leq(i, j) and not (D.base.eq(d, D.delta[(j, i)]) and D.base.eq(d, j)):
+                    findings.append(Finding("delta-absorb", (i, j)))
         if not _delta_is_join(D):
             for i in els:
                 for j in els:
@@ -283,22 +268,21 @@ def validate_directed(D):
 
 def _delta_is_join(D):
     """Whether D is a partial order whose delta is the join:
-    above(delta(i, j)) = above(i) & above(j) for all i, j, on bit masks.
+    row(delta(i, j)) = row(i) & row(j) for all i, j.
 
-    Then both bracketings of three elements have the above-list
-    above(i) & above(j) & above(k), so in a partial order they are one
+    Then both bracketings of three elements have the row
+    row(i) & row(j) & row(k), so in a partial order they are one
     element, equal to itself: delta-assoc holds.
     """
-    masks = D._above_masks
-    if masks is None:
+    if D.covers is None:
         return False
+    position, rows = D._order
     els = D.elements
-    pos = {k: n for n, k in enumerate(els)}
     for i in els:
-        above_i = masks[pos[i]]
+        row = rows[position[i]]
         for j in els:
-            d = pos.get(D.delta.get((i, j)))
-            if d is None or masks[d] != above_i & masks[pos[j]]:
+            d = position.get(D.delta.get((i, j)))
+            if d is None or rows[d] != row & rows[position[j]]:
                 return False
     return True
 
@@ -317,37 +301,52 @@ class CofinalSubset:
     cof: SetoidFn
 
 
-def subset_leq(D, C, j, j2):
-    return D.leq(C.embed(j), C.embed(j2))
+def _image_positions(D, f):
+    """x -> the carrier position in D of f(x), over f's domain, read off
+    D's position map; an image off D's base raises UnknownElement, as leq
+    does."""
+    position = D._order[0]
+    off = [y for y in f.mapping.values() if y not in position]
+    if off:
+        raise UnknownElement(f"{off[0]!r} not in index")
+    return {x: position[y] for x, y in f.mapping.items()}
+
+
+def _unordered_images(D, E, at):
+    """The pairs i <= i2 of D, in carrier order, whose images are not
+    ordered in E; at[i] is the carrier position in E of the image of i."""
+    position, rows = D._order
+    image_rows = E._order[1]
+    for i in D.elements:
+        row = image_rows[at[i]]
+        for i2 in _members(D.elements, rows[position[i]]):
+            if not row >> at[i2] & 1:
+                yield i, i2
 
 
 def validate_cofinal(D, C):
-    findings = []
-    ok, witness = check_extensional(C.embed)
-    if not ok:
-        findings.append(Finding("embed-extensional", witness))
-    ok, witness = is_embedding(C.embed)
-    if not ok:
-        findings.append(Finding("embed-injective", witness))
-    ok, witness = check_extensional(C.cof)
-    if not ok:
-        findings.append(Finding("cof-extensional", witness))
+    """Every failed law of a cofinal subset, with a witness.  The order
+    laws read D's rows at the positions of the embedding's image."""
+    findings = [Finding(law, witness) for law, (ok, witness) in (
+        ("embed-extensional", check_extensional(C.embed)),
+        ("embed-injective", is_embedding(C.embed)),
+        ("cof-extensional", check_extensional(C.cof))) if not ok]
     for j in C.members.elements:
         if not C.members.eq(C.cof(C.embed(j)), j):
             findings.append(Finding("cof1", (j,)))
+    position, rows = D._order
+    at = _image_positions(D, C.embed)
+    through = {i: at[C.cof(i)] for i in D.elements}  # the position of embed(cof(i))
+    findings.extend(Finding("cof2", p) for p in _unordered_images(D, D, through))
     for i in D.elements:
-        for i2 in D.elements:
-            if D.leq(i, i2) and not subset_leq(D, C, C.cof(i), C.cof(i2)):
-                findings.append(Finding("cof2", (i, i2)))
-    for i in D.elements:
-        if not D.leq(i, C.embed(C.cof(i))):
+        if not rows[position[i]] >> through[i] & 1:
             findings.append(Finding("cof3", (i,)))
     # The induced order on the subset stays directed: upper bounds are
     # exhibited through the modulus itself.
     for j in C.members.elements:
         for j2 in C.members.elements:
-            k = C.cof(D.up(C.embed(j), C.embed(j2)))
-            if not (subset_leq(D, C, j, k) and subset_leq(D, C, j2, k)):
+            k = at[C.cof(D.up(C.embed(j), C.embed(j2)))]
+            if not (rows[at[j]] & rows[at[j2]]) >> k & 1:
                 findings.append(Finding("subset-directed", (j, j2)))
     return findings
 
@@ -355,11 +354,13 @@ def validate_cofinal(D, C):
 def induced_order(D, C):
     """The subset as a DirectedIndex, ordered through the embedding."""
     J = C.members
+    rows = D._order[1]
+    at = _image_positions(D, C.embed)
     pairs = frozenset(
         (j, j2)
         for j in J.elements
         for j2 in J.elements
-        if subset_leq(D, C, j, j2)
+        if rows[at[j]] >> at[j2] & 1
     )
     upper = {
         (j, j2): C.cof(D.up(C.embed(j), C.embed(j2)))
@@ -434,9 +435,7 @@ def chain(n, names=None):
     if names is None:
         names = [str(i) for i in range(n)]
     base = discrete(names)
-    pos = {x: i for i, x in enumerate(names)}
-    pairs = frozenset(
-        (a, b) for a in names for b in names if pos[a] <= pos[b]
-    )
-    upper = {(a, b): (a if pos[a] >= pos[b] else b) for a in names for b in names}
-    return DirectedIndex(base, pairs, dict(upper), dict(upper))
+    pairs = frozenset((a, b) for m, a in enumerate(names) for b in names[m:])
+    upper = {(a, b): names[max(m, n)]
+             for m, a in enumerate(names) for n, b in enumerate(names)}
+    return DirectedIndex(base, pairs, upper, dict(upper))

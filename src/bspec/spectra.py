@@ -16,7 +16,7 @@ from .families import (
     restrict_family,
     validate_direct_family,
 )
-from .order import induced_order
+from .order import _members, induced_order
 from .report import Finding
 from .setoid import make_fn
 from .topology import (
@@ -104,18 +104,15 @@ def complete_witnesses(fam, spaces, given=None):
     """
     certs = {e: dict(c) for e, c in (given or {}).items()}
     pairs = [p for p in fam.order_pairs() if p[0] != p[1]]
-    above, below = fam.index.above, {}
-    for k in fam.index.elements:
-        for j in above.get(k, ()):
-            below.setdefault(j, []).append(k)
+    els, (position, rows) = fam.index.elements, fam.index._order
     changed = True
     while changed:
         changed = False
         for i, j in pairs:
             if (i, j) in certs:
                 continue
-            for k in below[j]:
-                if k in (i, j) or k not in above[i]:
+            for k in _members(els, rows[position[i]]):
+                if k in (i, j) or not rows[position[k]] >> position[j] & 1:
                     continue
                 if (i, k) not in certs or (k, j) not in certs:
                     continue
@@ -227,16 +224,17 @@ def _cover_composites_hold(s):
     Each edge witness has already validated, and a composite of valid
     witnesses lifts valid certificates along a valid one, so the law checks
     the composition itself: it builds and checks the real composite through
-    each cover of every i, reading each k off above-lists.  False on any
-    other index, or when a composite fails, so that the scan over every
-    triple lists the findings.
+    each cover of every i, reading each k off the index's row at j.  False
+    on any other index, or when a composite fails, so that the scan over
+    every triple lists the findings.
     """
-    covers, above = s.index.covers, s.index.above
+    covers, (position, rows) = s.index.covers, s.index._order
     if covers is None:
         return False
+    els = s.index.elements
     return not any(_composite_findings(s, i, j, k)
-                   for i in s.index.elements for j in covers[i]
-                   for k in above[j] if k != j)
+                   for i in els for j in covers[i]
+                   for k in _members(els, rows[position[j]]) if k != j)
 
 
 # --- compatible choices of topology elements (threads) ----------------------

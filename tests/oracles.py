@@ -15,6 +15,7 @@ from bspec.families import (
     DirectFamily,
     FamilyError,
     MissingTransport,
+    NotMonotone,
     _class_inverse,
     _class_maps,
     _validate_direct_family_scan,
@@ -34,6 +35,7 @@ from bspec.setoid import (
     compose,
     fn_equal,
     identity,
+    is_embedding,
     make_fn,
     check_extensional,
     product_setoid,
@@ -476,7 +478,7 @@ def leq_transitive_scan(D):
     every element."""
     findings = []
     els = D.elements
-    for i, j in D.pairs:
+    for i, j in D.order_pairs():
         for k in els:
             if D.leq(j, k) and not D.leq(i, k):
                 findings.append(Finding("leq-transitive", (i, j, k)))
@@ -528,20 +530,15 @@ def direct_family_laws_hold_triples(F):
 
 
 def validate_directed_scan(D):
-    """order.validate_directed before delta-assoc was decided on the join:
-    every triple is scanned."""
+    """order.validate_directed before it read bit rows, through `pairs` and
+    `leq` alone: every order pair is scanned for transitivity, in
+    `order_pairs()` order, and every triple for delta-assoc."""
     findings = []
     els = D.elements
     for i in els:
         if not D.leq(i, i):
             findings.append(Finding("leq-reflexive", (i,)))
-    above = D.above
-    if not all(D.base.has(i) and D.base.has(j) and above.get(j, set()) <= above[i]
-               for i, j in D.pairs):
-        for i, j in D.pairs:
-            for k in els:
-                if D.leq(j, k) and not D.leq(i, k):
-                    findings.append(Finding("leq-transitive", (i, j, k)))
+    findings += leq_transitive_scan(D)
     equal = {i: [i2 for i2 in els if D.base.eq(i, i2)] for i in els}
     for i in els:
         for j in els:
@@ -583,6 +580,71 @@ def validate_directed_scan(D):
                     if not D.base.eq(left, right):
                         findings.append(Finding("delta-assoc", (i, j, k)))
     return findings
+
+
+def _subset_leq(D, C, j, j2):
+    return D.leq(C.embed(j), C.embed(j2))
+
+
+def validate_cofinal_scan(D, C):
+    """order.validate_cofinal before it read bit rows: every order law goes
+    through `leq`, pair by pair."""
+    findings = []
+    ok, witness = check_extensional(C.embed)
+    if not ok:
+        findings.append(Finding("embed-extensional", witness))
+    ok, witness = is_embedding(C.embed)
+    if not ok:
+        findings.append(Finding("embed-injective", witness))
+    ok, witness = check_extensional(C.cof)
+    if not ok:
+        findings.append(Finding("cof-extensional", witness))
+    for j in C.members.elements:
+        if not C.members.eq(C.cof(C.embed(j)), j):
+            findings.append(Finding("cof1", (j,)))
+    for i in D.elements:
+        for i2 in D.elements:
+            if D.leq(i, i2) and not _subset_leq(D, C, C.cof(i), C.cof(i2)):
+                findings.append(Finding("cof2", (i, i2)))
+    for i in D.elements:
+        if not D.leq(i, C.embed(C.cof(i))):
+            findings.append(Finding("cof3", (i,)))
+    # The induced order on the subset stays directed: upper bounds are
+    # exhibited through the modulus itself.
+    for j in C.members.elements:
+        for j2 in C.members.elements:
+            k = C.cof(D.up(C.embed(j), C.embed(j2)))
+            if not (_subset_leq(D, C, j, k) and _subset_leq(D, C, j2, k)):
+                findings.append(Finding("subset-directed", (j, j2)))
+    return findings
+
+
+def induced_order_scan(D, C):
+    """order.induced_order before it read bit rows: each pair of members
+    is compared through `leq`."""
+    J = C.members
+    pairs = frozenset(
+        (j, j2)
+        for j in J.elements
+        for j2 in J.elements
+        if _subset_leq(D, C, j, j2)
+    )
+    upper = {
+        (j, j2): C.cof(D.up(C.embed(j), C.embed(j2)))
+        for j in J.elements
+        for j2 in J.elements
+    }
+    return DirectedIndex(J, pairs, upper)
+
+
+def check_monotone_scan(sub_index, index, h):
+    """families.restrict_family's monotonicity check before it read bit
+    rows: every pair of sub_index through `leq`; NotMonotone names the
+    first pair whose images are unordered."""
+    for a in sub_index.elements:
+        for b in sub_index.elements:
+            if sub_index.leq(a, b) and not index.leq(h(a), h(b)):
+                raise NotMonotone(f"({a}, {b}) maps to an unordered pair")
 
 
 def validate_spectrum_scan(s):

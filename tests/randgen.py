@@ -14,7 +14,14 @@ from itertools import permutations
 
 from bspec.families import COVARIANT, CONTRAVARIANT, DirectFamily, oriented
 from bspec.limits import Legs
-from bspec.order import CofinalSubset, DirectedIndex, chain, make_directed, top_element
+from bspec.order import (
+    CofinalSubset,
+    DirectedIndex,
+    _close_order,
+    chain,
+    make_directed,
+    top_element,
+)
 from bspec.setoid import (
     SetoidFn,
     compose,
@@ -517,6 +524,92 @@ def random_spectrum_with_cone(rng, index=None, n_apex=2, max_carrier=3,
             certs[k] = CGen(positions[key])
         legs[i] = MorphismWitness(legs_h[i], certs)
     return s, Legs(apex, legs)
+
+
+# --- indices that break the order laws ---------------------------------------
+
+def merged_index(rng):
+    """A directed index whose base merges two elements, each <= the other
+    after the closure."""
+    n = rng.randint(2, 5)
+    names = [str(k) for k in range(n)]
+    pairs = {(rng.choice(names), rng.choice(names)) for _ in range(n)}
+    pairs.update((a, names[-1]) for a in names)
+    return make_directed(make_setoid(names, [(names[0], names[1])]), pairs)
+
+
+def raw_index(rng):
+    """Random pairs over a base that may merge elements, closed or left as
+    drawn (then often neither reflexive nor transitive), sometimes naming
+    the element z off the base."""
+    n = rng.randint(1, 5)
+    names = [str(k) for k in range(n)]
+    merged = [(names[0], names[-1])] if rng.random() < 0.2 else []
+    base = make_setoid(names, merged)
+    field = names + ["z"] if rng.random() < 0.2 else names
+    pairs = {(rng.choice(field), rng.choice(field)) for _ in range(rng.randint(0, 10))}
+    if rng.random() < 0.5 and "z" not in field:
+        pairs = _close_order(base, pairs)
+    return DirectedIndex(base, frozenset(pairs), {})
+
+
+TABLE_FAULTS = ["none", "missing", "wrong", "off-base"]
+
+
+def _spoil_table(rng, table, elements, fault):
+    """A copy of table with one entry dropped ("missing"), sent to a random
+    element ("wrong") or to the element z off the base ("off-base")."""
+    table = dict(table)
+    if table and fault != "none":
+        key = rng.choice(sorted(table))
+        if fault == "missing":
+            del table[key]
+        else:
+            table[key] = "z" if fault == "off-base" else rng.choice(elements)
+    return table
+
+
+def spoil_index(rng, D, upper_fault, delta):
+    """D with its upper-bound table spoiled by `upper_fault` (a table of
+    random elements stands in for an empty one) and a delta: None, D's
+    own ("keep", the join on a chain or grid), a random common upper bound
+    per pair where there is one ("bound", seldom the join), or D's upper
+    table spoiled by the fault `delta` otherwise."""
+    els = D.elements
+    upper = D.upper or {(i, j): rng.choice(els) for i in els for j in els}
+    upper = _spoil_table(rng, upper, els, upper_fault)
+    table = None
+    if delta == "keep":
+        table = D.delta
+    elif delta == "bound":
+        table = {}
+        for i in els:
+            for j in els:
+                common = [k for k in els if (i, k) in D.pairs and (j, k) in D.pairs]
+                table[(i, j)] = rng.choice(common or els)
+    elif delta is not None:
+        table = _spoil_table(rng, upper, els, delta)
+    return DirectedIndex(D.base, D.pairs, upper, table)
+
+
+def spoil_cofinal(rng, D, C, how):
+    """C with a random modulus ("cof", seldom cofinal), a random embedding
+    ("embed", seldom injective or monotone), or as it is ("none")."""
+    if how == "cof":
+        return CofinalSubset(C.members, C.embed, raw_map(rng, D.base, C.members))
+    if how == "embed":
+        return CofinalSubset(C.members, raw_map(rng, C.members, D.base), C.cof)
+    return C
+
+
+def random_restriction(rng, index):
+    """A directed index and a map from it into `index`: a random table,
+    seldom monotone, or the constant map to the top, which always is."""
+    sub = random_directed_index(rng)
+    if rng.random() < 0.3:
+        top = top_element(index)
+        return sub, make_fn(sub.base, index.base, {a: top for a in sub.elements})
+    return sub, raw_map(rng, sub.base, index.base)
 
 
 # --- cofinal instances ------------------------------------------------------------

@@ -22,7 +22,6 @@ from bspec.families import (
 )
 from bspec.order import (
     DirectedIndex,
-    _close_order,
     _delta_is_join,
     chain,
     make_directed,
@@ -41,7 +40,14 @@ from oracles import (
     validate_directed_scan,
     validate_spectrum_scan,
 )
-from randgen import FAULTS, faulty_family, random_directed_index, random_spectrum
+from randgen import (
+    FAULTS,
+    faulty_family,
+    merged_index,
+    random_directed_index,
+    random_spectrum,
+    raw_index,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 directions = st.sampled_from([COVARIANT, CONTRAVARIANT])
@@ -83,27 +89,7 @@ def random_index(rng, kind):
         return random_poset(rng)
     if kind == "preorder":  # cycles between distinct elements happen
         return random_directed_index(rng, 5)
-    # merged: two equal elements, each <= the other after the closure
-    n = rng.randint(2, 5)
-    names = [str(k) for k in range(n)]
-    pairs = {(rng.choice(names), rng.choice(names)) for _ in range(n)}
-    pairs.update((a, names[-1]) for a in names)
-    return make_directed(make_setoid(names, [(names[0], names[1])]), pairs)
-
-
-def raw_index(rng):
-    """Random pairs over a base that may merge elements, closed or left as
-    drawn (then often neither reflexive nor transitive), sometimes naming
-    the element z off the base."""
-    n = rng.randint(1, 5)
-    names = [str(k) for k in range(n)]
-    merged = [(names[0], names[-1])] if rng.random() < 0.2 else []
-    base = make_setoid(names, merged)
-    field = names + ["z"] if rng.random() < 0.2 else names
-    pairs = {(rng.choice(field), rng.choice(field)) for _ in range(rng.randint(0, 10))}
-    if rng.random() < 0.5 and "z" not in field:
-        pairs = _close_order(base, pairs)
-    return DirectedIndex(base, frozenset(pairs), {})
+    return merged_index(rng)
 
 
 # --- covers -------------------------------------------------------------------
@@ -195,7 +181,7 @@ def _with_delta(rng, D, how):
         delta = dict(D.delta)
         del delta[rng.choice(sorted(delta))]
     elif how == "bound":
-        delta = {(i, j): rng.choice(D.common_upper_bounds[(i, j)])
+        delta = {(i, j): rng.choice([k for k in els if D.leq(i, k) and D.leq(j, k)])
                  for i in els for j in els}
     else:
         delta = dict(D.upper)

@@ -21,7 +21,7 @@ from bspec.families import (
     sum_elements,
 )
 from bspec.limits import direct_limit, inverse_limit
-from bspec.order import DirectedIndex, NotDirected, chain, top_element
+from bspec.order import DirectedIndex, NotDirected, _members, chain, top_element
 from bspec.report import Report
 from bspec.setoid import (
     Setoid,
@@ -219,9 +219,11 @@ def test_generators_record_the_threads_that_made_them(seed):
 @given(seeds)
 def test_cached_upper_bounds_match_leq_scan(seed):
     D = random_directed_index(random.Random(seed))
+    position, rows = D._order
     for i in D.elements:
         for j in D.elements:
-            assert D.common_upper_bounds[(i, j)] == tuple(
+            common = rows[position[i]] & rows[position[j]]
+            assert tuple(_members(D.elements, common)) == tuple(
                 k for k in D.elements if D.leq(i, k) and D.leq(j, k))
 
 

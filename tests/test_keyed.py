@@ -86,7 +86,7 @@ def test_close_order_matches_scan(case):
     assert got == outcome(close_order_scan, base, pairs)
     # the upper-bound table, over the closure and over the raw pairs
     for rel in ([got[1]] if got[0] == "value" else []) + [frozenset(pairs)]:
-        assert (outcome(_first_upper_bounds, base.elements, rel)
+        assert (outcome(_first_upper_bounds, DirectedIndex(base, rel, {}))
                 == outcome(first_upper_bounds_scan, base.elements, rel))
 
 
@@ -262,7 +262,8 @@ def test_chain40_document_elaborates_as_the_scans_do(monkeypatch):
     text = _chain_document(40)
     keyed = elaborate(parse(text))
     monkeypatch.setattr(order, "_close_order", close_order_scan)
-    monkeypatch.setattr(order, "_first_upper_bounds", first_upper_bounds_scan)
+    monkeypatch.setattr(order, "_first_upper_bounds",
+                        lambda D: first_upper_bounds_scan(D.elements, D.pairs))
     monkeypatch.setattr(families, "_saturate", saturate_rescan)
     monkeypatch.setattr(families, "_direct_family_laws_hold", lambda F: False)
     scanned = elaborate(parse(text))

@@ -1,0 +1,179 @@
+"""Differential tests for the order read as bit rows: `validate_directed`,
+`validate_cofinal`, `induced_order` and the monotonicity check of
+`restrict_family`, each against the scan through `pairs` and `leq` that it
+replaced, on preorders, merged bases, pairs off the base, spoiled upper and
+delta tables, broken moduli and non-monotone restrictions.  Findings, their
+order, and the type and message of what is raised must agree.  Hypothesis
+runs derandomized, so the suite stays deterministic."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from bspec.families import COVARIANT, restrict_family
+from bspec.order import (
+    DirectedIndex,
+    chain,
+    induced_order,
+    validate_cofinal,
+    validate_directed,
+)
+from bspec.report import Finding
+from bspec.setoid import Setoid, UnknownElement, discrete
+
+from oracles import (
+    check_monotone_scan,
+    induced_order_scan,
+    outcome,
+    validate_cofinal_scan,
+    validate_directed_scan,
+)
+from randgen import (
+    TABLE_FAULTS,
+    merged_index,
+    random_cofinal_instance,
+    random_direct_family,
+    random_directed_index,
+    random_restriction,
+    raw_index,
+    spoil_cofinal,
+    spoil_index,
+)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+INDEX_KINDS = ["chain", "preorder", "merged", "raw"]
+DELTAS = [None, "keep", "bound"] + TABLE_FAULTS
+
+
+def _index(rng, kind):
+    if kind == "chain":
+        return chain(rng.randint(1, 5))
+    if kind == "preorder":  # cycles between distinct elements happen
+        return random_directed_index(rng, 5)
+    return merged_index(rng) if kind == "merged" else raw_index(rng)
+
+
+def _directed_case(seed, kind, upper_fault, delta):
+    rng = random.Random(seed)
+    return spoil_index(rng, _index(rng, kind), upper_fault, delta)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(seeds, st.sampled_from(INDEX_KINDS), st.sampled_from(TABLE_FAULTS),
+       st.sampled_from(DELTAS))
+def test_validate_directed_matches_the_scan(seed, kind, upper_fault, delta):
+    D = _directed_case(seed, kind, upper_fault, delta)
+    assert outcome(validate_directed, D) == outcome(validate_directed_scan, D)
+
+
+def test_the_directed_cases_reach_every_law():
+    """The generated cases find every law of validate_directed but
+    delta-missing, and raise on an element off the base and on a missing
+    delta entry: the absorption or associativity law reads the missing
+    entry, so the finding is never returned."""
+    laws, raised = set(), set()
+    rng = random.Random(0)
+    for _ in range(1500):
+        case = (rng.randrange(2**32), rng.choice(INDEX_KINDS),
+                rng.choice(TABLE_FAULTS), rng.choice(DELTAS))
+        got = outcome(validate_directed, _directed_case(*case))
+        if got[0] == "value":
+            laws.update(f.law for f in got[1])
+        else:
+            raised.add(got[0])
+    assert laws == {"leq-reflexive", "leq-transitive", "leq-extensional",
+                    "upper-missing", "upper-bound", "delta-needs-poset",
+                    "delta-upper", "delta-absorb", "delta-assoc"}
+    assert raised == {UnknownElement, KeyError}
+
+
+def test_transitivity_findings_follow_the_sorted_pairs():
+    # the chain a < b < c < d < e without a <= c and c <= e: each missing
+    # pair is found once, in order_pairs() order, whatever the hash seed
+    names = "abcde"
+    pairs = frozenset((x, y) for m, x in enumerate(names) for y in names[m:]
+                      if (x, y) not in {("a", "c"), ("c", "e")})
+    D = DirectedIndex(discrete(names), pairs, {(i, j): "e" for i in names for j in names})
+    findings = validate_directed(D)
+    assert [f for f in findings if f.law == "leq-transitive"] == [
+        Finding("leq-transitive", ("a", "b", "c")),
+        Finding("leq-transitive", ("c", "d", "e")),
+    ]
+    assert findings == validate_directed_scan(D)
+
+
+def test_an_element_named_twice_is_listed_as_often_as_the_scan_lists_it():
+    # a carrier built by hand may name an element twice; the rows set a bit
+    # at each of its positions, so a is missing above a <= b twice
+    twice = Setoid(("a", "b", "a"), {("a", "a"), ("b", "b")})
+    D = DirectedIndex(twice, frozenset({("a", "b"), ("b", "a"), ("b", "b")}), {})
+    findings = validate_directed(D)
+    assert findings == validate_directed_scan(D)
+    assert findings.count(Finding("leq-transitive", ("a", "b", "a"))) == 2
+
+
+def test_validate_directed_at_chain400():
+    # the scan would take 400^3 delta lookups here, so the answers are the
+    # ones the construction gives: chain(400) is valid, and without the
+    # pair 0 <= 399 every 0 <= j <= 399 fails transitivity and the bound
+    # 399 of (0, 399) and (399, 0) is no upper bound
+    D = chain(400)
+    assert outcome(validate_directed, D) == ("value", [])
+    spoiled = DirectedIndex(D.base, D.pairs - {("0", "399")}, D.upper)
+    assert validate_directed(spoiled) == [
+        Finding("leq-transitive", ("0", j, "399"))
+        for i, j in spoiled.order_pairs() if i == "0" and j != "0"
+    ] + [Finding("upper-bound", ("0", "399", "399")),
+         Finding("upper-bound", ("399", "0", "399"))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(seeds, st.sampled_from(["none", "cof", "embed"]))
+def test_cofinal_laws_and_induced_order_match_the_scans(seed, how):
+    rng = random.Random(seed)
+    D, C = random_cofinal_instance(rng)
+    C = spoil_cofinal(rng, D, C, how)
+    got = outcome(validate_cofinal, D, C)
+    assert got == outcome(validate_cofinal_scan, D, C)
+    if how == "none":
+        assert got == ("value", [])
+    J, K = induced_order(D, C), induced_order_scan(D, C)
+    assert (J.base, J.pairs, J.upper) == (K.base, K.pairs, K.upper)
+
+
+def test_the_cofinal_cases_reach_every_order_law():
+    laws = set()
+    rng = random.Random(0)
+    for _ in range(300):
+        D, C = random_cofinal_instance(rng)
+        C = spoil_cofinal(rng, D, C, rng.choice(["cof", "embed"]))
+        laws.update(f.law for f in validate_cofinal(D, C))
+    assert {"cof1", "cof2", "cof3", "subset-directed", "embed-injective"} <= laws
+
+
+def _restrict(F, sub, h):
+    restrict_family(F, sub, h)  # raises NotMonotone unless h is monotone
+
+
+def _monotonicity(F, sub, h):
+    """restrict_family's answer on whether h is monotone: ("value", None),
+    or the type and message of what it raised."""
+    return outcome(_restrict, F, sub, h)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(seeds)
+def test_restrict_family_refuses_what_the_scan_refuses(seed):
+    rng = random.Random(seed)
+    F = random_direct_family(rng, random_directed_index(rng, 5), COVARIANT)
+    sub, h = random_restriction(rng, F.index)
+    assert _monotonicity(F, sub, h) == outcome(check_monotone_scan, sub, F.index, h)
+
+
+def test_the_restrictions_are_both_monotone_and_not():
+    kinds = set()
+    rng = random.Random(0)
+    for _ in range(200):
+        F = random_direct_family(rng, random_directed_index(rng, 5), COVARIANT)
+        kinds.add(_monotonicity(F, *random_restriction(rng, F.index))[0])
+    assert len(kinds) == 2
