@@ -17,7 +17,7 @@ from functools import lru_cache
 from .families import COVARIANT, CONTRAVARIANT, make_direct_family, oriented
 from .limits import Legs
 from .order import CofinalSubset, make_directed
-from .setoid import make_fn, make_setoid
+from .setoid import SetoidError, make_fn, make_setoid
 from .spectra import Spectrum, SpectrumError, complete_witnesses
 from .topology import (
     BID,
@@ -30,6 +30,7 @@ from .topology import (
     CULim,
     MissingCertificate,
     RFun,
+    TopologyError,
     babs,
     badd,
     bcomp,
@@ -87,13 +88,13 @@ class Block:
     stmts: list
     line: int
 
-    def one(self, key, default=None, required=False):
+    def one(self, key, required=False):
         hits = [s for s in self.stmts if s.key == key]
         if not hits:
             if required:
                 raise SyntaxErrorDsl(f"block {self.name!r} needs a {key!r} line",
                                      self.line)
-            return default
+            return None
         if len(hits) > 1:
             raise SyntaxErrorDsl(f"duplicate {key!r} line", hits[1].line)
         return hits[0]
@@ -167,7 +168,7 @@ def parse(text):
 
 # --- value parsers -------------------------------------------------------------
 
-def parse_names(value, stmt):
+def parse_names(value):
     if not value.strip():
         return []
     return [v.strip() for v in value.split(",")]
@@ -182,7 +183,7 @@ RESERVED = "()"
 def parse_element_names(stmt):
     """parse_names for setoid and directed elements, refusing reserved
     characters."""
-    names = parse_names(stmt.value, stmt)
+    names = parse_names(stmt.value)
     for name in names:
         for ch in RESERVED:
             if ch in name:
@@ -199,6 +200,13 @@ def _rational(token):
         num, den = token.split("/", 1)
         return Fraction(int(num), int(den))
     return Fraction(int(token))
+
+
+@lru_cache(maxsize=4096)
+def _positions(names):
+    """The position of each generator name, its first where one repeats;
+    equal name tuples share one table."""
+    return {n: k for k, n in reversed(tuple(enumerate(names)))}
 
 
 def parse_rational(token, line=None):
@@ -229,7 +237,7 @@ def parse_pairs(value, sep, stmt):
     return out
 
 
-def _tokenize_sexpr(text, line):
+def _tokenize_sexpr(text):
     tokens = []
     word = ""
     text = text.replace("=>", " => ")
@@ -269,7 +277,7 @@ def _read_sexpr(tokens, pos, line):
 
 
 def parse_sexpr(text, line):
-    tokens = _tokenize_sexpr(text, line)
+    tokens = _tokenize_sexpr(text)
     node, pos = _read_sexpr(tokens, 0, line)
     if pos != len(tokens):
         raise SyntaxErrorDsl("trailing tokens after expression", line)
@@ -340,11 +348,9 @@ def build_certificate(node, sp, line):
     head, args = _operands(node, line, _CERT_ARITY, "certificate")
     if head == "gen":
         name = args[0]
-        if name not in sp.names:
-            if isinstance(name, str):
-                raise UnresolvedReference(f"no generator named {name!r}", line)
+        if name not in sp.names and not isinstance(name, str):
             raise TypeMismatch(f"{_sexpr_text(name)} is not a generator name", line)
-        return CGen(sp.names.index(name))
+        return CGen(_lookup(_positions(sp.names), name, "generator", line))
     if head == "const":
         return CConst(parse_rational(args[0], line))
     if head == "add":
@@ -368,6 +374,26 @@ def build_certificate(node, sp, line):
 
 # --- elaboration into kernel objects --------------------------------------------
 
+def _lookup(table, name, what, line=None):
+    """What `table` holds under `name`, refused as an unresolved reference
+    to a `what` at `line` (None for a name a suite check gives)."""
+    if name not in table:
+        raise UnresolvedReference(f"no {what} named {name!r}", line)
+    return table[name]
+
+
+def _named(b, key, table, what):
+    """(NAME, table[NAME]) of block b's required `key: NAME` line."""
+    stmt = b.one(key, required=True)
+    name = stmt.value.strip()
+    return name, _lookup(table, name, what, stmt.line)
+
+
+def _misshapen(s, usage):
+    """The refusal of statement s, whose arguments do not fit `usage`."""
+    return SyntaxErrorDsl(f"{s.key} lines read '{s.key} {usage}'", s.line)
+
+
 @dataclass
 class Elaborated:
     setoids: dict = field(default_factory=dict)
@@ -381,15 +407,11 @@ class Elaborated:
     cones: dict = field(default_factory=dict)     # name -> (spectrum name, Legs)
     pools: dict = field(default_factory=dict)     # name -> pool description
 
-    def spectrum(self, name, line=None):
-        if name not in self.spectra:
-            raise UnresolvedReference(f"no spectrum named {name!r}", line)
-        return self.spectra[name]
+    def spectrum(self, name):
+        return _lookup(self.spectra, name, "spectrum")
 
-    def space(self, name, line=None):
-        if name not in self.subbases:
-            raise UnresolvedReference(f"no subbase named {name!r}", line)
-        return self.subbases[name]
+    def space(self, name):
+        return _lookup(self.subbases, name, "subbase")
 
 
 def elaborate(doc):
@@ -414,27 +436,17 @@ def elaborate(doc):
         out.directeds[b.name] = make_directed(elements, pairs)
 
     for b in doc.of_kind("family"):
-        index_stmt = b.one("index", required=True)
-        index_name = index_stmt.value.strip()
-        if index_name not in out.directeds:
-            raise UnresolvedReference(f"no directed block named {index_name!r}",
-                                      index_stmt.line)
-        index = out.directeds[index_name]
+        _, index = _named(b, "index", out.directeds, "directed block")
         direction = b.one_of("direction", (COVARIANT, CONTRAVARIANT))
         carriers = {}
         for s in b.many("carrier"):
             if len(s.args) != 1:
-                raise SyntaxErrorDsl("carrier lines read 'carrier i: SETOID'",
-                                     s.line)
-            ref = s.value.strip()
-            if ref not in out.setoids:
-                raise UnresolvedReference(f"no setoid named {ref!r}", s.line)
-            carriers[s.args[0]] = out.setoids[ref]
+                raise _misshapen(s, "i: SETOID")
+            carriers[s.args[0]] = _lookup(out.setoids, s.value.strip(), "setoid", s.line)
         transports = {}
         for s in b.many("map"):
             if len(s.args) != 3 or s.args[1] != "->":
-                raise SyntaxErrorDsl("map lines read 'map i -> j: a => u, ...'",
-                                     s.line)
+                raise _misshapen(s, "i -> j: a => u, ...")
             i, j = s.args[0], s.args[2]
             table = dict(parse_pairs(s.value, "=>", s))
             src, tgt = oriented(direction, i, j)
@@ -442,95 +454,81 @@ def elaborate(doc):
             if dom is None or cod is None:
                 raise UnresolvedReference(f"map for unknown carrier ({i}, {j})",
                                           s.line)
-            transports[(i, j)] = make_fn(dom, cod, table)
+            try:
+                transports[(i, j)] = make_fn(dom, cod, table)
+            except SetoidError as exc:
+                raise DslError(str(exc), s.line) from None
         out.families[b.name] = make_direct_family(index, direction, carriers,
                                                   transports)
 
     for b in doc.of_kind("subbase"):
-        carrier_stmt = b.one("carrier", required=True)
-        ref = carrier_stmt.value.strip()
-        if ref not in out.setoids:
-            raise UnresolvedReference(f"no setoid named {ref!r}",
-                                      carrier_stmt.line)
-        carrier = out.setoids[ref]
+        _, carrier = _named(b, "carrier", out.setoids, "setoid")
         gens, names = [], []
         for s in b.many("gen"):
             if len(s.args) != 1:
-                raise SyntaxErrorDsl("gen lines read 'gen name: a => 0, ...'",
-                                     s.line)
+                raise _misshapen(s, "name: a => 0, ...")
             table = {
                 k: parse_rational(v, s.line)
                 for k, v in parse_pairs(s.value, "=>", s)
             }
-            gens.append(RFun(carrier, table))
+            try:
+                gens.append(RFun(carrier, table))
+            except (SetoidError, TopologyError) as exc:
+                raise DslError(str(exc), s.line) from None
             names.append(s.args[0])
         out.subbases[b.name] = BSpace(carrier, tuple(gens), tuple(names))
 
     for b in doc.of_kind("certificate"):
-        over_stmt = b.one("over", required=True)
-        ref = over_stmt.value.strip()
-        if ref not in out.subbases:
-            raise UnresolvedReference(f"no subbase named {ref!r}", over_stmt.line)
+        _, sp = _named(b, "over", out.subbases, "subbase")
         expr_stmt = b.one("expr", required=True)
         node = parse_sexpr(expr_stmt.value, expr_stmt.line)
-        out.certificates[b.name] = build_certificate(
-            node, out.subbases[ref], expr_stmt.line)
+        out.certificates[b.name] = build_certificate(node, sp, expr_stmt.line)
 
     for b in doc.of_kind("spectrum"):
-        fam_stmt = b.one("family", required=True)
-        fam_name = fam_stmt.value.strip()
-        if fam_name not in out.families:
-            raise UnresolvedReference(f"no family named {fam_name!r}",
-                                      fam_stmt.line)
-        fam = out.families[fam_name]
+        _, fam = _named(b, "family", out.families, "family")
         # one space per index element, over the family's carrier there
         spaces = {}
         for s in b.many("space"):
             if len(s.args) != 1:
-                raise SyntaxErrorDsl("space lines read 'space i: SUBBASE'", s.line)
+                raise _misshapen(s, "i: SUBBASE")
             i, ref = s.args[0], s.value.strip()
-            if ref not in out.subbases:
-                raise UnresolvedReference(f"no subbase named {ref!r}", s.line)
+            sp = _lookup(out.subbases, ref, "subbase", s.line)
             if i not in fam.index.elements:
                 raise UnresolvedReference(f"space for unknown index {i!r}", s.line)
             if i in spaces:
                 raise SyntaxErrorDsl(f"duplicate space line for index {i!r}", s.line)
-            if not out.subbases[ref].carrier.same_as(fam.carrier(i)):
+            if not sp.carrier.same_as(fam.carrier(i)):
                 raise TypeMismatch(
                     f"subbase {ref!r} is not over the carrier at index {i!r}", s.line)
-            spaces[i] = out.subbases[ref]
+            spaces[i] = sp
         for i in fam.index.elements:
             if i not in spaces:
                 raise UnresolvedReference(f"no space line for index {i!r}", b.line)
         pool_stmt = b.one("pool")
         pool = tuple(
             parse_rational(tok, pool_stmt.line)
-            for tok in parse_names(pool_stmt.value, pool_stmt)
+            for tok in parse_names(pool_stmt.value)
         ) if pool_stmt else (Fraction(0), Fraction(1))
         witness_certs = {}
         for s in b.many("witness"):
             if len(s.args) not in (3, 4) or s.args[1] != "->":
-                raise SyntaxErrorDsl(
-                    "witness lines read 'witness i -> j [gen]: CERT|auto'", s.line)
+                raise _misshapen(s, "i -> j [gen]: CERT|auto")
             i, j = s.args[0], s.args[2]
             if s.value.strip() == "auto":
                 continue
             if len(s.args) != 4:
                 raise SyntaxErrorDsl("explicit witnesses name the generator",
                                      s.line)
-            gen_name = s.args[3]
             src, tgt = fam.ends(i, j)
             src_sub, tgt_sub = spaces.get(src), spaces.get(tgt)
             if tgt_sub is None or src_sub is None:
                 raise UnresolvedReference(
                     f"witness for unknown spaces ({i}, {j})", s.line)
-            if gen_name not in tgt_sub.names:
-                raise UnresolvedReference(f"no generator named {gen_name!r}",
-                                          s.line)
+            k = _lookup(_positions(tgt_sub.names), s.args[3], "generator",
+                        s.line)
             node = parse_sexpr(s.value, s.line)
-            cert = build_certificate(node, src_sub, s.line)
-            witness_certs.setdefault((i, j), {})[
-                tgt_sub.names.index(gen_name)] = cert
+            witness_certs.setdefault((i, j), {})[k] = build_certificate(
+                node, src_sub, s.line)
         try:
             certs = complete_witnesses(fam, spaces, witness_certs)
         except (SpectrumError, MissingCertificate) as exc:
@@ -538,14 +536,9 @@ def elaborate(doc):
         out.spectra[b.name] = Spectrum(fam, spaces, certs, pool)
 
     for b in doc.of_kind("cofinal"):
-        d_stmt = b.one("directed", required=True)
-        d_name = d_stmt.value.strip()
-        if d_name not in out.directeds:
-            raise UnresolvedReference(f"no directed block named {d_name!r}",
-                                      d_stmt.line)
-        index = out.directeds[d_name]
+        d_name, index = _named(b, "directed", out.directeds, "directed block")
         members_stmt = b.one("members", required=True)
-        members = parse_names(members_stmt.value, members_stmt)
+        members = parse_names(members_stmt.value)
         for m in members:
             if not index.base.has(m):
                 raise UnresolvedReference(f"member {m!r} not in the index",
@@ -554,27 +547,19 @@ def elaborate(doc):
         cof_table = dict(parse_pairs(cof_stmt.value, "=>", cof_stmt))
         sub = make_setoid(members)
         embed = make_fn(sub, index.base, {m: m for m in members})
-        cof = make_fn(index.base, sub, cof_table)
+        try:
+            cof = make_fn(index.base, sub, cof_table)
+        except SetoidError as exc:
+            raise DslError(str(exc), cof_stmt.line) from None
         out.cofinals[b.name] = (d_name, CofinalSubset(sub, embed, cof))
 
     for b in doc.of_kind("cocone") + doc.of_kind("cone"):
-        spec_stmt = b.one("spectrum", required=True)
-        spec_name = spec_stmt.value.strip()
-        if spec_name not in out.spectra:
-            raise UnresolvedReference(f"no spectrum named {spec_name!r}",
-                                      spec_stmt.line)
-        s = out.spectra[spec_name]
-        apex_stmt = b.one("apex", required=True)
-        apex_name = apex_stmt.value.strip()
-        if apex_name not in out.subbases:
-            raise UnresolvedReference(f"no subbase named {apex_name!r}",
-                                      apex_stmt.line)
-        apex = out.space(apex_name)
+        spec_name, s = _named(b, "spectrum", out.spectra, "spectrum")
+        _, apex = _named(b, "apex", out.subbases, "subbase")
         legs = {}
         for stmt in b.many("leg"):
             if len(stmt.args) != 1:
-                raise SyntaxErrorDsl("leg lines read 'leg i: x => y, ...'",
-                                     stmt.line)
+                raise _misshapen(stmt, "i: x => y, ...")
             i = stmt.args[0]
             if i not in s.fam.carriers:
                 raise UnresolvedReference(f"leg for unknown index {i!r}",
@@ -583,7 +568,10 @@ def elaborate(doc):
             # a cocone's legs run into its apex, a cone's out of it
             src, dst = oriented(COVARIANT if b.kind == "cocone" else CONTRAVARIANT,
                                 s.space(i), apex)
-            h = make_fn(src.carrier, dst.carrier, table)
+            try:
+                h = make_fn(src.carrier, dst.carrier, table)
+            except SetoidError as exc:
+                raise DslError(str(exc), stmt.line) from None
             missing = []
             legs[i] = certify_map(src, dst, h, "leg", missing)
             raise_first(missing, lambda text: TypeMismatch(text, stmt.line),
@@ -592,16 +580,8 @@ def elaborate(doc):
         named[b.name] = (spec_name, Legs(apex, legs))
 
     for b in doc.of_kind("pool"):
-        spec_stmt = b.one("spectrum", required=True)
-        spec_name = spec_stmt.value.strip()
-        if spec_name not in out.spectra:
-            raise UnresolvedReference(f"no spectrum named {spec_name!r}",
-                                      spec_stmt.line)
-        space_stmt = b.one("space", required=True)
-        space_name = space_stmt.value.strip()
-        if space_name not in out.subbases:
-            raise UnresolvedReference(f"no subbase named {space_name!r}",
-                                      space_stmt.line)
+        spec_name, _ = _named(b, "spectrum", out.spectra, "spectrum")
+        space_name, _ = _named(b, "space", out.subbases, "subbase")
         b.one_of("search", ("auto",))  # pools are always enumerated
         out.pools[b.name] = {
             "spectrum": spec_name,

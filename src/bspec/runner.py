@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .dsl import DslError, TypeMismatch, UnresolvedReference, elaborate
+from .dsl import DslError, TypeMismatch, _lookup, elaborate
 from .duality import (
     converse_dual_direct,
     converse_dual_inverse,
@@ -91,10 +91,7 @@ def run_suite(doc, suite_name=None, config=None):
 def _suite_checks(doc, suite_name, env):
     suites = doc.of_kind("suite")
     if suite_name is not None:
-        block = next((b for b in suites if b.name == suite_name), None)
-        if block is None:
-            raise UnresolvedReference(f"no suite named {suite_name!r}")
-        suites = [block]
+        suites = [_lookup({b.name: b for b in suites}, suite_name, "suite")]
     elif not suites:
         # default: validate every family and spectrum in the document, and
         # the sum equality of every covariant spectrum
@@ -124,10 +121,7 @@ def _one_arg(args, kind):
 
 def check_family(env, args, config, report, suite, lims):
     name = _one_arg(args, "family")
-    if name not in env.families:
-        raise UnresolvedReference(f"no family named {name!r}")
-    fam = env.families[name]
-    findings = validate_direct_family(fam)
+    findings = validate_direct_family(_lookup(env.families, name, "family"))
     by_law = {"family-identity": [], "family-composition": [],
               "transport-extensional": []}
     for f in findings:
@@ -237,9 +231,7 @@ def _check_universal(env, args, config, report, suite, kind, legs_kind, declared
     s = env.spectrum(name)
     lim = build(s)
     if len(args) == 2:
-        if args[1] not in declared:
-            raise UnresolvedReference(f"no {legs_kind} named {args[1]!r}")
-        spec_name, legs = declared[args[1]]
+        spec_name, legs = _lookup(declared, args[1], legs_kind)
         if spec_name != name:
             raise ConfigError(f"{legs_kind} {args[1]} is over {spec_name}, not {name}")
     else:
@@ -283,9 +275,7 @@ def cofinal_over(env, spec_name, cof_name):
     """(spectrum, cofinal subset) for the two names, refused unless the
     cofinal block is declared over the spectrum's own index."""
     s = env.spectrum(spec_name)
-    if cof_name not in env.cofinals:
-        raise UnresolvedReference(f"no cofinal block named {cof_name!r}")
-    d_name, cof = env.cofinals[cof_name]
+    d_name, cof = _lookup(env.cofinals, cof_name, "cofinal block")
     if env.directeds[d_name] is not s.index:
         index_name = next(n for n, d in env.directeds.items() if d is s.index)
         raise ConfigError(f"cofinal {cof_name} is over {d_name}, not {index_name}, "
@@ -332,9 +322,7 @@ def _build_pools(env, pool_name, kind):
     refused at the block's line unless its shape is the one check `kind`
     reads: homs into the fixed space for duality, and for converse-duals
     over a contravariant spectrum; homs out of it otherwise."""
-    if pool_name not in env.pools:
-        raise UnresolvedReference(f"no pool named {pool_name!r}")
-    desc = env.pools[pool_name]
+    desc = _lookup(env.pools, pool_name, "pool")
     s = env.spectrum(desc["spectrum"])
     fixed = env.space(desc["space"])
     hom_into = kind == "duality" or (kind == "converse-duals"
@@ -399,10 +387,8 @@ def check_converse_duals(env, args, config, report, suite, lims):
 
 def check_directed(env, args, config, report, suite, lims):
     name = _one_arg(args, "directed")
-    if name not in env.directeds:
-        raise UnresolvedReference(f"no directed block named {name!r}")
     report.add(suite, f"directed.{name}.laws",
-               validate_directed(env.directeds[name]))
+               validate_directed(_lookup(env.directeds, name, "directed block")))
 
 
 CHECKS = {

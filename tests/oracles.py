@@ -567,16 +567,20 @@ def validate_directed_scan(D):
                     continue
                 if not (D.leq(i, d) and D.leq(j, d)):
                     findings.append(Finding("delta-upper", (i, j, d)))
-                if D.leq(i, j):
+                if D.leq(i, j) and (j, i) in D.delta:
                     if not (
                         D.base.eq(d, D.delta[(j, i)]) and D.base.eq(d, j)
                     ):
                         findings.append(Finding("delta-absorb", (i, j)))
+        # an instance that reads a pair delta does not map is skipped; the
+        # pair was listed once as delta-missing
         for i in els:
             for j in els:
                 for k in els:
-                    left = D.delta[(D.delta[(i, j)], k)]
-                    right = D.delta[(i, D.delta[(j, k)])]
+                    ij, jk = D.delta.get((i, j)), D.delta.get((j, k))
+                    left, right = D.delta.get((ij, k)), D.delta.get((i, jk))
+                    if left is None or right is None:
+                        continue
                     if not D.base.eq(left, right):
                         findings.append(Finding("delta-assoc", (i, j, k)))
     return findings

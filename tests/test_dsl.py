@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from bspec import runner
 from bspec.dsl import (
     SyntaxErrorDsl,
     TypeMismatch,
@@ -108,6 +109,142 @@ family F {
     with pytest.raises(UnresolvedReference) as err:
         elaborate(parse(text))
     assert err.value.line == 6
+
+
+# One block of every kind that names another, and a suite whose checks
+# name blocks; each case below points one reference at a missing block.
+REFERENCES = """\
+setoid X {
+  elements: p, q
+}
+directed D {
+  elements: 0, 1
+  order: 0 <= 1
+}
+family F {
+  index: D
+  carrier 0: X
+  carrier 1: X
+  map 0 -> 1: p => p, q => q
+}
+family G {
+  index: D
+  direction: contravariant
+  carrier 0: X
+  carrier 1: X
+  map 0 -> 1: p => p, q => q
+}
+subbase FX {
+  carrier: X
+  gen f: p => 0, q => 1
+}
+certificate C {
+  over: FX
+  expr: (gen f)
+}
+spectrum S {
+  family: F
+  space 0: FX
+  space 1: FX
+  witness 0 -> 1 f: (gen f)
+}
+spectrum T {
+  family: G
+  space 0: FX
+  space 1: FX
+}
+cofinal K {
+  directed: D
+  members: 1
+  cof: 0 => 1, 1 => 1
+}
+cocone CC {
+  spectrum: S
+  apex: FX
+  leg 0: p => p, q => q
+  leg 1: p => p, q => q
+}
+cone CN {
+  spectrum: T
+  apex: FX
+  leg 0: p => p, q => q
+  leg 1: p => p, q => q
+}
+pool P {
+  spectrum: S
+  space: FX
+}
+suite main {
+  check: family F
+}
+"""
+
+
+def _dangling(block, key, value):
+    """REFERENCES with the first `key` line of `block` reading `value`, and
+    that line's number."""
+    lines = REFERENCES.splitlines()
+    start = lines.index(block + " {")
+    n = next(n for n in range(start, len(lines)) if lines[n].strip().startswith(key))
+    lines[n] = lines[n].split(":")[0] + ": " + value
+    return "\n".join(lines) + "\n", n + 1
+
+
+def test_the_reference_document_runs():
+    assert not runner.run_suite(parse(REFERENCES)).failed
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("family F", "index", "Missing", "no directed block named 'Missing'"),
+    ("family F", "carrier", "Missing", "no setoid named 'Missing'"),
+    ("subbase FX", "carrier", "Missing", "no setoid named 'Missing'"),
+    ("certificate C", "over", "Missing", "no subbase named 'Missing'"),
+    ("certificate C", "expr", "(gen g)", "no generator named 'g'"),
+    ("spectrum S", "family", "Missing", "no family named 'Missing'"),
+    ("spectrum S", "space", "Missing", "no subbase named 'Missing'"),
+    ("spectrum S", "witness 0 -> 1 f", "(gen g)", "no generator named 'g'"),
+    ("cofinal K", "directed", "Missing", "no directed block named 'Missing'"),
+    ("cocone CC", "spectrum", "Missing", "no spectrum named 'Missing'"),
+    ("cocone CC", "apex", "Missing", "no subbase named 'Missing'"),
+    ("cone CN", "spectrum", "Missing", "no spectrum named 'Missing'"),
+    ("cone CN", "apex", "Missing", "no subbase named 'Missing'"),
+    ("pool P", "spectrum", "Missing", "no spectrum named 'Missing'"),
+    ("pool P", "space", "Missing", "no subbase named 'Missing'"),
+])
+def test_each_elaborated_reference_is_refused_at_its_line(block, key, value, message):
+    text, line = _dangling(block, key, value)
+    with pytest.raises(UnresolvedReference) as err:
+        elaborate(parse(text))
+    assert type(err.value) is UnresolvedReference
+    assert str(err.value) == f"{line}:0: {message}"
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("check, message", [
+    ("family Missing", "no family named 'Missing'"),
+    ("directed Missing", "no directed block named 'Missing'"),
+    ("spectrum Missing", "no spectrum named 'Missing'"),
+    ("universal-direct S Missing", "no cocone named 'Missing'"),
+    ("universal-inverse T Missing", "no cone named 'Missing'"),
+    ("cofinal S Missing", "no cofinal block named 'Missing'"),
+    ("duality Missing", "no pool named 'Missing'"),
+    ("duality2 Missing", "no pool named 'Missing'"),
+    ("converse-duals Missing", "no pool named 'Missing'"),
+])
+def test_each_suite_reference_is_refused_without_a_line(check, message):
+    text, _ = _dangling("suite main", "check", check)
+    with pytest.raises(UnresolvedReference) as err:
+        runner.run_suite(parse(text))
+    assert type(err.value) is UnresolvedReference
+    assert str(err.value) == message
+    assert err.value.line is None
+
+
+def test_a_missing_suite_is_refused_without_a_line():
+    with pytest.raises(UnresolvedReference) as err:
+        runner.run_suite(parse(REFERENCES), "Missing")
+    assert str(err.value) == "no suite named 'Missing'"
+    assert err.value.line is None
 
 
 def test_dangling_spectrum_family():
