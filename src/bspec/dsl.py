@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .families import COVARIANT, CONTRAVARIANT, make_direct_family, oriented
+from .families import COVARIANT, CONTRAVARIANT, FamilyError, make_direct_family, oriented
 from .limits import Legs
 from .order import CofinalSubset, make_directed
-from .setoid import SetoidError, make_fn, make_setoid
+from .setoid import DuplicateElement, EmptyCarrier, SetoidError, make_fn, make_setoid
 from .spectra import Spectrum, SpectrumError, complete_witnesses
 from .topology import (
     BID,
@@ -425,7 +425,10 @@ def elaborate(doc):
         if eq_stmt:
             eq_pairs = parse_pairs(eq_stmt.value, "~", eq_stmt)
         empty = b.one_of("empty", ("false", "true")) == "true"
-        out.setoids[b.name] = make_setoid(elements, eq_pairs, empty=empty)
+        try:
+            out.setoids[b.name] = make_setoid(elements, eq_pairs, empty=empty)
+        except (DuplicateElement, EmptyCarrier) as exc:
+            raise DslError(str(exc), elements_stmt.line) from None
 
     for b in doc.of_kind("directed"):
         elements_stmt = b.one("elements", required=True)
@@ -433,7 +436,11 @@ def elaborate(doc):
         order_stmt = b.one("order")
         pairs = parse_pairs(order_stmt.value, "<=", order_stmt) if order_stmt else []
         b.one_of("closure", ("auto",))  # the order is always closed
-        out.directeds[b.name] = make_directed(elements, pairs)
+        try:
+            base = make_setoid(elements)
+        except SetoidError as exc:
+            raise DslError(str(exc), elements_stmt.line) from None
+        out.directeds[b.name] = make_directed(base, pairs)
 
     for b in doc.of_kind("family"):
         _, index = _named(b, "index", out.directeds, "directed block")
@@ -458,8 +465,11 @@ def elaborate(doc):
                 transports[(i, j)] = make_fn(dom, cod, table)
             except SetoidError as exc:
                 raise DslError(str(exc), s.line) from None
-        out.families[b.name] = make_direct_family(index, direction, carriers,
-                                                  transports)
+        try:
+            out.families[b.name] = make_direct_family(index, direction, carriers,
+                                                      transports)
+        except FamilyError as exc:
+            raise DslError(str(exc), b.line) from None
 
     for b in doc.of_kind("subbase"):
         _, carrier = _named(b, "carrier", out.setoids, "setoid")
@@ -545,7 +555,10 @@ def elaborate(doc):
                                           members_stmt.line)
         cof_stmt = b.one("cof", required=True)
         cof_table = dict(parse_pairs(cof_stmt.value, "=>", cof_stmt))
-        sub = make_setoid(members)
+        try:
+            sub = make_setoid(members)
+        except SetoidError as exc:
+            raise DslError(str(exc), members_stmt.line) from None
         embed = make_fn(sub, index.base, {m: m for m in members})
         try:
             cof = make_fn(index.base, sub, cof_table)

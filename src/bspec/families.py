@@ -110,53 +110,35 @@ def _class_inverse(fn):
     return None
 
 
-def _saturate(pairs, carriers, given, direction=COVARIANT):
-    """Extend transports from generating edges to all pairs by composition;
-    across symmetric pairs an inverse is derived when the map allows it.
+def _saturate(index, carriers, given, direction=COVARIANT):
+    """Extend transports from generating edges to all order pairs of index
+    by composition; across symmetric pairs an inverse is derived when the
+    map allows it.
 
-    The known transports are indexed by source and by target, in the order
-    they were learnt, so the middle indices of a pair are the intersection
-    of two short lists.  Each composite goes through the first member of
-    that set, and the set is built by inserting the same elements in the
-    same order as a scan over all known transports would, so which middle
-    index that is does not depend on how the set was found.
+    Each composite goes through the first middle index in carrier order
+    whose two transports are known, read off the index's known-edge rows
+    (`DirectedIndex._derive_edges`), so which one that is does not depend
+    on the hash seed.
     """
-    pairset = set(pairs)
-    known, out_of, into = {}, {}, {}
-
-    def learn(i, j, fn):
-        if (i, j) not in known:
-            out_of.setdefault(i, []).append(j)
-            into.setdefault(j, []).append(i)
-        known[(i, j)] = fn
-
-    for i, j in pairs:
-        if i == j:
-            learn(i, j, identity(carriers[i]))
+    pairset = index.pairs
+    known = {(i, i): identity(carriers[i]) for i, j in index.order_pairs() if i == j}
     for (i, j), fn in given.items():
         if (i, j) not in pairset:
             raise MissingTransport(f"edge ({i}, {j}) is not an order pair")
-        learn(i, j, fn)
-    changed = True
-    while changed:
-        changed = False
-        for i, j in pairs:
-            if (i, j) in known:
-                continue
-            mids = set(out_of.get(i, ())) & set(into.get(j, ()))
-            for k in mids:
-                learn(i, j, compose(*oriented(direction, known[(i, k)],
-                                              known[(k, j)])))
-                changed = True
-                break
-            if (i, j) in known:
-                continue
-            if (j, i) in known and (j, i) in pairset:
-                inv = _class_inverse(known[(j, i)])
-                if inv is not None:
-                    learn(i, j, inv)
-                    changed = True
-    missing = [p for p in pairs if p not in known]
+        known[(i, j)] = fn
+
+    def derive(i, j, k):
+        if k is not None:
+            known[(i, j)] = compose(*oriented(direction, known[(i, k)], known[(k, j)]))
+            return True
+        if (j, i) in known and (j, i) in pairset:
+            inv = _class_inverse(known[(j, i)])
+            if inv is not None:
+                known[(i, j)] = inv
+                return True
+        return False
+
+    missing = index._derive_edges(known, derive)
     if missing:
         raise MissingTransport(f"no transport derivable for {missing[:3]}")
     return known
@@ -174,7 +156,7 @@ def make_direct_family(index, direction, carriers, transports=None):
         a, b = oriented(direction, i, j)
         if not (fn.dom.same_as(carriers[a]) and fn.cod.same_as(carriers[b])):
             raise FamilyError(f"transport for ({i}, {j}) has wrong end carriers")
-    table = _saturate(index.order_pairs(), carriers, given, direction)
+    table = _saturate(index, carriers, given, direction)
     fam = DirectFamily(index, direction, carriers, table)
     findings = validate_direct_family(fam)
     if findings:

@@ -79,15 +79,54 @@ class DirectedIndex:
         A pair naming an element off the base sets no bit.
         """
         els = self.elements
-        position, bits = {}, {}
-        for n, k in enumerate(els):
-            position.setdefault(k, n)
-            bits[k] = bits.get(k, 0) | 1 << n
+        position, bits = _carrier_bits(els)
         rows = [0] * len(els)
         for i, k in self.pairs:
             if i in position and k in position:
                 rows[position[i]] |= bits[k]
         return position, rows
+
+    def _derive_edges(self, known, derive):
+        """Sweep the order pairs i != j missing from `known`, in
+        `order_pairs()` order, until a sweep derives nothing; the pairs
+        still missing, in that order.
+
+        The known edges are bit rows over carrier positions, set as
+        `_order` sets them: out[i] holds k for each known edge (i, k), and
+        into[j] holds k for each known edge (k, j); a known edge that is
+        not an order pair sets no bit.  The middle of a missing (i, j) is
+        the lowest bit of out[i] & into[j] & row(i), i and j masked out:
+        the first k in carrier order with i <= k <= j and both edges known.
+        derive(i, j, k), k None when there is no middle, returns whether it
+        derived (i, j); an edge derived is known to the rest of the sweep.
+        """
+        position, rows = self._order
+        els = self.elements
+        bits = _carrier_bits(els)[1]
+        out, into = [0] * len(els), [0] * len(els)
+
+        def learn(i, j):
+            out[position[i]] |= bits[j]
+            into[position[j]] |= bits[i]
+
+        for i, j in known:
+            if i in position and j in position and rows[position[i]] >> position[j] & 1:
+                learn(i, j)
+        todo = [(i, j) for i, j in self.order_pairs() if i != j and (i, j) not in known]
+        while todo:
+            left = []
+            for i, j in todo:
+                at = position[i]
+                mids = out[at] & into[position[j]] & rows[at] & ~(bits[i] | bits[j])
+                k = els[(mids & -mids).bit_length() - 1] if mids else None
+                if derive(i, j, k):
+                    learn(i, j)
+                else:
+                    left.append((i, j))
+            if len(left) == len(todo):
+                break
+            todo = left
+        return todo
 
     @cached_property
     def covers(self):
@@ -126,6 +165,16 @@ class DirectedIndex:
 
     def __repr__(self):
         return f"DirectedIndex({list(self.elements)}, rels={len(self.pairs)})"
+
+
+def _carrier_bits(els):
+    """(position, bits): the first carrier position of each element, and a
+    bit at every position it is named at."""
+    position, bits = {}, {}
+    for n, k in enumerate(els):
+        position.setdefault(k, n)
+        bits[k] = bits.get(k, 0) | 1 << n
+    return position, bits
 
 
 def _members(items, mask):

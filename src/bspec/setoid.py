@@ -167,7 +167,7 @@ def make_setoid(elements, eq_pairs=(), empty=False):
         seen = set()
         for e in elements:
             if e in seen:
-                raise DuplicateElement(e)
+                raise DuplicateElement(f"duplicate element {e!r}")
             seen.add(e)
     parent = {x: x for x in elements}
 

@@ -18,7 +18,7 @@ from .families import (
 )
 from .order import _members, induced_order
 from .report import Finding
-from .setoid import make_fn
+from .setoid import _fn, make_fn
 from .topology import (
     BSpace,
     CConst,
@@ -95,7 +95,8 @@ def complete_witnesses(fam, spaces, given=None):
 
     First each edge with nothing given is lifted through an intermediate
     index, until no more can be: edge (i, j) lifts through the first k, in
-    index order, with i <= k <= j and both of its edges known, and the
+    carrier order, with i <= k <= j and both of its edges known, read off
+    the index's known-edge rows (`DirectedIndex._derive_edges`), and the
     certificates of the edge whose transport applies second are lifted
     along the witness of the one that applies first.  A certificate is
     lifted only when the first edge certifies every generator it names.
@@ -103,31 +104,25 @@ def complete_witnesses(fam, spaces, given=None):
     generator it cannot certify raises SpectrumError.
     """
     certs = {e: dict(c) for e, c in (given or {}).items()}
-    pairs = [p for p in fam.order_pairs() if p[0] != p[1]]
-    els, (position, rows) = fam.index.elements, fam.index._order
-    changed = True
-    while changed:
-        changed = False
-        for i, j in pairs:
-            if (i, j) in certs:
-                continue
-            for k in _members(els, rows[position[i]]):
-                if k in (i, j) or not rows[position[k]] >> position[j] & 1:
-                    continue
-                if (i, k) not in certs or (k, j) not in certs:
-                    continue
-                first, second = oriented(fam.direction, (i, k), (k, j))
-                lower = spaces[fam.ends(i, j)[0]]
-                w_low = MorphismWitness(fam.transport(*first), certs[first])
-                lifted = certs[(i, j)] = {}
-                for m, c in certs[second].items():
-                    try:
-                        lifted[m] = lift_certificate(lower, w_low, c)
-                    except MissingCertificate:
-                        pass  # left to certify_map below
-                changed = True
-                break
-    for i, j in pairs:
+
+    def lift(i, j, k):
+        if k is None:
+            return False
+        first, second = oriented(fam.direction, (i, k), (k, j))
+        lower = spaces[fam.ends(i, j)[0]]
+        w_low = MorphismWitness(fam.transport(*first), certs[first])
+        lifted = certs[(i, j)] = {}
+        for m, c in certs[second].items():
+            try:
+                lifted[m] = lift_certificate(lower, w_low, c)
+            except MissingCertificate:
+                pass  # left to certify_map below
+        return True
+
+    fam.index._derive_edges(certs, lift)
+    for i, j in fam.order_pairs():
+        if i == j:
+            continue
         src, tgt = fam.ends(i, j)
         have = certs.get((i, j), {})
         if all(k in have for k in range(len(spaces[tgt].gens))):
@@ -367,7 +362,11 @@ def product_spectrum_over(s, t, index, parts):
 
     One product space is made per pair of factor spaces.  Each transport's
     table is read off the factors' transports, onto the target carrier's
-    own Pairs, and built through make_fn.  An edge's certificate for a
+    own Pairs: total, in the source carrier's order and into the target by
+    construction, and extensional when both factor families are lawful
+    (`DirectFamily.lawful`), since the product's equality is componentwise.
+    So it is built unchecked (`_fn`) then, and through make_fn otherwise,
+    where a bad factor transport raises.  An edge's certificate for a
     generator pulled back from a factor is that factor's certificate at
     its own edge (the generator itself where that edge is reflexive)
     lifted along the projection at the edge's source; each lift is made
@@ -391,6 +390,7 @@ def product_spectrum_over(s, t, index, parts):
         spaces[a], projections[a], cells[a] = made[key]
     carriers = {a: sp.carrier for a, sp in spaces.items()}
     pairs = index.order_pairs()
+    build = _fn if s.fam.lawful and t.fam.lawful else make_fn
     transports = {}
     for a, b in pairs:
         (i, j), (i2, j2) = part[a], part[b]
@@ -399,7 +399,7 @@ def product_spectrum_over(s, t, index, parts):
         src, tgt = oriented(direction, a, b)
         els, cell = carriers[src].elements, cells[tgt]
         table = {el: cell[mi[el[0]]][mj[el[1]]] for el in els}
-        transports[(a, b)] = make_fn(carriers[src], carriers[tgt], table)
+        transports[(a, b)] = build(carriers[src], carriers[tgt], table)
     fam = DirectFamily(index, direction, carriers, transports)
 
     # certificates live over the space at the transport's source and prove

@@ -147,13 +147,6 @@ def _respects_classes(h):
     return h.dom.is_discrete() or check_extensional(h)[0]
 
 
-def _pull_backs(fs, h):
-    """compose_rfun(f, h) for each RFun f of `fs`, in order, with whether h
-    sends equal elements to equal ones decided once for all of them."""
-    respects = _respects_classes(h)
-    return [_pull_back(f, h, respects and h.cod.same_as(f.carrier)) for f in fs]
-
-
 def _pull_back(f, h, checked):
     """f . h, its table checked value by value unless `checked` says that h
     maps into f's carrier and sends equal elements to equal ones."""
@@ -858,7 +851,8 @@ def product_space(b1, b2):
     # the carrier is keyed by the factors' class ids, so both respect classes
     pr1 = _fn(carrier, b1.carrier, {t: t[0] for t in carrier.elements})
     pr2 = _fn(carrier, b2.carrier, {t: t[1] for t in carrier.elements})
-    gens = _pull_backs(b1.gens, pr1) + _pull_backs(b2.gens, pr2)
+    gens = ([_pull_back(f, pr1, True) for f in b1.gens]
+            + [_pull_back(f, pr2, True) for f in b2.gens])
     names = tuple(f"{n}.1" for n in b1.names) + tuple(f"{n}.2" for n in b2.names)
     return BSpace(carrier, tuple(gens), names), pr1, pr2
 

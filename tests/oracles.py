@@ -53,7 +53,6 @@ from bspec.topology import (
     RuleMismatch,
     ValueCodes,
     _interpolant,
-    _pull_backs,
     babs,
     baffine,
     bneg,
@@ -62,6 +61,7 @@ from bspec.topology import (
     certify_map,
     check_morphism,
     check_morphism_as,
+    compose_rfun,
     compose_witnesses,
     eval_bic,
     lift_certificate,
@@ -231,7 +231,7 @@ def certify_map_per_call(src, dst, h, label, findings, where=(), known=None):
     is pulled back, searched for and validated afresh."""
     certs = dict(known or {})
     ks = list(filterfalse(certs.__contains__, range(len(dst.gens))))
-    for k, pulled in zip(ks, _pull_backs(list(map(dst.gens.__getitem__, ks)), h)):
+    for k, pulled in zip(ks, [compose_rfun(dst.gens[m], h) for m in ks]):
         certs[k] = certificate_for(src, pulled)
         if certs[k] is None:
             findings.append(Finding(f"{label}-cert", where + (k,)))
@@ -254,7 +254,7 @@ def check_morphism_per_call(src, dst, w):
         findings.append(Finding("map-carriers"))
     if findings:
         return findings
-    for k, pulled in enumerate(_pull_backs(dst.gens, w.h)):
+    for k, pulled in enumerate([compose_rfun(g, w.h) for g in dst.gens]):
         if k not in w.certs:
             findings.append(Finding("missing-certificate", (dst.names[k],)))
             continue
@@ -373,9 +373,11 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def saturate_rescan(pairs, carriers, given, contravariant=False):
-    """families._saturate before its known transports were indexed: every
-    unknown pair rescans all known transports for its middle indices."""
+def saturate_rescan(index, carriers, given, direction=COVARIANT):
+    """families._saturate before its known transports were kept as bit
+    rows: every unknown pair rescans all known transports for its middle
+    indices, and composes through the first of them in carrier order."""
+    pairs = index.order_pairs()
     pairset = set(pairs)
     known = {}
     for i, j in pairs:
@@ -394,12 +396,10 @@ def saturate_rescan(pairs, carriers, given, contravariant=False):
             mids = {k for (a, k) in known if a == i} & {
                 k for (k, b) in known if b == j
             }
-            for k in mids:
-                if (i, k) in known and (k, j) in known:
-                    if contravariant:
-                        known[(i, j)] = compose(known[(k, j)], known[(i, k)])
-                    else:
-                        known[(i, j)] = compose(known[(i, k)], known[(k, j)])
+            for k in index.elements:
+                if k in mids:
+                    known[(i, j)] = compose(*oriented(direction, known[(i, k)],
+                                                      known[(k, j)]))
                     changed = True
                     break
             if (i, j) in known:

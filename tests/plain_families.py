@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from bspec.families import FamilyError, _saturate
+from bspec.order import DirectedIndex
 from bspec.report import Finding
 from bspec.setoid import Setoid, check_extensional, compose, fn_equal, identity
 
@@ -40,13 +41,14 @@ def make_family(index, carriers, transports=None):
     for i in index.elements:
         if i not in carriers:
             raise FamilyError(f"no carrier given for index element {i}")
-    pairs = [
+    pairs = frozenset(
         (i, j)
         for i in index.elements
         for j in index.elements
         if index.eq(i, j)
-    ]
-    table = _saturate(pairs, carriers, dict(transports or {}))
+    )
+    table = _saturate(DirectedIndex(index, pairs, {}), carriers,
+                      dict(transports or {}))
     fam = Family(index, carriers, table)
     findings = validate_family(fam)
     if findings:

@@ -67,8 +67,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
 # Spectra whose space lines do not give each index one space over the
 # family's carrier there, a pool whose shape its check does not read, a
 # spectrum with an edge no certificate proves, malformed certificate
-# expressions, and map, gen, cof and leg lines whose table the kernel
-# refuses: (the refused line, the message).
+# expressions, map, gen, cof and leg lines whose table the kernel refuses,
+# elements and members lines the kernel refuses as a carrier, and families
+# with a transport missing or two paths that disagree: (the refused line,
+# the message).
 HOSTILE = sorted(Path(__file__).resolve().parent.glob("hostile/*.bsp"))
 REFUSALS = {
     "certificate-arity": ("witness 1 -> 2 f: (gen f f)", "(gen ...) takes 1 operand, got 2"),
@@ -76,13 +78,19 @@ REFUSALS = {
     "cof-codomain": ("cof: 0 => 0, 1 => 1, 2 => 2", "value '1' of '1' not in codomain"),
     "coarser-equality": ("space 0: FX2C",
                          "subbase 'FX2C' is not over the carrier at index '0'"),
+    "disagreeing-paths": ("family SWAP {", "family-composition at a, c, d"),
+    "duplicate-element": ("elements: p, q, p", "duplicate element 'p'"),
+    "duplicate-member": ("members: 0, 2, 2", "duplicate element '2'"),
     "duplicate-space": ("space 1: FX2", "duplicate space line for index '1'"),
+    "empty-elements": ("elements:", "carrier is empty; pass empty=True if intended"),
     "foreign-setoid": ("space 1: FY2", "subbase 'FY2' is not over the carrier at index '1'"),
     "foreign-setoid-auto": ("space 1: FY2",
                             "subbase 'FY2' is not over the carrier at index '1'"),
     "gen-not-total": ("gen f: p => 0", "function not total, missing 'q'"),
     "leg-codomain": ("leg 1: p => p, q => z", "value 'z' of 'q' not in codomain"),
     "map-codomain": ("map 1 -> 2: p => p, q => z", "value 'z' of 'q' not in codomain"),
+    "missing-cover-map": ("family CONSTX2 {",
+                          "no transport derivable for [('0', '2'), ('1', '2')]"),
     "missing-space": ("spectrum EOSPEC {", "no space line for index '2'"),
     "pool-shape": ("pool PCONV {", "pool PCONV has shape hom-into-fixed, but duality2 "
                    "over the contravariant REV needs hom-out-of-fixed"),

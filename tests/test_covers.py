@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bspec import spectra
-from bspec.dsl import parse
+from bspec.dsl import elaborate, parse
 from bspec.families import (
     CONTRAVARIANT,
     COVARIANT,
@@ -34,6 +34,8 @@ from bspec.spectra import constant_spectrum, validate_spectrum
 from bspec.topology import CConst, RFun, space
 
 from oracles import (
+    autofill_witnesses,
+    complete_witnesses_scan,
     direct_family_laws_hold_triples,
     hasse_covers,
     outcome,
@@ -292,6 +294,23 @@ def _chain_spectrum_document(n):
     lines += [f"  witness {k} -> {k + 1} g: (gen g)" for k in range(n - 1)]
     lines += ["}", "suite main {", "  check: spectrum SP", "}"]
     return "\n".join(lines) + "\n"
+
+
+def test_the_cover_only_chain200_document_checks():
+    records = run_suite(parse(_chain_spectrum_document(200))).records
+    assert [(r.law, r.status) for r in records] == [
+        ("spectrum.SP.edge-witnesses", "pass"),
+        ("spectrum.SP.composite-witnesses", "pass")]
+
+
+def test_the_cover_only_chain60_tables_are_the_scans():
+    s = elaborate(parse(_chain_spectrum_document(60))).spectra["SP"]
+    covers = {(str(k), str(k + 1)): s.witness_certs[(str(k), str(k + 1))]
+              for k in range(59)}
+    want = autofill_witnesses(s.fam, s.spaces,
+                              complete_witnesses_scan(s.fam, s.spaces, covers))
+    assert s.witness_certs == want
+    assert len(want) == 60 * 59 // 2
 
 
 def test_a_spoiled_cover_composite_past_the_first_is_reported_as_the_scan_does(

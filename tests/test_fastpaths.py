@@ -34,7 +34,7 @@ from bspec.setoid import (
     make_setoid,
 )
 from bspec.spectra import complete_witnesses
-from bspec.topology import CAdd, CConst, map_setoid
+from bspec.topology import CAdd, CConst, CGen, RFun, map_setoid, space
 
 from oracles import (
     autofill_witnesses,
@@ -339,7 +339,7 @@ def _two_phases(fam, spaces, given):
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(seeds, st.sampled_from([COVARIANT, CONTRAVARIANT]),
        st.sampled_from(["edges absent", "generators absent", "complete"]),
-       st.integers(min_value=1, max_value=7))
+       st.integers(min_value=1, max_value=40))
 def test_complete_witnesses_matches_the_rescan(seed, direction, kind, length):
     # a certificate naming a generator the lower edge does not certify is
     # left to certify_map, so a valid spectrum always completes
@@ -354,3 +354,48 @@ def test_complete_witnesses_matches_the_rescan(seed, direction, kind, length):
     assert got == outcome(_two_phases, s.fam, s.spaces, supplied)
     if kind == "complete":
         assert got == ("value", supplied)
+
+
+def _chain_over(carrier, direction):
+    """0 <= 1 <= 2 over `carrier`, a hand-built setoid whose elements are
+    these three names, one of them possibly twice, with identity
+    transports and one two-point space at every element."""
+    names = ("0", "1", "2")
+    index = DirectedIndex(carrier, frozenset(
+        (a, b) for m, a in enumerate(names) for b in names[m:]), {})
+    X = discrete(["p", "q"])
+    fam = DirectFamily(index, direction, dict.fromkeys(names, X),
+                       {p: SetoidFn(X, X, {"p": "p", "q": "q"})
+                        for p in index.order_pairs()})
+    sp = space(X, [RFun(X, {"p": 0, "q": 1})], ["g"])
+    return fam, dict.fromkeys(names, sp)
+
+
+def _labelled(n):
+    return {0: CAdd(CGen(0), CConst(Fraction(n)))}
+
+
+@pytest.mark.parametrize("direction", [COVARIANT, CONTRAVARIANT])
+@pytest.mark.parametrize("els", [("0", "1", "2", "1"), ("0", "1", "2", "0"),
+                                 ("2", "0", "1", "2"), ("1", "0", "1", "2")])
+def test_complete_witnesses_on_an_element_named_twice(els, direction):
+    # a bit at each position of the name: the middle is read off its first
+    carrier = Setoid(els, {(x, x) for x in els})
+    fam, spaces = _chain_over(carrier, direction)
+    given = {("0", "1"): _labelled(1), ("1", "2"): _labelled(2)}
+    got = complete_witnesses(fam, spaces, given)
+    assert got == _two_phases(fam, spaces, given)
+    assert got[("0", "2")] != {0: CGen(0)}  # lifted through 1, not certified
+
+
+@pytest.mark.parametrize("direction", [COVARIANT, CONTRAVARIANT])
+@pytest.mark.parametrize("stray", [("1", "0"), ("2", "1"), ("0", "9")])
+def test_a_witness_on_a_non_order_pair_is_never_a_middle(stray, direction):
+    # (1, 0) with (0, 2) known would lift (1, 2) through 0, and (2, 1) with
+    # (0, 2) would lift (0, 1) through 2, were they order pairs
+    fam, spaces = _chain_over(discrete(["0", "1", "2"]), direction)
+    given = {stray: _labelled(7), ("0", "2"): _labelled(2)}
+    got = complete_witnesses(fam, spaces, given)
+    assert got == _two_phases(fam, spaces, given)
+    assert got[stray] == _labelled(7)
+    assert got[("0", "1")] == got[("1", "2")] == {0: CGen(0)}

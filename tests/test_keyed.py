@@ -3,7 +3,10 @@ the order closure, saturation, the family laws and the sum-equality laws,
 each against the scan it replaced.  Hypothesis runs derandomized, so the
 suite stays deterministic."""
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,11 +174,9 @@ def _tables(known):
 def test_saturate_matches_rescan(seed, direction, fault):
     rng = random.Random(seed)
     fam = random_direct_family(rng, random_directed_index(rng, 6), direction)
-    pairs = fam.order_pairs()
     given = _generating_edges(rng, fam, fault)
-    got = outcome(_saturate, pairs, fam.carriers, given, direction)
-    want = outcome(saturate_rescan, pairs, fam.carriers, given,
-                   direction == CONTRAVARIANT)
+    got = outcome(_saturate, fam.index, fam.carriers, given, direction)
+    want = outcome(saturate_rescan, fam.index, fam.carriers, given, direction)
     if got[0] == "value" and want[0] == "value":
         assert _tables(got[1]) == _tables(want[1])
     else:
@@ -187,10 +188,26 @@ def test_saturate_derives_inverses_across_cycles():
     X = make_setoid(["p", "q"])
     swap = SetoidFn(X, X, {"p": "q", "q": "p"})
     given = {("a", "b"): swap}
-    got = _saturate(index.order_pairs(), {"a": X, "b": X}, given)
-    want = saturate_rescan(index.order_pairs(), {"a": X, "b": X}, given)
+    got = _saturate(index, {"a": X, "b": X}, given)
+    want = saturate_rescan(index, {"a": X, "b": X}, given)
     assert _tables(got) == _tables(want)
     assert got[("b", "a")].mapping == {"p": "q", "q": "p"}
+
+
+def test_a_derived_transport_does_not_depend_on_the_hash_seed():
+    """The diamond's a <= d is derived through b, its first middle in
+    carrier order, under every hash seed; so the path through c is the one
+    that disagrees.  A middle drawn from a set of names would follow the
+    string hashes."""
+    path = ROOT / "tests" / "hostile" / "disagreeing-paths.bsp"
+    errs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "bspec.cli", "check", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        errs.add(proc.stderr)
+    assert errs == {"bspec: 16:0: family-composition at a, c, d\n"}
 
 
 # --- the family laws ----------------------------------------------------------

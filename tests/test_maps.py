@@ -1,9 +1,9 @@
 """Maps built from checked maps: each map that `setoid._fn` builds without
 checking it (composites, identities, projections, limit legs, pool
-candidates) against the checked `SetoidFn`/`make_fn` build of the same
-table, the checked constructor and `check_extensional` against the scans
-they replaced, and the value keys pools look maps up by against the
-class-representative keys and the scan they replaced.
+candidates, product transports) against the checked `SetoidFn`/`make_fn`
+build of the same table, the checked constructor and `check_extensional`
+against the scans they replaced, and the value keys pools look maps up by
+against the class-representative keys and the scan they replaced.
 Hypothesis runs derandomized, so the suite stays deterministic."""
 
 import random
@@ -15,10 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from bspec import duality
 from bspec.duality import enumerate_morphisms
-from bspec.families import CONTRAVARIANT, COVARIANT, oriented
+from bspec.families import CONTRAVARIANT, COVARIANT, DirectFamily, oriented
 from bspec.limits import direct_limit, inverse_limit
+from bspec.order import chain
 from bspec.setoid import (
     DomainMismatch,
+    NotExtensional,
     Setoid,
     SetoidFn,
     UnknownElement,
@@ -32,6 +34,7 @@ from bspec.setoid import (
     make_fn,
     setoid_by_key,
 )
+from bspec.spectra import Spectrum, product_spectrum_over
 from bspec.topology import RFun, exponential_space, product_space, space, values_key
 
 from oracles import find_scan, outcome
@@ -190,6 +193,36 @@ def test_product_projections_are_maps(seed):
     for pr, b in ((pr1, b1), (pr2, b2)):
         assert pr.dom is sp.carrier and pr.cod is b.carrier
         assert _parts(pr) == _parts(make_fn(sp.carrier, b.carrier, pr.table()))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seeds, st.sampled_from([COVARIANT, CONTRAVARIANT]))
+def test_product_transports_are_maps(seed, direction):
+    """Over lawful factor families every product transport is built
+    unchecked, with the table the checked constructor builds."""
+    rng = random.Random(seed)
+    s = random_spectrum(rng, direction=direction)
+    t = random_spectrum(rng, index=s.index, direction=direction)
+    assert s.fam.lawful and t.fam.lawful
+    prod, _ = product_spectrum_over(s, t, s.index, lambda i: (i, i))
+    for fn in prod.fam.transports.values():
+        assert _parts(fn) == _parts(make_fn(fn.dom, fn.cod, fn.table()))
+
+
+def test_a_product_of_an_unlawful_family_checks_its_transports():
+    """A factor family whose transport separates equal elements is not
+    lawful, so its product transport goes through make_fn and raises."""
+    X = setoid_by_key(("a", "b"), (0, 0))
+    Y = setoid_by_key(("p", "q"), ("p", "q"))
+    index = chain(2)
+    bad = SetoidFn(X, Y, {"a": "p", "b": "q"})
+    fam = DirectFamily(index, COVARIANT, {"0": X, "1": Y},
+                       {("0", "0"): identity(X), ("0", "1"): bad,
+                        ("1", "1"): identity(Y)})
+    s = Spectrum(fam, {"0": space(X, []), "1": space(Y, [])}, {("0", "1"): {}})
+    assert not fam.lawful
+    with pytest.raises(NotExtensional):
+        product_spectrum_over(s, s, index, lambda i: (i, i))
 
 
 def _interleaved_space(rng, prefix):

@@ -95,16 +95,23 @@ def test_compose_rfun_matches_the_checked_pullback(seed):
     fast = outcome(compose_rfun, f, h)
     slow = outcome(_pullback_by_value, f, h)
     assert _as_table(fast) == _as_table(slow)
-    # the same pullback with h's class respect decided once for several
-    # functions, some on Y and some on cod
-    fs = [f, _class_constant(rng, Y), _class_constant(rng, cod)]
-    many = outcome(topology._pull_backs, fs, h)
-    if many[0] == "value":
-        assert [_as_table(("value", g)) for g in many[1]] == [
-            _as_table(outcome(_pullback_by_value, g, h)) for g in fs]
-    else:
-        assert many == next(r for r in (outcome(_pullback_by_value, g, h) for g in fs)
-                            if r[0] != "value")
+
+
+@FAST
+@given(seeds)
+def test_product_generators_match_the_checked_pullback(seed):
+    """product_space pulls each factor's generators back along its
+    projection unchecked: the same tables as the checked constructor."""
+    rng = random.Random(seed)
+    X = _random_setoid(rng, ("a", "b", "c")[:rng.randint(1, 3)])
+    Y = _random_setoid(rng, ("p", "q")[:rng.randint(1, 2)])
+    b1 = space(X, [_class_constant(rng, X) for _ in range(2)])
+    b2 = space(Y, [_class_constant(rng, Y)])
+    sp, pr1, pr2 = topology.product_space(b1, b2)
+    want = ([_pullback_by_value(g, pr1) for g in b1.gens]
+            + [_pullback_by_value(g, pr2) for g in b2.gens])
+    assert [_as_table(("value", g)) for g in sp.gens] == [
+        _as_table(("value", g)) for g in want]
 
 
 def test_compose_rfun_refuses_a_map_into_a_coarser_equality():
