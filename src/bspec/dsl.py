@@ -10,7 +10,6 @@ equalities as `a ~ b`, and certificates as parenthesized trees such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -72,29 +71,40 @@ BLOCK_KINDS = (
 )
 
 
-@dataclass
 class Stmt:
-    key: str
-    args: tuple
-    value: str
-    line: int
-    col: int
+    __slots__ = ("key", "args", "value", "line", "col")
+
+    def __init__(self, key, args, value, line, col):
+        self.key = key
+        self.args = args
+        self.value = value
+        self.line = line
+        self.col = col
 
 
-@dataclass
 class Block:
-    kind: str
-    name: str
-    stmts: list
-    line: int
+    """A parsed block: its statements in document order, indexed by key
+    once, when the block is made."""
+
+    def __init__(self, kind, name, stmts, line):
+        self.kind = kind
+        self.name = name
+        self.stmts = stmts
+        self.line = line
+        self._by_key = by_key = {}  # key -> its statements, in order
+        for s in stmts:
+            if s.key in by_key:
+                by_key[s.key] += [s]
+            else:
+                by_key[s.key] = [s]
 
     def one(self, key, required=False):
-        hits = [s for s in self.stmts if s.key == key]
-        if not hits:
+        if key not in self._by_key:
             if required:
                 raise SyntaxErrorDsl(f"block {self.name!r} needs a {key!r} line",
                                      self.line)
             return None
+        hits = self._by_key[key]
         if len(hits) > 1:
             raise SyntaxErrorDsl(f"duplicate {key!r} line", hits[1].line)
         return hits[0]
@@ -109,12 +119,12 @@ class Block:
         return value
 
     def many(self, key):
-        return [s for s in self.stmts if s.key == key]
+        return self._by_key[key] if key in self._by_key else []
 
 
-@dataclass
 class SpecDocument:
-    blocks: list = field(default_factory=list)
+    def __init__(self, blocks=None):
+        self.blocks = [] if blocks is None else blocks
 
     def of_kind(self, kind):
         return [b for b in self.blocks if b.kind == kind]
@@ -123,7 +133,8 @@ class SpecDocument:
 def parse(text):
     """Parse a document; errors carry line and column positions."""
     doc = SpecDocument()
-    current = None
+    current = None  # (kind, name, line) of the open block
+    stmts = []  # the open block's statements
     seen = set()  # (kind, name) of every block header read so far
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].rstrip()
@@ -144,10 +155,11 @@ def parse(text):
             if (kind, name) in seen:
                 raise SyntaxErrorDsl(f"duplicate block {kind} {name}", n, 1)
             seen.add((kind, name))
-            current = Block(kind, name, [], n)
+            current, stmts = (kind, name, n), []
             continue
         if stripped == "}":
-            doc.blocks.append(current)
+            kind, name, start = current
+            doc.blocks.append(Block(kind, name, stmts, start))
             current = None
             continue
         if ":" not in stripped:
@@ -157,12 +169,12 @@ def parse(text):
         words = head.split()
         if not words:
             raise SyntaxErrorDsl("empty statement key", n, 1)
-        current.stmts.append(
+        stmts.append(
             Stmt(words[0], tuple(words[1:]), value.strip(), n,
                  len(line) - len(stripped) + 1))
     if current is not None:
-        raise SyntaxErrorDsl(f"unterminated block {current.name!r}",
-                             current.line)
+        kind, name, start = current
+        raise SyntaxErrorDsl(f"unterminated block {name!r}", start)
     return doc
 
 
@@ -394,18 +406,21 @@ def _misshapen(s, usage):
     return SyntaxErrorDsl(f"{s.key} lines read '{s.key} {usage}'", s.line)
 
 
-@dataclass
 class Elaborated:
-    setoids: dict = field(default_factory=dict)
-    directeds: dict = field(default_factory=dict)
-    families: dict = field(default_factory=dict)
-    subbases: dict = field(default_factory=dict)  # name -> BSpace
-    certificates: dict = field(default_factory=dict)
-    spectra: dict = field(default_factory=dict)
-    cofinals: dict = field(default_factory=dict)  # name -> (directed name, CofinalSubset)
-    cocones: dict = field(default_factory=dict)   # name -> (spectrum name, Legs)
-    cones: dict = field(default_factory=dict)     # name -> (spectrum name, Legs)
-    pools: dict = field(default_factory=dict)     # name -> pool description
+    def __init__(self, setoids=None, directeds=None, families=None, subbases=None,
+                 certificates=None, spectra=None, cofinals=None, cocones=None,
+                 cones=None, pools=None):
+        self.setoids = {} if setoids is None else setoids
+        self.directeds = {} if directeds is None else directeds
+        self.families = {} if families is None else families
+        self.subbases = {} if subbases is None else subbases  # name -> BSpace
+        self.certificates = {} if certificates is None else certificates
+        self.spectra = {} if spectra is None else spectra
+        # name -> (directed name, CofinalSubset)
+        self.cofinals = {} if cofinals is None else cofinals
+        self.cocones = {} if cocones is None else cocones  # name -> (spectrum name, Legs)
+        self.cones = {} if cones is None else cones  # name -> (spectrum name, Legs)
+        self.pools = {} if pools is None else pools  # name -> pool description
 
     def spectrum(self, name):
         return _lookup(self.spectra, name, "spectrum")

@@ -10,7 +10,6 @@ decided by enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .families import CONTRAVARIANT, COVARIANT, DirectFamily, oriented
@@ -19,7 +18,7 @@ from .setoid import Tag, _fn, compose, identity, is_embedding, make_fn
 from .spectra import Spectrum
 from .topology import (
     CGen,
-    MorCarrier,
+    MorCarrier,  # the pool spaces made here; bench/spans.py traces MorCarrier.find
     MorphismWitness,
     certify_iso,
     certify_map,
@@ -47,7 +46,8 @@ def enumerate_morphisms(src, dst, cap=4096):
 
     A candidate sends each class of src to one element of dst.  Its table
     is listed in src's carrier order and is total, into dst and constant
-    on classes by construction, so it is built unchecked.
+    on classes by construction, so it is built unchecked and certified as
+    a map that respects classes.
     """
     n_classes = src.carrier.class_count()
     total = len(dst.carrier.elements) ** n_classes
@@ -64,7 +64,7 @@ def enumerate_morphisms(src, dst, cap=4096):
         h = _fn(src.carrier, dst.carrier,
                 dict(zip(els, map(choice.__getitem__, class_of))))
         missing = []
-        w = certify_map(src, dst, h, "pool", missing)
+        w = certify_map(src, dst, h, "pool", missing, respects=True)
         if not missing:
             out.append(w)
     return out
@@ -181,11 +181,11 @@ def _gen_items(pool):
 
 # --- duality principle: hom out of a direct limit ----------------------------
 
-@dataclass
 class DualityResult:
-    to_hom: object      # map from the compatible-choice side to the hom side
-    hom_pool: MorCarrier | None  # the homs between the limit and the fixed space
-    findings: list = field(default_factory=list)
+    def __init__(self, to_hom, hom_pool, findings=None):
+        self.to_hom = to_hom  # map from the compatible-choice side to the hom side
+        self.hom_pool = hom_pool  # the MorCarrier of homs between the limit and the fixed space
+        self.findings = [] if findings is None else findings
 
 
 def duality_direct_to_inverse(s, fixed, pools, lims):
@@ -296,13 +296,14 @@ def _check_assembled(src, dst, witnesses):
 
 # --- converse-direction maps ---------------------------------------------------
 
-@dataclass
 class ConverseResult:
-    hom_pool: MorCarrier | None
-    hypothesis_holds: bool | None = None
-    hypothesis_witness: tuple = ()
-    embedding_checked: bool = False
-    findings: list = field(default_factory=list)
+    def __init__(self, hom_pool, hypothesis_holds=None, hypothesis_witness=(),
+                 embedding_checked=False, findings=None):
+        self.hom_pool = hom_pool  # a MorCarrier, or None
+        self.hypothesis_holds = hypothesis_holds
+        self.hypothesis_witness = hypothesis_witness
+        self.embedding_checked = embedding_checked
+        self.findings = [] if findings is None else findings
 
 
 def converse_dual_inverse(s, fixed, pools, lims):

@@ -6,10 +6,9 @@ composition path checked to agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .order import DirectedIndex, _image_positions, _members, _unordered_images
+from .order import _image_positions, _members, _unordered_images
 from .report import Finding
 from .setoid import (
     SetoidFn,
@@ -51,7 +50,6 @@ class NotMonotone(FamilyError):
     pass
 
 
-@dataclass(eq=False)
 class DirectFamily:
     """Carriers over a directed index with transports along the order.
 
@@ -59,10 +57,11 @@ class DirectFamily:
     i <= j); contravariant ones go down (carrier(j) -> carrier(i)).
     """
 
-    index: DirectedIndex
-    direction: str
-    carriers: dict
-    transports: dict  # keyed (i, j) with i <= j
+    def __init__(self, index, direction, carriers, transports):
+        self.index = index  # a DirectedIndex
+        self.direction = direction
+        self.carriers = carriers
+        self.transports = transports  # keyed (i, j) with i <= j
 
     def carrier(self, i):
         return self.carriers[i]
@@ -368,9 +367,9 @@ def direct_sum_setoid(F):
 
 # --- maps between families -------------------------------------------------
 
-@dataclass(eq=False)
 class FamilyMap:
-    comps: dict  # index element -> SetoidFn
+    def __init__(self, comps):
+        self.comps = comps  # index element -> SetoidFn
 
     def at(self, i):
         return self.comps[i]

@@ -10,8 +10,10 @@ everything here is verified exhaustively at construction or on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
+from operator import getitem
 
+from .duality import enumerate_morphisms
 from .families import (
     CONTRAVARIANT,
     COVARIANT,
@@ -27,9 +29,8 @@ from .report import Finding
 from .setoid import (
     Choice,
     Pair,
-    Setoid,
-    SetoidFn,
     Tag,
+    UnknownElement,
     _fn,
     check_extensional,
     compose,
@@ -39,7 +40,6 @@ from .setoid import (
     setoid_by_key,
 )
 from .spectra import (
-    Spectrum,
     product_spectrum,
     restrict_spectrum,
     sum_space,
@@ -69,7 +69,6 @@ class NonUnique(LimitError):
     """Mediator uniqueness failed; this signals a kernel bug, not bad input."""
 
 
-@dataclass(eq=False)
 class Mediator(MorphismWitness):
     """A mediating morphism with the outcome of its uniqueness check: True
     when the check confirmed it, None when the |codomain|^|classes|
@@ -78,12 +77,16 @@ class Mediator(MorphismWitness):
     (`_unique_on_class_ids`), in one pass over the domain: O(|domain|) for
     a direct limit, O((|apex| + |limit|)·|index|) for an inverse limit."""
 
-    unique: bool | None = None
+    __slots__ = ("unique",)
+
+    def __init__(self, h, certs, unique=None):
+        self.h = h
+        self.certs = certs
+        self.unique = unique
 
 
 # --- what both limits share: legs, mediators, induced maps -------------------
 
-@dataclass(eq=False)
 class Legs:
     """Compatible legs between the spaces of a spectrum and one apex.
 
@@ -92,8 +95,10 @@ class Legs:
     does for the transports and for a limit's own legs `lim.leg(i)`.
     """
 
-    apex: BSpace
-    legs: dict  # index element -> MorphismWitness between s.space(i) and the apex
+    def __init__(self, apex, legs):
+        self.apex = apex  # a BSpace
+        # index element -> MorphismWitness between s.space(i) and the apex
+        self.legs = legs
 
 
 def validate_legs(s, c):
@@ -201,12 +206,12 @@ def _induced_map(lim_s, lim_t, psi, fwd, label, what):
 
 # --- direct limits -----------------------------------------------------------
 
-@dataclass(eq=False)
 class DirectLimit:
-    spectrum: Spectrum
-    carrier: Setoid   # tagged pairs with the transport-agreement equality
-    threads: list  # thread n made generator n of the subbase
-    space: BSpace
+    def __init__(self, spectrum, carrier, threads, space):
+        self.spectrum = spectrum
+        self.carrier = carrier  # tagged pairs with the transport-agreement equality
+        self.threads = threads  # thread n made generator n of the subbase
+        self.space = space  # a BSpace
 
     def leg(self, i):
         """The map sending a carrier element at i to its class."""
@@ -318,10 +323,10 @@ def limit_map(s, t, psi, lims):
     return _induced_map(lim_s, lim_t, psi, fwd, "pullback", "generator")
 
 
-@dataclass
 class CofinalIso:
-    forward: SetoidFn      # limit over the subset -> limit over the whole index
-    findings: list = field(default_factory=list)
+    def __init__(self, forward, findings=None):
+        self.forward = forward  # limit over the subset -> limit over the whole index
+        self.findings = [] if findings is None else findings
 
 
 def cofinal_direct_iso(s, cof, lims):
@@ -353,10 +358,10 @@ def _cofinal_iso(lim, sub_lim, forward, backward):
     return CofinalIso(forward, findings)
 
 
-@dataclass
 class ProductLimitResult:
-    counts: tuple
-    findings: list = field(default_factory=list)
+    def __init__(self, counts, findings=None):
+        self.counts = counts
+        self.findings = [] if findings is None else findings
 
 
 def product_limit_bijection(s, t, lims):
@@ -391,14 +396,16 @@ def product_limit_bijection(s, t, lims):
 
 # --- inverse limits ----------------------------------------------------------
 
-@dataclass(eq=False)
 class InverseLimit:
-    spectrum: Spectrum
-    carrier: Setoid
-    assignments: dict  # carrier token -> {index element -> carrier element}
-    space: BSpace
-    gen_sources: list = field(default_factory=list)  # per gen: (index, gen pos)
-    by_key: dict = field(default_factory=dict)  # _choice_key -> its first token
+    def __init__(self, spectrum, carrier, assignments, space, gen_sources=None,
+                 by_key=None):
+        self.spectrum = spectrum
+        self.carrier = carrier
+        self.assignments = assignments  # carrier token -> {index element -> carrier element}
+        self.space = space
+        # per gen: (index, gen pos)
+        self.gen_sources = [] if gen_sources is None else gen_sources
+        self.by_key = {} if by_key is None else by_key  # _choice_key -> its first token
 
     def leg(self, i):
         """The projection to the carrier at i."""
@@ -410,17 +417,35 @@ class InverseLimit:
     def token_of(self, assignment):
         """The first carrier token, in carrier order, matching an assignment
         pointwise, or None."""
-        return self.by_key.get(_choice_key(self.spectrum, assignment))
+        return self.by_key.get(_choice_key(self._key_at, assignment))
+
+    @cached_property
+    def _key_at(self):
+        return _choice_key_at(self.spectrum)
 
     def class_count(self):
         return self.carrier.class_count()
 
 
-def _choice_key(s, assignment):
-    """The classes of an assignment's components, in index order: two
-    choices are equal exactly when their keys are."""
-    fam = s.fam
-    return tuple([fam.carrier(i).class_repr(assignment[i]) for i in s.index.elements])
+def _choice_key_at(s):
+    """What `_choice_key` reads: the index elements in carrier order, and
+    the class ids of the carrier at each."""
+    els = s.index.elements
+    return els, [s.fam.carrier(i).class_id for i in els]
+
+
+def _choice_key(at, assignment):
+    """The class ids of an assignment's components, in index order, with
+    `at` = _choice_key_at(s): two choices are equal exactly when their keys
+    are.  A component off its carrier raises UnknownElement."""
+    els, ids = at
+    try:
+        return tuple(map(getitem, ids, map(assignment.__getitem__, els)))
+    except KeyError:
+        for i, class_id in zip(els, ids):
+            if assignment[i] not in class_id:
+                raise UnknownElement(assignment[i]) from None
+        raise
 
 
 def inverse_limit(s):
@@ -454,12 +479,13 @@ def inverse_limit(s):
 def _limit_of_choices(s, choices):
     """The inverse-limit carrier on the listed compatible choices, one
     token each in list order, topologized by the projections."""
-    els = s.index.elements
+    at = _choice_key_at(s)
+    els = at[0]
     tokens, keys, assignments, by_key = [], [], {}, {}
     for a in choices:
         tok = Choice([a[i] for i in els])
         tokens.append(tok)
-        keys.append(_choice_key(s, a))
+        keys.append(_choice_key(at, a))
         assignments[tok] = a
         by_key.setdefault(keys[-1], tok)
     carrier = setoid_by_key(tuple(tokens), keys)
@@ -481,18 +507,21 @@ def _limit_of_choices(s, choices):
 
 
 class Limits:
-    """The limit of each spectrum, built the first time it is asked for.
+    """The limit of each spectrum, and the morphism pool between each pair
+    of spaces, built the first time it is asked for.
 
     Every limit a check needs comes from here: a declared spectrum's, and
     those of the spectra a check derives from it (a cofinal restriction, a
     product, an induced morphism-space spectrum).  Limits are keyed by
-    spectrum identity.  A build that raises is not kept: every check that
-    needs the limit meets the error again and reports it.
+    spectrum identity, pools by the identities of their two spaces.  A
+    build that raises is not kept: every check that needs it meets the
+    error again and reports it.
     """
 
     def __init__(self):
         self._direct = {}
         self._inverse = {}
+        self._pools = {}
 
     def direct(self, s):
         if s not in self._direct:
@@ -503,6 +532,14 @@ class Limits:
         if s not in self._inverse:
             self._inverse[s] = inverse_limit(s)
         return self._inverse[s]
+
+    def pool(self, src, dst):
+        """enumerate_morphisms(src, dst), shared by every index and check
+        that asks for the same two spaces."""
+        key = (src, dst)
+        if key not in self._pools:
+            self._pools[key] = enumerate_morphisms(src, dst)
+        return self._pools[key]
 
 
 def top_determinacy_check(lim):

@@ -3,14 +3,12 @@ optional coherent choice of upper bounds, and cofinal subsets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .report import Finding
 from .setoid import (
     Pair,
     Setoid,
-    SetoidFn,
     UnknownElement,
     check_extensional,
     discrete,
@@ -29,7 +27,6 @@ class NotDirected(OrderError):
     pass
 
 
-@dataclass(frozen=True)
 class DirectedIndex:
     """A finite preorder where every pair has a chosen upper bound.
 
@@ -41,10 +38,11 @@ class DirectedIndex:
     bit rows (`_order`), built once per index.
     """
 
-    base: Setoid
-    pairs: frozenset
-    upper: dict
-    delta: dict | None = None
+    def __init__(self, base, pairs, upper, delta=None):
+        self.base = base  # a Setoid
+        self.pairs = pairs  # a frozenset
+        self.upper = upper
+        self.delta = delta
 
     @property
     def elements(self):
@@ -345,13 +343,13 @@ def top_element(D):
     return D.top
 
 
-@dataclass(frozen=True)
 class CofinalSubset:
     """An embedded subset with a modulus picking a dominating member."""
 
-    members: Setoid
-    embed: SetoidFn
-    cof: SetoidFn
+    def __init__(self, members, embed, cof):
+        self.members = members  # a Setoid
+        self.embed = embed  # SetoidFn into the index
+        self.cof = cof  # SetoidFn from the index
 
 
 def _image_positions(D, f):

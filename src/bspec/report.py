@@ -3,16 +3,52 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class Finding:
+class ValueRecord:
+    """Value semantics for a small immutable record.
+
+    Equality, hashing and the repr read the fields named in `_fields`, in
+    order: two records are equal when they are of one class and their
+    fields are equal, and the repr reads `Name(field=value, ...)`.
+    Assigning or deleting an attribute raises AttributeError, so each
+    record sets its fields in its own `__init__` with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Finding(ValueRecord):
     """A single failed (or notable) law instance with its witness."""
 
-    law: str
-    witness: tuple = ()
-    note: str = ""
+    _fields = ("law", "witness", "note")
+
+    def __init__(self, law, witness=(), note=""):
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "note", note)
 
     def __str__(self):
         parts = [self.law]
@@ -23,18 +59,18 @@ class Finding:
         return " ".join(parts)
 
 
-@dataclass
 class CheckRecord:
-    suite: str
-    law: str
-    status: str  # pass | fail | skipped
-    witness: tuple = ()
-    elapsed: float = 0.0
+    def __init__(self, suite, law, status, witness=(), elapsed=0.0):
+        self.suite = suite
+        self.law = law
+        self.status = status  # pass | fail | skipped
+        self.witness = witness
+        self.elapsed = elapsed
 
 
-@dataclass
 class Report:
-    records: list = field(default_factory=list)
+    def __init__(self, records=None):
+        self.records = [] if records is None else records
 
     def add(self, suite, law, findings=None, skipped=False, elapsed=0.0, witness=()):
         if skipped:

@@ -8,7 +8,6 @@ Results are deterministic for a fixed document and configuration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .dsl import DslError, TypeMismatch, _lookup, elaborate
 from .duality import (
@@ -16,7 +15,6 @@ from .duality import (
     converse_dual_inverse,
     duality_direct_to_inverse,
     duality_inverse_hom,
-    enumerate_morphisms,
 )
 from .families import (
     CONTRAVARIANT,
@@ -53,9 +51,9 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(kw_only=True)
 class RunConfig:
-    uniq_bound: int = 1_000_000
+    def __init__(self, *, uniq_bound=1_000_000):
+        self.uniq_bound = uniq_bound
 
 
 def run_suite(doc, suite_name=None, config=None):
@@ -317,11 +315,12 @@ def check_product(env, args, config, report, suite, lims):
                    witness=tuple(str(c) for c in res.counts))
 
 
-def _build_pools(env, pool_name, kind):
+def _build_pools(env, pool_name, kind, lims):
     """(spectrum, fixed space, morphism pool per index) of a pool block,
     refused at the block's line unless its shape is the one check `kind`
     reads: homs into the fixed space for duality, and for converse-duals
-    over a contravariant spectrum; homs out of it otherwise."""
+    over a contravariant spectrum; homs out of it otherwise.  Indices with
+    the same space share one pool (`Limits.pool`)."""
     desc = _lookup(env.pools, pool_name, "pool")
     s = env.spectrum(desc["spectrum"])
     fixed = env.space(desc["space"])
@@ -335,15 +334,15 @@ def _build_pools(env, pool_name, kind):
     pools = {}
     for i in s.index.elements:
         if hom_into:
-            pools[i] = enumerate_morphisms(s.space(i), fixed)
+            pools[i] = lims.pool(s.space(i), fixed)
         else:
-            pools[i] = enumerate_morphisms(fixed, s.space(i))
+            pools[i] = lims.pool(fixed, s.space(i))
     return s, fixed, pools
 
 
 def check_duality(env, args, config, report, suite, lims):
     name = _one_arg(args, "duality")
-    s, fixed, pools = _build_pools(env, name, "duality")
+    s, fixed, pools = _build_pools(env, name, "duality", lims)
     res = duality_direct_to_inverse(s, fixed, pools, lims)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     embed = [f for f in res.findings if f.law == "embedding"]
@@ -358,7 +357,7 @@ def check_duality(env, args, config, report, suite, lims):
 
 def check_duality2(env, args, config, report, suite, lims):
     name = _one_arg(args, "duality2")
-    s, fixed, pools = _build_pools(env, name, "duality2")
+    s, fixed, pools = _build_pools(env, name, "duality2", lims)
     res = duality_inverse_hom(s, fixed, pools, lims)
     round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
     rest = [f for f in res.findings if not f.law.startswith("round-trip")]
@@ -370,7 +369,7 @@ def check_duality2(env, args, config, report, suite, lims):
 
 def check_converse_duals(env, args, config, report, suite, lims):
     name = _one_arg(args, "converse-duals")
-    s, fixed, pools = _build_pools(env, name, "converse-duals")
+    s, fixed, pools = _build_pools(env, name, "converse-duals", lims)
     if s.direction == CONTRAVARIANT:
         res = converse_dual_inverse(s, fixed, pools, lims)
         report.add(suite, f"converse.{name}.morphism", res.findings)

@@ -8,7 +8,6 @@ of pairs is derived only for the validators and oracles that read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -390,11 +389,11 @@ def is_embedding(f):
     return (True, None) if bad is None else (False, bad)
 
 
-@dataclass(frozen=True)
 class Subset:
-    carrier: Setoid
-    ambient: Setoid
-    inject: SetoidFn
+    def __init__(self, carrier, ambient, inject):
+        self.carrier = carrier
+        self.ambient = ambient
+        self.inject = inject
 
 
 def make_subset(carrier, ambient, inject=None):
@@ -409,12 +408,12 @@ def make_subset(carrier, ambient, inject=None):
     return Subset(carrier, ambient, inject)
 
 
-@dataclass(frozen=True)
 class QuotientSetoid:
     """The same elements with a coarser validated equivalence."""
 
-    base: Setoid
-    carrier: Setoid
+    def __init__(self, base, carrier):
+        self.base = base
+        self.carrier = carrier
 
     def as_setoid(self):
         return self.carrier

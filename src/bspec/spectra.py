@@ -5,7 +5,6 @@ functions they define on the sum, and the sum topology itself)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .families import (
@@ -42,7 +41,6 @@ class SpectrumError(Exception):
     pass
 
 
-@dataclass(eq=False)
 class Spectrum:
     """A direct family with a space at each index, over the family's carrier
     there, and a certificate dict per order edge witnessing that the
@@ -54,13 +52,13 @@ class Spectrum:
     demand, never stored.
     """
 
-    fam: DirectFamily
-    spaces: dict  # index element -> BSpace
-    witness_certs: dict  # (i, j) order pair -> {target gen index -> certificate}
-    pool: tuple = (Fraction(0), Fraction(1))  # constants usable in threads
-
-    def __post_init__(self):
-        self.pool = tuple(q if type(q) is Fraction else Fraction(q) for q in self.pool)
+    def __init__(self, fam, spaces, witness_certs, pool=(Fraction(0), Fraction(1))):
+        self.fam = fam  # a DirectFamily
+        self.spaces = spaces  # index element -> BSpace
+        # (i, j) order pair -> {target gen index -> certificate}
+        self.witness_certs = witness_certs
+        # constants usable in threads
+        self.pool = tuple(q if type(q) is Fraction else Fraction(q) for q in pool)
 
     @property
     def index(self):
@@ -234,7 +232,6 @@ def _cover_composites_hold(s):
 
 # --- compatible choices of topology elements (threads) ----------------------
 
-@dataclass(eq=False)
 class Thread:
     """One topology element per index, compatible with the transports.
 
@@ -243,8 +240,9 @@ class Thread:
     carries a certificate over its own subbase.
     """
 
-    funcs: dict  # index element -> RFun
-    certs: dict = field(default_factory=dict)  # index element -> certificate
+    def __init__(self, funcs, certs=None):
+        self.funcs = funcs  # index element -> RFun
+        self.certs = {} if certs is None else certs  # index element -> certificate
 
     def at(self, i):
         return self.funcs[i]

@@ -13,16 +13,14 @@ full morphism-hood on generators only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import filterfalse
+from operator import attrgetter
 
-from .report import Finding
+from .report import Finding, ValueRecord
 from .setoid import (
     NotExtensional,
-    Setoid,
-    SetoidFn,
     Subset,
     UnknownElement,
     _fn,
@@ -88,6 +86,13 @@ class RFun:
     def __repr__(self):
         items = ", ".join(f"{x}=>{v}" for x, v in self.values.items())
         return f"RFun({items})"
+
+
+# The exact key of a table value, a Fraction: Fractions are kept in lowest
+# terms with a positive denominator, so two are equal exactly when their
+# keys are.  The key is read in C, where Fraction's own __eq__ runs Python
+# code on every comparison.
+_exact = attrgetter("_numerator", "_denominator")
 
 
 class ValueCodes:
@@ -162,8 +167,7 @@ def _pull_back(f, h, checked):
 
 # --- the closed grammar of continuous reals-to-reals functions -------------
 
-@dataclass(frozen=True)
-class Bic:
+class Bic(ValueRecord):
     """Expression in the closed grammar of continuous real functions.
 
     Tags: const, id, add, mul, neg, abs, max, min, comp.  Every expression
@@ -171,9 +175,12 @@ class Bic:
     uniform continuity on each interval [-n, n].
     """
 
-    tag: str
-    args: tuple = ()
-    value: Fraction | None = None
+    _fields = ("tag", "args", "value")
+
+    def __init__(self, tag, args=(), value=None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "value", value)
 
 
 BID = Bic("id")
@@ -313,21 +320,17 @@ def bic_modulus(e, n, eps):
 
 # --- spaces, certificates --------------------------------------------------
 
-@dataclass(eq=False)
 class BSpace:
     """A carrier with the topology its subbase `gens` generates (the
     implicit closure); generator k is named names[k], `g{k}` by default."""
 
-    carrier: Setoid
-    gens: tuple  # RFun values on the carrier
-    names: tuple = ()
-
-    def __post_init__(self):
-        for g in self.gens:
-            if g.carrier.elements != self.carrier.elements:
+    def __init__(self, carrier, gens, names=()):
+        for g in gens:
+            if g.carrier.elements != carrier.elements:
                 raise TopologyError("generator lives on a different carrier")
-        if not self.names:
-            self.names = tuple(f"g{k}" for k in range(len(self.gens)))
+        self.carrier = carrier
+        self.gens = gens  # RFun values on the carrier
+        self.names = names or tuple(f"g{k}" for k in range(len(gens)))
 
     @cached_property
     def blocks(self):
@@ -342,16 +345,24 @@ class BSpace:
         return {}
 
 
-@dataclass(frozen=True)
-class Blocks:
+class Blocks(ValueRecord):
     """The blocks of a space, the groups of points no generator separates,
     numbered by first element in carrier order, and the separating sum
-    h = sum c_j g_j, which is injective on them."""
+    h = sum c_j g_j, which is injective on them.
 
-    firsts: tuple  # the first element of each block
-    of: tuple  # the block of each carrier element, in carrier order
-    h: tuple  # (h at a block's first element, that element), h ascending
-    h_cert: object  # certificate of h; None with fewer than two blocks
+    firsts: the first element of each block; of: the block of each carrier
+    element, in carrier order; h: (h at a block's first element, that
+    element), h ascending; h_cert: the certificate of h, None with fewer
+    than two blocks.
+    """
+
+    _fields = ("firsts", "of", "h", "h_cert")
+
+    def __init__(self, firsts, of, h, h_cert):
+        object.__setattr__(self, "firsts", firsts)
+        object.__setattr__(self, "of", of)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h_cert", h_cert)
 
 
 def _blocks(els, gens):
@@ -395,38 +406,54 @@ def space(carrier, gens, names=()):
 # Certificate nodes.  Conclusions are computed per rule; validation compares
 # the final conclusion with the claimed function exactly.
 
-@dataclass(frozen=True)
-class CGen:
-    k: int
+class CGen(ValueRecord):
+    __slots__ = ("k",)
+    _fields = __slots__
+
+    def __init__(self, k):
+        object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True)
-class CConst:
-    value: Fraction
+class CConst(ValueRecord):
+    __slots__ = ("value",)
+    _fields = __slots__
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class CAdd:
-    left: object
-    right: object
+class CAdd(ValueRecord):
+    _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class CBic:
-    phi: Bic
-    child: object
+class CBic(ValueRecord):
+    _fields = ("phi", "child")
+
+    def __init__(self, phi, child):
+        object.__setattr__(self, "phi", phi)  # a Bic
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
-class CEq:
-    child: object
-    table: tuple  # claimed pointwise-equal conclusion, ((element, value), ...)
+class CEq(ValueRecord):
+    _fields = ("child", "table")
+
+    def __init__(self, child, table):
+        object.__setattr__(self, "child", child)
+        # the claimed pointwise-equal conclusion, ((element, value), ...)
+        object.__setattr__(self, "table", table)
 
 
-@dataclass(frozen=True)
-class CULim:
-    table: tuple  # claimed limit function
-    witnesses: tuple  # ((n, certificate), ...) with |f - g_n| <= 2^-n
+class CULim(ValueRecord):
+    _fields = ("table", "witnesses")
+
+    def __init__(self, table, witnesses):
+        object.__setattr__(self, "table", table)  # the claimed limit function
+        # ((n, certificate), ...) with |f - g_n| <= 2^-n
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 def ceq(child, rfun):
@@ -468,15 +495,13 @@ def cert_conclusion(sp, c):
     raise RuleMismatch(f"unknown node {c!r}")
 
 
-@dataclass
 class CertReport:
-    ok: bool
-    witnessed: bool = False  # True when a uniform-limit node was used
-    findings: list = None
+    __slots__ = ("ok", "witnessed", "findings")
 
-    def __post_init__(self):
-        if self.findings is None:
-            self.findings = []
+    def __init__(self, ok, witnessed=False, findings=None):
+        self.ok = ok
+        self.witnessed = witnessed  # True when a uniform-limit node was used
+        self.findings = [] if findings is None else findings
 
 
 ULIM_MAX = 8  # most witnesses a uniform-limit node may list
@@ -590,12 +615,14 @@ def cert_min(c1, c2):
 
 # --- morphisms and certificate lifting -------------------------------------
 
-@dataclass(eq=False)
 class MorphismWitness:
     """A carrier map plus one certificate per target generator."""
 
-    h: SetoidFn
-    certs: dict  # target generator index -> certificate
+    __slots__ = ("h", "certs")
+
+    def __init__(self, h, certs):
+        self.h = h  # a SetoidFn
+        self.certs = certs  # target generator index -> certificate
 
     def __call__(self, x):
         return self.h(x)
@@ -628,9 +655,10 @@ def check_morphism(src, dst, w):
     return findings
 
 
-def certify_map(src, dst, h, label, findings, where=(), known=None):
+def certify_map(src, dst, h, label, findings, where=(), known=None, respects=None):
     """The witness for h: src -> dst, each generator of dst pulled back
-    along h and certified over src by certificate_for.
+    along h and certified over src by certificate_for.  `respects` says
+    whether h sends equal elements to equal ones; None has it decided here.
 
     Each certificate built here is validated, once per table over src
     (`_certified`); a failure is recorded in `findings` as
@@ -640,7 +668,8 @@ def certify_map(src, dst, h, label, findings, where=(), known=None):
     given there, for the law that reads it to check.
     """
     certs = dict(known or {})
-    respects = _respects_classes(h)
+    if respects is None:
+        respects = _respects_classes(h)
     for k in filterfalse(certs.__contains__, range(len(dst.gens))):
         certs[k], rep = _certified(src, dst.gens[k], h, respects)
         if rep is None:
@@ -820,9 +849,23 @@ def _interpolant(points):
 
 
 def gen_position(sp, target):
-    """Index of a generator pointwise equal to target, or None."""
+    """Index of the first generator pointwise equal to target, a table on
+    sp's carrier, or None.
+
+    Tables are compared as dicts, in C, which skips two values that are
+    one object.  A generator holding another value at the first carrier
+    element is passed over before that: its exact key tells (`_exact`),
+    where a comparison of the two Fractions would run Python code.
+    """
+    values, els = target.values, sp.carrier.elements
+    if not els:
+        return 0 if sp.gens else None
+    x = els[0]
+    v = values[x]
+    key = _exact(v)
     for k, g in enumerate(sp.gens):
-        if g.values == target.values:
+        u = g.values[x]
+        if (u is v or _exact(u) == key) and g.values == values:
             return k
     return None
 
@@ -886,7 +929,6 @@ def map_setoid(maps, names=None):
     return setoid_by_key(tuple(names), [values_key(f) for f in maps]), by_name
 
 
-@dataclass(eq=False, kw_only=True)
 class MorCarrier(BSpace):
     """A finite pool of morphism witnesses between two spaces, as the space
     exponential_space makes of it: the maps, equal when pointwise equal,
@@ -896,9 +938,11 @@ class MorCarrier(BSpace):
     position of the generator evaluating a map there.
     """
 
-    by_name: dict  # carrier token -> SetoidFn
-    positions: dict  # (source element, target gen index) -> generator position
-    witnesses: dict  # carrier token -> MorphismWitness
+    def __init__(self, carrier, gens, names=(), *, by_name, positions, witnesses):
+        BSpace.__init__(self, carrier, gens, names)
+        self.by_name = by_name  # carrier token -> SetoidFn
+        self.positions = positions  # (source element, target gen index) -> generator position
+        self.witnesses = witnesses  # carrier token -> MorphismWitness
 
     def find(self, fn):
         """The first pool token, in carrier order, pointwise equal to a map,

@@ -1,8 +1,12 @@
 import re
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from bspec import limits
+from bspec.dsl import parse
 from bspec.families import CONTRAVARIANT
 from bspec.duality import (
     DualityError,
@@ -18,6 +22,7 @@ from bspec.duality import (
 )
 from bspec.limits import Limits
 from bspec.report import Finding
+from bspec.runner import run_suite
 from bspec.setoid import compose, discrete, fn_equal, identity, make_fn
 from bspec.spectra import constant_spectrum, validate_spectrum
 from bspec.topology import (
@@ -46,6 +51,29 @@ def test_enumerate_morphisms_on_two_point_space():
     assert len(mors) == 4  # all set maps certify against the 0/1 generator
     for w in mors:
         assert check_morphism(sp, sp, w) == []
+
+
+def test_a_pool_is_enumerated_once_per_pair_of_spaces():
+    s, fixed, lims = constant_cspec(), one_point_space(), Limits()
+    with mock.patch.object(limits, "enumerate_morphisms",
+                           wraps=enumerate_morphisms) as enum:
+        into = [lims.pool(s.space(i), fixed) for i in s.index.elements]
+        out_of = [lims.pool(fixed, s.space(i)) for i in s.index.elements]
+    # the constant spectrum has one space at every index
+    assert enum.call_count == 2
+    assert all(p is into[0] for p in into) and all(p is out_of[0] for p in out_of)
+    assert [(w.h.mapping, w.certs) for w in into[0]] == \
+        [(w.h.mapping, w.certs) for w in enumerate_morphisms(s.space("0"), fixed)]
+
+
+def test_a_suite_run_enumerates_each_pool_once():
+    doc = parse(Path(__file__).resolve().parent.parent.joinpath(
+        "fixtures", "constant.bsp").read_text())
+    with mock.patch.object(limits, "enumerate_morphisms",
+                           wraps=enumerate_morphisms) as enum:
+        run_suite(doc)
+    pairs = [(id(src), id(dst)) for (src, dst), _ in enum.call_args_list]
+    assert pairs and len(pairs) == len(set(pairs))
 
 
 def test_mor_carrier_equality_is_pointwise():

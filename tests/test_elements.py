@@ -9,6 +9,7 @@ import random
 from itertools import islice, product
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bspec import runner
@@ -24,6 +25,7 @@ from bspec.setoid import (
     Setoid,
     SetoidFn,
     Tag,
+    UnknownElement,
     discrete,
     make_fn,
     product_setoid,
@@ -101,6 +103,19 @@ def test_token_of_matches_the_scan(seed):
         assert lim.token_of(assignment) == token_of_scan(lim, assignment)
     for a in lim.assignments.values():
         assert lim.token_of(a) == token_of_scan(lim, a) is not None
+
+
+def test_token_of_refuses_a_component_off_its_carrier():
+    s = random_spectrum(random.Random(0), direction=CONTRAVARIANT)
+    lim = inverse_limit(s)
+    els = s.index.elements
+    a = dict(next(iter(lim.assignments.values())))
+    a[els[-1]] = "off"
+    with pytest.raises(UnknownElement, match="off"):
+        lim.token_of(a)
+    del a[els[0]]
+    with pytest.raises(KeyError):
+        lim.token_of(a)
 
 
 @FAST

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bspec import runner
 from bspec.dsl import Elaborated, parse
 from bspec.families import CONTRAVARIANT, DirectFamily
-from bspec.limits import _choice_key, inverse_limit, top_determinacy_check
+from bspec.limits import _choice_key, _choice_key_at, inverse_limit, top_determinacy_check
 from bspec.order import chain
 from bspec.runner import run_suite
 from bspec.setoid import SetoidFn, discrete, make_fn
@@ -72,10 +72,10 @@ def _drawn(seed, fault):
 def _by_class(lim):
     """Per class, in carrier order: its choice key, and the values of each
     generator, by name."""
-    s, classes = lim.spectrum, lim.carrier.classes()
+    at, classes = _choice_key_at(lim.spectrum), lim.carrier.classes()
     keys = []
     for cls in classes:
-        members = {_choice_key(s, lim.assignments[tok]) for tok in cls}
+        members = {_choice_key(at, lim.assignments[tok]) for tok in cls}
         assert len(members) == 1  # a class is one key
         keys.append(members.pop())
     gens = {name: [g.values[cls[0]] for cls in classes]

@@ -264,6 +264,24 @@ def test_pool_candidates_are_the_checked_class_constant_maps(seed):
     assert all(w.h in tried for w in pool)
 
 
+@FAST
+@given(seeds)
+def test_pool_certificates_need_no_class_check(seed):
+    """enumerate_morphisms tells certify_map that each candidate respects
+    classes; with certify_map deciding that itself, the pool is the same."""
+    rng = random.Random(seed)
+    src, dst = _interleaved_space(rng, "x"), _interleaved_space(rng, "y")
+    certify = duality.certify_map
+
+    def deciding(*args, respects=None, **kwargs):
+        return certify(*args, **kwargs)
+
+    with patch.object(duality, "certify_map", deciding):
+        want = enumerate_morphisms(src, dst)
+    got = enumerate_morphisms(src, dst)
+    assert [(_parts(w.h), w.certs) for w in got] == [(_parts(w.h), w.certs) for w in want]
+
+
 def _values_key_by_repr(f):
     """values_key as it read the first member of each value's class."""
     return tuple([f.cod.class_repr(f(x)) for x in f.dom.elements])

@@ -15,7 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from bspec.families import CONTRAVARIANT, COVARIANT, make_direct_family
-from bspec.limits import _choice_key, inverse_limit
+from bspec.limits import _choice_key, _choice_key_at, inverse_limit
 from bspec.order import chain
 from bspec.setoid import make_fn, make_setoid
 from bspec.spectra import Spectrum, constant_spectrum, enumerate_threads
@@ -33,6 +33,7 @@ from bspec.topology import (
     certificate_for,
     eval_bic,
     find_certificate,
+    gen_position,
     rconst,
     space,
     validate_certificate,
@@ -100,8 +101,8 @@ def _threads(threads):
 def _limit(lim):
     """Per class, in carrier order: its choice key; then the generator
     names, and each generator's value at every class."""
-    classes = lim.carrier.classes()
-    keys = [_choice_key(lim.spectrum, lim.assignments[cls[0]]) for cls in classes]
+    classes, at = lim.carrier.classes(), _choice_key_at(lim.spectrum)
+    keys = [_choice_key(at, lim.assignments[cls[0]]) for cls in classes]
     return keys, lim.space.names, [[g.values[cls[0]] for cls in classes]
                                    for g in lim.space.gens]
 
@@ -272,6 +273,20 @@ def test_certificates_on_scattered_tables_match_the_exhaustive_search(seed):
     shared = space(sp.carrier, [_interned(g, canon) for g in sp.gens], sp.names)
     assert find_certificate(shared, _interned(target, canon)) == cert
     assert certificate_for(shared, _interned(target, canon)) == certificate_for(sp, target)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(seeds)
+def test_generator_positions_match_the_table_comparison(seed):
+    # every generator also appears scattered, so generators equal to each
+    # other are held as distinct objects, in a drawn order
+    sp, target = _certificate_case(seed)
+    gens = list(sp.gens) + [_scatter(g) for g in sp.gens]
+    random.Random(seed).shuffle(gens)
+    sp = space(sp.carrier, gens)
+    for t in [target, _scatter(target), *gens, *map(_scatter, gens)]:
+        want = next((k for k, g in enumerate(sp.gens) if g.values == t.values), None)
+        assert gen_position(sp, t) == want
 
 
 def test_an_empty_carrier_is_concluded_by_zero():

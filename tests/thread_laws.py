@@ -9,8 +9,6 @@ index, so tests can check the constructions against them.  For that a map
 of spectra carries continuity certificates at each index: `ContinuousMap`.
 """
 
-from dataclasses import dataclass
-
 from bspec.families import (
     COVARIANT,
     FamilyError,
@@ -45,12 +43,13 @@ class NotContinuous(SpectrumError):
     pass
 
 
-@dataclass(eq=False)
 class ContinuousMap(FamilyMap):
     """A family map with, per index, certificates that its component is a
     morphism of the spaces there."""
 
-    continuity: dict | None = None  # index element -> {gen index -> certificate}
+    def __init__(self, comps, continuity=None):
+        super().__init__(comps)
+        self.continuity = continuity  # index element -> {gen index -> certificate}
 
     def witness(self, i):
         if self.continuity is None or i not in self.continuity:
