@@ -9,6 +9,7 @@ the full surface (setoid, order, families, topology, spectra, limits,
 duality, dsl, runner, cli).
 """
 
+from .report import KernelError
 from .setoid import Setoid, SetoidFn, make_fn, make_setoid, quotient_by
 from .order import CofinalSubset, DirectedIndex, chain, make_directed
 from .families import (
@@ -32,6 +33,7 @@ __all__ = [
     "COVARIANT",
     "DirectFamily",
     "DirectedIndex",
+    "KernelError",
     "RFun",
     "RunConfig",
     "Setoid",

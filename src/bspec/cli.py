@@ -14,19 +14,10 @@ import time
 from pathlib import Path
 
 from .dsl import DslError, elaborate, parse
-from .duality import DualityError
-from .families import COVARIANT, FamilyError
-from .limits import LimitError, Limits, cofinal_direct_iso, cofinal_inverse_iso
-from .order import OrderError
-from .report import Report, emit_report
-from .runner import ConfigError, RunConfig, cofinal_over, run_suite
-from .setoid import SetoidError
-from .spectra import SpectrumError
-from .topology import TopologyError
-
-# content-level rejections: the document parsed but its structures are invalid
-KERNEL_ERRORS = (SetoidError, OrderError, FamilyError, TopologyError,
-                 SpectrumError, LimitError, DualityError)
+from .families import COVARIANT
+from .limits import Limits, cofinal_direct_iso, cofinal_inverse_iso
+from .report import KernelError, Report, emit_report
+from .runner import ConfigError, RunConfig, check_duality, cofinal_over, run_suite
 
 
 def _add_common(p):
@@ -153,8 +144,6 @@ def cmd_iso(args):
                    witness=(f"classes={lim.class_count()}",),
                    elapsed=time.perf_counter() - t0)
     else:
-        from .runner import check_duality
-
         check_duality(env, (args.duality,), RunConfig(), report, "iso", lims)
     return _emit(report, args)
 
@@ -178,7 +167,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (DslError, ConfigError, OSError) + KERNEL_ERRORS as exc:
+    except (DslError, ConfigError, OSError, KernelError) as exc:
         sys.stderr.write(f"bspec: {exc}\n")
         return 2
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .families import COVARIANT, CONTRAVARIANT, FamilyError, make_direct_family, oriented
+from .families import COVARIANT, CONTRAVARIANT, make_direct_family, oriented
 from .limits import Legs
 from .order import CofinalSubset, make_directed
-from .setoid import DuplicateElement, EmptyCarrier, SetoidError, make_fn, make_setoid
-from .spectra import Spectrum, SpectrumError, complete_witnesses
+from .report import KernelError, raise_first
+from .setoid import make_fn, make_setoid
+from .spectra import Spectrum, complete_witnesses
 from .topology import (
     BID,
     BSpace,
@@ -27,9 +28,7 @@ from .topology import (
     CEq,
     CGen,
     CULim,
-    MissingCertificate,
     RFun,
-    TopologyError,
     babs,
     badd,
     bcomp,
@@ -39,7 +38,6 @@ from .topology import (
     bmul,
     bneg,
     certify_map,
-    raise_first,
 )
 
 
@@ -401,6 +399,15 @@ def _named(b, key, table, what):
     return name, _lookup(table, name, what, stmt.line)
 
 
+def _at(line, build, *args, **kwargs):
+    """build(*args, **kwargs), a kernel refusal of it re-raised as the
+    refusal of the statement at `line`."""
+    try:
+        return build(*args, **kwargs)
+    except KernelError as exc:
+        raise DslError(str(exc), line) from None
+
+
 def _misshapen(s, usage):
     """The refusal of statement s, whose arguments do not fit `usage`."""
     return SyntaxErrorDsl(f"{s.key} lines read '{s.key} {usage}'", s.line)
@@ -439,23 +446,31 @@ def elaborate(doc):
         eq_stmt = b.one("equal")
         if eq_stmt:
             eq_pairs = parse_pairs(eq_stmt.value, "~", eq_stmt)
+            known = set(elements)
+            for x, y in eq_pairs:
+                if x not in known or y not in known:
+                    raise UnresolvedReference(
+                        f"equality pair ({x}, {y}) mentions unknown element",
+                        eq_stmt.line)
         empty = b.one_of("empty", ("false", "true")) == "true"
-        try:
-            out.setoids[b.name] = make_setoid(elements, eq_pairs, empty=empty)
-        except (DuplicateElement, EmptyCarrier) as exc:
-            raise DslError(str(exc), elements_stmt.line) from None
+        if not (elements or empty):
+            raise SyntaxErrorDsl(
+                "no elements listed; an empty setoid says 'empty: true'",
+                elements_stmt.line)
+        out.setoids[b.name] = _at(elements_stmt.line, make_setoid, elements, eq_pairs,
+                                  empty=empty)
 
     for b in doc.of_kind("directed"):
         elements_stmt = b.one("elements", required=True)
         elements = parse_element_names(elements_stmt)
+        if not elements:
+            raise SyntaxErrorDsl("a directed block needs at least one element",
+                                 elements_stmt.line)
         order_stmt = b.one("order")
         pairs = parse_pairs(order_stmt.value, "<=", order_stmt) if order_stmt else []
         b.one_of("closure", ("auto",))  # the order is always closed
-        try:
-            base = make_setoid(elements)
-        except SetoidError as exc:
-            raise DslError(str(exc), elements_stmt.line) from None
-        out.directeds[b.name] = make_directed(base, pairs)
+        base = _at(elements_stmt.line, make_setoid, elements)
+        out.directeds[b.name] = _at((order_stmt or b).line, make_directed, base, pairs)
 
     for b in doc.of_kind("family"):
         _, index = _named(b, "index", out.directeds, "directed block")
@@ -476,15 +491,9 @@ def elaborate(doc):
             if dom is None or cod is None:
                 raise UnresolvedReference(f"map for unknown carrier ({i}, {j})",
                                           s.line)
-            try:
-                transports[(i, j)] = make_fn(dom, cod, table)
-            except SetoidError as exc:
-                raise DslError(str(exc), s.line) from None
-        try:
-            out.families[b.name] = make_direct_family(index, direction, carriers,
-                                                      transports)
-        except FamilyError as exc:
-            raise DslError(str(exc), b.line) from None
+            transports[(i, j)] = _at(s.line, make_fn, dom, cod, table)
+        out.families[b.name] = _at(b.line, make_direct_family, index, direction,
+                                   carriers, transports)
 
     for b in doc.of_kind("subbase"):
         _, carrier = _named(b, "carrier", out.setoids, "setoid")
@@ -496,10 +505,7 @@ def elaborate(doc):
                 k: parse_rational(v, s.line)
                 for k, v in parse_pairs(s.value, "=>", s)
             }
-            try:
-                gens.append(RFun(carrier, table))
-            except (SetoidError, TopologyError) as exc:
-                raise DslError(str(exc), s.line) from None
+            gens.append(_at(s.line, RFun, carrier, table))
             names.append(s.args[0])
         out.subbases[b.name] = BSpace(carrier, tuple(gens), tuple(names))
 
@@ -554,31 +560,25 @@ def elaborate(doc):
             node = parse_sexpr(s.value, s.line)
             witness_certs.setdefault((i, j), {})[k] = build_certificate(
                 node, src_sub, s.line)
-        try:
-            certs = complete_witnesses(fam, spaces, witness_certs)
-        except (SpectrumError, MissingCertificate) as exc:
-            raise DslError(str(exc), b.line) from None
+        certs = _at(b.line, complete_witnesses, fam, spaces, witness_certs)
         out.spectra[b.name] = Spectrum(fam, spaces, certs, pool)
 
     for b in doc.of_kind("cofinal"):
         d_name, index = _named(b, "directed", out.directeds, "directed block")
         members_stmt = b.one("members", required=True)
         members = parse_names(members_stmt.value)
+        if not members:
+            raise SyntaxErrorDsl("a cofinal block needs at least one member",
+                                 members_stmt.line)
         for m in members:
             if not index.base.has(m):
                 raise UnresolvedReference(f"member {m!r} not in the index",
                                           members_stmt.line)
         cof_stmt = b.one("cof", required=True)
         cof_table = dict(parse_pairs(cof_stmt.value, "=>", cof_stmt))
-        try:
-            sub = make_setoid(members)
-        except SetoidError as exc:
-            raise DslError(str(exc), members_stmt.line) from None
+        sub = _at(members_stmt.line, make_setoid, members)
         embed = make_fn(sub, index.base, {m: m for m in members})
-        try:
-            cof = make_fn(index.base, sub, cof_table)
-        except SetoidError as exc:
-            raise DslError(str(exc), cof_stmt.line) from None
+        cof = _at(cof_stmt.line, make_fn, index.base, sub, cof_table)
         out.cofinals[b.name] = (d_name, CofinalSubset(sub, embed, cof))
 
     for b in doc.of_kind("cocone") + doc.of_kind("cone"):
@@ -596,10 +596,7 @@ def elaborate(doc):
             # a cocone's legs run into its apex, a cone's out of it
             src, dst = oriented(COVARIANT if b.kind == "cocone" else CONTRAVARIANT,
                                 s.space(i), apex)
-            try:
-                h = make_fn(src.carrier, dst.carrier, table)
-            except SetoidError as exc:
-                raise DslError(str(exc), stmt.line) from None
+            h = _at(stmt.line, make_fn, src.carrier, dst.carrier, table)
             missing = []
             legs[i] = certify_map(src, dst, h, "leg", missing)
             raise_first(missing, lambda text: TypeMismatch(text, stmt.line),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .families import CONTRAVARIANT, COVARIANT, DirectFamily, oriented
-from .report import Finding
+from .report import Finding, KernelError, raise_first
 from .setoid import Tag, _fn, compose, identity, is_embedding, make_fn
 from .spectra import Spectrum
 from .topology import (
@@ -29,7 +29,7 @@ from .topology import (
 )
 
 
-class DualityError(Exception):
+class DualityError(KernelError):
     pass
 
 
@@ -289,9 +289,8 @@ def _check_assembled(src, dst, witnesses):
     """Check hom witnesses whose certificates were assembled from other
     certificates rather than built by certify_map, as morphisms src -> dst."""
     for n, w in enumerate(witnesses):
-        bad = check_morphism(src, dst, w)
-        if bad:
-            raise DualityError(f"pool element {n} is not a morphism: {bad[0]}")
+        raise_first(check_morphism(src, dst, w), lambda text: DualityError(
+            f"pool element {n} is not a morphism: {text}"))
 
 
 # --- converse-direction maps ---------------------------------------------------

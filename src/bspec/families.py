@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .order import _image_positions, _members, _unordered_images
-from .report import Finding
+from .report import Finding, KernelError, raise_first
 from .setoid import (
     SetoidFn,
     Tag,
@@ -38,7 +38,7 @@ def oriented(direction, lower, upper):
     return (lower, upper) if direction == COVARIANT else (upper, lower)
 
 
-class FamilyError(Exception):
+class FamilyError(KernelError):
     pass
 
 
@@ -157,9 +157,7 @@ def make_direct_family(index, direction, carriers, transports=None):
             raise FamilyError(f"transport for ({i}, {j}) has wrong end carriers")
     table = _saturate(index, carriers, given, direction)
     fam = DirectFamily(index, direction, carriers, table)
-    findings = validate_direct_family(fam)
-    if findings:
-        raise FamilyError(str(findings[0]))
+    raise_first(validate_direct_family(fam), FamilyError)
     return fam
 
 

@@ -25,7 +25,7 @@ from .families import (
     sigma_map,
 )
 from .order import top_element
-from .report import Finding
+from .report import Finding, KernelError, raise_first
 from .setoid import (
     Choice,
     Pair,
@@ -53,11 +53,10 @@ from .topology import (
     certify_map,
     check_morphism,
     product_space,
-    raise_first,
 )
 
 
-class LimitError(Exception):
+class LimitError(KernelError):
     pass
 
 
@@ -251,9 +250,7 @@ def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
     composed with the legs forms a thread, whose limit function is the
     pullback of the generator.
     """
-    findings = validate_legs(s, c)
-    if findings:
-        raise IllFormedLegs(str(findings[0]))
+    raise_first(validate_legs(s, c), IllFormedLegs)
     table = {}
     for token in lim.carrier.elements:
         i, x = token
@@ -564,9 +561,7 @@ def top_determinacy_check(lim):
 def cone_mediator(s, lim, c, uniq_bound=1_000_000):
     """The unique morphism into the limit commuting with every projection,
     as a Mediator that records whether its uniqueness search ran."""
-    findings = validate_legs(s, c)
-    if findings:
-        raise IllFormedLegs(str(findings[0]))
+    raise_first(validate_legs(s, c), IllFormedLegs)
     table = {}
     for y in c.apex.carrier.elements:
         assignment = {i: c.legs[i].h(y) for i in s.index.elements}
@@ -581,9 +576,8 @@ def cone_mediator(s, lim, c, uniq_bound=1_000_000):
     # is a `missing-certificate` finding)
     certs = {k: c.legs[i].certs[pos] for k, (i, pos) in enumerate(lim.gen_sources)
              if pos in c.legs[i].certs}
-    bad = check_morphism(c.apex, lim.space, MorphismWitness(h, certs))
-    if bad:
-        raise IllFormedLegs(str(bad[0]))
+    raise_first(check_morphism(c.apex, lim.space, MorphismWitness(h, certs)),
+                IllFormedLegs)
     return _mediator(s, lim, c, h, certs,
                      lambda: _check_unique_cone_mediator(s, lim, c, h, uniq_bound))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .report import Finding
+from .report import Finding, KernelError
 from .setoid import (
     Pair,
     Setoid,
@@ -19,7 +19,7 @@ from .setoid import (
 )
 
 
-class OrderError(Exception):
+class OrderError(KernelError):
     pass
 
 
@@ -199,8 +199,7 @@ def _close_order(base, pairs):
     for i, j in pairs:
         for x in (i, j):
             if x not in class_id:
-                raise UnknownElement(
-                    f"{x!r} or {base.elements[0]!r} not in carrier")
+                raise UnknownElement(f"{x!r} not in carrier")
         succ[class_id[i]].add(class_id[j])
     rel = set()
     for a, cls in enumerate(classes):

@@ -59,6 +59,21 @@ class Finding(ValueRecord):
         return " ".join(parts)
 
 
+class KernelError(Exception):
+    """Base class of every error a kernel constructor raises for input whose
+    laws fail; a document statement whose build raises one is refused at
+    its line."""
+
+
+def raise_first(findings, exc, miss=None):
+    """Raise exc(text) for the first finding, if any: text is miss(k) for a
+    certify_map finding that generator k has no certificate, else the
+    finding."""
+    if findings:
+        f = findings[0]
+        raise exc(miss(f.witness[-1]) if miss and f.law.endswith("-cert") else str(f))
+
+
 class CheckRecord:
     def __init__(self, suite, law, status, witness=(), elapsed=0.0):
         self.suite = suite

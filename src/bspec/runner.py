@@ -68,10 +68,8 @@ def run_suite(doc, suite_name=None, config=None):
     report = Report()
     lims = Limits()
     checks = _suite_checks(doc, suite_name, env)
-    for suite, kind, args, line in checks:
-        runner = CHECKS.get(kind)
-        if runner is None:
-            raise ConfigError(f"unknown check kind {kind!r} (line {line})")
+    for suite, kind, args in checks:
+        runner = CHECKS[kind]
         before = len(report.records)
         t0 = time.perf_counter()
         try:
@@ -95,19 +93,21 @@ def _suite_checks(doc, suite_name, env):
         # the sum equality of every covariant spectrum
         out = []
         for b in doc.of_kind("family"):
-            out.append(("default", "family", (b.name,), b.line))
+            out.append(("default", "family", (b.name,)))
         for b in doc.of_kind("spectrum"):
-            out.append(("default", "spectrum", (b.name,), b.line))
+            out.append(("default", "spectrum", (b.name,)))
             if env.spectrum(b.name).direction == COVARIANT:
-                out.append(("default", "equivalence", (b.name,), b.line))
+                out.append(("default", "equivalence", (b.name,)))
         return out
     out = []
     for block in suites:
         for s in block.many("check"):
             words = s.value.split()
             if not words:
-                raise ConfigError(f"empty check line at {s.line}")
-            out.append((block.name, words[0], tuple(words[1:]), s.line))
+                raise DslError("empty check line", s.line)
+            if words[0] not in CHECKS:
+                raise DslError(f"unknown check kind {words[0]!r}", s.line)
+            out.append((block.name, words[0], tuple(words[1:])))
     return out
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .report import KernelError
 
-class SetoidError(Exception):
+
+class SetoidError(KernelError):
     """Base class for carrier-level construction and validation errors."""
 
 

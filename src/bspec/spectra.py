@@ -15,8 +15,8 @@ from .families import (
     restrict_family,
     validate_direct_family,
 )
-from .order import _members, induced_order
-from .report import Finding
+from .order import _members, induced_order, product_order
+from .report import Finding, KernelError, raise_first
 from .setoid import _fn, make_fn
 from .topology import (
     BSpace,
@@ -32,12 +32,12 @@ from .topology import (
     compose_rfun,
     compose_witnesses,
     lift_certificate,
-    raise_first,
+    product_space,
     rconst,
 )
 
 
-class SpectrumError(Exception):
+class SpectrumError(KernelError):
     pass
 
 
@@ -138,9 +138,7 @@ def make_spectrum(fam, spaces, witness_certs=None, pool=(0, 1)):
     """The validated spectrum, its witness table completed from
     witness_certs by complete_witnesses."""
     s = Spectrum(fam, dict(spaces), complete_witnesses(fam, spaces, witness_certs), pool)
-    findings = validate_spectrum(s)
-    if findings:
-        raise SpectrumError(str(findings[0]))
+    raise_first(validate_spectrum(s), SpectrumError)
     return s
 
 
@@ -347,8 +345,6 @@ def restrict_spectrum(s, cof):
 def product_spectrum(s, t):
     """Componentwise spectrum over the product order, with each factor's
     generators pulled back through the projections."""
-    from .order import product_order
-
     return product_spectrum_over(s, t, product_order(s.index, t.index), lambda a: a)
 
 
@@ -370,8 +366,6 @@ def product_spectrum_over(s, t, index, parts):
     lifted along the projection at the edge's source; each lift is made
     once per factor edge and source index.
     """
-    from .topology import product_space
-
     direction = s.direction
     if direction != t.direction:
         raise SpectrumError("factors must share a direction")

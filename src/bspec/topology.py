@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import filterfalse
 from operator import attrgetter
 
-from .report import Finding, ValueRecord
+from .report import Finding, KernelError, ValueRecord
 from .setoid import (
     NotExtensional,
     Subset,
@@ -31,7 +31,7 @@ from .setoid import (
 )
 
 
-class TopologyError(Exception):
+class TopologyError(KernelError):
     pass
 
 
@@ -716,14 +716,6 @@ def _certified(src, g, h, respects, *given):
         if not given and cert is not None:
             memo[key + (id(cert),)] = entry
     return cert, rep
-
-
-def raise_first(findings, exc, miss):
-    """Raise exc(text) for the first of certify_map's findings, if any:
-    text is miss(k) for a generator k with no certificate, else the finding."""
-    if findings:
-        f = findings[0]
-        raise exc(miss(f.witness[-1]) if f.law.endswith("-cert") else str(f))
 
 
 def check_morphism_as(label, src, dst, w, where=()):

@@ -25,7 +25,7 @@ from bspec.families import (
     sum_elements,
 )
 from bspec.limits import NonUnique, _limit_of_choices
-from bspec.report import Finding
+from bspec.report import Finding, raise_first
 from bspec.order import DirectedIndex, NotDirected
 from bspec.spectra import Spectrum, SpectrumError, Thread
 from bspec.setoid import (
@@ -38,6 +38,7 @@ from bspec.setoid import (
     is_embedding,
     make_fn,
     check_extensional,
+    UnknownElement,
     product_setoid,
 )
 from bspec.topology import (
@@ -67,7 +68,6 @@ from bspec.topology import (
     lift_certificate,
     map_cert,
     product_space,
-    raise_first,
     rconst,
     validate_certificate,
 )
@@ -417,7 +417,11 @@ def saturate_rescan(index, carriers, given, direction=COVARIANT):
 
 def close_order_scan(base, pairs):
     """order._close_order before it became reachability between classes:
-    rescan the pairs until nothing is added."""
+    rescan the pairs until nothing is added.  A pair naming an element off
+    a nonempty base is refused first, naming that element."""
+    for x in (x for pair in pairs for x in pair):
+        if base.elements and not base.has(x):
+            raise UnknownElement(f"{x!r} not in carrier")
     rel = set(pairs)
     rel.update((i, i) for i in base.elements)
     changed = True

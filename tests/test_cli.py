@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 from pathlib import Path
 
@@ -68,9 +69,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
 # family's carrier there, a pool whose shape its check does not read, a
 # spectrum with an edge no certificate proves, malformed certificate
 # expressions, map, gen, cof and leg lines whose table the kernel refuses,
-# elements and members lines the kernel refuses as a carrier, and families
-# with a transport missing or two paths that disagree: (the refused line,
-# the message).
+# elements and members lines the kernel refuses as a carrier, equal and
+# order lines naming an unlisted element, an order that is not directed,
+# a check line naming no check kind, and families with a transport missing
+# or two paths that disagree: (the refused line, the message).
 HOSTILE = sorted(Path(__file__).resolve().parent.glob("hostile/*.bsp"))
 REFUSALS = {
     "certificate-arity": ("witness 1 -> 2 f: (gen f f)", "(gen ...) takes 1 operand, got 2"),
@@ -82,7 +84,7 @@ REFUSALS = {
     "duplicate-element": ("elements: p, q, p", "duplicate element 'p'"),
     "duplicate-member": ("members: 0, 2, 2", "duplicate element '2'"),
     "duplicate-space": ("space 1: FX2", "duplicate space line for index '1'"),
-    "empty-elements": ("elements:", "carrier is empty; pass empty=True if intended"),
+    "empty-elements": ("elements:", "a directed block needs at least one element"),
     "foreign-setoid": ("space 1: FY2", "subbase 'FY2' is not over the carrier at index '1'"),
     "foreign-setoid-auto": ("space 1: FY2",
                             "subbase 'FY2' is not over the carrier at index '1'"),
@@ -92,13 +94,18 @@ REFUSALS = {
     "missing-cover-map": ("family CONSTX2 {",
                           "no transport derivable for [('0', '2'), ('1', '2')]"),
     "missing-space": ("spectrum EOSPEC {", "no space line for index '2'"),
+    "not-directed": ("order: 0 <= 1", "no upper bound for (0, 2)"),
     "pool-shape": ("pool PCONV {", "pool PCONV has shape hom-into-fixed, but duality2 "
                    "over the contravariant REV needs hom-out-of-fixed"),
     "uncertifiable-edge": ("spectrum S {",
                            "no certificate found for generator 0 on edge (0, 1)"),
     "ulim-witness": ("witness 0 -> 1 f: (ulim (table p => 0, q => 1) (w x (gen f)))",
                      "not an integer: 'x'"),
+    "unknown-check-kind": ("check: frobnicate", "unknown check kind 'frobnicate'"),
+    "unknown-equal-element": ("equal: p ~ z",
+                              "equality pair (p, z) mentions unknown element"),
     "unknown-index": ("space 7: FX2", "space for unknown index '7'"),
+    "unknown-order-element": ("order: 0 <= 7", "'7' not in carrier"),
 }
 
 
@@ -110,6 +117,38 @@ def test_space_lines_not_matching_the_family_are_refused(path, capsys):
     line = max(n for n, text in enumerate(lines, start=1) if text.strip() == refused)
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err == f"bspec: {line}:0: {message}\n"
+
+
+KERNEL = ("setoid", "order", "families", "topology", "spectra", "limits", "duality")
+
+
+def test_every_kernel_error_is_a_kernel_error():
+    """A caller of the Python API catches one class, and so does `main`:
+    an error class a kernel module defines outside it would escape as a
+    traceback."""
+    import bspec
+
+    defined = [cls for m in KERNEL
+               for cls in vars(importlib.import_module(f"bspec.{m}")).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == f"bspec.{m}"]
+    assert {cls.__name__ for cls in defined} >= {
+        "SetoidError", "OrderError", "FamilyError", "TopologyError",
+        "SpectrumError", "LimitError", "DualityError", "NotDirected",
+        "MissingCertificate", "NonUnique", "PoolNotClosed"}
+    assert [cls for cls in defined if not issubclass(cls, bspec.KernelError)] == []
+
+
+def test_a_kernel_refusal_outside_a_document_exits_two(monkeypatch, capsys):
+    from bspec import cli
+    from bspec.limits import NonUnique
+
+    def refuse(*args):
+        raise NonUnique("a second cone mediator satisfies all triangles")
+
+    monkeypatch.setattr(cli, "cmd_limit", refuse)
+    assert main(["limit", str(FIXTURES[0]), "--direct", "CONST"]) == 2
+    assert capsys.readouterr().err == "bspec: a second cone mediator satisfies all triangles\n"
 
 
 def test_witnesses_given_for_different_generators_complete(capsys):

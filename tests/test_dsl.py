@@ -448,6 +448,21 @@ def test_empty_true_elaborates_an_empty_setoid():
     assert len(env.setoids["E"]) == 0
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("setoid E {\n  elements:\n}\n", 2,
+     "no elements listed; an empty setoid says 'empty: true'"),
+    ("directed D {\n  elements: 0\n}\ncofinal C {\n  directed: D\n  members:\n"
+     "  cof: 0 => 0\n}\n", 6, "a cofinal block needs at least one member"),
+    ("suite main {\n  check: family F\n  check:\n}\n", 3, "empty check line"),
+], ids=["setoid", "cofinal", "check"])
+def test_an_empty_list_is_refused_in_the_documents_terms(text, line, message):
+    # the kernel's own wording, "pass empty=True if intended", is advice
+    # for a Python caller
+    with pytest.raises(runner.DslError) as err:
+        runner.run_suite(parse(text))
+    assert (err.value.line, str(err.value)) == (line, f"{line}:0: {message}")
+
+
 def test_a_duplicate_block_is_refused_at_its_own_header():
     text = ("setoid A {\n  elements: a\n}\n"
             "directed A {\n  elements: 0\n}\n"
