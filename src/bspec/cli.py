@@ -17,7 +17,7 @@ from .dsl import DslError, elaborate, parse
 from .families import COVARIANT
 from .limits import Limits, cofinal_direct_iso, cofinal_inverse_iso
 from .report import KernelError, Report, emit_report
-from .runner import ConfigError, RunConfig, check_duality, cofinal_over, run_suite
+from .runner import ConfigError, RunConfig, check_duality, resolve_check, run_suite
 
 
 def _add_common(p):
@@ -115,7 +115,7 @@ def cmd_limit(args):
     report = Report()
     name = args.direct or args.inverse
     t0 = time.perf_counter()
-    s = env.spectrum(name)
+    s, = resolve_check(env, "limit-direct" if args.direct else "limit-inverse", (name,))
     lims = Limits()
     lim = lims.direct(s) if args.direct else lims.inverse(s)
     report.add("limit", f"limit.{name}.build", [],
@@ -131,20 +131,18 @@ def cmd_iso(args):
     report = Report()
     lims = Limits()
     if args.cofinal:
-        if not args.spectrum:
-            raise ConfigError("--cofinal needs --spectrum")
-        s, cof = cofinal_over(env, args.spectrum, args.cofinal)
+        s, cof = resolve_check(env, "cofinal", (args.spectrum, args.cofinal))
         t0 = time.perf_counter()
         build, iso_of = ((lims.direct, cofinal_direct_iso) if s.direction == COVARIANT
                          else (lims.inverse, cofinal_inverse_iso))
         lim = build(s)
         iso = iso_of(s, cof, lims)
-        report.add("iso", f"cofinal.{args.spectrum}.{args.cofinal}",
-                   iso.findings,
+        report.add("iso", f"cofinal.{args.spectrum}.{args.cofinal}", iso.findings,
                    witness=(f"classes={lim.class_count()}",),
                    elapsed=time.perf_counter() - t0)
     else:
-        check_duality(env, (args.duality,), RunConfig(), report, "iso", lims)
+        pool = resolve_check(env, "duality", (args.duality,))
+        check_duality((args.duality,), pool, RunConfig(), report, "iso", lims)
     return _emit(report, args)
 
 
@@ -159,6 +157,8 @@ def cmd_report(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "iso" and args.cofinal and not args.spectrum:
+        parser.error("--cofinal needs --spectrum")
     handlers = {
         "check": cmd_check,
         "limit": cmd_limit,

@@ -386,7 +386,7 @@ def build_certificate(node, sp, line):
 
 def _lookup(table, name, what, line=None):
     """What `table` holds under `name`, refused as an unresolved reference
-    to a `what` at `line` (None for a name a suite check gives)."""
+    to a `what` at `line` (None for a name given on the command line)."""
     if name not in table:
         raise UnresolvedReference(f"no {what} named {name!r}", line)
     return table[name]
@@ -428,12 +428,6 @@ class Elaborated:
         self.cocones = {} if cocones is None else cocones  # name -> (spectrum name, Legs)
         self.cones = {} if cones is None else cones  # name -> (spectrum name, Legs)
         self.pools = {} if pools is None else pools  # name -> pool description
-
-    def spectrum(self, name):
-        return _lookup(self.spectra, name, "spectrum")
-
-    def space(self, name):
-        return _lookup(self.subbases, name, "subbase")
 
 
 def elaborate(doc):

@@ -24,7 +24,7 @@ from .families import (
     pi_map,
     sigma_map,
 )
-from .order import top_element
+from .order import top_element, validate_cofinal
 from .report import Finding, KernelError, raise_first
 from .setoid import (
     Choice,
@@ -66,6 +66,10 @@ class IllFormedLegs(LimitError):
 
 class NonUnique(LimitError):
     """Mediator uniqueness failed; this signals a kernel bug, not bad input."""
+
+
+class NotCofinal(LimitError):
+    """A subset whose moduli fail, refused as cofinal."""
 
 
 class Mediator(MorphismWitness):
@@ -328,6 +332,8 @@ class CofinalIso:
 
 def cofinal_direct_iso(s, cof, lims):
     """Mutually inverse morphisms between the limit and its cofinal restriction."""
+    raise_first(validate_cofinal(s.index, cof),
+                lambda text: NotCofinal(f"not a cofinal subset: {text}"))
     sub = restrict_spectrum(s, cof)
     lim, sub_lim = lims.direct(s), lims.direct(sub)
 
@@ -626,6 +632,8 @@ def inverse_limit_map(s, t, psi, lims):
 def cofinal_inverse_iso(s, cof, lims):
     """Mutually inverse morphisms between an inverse limit and its cofinal
     restriction: restriction in one direction, transport fill-in in the other."""
+    raise_first(validate_cofinal(s.index, cof),
+                lambda text: NotCofinal(f"not a cofinal subset: {text}"))
     sub = restrict_spectrum(s, cof)
     lim, sub_lim = lims.inverse(s), lims.inverse(sub)
     findings = []

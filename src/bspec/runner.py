@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 
-from .dsl import DslError, TypeMismatch, _lookup, elaborate
+from .dsl import DslError, SyntaxErrorDsl, TypeMismatch, _lookup, elaborate
 from .duality import (
     converse_dual_direct,
     converse_dual_inverse,
@@ -30,6 +30,7 @@ from .families import (
 from .limits import (
     Limits,
     NonUnique,
+    NotCofinal,
     cocone_mediator,
     cofinal_direct_iso,
     cofinal_inverse_iso,
@@ -42,7 +43,7 @@ from .limits import (
     top_determinacy_check,
 )
 from .order import validate_cofinal, validate_directed
-from .report import Finding, Report
+from .report import Finding, KernelError, Report
 from .setoid import compose, fn_equal
 from .spectra import validate_spectrum
 
@@ -59,6 +60,8 @@ class RunConfig:
 def run_suite(doc, suite_name=None, config=None):
     """Run one suite (or a synthesized default) over an elaborated document.
 
+    Every check line is decided before any check runs, and a check the
+    kernel refuses (a `KernelError`) reports one failing `KIND.run` record.
     The checks share one Limits for this call only, so a document run
     again (under the same or another config) builds its limits again."""
     config = config or RunConfig()
@@ -67,16 +70,12 @@ def run_suite(doc, suite_name=None, config=None):
     env = elaborate(doc)
     report = Report()
     lims = Limits()
-    checks = _suite_checks(doc, suite_name, env)
-    for suite, kind, args in checks:
-        runner = CHECKS[kind]
+    for suite, kind, names, args in _suite_checks(doc, suite_name, env):
         before = len(report.records)
         t0 = time.perf_counter()
         try:
-            runner(env, args, config, report, suite, lims)
-        except DslError:
-            raise
-        except Exception as exc:  # surfaced as a failing record, not a crash
+            CHECKS[kind](names, args, config, report, suite, lims)
+        except KernelError as exc:  # surfaced as a failing record, not a crash
             report.add(suite, f"{kind}.run", [Finding("error", (), str(exc))])
         elapsed = time.perf_counter() - t0
         for rec in report.records[before:]:
@@ -85,19 +84,20 @@ def run_suite(doc, suite_name=None, config=None):
 
 
 def _suite_checks(doc, suite_name, env):
+    """(suite, kind, names, resolved objects) of every check to run."""
     suites = doc.of_kind("suite")
     if suite_name is not None:
         suites = [_lookup({b.name: b for b in suites}, suite_name, "suite")]
     elif not suites:
         # default: validate every family and spectrum in the document, and
         # the sum equality of every covariant spectrum
-        out = []
-        for b in doc.of_kind("family"):
-            out.append(("default", "family", (b.name,)))
+        out = [("default", "family", (b.name,), (env.families[b.name],))
+               for b in doc.of_kind("family")]
         for b in doc.of_kind("spectrum"):
-            out.append(("default", "spectrum", (b.name,)))
-            if env.spectrum(b.name).direction == COVARIANT:
-                out.append(("default", "equivalence", (b.name,)))
+            args = (env.spectra[b.name],)
+            out.append(("default", "spectrum", (b.name,), args))
+            if args[0].direction == COVARIANT:
+                out.append(("default", "equivalence", (b.name,), args))
         return out
     out = []
     for block in suites:
@@ -105,60 +105,88 @@ def _suite_checks(doc, suite_name, env):
             words = s.value.split()
             if not words:
                 raise DslError("empty check line", s.line)
-            if words[0] not in CHECKS:
-                raise DslError(f"unknown check kind {words[0]!r}", s.line)
-            out.append((block.name, words[0], tuple(words[1:])))
+            kind, names = words[0], tuple(words[1:])
+            if kind not in CHECKS:
+                raise DslError(f"unknown check kind {kind!r}", s.line)
+            out.append((block.name, kind, names, resolve_check(env, kind, names, s.line)))
     return out
 
 
-def _one_arg(args, kind):
-    if len(args) != 1:
-        raise ConfigError(f"check {kind} takes one name, got {args!r}")
-    return args[0]
+def resolve_check(env, kind, names, line=None):
+    """The object each of `names` names for a check of `kind`, refused at
+    `line` (None for names given outside a document) unless the names fit
+    `CHECK_NAMES[kind]` and each other: legs over the checked spectrum, a
+    cofinal block over its index, a pool of the shape the check reads (at
+    the pool's line).  A pool resolves to (spectrum, fixed space, hom_into)."""
+    usage = CHECK_NAMES[kind].split()
+    if not len(usage) - CHECK_NAMES[kind].count("[") <= len(names) <= len(usage):
+        raise SyntaxErrorDsl(f"check {kind} takes '{CHECK_NAMES[kind]}'", line)
+    named = [_NAMED[u.strip("[]")] for u in usage]
+    args = [_lookup(getattr(env, table), name, what, line)
+            for (what, table), name in zip(named, names)]
+    if kind == "cofinal":
+        s, (d_name, cof) = args
+        if env.directeds[d_name] is not s.index:
+            index_name = next(n for n, d in env.directeds.items() if d is s.index)
+            raise TypeMismatch(f"cofinal {names[1]} is over {d_name}, not {index_name}, "
+                               f"the index of {names[0]}", line)
+        args[1] = cof
+    elif kind in ("universal-direct", "universal-inverse") and len(args) == 2:
+        spec_name, legs = args[1]
+        if spec_name != names[0]:
+            raise TypeMismatch(f"{named[1][0]} {names[1]} is over {spec_name}, "
+                               f"not {names[0]}", line)
+        args[1] = legs
+    elif kind in ("duality", "duality2", "converse-duals"):
+        desc = args[0]
+        s = env.spectra[desc["spectrum"]]
+        hom_into = kind == "duality" or kind == "converse-duals" and s.direction == CONTRAVARIANT
+        shape = "hom-into-fixed" if hom_into else "hom-out-of-fixed"
+        if desc["shape"] != shape:
+            raise TypeMismatch(
+                f"pool {names[0]} has shape {desc['shape']}, but {kind} over the "
+                f"{s.direction} {desc['spectrum']} needs {shape}", desc["line"])
+        args[0] = (s, env.subbases[desc["space"]], hom_into)
+    return tuple(args)
 
 
-def check_family(env, args, config, report, suite, lims):
-    name = _one_arg(args, "family")
-    findings = validate_direct_family(_lookup(env.families, name, "family"))
+def check_family(names, args, config, report, suite, lims):
     by_law = {"family-identity": [], "family-composition": [],
               "transport-extensional": []}
-    for f in findings:
+    for f in validate_direct_family(args[0]):
         by_law.setdefault(f.law, []).append(f)
     for law, fs in by_law.items():
-        report.add(suite, f"family.{name}.{law}", fs)
+        report.add(suite, f"family.{names[0]}.{law}", fs)
 
 
-def check_spectrum(env, args, config, report, suite, lims):
-    name = _one_arg(args, "spectrum")
-    s = env.spectrum(name)
-    findings = validate_spectrum(s)
+def check_spectrum(names, args, config, report, suite, lims):
+    findings = validate_spectrum(args[0])
     edge = [f for f in findings if not f.law.startswith("composite")]
     comp = [f for f in findings if f.law.startswith("composite")]
     # validate_spectrum stops before the composites on any other finding
     skip = ("edge witnesses failed",) if edge else ()
-    report.add(suite, f"spectrum.{name}.edge-witnesses", edge)
-    report.add(suite, f"spectrum.{name}.composite-witnesses", comp,
+    report.add(suite, f"spectrum.{names[0]}.edge-witnesses", edge)
+    report.add(suite, f"spectrum.{names[0]}.composite-witnesses", comp,
                skipped=bool(skip), witness=skip)
 
 
-def check_equivalence(env, args, config, report, suite, lims):
+def check_equivalence(names, args, config, report, suite, lims):
     """Transport-agreement equality on the spectrum's family is an
     equivalence, and the top-element normalization agrees with the
     exhaustive upper-bound search.
 
     The family is decided by `sum_equality_laws_hold`; only if it is not
     shown lawful is it scanned, pair by pair, to list the disagreements."""
-    name = _one_arg(args, "equivalence")
-    s = env.spectrum(name)
+    fam = args[0].fam
     bad_oracle = []
-    if not sum_equality_laws_hold(s.fam):
-        bad_oracle = _equivalence_scan(s.fam)
+    if not sum_equality_laws_hold(fam):
+        bad_oracle = _equivalence_scan(fam)
     # Agreement at the top is the top carrier's equivalence pulled back
     # along the transports, so it is an equivalence; a family on which it
     # cannot be decided (contravariant, or a transport missing) makes the
     # pairwise scan raise, which reports equivalence.run error instead.
-    report.add(suite, f"equivalence.{name}.laws", [])
-    report.add(suite, f"equivalence.{name}.top-vs-search", bad_oracle)
+    report.add(suite, f"equivalence.{names[0]}.laws", [])
+    report.add(suite, f"equivalence.{names[0]}.top-vs-search", bad_oracle)
 
 
 def _equivalence_scan(fam):
@@ -171,48 +199,41 @@ def _equivalence_scan(fam):
             != direct_sum_equality_exhaustive(fam, *a, *b)]
 
 
-def check_limit_direct(env, args, config, report, suite, lims):
-    name = _one_arg(args, "limit-direct")
-    s = env.spectrum(name)
-    lim = lims.direct(s)
+def check_limit_direct(names, args, config, report, suite, lims):
+    lim = lims.direct(args[0])
     # Each thread's function on the limit carrier was built by the RFun
     # constructor in spectra.sum_space, which refuses one that separates
     # equal elements; so this law passes whenever the limit was built, and
     # a thread that is not class-constant reports limit-direct.run error.
-    report.add(suite, f"limit.{name}.thread-extensionality", [])
-    report.add(suite, f"limit.{name}.export", [],
+    report.add(suite, f"limit.{names[0]}.thread-extensionality", [])
+    report.add(suite, f"limit.{names[0]}.export", [],
                witness=(f"classes={lim.class_count()}",
                         f"gens={len(lim.space.gens)}"))
 
 
-def check_limit_inverse(env, args, config, report, suite, lims):
-    name = _one_arg(args, "limit-inverse")
-    s = env.spectrum(name)
-    lim = lims.inverse(s)
+def check_limit_inverse(names, args, config, report, suite, lims):
+    lim = lims.inverse(args[0])
     ok = top_determinacy_check(lim)
-    report.add(suite, f"limit.{name}.top-determinacy",
+    report.add(suite, f"limit.{names[0]}.top-determinacy",
                [] if ok else [Finding("determinacy")])
-    report.add(suite, f"limit.{name}.export", [],
+    report.add(suite, f"limit.{names[0]}.export", [],
                witness=(f"choices={lim.class_count()}",
                         f"gens={len(lim.space.gens)}"))
 
 
-def check_universal_direct(env, args, config, report, suite, lims):
+def check_universal_direct(names, args, config, report, suite, lims):
     """Mediator out of the limit: the limit's own legs by default, or a
     declared cocone when a second name is given."""
-    _check_universal(env, args, config, report, suite, "universal-direct", "cocone",
-                     env.cocones, lims.direct, cocone_mediator)
+    _check_universal(names, args, config, report, suite, lims.direct, cocone_mediator)
 
 
-def check_universal_inverse(env, args, config, report, suite, lims):
+def check_universal_inverse(names, args, config, report, suite, lims):
     """Mediator into the limit: the limit's own legs by default, or a
     declared cone when a second name is given."""
-    _check_universal(env, args, config, report, suite, "universal-inverse", "cone",
-                     env.cones, lims.inverse, cone_mediator)
+    _check_universal(names, args, config, report, suite, lims.inverse, cone_mediator)
 
 
-def _check_universal(env, args, config, report, suite, kind, legs_kind, declared,
-                     build, mediate):
+def _check_universal(names, args, config, report, suite, build, mediate):
     """The mediator, triangle and uniqueness laws of one universal check.
 
     The mediator tests its own triangles before its uniqueness, so the
@@ -223,17 +244,9 @@ def _check_universal(env, args, config, report, suite, kind, legs_kind, declared
     bound.  When the mediator failed, neither the triangles nor uniqueness
     ran, and both are skipped.
     """
-    if len(args) not in (1, 2):
-        raise ConfigError(f"check {kind} takes 'SPECTRUM [{legs_kind.upper()}]'")
-    name = args[0]
-    s = env.spectrum(name)
+    name, s = names[0], args[0]
     lim = build(s)
-    if len(args) == 2:
-        spec_name, legs = _lookup(declared, args[1], legs_kind)
-        if spec_name != name:
-            raise ConfigError(f"{legs_kind} {args[1]} is over {spec_name}, not {name}")
-    else:
-        legs = own_legs(lim)
+    legs = args[1] if len(args) == 2 else own_legs(lim)
     exists, unique = [], []
     skip = ("mediator failed",)
     try:
@@ -242,7 +255,7 @@ def _check_universal(env, args, config, report, suite, kind, legs_kind, declared
     except NonUnique as exc:
         unique.append(Finding("unique", (), str(exc)))
         skip = ()
-    except Exception as exc:
+    except KernelError as exc:
         exists.append(Finding("mediator", (), str(exc)))
     report.add(suite, f"universal.{name}.mediator", exists)
     report.add(suite, f"universal.{name}.triangles", [],
@@ -251,9 +264,8 @@ def _check_universal(env, args, config, report, suite, kind, legs_kind, declared
                skipped=bool(skip), witness=skip)
 
 
-def check_functoriality(env, args, config, report, suite, lims):
-    name = _one_arg(args, "functoriality")
-    s = env.spectrum(name)
+def check_functoriality(names, args, config, report, suite, lims):
+    s = args[0]
     build, induced_map = ((lims.direct, limit_map) if s.direction == COVARIANT
                           else (lims.inverse, inverse_limit_map))
     lim = build(s)
@@ -266,128 +278,94 @@ def check_functoriality(env, args, config, report, suite, lims):
     fwd2 = induced_map(s, s, twice, lims).h
     if not fn_equal(fwd2, fwd):
         bad.append(Finding("composition"))
-    report.add(suite, f"functoriality.{name}", bad)
+    report.add(suite, f"functoriality.{names[0]}", bad)
 
 
-def cofinal_over(env, spec_name, cof_name):
-    """(spectrum, cofinal subset) for the two names, refused unless the
-    cofinal block is declared over the spectrum's own index."""
-    s = env.spectrum(spec_name)
-    d_name, cof = _lookup(env.cofinals, cof_name, "cofinal block")
-    if env.directeds[d_name] is not s.index:
-        index_name = next(n for n, d in env.directeds.items() if d is s.index)
-        raise ConfigError(f"cofinal {cof_name} is over {d_name}, not {index_name}, "
-                          f"the index of {spec_name}")
-    return s, cof
-
-
-def check_cofinal(env, args, config, report, suite, lims):
-    if len(args) != 2:
-        raise ConfigError("check cofinal takes 'SPECTRUM COFINAL'")
-    s, cof = cofinal_over(env, *args)
-    report.add(suite, f"cofinal.{args[1]}.moduli",
-               validate_cofinal(s.index, cof))
+def check_cofinal(names, args, config, report, suite, lims):
+    """The isomorphism of the limits, which is built through the cofinal
+    subset's moduli: when they fail, it is refused, the moduli are listed
+    and its two laws are skipped."""
+    s, cof = args
     iso_of = cofinal_direct_iso if s.direction == COVARIANT else cofinal_inverse_iso
-    iso = iso_of(s, cof, lims)
-    round_trip = [f for f in iso.findings if f.law.startswith("round-trip")]
-    rest = [f for f in iso.findings if not f.law.startswith("round-trip")]
-    report.add(suite, f"cofinal.{args[0]}.round-trips", round_trip)
-    report.add(suite, f"cofinal.{args[0]}.morphisms", rest)
+    try:
+        findings, moduli = iso_of(s, cof, lims).findings, []
+    except NotCofinal:
+        findings, moduli = [], validate_cofinal(s.index, cof)
+    skip = ("moduli failed",) if moduli else ()
+    report.add(suite, f"cofinal.{names[1]}.moduli", moduli)
+    report.add(suite, f"cofinal.{names[0]}.round-trips",
+               [f for f in findings if f.law.startswith("round-trip")],
+               skipped=bool(skip), witness=skip)
+    report.add(suite, f"cofinal.{names[0]}.morphisms",
+               [f for f in findings if not f.law.startswith("round-trip")],
+               skipped=bool(skip), witness=skip)
 
 
-def check_product(env, args, config, report, suite, lims):
-    if len(args) != 2:
-        raise ConfigError("check product takes two spectrum names")
-    s = env.spectrum(args[0])
-    t = env.spectrum(args[1])
-    if s.direction != t.direction:
-        raise ConfigError("product factors must share a direction")
+def check_product(names, args, config, report, suite, lims):
+    """The limit of the product spectrum against the product of the limits;
+    the product spectrum refuses factors of two directions."""
+    s, t = args
+    label = f"product.{names[0]}x{names[1]}"
     if s.direction == COVARIANT:
         res = product_limit_bijection(s, t, lims)
         count = [f for f in res.findings if f.law == "class-count"]
         rest = [f for f in res.findings if f.law != "class-count"]
-        report.add(suite, f"product.{args[0]}x{args[1]}.bijection", rest)
-        report.add(suite, f"product.{args[0]}x{args[1]}.class-count", count,
+        report.add(suite, f"{label}.bijection", rest)
+        report.add(suite, f"{label}.class-count", count,
                    witness=tuple(str(c) for c in res.counts))
     else:
         res = product_inverse_morphism(s, t, lims)
-        report.add(suite, f"product.{args[0]}x{args[1]}.pairing", res.findings,
+        report.add(suite, f"{label}.pairing", res.findings,
                    witness=tuple(str(c) for c in res.counts))
 
 
-def _build_pools(env, pool_name, kind, lims):
-    """(spectrum, fixed space, morphism pool per index) of a pool block,
-    refused at the block's line unless its shape is the one check `kind`
-    reads: homs into the fixed space for duality, and for converse-duals
-    over a contravariant spectrum; homs out of it otherwise.  Indices with
-    the same space share one pool (`Limits.pool`)."""
-    desc = _lookup(env.pools, pool_name, "pool")
-    s = env.spectrum(desc["spectrum"])
-    fixed = env.space(desc["space"])
-    hom_into = kind == "duality" or (kind == "converse-duals"
-                                     and s.direction == CONTRAVARIANT)
-    shape = "hom-into-fixed" if hom_into else "hom-out-of-fixed"
-    if desc["shape"] != shape:
-        raise TypeMismatch(
-            f"pool {pool_name} has shape {desc['shape']}, but {kind} over the "
-            f"{s.direction} {desc['spectrum']} needs {shape}", desc["line"])
-    pools = {}
-    for i in s.index.elements:
-        if hom_into:
-            pools[i] = lims.pool(s.space(i), fixed)
-        else:
-            pools[i] = lims.pool(fixed, s.space(i))
-    return s, fixed, pools
+def _build_pools(pool, lims):
+    """(spectrum, fixed space, morphism pool per index) of a resolved pool:
+    homs into its fixed space or out of it.  Indices with the same space
+    share one pool (`Limits.pool`)."""
+    s, fixed, hom_into = pool
+    if hom_into:
+        return s, fixed, {i: lims.pool(s.space(i), fixed) for i in s.index.elements}
+    return s, fixed, {i: lims.pool(fixed, s.space(i)) for i in s.index.elements}
 
 
-def check_duality(env, args, config, report, suite, lims):
-    name = _one_arg(args, "duality")
-    s, fixed, pools = _build_pools(env, name, "duality", lims)
-    res = duality_direct_to_inverse(s, fixed, pools, lims)
-    round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
-    embed = [f for f in res.findings if f.law == "embedding"]
-    rest = [f for f in res.findings
-            if not f.law.startswith("round-trip") and f.law != "embedding"]
+def check_duality(names, args, config, report, suite, lims):
+    _check_duality("duality", duality_direct_to_inverse, names, args, report, suite, lims)
+
+
+def check_duality2(names, args, config, report, suite, lims):
+    _check_duality("duality2", duality_inverse_hom, names, args, report, suite, lims)
+
+
+def _check_duality(kind, dual, names, args, report, suite, lims):
+    """The round trips of one duality, with the side cardinality; the
+    embedding of `duality` on its own; and the rest as morphisms."""
+    res = dual(*_build_pools(args[0], lims), lims)
+    apart = ("embedding",) if kind == "duality" else ()
     card = str(res.hom_pool.carrier.class_count()) if res.hom_pool else "?"
-    report.add(suite, f"duality.{name}.round-trips", round_trip,
+    report.add(suite, f"{kind}.{names[0]}.round-trips",
+               [f for f in res.findings if f.law.startswith("round-trip")],
                witness=(f"side-cardinality={card}",))
-    report.add(suite, f"duality.{name}.embedding", embed)
-    report.add(suite, f"duality.{name}.morphisms", rest)
+    for law in apart:
+        report.add(suite, f"{kind}.{names[0]}.{law}", [f for f in res.findings if f.law == law])
+    report.add(suite, f"{kind}.{names[0]}.morphisms", [
+        f for f in res.findings if not f.law.startswith("round-trip") and f.law not in apart])
 
 
-def check_duality2(env, args, config, report, suite, lims):
-    name = _one_arg(args, "duality2")
-    s, fixed, pools = _build_pools(env, name, "duality2", lims)
-    res = duality_inverse_hom(s, fixed, pools, lims)
-    round_trip = [f for f in res.findings if f.law.startswith("round-trip")]
-    rest = [f for f in res.findings if not f.law.startswith("round-trip")]
-    card = str(res.hom_pool.carrier.class_count()) if res.hom_pool else "?"
-    report.add(suite, f"duality2.{name}.round-trips", round_trip,
-               witness=(f"side-cardinality={card}",))
-    report.add(suite, f"duality2.{name}.morphisms", rest)
+def check_converse_duals(names, args, config, report, suite, lims):
+    s, fixed, pools = _build_pools(args[0], lims)
+    inverse = s.direction == CONTRAVARIANT
+    res = (converse_dual_inverse if inverse else converse_dual_direct)(s, fixed, pools, lims)
+    report.add(suite, f"converse.{names[0]}.morphism", res.findings)
+    if inverse:
+        skip = () if res.hypothesis_holds else (
+            "hypothesis fails at " + ",".join(map(str, res.hypothesis_witness)),)
+        report.add(suite, f"converse.{names[0]}.embedding", [],
+                   skipped=bool(skip), witness=skip)
 
 
-def check_converse_duals(env, args, config, report, suite, lims):
-    name = _one_arg(args, "converse-duals")
-    s, fixed, pools = _build_pools(env, name, "converse-duals", lims)
-    if s.direction == CONTRAVARIANT:
-        res = converse_dual_inverse(s, fixed, pools, lims)
-        report.add(suite, f"converse.{name}.morphism", res.findings)
-        if res.hypothesis_holds:
-            report.add(suite, f"converse.{name}.embedding", [])
-        else:
-            report.add(suite, f"converse.{name}.embedding", [], skipped=True,
-                       witness=("hypothesis fails at "
-                                + ",".join(map(str, res.hypothesis_witness)),))
-    else:
-        res = converse_dual_direct(s, fixed, pools, lims)
-        report.add(suite, f"converse.{name}.morphism", res.findings)
-
-
-def check_directed(env, args, config, report, suite, lims):
-    name = _one_arg(args, "directed")
-    report.add(suite, f"directed.{name}.laws",
-               validate_directed(_lookup(env.directeds, name, "directed block")))
+def check_directed(names, args, config, report, suite, lims):
+    report.add(suite, f"directed.{names[0]}.laws", validate_directed(args[0]))
 
 
 CHECKS = {
@@ -405,4 +383,23 @@ CHECKS = {
     "duality": check_duality,
     "duality2": check_duality2,
     "converse-duals": check_converse_duals,
+}
+
+# What each name a check line gives after its kind refers to, in order; a
+# bracketed one may be left out.
+CHECK_NAMES = {
+    "directed": "DIRECTED", "family": "FAMILY",
+    **dict.fromkeys(("spectrum", "equivalence", "limit-direct", "limit-inverse",
+                     "functoriality"), "SPECTRUM"),
+    "universal-direct": "SPECTRUM [COCONE]", "universal-inverse": "SPECTRUM [CONE]",
+    "cofinal": "SPECTRUM COFINAL", "product": "SPECTRUM SPECTRUM",
+    **dict.fromkeys(("duality", "duality2", "converse-duals"), "POOL"),
+}
+
+# (what a refusal calls it, the Elaborated table it is looked up in)
+_NAMED = {
+    "DIRECTED": ("directed block", "directeds"), "FAMILY": ("family", "families"),
+    "SPECTRUM": ("spectrum", "spectra"), "COCONE": ("cocone", "cocones"),
+    "CONE": ("cone", "cones"), "COFINAL": ("cofinal block", "cofinals"),
+    "POOL": ("pool", "pools"),
 }

@@ -71,13 +71,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
 # expressions, map, gen, cof and leg lines whose table the kernel refuses,
 # elements and members lines the kernel refuses as a carrier, equal and
 # order lines naming an unlisted element, an order that is not directed,
-# a check line naming no check kind, and families with a transport missing
-# or two paths that disagree: (the refused line, the message).
+# check lines naming no check kind, too many or too few names, an unknown
+# name, legs over another spectrum or a cofinal block over another index,
+# and families with a transport missing or two paths that disagree: (the
+# refused line, the message).
 HOSTILE = sorted(Path(__file__).resolve().parent.glob("hostile/*.bsp"))
 REFUSALS = {
     "certificate-arity": ("witness 1 -> 2 f: (gen f f)", "(gen ...) takes 1 operand, got 2"),
     "certificate-empty": ("expr: ()", "certificate () has no head word"),
+    "cofinal-over-another-index": ("check: cofinal S EVENS",
+                                   "cofinal EVENS is over OTHER, not D, the index of S"),
     "cof-codomain": ("cof: 0 => 0, 1 => 1, 2 => 2", "value '1' of '1' not in codomain"),
+    "check-extra-name": ("check: spectrum S S", "check spectrum takes 'SPECTRUM'"),
+    "check-missing-name": ("check: cofinal S", "check cofinal takes 'SPECTRUM COFINAL'"),
+    "check-unknown-name": ("check: limit-direct NOPE", "no spectrum named 'NOPE'"),
     "coarser-equality": ("space 0: FX2C",
                          "subbase 'FX2C' is not over the carrier at index '0'"),
     "disagreeing-paths": ("family SWAP {", "family-composition at a, c, d"),
@@ -89,6 +96,8 @@ REFUSALS = {
     "foreign-setoid-auto": ("space 1: FY2",
                             "subbase 'FY2' is not over the carrier at index '1'"),
     "gen-not-total": ("gen f: p => 0", "function not total, missing 'q'"),
+    "legs-over-another-spectrum": ("check: universal-direct S SWAP",
+                                   "cocone SWAP is over T, not S"),
     "leg-codomain": ("leg 1: p => p, q => z", "value 'z' of 'q' not in codomain"),
     "map-codomain": ("map 1 -> 2: p => p, q => z", "value 'z' of 'q' not in codomain"),
     "missing-cover-map": ("family CONSTX2 {",
@@ -478,3 +487,35 @@ def test_iso_refuses_a_cofinal_block_over_another_index(tmp_path, capsys):
     assert main(["iso", str(f), "--cofinal", "EVENS", "--spectrum", "EOSPEC"]) == 2
     assert capsys.readouterr().err == (
         "bspec: cofinal EVENS is over OTHER, not EO1, the index of EOSPEC\n")
+
+
+@pytest.mark.parametrize("fixture, spectrum", [("eo1", "EOSPEC"), ("inverse", "REV")],
+                         ids=["direct", "inverse"])
+def test_a_cofinal_subset_whose_moduli_fail(fixture, spectrum, tmp_path, capsys):
+    """Index 1 rounds down to 0, below it: the isomorphism, which is built
+    through the moduli, is refused by `iso` and skipped by `check`."""
+    text = next(p for p in FIXTURES if p.stem == fixture).read_text(encoding="utf-8")
+    old = "cof: 0 => 0, 1 => 2, 2 => 2"
+    assert old in text
+    f = tmp_path / "bad.bsp"
+    f.write_text(text.replace(old, "cof: 0 => 0, 1 => 0, 2 => 2"))
+    assert main(["iso", str(f), "--cofinal", "EVENS", "--spectrum", spectrum]) == 2
+    assert capsys.readouterr().err == "bspec: not a cofinal subset: cof3 at 1\n"
+    out = tmp_path / "report.json"
+    assert main(["check", str(f), "--json", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["law"], c["status"], c["witness"]) for c in checks
+            if c["law"].startswith("cofinal.")] == [
+        ("cofinal.EVENS.moduli", "fail", ["cof3 at 1"]),
+        (f"cofinal.{spectrum}.round-trips", "skipped", ["moduli failed"]),
+        (f"cofinal.{spectrum}.morphisms", "skipped", ["moduli failed"]),
+    ]
+    assert not [c for c in checks if c["law"].endswith(".run")]
+
+
+def test_iso_cofinal_needs_a_spectrum(capsys):
+    path = next(p for p in FIXTURES if p.stem == "eo1")
+    with pytest.raises(SystemExit) as exc:
+        main(["iso", str(path), "--cofinal", "EVENS"])
+    assert exc.value.code == 2
+    assert "--cofinal needs --spectrum" in capsys.readouterr().err

@@ -256,9 +256,9 @@ def _faulty_top(seed, index):
 def _check_equivalence(fam):
     """The runner's equivalence check on one family: its (laws,
     top-vs-search) findings."""
-    env = SimpleNamespace(spectrum=lambda name: SimpleNamespace(fam=fam))
     report = _Recording()
-    runner.check_equivalence(env, ("S",), runner.RunConfig(), report, "t", None)
+    runner.check_equivalence(("S",), (SimpleNamespace(fam=fam),), runner.RunConfig(),
+                             report, "t", None)
     return (report.findings["equivalence.S.laws"],
             report.findings["equivalence.S.top-vs-search"])
 

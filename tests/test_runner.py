@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from bspec import limits, runner
-from bspec.dsl import TypeMismatch, UnresolvedReference, parse
+from bspec.dsl import SyntaxErrorDsl, TypeMismatch, UnresolvedReference, parse
 from bspec.limits import NonUnique
 from bspec.report import emit_report
 from bspec.runner import RunConfig, run_suite
@@ -188,11 +188,14 @@ def _over_t(doc, legs_kind):
     return doc.replace("  spectrum: S\n", "  spectrum: T\n")
 
 
-def _refusal(doc, kind):
-    """The one error record of a suite whose universal check was refused."""
-    [(law, status, witness)] = _checks(doc)
-    assert (law, status) == (f"{kind}.run", "fail")
-    return witness
+def _refused(doc, error, check):
+    """The message a suite run refuses doc with, an `error` at the line of
+    its `check` line."""
+    line = doc.splitlines().index(f"  check: {check}") + 1
+    with pytest.raises(error) as err:
+        _checks(doc)
+    assert err.value.line == line
+    return str(err.value).removeprefix(f"{line}:0: ")
 
 
 @pytest.mark.parametrize("doc, kind, legs_kind", [
@@ -200,14 +203,16 @@ def _refusal(doc, kind):
     (CONE_DOC, "universal-inverse", "cone"),
 ], ids=["universal-direct", "universal-inverse"])
 def test_universal_checks_refuse_their_arguments(doc, kind, legs_kind):
+    # a check line is refused at its line before any check runs
     line = f"check: {kind} S SWAP"
     for args in ("", " S SWAP EXTRA"):
-        assert _refusal(doc.replace(line, f"check: {kind}{args}"), kind) == [
-            f"error (check {kind} takes 'SPECTRUM [{legs_kind.upper()}]')"]
-    with pytest.raises(UnresolvedReference, match=f"no {legs_kind} named 'X'"):
-        _checks(doc.replace(line, f"check: {kind} S X"))
-    assert _refusal(_over_t(doc, legs_kind), kind) == [
-        f"error ({legs_kind} SWAP is over T, not S)"]
+        assert _refused(doc.replace(line, f"check: {kind}{args}"), SyntaxErrorDsl,
+                        f"{kind}{args}") == (
+            f"check {kind} takes 'SPECTRUM [{legs_kind.upper()}]'")
+    assert _refused(doc.replace(line, f"check: {kind} S X"), UnresolvedReference,
+                    f"{kind} S X") == f"no {legs_kind} named 'X'"
+    assert _refused(_over_t(doc, legs_kind), TypeMismatch, f"{kind} S SWAP") == (
+        f"{legs_kind} SWAP is over T, not S")
     # the legs block over T serves a check of T
     assert [law for law, _, _ in _checks(
         _over_t(doc, legs_kind).replace(line, f"check: {kind} T SWAP"))] == [
@@ -236,6 +241,21 @@ def test_second_mediator_fails_uniqueness_only(monkeypatch):
         ("universal.S.uniqueness", "fail",
          ["unique (a second mediator satisfies all triangles)"]),
     ]
+
+
+@pytest.mark.parametrize("name, check", [
+    ("cocone_mediator", "universal-direct S SWAP"),
+    ("validate_spectrum", "spectrum S"),
+], ids=["in-the-universal-check", "in-run-suite"])
+def test_an_exception_that_is_not_a_kernel_error_escapes(name, check, monkeypatch):
+    # a KernelError a check raises is a failing record; any other exception
+    # is a bug in the kernel, caught neither by the check nor by run_suite
+    def bug(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(runner, name, bug)
+    with pytest.raises(KeyError, match="bug"):
+        _checks(COCONE_DOC.replace("check: universal-direct S SWAP", f"check: {check}"))
 
 
 def test_bounds_reach_limits_built_inside_other_checks():
@@ -430,10 +450,22 @@ def _cofinal_over_other():
 
 
 def test_a_cofinal_block_over_another_index_is_refused():
-    refused = [(status, witness) for law, status, witness in _checks(_cofinal_over_other())
-               if law.startswith("cofinal.")]
-    assert refused == [
-        ("fail", ["error (cofinal EVENS is over OTHER, not EO1, the index of EOSPEC)"])]
+    # at the check line, as `bspec iso` refuses it without one
+    assert _refused(_cofinal_over_other(), TypeMismatch, "cofinal EOSPEC EVENS") == (
+        "cofinal EVENS is over OTHER, not EO1, the index of EOSPEC")
+
+
+def test_a_product_of_two_directions_reports_the_spectrums_own_error():
+    # S is covariant and T contravariant: whichever comes first, the
+    # product spectrum refuses the pair before any limit is built
+    s = COCONE_DOC[:COCONE_DOC.index("cocone SWAP")]
+    t = (s[s.index("family F {"):s.index("subbase FX {")] + s[s.index("spectrum S {"):])
+    t = (t.replace("family F", "family G").replace("family: F", "family: G")
+         .replace("direction: covariant", "direction: contravariant")
+         .replace("spectrum S", "spectrum T"))
+    for check in ("product S T", "product T S"):
+        assert _checks(s + t + f"suite main {{\n  check: {check}\n}}\n") == [
+            ("product.run", "fail", ["error (factors must share a direction)"])]
 
 
 DEFAULT_SUITE = Path(__file__).resolve().parent / "documents" / "contravariant-default-suite.bsp"

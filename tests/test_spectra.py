@@ -164,7 +164,7 @@ def _rev():
     from bspec.dsl import elaborate, parse
 
     root = Path(__file__).resolve().parent.parent
-    return elaborate(parse((root / "fixtures" / "inverse.bsp").read_text())).spectrum("REV")
+    return elaborate(parse((root / "fixtures" / "inverse.bsp").read_text())).spectra["REV"]
 
 
 def test_induced_square_on_a_contravariant_spectrum():
