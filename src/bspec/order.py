@@ -1,5 +1,6 @@
-"""Directed index sets: extensional preorders with upper-bound witnesses,
-optional coherent choice of upper bounds, and cofinal subsets."""
+"""Directed index sets: finite extensional preorders held as bit rows, whose
+upper bounds and top are read off those rows; an optional coherent choice
+of upper bounds; and cofinal subsets."""
 
 from __future__ import annotations
 
@@ -28,20 +29,18 @@ class NotDirected(OrderError):
 
 
 class DirectedIndex:
-    """A finite preorder where every pair has a chosen upper bound.
-
-    `upper` is total on ordered pairs.  `delta` is an optional coherent
-    choice of upper bounds; when present the order must be a poset up to
-    carrier equality and the (d1)-(d3) laws are validated.
+    """A finite preorder, directed when every pair has a common upper bound.
 
     `leq` is the checked entry to the order.  Everything else reads it as
-    bit rows (`_order`), built once per index.
+    bit rows (`_order`), built once per index: `up(i, j)` and `top` are the
+    first common upper bounds in carrier order.  `delta` is an optional
+    coherent choice of upper bounds; when present the order must be a poset
+    up to carrier equality and the (d1)-(d3) laws are validated.
     """
 
-    def __init__(self, base, pairs, upper, delta=None):
+    def __init__(self, base, pairs, delta=None):
         self.base = base  # a Setoid
         self.pairs = pairs  # a frozenset
-        self.upper = upper
         self.delta = delta
 
     @property
@@ -54,18 +53,27 @@ class DirectedIndex:
         return (i, j) in self.pairs
 
     def up(self, i, j):
-        return self.upper[(i, j)]
+        """The first element, in carrier order, above i and j: the lowest
+        bit of row(i) & row(j)."""
+        position, rows = self._order
+        common = rows[position[i]] & rows[position[j]]
+        if not common:
+            raise NotDirected(f"no upper bound for ({i}, {j})")
+        return next(_members(self.elements, common))
 
     @cached_property
     def top(self):
-        """Fold the upper-bound witness over the carrier; checked maximal."""
-        t = self.elements[0]
-        for x in self.elements[1:]:
-            t = self.up(t, x)
+        """The first element, in carrier order, above every element: the
+        lowest bit of the AND of all rows.  On a preorder, folding `up`
+        over the carrier lands on it, since every step's common bounds hold
+        all the tops and the last step's bound is one of them."""
+        position, rows = self._order
+        tops = (1 << len(self.elements)) - 1
         for i in self.elements:
-            if not self.leq(i, t):
-                raise NotDirected(f"fold of upper bounds is not above {i}")
-        return t
+            tops &= rows[position[i]]
+        if not tops:
+            raise NotDirected("no element is above every element")
+        return next(_members(self.elements, tops))
 
     @cached_property
     def _order(self):
@@ -213,29 +221,30 @@ def _close_order(base, pairs):
     return frozenset(rel)
 
 
-def _first_upper_bounds(D):
-    """(i, j) -> the first element, in carrier order, above both: the
-    lowest bit of the two rows' intersection."""
+def _unbounded_pairs(D):
+    """The pairs (i, j) with no common upper bound, in carrier order."""
     position, rows = D._order
-    els = D.elements
-    upper = {}
-    for i in els:
+    for i in D.elements:
         row = rows[position[i]]
-        for j in els:
-            common = row & rows[position[j]]
-            if not common:
-                raise NotDirected(f"no upper bound for ({i}, {j})")
-            upper[(i, j)] = els[(common & -common).bit_length() - 1]
-    return upper
+        for j in D.elements:
+            if not row & rows[position[j]]:
+                yield i, j
 
 
 def make_directed(base, order_pairs):
-    """Build a DirectedIndex whose upper-bound witnesses are the first
-    common upper bound in carrier order, read off the index's own rows."""
+    """Build a DirectedIndex over the closure of the order pairs, refusing
+    one that is not directed.  A finite preorder is directed exactly when
+    it has a top, and the refusal names the first pair, in carrier order,
+    with no common upper bound."""
     if not isinstance(base, Setoid):
         base = make_setoid(base)
-    D = DirectedIndex(base, _close_order(base, order_pairs), {})
-    D.upper.update(_first_upper_bounds(D))
+    D = DirectedIndex(base, _close_order(base, order_pairs))
+    try:
+        D.top
+    except NotDirected:
+        for i, j in _unbounded_pairs(D):
+            raise NotDirected(f"no upper bound for ({i}, {j})") from None
+        raise  # an empty carrier has no pair and no top
     return D
 
 
@@ -245,7 +254,8 @@ def validate_directed(D):
     Each law reads the rows of `DirectedIndex._order`: one bit test per
     pair, and findings listed off the rows in carrier order, the order
     pairs in `order_pairs()` order.  So i <= j <= k fails transitivity at
-    the members of row(j) & ~row(i).  An element off the base raises in
+    the members of row(j) & ~row(i), and a pair is upper-missing when
+    row(i) & row(j) is empty.  An element off the base raises in
     `leq`, where a scan over every element would meet it.  delta-assoc is
     decided in O(n^2) when delta is the join of a partial order
     (`_delta_is_join`); any other delta, or a preorder, is scanned over
@@ -279,14 +289,7 @@ def validate_directed(D):
             findings.extend(Finding("leq-extensional", (i, j, i2, j2))
                             for i2 in classes[class_id[i]] for j2 in classes[class_id[j]]
                             if not leq(i2, j2))
-    for i in els:
-        for j in els:
-            if (i, j) not in D.upper:
-                findings.append(Finding("upper-missing", (i, j)))
-                continue
-            k = D.up(i, j)
-            if not (leq(i, k) and leq(j, k)):
-                findings.append(Finding("upper-bound", (i, j, k)))
+    findings.extend(Finding("upper-missing", p) for p in _unbounded_pairs(D))
     if D.delta is not None:
         for i in els:
             findings.extend(Finding("delta-needs-poset", (i, j))
@@ -412,20 +415,14 @@ def induced_order(D, C):
         for j2 in J.elements
         if rows[at[j]] >> at[j2] & 1
     )
-    upper = {
-        (j, j2): C.cof(D.up(C.embed(j), C.embed(j2)))
-        for j in J.elements
-        for j2 in J.elements
-    }
-    return DirectedIndex(J, pairs, upper)
+    return DirectedIndex(J, pairs)
 
 
 def product_order(D1, D2):
     """The componentwise order.  Its pairs are the products of the factors'
-    pairs between carrier elements, and its upper bounds and delta are read
-    off the factors' tables; all are made of the product carrier's own
-    Pairs.  A bound missing from a factor's table, or off its carrier,
-    raises KeyError."""
+    pairs between carrier elements, and its delta is read off the factors'
+    tables; both are made of the product carrier's own Pairs.  A bound
+    missing from a factor's delta, or off its carrier, raises KeyError."""
     base = product_setoid(D1.base, D2.base)
     cell = {}  # i -> j -> the base's Pair((i, j))
     for a in base.elements:
@@ -434,11 +431,10 @@ def product_order(D1, D2):
     pairs2 = [(j, j2) for j, j2 in D2.pairs if D2.base.has(j) and D2.base.has(j2)]
     pairs = frozenset((cell[i][j], cell[i2][j2])
                       for i, i2 in pairs1 for j, j2 in pairs2)
-    upper = _product_table(D1, D2, cell, D1.upper, D2.upper)
     delta = None
     if D1.delta is not None and D2.delta is not None:
         delta = _product_table(D1, D2, cell, D1.delta, D2.delta)
-    return DirectedIndex(base, pairs, upper, delta)
+    return DirectedIndex(base, pairs, delta)
 
 
 def _product_table(D1, D2, cell, t1, t2):
@@ -458,10 +454,10 @@ def _product_table(D1, D2, cell, t1, t2):
 def product_cofinal(D1, C1, D2, C2):
     """Componentwise cofinal subset of a product order."""
     members = product_setoid(C1.members, C2.members)
-    prod = product_order(D1, D2)
+    base = product_setoid(D1.base, D2.base)
     embed = make_fn(
         members,
-        prod.base,
+        base,
         {
             Pair((k, l)): Pair((C1.embed(k), C2.embed(l)))
             for k in C1.members.elements
@@ -469,7 +465,7 @@ def product_cofinal(D1, C1, D2, C2):
         },
     )
     cof = make_fn(
-        prod.base,
+        base,
         members,
         {
             Pair((i, j)): Pair((C1.cof(i), C2.cof(j)))
@@ -481,11 +477,10 @@ def product_cofinal(D1, C1, D2, C2):
 
 
 def chain(n, names=None):
-    """The chain 0 <= 1 <= ... <= n-1 with max as upper bound and delta."""
+    """The chain 0 <= 1 <= ... <= n-1 with max as delta."""
     if names is None:
         names = [str(i) for i in range(n)]
-    base = discrete(names)
     pairs = frozenset((a, b) for m, a in enumerate(names) for b in names[m:])
-    upper = {(a, b): names[max(m, n)]
+    delta = {(a, b): names[max(m, n)]
              for m, a in enumerate(names) for n, b in enumerate(names)}
-    return DirectedIndex(base, pairs, upper, dict(upper))
+    return DirectedIndex(discrete(names), pairs, delta)

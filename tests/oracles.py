@@ -442,8 +442,8 @@ def close_order_scan(base, pairs):
 
 
 def first_upper_bounds_scan(elements, pairs):
-    """make_directed's upper-bound table by scanning every candidate k for
-    every pair (i, j)."""
+    """`DirectedIndex.up` over every pair, or make_directed's refusal, by
+    scanning every candidate k for every pair (i, j)."""
     upper = {}
     for i in elements:
         for j in elements:
@@ -455,6 +455,15 @@ def first_upper_bounds_scan(elements, pairs):
                 raise NotDirected(f"no upper bound for ({i}, {j})")
             upper[(i, j)] = k
     return upper
+
+
+def fold_top(elements, upper):
+    """`DirectedIndex.top` as it was found before it read the AND of the
+    rows: an upper-bound table folded over the carrier."""
+    t = elements[0]
+    for x in elements[1:]:
+        t = upper[(t, x)]
+    return t
 
 
 def leq_extensional_scan(D):
@@ -552,12 +561,8 @@ def validate_directed_scan(D):
                                 if not D.leq(i2, j2))
     for i in els:
         for j in els:
-            if (i, j) not in D.upper:
+            if not any(D.leq(i, k) and D.leq(j, k) for k in els):
                 findings.append(Finding("upper-missing", (i, j)))
-                continue
-            k = D.up(i, j)
-            if not (D.leq(i, k) and D.leq(j, k)):
-                findings.append(Finding("upper-bound", (i, j, k)))
     if D.delta is not None:
         for i in els:
             for j in els:
@@ -637,12 +642,17 @@ def induced_order_scan(D, C):
         for j2 in J.elements
         if _subset_leq(D, C, j, j2)
     )
-    upper = {
+    return DirectedIndex(J, pairs)
+
+
+def induced_upper_scan(D, C):
+    """The upper bounds order.induced_order tabulated before it read them
+    off its rows: each pair's bound in D, sent back through the modulus."""
+    return {
         (j, j2): C.cof(D.up(C.embed(j), C.embed(j2)))
-        for j in J.elements
-        for j2 in J.elements
+        for j in C.members.elements
+        for j2 in C.members.elements
     }
-    return DirectedIndex(J, pairs, upper)
 
 
 def check_monotone_scan(sub_index, index, h):
@@ -771,7 +781,7 @@ def autofill_witnesses(fam, spaces, given=None):
 
 def product_order_scan(D1, D2):
     """order.product_order before it read the factors' pair sets and
-    tables: every quadruple of elements through `leq`, `up` per pair."""
+    tables: every quadruple of elements through `leq`, `delta` per pair."""
     base = product_setoid(D1.base, D2.base)
     pairs = frozenset(
         (Pair((i, j)), Pair((i2, j2)))
@@ -781,15 +791,21 @@ def product_order_scan(D1, D2):
         for j2 in D2.elements
         if D1.leq(i, i2) and D2.leq(j, j2)
     )
-    upper = {}
-    delta = {} if D1.delta is not None and D2.delta is not None else None
-    for a in base.elements:
-        for b in base.elements:
-            (i, j), (i2, j2) = a, b
-            upper[(a, b)] = Pair((D1.up(i, i2), D2.up(j, j2)))
-            if delta is not None:
-                delta[(a, b)] = Pair((D1.delta[(i, i2)], D2.delta[(j, j2)]))
-    return DirectedIndex(base, pairs, upper, delta)
+    delta = None
+    if D1.delta is not None and D2.delta is not None:
+        delta = {(a, b): Pair((D1.delta[(a[0], b[0])], D2.delta[(a[1], b[1])]))
+                 for a in base.elements for b in base.elements}
+    return DirectedIndex(base, pairs, delta)
+
+
+def product_upper_scan(D1, D2):
+    """The product order's first upper bounds as the pairs of the factors'
+    scanned ones: ((i, j), (i2, j2)) -> (up1(i, i2), up2(j, j2))."""
+    up1 = first_upper_bounds_scan(D1.elements, D1.pairs)
+    up2 = first_upper_bounds_scan(D2.elements, D2.pairs)
+    return {(Pair((i, j)), Pair((i2, j2))): Pair((up1[(i, i2)], up2[(j, j2)]))
+            for i in D1.elements for j in D2.elements
+            for i2 in D1.elements for j2 in D2.elements}
 
 
 def product_spectrum_eager(s, t, index, parts):

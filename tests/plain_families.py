@@ -47,7 +47,7 @@ def make_family(index, carriers, transports=None):
         for j in index.elements
         if index.eq(i, j)
     )
-    table = _saturate(DirectedIndex(index, pairs, {}), carriers,
+    table = _saturate(DirectedIndex(index, pairs), carriers,
                       dict(transports or {}))
     fam = Family(index, carriers, table)
     findings = validate_family(fam)

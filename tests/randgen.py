@@ -62,7 +62,7 @@ def random_rational(rng, lo=-4, hi=4, den=4):
 
 def enumerate_directed_indices(max_size=4):
     """All directed preorders with at most max_size elements, one per
-    order-isomorphism class, each with scanned upper bounds."""
+    order-isomorphism class."""
     out = []
     for n in range(1, max_size + 1):
         names = [str(k) for k in range(n)]
@@ -98,12 +98,7 @@ def enumerate_directed_indices(max_size=4):
             if canon in seen:
                 continue
             seen.add(canon)
-            upper = {}
-            for a in names:
-                for b in names:
-                    upper[(a, b)] = next(
-                        k for k in names if (a, k) in rel and (b, k) in rel)
-            out.append(DirectedIndex(base, frozenset(rel), upper))
+            out.append(DirectedIndex(base, frozenset(rel)))
     return out
 
 
@@ -550,7 +545,7 @@ def raw_index(rng):
     pairs = {(rng.choice(field), rng.choice(field)) for _ in range(rng.randint(0, 10))}
     if rng.random() < 0.5 and "z" not in field:
         pairs = _close_order(base, pairs)
-    return DirectedIndex(base, frozenset(pairs), {})
+    return DirectedIndex(base, frozenset(pairs))
 
 
 TABLE_FAULTS = ["none", "missing", "wrong", "off-base"]
@@ -569,27 +564,22 @@ def _spoil_table(rng, table, elements, fault):
     return table
 
 
-def spoil_index(rng, D, upper_fault, delta):
-    """D with its upper-bound table spoiled by `upper_fault` (a table of
-    random elements stands in for an empty one) and a delta: None, D's
-    own ("keep", the join on a chain or grid), a random common upper bound
-    per pair where there is one ("bound", seldom the join), or D's upper
-    table spoiled by the fault `delta` otherwise."""
+def spoil_index(rng, D, delta):
+    """D with a delta: None, D's own ("keep", the join on a chain or grid),
+    a random common upper bound per pair where there is one ("bound",
+    seldom the join), or the first common upper bound per pair (any
+    element where there is none) spoiled by the fault `delta` otherwise."""
     els = D.elements
-    upper = D.upper or {(i, j): rng.choice(els) for i in els for j in els}
-    upper = _spoil_table(rng, upper, els, upper_fault)
+    bounds = {(i, j): [k for k in els if (i, k) in D.pairs and (j, k) in D.pairs] or els
+              for i in els for j in els}
     table = None
     if delta == "keep":
         table = D.delta
     elif delta == "bound":
-        table = {}
-        for i in els:
-            for j in els:
-                common = [k for k in els if (i, k) in D.pairs and (j, k) in D.pairs]
-                table[(i, j)] = rng.choice(common or els)
+        table = {p: rng.choice(ks) for p, ks in bounds.items()}
     elif delta is not None:
-        table = _spoil_table(rng, upper, els, delta)
-    return DirectedIndex(D.base, D.pairs, upper, table)
+        table = _spoil_table(rng, {p: ks[0] for p, ks in bounds.items()}, els, delta)
+    return DirectedIndex(D.base, D.pairs, table)
 
 
 def spoil_cofinal(rng, D, C, how):

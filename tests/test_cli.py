@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from bspec.cli import build_parser, main
+from bspec.dsl import elaborate, parse
 from bspec.report import Report, emit_report
 
 FIXTURES = sorted(Path(__file__).resolve().parent.parent.glob("fixtures/*.bsp"))
@@ -70,7 +71,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
 # spectrum with an edge no certificate proves, malformed certificate
 # expressions, map, gen, cof and leg lines whose table the kernel refuses,
 # elements and members lines the kernel refuses as a carrier, equal and
-# order lines naming an unlisted element, an order that is not directed,
+# order lines naming an unlisted element, an order that is not directed
+# (at the block's line when it has no order line),
 # check lines naming no check kind, too many or too few names, an unknown
 # name, legs over another spectrum or a cofinal block over another index,
 # and families with a transport missing or two paths that disagree: (the
@@ -103,6 +105,7 @@ REFUSALS = {
     "missing-cover-map": ("family CONSTX2 {",
                           "no transport derivable for [('0', '2'), ('1', '2')]"),
     "missing-space": ("spectrum EOSPEC {", "no space line for index '2'"),
+    "no-order-line": ("directed D {", "no upper bound for (0, 1)"),
     "not-directed": ("order: 0 <= 1", "no upper bound for (0, 2)"),
     "pool-shape": ("pool PCONV {", "pool PCONV has shape hom-into-fixed, but duality2 "
                    "over the contravariant REV needs hom-out-of-fixed"),
@@ -174,6 +177,18 @@ def test_a_contravariant_spectrum_passes_the_default_suite(capsys):
     path = Path(__file__).resolve().parent / "documents" / "contravariant-default-suite.bsp"
     assert main(["check", str(path)]) == 0
     assert "5 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+
+
+def test_a_preorder_with_two_tops_reads_the_first(capsys):
+    """c and b are each <= the other, so both are tops: the index's top is
+    c, the first in carrier order, and the direct limit is read off it."""
+    path = Path(__file__).resolve().parent / "documents" / "two-tops.bsp"
+    env = elaborate(parse(path.read_text(encoding="utf-8")))
+    assert env.directeds["TWO"].top == "c"
+    assert main(["check", str(path)]) == 0
+    assert "14 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+    assert main(["limit", str(path), "--direct", "S"]) == 0
+    assert "  class c0: c @ p\n" in capsys.readouterr().out
 
 
 # Element names that decode as compound elements.  Without the guard the

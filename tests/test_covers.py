@@ -125,11 +125,11 @@ def test_covers_are_none_off_a_partial_order():
     not_reflexive = {("a", "b"), ("a", "c"), ("b", "c"), ("b", "b"), ("c", "c")}
     off_base = refl | {("a", "z")}
     for pairs in (not_transitive, cycle, not_reflexive, off_base):
-        D = DirectedIndex(base, frozenset(pairs), {})
+        D = DirectedIndex(base, frozenset(pairs))
         assert D.covers is None and hasse_covers(D) is None
     # an element named twice in a carrier built by hand
     twice = Setoid(("a", "a"), {("a", "a")})
-    D = DirectedIndex(twice, frozenset({("a", "a")}), {})
+    D = DirectedIndex(twice, frozenset({("a", "a")}))
     assert D.covers is None and hasse_covers(D) is None
     # a non-trivial base equality: the closure puts the two elements each
     # below the other
@@ -174,8 +174,8 @@ def test_a_composition_fault_off_the_covers_is_found(direction):
 
 def _with_delta(rng, D, how):
     """D with a delta: its join where it has one ("join", on chains and
-    grids), a random common upper bound per pair ("bound"), the upper-bound
-    table ("upper"), or the join with one entry dropped ("missing")."""
+    grids), a random common upper bound per pair ("bound"), the first common
+    upper bounds ("up"), or the join with one entry dropped ("missing")."""
     els = D.elements
     if how == "join":
         delta = dict(D.delta)
@@ -186,17 +186,17 @@ def _with_delta(rng, D, how):
         delta = {(i, j): rng.choice([k for k in els if D.leq(i, k) and D.leq(j, k)])
                  for i in els for j in els}
     else:
-        delta = dict(D.upper)
-    return DirectedIndex(D.base, D.pairs, D.upper, delta)
+        delta = {(i, j): D.up(i, j) for i in els for j in els}
+    return DirectedIndex(D.base, D.pairs, delta)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(seeds, kinds, st.sampled_from(["join", "missing", "bound", "upper"]))
+@given(seeds, kinds, st.sampled_from(["join", "missing", "bound", "up"]))
 def test_validate_directed_matches_the_scan(seed, kind, how):
     rng = random.Random(seed)
     D = random_index(rng, kind)
     if how in ("join", "missing") and D.delta is None:
-        how = "upper"
+        how = "up"
     D = _with_delta(rng, D, how)
     got = outcome(validate_directed, D)
     assert got == outcome(validate_directed_scan, D)
@@ -209,10 +209,10 @@ def test_a_delta_that_is_no_join_is_scanned():
     # to m1 instead keeps it an upper bound but breaks associativity:
     # (l1 v m0) v l1 is l1 where l1 v (m0 v l1) is m1
     D = diamonds(1)
-    delta = dict(D.upper)
-    assert _delta_is_join(DirectedIndex(D.base, D.pairs, D.upper, delta))
+    delta = {(i, j): D.up(i, j) for i in D.elements for j in D.elements}
+    assert _delta_is_join(DirectedIndex(D.base, D.pairs, delta))
     delta[("m0", "l1")] = "m1"
-    bad = DirectedIndex(D.base, D.pairs, D.upper, delta)
+    bad = DirectedIndex(D.base, D.pairs, delta)
     assert not _delta_is_join(bad)
     findings = validate_directed(bad)
     assert findings == validate_directed_scan(bad)
@@ -374,7 +374,7 @@ class _CountingDict(dict):
 def test_delta_assoc_on_a_join_runs_no_triple_loop(index):
     D = index()
     delta = _CountingDict(D.delta)
-    assert validate_directed(DirectedIndex(D.base, D.pairs, D.upper, delta)) == []
+    assert validate_directed(DirectedIndex(D.base, D.pairs, delta)) == []
     n = len(D.elements)
     # the triple loop reads the delta four times per triple; the absorption
     # law reads it once per order pair

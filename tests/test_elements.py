@@ -169,7 +169,6 @@ def rename_spectrum(s, name):
     ix = s.index
     index = DirectedIndex(
         setoid(ix.base), frozenset((name[i], name[j]) for i, j in ix.pairs),
-        {(name[i], name[j]): name[k] for (i, j), k in ix.upper.items()},
         None if ix.delta is None else
         {(name[i], name[j]): name[k] for (i, j), k in ix.delta.items()})
     fam = DirectFamily(index, s.direction,

@@ -1,6 +1,6 @@
-"""Cross-module laws that do not fit a single unit-test file: coherence of
-the chosen upper bounds, embedding propagation through sums and limits,
-cyclic preorders, and runner exit behavior on skipped laws."""
+"""Cross-module laws that do not fit a single unit-test file: embedding
+propagation through sums and limits, cyclic preorders, and runner exit
+behavior on skipped laws."""
 
 import random
 
@@ -18,7 +18,7 @@ from bspec.limits import (
     inverse_limit_map,
     limit_map,
 )
-from bspec.order import DirectedIndex, make_directed, validate_directed
+from bspec.order import make_directed
 from bspec.report import Finding
 from bspec.setoid import compose, discrete, is_embedding, make_fn
 from bspec.spectra import constant_spectrum
@@ -27,12 +27,6 @@ from bspec.topology import RFun, exponential_space, rconst, space
 from randgen import random_spectrum, thicken_spectrum
 from structures import chain3, collapse_family, constant_cspec, x2_space
 from thread_laws import check_induced_square, family_map
-
-
-def test_delta_can_serve_as_upper_function():
-    d = chain3()
-    swapped = DirectedIndex(d.base, d.pairs, dict(d.delta), dict(d.delta))
-    assert validate_directed(swapped) == []
 
 
 def test_postcompose_covariant_on_composition():

@@ -27,8 +27,8 @@ from bspec.families import (
 from bspec.order import (
     DirectedIndex,
     _close_order,
-    _first_upper_bounds,
     chain,
+    make_directed,
     validate_directed,
 )
 from bspec.setoid import (
@@ -87,10 +87,21 @@ def test_close_order_matches_scan(case):
     base, pairs = case
     got = outcome(_close_order, base, pairs)
     assert got == outcome(close_order_scan, base, pairs)
-    # the upper-bound table, over the closure and over the raw pairs
+    # the first upper bounds, over the closure and over the raw pairs
     for rel in ([got[1]] if got[0] == "value" else []) + [frozenset(pairs)]:
-        assert (outcome(_first_upper_bounds, DirectedIndex(base, rel, {}))
+        assert (outcome(_up_table, DirectedIndex(base, rel))
                 == outcome(first_upper_bounds_scan, base.elements, rel))
+    # make_directed's refusal names the pair the scan first meets
+    if got[0] == "value":
+        built = outcome(make_directed, base, pairs)
+        if built[0] == "value":
+            built = outcome(_up_table, built[1])
+        assert built == outcome(first_upper_bounds_scan, base.elements, got[1])
+
+
+def _up_table(D):
+    """`up` over every pair of D, in carrier order."""
+    return {(i, j): D.up(i, j) for i in D.elements for j in D.elements}
 
 
 def test_unknown_element_raises_as_the_scan_does():
@@ -125,7 +136,7 @@ def test_leq_extensional_matches_the_quadruple_scan(case, closed):
     base, pairs = case
     pairs = [(i, j) for i, j in pairs if base.has(i) and base.has(j)]
     rel = _close_order(base, pairs) if closed else frozenset(pairs)
-    D = DirectedIndex(base, rel, {})
+    D = DirectedIndex(base, rel)
     keyed = [f for f in validate_directed(D) if f.law == "leq-extensional"]
     assert keyed == leq_extensional_scan(D)
     if closed:
@@ -138,7 +149,7 @@ def test_leq_transitive_matches_the_scan(case, closed):
     base, pairs = case
     closed = closed and all(base.has(x) for p in pairs for x in p)
     rel = _close_order(base, pairs) if closed else frozenset(pairs)
-    D = DirectedIndex(base, rel, {})
+    D = DirectedIndex(base, rel)
 
     def keyed():
         return [f for f in validate_directed(D) if f.law == "leq-transitive"]
@@ -279,14 +290,12 @@ def test_chain40_document_elaborates_as_the_scans_do(monkeypatch):
     text = _chain_document(40)
     keyed = elaborate(parse(text))
     monkeypatch.setattr(order, "_close_order", close_order_scan)
-    monkeypatch.setattr(order, "_first_upper_bounds",
-                        lambda D: first_upper_bounds_scan(D.elements, D.pairs))
     monkeypatch.setattr(families, "_saturate", saturate_rescan)
     monkeypatch.setattr(families, "_direct_family_laws_hold", lambda F: False)
     scanned = elaborate(parse(text))
     D, E = keyed.directeds["C"], scanned.directeds["C"]
     assert D.pairs == E.pairs and len(D.pairs) == 820
-    assert D.upper == E.upper
+    assert _up_table(D) == first_upper_bounds_scan(E.elements, E.pairs)
     assert (_tables(keyed.families["F"].transports)
             == _tables(scanned.families["F"].transports))
 

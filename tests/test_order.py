@@ -2,6 +2,7 @@ import pytest
 
 from bspec.order import (
     CofinalSubset,
+    DirectedIndex,
     NotDirected,
     chain,
     induced_order,
@@ -12,6 +13,7 @@ from bspec.order import (
     validate_cofinal,
     validate_directed,
 )
+from bspec.report import Finding
 from bspec.setoid import discrete, identity, make_fn
 
 from structures import chain3, eo_cofinal, eo_index
@@ -24,19 +26,25 @@ def test_chain3_valid_with_delta():
     assert top_element(d) == "2"
 
 
-def test_upper_bound_failure_reported():
-    base = discrete(["0", "1"])
-    pairs = frozenset([("0", "0"), ("1", "1")])
-    from bspec.order import DirectedIndex
-
-    bad = DirectedIndex(base, pairs, {(i, j): "0" for i in "01" for j in "01"})
-    laws = {f.law for f in validate_directed(bad)}
-    assert "upper-bound" in laws
-
-
 def test_make_directed_rejects_undirected():
     with pytest.raises(NotDirected):
         make_directed(["0", "1"], [])
+
+
+def test_an_unbounded_pair_is_upper_missing():
+    # the two-element antichain: 0 and 1 have no common upper bound, so `up`
+    # refuses the pair and validate_directed lists both orders of it
+    bad = DirectedIndex(discrete(["0", "1"]), frozenset([("0", "0"), ("1", "1")]))
+    assert validate_directed(bad) == [Finding("upper-missing", ("0", "1")),
+                                      Finding("upper-missing", ("1", "0"))]
+    assert bad.up("0", "0") == "0"
+    with pytest.raises(NotDirected, match=r"no upper bound for \(0, 1\)"):
+        bad.up("0", "1")
+
+
+def test_an_empty_carrier_is_not_directed():
+    with pytest.raises(NotDirected, match="no element is above every element"):
+        make_directed(discrete([]), [])
 
 
 def test_top_of_singleton_and_eo():
@@ -95,8 +103,6 @@ def test_delta_laws_checked():
     d = chain3()
     bad_delta = dict(d.delta)
     bad_delta[("0", "1")] = "0"  # violates absorption
-    from bspec.order import DirectedIndex
-
-    bad = DirectedIndex(d.base, d.pairs, d.upper, bad_delta)
+    bad = DirectedIndex(d.base, d.pairs, bad_delta)
     laws = {f.law for f in validate_directed(bad)}
     assert laws & {"delta-absorb", "delta-upper", "delta-assoc"}

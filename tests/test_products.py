@@ -1,6 +1,8 @@
 """The product order and the product spectrum, read off the factors' tables,
 against the builders that derived them pair by pair (`product_order_scan`
-and `product_spectrum_eager` in tests/oracles.py).  Random spectra in both
+and `product_spectrum_eager` in tests/oracles.py), and the product's upper
+bounds and top, read off its rows, against the pairs of the factors'
+scanned bounds (`product_upper_scan`).  Random spectra in both
 directions, over product indices and over the diagonal of a shared index,
 some of their edge certificates wrapped in nodes that claim a table.
 Hypothesis runs derandomized, so the suite stays deterministic."""
@@ -35,7 +37,13 @@ from bspec.topology import (
     space,
 )
 
-from oracles import outcome, product_order_scan, product_spectrum_eager
+from oracles import (
+    fold_top,
+    outcome,
+    product_order_scan,
+    product_spectrum_eager,
+    product_upper_scan,
+)
 from randgen import random_directed_index, random_spectrum
 
 FAST = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -88,7 +96,6 @@ def _same_index(got, want):
     assert got.elements == want.elements
     assert got.base.class_id == want.base.class_id
     assert got.pairs == want.pairs
-    assert got.upper == want.upper and list(got.upper) == list(want.upper)
     assert got.delta == want.delta
     assert got.order_pairs() == tuple(want.order_pairs())
 
@@ -128,7 +135,12 @@ def _same_product(got, want):
 def test_product_order_matches_the_scan(seed):
     rng = random.Random(seed)
     d1, d2 = _index(rng), _index(rng)
-    _same_index(product_order(d1, d2), product_order_scan(d1, d2))
+    got = product_order(d1, d2)
+    _same_index(got, product_order_scan(d1, d2))
+    # the bounds read off the product's rows are the factors' bounds paired
+    upper = product_upper_scan(d1, d2)
+    assert {(a, b): got.up(a, b) for a in got.elements for b in got.elements} == upper
+    assert got.top == fold_top(got.elements, upper)
 
 
 @FAST
@@ -212,22 +224,21 @@ def test_ill_formed_factors_raise_as_before(seed, direction, fault, second):
 
 
 @FAST
-@given(seeds, st.sampled_from(["upper", "delta", "upper-off", "delta-off"]))
+@given(seeds, st.sampled_from(["missing", "off"]))
 def test_ill_formed_factor_orders_raise(seed, fault):
     rng = random.Random(seed)
     d1, d2 = chain(rng.randint(1, 3)), _index(rng)
-    table = d1.delta if fault.startswith("delta") else d1.upper
-    key = rng.choice(sorted(table))
-    if fault.endswith("-off"):
-        table[key] = "off"
+    key = rng.choice(sorted(d1.delta))
+    if fault == "off":
+        d1.delta[key] = "off"
     else:
-        del table[key]
+        del d1.delta[key]
     got, want = outcome(product_order, d1, d2), outcome(product_order_scan, d1, d2)
-    if d2.delta is None and fault.startswith("delta"):
+    if d2.delta is None:
         # no product delta is built, so the broken table is never read
         assert got[0] == want[0] == "value"
         _same_index(got[1], want[1])
-    elif fault.endswith("-off"):
+    elif fault == "off":
         # the scan built an index with the stray bound; the table read
         # cannot place it on the product carrier
         assert got == (KeyError, repr("off")) and want[0] == "value"
