@@ -13,11 +13,11 @@ import sys
 import time
 from pathlib import Path
 
-from .dsl import DslError, elaborate, parse
+from .dsl import DslError, _lookup, elaborate, parse
 from .families import COVARIANT
-from .limits import Limits, cofinal_direct_iso, cofinal_inverse_iso
+from .limits import UNIQ_BOUND, Limits, cofinal_direct_iso, cofinal_inverse_iso
 from .report import KernelError, Report, emit_report
-from .runner import ConfigError, RunConfig, check_duality, resolve_check, run_suite
+from .runner import CHECKS, ConfigError, RunConfig, resolve_check, run_suite
 
 
 def _add_common(p):
@@ -28,7 +28,7 @@ def _add_common(p):
 
 def _add_suite(p):
     _add_common(p)
-    p.add_argument("--uniq-bound", type=int, default=1_000_000)
+    p.add_argument("--uniq-bound", type=int, default=UNIQ_BOUND)
     p.add_argument("--suite", help="suite block to run (default: all)")
 
 
@@ -141,8 +141,13 @@ def cmd_iso(args):
                    witness=(f"classes={lim.class_count()}",),
                    elapsed=time.perf_counter() - t0)
     else:
-        pool = resolve_check(env, "duality", (args.duality,))
-        check_duality((args.duality,), pool, RunConfig(), report, "iso", lims)
+        # the duality over the pool's spectrum: out of its direct limit over
+        # a covariant one, into its inverse limit over a contravariant one
+        desc = _lookup(env.pools, args.duality, "pool")
+        kind = ("duality" if env.spectra[desc["spectrum"]].direction == COVARIANT
+                else "duality2")
+        pool = resolve_check(env, kind, (args.duality,))
+        CHECKS[kind]((args.duality,), pool, RunConfig(), report, "iso", lims)
     return _emit(report, args)
 
 
@@ -159,6 +164,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "iso" and args.cofinal and not args.spectrum:
         parser.error("--cofinal needs --spectrum")
+    if args.command == "iso" and args.spectrum and not args.cofinal:
+        parser.error("--spectrum needs --cofinal")
     handlers = {
         "check": cmd_check,
         "limit": cmd_limit,

@@ -1,7 +1,9 @@
 """Morphism-space spectra and the duality between direct and inverse limits.
 
-Pre- and post-composition turn a spectrum and a fixed space into four
-spectra of morphism carriers.  Over finite validated pools the two duality
+The homs between each space of a spectrum and a fixed space, on the one
+side or the other, form a spectrum of morphism carriers: a hom into the
+fixed space is pre-composed with the transports, a hom out of it
+post-composed.  Over finite validated pools the two duality
 isomorphisms are checked two-sidedly, and the two converse-direction maps
 are built and certified as morphisms, with the embedding half of the first
 one conditional on a representative-existence hypothesis that is itself
@@ -37,9 +39,6 @@ class PoolNotClosed(DualityError):
     pass
 
 
-SHAPES = ("A_i", "A_ii", "B_i", "B_ii")
-
-
 def enumerate_morphisms(src, dst, cap=4096):
     """All extensional maps that admit certificates for every target
     generator, as witnesses; the map space itself is capped.
@@ -70,103 +69,71 @@ def enumerate_morphisms(src, dst, cap=4096):
     return out
 
 
-def precompose_action(lam, pool_from, pool_to):
-    """Send a morphism out of lam's codomain to its composite after lam.
+# --- the morphism-space spectra ----------------------------------------------
 
-    lam is a carrier map; the composite of each element of pool_from lands
-    in pool_to, else PoolNotClosed names the first that does not.
+def compose_action(lam, pool_from, pool_to, hom_into):
+    """Send each morphism of pool_from to its composite with lam, a carrier
+    map: after lam for homs into the fixed space, followed by lam for homs
+    out of it.
+
+    The composite of each lands in pool_to, else PoolNotClosed names the
+    first that does not.
     """
     table = {}
     for name, w in pool_from.witnesses.items():
-        target = pool_to.find(compose(lam, w.h))
+        target = pool_to.find(compose(lam, w.h) if hom_into else compose(w.h, lam))
         if target is None:
             raise PoolNotClosed(f"pushes {name} out of the pool")
         table[name] = target
     return make_fn(pool_from.carrier, pool_to.carrier, table)
 
 
-def postcompose_action(mu, pool_from, pool_to):
-    """Send a morphism into mu's domain to its composite followed by mu,
-    a carrier map; PoolNotClosed as for precompose_action."""
-    table = {}
-    for name, w in pool_from.witnesses.items():
-        target = pool_to.find(compose(w.h, mu))
-        if target is None:
-            raise PoolNotClosed(f"pushes {name} out of the pool")
-        table[name] = target
-    return make_fn(pool_from.carrier, pool_to.carrier, table)
-
-
-# --- the four induced spectra ------------------------------------------------
-
-def induce_spectrum(s, fixed, shape, pools):
-    """Build the morphism-space spectrum of the given shape over s's index.
+def induce_spectrum(s, fixed, hom_into, pools):
+    """The spectrum over s's index whose space at i is the pool at i, a
+    MorCarrier: of homs from s's space at i into fixed when hom_into, else
+    of homs from fixed into it.
 
     pools maps each index element to a list of MorphismWitness values of
-    the appropriate type, each a morphism already checked, as
-    enumerate_morphisms gives them; each pool must be closed under the
-    induced transports.  The space at i is the pool at i, a MorCarrier.
+    that type, each a morphism already checked, as enumerate_morphisms
+    gives them.  A hom into fixed is pre-composed with the transports,
+    which reverses the spectrum's direction; a hom out of it is
+    post-composed, which keeps it.  Each pool must be closed under these
+    actions, else PoolNotClosed names the edge.  Each edge's certificates
+    are made with its transport: for homs into fixed an evaluation
+    generator pulls back to an evaluation generator; for homs out of it
+    s's own edge certificate for g0 . lam is routed through evaluation.
     """
-    if shape not in SHAPES:
-        raise DualityError(f"unknown shape {shape!r}")
-    if shape in ("A_i", "A_ii") and s.direction != COVARIANT:
-        raise DualityError("shape needs a covariant source spectrum")
-    if shape in ("B_i", "B_ii") and s.direction != CONTRAVARIANT:
-        raise DualityError("shape needs a contravariant source spectrum")
-    # Mor(F_i, fixed) reverses the spectrum's direction, Mor(fixed, F_i)
-    # keeps it
-    hom_into_fixed = shape in ("A_i", "B_i")
-    out_direction = s.direction
-    if hom_into_fixed:
-        out_direction = CONTRAVARIANT if s.direction == COVARIANT else COVARIANT
-
+    direction = s.direction
+    if hom_into:
+        direction = CONTRAVARIANT if direction == COVARIANT else COVARIANT
     spaces = {}
     for i in s.index.elements:
-        ends = (s.space(i), fixed) if hom_into_fixed else (fixed, s.space(i))
+        ends = (s.space(i), fixed) if hom_into else (fixed, s.space(i))
         spaces[i] = exponential_space(
             *ends, pools[i], names=[f"{i}.m{n}" for n in range(len(pools[i]))])
 
-    # a hom into fixed is pre-composed with the transport, a hom out of it
-    # post-composed
-    act = precompose_action if hom_into_fixed else postcompose_action
-    transports = {}
-    for i, j in s.fam.order_pairs():
-        if i == j:
-            continue
-        a, b = oriented(out_direction, i, j)
-        try:
-            transports[(i, j)] = act(s.fam.transport(i, j), spaces[a], spaces[b])
-        except PoolNotClosed as exc:
-            raise PoolNotClosed(f"edge ({i}, {j}) {exc}") from None
-
     carriers = {i: spaces[i].carrier for i in s.index.elements}
-    transports.update({(i, i): identity(carriers[i])
-                       for i, j in s.fam.order_pairs() if i == j})
-    fam = DirectFamily(s.index, out_direction, carriers, transports)
-    certs = _induced_edge_certs(s, fam, hom_into_fixed, spaces)
-    return Spectrum(fam, spaces, certs, s.pool)
-
-
-def _induced_edge_certs(s, fam, hom_into_fixed, spaces):
-    """Certificates for the induced transports against the evaluation
-    subbases.  For homs into the fixed space evaluation generators pull back
-    to evaluation generators; for homs out of it the source spectrum's own
-    edge certificate for g0 . lam is routed through evaluation."""
-    certs = {}
+    transports, certs = {}, {}
     for i, j in s.fam.order_pairs():
         if i == j:
+            transports[(i, i)] = identity(carriers[i])
             continue
         lam = s.fam.transport(i, j)
-        a, b = fam.ends(i, j)
+        a, b = oriented(direction, i, j)
         src, tgt = spaces[a], spaces[b]
-        if hom_into_fixed:
+        try:
+            transports[(i, j)] = compose_action(lam, src, tgt, hom_into)
+        except PoolNotClosed as exc:
+            raise PoolNotClosed(f"edge ({i}, {j}) {exc}") from None
+        if hom_into:
             certs[(i, j)] = {pos: CGen(src.positions[(lam(x), k)])
                              for (x, k), pos in _gen_items(tgt)}
         else:
             edge = s.witness_certs[(i, j)]
             certs[(i, j)] = {pos: exp_eval_certificate(edge[k], x, src)
                              for (x, k), pos in _gen_items(tgt)}
-    return certs
+    return Spectrum(DirectFamily(s.index, direction, carriers, transports),
+                    spaces, certs, s.pool)
 
 
 def _gen_items(pool):
@@ -191,8 +158,9 @@ class DualityResult:
 def duality_direct_to_inverse(s, fixed, pools, lims):
     """Compatible choices of morphisms into the fixed space correspond to
     morphisms out of the direct limit, two-sidedly and topologically."""
-    induced = induce_spectrum(s, fixed, "A_i", pools)
-    inv, lim = lims.inverse(induced), lims.direct(s)
+    lim = lims.direct(s)
+    induced = induce_spectrum(s, fixed, True, pools)
+    inv = lims.inverse(induced)
     findings = []
 
     # forward: a compatible choice acts classwise on the limit
@@ -257,8 +225,9 @@ def _from_hom(s, lim, fixed, inv, hom_witnesses):
 def duality_inverse_hom(s, fixed, pools, lims):
     """Compatible choices of morphisms out of the fixed space correspond to
     morphisms into the inverse limit."""
-    induced = induce_spectrum(s, fixed, "B_ii", pools)
-    inv_mor, lim = lims.inverse(induced), lims.inverse(s)
+    lim = lims.inverse(s)
+    induced = induce_spectrum(s, fixed, False, pools)
+    inv_mor = lims.inverse(induced)
     findings = []
 
     hom_witnesses = []
@@ -309,8 +278,9 @@ def converse_dual_inverse(s, fixed, pools, lims):
     """From the direct limit of hom-into-fixed carriers over a contravariant
     spectrum to morphisms out of its inverse limit; an embedding exactly
     when every element extends to a compatible choice."""
-    induced = induce_spectrum(s, fixed, "B_i", pools)
-    lim_mor, inv = lims.direct(induced), lims.inverse(s)
+    inv = lims.inverse(s)
+    induced = induce_spectrum(s, fixed, True, pools)
+    lim_mor = lims.direct(induced)
     findings = []
 
     hom_witnesses = []
@@ -350,8 +320,9 @@ def converse_dual_inverse(s, fixed, pools, lims):
 def converse_dual_direct(s, fixed, pools, lims):
     """From the direct limit of hom-out-of-fixed carriers over a covariant
     spectrum to morphisms into its direct limit; morphism property only."""
-    induced = induce_spectrum(s, fixed, "A_ii", pools)
-    lim_mor, lim = lims.direct(induced), lims.direct(s)
+    lim = lims.direct(s)
+    induced = induce_spectrum(s, fixed, False, pools)
+    lim_mor = lims.direct(induced)
 
     hom_witnesses = []
     for cls_tok in lim_mor.repr_classes():

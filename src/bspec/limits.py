@@ -56,6 +56,11 @@ from .topology import (
 )
 
 
+# The default size of the uniqueness question: a mediator's uniqueness is
+# left unchecked when its |codomain|^|classes| candidates exceed it.
+UNIQ_BOUND = 1_000_000
+
+
 class LimitError(KernelError):
     pass
 
@@ -246,7 +251,7 @@ def direct_limit(s):
     return DirectLimit(s, carrier, threads, space_obj)
 
 
-def cocone_mediator(s, lim, c, uniq_bound=1_000_000):
+def cocone_mediator(s, lim, c, uniq_bound=UNIQ_BOUND):
     """The unique morphism out of the limit commuting with every leg, as a
     Mediator that records whether its uniqueness search ran.
 
@@ -564,7 +569,7 @@ def top_determinacy_check(lim):
     return True
 
 
-def cone_mediator(s, lim, c, uniq_bound=1_000_000):
+def cone_mediator(s, lim, c, uniq_bound=UNIQ_BOUND):
     """The unique morphism into the limit commuting with every projection,
     as a Mediator that records whether its uniqueness search ran."""
     raise_first(validate_legs(s, c), IllFormedLegs)

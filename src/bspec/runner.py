@@ -28,6 +28,7 @@ from .families import (
     validate_direct_family,
 )
 from .limits import (
+    UNIQ_BOUND,
     Limits,
     NonUnique,
     NotCofinal,
@@ -53,7 +54,7 @@ class ConfigError(Exception):
 
 
 class RunConfig:
-    def __init__(self, *, uniq_bound=1_000_000):
+    def __init__(self, *, uniq_bound=UNIQ_BOUND):
         self.uniq_bound = uniq_bound
 
 

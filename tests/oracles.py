@@ -9,6 +9,7 @@ path gives the same answer.  The last section holds helpers that nothing in
 from fractions import Fraction
 from itertools import filterfalse, product as iproduct
 
+from bspec.duality import DualityError, PoolNotClosed, _gen_items
 from bspec.families import (
     CONTRAVARIANT,
     COVARIANT,
@@ -65,6 +66,8 @@ from bspec.topology import (
     compose_rfun,
     compose_witnesses,
     eval_bic,
+    exp_eval_certificate,
+    exponential_space,
     lift_certificate,
     map_cert,
     product_space,
@@ -1152,6 +1155,109 @@ def inverse_limit_backtracking(s, bound=1_000_000):
     return _limit_of_choices(s, [
         a for a in enumerate_compatible(fam, CONTRAVARIANT, bound)
         if not validate_dependent(fam, a, CONTRAVARIANT)])
+
+
+# --- the four-shape morphism-space builder ----------------------------------
+
+SHAPES = ("A_i", "A_ii", "B_i", "B_ii")
+
+
+def precompose_action(lam, pool_from, pool_to):
+    """Send a morphism out of lam's codomain to its composite after lam.
+
+    lam is a carrier map; the composite of each element of pool_from lands
+    in pool_to, else PoolNotClosed names the first that does not.
+    """
+    table = {}
+    for name, w in pool_from.witnesses.items():
+        target = pool_to.find(compose(lam, w.h))
+        if target is None:
+            raise PoolNotClosed(f"pushes {name} out of the pool")
+        table[name] = target
+    return make_fn(pool_from.carrier, pool_to.carrier, table)
+
+
+def postcompose_action(mu, pool_from, pool_to):
+    """Send a morphism into mu's domain to its composite followed by mu,
+    a carrier map; PoolNotClosed as for precompose_action."""
+    table = {}
+    for name, w in pool_from.witnesses.items():
+        target = pool_to.find(compose(w.h, mu))
+        if target is None:
+            raise PoolNotClosed(f"pushes {name} out of the pool")
+        table[name] = target
+    return make_fn(pool_from.carrier, pool_to.carrier, table)
+
+
+def induce_spectrum_by_shape(s, fixed, shape, pools):
+    """duality.induce_spectrum as it was when it took one of four shape
+    names: the morphism-space spectrum of the given shape over s's index.
+
+    pools maps each index element to a list of MorphismWitness values of
+    the appropriate type, each a morphism already checked, as
+    enumerate_morphisms gives them; each pool must be closed under the
+    induced transports.  The space at i is the pool at i, a MorCarrier.
+    """
+    if shape not in SHAPES:
+        raise DualityError(f"unknown shape {shape!r}")
+    if shape in ("A_i", "A_ii") and s.direction != COVARIANT:
+        raise DualityError("shape needs a covariant source spectrum")
+    if shape in ("B_i", "B_ii") and s.direction != CONTRAVARIANT:
+        raise DualityError("shape needs a contravariant source spectrum")
+    # Mor(F_i, fixed) reverses the spectrum's direction, Mor(fixed, F_i)
+    # keeps it
+    hom_into_fixed = shape in ("A_i", "B_i")
+    out_direction = s.direction
+    if hom_into_fixed:
+        out_direction = CONTRAVARIANT if s.direction == COVARIANT else COVARIANT
+
+    spaces = {}
+    for i in s.index.elements:
+        ends = (s.space(i), fixed) if hom_into_fixed else (fixed, s.space(i))
+        spaces[i] = exponential_space(
+            *ends, pools[i], names=[f"{i}.m{n}" for n in range(len(pools[i]))])
+
+    # a hom into fixed is pre-composed with the transport, a hom out of it
+    # post-composed
+    act = precompose_action if hom_into_fixed else postcompose_action
+    transports = {}
+    for i, j in s.fam.order_pairs():
+        if i == j:
+            continue
+        a, b = oriented(out_direction, i, j)
+        try:
+            transports[(i, j)] = act(s.fam.transport(i, j), spaces[a], spaces[b])
+        except PoolNotClosed as exc:
+            raise PoolNotClosed(f"edge ({i}, {j}) {exc}") from None
+
+    carriers = {i: spaces[i].carrier for i in s.index.elements}
+    transports.update({(i, i): identity(carriers[i])
+                       for i, j in s.fam.order_pairs() if i == j})
+    fam = DirectFamily(s.index, out_direction, carriers, transports)
+    certs = _induced_edge_certs(s, fam, hom_into_fixed, spaces)
+    return Spectrum(fam, spaces, certs, s.pool)
+
+
+def _induced_edge_certs(s, fam, hom_into_fixed, spaces):
+    """Certificates for the induced transports against the evaluation
+    subbases.  For homs into the fixed space evaluation generators pull back
+    to evaluation generators; for homs out of it the source spectrum's own
+    edge certificate for g0 . lam is routed through evaluation."""
+    certs = {}
+    for i, j in s.fam.order_pairs():
+        if i == j:
+            continue
+        lam = s.fam.transport(i, j)
+        a, b = fam.ends(i, j)
+        src, tgt = spaces[a], spaces[b]
+        if hom_into_fixed:
+            certs[(i, j)] = {pos: CGen(src.positions[(lam(x), k)])
+                             for (x, k), pos in _gen_items(tgt)}
+        else:
+            edge = s.witness_certs[(i, j)]
+            certs[(i, j)] = {pos: exp_eval_certificate(edge[k], x, src)
+                             for (x, k), pos in _gen_items(tgt)}
+    return certs
 
 
 # --- helpers with no caller in bspec ---------------------------------------

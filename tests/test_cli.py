@@ -361,6 +361,28 @@ def test_iso_duality(capsys):
     assert main(["iso", str(path), "--duality", "PDUAL"]) == 0
 
 
+def test_iso_duality_over_a_contravariant_spectrum_runs_the_second_duality(
+        tmp_path, capsys):
+    # REV in inverse.bsp is contravariant, and PDUAL2 holds homs out of G0
+    path = next(p for p in FIXTURES if p.stem == "inverse")
+    out = tmp_path / "iso.json"
+    assert main(["iso", str(path), "--duality", "PDUAL2", "--json", str(out)]) == 0
+    assert [(c["law"], c["status"], c["witness"])
+            for c in json.loads(out.read_text())["checks"]] == [
+        ("duality2.PDUAL2.round-trips", "pass", ["side-cardinality=4"]),
+        ("duality2.PDUAL2.morphisms", "pass", [])]
+
+
+def test_iso_duality_refuses_a_pool_on_the_wrong_side_at_its_line(capsys):
+    # PCONV holds homs into G0, which the second duality over REV does not read
+    path = next(p for p in FIXTURES if p.stem == "inverse")
+    line = path.read_text(encoding="utf-8").splitlines().index("pool PCONV {") + 1
+    assert main(["iso", str(path), "--duality", "PCONV"]) == 2
+    assert capsys.readouterr().err == (
+        f"bspec: {line}:0: pool PCONV has shape hom-into-fixed, but duality2 over "
+        "the contravariant REV needs hom-out-of-fixed\n")
+
+
 def test_json_reports_stable(tmp_path, capsys):
     path = next(p for p in FIXTURES if p.stem == "eo1")
     out1 = tmp_path / "r1.json"
@@ -534,3 +556,11 @@ def test_iso_cofinal_needs_a_spectrum(capsys):
         main(["iso", str(path), "--cofinal", "EVENS"])
     assert exc.value.code == 2
     assert "--cofinal needs --spectrum" in capsys.readouterr().err
+
+
+def test_iso_spectrum_needs_a_cofinal(capsys):
+    path = next(p for p in FIXTURES if p.stem == "constant")
+    with pytest.raises(SystemExit) as exc:
+        main(["iso", str(path), "--duality", "PDUAL", "--spectrum", "NOSUCH"])
+    assert exc.value.code == 2
+    assert "--spectrum needs --cofinal" in capsys.readouterr().err

@@ -11,14 +11,13 @@ from bspec.families import CONTRAVARIANT
 from bspec.duality import (
     DualityError,
     PoolNotClosed,
+    compose_action,
     converse_dual_direct,
     converse_dual_inverse,
     duality_direct_to_inverse,
     duality_inverse_hom,
     enumerate_morphisms,
     induce_spectrum,
-    precompose_action,
-    postcompose_action,
 )
 from bspec.limits import Limits
 from bspec.report import Finding
@@ -91,7 +90,7 @@ def test_precompose_and_postcompose_actions():
     swap_name = next(n for n in mc.carrier.elements
                      if mc.witnesses[n].h("p") == "q" and mc.witnesses[n].h("q") == "p")
     swap = mc.witnesses[swap_name]
-    act = precompose_action(swap.h, mc, mc)
+    act = compose_action(swap.h, mc, mc, True)
     # composing with the swap twice is the identity action
     act2 = {n: act(act(n)) for n in mc.carrier.elements}
     for n in mc.carrier.elements:
@@ -99,7 +98,7 @@ def test_precompose_and_postcompose_actions():
     # swap+(swap) = identity morphism
     ident_name = mc.find(identity(sp.carrier))
     assert mc.carrier.eq(act(swap_name), ident_name)
-    post = postcompose_action(swap.h, mc, mc)
+    post = compose_action(swap.h, mc, mc, False)
     assert mc.carrier.eq(post(swap_name), ident_name)
 
 
@@ -113,9 +112,9 @@ def test_action_contravariance_on_composition():
             lam, kap = mc.witnesses[n1], mc.witnesses[n2]
             comp = compose(kap.h, lam.h)  # lam after kap
             comp_name = mc.find(comp)
-            act_comp = precompose_action(comp, mc, mc)
-            act_lam = precompose_action(lam.h, mc, mc)
-            act_kap = precompose_action(kap.h, mc, mc)
+            act_comp = compose_action(comp, mc, mc, True)
+            act_lam = compose_action(lam.h, mc, mc, True)
+            act_kap = compose_action(kap.h, mc, mc, True)
             for n in names:
                 assert mc.carrier.eq(act_comp(n), act_kap(act_lam(n)))
 
@@ -150,16 +149,16 @@ def test_induced_spectra_constant_source():
     s = constant_cspec()
     sp = x2_space()
     pools = {i: enumerate_morphisms(sp, sp) for i in s.index.elements}
-    for shape in ("A_i", "A_ii"):
-        spec = induce_spectrum(s, sp, shape, pools)
+    for hom_into in (True, False):
+        spec = induce_spectrum(s, sp, hom_into, pools)
         assert validate_spectrum(spec) == []
         # identity transports on the pool
         for (i, j) in spec.fam.order_pairs():
             tr = spec.fam.transport(i, j)
             for n in tr.dom.elements:
-                src_w = spec.space(i if shape == "A_ii" else j).witnesses[n]
+                src_w = spec.space(j if hom_into else i).witnesses[n]
                 dst_name = tr(n)
-                dst_pool = spec.space(j if shape == "A_ii" else i)
+                dst_pool = spec.space(i if hom_into else j)
                 assert fn_equal(dst_pool.witnesses[dst_name].h, src_w.h)
 
 
@@ -167,36 +166,22 @@ def test_induced_spectrum_one_point_fixed():
     s = cspec()
     one = one_point_space()
     pools = {i: enumerate_morphisms(s.space(i), one) for i in s.index.elements}
-    spec = induce_spectrum(s, one, "A_i", pools)
+    spec = induce_spectrum(s, one, True, pools)
     assert validate_spectrum(spec) == []
     for i in s.index.elements:
         assert spec.space(i).carrier.class_count() == 1
 
 
 def test_pool_not_closed_detected():
-    s = constant_cspec()
-    sp = x2_space()
-    mors = enumerate_morphisms(sp, sp)
-    swap = next(w for w in mors if w.h("p") == "q" and w.h("q") == "p")
-    # a pool missing the identity is still closed under identity transports,
-    # so break closure by restricting one index to just the swap while
-    # another keeps maps whose composites escape: use a collapsing spectrum
-    s2 = cspec()
-    pools = {}
-    for i in s2.index.elements:
-        pools[i] = enumerate_morphisms(s2.space(i), sp)
-    # drop the image of the transport action from the pool at index 0
-    lam = s2.fam.transport("0", "1")
-    keep = []
-    for w in pools["0"]:
-        is_composite = any(
-            fn_equal(compose(lam, w2.h), w.h) for w2 in pools["1"])
-        if not is_composite:
-            keep.append(w)
-    if keep and len(keep) < len(pools["0"]):
-        pools["0"] = keep
-        with pytest.raises(PoolNotClosed):
-            induce_spectrum(s2, sp, "A_i", pools)
+    # homs into X2 over cspec are pre-composed with the transports: drop
+    # from the pool at 0 what the transport of (0, 1) makes of the first
+    # hom at 1
+    s2, sp = cspec(), x2_space()
+    pools = {i: enumerate_morphisms(s2.space(i), sp) for i in s2.index.elements}
+    image = compose(s2.fam.transport("0", "1"), pools["1"][0].h)
+    pools["0"] = [w for w in pools["0"] if not fn_equal(w.h, image)]
+    with pytest.raises(PoolNotClosed, match=r"^edge \(0, 1\) pushes 1\.m0 out of the pool$"):
+        induce_spectrum(s2, sp, True, pools)
 
 
 def test_duality_principle_constant_spectrum():

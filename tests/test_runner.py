@@ -366,12 +366,13 @@ def _suite_of(text, check):
 
 def test_a_duality_over_the_wrong_direction_reports_its_own_error():
     # PCONV is over the contravariant REV, PCONVERSE over the covariant
-    # CONST: the duality refuses the spectrum before any limit is built
+    # CONST: the duality asks for its spectrum's limit first, and the limit
+    # refuses a spectrum of the wrong direction
     for fixture, check, error in [
             ("inverse.bsp", "duality PCONV",
-             "error (shape needs a covariant source spectrum)"),
+             "error (direct limit needs a covariant spectrum)"),
             ("constant.bsp", "duality2 PCONVERSE",
-             "error (shape needs a contravariant source spectrum)")]:
+             "error (inverse limit needs a contravariant spectrum)")]:
         text = _suite_of((INVERSE.parent / fixture).read_text(), check)
         kind = check.split()[0]
         assert _checks(text) == [(f"{kind}.run", "fail", [error])]
