@@ -473,12 +473,20 @@ def elaborate(doc):
         for s in b.many("carrier"):
             if len(s.args) != 1:
                 raise _misshapen(s, "i: SETOID")
-            carriers[s.args[0]] = _lookup(out.setoids, s.value.strip(), "setoid", s.line)
+            i = s.args[0]
+            carrier = _lookup(out.setoids, s.value.strip(), "setoid", s.line)
+            if i not in index.base.class_id:  # Setoid.has, inlined
+                raise UnresolvedReference(f"carrier for unknown index {i!r}", s.line)
+            if i in carriers:
+                raise SyntaxErrorDsl(f"duplicate carrier line for index {i!r}", s.line)
+            carriers[i] = carrier
         transports = {}
         for s in b.many("map"):
             if len(s.args) != 3 or s.args[1] != "->":
                 raise _misshapen(s, "i -> j: a => u, ...")
             i, j = s.args[0], s.args[2]
+            if (i, j) in transports:
+                raise SyntaxErrorDsl(f"duplicate map line for edge ({i}, {j})", s.line)
             table = dict(parse_pairs(s.value, "=>", s))
             src, tgt = oriented(direction, i, j)
             dom, cod = carriers.get(src), carriers.get(tgt)
@@ -539,21 +547,25 @@ def elaborate(doc):
             if len(s.args) not in (3, 4) or s.args[1] != "->":
                 raise _misshapen(s, "i -> j [gen]: CERT|auto")
             i, j = s.args[0], s.args[2]
+            # an order pair names index elements, and each has a space
+            if i == j or (i, j) not in fam.index.pairs:
+                raise UnresolvedReference(
+                    f"witness edge ({i}, {j}) is not an order pair i <= j with i != j",
+                    s.line)
             if s.value.strip() == "auto":
                 continue
             if len(s.args) != 4:
                 raise SyntaxErrorDsl("explicit witnesses name the generator",
                                      s.line)
             src, tgt = fam.ends(i, j)
-            src_sub, tgt_sub = spaces.get(src), spaces.get(tgt)
-            if tgt_sub is None or src_sub is None:
-                raise UnresolvedReference(
-                    f"witness for unknown spaces ({i}, {j})", s.line)
-            k = _lookup(_positions(tgt_sub.names), s.args[3], "generator",
+            k = _lookup(_positions(spaces[tgt].names), s.args[3], "generator",
                         s.line)
-            node = parse_sexpr(s.value, s.line)
-            witness_certs.setdefault((i, j), {})[k] = build_certificate(
-                node, src_sub, s.line)
+            edge = witness_certs.setdefault((i, j), {})
+            if k in edge:
+                raise SyntaxErrorDsl(f"duplicate witness line for generator "
+                                     f"{s.args[3]!r} on edge ({i}, {j})", s.line)
+            edge[k] = build_certificate(parse_sexpr(s.value, s.line), spaces[src],
+                                        s.line)
         certs = _at(b.line, complete_witnesses, fam, spaces, witness_certs)
         out.spectra[b.name] = Spectrum(fam, spaces, certs, pool)
 
@@ -586,6 +598,8 @@ def elaborate(doc):
             if i not in s.fam.carriers:
                 raise UnresolvedReference(f"leg for unknown index {i!r}",
                                           stmt.line)
+            if i in legs:
+                raise SyntaxErrorDsl(f"duplicate leg line for index {i!r}", stmt.line)
             table = dict(parse_pairs(stmt.value, "=>", stmt))
             # a cocone's legs run into its apex, a cone's out of it
             src, dst = oriented(COVARIANT if b.kind == "cocone" else CONTRAVARIANT,

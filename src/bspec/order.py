@@ -1,6 +1,5 @@
 """Directed index sets: finite extensional preorders held as bit rows, whose
-upper bounds and top are read off those rows; an optional coherent choice
-of upper bounds; and cofinal subsets."""
+upper bounds and top are read off those rows, and cofinal subsets."""
 
 from __future__ import annotations
 
@@ -33,15 +32,12 @@ class DirectedIndex:
 
     `leq` is the checked entry to the order.  Everything else reads it as
     bit rows (`_order`), built once per index: `up(i, j)` and `top` are the
-    first common upper bounds in carrier order.  `delta` is an optional
-    coherent choice of upper bounds; when present the order must be a poset
-    up to carrier equality and the (d1)-(d3) laws are validated.
+    first common upper bounds in carrier order.
     """
 
-    def __init__(self, base, pairs, delta=None):
+    def __init__(self, base, pairs):
         self.base = base  # a Setoid
         self.pairs = pairs  # a frozenset
-        self.delta = delta
 
     @property
     def elements(self):
@@ -256,11 +252,7 @@ def validate_directed(D):
     pairs in `order_pairs()` order.  So i <= j <= k fails transitivity at
     the members of row(j) & ~row(i), and a pair is upper-missing when
     row(i) & row(j) is empty.  An element off the base raises in
-    `leq`, where a scan over every element would meet it.  delta-assoc is
-    decided in O(n^2) when delta is the join of a partial order
-    (`_delta_is_join`); any other delta, or a preorder, is scanned over
-    every triple.  A pair missing from delta is listed once, as
-    delta-missing; the absorb and assoc instances that read it are skipped.
+    `leq`, where a scan over every element would meet it.
     """
     findings = []
     els = D.elements
@@ -290,54 +282,7 @@ def validate_directed(D):
                             for i2 in classes[class_id[i]] for j2 in classes[class_id[j]]
                             if not leq(i2, j2))
     findings.extend(Finding("upper-missing", p) for p in _unbounded_pairs(D))
-    if D.delta is not None:
-        for i in els:
-            findings.extend(Finding("delta-needs-poset", (i, j))
-                            for j in _members(els, rows[position[i]])
-                            if leq(j, i) and not D.base.eq(i, j))
-        for i in els:
-            for j in els:
-                d = D.delta.get((i, j))
-                if d is None:
-                    findings.append(Finding("delta-missing", (i, j)))
-                    continue
-                if not (leq(i, d) and leq(j, d)):
-                    findings.append(Finding("delta-upper", (i, j, d)))
-                if (leq(i, j) and (j, i) in D.delta
-                        and not (D.base.eq(d, D.delta[(j, i)]) and D.base.eq(d, j))):
-                    findings.append(Finding("delta-absorb", (i, j)))
-        if not _delta_is_join(D):
-            get = D.delta.get
-            for i in els:
-                for j in els:
-                    for k in els:
-                        left, right = get((get((i, j)), k)), get((i, get((j, k))))
-                        if left is None or right is None:
-                            continue  # it reads a pair listed as delta-missing
-                        if not D.base.eq(left, right):
-                            findings.append(Finding("delta-assoc", (i, j, k)))
     return findings
-
-
-def _delta_is_join(D):
-    """Whether D is a partial order whose delta is the join:
-    row(delta(i, j)) = row(i) & row(j) for all i, j.
-
-    Then both bracketings of three elements have the row
-    row(i) & row(j) & row(k), so in a partial order they are one
-    element, equal to itself: delta-assoc holds.
-    """
-    if D.covers is None:
-        return False
-    position, rows = D._order
-    els = D.elements
-    for i in els:
-        row = rows[position[i]]
-        for j in els:
-            d = position.get(D.delta.get((i, j)))
-            if d is None or rows[d] != row & rows[position[j]]:
-                return False
-    return True
 
 
 def top_element(D):
@@ -420,9 +365,8 @@ def induced_order(D, C):
 
 def product_order(D1, D2):
     """The componentwise order.  Its pairs are the products of the factors'
-    pairs between carrier elements, and its delta is read off the factors'
-    tables; both are made of the product carrier's own Pairs.  A bound
-    missing from a factor's delta, or off its carrier, raises KeyError."""
+    pairs between carrier elements, made of the product carrier's own
+    Pairs."""
     base = product_setoid(D1.base, D2.base)
     cell = {}  # i -> j -> the base's Pair((i, j))
     for a in base.elements:
@@ -431,24 +375,7 @@ def product_order(D1, D2):
     pairs2 = [(j, j2) for j, j2 in D2.pairs if D2.base.has(j) and D2.base.has(j2)]
     pairs = frozenset((cell[i][j], cell[i2][j2])
                       for i, i2 in pairs1 for j, j2 in pairs2)
-    delta = None
-    if D1.delta is not None and D2.delta is not None:
-        delta = _product_table(D1, D2, cell, D1.delta, D2.delta)
-    return DirectedIndex(base, pairs, delta)
-
-
-def _product_table(D1, D2, cell, t1, t2):
-    """((i, j), (i2, j2)) -> the Pair of t1[(i, i2)] and t2[(j, j2)], in
-    the product carrier's order."""
-    out = {}
-    for i in D1.elements:
-        for j in D2.elements:
-            a = cell[i][j]
-            for i2 in D1.elements:
-                row, over = cell[t1[(i, i2)]], cell[i2]
-                for j2 in D2.elements:
-                    out[(a, over[j2])] = row[t2[(j, j2)]]
-    return out
+    return DirectedIndex(base, pairs)
 
 
 def product_cofinal(D1, C1, D2, C2):
@@ -477,10 +404,8 @@ def product_cofinal(D1, C1, D2, C2):
 
 
 def chain(n, names=None):
-    """The chain 0 <= 1 <= ... <= n-1 with max as delta."""
+    """The chain 0 <= 1 <= ... <= n-1."""
     if names is None:
         names = [str(i) for i in range(n)]
     pairs = frozenset((a, b) for m, a in enumerate(names) for b in names[m:])
-    delta = {(a, b): names[max(m, n)]
-             for m, a in enumerate(names) for n, b in enumerate(names)}
-    return DirectedIndex(discrete(names), pairs, delta)
+    return DirectedIndex(discrete(names), pairs)

@@ -548,7 +548,7 @@ def direct_family_laws_hold_triples(F):
 def validate_directed_scan(D):
     """order.validate_directed before it read bit rows, through `pairs` and
     `leq` alone: every order pair is scanned for transitivity, in
-    `order_pairs()` order, and every triple for delta-assoc."""
+    `order_pairs()` order."""
     findings = []
     els = D.elements
     for i in els:
@@ -566,35 +566,6 @@ def validate_directed_scan(D):
         for j in els:
             if not any(D.leq(i, k) and D.leq(j, k) for k in els):
                 findings.append(Finding("upper-missing", (i, j)))
-    if D.delta is not None:
-        for i in els:
-            for j in els:
-                if D.leq(i, j) and D.leq(j, i) and not D.base.eq(i, j):
-                    findings.append(Finding("delta-needs-poset", (i, j)))
-        for i in els:
-            for j in els:
-                d = D.delta.get((i, j))
-                if d is None:
-                    findings.append(Finding("delta-missing", (i, j)))
-                    continue
-                if not (D.leq(i, d) and D.leq(j, d)):
-                    findings.append(Finding("delta-upper", (i, j, d)))
-                if D.leq(i, j) and (j, i) in D.delta:
-                    if not (
-                        D.base.eq(d, D.delta[(j, i)]) and D.base.eq(d, j)
-                    ):
-                        findings.append(Finding("delta-absorb", (i, j)))
-        # an instance that reads a pair delta does not map is skipped; the
-        # pair was listed once as delta-missing
-        for i in els:
-            for j in els:
-                for k in els:
-                    ij, jk = D.delta.get((i, j)), D.delta.get((j, k))
-                    left, right = D.delta.get((ij, k)), D.delta.get((i, jk))
-                    if left is None or right is None:
-                        continue
-                    if not D.base.eq(left, right):
-                        findings.append(Finding("delta-assoc", (i, j, k)))
     return findings
 
 
@@ -783,8 +754,8 @@ def autofill_witnesses(fam, spaces, given=None):
 
 
 def product_order_scan(D1, D2):
-    """order.product_order before it read the factors' pair sets and
-    tables: every quadruple of elements through `leq`, `delta` per pair."""
+    """order.product_order before it read the factors' pair sets: every
+    quadruple of elements through `leq`."""
     base = product_setoid(D1.base, D2.base)
     pairs = frozenset(
         (Pair((i, j)), Pair((i2, j2)))
@@ -794,11 +765,7 @@ def product_order_scan(D1, D2):
         for j2 in D2.elements
         if D1.leq(i, i2) and D2.leq(j, j2)
     )
-    delta = None
-    if D1.delta is not None and D2.delta is not None:
-        delta = {(a, b): Pair((D1.delta[(a[0], b[0])], D2.delta[(a[1], b[1])]))
-                 for a in base.elements for b in base.elements}
-    return DirectedIndex(base, pairs, delta)
+    return DirectedIndex(base, pairs)
 
 
 def product_upper_scan(D1, D2):

@@ -548,40 +548,6 @@ def raw_index(rng):
     return DirectedIndex(base, frozenset(pairs))
 
 
-TABLE_FAULTS = ["none", "missing", "wrong", "off-base"]
-
-
-def _spoil_table(rng, table, elements, fault):
-    """A copy of table with one entry dropped ("missing"), sent to a random
-    element ("wrong") or to the element z off the base ("off-base")."""
-    table = dict(table)
-    if table and fault != "none":
-        key = rng.choice(sorted(table))
-        if fault == "missing":
-            del table[key]
-        else:
-            table[key] = "z" if fault == "off-base" else rng.choice(elements)
-    return table
-
-
-def spoil_index(rng, D, delta):
-    """D with a delta: None, D's own ("keep", the join on a chain or grid),
-    a random common upper bound per pair where there is one ("bound",
-    seldom the join), or the first common upper bound per pair (any
-    element where there is none) spoiled by the fault `delta` otherwise."""
-    els = D.elements
-    bounds = {(i, j): [k for k in els if (i, k) in D.pairs and (j, k) in D.pairs] or els
-              for i in els for j in els}
-    table = None
-    if delta == "keep":
-        table = D.delta
-    elif delta == "bound":
-        table = {p: rng.choice(ks) for p, ks in bounds.items()}
-    elif delta is not None:
-        table = _spoil_table(rng, {p: ks[0] for p, ks in bounds.items()}, els, delta)
-    return DirectedIndex(D.base, D.pairs, table)
-
-
 def spoil_cofinal(rng, D, C, how):
     """C with a random modulus ("cof", seldom cofinal), a random embedding
     ("embed", seldom injective or monotone), or as it is ("none")."""

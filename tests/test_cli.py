@@ -90,9 +90,14 @@ REFUSALS = {
     "coarser-equality": ("space 0: FX2C",
                          "subbase 'FX2C' is not over the carrier at index '0'"),
     "disagreeing-paths": ("family SWAP {", "family-composition at a, c, d"),
+    "duplicate-carrier": ("carrier 2: X2", "duplicate carrier line for index '2'"),
     "duplicate-element": ("elements: p, q, p", "duplicate element 'p'"),
+    "duplicate-leg": ("leg 2: p => q, q => p", "duplicate leg line for index '2'"),
+    "duplicate-map": ("map 1 -> 2: p => q, q => p", "duplicate map line for edge (1, 2)"),
     "duplicate-member": ("members: 0, 2, 2", "duplicate element '2'"),
     "duplicate-space": ("space 1: FX2", "duplicate space line for index '1'"),
+    "duplicate-witness": ("witness 1 -> 2 f: (gen f)",
+                          "duplicate witness line for generator 'f' on edge (1, 2)"),
     "empty-elements": ("elements:", "a directed block needs at least one element"),
     "foreign-setoid": ("space 1: FY2", "subbase 'FY2' is not over the carrier at index '1'"),
     "foreign-setoid-auto": ("space 1: FY2",
@@ -113,11 +118,16 @@ REFUSALS = {
                            "no certificate found for generator 0 on edge (0, 1)"),
     "ulim-witness": ("witness 0 -> 1 f: (ulim (table p => 0, q => 1) (w x (gen f)))",
                      "not an integer: 'x'"),
+    "unknown-carrier-index": ("carrier 7: X2", "carrier for unknown index '7'"),
     "unknown-check-kind": ("check: frobnicate", "unknown check kind 'frobnicate'"),
     "unknown-equal-element": ("equal: p ~ z",
                               "equality pair (p, z) mentions unknown element"),
     "unknown-index": ("space 7: FX2", "space for unknown index '7'"),
     "unknown-order-element": ("order: 0 <= 7", "'7' not in carrier"),
+    "witness-against-the-order": ("witness 2 -> 0 f: (gen f)",
+                                  "witness edge (2, 0) is not an order pair i <= j with i != j"),
+    "witness-on-a-loop": ("witness 1 -> 1 f: (const 5)",
+                          "witness edge (1, 1) is not an order pair i <= j with i != j"),
 }
 
 

@@ -220,6 +220,21 @@ def test_each_elaborated_reference_is_refused_at_its_line(block, key, value, mes
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("stray, pair", [
+    ("witness 1 -> 0: auto", "(1, 0)"),  # against the order
+    ("witness 0 -> 0: auto", "(0, 0)"),  # a loop
+    ("witness 0 -> 7 f: (gen f)", "(0, 7)"),  # an index the family lacks
+])
+def test_a_witness_line_off_the_edges_is_refused_at_its_line(stray, pair):
+    given = "  witness 0 -> 1 f: (gen f)"
+    text = REFERENCES.replace(given + "\n", f"{given}\n  {stray}\n")
+    with pytest.raises(UnresolvedReference) as err:
+        elaborate(parse(text))
+    line = REFERENCES.splitlines().index(given) + 2
+    assert str(err.value) == (
+        f"{line}:0: witness edge {pair} is not an order pair i <= j with i != j")
+
+
 SUITE_REFERENCES = [
     ("family Missing", "no family named 'Missing'"),
     ("directed Missing", "no directed block named 'Missing'"),

@@ -168,9 +168,7 @@ def rename_spectrum(s, name):
 
     ix = s.index
     index = DirectedIndex(
-        setoid(ix.base), frozenset((name[i], name[j]) for i, j in ix.pairs),
-        None if ix.delta is None else
-        {(name[i], name[j]): name[k] for (i, j), k in ix.delta.items()})
+        setoid(ix.base), frozenset((name[i], name[j]) for i, j in ix.pairs))
     fam = DirectFamily(index, s.direction,
                        {name[i]: setoid(c) for i, c in s.fam.carriers.items()},
                        {(name[i], name[j]): fn(t)

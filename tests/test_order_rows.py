@@ -1,10 +1,10 @@
 """Differential tests for the order read as bit rows: `validate_directed`,
 `validate_cofinal`, `induced_order` and the monotonicity check of
 `restrict_family`, each against the scan through `pairs` and `leq` that it
-replaced, on preorders, merged bases, pairs off the base, spoiled delta
-tables, broken moduli and non-monotone restrictions.  Findings, their
-order, and the type and message of what is raised must agree.  Hypothesis
-runs derandomized, so the suite stays deterministic."""
+replaced, on preorders, merged bases, pairs off the base, broken moduli
+and non-monotone restrictions.  Findings, their order, and the type and
+message of what is raised must agree.  Hypothesis runs derandomized, so
+the suite stays deterministic."""
 
 import random
 
@@ -15,11 +15,12 @@ from bspec.order import (
     DirectedIndex,
     chain,
     induced_order,
+    product_order,
     validate_cofinal,
     validate_directed,
 )
 from bspec.report import Finding
-from bspec.setoid import Setoid, UnknownElement, discrete
+from bspec.setoid import Pair, Setoid, UnknownElement, discrete
 
 from oracles import (
     check_monotone_scan,
@@ -31,7 +32,6 @@ from oracles import (
     validate_directed_scan,
 )
 from randgen import (
-    TABLE_FAULTS,
     merged_index,
     random_cofinal_instance,
     random_direct_family,
@@ -39,12 +39,10 @@ from randgen import (
     random_restriction,
     raw_index,
     spoil_cofinal,
-    spoil_index,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 INDEX_KINDS = ["chain", "preorder", "merged", "raw"]
-DELTAS = [None, "keep", "bound"] + TABLE_FAULTS
 
 
 def _index(rng, kind):
@@ -55,35 +53,31 @@ def _index(rng, kind):
     return merged_index(rng) if kind == "merged" else raw_index(rng)
 
 
-def _directed_case(seed, kind, delta):
-    rng = random.Random(seed)
-    return spoil_index(rng, _index(rng, kind), delta)
+def _directed_case(seed, kind):
+    return _index(random.Random(seed), kind)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(seeds, st.sampled_from(INDEX_KINDS), st.sampled_from(DELTAS))
-def test_validate_directed_matches_the_scan(seed, kind, delta):
-    D = _directed_case(seed, kind, delta)
+@given(seeds, st.sampled_from(INDEX_KINDS))
+def test_validate_directed_matches_the_scan(seed, kind):
+    D = _directed_case(seed, kind)
     assert outcome(validate_directed, D) == outcome(validate_directed_scan, D)
 
 
 def test_the_directed_cases_reach_every_law():
     """The generated cases find every law of validate_directed, and raise
-    only on an element off the base: a missing delta entry is listed as
-    delta-missing, and the absorption and associativity instances that
-    would read it are skipped."""
+    only on an element off the base."""
     laws, raised = set(), set()
     rng = random.Random(0)
     for _ in range(1500):
-        case = (rng.randrange(2**32), rng.choice(INDEX_KINDS), rng.choice(DELTAS))
+        case = (rng.randrange(2**32), rng.choice(INDEX_KINDS))
         got = outcome(validate_directed, _directed_case(*case))
         if got[0] == "value":
             laws.update(f.law for f in got[1])
         else:
             raised.add(got[0])
     assert laws == {"leq-reflexive", "leq-transitive", "leq-extensional",
-                    "upper-missing", "delta-needs-poset",
-                    "delta-missing", "delta-upper", "delta-absorb", "delta-assoc"}
+                    "upper-missing"}
     assert raised == {UnknownElement}
 
 
@@ -113,10 +107,11 @@ def test_an_element_named_twice_is_listed_as_often_as_the_scan_lists_it():
 
 
 def test_validate_directed_at_chain400():
-    # the scan would take 400^3 delta lookups here, so the answers are the
-    # ones the construction gives: chain(400) is valid, and without the
-    # pair 0 <= 399 every 0 <= j <= 399 fails transitivity and 0 and 399
-    # have no common upper bound
+    # the scan makes two leq calls per order pair and element, some 400^3
+    # of them, so the answers are the ones the construction gives:
+    # chain(400) is valid, and without the pair 0 <= 399 every
+    # 0 <= j <= 399 fails transitivity and 0 and 399 have no common upper
+    # bound
     D = chain(400)
     assert outcome(validate_directed, D) == ("value", [])
     spoiled = DirectedIndex(D.base, D.pairs - {("0", "399")})
@@ -125,6 +120,24 @@ def test_validate_directed_at_chain400():
         for i, j in spoiled.order_pairs() if i == "0" and j != "0"
     ] + [Finding("upper-missing", ("0", "399")),
          Finding("upper-missing", ("399", "0"))]
+
+
+def test_validate_directed_at_a_product_of_chain24s():
+    # 576 elements and 90,000 order pairs: as at chain(400), the answers
+    # are the ones the construction gives.  The product is valid, and
+    # without the pair bottom <= top every bottom <= j <= top fails
+    # transitivity, and bottom and top have no common upper bound, since
+    # top is the only element above top
+    D = product_order(chain(24), chain(24))
+    bottom, top = D.elements[0], D.elements[-1]
+    assert (bottom, top) == (Pair(("0", "0")), Pair(("23", "23")))
+    assert outcome(validate_directed, D) == ("value", [])
+    spoiled = DirectedIndex(D.base, D.pairs - {(bottom, top)})
+    assert validate_directed(spoiled) == [
+        Finding("leq-transitive", (bottom, j, top))
+        for i, j in spoiled.order_pairs() if i == bottom and j != bottom
+    ] + [Finding("upper-missing", (bottom, top)),
+         Finding("upper-missing", (top, bottom))]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

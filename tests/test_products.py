@@ -52,7 +52,7 @@ directions = st.sampled_from([COVARIANT, CONTRAVARIANT])
 
 
 def _index(rng):
-    """A random directed preorder, or a chain, which carries a delta."""
+    """A random directed preorder, or a chain."""
     if rng.random() < 0.5:
         return random_directed_index(rng)
     return chain(rng.randint(1, 4))
@@ -96,7 +96,6 @@ def _same_index(got, want):
     assert got.elements == want.elements
     assert got.base.class_id == want.base.class_id
     assert got.pairs == want.pairs
-    assert got.delta == want.delta
     assert got.order_pairs() == tuple(want.order_pairs())
 
 
@@ -221,29 +220,6 @@ def test_ill_formed_factors_raise_as_before(seed, direction, fault, second):
     assert got[0] == want[0]
     if got[0] != "value":
         assert got == want
-
-
-@FAST
-@given(seeds, st.sampled_from(["missing", "off"]))
-def test_ill_formed_factor_orders_raise(seed, fault):
-    rng = random.Random(seed)
-    d1, d2 = chain(rng.randint(1, 3)), _index(rng)
-    key = rng.choice(sorted(d1.delta))
-    if fault == "off":
-        d1.delta[key] = "off"
-    else:
-        del d1.delta[key]
-    got, want = outcome(product_order, d1, d2), outcome(product_order_scan, d1, d2)
-    if d2.delta is None:
-        # no product delta is built, so the broken table is never read
-        assert got[0] == want[0] == "value"
-        _same_index(got[1], want[1])
-    elif fault == "off":
-        # the scan built an index with the stray bound; the table read
-        # cannot place it on the product carrier
-        assert got == (KeyError, repr("off")) and want[0] == "value"
-    else:
-        assert got[0] == KeyError and got == want
 
 
 @FAST
