@@ -526,7 +526,7 @@ def elaborate(doc):
                 raise _misshapen(s, "i: SUBBASE")
             i, ref = s.args[0], s.value.strip()
             sp = _lookup(out.subbases, ref, "subbase", s.line)
-            if i not in fam.index.elements:
+            if i not in fam.index.base.class_id:  # Setoid.has, inlined
                 raise UnresolvedReference(f"space for unknown index {i!r}", s.line)
             if i in spaces:
                 raise SyntaxErrorDsl(f"duplicate space line for index {i!r}", s.line)

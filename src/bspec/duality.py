@@ -102,6 +102,9 @@ def induce_spectrum(s, fixed, hom_into, pools):
     are made with its transport: for homs into fixed an evaluation
     generator pulls back to an evaluation generator; for homs out of it
     s's own edge certificate for g0 . lam is routed through evaluation.
+    The family is lawful when s's is (`DirectFamily.parents`): composites
+    with transports equal up to equality are pointwise equal, and
+    `MorCarrier.find` sends pointwise equal maps to one token.
     """
     direction = s.direction
     if hom_into:
@@ -129,11 +132,11 @@ def induce_spectrum(s, fixed, hom_into, pools):
             certs[(i, j)] = {pos: CGen(src.positions[(lam(x), k)])
                              for (x, k), pos in _gen_items(tgt)}
         else:
-            edge = s.witness_certs[(i, j)]
+            edge = s.edge_witness(i, j).certs
             certs[(i, j)] = {pos: exp_eval_certificate(edge[k], x, src)
                              for (x, k), pos in _gen_items(tgt)}
-    return Spectrum(DirectFamily(s.index, direction, carriers, transports),
-                    spaces, certs, s.pool)
+    fam = DirectFamily(s.index, direction, carriers, transports, parents=(s.fam,))
+    return Spectrum(fam, spaces, certs, s.pool)
 
 
 def _gen_items(pool):

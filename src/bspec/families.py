@@ -2,6 +2,11 @@
 order, either covariantly or contravariantly.  Transports may be supplied on
 a generating set of edges and are extended by composition, with every
 composition path checked to agree.
+
+A family given its transports on exactly the covers of a partial order
+holds those and the identities, and derives any other pair on first use
+(`derive_on_covers`); on any other index, or given off the covers, every
+pair is derived up front (`_saturate`).
 """
 
 from __future__ import annotations
@@ -55,19 +60,33 @@ class DirectFamily:
 
     Covariant transports go up the order (carrier(i) -> carrier(j) for
     i <= j); contravariant ones go down (carrier(j) -> carrier(i)).
+
+    The family holds the transports it is given.  `derive(F, i, j)`, when
+    there is one, makes the transport of a pair not held, keeps it in
+    `transports` and returns it, or returns None; `transport` reads both.
+    `parents` are families whose laws imply this one's, so it is lawful
+    when they are.
     """
 
-    def __init__(self, index, direction, carriers, transports):
+    def __init__(self, index, direction, carriers, transports, derive=None, parents=()):
         self.index = index  # a DirectedIndex
         self.direction = direction
         self.carriers = carriers
-        self.transports = transports  # keyed (i, j) with i <= j
+        self.transports = transports  # held, keyed (i, j) with i <= j
+        self.derive = derive
+        self.parents = parents
 
     def carrier(self, i):
         return self.carriers[i]
 
     def transport(self, i, j):
-        return self.transports[(i, j)]
+        try:
+            return self.transports[(i, j)]
+        except KeyError:
+            fn = None if self.derive is None else self.derive(self, i, j)
+            if fn is None:
+                raise
+        return fn
 
     def ends(self, i, j):
         """The domain index, then the codomain index, of the transport of
@@ -87,9 +106,12 @@ class DirectFamily:
 
     @cached_property
     def lawful(self):
-        """Whether the family laws hold (`_direct_family_laws_hold`),
-        decided on first read and kept with the family, so a family made by
-        `make_direct_family` and then checked again is decided once."""
+        """Whether the family laws hold, decided on first read and kept with
+        the family, so a family made by `make_direct_family` and then
+        checked again is decided once: true when every parent is lawful,
+        without reading a transport, else `_direct_family_laws_hold`."""
+        if self.parents and all(p.lawful for p in self.parents):
+            return True
         return _direct_family_laws_hold(self)
 
 
@@ -143,7 +165,22 @@ def _saturate(index, carriers, given, direction=COVARIANT):
     return known
 
 
+def derive_on_covers(F, i, j):
+    """The transport of i < j composed through its middle
+    (`DirectedIndex.middle`), as `_saturate` composes it, each pair on the
+    way kept in F.transports; None when a pair on the way is not held and
+    has no middle."""
+    held, direction = F.transports, F.direction
+    return F.index.derived(held, i, j, lambda a, b, k: compose(
+        *oriented(direction, held[(a, k)], held[(k, b)])))
+
+
 def make_direct_family(index, direction, carriers, transports=None):
+    """The validated family.  Given exactly the covers of a partial order,
+    it holds them and the identities and derives the rest on first use
+    (`derive_on_covers`), through the middles the sweep of `_saturate`
+    takes, so every pair it reads is the one `_saturate` would make; given
+    anything else, it holds what `_saturate` makes."""
     if direction not in (COVARIANT, CONTRAVARIANT):
         raise FamilyError(f"unknown direction {direction!r}")
     carriers = dict(carriers)
@@ -155,8 +192,14 @@ def make_direct_family(index, direction, carriers, transports=None):
         a, b = oriented(direction, i, j)
         if not (fn.dom.same_as(carriers[a]) and fn.cod.same_as(carriers[b])):
             raise FamilyError(f"transport for ({i}, {j}) has wrong end carriers")
-    table = _saturate(index, carriers, given, direction)
-    fam = DirectFamily(index, direction, carriers, table)
+    covers = index.covers
+    if covers is not None and given.keys() == {(i, j) for i in covers for j in covers[i]}:
+        table = {(i, i): identity(carriers[i]) for i in index.elements}
+        table.update(given)
+        fam = DirectFamily(index, direction, carriers, table, derive_on_covers)
+    else:
+        fam = DirectFamily(index, direction, carriers,
+                           _saturate(index, carriers, given, direction))
     raise_first(validate_direct_family(fam), FamilyError)
     return fam
 
@@ -225,8 +268,11 @@ def _class_maps(F, pairs):
     maps = {}
     for pair in pairs:
         i, j = pair
-        fn = F.transports.get(pair)
-        if fn is None or not (base.has(i) and base.has(j)):
+        if not (base.has(i) and base.has(j)):
+            return None
+        try:
+            fn = F.transport(i, j)
+        except KeyError:
             return None
         a, b = pair[dom], pair[cod]
         src, dst = F.carriers.get(a), F.carriers.get(b)
@@ -257,18 +303,37 @@ def _direct_family_laws_hold(F):
     i < j' <= j.  Read in the order the transports run, a contravariant
     family is a covariant one over the opposite order, whose covers are the
     same pairs.  On any other index every chain is compared.
+
+    A family that derives on the covers (`derive_on_covers`) is read on its
+    held transports alone: the class map of a derived pair is composed
+    from those of the two pairs through its middle, in the order the sweep
+    derives them (`DirectedIndex._sweep_middles`).  Where no element has
+    two covers, every pair is one composite along the one path of covers,
+    so the composition law holds once the covers' class maps exist.
     """
-    els = F.index.elements
-    maps = _class_maps(F, F.index.pairs | {(i, i) for i in els})
+    index, els = F.index, F.index.elements
+    covers = index.covers
+    on_covers = F.derive is derive_on_covers
+    reflexive = [(i, i) for i in els]
+    if on_covers:
+        pairs = reflexive + [(i, j) for i in els for j in covers[i]]
+    else:
+        pairs = index.pairs.union(reflexive)
+    maps = _class_maps(F, pairs)
     if maps is None:
         return False
     for i in els:
         if maps[(i, i)] != tuple(range(F.carriers[i].class_count())):
             return False
+    if on_covers:
+        if index._one_path:
+            return True
+        for (i, j), k in index._sweep_middles.items():
+            a, b = F.ends(i, j)
+            maps[(a, b)] = tuple(map(maps[(k, b)].__getitem__, maps[(a, k)]))
     out_of = {}
     for (b, c), bc in maps.items():
         out_of.setdefault(b, []).append((c, bc))
-    covers = F.index.covers
     firsts = maps if covers is None else [
         F.ends(i, j) for i in els for j in covers[i]]
     for a, b in firsts:
@@ -318,10 +383,14 @@ def sum_equality_laws_hold(F):
     determines its class at the top.  With an equivalence at the top,
     agreement there is that equivalence read through the transports, so it
     is one.  False means the pass did not show both: a law fails, or class
-    ids cannot stand for the pairwise relations (`_class_maps`).
+    ids cannot stand for the pairwise relations (`_class_maps`).  A lawful
+    family (`DirectFamily.lawful`) needs no pass: lambda_it is
+    lambda_kt . lambda_ik up to equality, with lambda_kt extensional.
     """
     if F.direction != COVARIANT:
         return False
+    if F.lawful:
+        return True
     els = F.index.elements
     if any(i not in F.carriers for i in els):
         return False
@@ -410,12 +479,19 @@ def all_components_embeddings(m):
 
 
 def restrict_family(F, sub_index, h):
-    """Reindex a direct family along a monotone map of directed indices."""
+    """Reindex a direct family along a monotone map of directed indices.
+
+    The transport of a <= b is F's of h(a) <= h(b), read on first use; the
+    reindexed family is lawful when F is, since h keeps the order."""
     bad = next(_unordered_images(sub_index, F.index, _image_positions(F.index, h)), None)
     if bad is not None:
         raise NotMonotone(f"({bad[0]}, {bad[1]}) maps to an unordered pair")
     carriers = {a: F.carrier(h(a)) for a in sub_index.elements}
-    transports = {}
-    for a, b in sub_index.order_pairs():
-        transports[(a, b)] = F.transport(h(a), h(b))
-    return DirectFamily(sub_index, F.direction, carriers, transports)
+
+    def derive(G, a, b):
+        if (a, b) not in sub_index.pairs:
+            return None
+        fn = G.transports[(a, b)] = F.transport(h(a), h(b))
+        return fn
+
+    return DirectFamily(sub_index, F.direction, carriers, {}, derive, (F,))

@@ -465,17 +465,21 @@ def inverse_limit(s):
     each top element x, in top-carrier order, is pulled back to the choice
     a_t = x, a_i = lambda_it(x), which is kept when every order pair
     (i, j), reflexive ones included, agrees by class id: a_i and
-    lambda_ij(a_j) lie in one class at i.  Every class of compatible
-    choices has a token, and on discrete carriers the tokens are the
-    choices themselves, in the order a search from the top finds them.
+    lambda_ij(a_j) lie in one class at i.  On a lawful family
+    (`DirectFamily.lawful`) every pull-back agrees, since lambda_ij .
+    lambda_jt is lambda_it up to equality, so no pair is read.  Every class
+    of compatible choices has a token, and on discrete carriers the tokens
+    are the choices themselves, in the order a search from the top finds
+    them.
     """
     if s.direction != CONTRAVARIANT:
         raise LimitError("inverse limit needs a contravariant spectrum")
     fam, els = s.fam, s.index.elements
     t = fam.top()
     down = {i: fam.transport(i, t).mapping for i in els}
-    laws = [(fam.carrier(i).class_id, fam.transport(i, j).mapping, i, j)
-            for i, j in s.index.pairs]
+    laws = [] if fam.lawful else [
+        (fam.carrier(i).class_id, fam.transport(i, j).mapping, i, j)
+        for i, j in s.index.pairs]
     choices = []
     for x in fam.carrier(t).elements:
         a = {i: x if i == t else down[i][x] for i in els}

@@ -130,6 +130,63 @@ class DirectedIndex:
             todo = left
         return todo
 
+    def middle(self, i, j):
+        """The k through which a pair i < j missing from a table that holds
+        the covers is derived, or None for a cover; on a partial order only.
+
+        When no element has two covers, the one path of covers from i to j
+        makes every composite along it the same, and k is the cover of i,
+        so a pair into j needs no pair but the cover and one more into j.
+        Otherwise k is the middle the sweep from the covers
+        (`_derive_edges`) derives the pair through.
+        """
+        if self._one_path:
+            k = self.covers[i][0]
+            return None if k == j else k
+        return self._sweep_middles.get((i, j))
+
+    @cached_property
+    def _one_path(self):
+        return all(len(up) <= 1 for up in self.covers.values())
+
+    @cached_property
+    def _sweep_middles(self):
+        """(i, j) -> the middle of each pair the sweep from the covers
+        derives, in the order it derives them."""
+        middles = {}
+
+        def record(i, j, k):
+            if k is not None:
+                middles[(i, j)] = k
+            return k is not None
+
+        covers = self.covers
+        self._derive_edges({(i, j) for i in covers for j in covers[i]}, record)
+        return middles
+
+    def derived(self, held, i, j, through):
+        """held[(i, j)], or None when it cannot be derived: each order pair
+        a != b missing on the way is made by through(a, b, k), once held has
+        both pairs through its middle k (`middle`), and kept in held.  The
+        pairs through k lie strictly inside a <= b, so the walk ends."""
+        todo = [(i, j)]
+        while todo:
+            pair = todo[-1]
+            if pair in held:
+                todo.pop()
+                continue
+            a, b = pair
+            k = self.middle(a, b) if a != b and pair in self.pairs else None
+            if k is None:
+                return None
+            need = [p for p in ((a, k), (k, b)) if p not in held]
+            if need:
+                todo += need
+                continue
+            held[pair] = through(a, b, k)
+            todo.pop()
+        return held[(i, j)]
+
     @cached_property
     def covers(self):
         """i -> the elements that cover i, in carrier order; None unless

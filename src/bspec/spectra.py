@@ -11,6 +11,7 @@ from .families import (
     COVARIANT,
     DirectFamily,
     constant_direct_family,
+    derive_on_covers,
     oriented,
     restrict_family,
     validate_direct_family,
@@ -46,19 +47,27 @@ class Spectrum:
     there, and a certificate dict per order edge witnessing that the
     transport is a morphism.
 
-    The spectrum holds the table it is given; `complete_witnesses` makes a
-    table with every edge filled in.  Induced maps between topologies are
-    definitional (precompose with the transport) and are computed on
-    demand, never stored.
+    The spectrum holds a copy of the table it is given, which
+    `complete_witnesses` fills in on the covers.  `derive(s, i, j)`, when
+    there is one, makes the certificates of an edge not held, keeps them
+    in `witness_certs` and returns them, or returns None; over a family
+    that derives on its covers (`derive_on_covers`) it is by default
+    `lift_on_covers`.  `edge_witness` reads both.  Induced maps between
+    topologies are definitional (precompose with the transport) and are
+    computed on demand, never stored.
     """
 
-    def __init__(self, fam, spaces, witness_certs, pool=(Fraction(0), Fraction(1))):
+    def __init__(self, fam, spaces, witness_certs, pool=(Fraction(0), Fraction(1)),
+                 derive=None):
         self.fam = fam  # a DirectFamily
         self.spaces = spaces  # index element -> BSpace
         # (i, j) order pair -> {target gen index -> certificate}
-        self.witness_certs = witness_certs
+        self.witness_certs = dict(witness_certs)
         # constants usable in threads
         self.pool = tuple(q if type(q) is Fraction else Fraction(q) for q in pool)
+        if derive is None and fam.derive is derive_on_covers:
+            derive = lift_on_covers
+        self.derive = derive
 
     @property
     def index(self):
@@ -77,9 +86,12 @@ class Spectrum:
         return self.space(a), self.space(b)
 
     def edge_witness(self, i, j):
-        certs = self.witness_certs.get((i, j))
-        if certs is None:
-            raise SpectrumError(f"no edge witness for ({i}, {j})")
+        try:
+            certs = self.witness_certs[(i, j)]
+        except KeyError:
+            certs = None if self.derive is None else self.derive(self, i, j)
+            if certs is None:
+                raise SpectrumError(f"no edge witness for ({i}, {j})") from None
         return MorphismWitness(self.fam.transport(i, j), dict(certs))
 
     def induced_map(self, i, j, f):
@@ -88,49 +100,97 @@ class Spectrum:
 
 
 def complete_witnesses(fam, spaces, given=None):
-    """A new witness table for every edge of fam, the certificates in
-    `given` kept; `given` itself is not changed.
+    """A new witness table, the certificates in `given` kept; `given`
+    itself is not changed.
+
+    Over a family that derives on its covers (`derive_on_covers`), given
+    certificates on covers only, certify_map completes each cover, and
+    every other edge is left to `lift_on_covers`, on first use.  When a
+    cover cannot be completed, or under any other family or table, every
+    edge is filled in now, as follows, so a refusal names the edge it
+    always named.
 
     First each edge with nothing given is lifted through an intermediate
     index, until no more can be: edge (i, j) lifts through the first k, in
     carrier order, with i <= k <= j and both of its edges known, read off
     the index's known-edge rows (`DirectedIndex._derive_edges`), and the
     certificates of the edge whose transport applies second are lifted
-    along the witness of the one that applies first.  A certificate is
-    lifted only when the first edge certifies every generator it names.
-    Then certify_map constructs every certificate still missing; a
-    generator it cannot certify raises SpectrumError.
+    along the witness of the one that applies first (`_lifted`).  A
+    certificate is lifted only when the first edge certifies every
+    generator it names.  Then certify_map constructs every certificate
+    still missing (`_filled`); a generator it cannot certify raises
+    SpectrumError.
     """
-    certs = {e: dict(c) for e, c in (given or {}).items()}
+    given = given or {}
+    certs = {e: dict(c) for e, c in given.items()}
+
+    def fill(i, j):
+        have = certs.get((i, j), {})
+        full = _filled(fam, spaces, i, j, have)
+        if full is not have:
+            certs[(i, j)] = full
+
+    covers = fam.index.covers
+    if fam.derive is derive_on_covers and all(j in covers.get(i, ()) for i, j in certs):
+        try:
+            for i in fam.index.elements:
+                for j in covers[i]:
+                    fill(i, j)
+            return certs
+        except SpectrumError:
+            certs = {e: dict(c) for e, c in given.items()}  # refused below
 
     def lift(i, j, k):
         if k is None:
             return False
-        first, second = oriented(fam.direction, (i, k), (k, j))
-        lower = spaces[fam.ends(i, j)[0]]
-        w_low = MorphismWitness(fam.transport(*first), certs[first])
-        lifted = certs[(i, j)] = {}
-        for m, c in certs[second].items():
-            try:
-                lifted[m] = lift_certificate(lower, w_low, c)
-            except MissingCertificate:
-                pass  # left to certify_map below
+        certs[(i, j)] = _lifted(fam, spaces, certs, i, j, k)
         return True
 
     fam.index._derive_edges(certs, lift)
     for i, j in fam.order_pairs():
-        if i == j:
-            continue
-        src, tgt = fam.ends(i, j)
-        have = certs.get((i, j), {})
-        if all(k in have for k in range(len(spaces[tgt].gens))):
-            continue
-        missing = []
-        certs[(i, j)] = certify_map(
-            spaces[src], spaces[tgt], fam.transport(i, j),
-            "edge", missing, known=have).certs
-        raise_first(missing, SpectrumError,
-                    lambda k: f"no certificate found for generator {k} on edge ({i}, {j})")
+        if i != j:
+            fill(i, j)
+    return certs
+
+
+def lift_on_covers(s, i, j):
+    """The certificates of edge (i, j) lifted through its middle
+    (`DirectedIndex.middle`), as `complete_witnesses` lifts them, then
+    completed (`_filled`), each edge on the way kept in s.witness_certs;
+    None when an edge on the way is not held and has no middle."""
+    certs = s.witness_certs
+    return s.index.derived(certs, i, j, lambda a, b, k: _filled(
+        s.fam, s.spaces, a, b, _lifted(s.fam, s.spaces, certs, a, b, k)))
+
+
+def _lifted(fam, spaces, certs, i, j, k):
+    """The certificates of the edge whose transport applies second, of
+    (i, k) and (k, j), lifted along the witness of the one that applies
+    first: those the first edge's certificates allow."""
+    first, second = oriented(fam.direction, (i, k), (k, j))
+    lower = spaces[fam.ends(i, j)[0]]
+    w_low = MorphismWitness(fam.transport(*first), certs[first])
+    lifted = {}
+    for m, c in certs[second].items():
+        try:
+            lifted[m] = lift_certificate(lower, w_low, c)
+        except MissingCertificate:
+            pass  # left to certify_map
+    return lifted
+
+
+def _filled(fam, spaces, i, j, have):
+    """have when it certifies every generator at the target of edge
+    (i, j), else a new dict with certify_map's certificates for the rest;
+    a generator it cannot certify raises SpectrumError."""
+    src, tgt = fam.ends(i, j)
+    if all(k in have for k in range(len(spaces[tgt].gens))):
+        return have
+    missing = []
+    certs = certify_map(spaces[src], spaces[tgt], fam.transport(i, j),
+                        "edge", missing, known=have).certs
+    raise_first(missing, SpectrumError,
+                lambda k: f"no certificate found for generator {k} on edge ({i}, {j})")
     return certs
 
 
@@ -160,6 +220,12 @@ def constant_spectrum(index, sp, pool=(0, 1), direction=COVARIANT):
 def validate_spectrum(s):
     """Every failed family, space, edge-witness and composite-witness law.
 
+    When the spectrum lifts its other edges from the covers it holds
+    (`lift_on_covers`), only the edges it holds are checked: a lift of
+    valid certificates along a valid witness is valid, and certify_map
+    validates what it completes.  When one of them fails, every edge is
+    checked, so the findings are the full pass's.
+
     The composite witnesses are built through covers only
     (`_cover_composites_hold`); when one of them fails, or the index is
     not a partial order, every triple i <= j <= k with i != j and j != k
@@ -173,16 +239,13 @@ def validate_spectrum(s):
             findings.append(Finding("space-carrier", (i,)))
     if findings:
         return findings
-    for i, j in s.fam.order_pairs():
-        if i == j:
-            continue
-        src, dst = s.edge_ends(i, j)
-        try:
-            w = s.edge_witness(i, j)
-        except SpectrumError:
-            findings.append(Finding("edge-witness-missing", (i, j)))
-            continue
-        findings += check_morphism_as("edge", src, dst, w, (i, j))
+    edges = [p for p in s.fam.order_pairs() if p[0] != p[1]]
+    held, covers = s.witness_certs, s.index.covers
+    lifted = s.derive is lift_on_covers and all(
+        (i, j) in held for i in covers for j in covers[i])
+    findings = _edge_findings(s, [p for p in edges if p in held] if lifted else edges)
+    if findings and lifted:
+        findings = _edge_findings(s, edges)
     if findings:
         return findings
     if _cover_composites_hold(s):
@@ -194,6 +257,20 @@ def validate_spectrum(s):
             if i == j or j == k or not s.index.leq(j, k):
                 continue
             findings += _composite_findings(s, i, j, k)
+    return findings
+
+
+def _edge_findings(s, edges):
+    """The edge-witness findings of the listed edges, in list order."""
+    findings = []
+    for i, j in edges:
+        src, dst = s.edge_ends(i, j)
+        try:
+            w = s.edge_witness(i, j)
+        except SpectrumError:
+            findings.append(Finding("edge-witness-missing", (i, j)))
+            continue
+        findings += check_morphism_as("edge", src, dst, w, (i, j))
     return findings
 
 
@@ -258,7 +335,9 @@ def enumerate_threads(s):
     f_j . lambda_ij = f_i, that is f_t(lambda_jt(lambda_ij(x))) =
     f_t(lambda_it(x)) on the carrier at i.  The pairs of top elements those
     equations tie are collected once, so every thread returned is
-    compatible at every order pair.  They come ordered by their
+    compatible at every order pair.  On a lawful family
+    (`DirectFamily.lawful`) the two sides are equal at the top, and every
+    candidate is constant on classes, so no pass is made.  They come ordered by their
     candidates' positions, read in index order, which is the order a
     backtracking search along the index finds them in.
     """
@@ -284,7 +363,7 @@ def enumerate_threads(s):
     to_top = {i: fam.transport(i, t).mapping for i in els}
     at_top = {i: [to_top[i][x] for x in fam.carrier(i).elements] for i in els}
     tied = set()
-    for i, j in s.index.pairs:
+    for i, j in () if fam.lawful else s.index.pairs:
         via = list(map(to_top[j].__getitem__,
                        map(fam.transport(i, j).mapping.__getitem__,
                            fam.carrier(i).elements)))
@@ -329,17 +408,20 @@ def sum_space(s, sum_s):
 
 
 def restrict_spectrum(s, cof):
-    """The spectrum reindexed along a cofinal subset's embedding."""
+    """The spectrum reindexed along a cofinal subset's embedding: the
+    certificates of a <= b are s's of its image, read on first use."""
     sub_index = induced_order(s.index, cof)
     h = make_fn(sub_index.base, s.index.base, cof.embed.table())
     fam = restrict_family(s.fam, sub_index, h)
     spaces = {j: s.spaces[cof.embed(j)] for j in sub_index.elements}
-    certs = {}
-    for a, b in sub_index.order_pairs():
-        if a == b:
-            continue
-        certs[(a, b)] = dict(s.witness_certs[(cof.embed(a), cof.embed(b))])
-    return Spectrum(fam, spaces, certs, s.pool)
+
+    def derive(sub, a, b):
+        if a == b or (a, b) not in sub_index.pairs:
+            return None
+        certs = sub.witness_certs[(a, b)] = s.edge_witness(h(a), h(b)).certs
+        return certs
+
+    return Spectrum(fam, spaces, {}, s.pool, derive)
 
 
 def product_spectrum(s, t):
@@ -358,7 +440,8 @@ def product_spectrum_over(s, t, index, parts):
     table is read off the factors' transports, onto the target carrier's
     own Pairs: total, in the source carrier's order and into the target by
     construction, and extensional when both factor families are lawful
-    (`DirectFamily.lawful`), since the product's equality is componentwise.
+    (`DirectFamily.lawful`), since the product's equality is componentwise;
+    the product family is then lawful too, without a pass of its own.
     So it is built unchecked (`_fn`) then, and through make_fn otherwise,
     where a bad factor transport raises.  An edge's certificate for a
     generator pulled back from a factor is that factor's certificate at
@@ -386,13 +469,13 @@ def product_spectrum_over(s, t, index, parts):
     transports = {}
     for a, b in pairs:
         (i, j), (i2, j2) = part[a], part[b]
-        mi = s.fam.transports[(i, i2)].mapping
-        mj = t.fam.transports[(j, j2)].mapping
+        mi = s.fam.transport(i, i2).mapping
+        mj = t.fam.transport(j, j2).mapping
         src, tgt = oriented(direction, a, b)
         els, cell = carriers[src].elements, cells[tgt]
         table = {el: cell[mi[el[0]]][mj[el[1]]] for el in els}
         transports[(a, b)] = build(carriers[src], carriers[tgt], table)
-    fam = DirectFamily(index, direction, carriers, transports)
+    fam = DirectFamily(index, direction, carriers, transports, parents=(s.fam, t.fam))
 
     # certificates live over the space at the transport's source and prove
     # the generators at its target, the first factor's first
@@ -401,16 +484,15 @@ def product_spectrum_over(s, t, index, parts):
         if a == b:
             continue
         (i, j), (i2, j2) = part[a], part[b]
-        given = (s.witness_certs[(i, i2)] if i != i2 else None,
-                 t.witness_certs[(j, j2)] if j != j2 else None)
         src = oriented(direction, a, b)[0]
         table = []
         for n, (f, edge) in enumerate(((s, (i, i2)), (t, (j, j2)))):
             key = (n, edge, src)
             if key not in lifts:
+                given = f.edge_witness(*edge).certs if edge[0] != edge[1] else None
                 # the second factor's generators follow the first's
                 base = len(s.spaces[part[src][0]].gens) if n else 0
-                lifts[key] = _lift_factor_edge(f, edge, given[n], spaces[src],
+                lifts[key] = _lift_factor_edge(f, edge, given, spaces[src],
                                                projections[src][n], base)
             table += lifts[key]
         certs[(a, b)] = dict(enumerate(table))

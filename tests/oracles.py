@@ -812,8 +812,8 @@ def product_spectrum_eager(s, t, index, parts):
         if a == b:
             continue
         (i, j), (i2, j2) = parts(a), parts(b)
-        edge_s = s.witness_certs[(i, i2)] if i != i2 else None
-        edge_t = t.witness_certs[(j, j2)] if j != j2 else None
+        edge_s = s.edge_witness(i, i2).certs if i != i2 else None
+        edge_t = t.edge_witness(j, j2).certs if j != j2 else None
         (s_src, t_src), (s_tgt, t_tgt) = oriented(s.direction, (i, j), (i2, j2))
         s_src_n, s_tgt_n = len(s.space(s_src).gens), len(s.space(s_tgt).gens)
         first_map = {m: m for m in range(s_src_n)}
@@ -1221,7 +1221,7 @@ def _induced_edge_certs(s, fam, hom_into_fixed, spaces):
             certs[(i, j)] = {pos: CGen(src.positions[(lam(x), k)])
                              for (x, k), pos in _gen_items(tgt)}
         else:
-            edge = s.witness_certs[(i, j)]
+            edge = s.edge_witness(i, j).certs
             certs[(i, j)] = {pos: exp_eval_certificate(edge[k], x, src)
                              for (x, k), pos in _gen_items(tgt)}
     return certs

@@ -174,11 +174,19 @@ def test_a_kernel_refusal_outside_a_document_exits_two(monkeypatch, capsys):
 
 
 def test_witnesses_given_for_different_generators_complete(capsys):
-    """Each edge of a chain certifies a different generator, so the
-    composite cannot be lifted whole: the rest is certified on the edge."""
+    """Each edge of a chain certifies a different generator: each cover
+    is completed on its own edge, and the composite is lifted from them."""
     path = Path(__file__).resolve().parent / "documents" / "partial-witnesses.bsp"
     assert main(["check", str(path)]) == 0
     assert "5 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+
+
+def test_spectra_given_on_their_covers_only_check(capsys):
+    """Two chain(24) spectra with a map and witnesses on each cover only:
+    every check reads what it needs of the rest on first use."""
+    path = Path(__file__).resolve().parent / "documents" / "cover-only-chains.bsp"
+    assert main(["check", str(path)]) == 0
+    assert "16 passed, 0 failed, 0 skipped" in capsys.readouterr().out
 
 
 def test_a_contravariant_spectrum_passes_the_default_suite(capsys):

@@ -87,4 +87,4 @@ def test_make_spectrum_and_the_language_complete_alike():
         s = elaborate(parse(DOC % direction)).spectra["S"]
         made = make_spectrum(s.fam, s.spaces, _covers_of(s), s.pool)
         assert made.witness_certs == s.witness_certs
-        assert s.witness_certs[("0", "2")] == {0: CBic(ONE, CBic(ONE, CGen(0)))}
+        assert s.edge_witness("0", "2").certs == {0: CBic(ONE, CBic(ONE, CGen(0)))}
