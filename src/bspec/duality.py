@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .families import CONTRAVARIANT, COVARIANT, DirectFamily, oriented
+from .families import CONTRAVARIANT, COVARIANT, DirectFamily, derive_on_covers, oriented
 from .report import Finding, KernelError, raise_first
 from .setoid import Tag, _fn, compose, identity, is_embedding, make_fn
 from .spectra import Spectrum
@@ -98,13 +98,21 @@ def induce_spectrum(s, fixed, hom_into, pools):
     gives them.  A hom into fixed is pre-composed with the transports,
     which reverses the spectrum's direction; a hom out of it is
     post-composed, which keeps it.  Each pool must be closed under these
-    actions, else PoolNotClosed names the edge.  Each edge's certificates
-    are made with its transport: for homs into fixed an evaluation
-    generator pulls back to an evaluation generator; for homs out of it
-    s's own edge certificate for g0 . lam is routed through evaluation.
-    The family is lawful when s's is (`DirectFamily.parents`): composites
-    with transports equal up to equality are pointwise equal, and
-    `MorCarrier.find` sends pointwise equal maps to one token.
+    actions, else PoolNotClosed names the first edge, in `order_pairs()`
+    order, that pushes a map out.
+
+    Over a lawful s on a partial order the family holds the identities
+    and the cover actions, and composes the rest on first use
+    (`derive_on_covers`): composites with transports equal up to equality
+    are pointwise equal, and `MorCarrier.find` sends pointwise equal maps
+    to one token, so a composite of actions is the action of the
+    composite, and pools closed under the cover actions are closed.  On
+    any other s, or when a cover pushes a map out, every action is made in
+    order.  The family is lawful when s's is (`DirectFamily.parents`).
+    Each edge's certificates are made on first read: for homs into fixed
+    an evaluation generator pulls back to an evaluation generator; for
+    homs out of it s's own edge certificate for g0 . lam is routed through
+    evaluation.
     """
     direction = s.direction
     if hom_into:
@@ -114,29 +122,46 @@ def induce_spectrum(s, fixed, hom_into, pools):
         ends = (s.space(i), fixed) if hom_into else (fixed, s.space(i))
         spaces[i] = exponential_space(
             *ends, pools[i], names=[f"{i}.m{n}" for n in range(len(pools[i]))])
-
     carriers = {i: spaces[i].carrier for i in s.index.elements}
-    transports, certs = {}, {}
-    for i, j in s.fam.order_pairs():
+
+    def act(i, j):
         if i == j:
-            transports[(i, i)] = identity(carriers[i])
-            continue
+            return identity(carriers[i])
+        a, b = oriented(direction, i, j)
+        try:
+            return compose_action(s.fam.transport(i, j), spaces[a], spaces[b], hom_into)
+        except PoolNotClosed as exc:
+            raise PoolNotClosed(f"edge ({i}, {j}) {exc}") from None
+
+    covers, derive = s.index.covers, None
+    if covers is not None and s.fam.lawful:
+        try:
+            held = {(i, j): act(i, j) for i in s.index.elements
+                    for j in (i, *covers[i])}
+            derive = derive_on_covers
+        except PoolNotClosed:
+            pass  # refused below, at the first edge in order
+    if derive is None:
+        held = {(i, j): act(i, j) for i, j in s.fam.order_pairs()}
+    fam = DirectFamily(s.index, direction, carriers, held, derive, (s.fam,))
+
+    def certify(spec, i, j):
+        if i == j or (i, j) not in s.index.pairs:
+            return None
         lam = s.fam.transport(i, j)
         a, b = oriented(direction, i, j)
         src, tgt = spaces[a], spaces[b]
-        try:
-            transports[(i, j)] = compose_action(lam, src, tgt, hom_into)
-        except PoolNotClosed as exc:
-            raise PoolNotClosed(f"edge ({i}, {j}) {exc}") from None
         if hom_into:
-            certs[(i, j)] = {pos: CGen(src.positions[(lam(x), k)])
-                             for (x, k), pos in _gen_items(tgt)}
+            certs = {pos: CGen(src.positions[(lam(x), k)])
+                     for (x, k), pos in _gen_items(tgt)}
         else:
             edge = s.edge_witness(i, j).certs
-            certs[(i, j)] = {pos: exp_eval_certificate(edge[k], x, src)
-                             for (x, k), pos in _gen_items(tgt)}
-    fam = DirectFamily(s.index, direction, carriers, transports, parents=(s.fam,))
-    return Spectrum(fam, spaces, certs, s.pool)
+            certs = {pos: exp_eval_certificate(edge[k], x, src)
+                     for (x, k), pos in _gen_items(tgt)}
+        spec.witness_certs[(i, j)] = certs
+        return certs
+
+    return Spectrum(fam, spaces, {}, s.pool, certify)
 
 
 def _gen_items(pool):

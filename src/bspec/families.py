@@ -205,7 +205,12 @@ def make_direct_family(index, direction, carriers, transports=None):
 
 
 def constant_direct_family(index, carrier, direction=COVARIANT):
-    transports = {p: identity(carrier) for p in index.order_pairs()}
+    """Identity transports: on the covers of a partial order, so the rest
+    derive on first use, and on every order pair of any other index."""
+    covers = index.covers
+    pairs = index.order_pairs() if covers is None else [
+        (i, j) for i in covers for j in covers[i]]
+    transports = {p: identity(carrier) for p in pairs}
     return make_direct_family(index, direction,
                               {i: carrier for i in index.elements}, transports)
 

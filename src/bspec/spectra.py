@@ -203,17 +203,17 @@ def make_spectrum(fam, spaces, witness_certs=None, pool=(0, 1)):
 
 
 def constant_spectrum(index, sp, pool=(0, 1), direction=COVARIANT):
-    """One space, identity transports, generator certificates everywhere.
+    """One space, identity transports, generator certificates on every
+    edge the family holds (on a partial order its covers, the rest lifted
+    on first use).
 
-    Every edge holds the same certificate objects, so `BSpace.verdicts`
-    validates each one once for the space, not once per edge."""
+    Every edge holds the same certificate objects, lifts included, so
+    `BSpace.verdicts` validates each one once for the space, not once per
+    edge."""
     fam = constant_direct_family(index, sp.carrier, direction)
     spaces = {i: sp for i in index.elements}
-    gens = [CGen(k) for k in range(len(sp.gens))]
-    certs = {}
-    for i, j in fam.order_pairs():
-        if i != j:
-            certs[(i, j)] = dict(enumerate(gens))
+    gens = dict(enumerate(CGen(k) for k in range(len(sp.gens))))
+    certs = {(i, j): dict(gens) for i, j in fam.transports if i != j}
     return Spectrum(fam, spaces, certs, pool)
 
 
@@ -436,10 +436,13 @@ def product_spectrum_over(s, t, index, parts):
     maps into both factors' orders.  Returns the spectrum and, per index
     element, the two projections.
 
-    One product space is made per pair of factor spaces.  Each transport's
-    table is read off the factors' transports, onto the target carrier's
-    own Pairs: total, in the source carrier's order and into the target by
-    construction, and extensional when both factor families are lawful
+    One product space is made per pair of factor spaces.  The spectrum
+    holds no transport and no certificate: each pair's is made the first
+    time it is read, from the factors' own accessors, so factors that
+    derive on their covers stay so.  A transport's table is read off the
+    factors' transports, onto the target carrier's own Pairs: total, in
+    the source carrier's order and into the target by construction, and
+    extensional when both factor families are lawful
     (`DirectFamily.lawful`), since the product's equality is componentwise;
     the product family is then lawful too, without a pass of its own.
     So it is built unchecked (`_fn`) then, and through make_fn otherwise,
@@ -464,27 +467,30 @@ def product_spectrum_over(s, t, index, parts):
             made[key] = sp, (pr1, pr2), cell
         spaces[a], projections[a], cells[a] = made[key]
     carriers = {a: sp.carrier for a, sp in spaces.items()}
-    pairs = index.order_pairs()
     build = _fn if s.fam.lawful and t.fam.lawful else make_fn
-    transports = {}
-    for a, b in pairs:
+
+    def transport(G, a, b):
+        if (a, b) not in index.pairs:
+            return None
         (i, j), (i2, j2) = part[a], part[b]
         mi = s.fam.transport(i, i2).mapping
         mj = t.fam.transport(j, j2).mapping
-        src, tgt = oriented(direction, a, b)
-        els, cell = carriers[src].elements, cells[tgt]
-        table = {el: cell[mi[el[0]]][mj[el[1]]] for el in els}
-        transports[(a, b)] = build(carriers[src], carriers[tgt], table)
-    fam = DirectFamily(index, direction, carriers, transports, parents=(s.fam, t.fam))
+        src, tgt = G.ends(a, b)
+        cell = cells[tgt]
+        table = {el: cell[mi[el[0]]][mj[el[1]]] for el in carriers[src].elements}
+        fn = G.transports[(a, b)] = build(carriers[src], carriers[tgt], table)
+        return fn
 
-    # certificates live over the space at the transport's source and prove
-    # the generators at its target, the first factor's first
-    certs, lifts = {}, {}
-    for a, b in pairs:
-        if a == b:
-            continue
+    fam = DirectFamily(index, direction, carriers, {}, transport, (s.fam, t.fam))
+    lifts = {}
+
+    def certify(prod, a, b):
+        # certificates live over the space at the transport's source and
+        # prove the generators at its target, the first factor's first
+        if a == b or (a, b) not in index.pairs:
+            return None
         (i, j), (i2, j2) = part[a], part[b]
-        src = oriented(direction, a, b)[0]
+        src = fam.ends(a, b)[0]
         table = []
         for n, (f, edge) in enumerate(((s, (i, i2)), (t, (j, j2)))):
             key = (n, edge, src)
@@ -495,9 +501,11 @@ def product_spectrum_over(s, t, index, parts):
                 lifts[key] = _lift_factor_edge(f, edge, given, spaces[src],
                                                projections[src][n], base)
             table += lifts[key]
-        certs[(a, b)] = dict(enumerate(table))
+        certs = prod.witness_certs[(a, b)] = dict(enumerate(table))
+        return certs
+
     pool = tuple(sorted(set(s.pool) | set(t.pool)))
-    return Spectrum(fam, spaces, certs, pool), projections
+    return Spectrum(fam, spaces, {}, pool, certify), projections
 
 
 def _lift_factor_edge(f, edge, edge_certs, sp, pr, base):

@@ -778,6 +778,17 @@ def product_upper_scan(D1, D2):
             for i2 in D1.elements for j2 in D2.elements}
 
 
+def read_in_full(s):
+    """A spectrum's transports, then its edge certificates, each read
+    through its accessor in `order_pairs()` order: the tables a builder
+    that made every pair up front held, in the order it made them, or the
+    first error such a builder raised."""
+    pairs = s.fam.order_pairs()
+    transports = {p: s.fam.transport(*p) for p in pairs}
+    certs = {(i, j): s.edge_witness(i, j).certs for i, j in pairs if i != j}
+    return transports, certs
+
+
 def product_spectrum_eager(s, t, index, parts):
     """spectra.product_spectrum_over before it read the factors' tables: a
     product space per index element, each transport's Pairs made anew, and

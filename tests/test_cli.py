@@ -189,6 +189,15 @@ def test_spectra_given_on_their_covers_only_check(capsys):
     assert "16 passed, 0 failed, 0 skipped" in capsys.readouterr().out
 
 
+def test_products_and_pools_of_cover_only_spectra_check(capsys):
+    """Each cover-only chain(24) spectrum's product with itself, and its
+    morphism pools into and out of S2, under both dualities and the
+    converse maps: each derived spectrum reads what it needs on first use."""
+    path = Path(__file__).resolve().parent / "documents" / "cover-only-products-and-pools.bsp"
+    assert main(["check", str(path)]) == 0
+    assert "11 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+
+
 def test_a_contravariant_spectrum_passes_the_default_suite(capsys):
     """With no suite block, a valid contravariant spectrum gets its family
     and spectrum laws checked, and no covariant-only sum equality."""

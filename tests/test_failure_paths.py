@@ -23,11 +23,11 @@ from bspec import duality, limits, spectra, topology
 from bspec.families import (
     CONTRAVARIANT,
     COVARIANT,
-    constant_direct_family,
     identity_family_map,
+    make_direct_family,
 )
 from bspec.limits import LimitError, IllFormedLegs, Limits, direct_limit
-from bspec.setoid import discrete
+from bspec.setoid import discrete, identity
 from bspec.spectra import SpectrumError, constant_spectrum
 from bspec.topology import CConst, MorphismWitness, RFun, rconst, space
 
@@ -399,10 +399,13 @@ def test_converse_dual_direct_checks_the_lifted_certificates(monkeypatch):
 
 
 def test_autofill_raises_on_a_miss(monkeypatch):
-    # the constant family on X2 with a space of its own at each index:
-    # their generators hold other objects, so edges (0, 1) and (0, 2) pull
-    # back tables of their own over the space at 0
-    fam = constant_direct_family(chain3(), x2())
+    # the constant family on X2, given on every order pair, with a space
+    # of its own at each index: their generators hold other objects, so
+    # edges (0, 1) and (0, 2) pull back tables of their own over the space
+    # at 0
+    index, X = chain3(), x2()
+    fam = make_direct_family(index, COVARIANT, dict.fromkeys(index.elements, X),
+                             {p: identity(X) for p in index.order_pairs()})
     spaces = {i: space(fam.carrier(i), [RFun(fam.carrier(i), {"p": 0, "q": 1})], ["f"])
               for i in fam.index.elements}
     miss(monkeypatch, "f", n=1)

@@ -1,10 +1,12 @@
 """The morphism-space spectrum builder against the four-shape builder it
 replaced (`tests/oracles.py`): on every input both give the same direction,
 transports, edge certificates and pools, or the same PoolNotClosed
-refusal.  The inputs are each fixture and test-document spectrum paired
-with each subbase of its document, seeded random spectra of both
-directions with their pools whole and with one pool cut, and a hand-cut
-pool that is not closed."""
+refusal.  The new builder's tables are read in full through the accessors,
+as it derives them on first use.  The inputs are each fixture and
+test-document spectrum paired with each subbase of its document, seeded
+random spectra of both directions with their pools whole and with one pool
+cut, and hand-cut pools that are not closed, first pushed out of along a
+cover or along a composite."""
 
 import random
 from pathlib import Path
@@ -16,7 +18,7 @@ from bspec.duality import DualityError, PoolNotClosed, enumerate_morphisms, indu
 from bspec.families import CONTRAVARIANT, COVARIANT
 from bspec.limits import Limits
 
-from oracles import induce_spectrum_by_shape
+from oracles import induce_spectrum_by_shape, read_in_full
 from randgen import random_spectrum
 from structures import constant_cspec, x2_space
 
@@ -39,13 +41,15 @@ def _pools(s, fixed, hom_into):
 
 
 def _tables(spec):
-    """A morphism-space spectrum as plain values."""
+    """A morphism-space spectrum as plain values, its transports and edge
+    certificates read in full through the accessors."""
     spaces = {i: (sp.carrier.elements, sp.carrier.classes(),
                   [g.values for g in sp.gens], sp.names,
                   {n: (w.h.mapping, w.certs) for n, w in sp.witnesses.items()})
               for i, sp in spec.spaces.items()}
-    return (spec.direction, {p: fn.mapping for p, fn in spec.fam.transports.items()},
-            spec.witness_certs, spaces, spec.pool)
+    transports, certs = read_in_full(spec)
+    return (spec.direction, {p: fn.mapping for p, fn in transports.items()},
+            certs, spaces, spec.pool)
 
 
 def _built(build, *args):
@@ -107,3 +111,21 @@ def test_a_cut_pool_is_refused_alike():
     # homs out of sp are post-composed, from the pool at i into the pool at j
     assert (_agree(s, sp, False, {**whole, "2": whole["2"][:3]})
             == "edge (0, 2) pushes 0.m3 out of the pool")
+
+
+@pytest.mark.parametrize("hom_into, cuts", [
+    (True, {"1": ("1", "10"), "10": ("10", "11")}),
+    (False, {"2": ("0", "2"), "1": ("0", "1")})])
+def test_a_cut_pool_is_refused_at_its_first_edge_in_order(hom_into, cuts):
+    # the cover-only chain(24) spectrum SU acts on its covers first; its
+    # order pairs sort by name, so a pool cut by one map is pushed out of
+    # first along a composite for the first cut, along a cover for the
+    # second, and both builders name that edge
+    path = ROOT / "tests" / "documents" / "cover-only-chains.bsp"
+    env = elaborate(parse(path.read_text(encoding="utf-8")))
+    s, fixed = env.spectra["SU"], env.subbases["S2"]
+    pools = _pools(s, fixed, hom_into)
+    for (i, (a, b)), cover in zip(cuts.items(), (False, True)):
+        assert (b in s.index.covers[a]) == cover
+        refused = _agree(s, fixed, hom_into, {**pools, i: pools[i][1:]})
+        assert refused.startswith(f"edge ({a}, {b}) pushes ")

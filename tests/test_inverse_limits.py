@@ -22,7 +22,7 @@ from bspec.setoid import SetoidFn, discrete, make_fn
 from bspec.spectra import Spectrum, constant_spectrum, product_spectrum
 from bspec.topology import RFun, space
 
-from oracles import inverse_limit_backtracking
+from oracles import inverse_limit_backtracking, read_in_full
 from randgen import random_directed_index, random_spectrum
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -147,7 +147,7 @@ def _broken_composite():
     transports = dict(base.fam.transports)
     transports[("0", "2")] = make_fn(X, X, {"p": "q", "q": "p", "r": "r"})
     fam = DirectFamily(base.index, CONTRAVARIANT, base.fam.carriers, transports)
-    return Spectrum(fam, base.spaces, base.witness_certs, base.pool)
+    return Spectrum(fam, base.spaces, read_in_full(base)[1], base.pool)
 
 
 def test_top_determinacy_fails_when_a_composite_breaks():

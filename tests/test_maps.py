@@ -205,13 +205,15 @@ def test_product_transports_are_maps(seed, direction):
     t = random_spectrum(rng, index=s.index, direction=direction)
     assert s.fam.lawful and t.fam.lawful
     prod, _ = product_spectrum_over(s, t, s.index, lambda i: (i, i))
-    for fn in prod.fam.transports.values():
+    for p in prod.fam.order_pairs():
+        fn = prod.fam.transport(*p)
         assert _parts(fn) == _parts(make_fn(fn.dom, fn.cod, fn.table()))
 
 
 def test_a_product_of_an_unlawful_family_checks_its_transports():
     """A factor family whose transport separates equal elements is not
-    lawful, so its product transport goes through make_fn and raises."""
+    lawful, so its product transport goes through make_fn and raises, at
+    its first read."""
     X = setoid_by_key(("a", "b"), (0, 0))
     Y = setoid_by_key(("p", "q"), ("p", "q"))
     index = chain(2)
@@ -221,8 +223,9 @@ def test_a_product_of_an_unlawful_family_checks_its_transports():
                         ("1", "1"): identity(Y)})
     s = Spectrum(fam, {"0": space(X, []), "1": space(Y, [])}, {("0", "1"): {}})
     assert not fam.lawful
+    prod, _ = product_spectrum_over(s, s, index, lambda i: (i, i))
     with pytest.raises(NotExtensional):
-        product_spectrum_over(s, s, index, lambda i: (i, i))
+        prod.fam.transport("0", "1")
 
 
 def _interleaved_space(rng, prefix):

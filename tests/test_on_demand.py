@@ -8,10 +8,16 @@ paths differ: cover maps that pick other members of the same class, and
 cover certificates wrapped a random number of times.  The counts of what
 the cover-only chain document holds are pinned, and the lawfulness a
 product, a cofinal restriction or a morphism-space spectrum inherits is
-compared with the laws decided on the family built in full.  Hypothesis runs derandomized."""
+compared with the laws decided on the family built in full.  A product
+and a morphism-space spectrum of the cover-only chain(24) spectra, once
+checked, are pinned to hold the pairs into the top and the covers, and no
+certificate.  Hypothesis runs derandomized."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +36,7 @@ from bspec.families import (
 from bspec.limits import Limits
 from bspec.order import induced_order, make_directed
 from bspec.report import Report
-from bspec.runner import CHECKS, RunConfig
+from bspec.runner import CHECKS, RunConfig, resolve_check
 from bspec.setoid import discrete, make_fn, make_setoid
 from bspec.spectra import (
     Spectrum,
@@ -46,6 +52,7 @@ from oracles import (
     complete_witnesses_scan,
     direct_family_laws_hold_triples,
     outcome,
+    read_in_full,
     saturate_rescan,
 )
 from randgen import (
@@ -186,6 +193,42 @@ def test_the_cover_only_chain200_holds_its_covers_until_read():
     assert set(s.witness_certs) == covers
 
 
+PRODUCTS_AND_POOLS = (Path(__file__).resolve().parent / "documents"
+                      / "cover-only-products-and-pools.bsp")
+
+
+def _derived(kind, *names):
+    """The one spectrum a passing check of the cover-only chain(24)
+    document derived from the document's own, read off its Limits."""
+    env = elaborate(parse(PRODUCTS_AND_POOLS.read_text(encoding="utf-8")))
+    lims, report = Limits(), Report()
+    CHECKS[kind](names, resolve_check(env, kind, names), RunConfig(), report, "main", lims)
+    assert {r.status for r in report.records} == {"pass"}
+    declared = list(map(id, env.spectra.values()))
+    (derived,) = [s for s in (*lims._direct, *lims._inverse) if id(s) not in declared]
+    return derived
+
+
+@pytest.mark.parametrize("name", ["SU", "SD"])
+def test_a_checked_product_holds_its_transports_into_the_top_only(name):
+    prod = _derived("product", name, name)
+    top = prod.index.top
+    assert len(prod.fam.order_pairs()) == 90_000
+    assert set(prod.fam.transports) == {(a, top) for a in prod.index.elements}
+    assert len(prod.fam.transports) == 576 and prod.witness_certs == {}
+
+
+@pytest.mark.parametrize("kind, pool", [
+    ("duality", "PD"), ("converse-duals", "PCU"),
+    ("duality2", "PD2"), ("converse-duals", "PCD")])
+def test_a_checked_morphism_space_spectrum_holds_its_covers_and_top_pairs(kind, pool):
+    spec = _derived(kind, pool)
+    index, top = spec.index, spec.index.top
+    kept = {(i, j) for i in index.elements for j in (i, top, *index.covers[i])}
+    assert len(kept) == 69 and len(index.order_pairs()) == 300
+    assert set(spec.fam.transports) <= kept and spec.witness_certs == {}
+
+
 def _full(fam):
     """The family with every transport held and nothing to inherit."""
     return DirectFamily(fam.index, fam.direction, fam.carriers,
@@ -212,10 +255,10 @@ def test_a_product_is_lawful_as_its_laws_decide():
         direction = rng.choice([COVARIANT, CONTRAVARIANT])
         s = _factor(rng, direction, spoil=seed % 2 == 1)
         t = _factor(rng, direction, spoil=False)
-        got = outcome(product_spectrum, s, t)
-        if got[0] != "value":
+        prod = product_spectrum(s, t)[0]
+        if outcome(read_in_full, prod)[0] != "value":
             continue  # a spoiled transport that separates equal elements
-        fam = got[1][0].fam
+        fam = prod.fam
         assert fam.lawful == _direct_family_laws_hold(_full(fam))
         unlawful += not fam.lawful
     assert unlawful > 0

@@ -1,6 +1,8 @@
 """The product order and the product spectrum, read off the factors' tables,
 against the builders that derived them pair by pair (`product_order_scan`
-and `product_spectrum_eager` in tests/oracles.py), and the product's upper
+and `product_spectrum_eager` in tests/oracles.py), the product spectrum,
+which holds nothing until read, by a full read through its accessors
+(`read_in_full`), and the product's upper
 bounds and top, read off its rows, against the pairs of the factors'
 scanned bounds (`product_upper_scan`).  Random spectra in both
 directions, over product indices and over the diagonal of a shared index,
@@ -43,6 +45,7 @@ from oracles import (
     product_order_scan,
     product_spectrum_eager,
     product_upper_scan,
+    read_in_full,
 )
 from randgen import random_directed_index, random_spectrum
 
@@ -111,21 +114,24 @@ def _same_product(got, want):
         assert sp.names == ep.names
         assert ([pr.mapping for pr in projections[a]]
                 == [pr.mapping for pr in eager_projections[a]])
-    assert list(prod.fam.transports) == list(eager.fam.transports)
+    # nothing is held until read, and a full read is the eager tables
+    assert prod.fam.transports == {} and prod.witness_certs == {}
+    transports, certs = read_in_full(prod)
+    assert list(transports) == list(eager.fam.transports)
     for p, fn in eager.fam.transports.items():
-        mine = prod.fam.transports[p]
+        mine = transports[p]
         assert mine.dom is prod.fam.carrier(prod.fam.ends(*p)[0])
         assert mine.cod is prod.fam.carrier(prod.fam.ends(*p)[1])
         assert list(mine.mapping.items()) == list(fn.mapping.items())
         # the values are the target carrier's own Pairs
         own = set(map(id, mine.cod.elements))
         assert all(id(y) in own for y in mine.mapping.values())
-    assert prod.witness_certs.keys() == eager.witness_certs.keys()
-    for p, certs in eager.witness_certs.items():
-        assert list(prod.witness_certs[p]) == list(certs)
-        for k, c in certs.items():
+    assert list(certs) == list(eager.witness_certs)
+    for p, want in eager.witness_certs.items():
+        assert list(certs[p]) == list(want)
+        for k, c in want.items():
             if not _claims_a_table(c):
-                assert prod.witness_certs[p][k] == c
+                assert certs[p][k] == c
     assert validate_spectrum(prod) == []
 
 
@@ -210,7 +216,8 @@ def test_ill_formed_factors_raise_as_before(seed, direction, fault, second):
         t = _factor(rng, flipped)
     elif _break_factor(rng, t if second else s, fault) is None:
         return
-    got = outcome(product_spectrum, s, t)
+    # a fault surfaces at the first read of a pair that meets it
+    got = outcome(lambda: read_in_full(product_spectrum(s, t)[0]))
     want = outcome(product_spectrum_eager, s, t,
                    product_order_scan(s.index, t.index), lambda a: a)
     if fault == "off-carrier":

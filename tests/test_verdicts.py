@@ -247,6 +247,8 @@ def test_a_constant_spectrum_validates_each_generator_once(monkeypatch, directio
     s = constant_spectrum(chain(40), sp, direction=direction)
     assert validate_spectrum(s) == []
     assert len(validations) == len(sp.gens) == 2
-    # and each edge holds its own dict of them
-    edges = list(s.witness_certs.values())
-    assert len(edges) == 780 and len({id(certs) for certs in edges}) == 780
+    # read in full, each edge holds its own dict of them
+    edges = [s.edge_witness(i, j).certs for i, j in s.fam.order_pairs() if i != j]
+    assert len({id(c) for certs in edges for c in certs.values()}) == 2
+    held = list(s.witness_certs.values())
+    assert len(held) == 780 and len({id(certs) for certs in held}) == 780
