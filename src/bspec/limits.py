@@ -490,7 +490,11 @@ def inverse_limit(s):
 
 def _limit_of_choices(s, choices):
     """The inverse-limit carrier on the listed compatible choices, one
-    token each in list order, topologized by the projections."""
+    token each in list order, topologized by the projections.
+
+    Each generator at i is read along the column of the choices'
+    components at i, and its table on the tokens is built only when its
+    values are new, so no token is hashed for a projection left out."""
     at = _choice_key_at(s)
     els = at[0]
     tokens, keys, assignments, by_key = [], [], {}, {}
@@ -505,13 +509,14 @@ def _limit_of_choices(s, choices):
     codes, seen = ValueCodes(), set()
     for i in els:
         sp = s.space(i)
+        column = [a[i] for a in choices]
         for k, f in enumerate(sp.gens):
-            values = {tok: f(assignments[tok][i]) for tok in tokens}
-            key = codes.key(values.values())
+            values = list(map(f.values.__getitem__, column))
+            key = codes.key(values)
             if key in seen:
                 continue
             seen.add(key)
-            gens.append(RFun(carrier, values))
+            gens.append(RFun(carrier, dict(zip(tokens, values))))
             names.append(f"proj[{i},{sp.names[k]}]")
             sources.append((i, k))
     return InverseLimit(s, carrier, assignments,

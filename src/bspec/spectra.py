@@ -220,16 +220,24 @@ def constant_spectrum(index, sp, pool=(0, 1), direction=COVARIANT):
 def validate_spectrum(s):
     """Every failed family, space, edge-witness and composite-witness law.
 
-    When the spectrum lifts its other edges from the covers it holds
-    (`lift_on_covers`), only the edges it holds are checked: a lift of
-    valid certificates along a valid witness is valid, and certify_map
-    validates what it completes.  When one of them fails, every edge is
-    checked, so the findings are the full pass's.
+    The lift argument: a certificate lifted along a valid witness is valid,
+    since each generator leaf becomes one of that witness's valid
+    certificates and every other rule is carried through.  When the
+    spectrum lifts its other edges from the covers it holds
+    (`_lifts_from_covers`), each edge it does not hold is such a lift (and
+    certify_map validates what it completes), so only the edges it holds
+    are checked.  When one of them fails, every edge is checked, so the
+    findings are the full pass's.
 
-    The composite witnesses are built through covers only
-    (`_cover_composites_hold`); when one of them fails, or the index is
-    not a partial order, every triple i <= j <= k with i != j and j != k
-    is scanned, so the findings are the scan's.
+    A composite witness lifts the certificates of one valid edge witness
+    along another, so once every edge witness is valid, the same argument
+    makes every composite valid.  On a spectrum that lifts, the law builds
+    the composites of two covers only and decides every other one by that
+    argument (`_cover_composites_hold`).  When one of them fails, or the
+    spectrum does not lift, the composites through each cover are built;
+    when one of those fails, or the index is not a partial order, every
+    triple i <= j <= k with i != j and j != k is scanned, so the findings
+    are the scan's.
     """
     findings = [f for f in validate_direct_family(s.fam)]
     for i in s.index.elements:
@@ -240,10 +248,9 @@ def validate_spectrum(s):
     if findings:
         return findings
     edges = [p for p in s.fam.order_pairs() if p[0] != p[1]]
-    held, covers = s.witness_certs, s.index.covers
-    lifted = s.derive is lift_on_covers and all(
-        (i, j) in held for i in covers for j in covers[i])
-    findings = _edge_findings(s, [p for p in edges if p in held] if lifted else edges)
+    lifted = _lifts_from_covers(s)
+    findings = _edge_findings(
+        s, [p for p in edges if p in s.witness_certs] if lifted else edges)
     if findings and lifted:
         findings = _edge_findings(s, edges)
     if findings:
@@ -258,6 +265,14 @@ def validate_spectrum(s):
                 continue
             findings += _composite_findings(s, i, j, k)
     return findings
+
+
+def _lifts_from_covers(s):
+    """Whether s holds every cover of its partial order and lifts the
+    other edges from them (`lift_on_covers`)."""
+    covers = s.index.covers
+    return s.derive is lift_on_covers and covers is not None and all(
+        (i, j) in s.witness_certs for i in covers for j in covers[i])
 
 
 def _edge_findings(s, edges):
@@ -286,20 +301,31 @@ def _composite_findings(s, i, j, k):
 
 
 def _cover_composites_hold(s):
-    """Whether, on a partial order, the composite witness of every
-    i < j <= k with j covering i and j != k validates.
+    """Whether the composite witnesses checked on a partial order validate;
+    False on any other index, so that the scan over every triple lists the
+    findings.
 
-    Each edge witness has already validated, and a composite of valid
-    witnesses lifts valid certificates along a valid one, so the law checks
-    the composition itself: it builds and checks the real composite through
-    each cover of every i, reading each k off the index's row at j.  False
-    on any other index, or when a composite fails, so that the scan over
-    every triple lists the findings.
+    Every edge witness has already validated.  On a spectrum that lifts
+    from its covers (`_lifts_from_covers`) the composites built are those
+    of i < j < k with j covering i and k covering j, both edges held;
+    every other composite lifts valid certificates along a valid witness,
+    the argument by which the edge law skips the edges the spectrum
+    derives, so it is valid.  The covers are the index's, so the
+    composites built do not depend on what checks ran first.  On any
+    other spectrum the law builds the real composite through each cover
+    of every i, i < j <= k with j covering i and j != k, reading each k
+    off the index's row at j; so does a spectrum that lifts when one of
+    its composites of two covers fails.
     """
-    covers, (position, rows) = s.index.covers, s.index._order
+    covers = s.index.covers
     if covers is None:
         return False
     els = s.index.elements
+    if _lifts_from_covers(s) and not any(
+            _composite_findings(s, i, j, k)
+            for i in els for j in covers[i] for k in covers[j]):
+        return True
+    position, rows = s.index._order
     return not any(_composite_findings(s, i, j, k)
                    for i in els for j in covers[i]
                    for k in _members(els, rows[position[j]]) if k != j)

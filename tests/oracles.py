@@ -25,11 +25,18 @@ from bspec.families import (
     direct_sum_equality_exhaustive,
     sum_elements,
 )
-from bspec.limits import NonUnique, _limit_of_choices
+from bspec.limits import (
+    InverseLimit,
+    NonUnique,
+    _choice_key,
+    _choice_key_at,
+    _limit_of_choices,
+)
 from bspec.report import Finding, raise_first
-from bspec.order import DirectedIndex, NotDirected
-from bspec.spectra import Spectrum, SpectrumError, Thread
+from bspec.order import DirectedIndex, NotDirected, _members
+from bspec.spectra import Spectrum, SpectrumError, Thread, _composite_findings
 from bspec.setoid import (
+    Choice,
     Pair,
     SetoidFn,
     Tag,
@@ -41,9 +48,11 @@ from bspec.setoid import (
     check_extensional,
     UnknownElement,
     product_setoid,
+    setoid_by_key,
 )
 from bspec.topology import (
     BID,
+    BSpace,
     CAdd,
     CBic,
     CConst,
@@ -52,6 +61,7 @@ from bspec.topology import (
     CULim,
     MissingCertificate,
     MorphismWitness,
+    RFun,
     RuleMismatch,
     ValueCodes,
     _interpolant,
@@ -677,6 +687,21 @@ def validate_spectrum_scan(s):
     return findings
 
 
+def composites_through_covers_hold(s):
+    """spectra._cover_composites_hold before it built only the composites
+    of two covers on a spectrum that lifts from its covers: on a partial
+    order, the composite through each cover j of every i, with every
+    k >= j, k != j, read off the index's row at j.  False on any other
+    index."""
+    covers, (position, rows) = s.index.covers, s.index._order
+    if covers is None:
+        return False
+    els = s.index.elements
+    return not any(_composite_findings(s, i, j, k)
+                   for i in els for j in covers[i]
+                   for k in _members(els, rows[position[j]]) if k != j)
+
+
 def validate_legs_scan(s, c):
     """limits.validate_legs before it read covers: every triangle of every
     order pair i < j checked."""
@@ -1122,6 +1147,37 @@ def enumerate_compatible(F, flavor, bound=1_000_000):
 
     extend(0, {})
     return out
+
+
+def limit_of_choices_by_token(s, choices):
+    """limits._limit_of_choices before it read each index's column once:
+    each generator's table is keyed by every choice token, also for a
+    generator whose values are not new."""
+    at = _choice_key_at(s)
+    els = at[0]
+    tokens, keys, assignments, by_key = [], [], {}, {}
+    for a in choices:
+        tok = Choice([a[i] for i in els])
+        tokens.append(tok)
+        keys.append(_choice_key(at, a))
+        assignments[tok] = a
+        by_key.setdefault(keys[-1], tok)
+    carrier = setoid_by_key(tuple(tokens), keys)
+    gens, names, sources = [], [], []
+    codes, seen = ValueCodes(), set()
+    for i in els:
+        sp = s.space(i)
+        for k, f in enumerate(sp.gens):
+            values = {tok: f(assignments[tok][i]) for tok in tokens}
+            key = codes.key(values.values())
+            if key in seen:
+                continue
+            seen.add(key)
+            gens.append(RFun(carrier, values))
+            names.append(f"proj[{i},{sp.names[k]}]")
+            sources.append((i, k))
+    return InverseLimit(s, carrier, assignments,
+                        BSpace(carrier, tuple(gens), tuple(names)), sources, by_key)
 
 
 def inverse_limit_backtracking(s, bound=1_000_000):

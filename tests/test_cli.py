@@ -198,6 +198,16 @@ def test_products_and_pools_of_cover_only_spectra_check(capsys):
     assert "11 passed, 0 failed, 0 skipped" in capsys.readouterr().out
 
 
+def test_spectra_given_on_the_covers_of_a_grid_and_diamonds_check(capsys):
+    """A covariant spectrum over a grid and a contravariant one over stacked
+    diamonds, given on their covers only: every pair above a cover has
+    several paths of covers, and each check reads what it needs on first
+    use."""
+    path = Path(__file__).resolve().parent / "documents" / "cover-only-grids.bsp"
+    assert main(["check", str(path)]) == 0
+    assert "14 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+
+
 def test_a_contravariant_spectrum_passes_the_default_suite(capsys):
     """With no suite block, a valid contravariant spectrum gets its family
     and spectrum laws checked, and no covariant-only sum equality."""

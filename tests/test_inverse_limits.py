@@ -4,7 +4,9 @@ same generators and the same top-determinacy verdict, on valid random
 spectra, on families broken by hand and on products, whose carriers are
 not discrete.  On discrete carriers the two list the same tokens in the
 same order, which reaches reports through `token_of` and the export.
-Hypothesis runs derandomized, so the suite stays deterministic."""
+The carrier and projections built on a list of choices are compared with
+the by-token build they replaced.  Hypothesis runs derandomized, so the
+suite stays deterministic."""
 
 import random
 from fractions import Fraction
@@ -15,14 +17,26 @@ from hypothesis import given, settings, strategies as st
 from bspec import runner
 from bspec.dsl import Elaborated, parse
 from bspec.families import CONTRAVARIANT, DirectFamily
-from bspec.limits import _choice_key, _choice_key_at, inverse_limit, top_determinacy_check
+from bspec.limits import (
+    _choice_key,
+    _choice_key_at,
+    _limit_of_choices,
+    inverse_limit,
+    top_determinacy_check,
+)
 from bspec.order import chain
 from bspec.runner import run_suite
 from bspec.setoid import SetoidFn, discrete, make_fn
 from bspec.spectra import Spectrum, constant_spectrum, product_spectrum
 from bspec.topology import RFun, space
 
-from oracles import inverse_limit_backtracking, read_in_full
+from oracles import (
+    enumerate_compatible,
+    inverse_limit_backtracking,
+    limit_of_choices_by_token,
+    read_in_full,
+    validate_dependent,
+)
 from randgen import random_directed_index, random_spectrum
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -112,6 +126,30 @@ def test_inverse_limit_matches_the_backtracking_search(seed, fault):
     if _discrete(s):
         assert got.carrier.elements == want.carrier.elements
         assert got.assignments == want.assignments
+
+
+def _built(lim):
+    """What a limit builder makes of its choices: the carrier's tokens and
+    classes, each generator's values, names and source, the first token of
+    each key, and each token's choice."""
+    return (lim.carrier.elements, lim.carrier.classes(),
+            [g.values for g in lim.space.gens], lim.space.names,
+            lim.gen_sources, lim.by_key, lim.assignments)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(seeds, st.sampled_from(FAULTS))
+def test_the_limit_of_choices_is_the_by_token_build(seed, fault):
+    # the choices read off the top, and every compatible choice the
+    # backtracking search lists, many of them equal
+    s = _drawn(seed, fault)
+    lim = inverse_limit(s)
+    fam = s.fam
+    listed = [a for a in enumerate_compatible(fam, CONTRAVARIANT)
+              if not validate_dependent(fam, a, CONTRAVARIANT)]
+    for choices in ([lim.assignments[tok] for tok in lim.carrier.elements], listed):
+        assert _built(_limit_of_choices(s, choices)) == _built(
+            limit_of_choices_by_token(s, choices))
 
 
 def test_draws_reach_both_verdicts_and_non_discrete_carriers():

@@ -11,10 +11,11 @@ product, a cofinal restriction or a morphism-space spectrum inherits is
 compared with the laws decided on the family built in full.  A product
 and a morphism-space spectrum of the cover-only chain(24) spectra, once
 checked, are pinned to hold the pairs into the top and the covers, and no
-certificate.  Hypothesis runs derandomized."""
+certificate, and the cover-only chain(200) spectrum, once its laws are
+checked, is pinned to hold at most its covers and identities.
+Hypothesis runs derandomized."""
 
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,7 @@ from bspec.spectra import (
     product_spectrum,
     validate_spectrum,
 )
-from bspec.topology import BID, CBic, bconst, bmul
+from bspec.topology import CBic
 
 from oracles import (
     autofill_witnesses,
@@ -63,18 +64,13 @@ from randgen import (
     raw_map,
 )
 from structures import x2_space
-from test_covers import _chain_spectrum_document, random_index
+from test_covers import ONE, _chain_spectrum_document, _cover_pairs, random_index
 from test_induced import _pools
 
 FAST = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 directions = st.sampled_from([COVARIANT, CONTRAVARIANT])
 POSETS = st.sampled_from(["chain", "grid", "diamonds", "poset"])
-ONE = bmul(bconst(Fraction(1)), BID)
-
-
-def _cover_pairs(index):
-    return [(i, j) for i in index.elements for j in index.covers[i]]
 
 
 def _other_member(rng, fn):
@@ -191,6 +187,17 @@ def test_the_cover_only_chain200_holds_its_covers_until_read():
     new = set(s.fam.transports) - transports
     assert new <= {(str(k), "199") for k in range(199)} and len(new) <= 199
     assert set(s.witness_certs) == covers
+
+
+def test_the_checked_cover_only_chain200_holds_at_most_its_covers_and_identities():
+    # the composite law builds only composites of two covers, so the check
+    # derives no transport or witness table beyond what it was given
+    n = 200
+    s = elaborate(parse(_chain_spectrum_document(n))).spectra["SP"]
+    report = Report()
+    CHECKS["spectrum"](("SP",), (s,), RunConfig(), report, "main", Limits())
+    assert [r.status for r in report.records] == ["pass", "pass"]
+    assert len(s.fam.transports) <= 2 * n and len(s.witness_certs) <= n
 
 
 PRODUCTS_AND_POOLS = (Path(__file__).resolve().parent / "documents"
