@@ -548,7 +548,7 @@ def elaborate(doc):
                 raise _misshapen(s, "i -> j [gen]: CERT|auto")
             i, j = s.args[0], s.args[2]
             # an order pair names index elements, and each has a space
-            if i == j or (i, j) not in fam.index.pairs:
+            if i == j or (i, j) not in fam.index:
                 raise UnresolvedReference(
                     f"witness edge ({i}, {j}) is not an order pair i <= j with i != j",
                     s.line)

@@ -146,7 +146,7 @@ def induce_spectrum(s, fixed, hom_into, pools):
     fam = DirectFamily(s.index, direction, carriers, held, derive, (s.fam,))
 
     def certify(spec, i, j):
-        if i == j or (i, j) not in s.index.pairs:
+        if i == j or (i, j) not in s.index:
             return None
         lam = s.fam.transport(i, j)
         a, b = oriented(direction, i, j)

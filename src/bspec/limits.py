@@ -479,7 +479,7 @@ def inverse_limit(s):
     down = {i: fam.transport(i, t).mapping for i in els}
     laws = [] if fam.lawful else [
         (fam.carrier(i).class_id, fam.transport(i, j).mapping, i, j)
-        for i, j in s.index.pairs]
+        for i, j in s.index.order_pairs()]
     choices = []
     for x in fam.carrier(t).elements:
         a = {i: x if i == t else down[i][x] for i in els}

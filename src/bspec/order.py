@@ -28,25 +28,36 @@ class NotDirected(OrderError):
 
 
 class DirectedIndex:
-    """A finite preorder, directed when every pair has a common upper bound.
+    """A finite preorder held as bit rows, directed when every pair has a
+    common upper bound.
 
-    `leq` is the checked entry to the order.  Everything else reads it as
-    bit rows (`_order`), built once per index: `up(i, j)` and `top` are the
-    first common upper bounds in carrier order.
+    rows[n] has bit m set when elements[n] <= elements[m]; an element named
+    twice in the carrier has its row at its first position only, with a bit
+    at each of its positions.  `leq` is the checked entry to the order and
+    `in` the unchecked one; `up(i, j)` and `top` are the first common upper
+    bounds in carrier order.
     """
 
-    def __init__(self, base, pairs):
+    def __init__(self, base, rows):
         self.base = base  # a Setoid
-        self.pairs = pairs  # a frozenset
+        self.rows = rows  # a list of ints, one per carrier position
 
     @property
     def elements(self):
         return self.base.elements
 
     def leq(self, i, j):
-        if not self.base.has(i) or not self.base.has(j):
+        position = self._order[0]
+        if i not in position or j not in position:
             raise UnknownElement(f"{i!r} or {j!r} not in index")
-        return (i, j) in self.pairs
+        return self.rows[position[i]] >> position[j] & 1 == 1
+
+    def __contains__(self, pair):
+        """Whether pair is an order pair; False for a pair off the base."""
+        i, j = pair
+        position = self._order[0]
+        return (i in position and j in position
+                and self.rows[position[i]] >> position[j] & 1 == 1)
 
     def up(self, i, j):
         """The first element, in carrier order, above i and j: the lowest
@@ -74,19 +85,8 @@ class DirectedIndex:
     @cached_property
     def _order(self):
         """(position, rows): position[k] is the first carrier position of
-        k, and rows[position[i]] has bit n set when i <= elements[n].
-
-        An element named twice in the carrier has a bit at each of its
-        positions, so a row's members list it as often as the carrier does.
-        A pair naming an element off the base sets no bit.
-        """
-        els = self.elements
-        position, bits = _carrier_bits(els)
-        rows = [0] * len(els)
-        for i, k in self.pairs:
-            if i in position and k in position:
-                rows[position[i]] |= bits[k]
-        return position, rows
+        k, and rows[position[i]] has bit n set when i <= elements[n]."""
+        return _carrier_bits(self.elements)[0], self.rows
 
     def _derive_edges(self, known, derive):
         """Sweep the order pairs i != j missing from `known`, in
@@ -176,7 +176,7 @@ class DirectedIndex:
                 todo.pop()
                 continue
             a, b = pair
-            k = self.middle(a, b) if a != b and pair in self.pairs else None
+            k = self.middle(a, b) if a != b and pair in self else None
             if k is None:
                 return None
             need = [p for p in ((a, k), (k, b)) if p not in held]
@@ -190,7 +190,7 @@ class DirectedIndex:
     @cached_property
     def covers(self):
         """i -> the elements that cover i, in carrier order; None unless
-        the pairs are a partial order on the base's elements, each named
+        the rows are a partial order on the base's elements, each named
         once.
 
         The covers of i are strict-above(i) less the union of
@@ -200,8 +200,8 @@ class DirectedIndex:
         """
         position, rows = self._order
         els = self.elements
-        if len(position) != len(els) or sum(map(int.bit_count, rows)) != len(self.pairs):
-            return None  # an element named twice, or a pair off the base
+        if len(position) != len(els):
+            return None  # an element named twice
         covers = {}
         for n, row in enumerate(rows):
             if not row >> n & 1:
@@ -215,15 +215,21 @@ class DirectedIndex:
         return covers
 
     def order_pairs(self):
-        """The order pairs, sorted once per index."""
+        """The order pairs, sorted, once per index."""
         return self._order_pairs
 
     @cached_property
     def _order_pairs(self):
-        return tuple(sorted(self.pairs))
+        # each element once, at its first position, in sorted order
+        position, rows = self._order
+        els = self.elements
+        firsts = sorted(position.values(), key=els.__getitem__)
+        return tuple([(els[n], els[m]) for n in firsts for m in firsts
+                      if rows[n] >> m & 1])
 
     def __repr__(self):
-        return f"DirectedIndex({list(self.elements)}, rels={len(self.pairs)})"
+        rels = sum(map(int.bit_count, self.rows))
+        return f"DirectedIndex({list(self.elements)}, rels={rels})"
 
 
 def _carrier_bits(els):
@@ -244,36 +250,6 @@ def _members(items, mask):
         mask ^= low
 
 
-def _close_order(base, pairs):
-    """Reflexive, transitive, and extensional closure of an order relation.
-
-    This is reachability between classes: i <= j in the closure exactly
-    when the class of j is reachable from the class of i along the given
-    pairs, since reflexivity and extensionality relate every element to its
-    whole class.  An empty base adds nothing to the pairs.
-    """
-    if not base.elements:
-        return frozenset(pairs)
-    classes = base._classes
-    class_id = base.class_id
-    succ = [set() for _ in classes]
-    for i, j in pairs:
-        for x in (i, j):
-            if x not in class_id:
-                raise UnknownElement(f"{x!r} not in carrier")
-        succ[class_id[i]].add(class_id[j])
-    rel = set()
-    for a, cls in enumerate(classes):
-        seen, stack = {a}, [a]
-        while stack:
-            for b in succ[stack.pop()]:
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        rel.update((x, y) for b in seen for x in cls for y in classes[b])
-    return frozenset(rel)
-
-
 def _unbounded_pairs(D):
     """The pairs (i, j) with no common upper bound, in carrier order."""
     position, rows = D._order
@@ -285,13 +261,33 @@ def _unbounded_pairs(D):
 
 
 def make_directed(base, order_pairs):
-    """Build a DirectedIndex over the closure of the order pairs, refusing
-    one that is not directed.  A finite preorder is directed exactly when
-    it has a top, and the refusal names the first pair, in carrier order,
-    with no common upper bound."""
+    """Build a DirectedIndex over the reflexive, transitive and extensional
+    closure of the order pairs, refusing one that is not directed.
+
+    The closure is reachability between classes, since reflexivity and
+    extensionality relate every element to its whole class: each class's
+    row holds the positions of the classes it reaches, closed by
+    Warshall's pass, one big-int OR per reaching class and middle.  A
+    finite preorder is directed exactly when it has a top, and the refusal
+    names the first pair, in carrier order, with no common upper bound.
+    """
     if not isinstance(base, Setoid):
         base = make_setoid(base)
-    D = DirectedIndex(base, _close_order(base, order_pairs))
+    els, classes, class_id = base.elements, base._classes, base.class_id
+    position, own = _carrier_bits(els)[0], [0] * len(classes)
+    for n, x in enumerate(els):
+        own[class_id[x]] |= 1 << n
+    reach = own[:]
+    for i, j in order_pairs if els else ():  # an empty base ends in NotDirected
+        for x in (i, j):
+            if x not in class_id:
+                raise UnknownElement(f"{x!r} not in carrier")
+        reach[class_id[i]] |= own[class_id[j]]
+    for c, cls in enumerate(classes):
+        at, through = position[cls[0]], reach[c]
+        reach = [r | through if r >> at & 1 else r for r in reach]
+    D = DirectedIndex(base, [reach[class_id[x]] if position[x] == n else 0
+                             for n, x in enumerate(els)])
     try:
         D.top
     except NotDirected:
@@ -308,29 +304,21 @@ def validate_directed(D):
     pair, and findings listed off the rows in carrier order, the order
     pairs in `order_pairs()` order.  So i <= j <= k fails transitivity at
     the members of row(j) & ~row(i), and a pair is upper-missing when
-    row(i) & row(j) is empty.  An element off the base raises in
-    `leq`, where a scan over every element would meet it.
+    row(i) & row(j) is empty.
     """
     findings = []
     els = D.elements
     position, rows = D._order
 
     def leq(i, k):
-        """One bit test; D.leq raises on an element off the base."""
-        try:
-            return rows[position[i]] >> position[k] & 1
-        except KeyError:
-            return D.leq(i, k)
+        return rows[position[i]] >> position[k] & 1
 
     for i in els:
         if not leq(i, i):
             findings.append(Finding("leq-reflexive", (i,)))
     for i, j in D.order_pairs():
-        if i in position and j in position:
-            ks = _members(els, rows[position[j]] & ~rows[position[i]])
-        else:  # leq raises on the element off the base, as the scan does
-            ks = (k for k in els if leq(j, k) and not leq(i, k))
-        findings.extend(Finding("leq-transitive", (i, j, k)) for k in ks)
+        findings.extend(Finding("leq-transitive", (i, j, k)) for k in
+                        _members(els, rows[position[j]] & ~rows[position[i]]))
     # each i <= j against the members equal to i and to j, in carrier order
     classes, class_id = D.base._classes, D.base.class_id
     for i in els:
@@ -408,31 +396,26 @@ def validate_cofinal(D, C):
 
 def induced_order(D, C):
     """The subset as a DirectedIndex, ordered through the embedding."""
-    J = C.members
-    rows = D._order[1]
+    els, rows = C.members.elements, D.rows
     at = _image_positions(D, C.embed)
-    pairs = frozenset(
-        (j, j2)
-        for j in J.elements
-        for j2 in J.elements
-        if rows[at[j]] >> at[j2] & 1
-    )
-    return DirectedIndex(J, pairs)
+    first = _carrier_bits(els)[0]
+    return DirectedIndex(C.members, [
+        sum([1 << m for m, j2 in enumerate(els) if rows[at[j]] >> at[j2] & 1])
+        if first[j] == n else 0 for n, j in enumerate(els)])
 
 
 def product_order(D1, D2):
-    """The componentwise order.  Its pairs are the products of the factors'
-    pairs between carrier elements, made of the product carrier's own
-    Pairs."""
-    base = product_setoid(D1.base, D2.base)
-    cell = {}  # i -> j -> the base's Pair((i, j))
-    for a in base.elements:
-        cell.setdefault(a[0], {})[a[1]] = a
-    pairs1 = [(i, i2) for i, i2 in D1.pairs if D1.base.has(i) and D1.base.has(i2)]
-    pairs2 = [(j, j2) for j, j2 in D2.pairs if D2.base.has(j) and D2.base.has(j2)]
-    pairs = frozenset((cell[i][j], cell[i2][j2])
-                      for i, i2 in pairs1 for j, j2 in pairs2)
-    return DirectedIndex(base, pairs)
+    """The componentwise order, read off the factors' rows.
+
+    The product carrier is i-major, (i, j) at position p·n2 + q for i at p
+    and j at q, so the row of (i, j) is row2(j) shifted to the block of
+    each i2 in row1(i): row2(j) times row1(i) spread to stride n2, the
+    blocks never carrying into each other."""
+    n2 = len(D2.elements)
+    spread = [sum([1 << p * n2 for p in range(len(D1.rows)) if row1 >> p & 1])
+              for row1 in D1.rows]
+    return DirectedIndex(product_setoid(D1.base, D2.base),
+                         [s * row2 for s in spread for row2 in D2.rows])
 
 
 def product_cofinal(D1, C1, D2, C2):
@@ -464,5 +447,5 @@ def chain(n, names=None):
     """The chain 0 <= 1 <= ... <= n-1."""
     if names is None:
         names = [str(i) for i in range(n)]
-    pairs = frozenset((a, b) for m, a in enumerate(names) for b in names[m:])
-    return DirectedIndex(discrete(names), pairs)
+    full = (1 << len(names)) - 1
+    return DirectedIndex(discrete(names), [full >> m << m for m in range(len(names))])

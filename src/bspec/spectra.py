@@ -247,12 +247,12 @@ def validate_spectrum(s):
             findings.append(Finding("space-carrier", (i,)))
     if findings:
         return findings
-    edges = [p for p in s.fam.order_pairs() if p[0] != p[1]]
     lifted = _lifts_from_covers(s)
-    findings = _edge_findings(
-        s, [p for p in edges if p in s.witness_certs] if lifted else edges)
-    if findings and lifted:
-        findings = _edge_findings(s, edges)
+    if lifted:  # the held edges, in `order_pairs()` order
+        findings = _edge_findings(s, sorted(
+            [p for p in s.witness_certs if p[0] != p[1] and p in s.index]))
+    if not lifted or findings:
+        findings = _edge_findings(s, [p for p in s.fam.order_pairs() if p[0] != p[1]])
     if findings:
         return findings
     if _cover_composites_hold(s):
@@ -389,7 +389,7 @@ def enumerate_threads(s):
     to_top = {i: fam.transport(i, t).mapping for i in els}
     at_top = {i: [to_top[i][x] for x in fam.carrier(i).elements] for i in els}
     tied = set()
-    for i, j in () if fam.lawful else s.index.pairs:
+    for i, j in () if fam.lawful else s.index.order_pairs():
         via = list(map(to_top[j].__getitem__,
                        map(fam.transport(i, j).mapping.__getitem__,
                            fam.carrier(i).elements)))
@@ -442,7 +442,7 @@ def restrict_spectrum(s, cof):
     spaces = {j: s.spaces[cof.embed(j)] for j in sub_index.elements}
 
     def derive(sub, a, b):
-        if a == b or (a, b) not in sub_index.pairs:
+        if a == b or (a, b) not in sub_index:
             return None
         certs = sub.witness_certs[(a, b)] = s.edge_witness(h(a), h(b)).certs
         return certs
@@ -496,7 +496,7 @@ def product_spectrum_over(s, t, index, parts):
     build = _fn if s.fam.lawful and t.fam.lawful else make_fn
 
     def transport(G, a, b):
-        if (a, b) not in index.pairs:
+        if (a, b) not in index:
             return None
         (i, j), (i2, j2) = part[a], part[b]
         mi = s.fam.transport(i, i2).mapping
@@ -513,7 +513,7 @@ def product_spectrum_over(s, t, index, parts):
     def certify(prod, a, b):
         # certificates live over the space at the transport's source and
         # prove the generators at its target, the first factor's first
-        if a == b or (a, b) not in index.pairs:
+        if a == b or (a, b) not in index:
             return None
         (i, j), (i2, j2) = part[a], part[b]
         src = fam.ends(a, b)[0]

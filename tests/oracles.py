@@ -33,7 +33,7 @@ from bspec.limits import (
     _limit_of_choices,
 )
 from bspec.report import Finding, raise_first
-from bspec.order import DirectedIndex, NotDirected, _members
+from bspec.order import DirectedIndex, NotDirected, _carrier_bits, _members
 from bspec.spectra import Spectrum, SpectrumError, Thread, _composite_findings
 from bspec.setoid import (
     Choice,
@@ -428,10 +428,26 @@ def saturate_rescan(index, carriers, given, direction=COVARIANT):
     return known
 
 
+def index_of_pairs(base, pairs):
+    """The DirectedIndex whose order pairs are `pairs`, taken as they are:
+    not closed, so it may be spoiled.  Bits are set as the index read them
+    off its pair set before the rows were the index: row(i), at the first
+    position of i, gets a bit at every position of j for each (i, j).  A
+    pair naming an element off the base raises UnknownElement."""
+    position, bits = _carrier_bits(base.elements)
+    rows = [0] * len(base.elements)
+    for i, j in pairs:
+        for x in (i, j):
+            if x not in position:
+                raise UnknownElement(f"{x!r} not in index")
+        rows[position[i]] |= bits[j]
+    return DirectedIndex(base, rows)
+
+
 def close_order_scan(base, pairs):
-    """order._close_order before it became reachability between classes:
-    rescan the pairs until nothing is added.  A pair naming an element off
-    a nonempty base is refused first, naming that element."""
+    """make_directed's closure before it became reachability between
+    classes: rescan the pairs until nothing is added.  A pair naming an
+    element off a nonempty base is refused first, naming that element."""
     for x in (x for pair in pairs for x in pair):
         if base.elements and not base.has(x):
             raise UnknownElement(f"{x!r} not in carrier")
@@ -515,10 +531,8 @@ def hasse_covers(D):
     """DirectedIndex.covers by brute force: j covers i when i < j and no m
     has i < m < j.  None unless the pairs are a partial order on the
     base's elements, each named once."""
-    els, rel = D.elements, D.pairs
+    els, rel = D.elements, set(D.order_pairs())
     if len(set(els)) != len(els):
-        return None
-    if any(i not in els or k not in els for i, k in rel):
         return None
     if any((i, i) not in rel for i in els):
         return None
@@ -539,7 +553,7 @@ def direct_family_laws_hold_triples(F):
     """families._direct_family_laws_hold before it read covers: every
     chain a -> b -> c of transports is compared."""
     els = F.index.elements
-    maps = _class_maps(F, F.index.pairs | {(i, i) for i in els})
+    maps = _class_maps(F, set(F.index.order_pairs()) | {(i, i) for i in els})
     if maps is None:
         return False
     for i in els:
@@ -556,8 +570,8 @@ def direct_family_laws_hold_triples(F):
 
 
 def validate_directed_scan(D):
-    """order.validate_directed before it read bit rows, through `pairs` and
-    `leq` alone: every order pair is scanned for transitivity, in
+    """order.validate_directed before it read bit rows, through `leq`
+    alone: every order pair is scanned for transitivity, in
     `order_pairs()` order."""
     findings = []
     els = D.elements
@@ -626,7 +640,7 @@ def induced_order_scan(D, C):
         for j2 in J.elements
         if _subset_leq(D, C, j, j2)
     )
-    return DirectedIndex(J, pairs)
+    return index_of_pairs(J, pairs)
 
 
 def induced_upper_scan(D, C):
@@ -779,8 +793,8 @@ def autofill_witnesses(fam, spaces, given=None):
 
 
 def product_order_scan(D1, D2):
-    """order.product_order before it read the factors' pair sets: every
-    quadruple of elements through `leq`."""
+    """order.product_order before it read the factors' pair sets, then
+    their rows: every quadruple of elements through `leq`."""
     base = product_setoid(D1.base, D2.base)
     pairs = frozenset(
         (Pair((i, j)), Pair((i2, j2)))
@@ -790,14 +804,14 @@ def product_order_scan(D1, D2):
         for j2 in D2.elements
         if D1.leq(i, i2) and D2.leq(j, j2)
     )
-    return DirectedIndex(base, pairs)
+    return index_of_pairs(base, pairs)
 
 
 def product_upper_scan(D1, D2):
     """The product order's first upper bounds as the pairs of the factors'
     scanned ones: ((i, j), (i2, j2)) -> (up1(i, i2), up2(j, j2))."""
-    up1 = first_upper_bounds_scan(D1.elements, D1.pairs)
-    up2 = first_upper_bounds_scan(D2.elements, D2.pairs)
+    up1 = first_upper_bounds_scan(D1.elements, set(D1.order_pairs()))
+    up2 = first_upper_bounds_scan(D2.elements, set(D2.order_pairs()))
     return {(Pair((i, j)), Pair((i2, j2))): Pair((up1[(i, i2)], up2[(j, j2)]))
             for i in D1.elements for j in D2.elements
             for i2 in D1.elements for j2 in D2.elements}

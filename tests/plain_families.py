@@ -8,9 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from bspec.families import FamilyError, _saturate
-from bspec.order import DirectedIndex
 from bspec.report import Finding
 from bspec.setoid import Setoid, check_extensional, compose, fn_equal, identity
+
+from oracles import index_of_pairs
 
 
 @dataclass(eq=False)
@@ -47,7 +48,7 @@ def make_family(index, carriers, transports=None):
         for j in index.elements
         if index.eq(i, j)
     )
-    table = _saturate(DirectedIndex(index, pairs), carriers,
+    table = _saturate(index_of_pairs(index, pairs), carriers,
                       dict(transports or {}))
     fam = Family(index, carriers, table)
     findings = validate_family(fam)

@@ -16,8 +16,6 @@ from bspec.families import COVARIANT, CONTRAVARIANT, DirectFamily, oriented
 from bspec.limits import Legs
 from bspec.order import (
     CofinalSubset,
-    DirectedIndex,
-    _close_order,
     chain,
     make_directed,
     top_element,
@@ -51,6 +49,7 @@ from bspec.topology import (
     space,
 )
 
+from oracles import close_order_scan, index_of_pairs
 from thread_laws import ContinuousMap, identity_continuous
 
 
@@ -98,7 +97,7 @@ def enumerate_directed_indices(max_size=4):
             if canon in seen:
                 continue
             seen.add(canon)
-            out.append(DirectedIndex(base, frozenset(rel)))
+            out.append(index_of_pairs(base, rel))
     return out
 
 
@@ -535,8 +534,9 @@ def merged_index(rng):
 
 def raw_index(rng):
     """Random pairs over a base that may merge elements, closed or left as
-    drawn (then often neither reflexive nor transitive), sometimes naming
-    the element z off the base."""
+    drawn (then often neither reflexive nor transitive).  Sometimes a pair
+    names the element z off the base, and no index holds it: building one
+    raises UnknownElement."""
     n = rng.randint(1, 5)
     names = [str(k) for k in range(n)]
     merged = [(names[0], names[-1])] if rng.random() < 0.2 else []
@@ -544,8 +544,8 @@ def raw_index(rng):
     field = names + ["z"] if rng.random() < 0.2 else names
     pairs = {(rng.choice(field), rng.choice(field)) for _ in range(rng.randint(0, 10))}
     if rng.random() < 0.5 and "z" not in field:
-        pairs = _close_order(base, pairs)
-    return DirectedIndex(base, frozenset(pairs))
+        pairs = close_order_scan(base, pairs)
+    return index_of_pairs(base, pairs)
 
 
 def spoil_cofinal(rng, D, C, how):

@@ -17,7 +17,7 @@ from bspec.dsl import Elaborated, parse
 from bspec.duality import enumerate_morphisms
 from bspec.families import CONTRAVARIANT, COVARIANT, DirectFamily, make_direct_family
 from bspec.limits import direct_limit, inverse_limit
-from bspec.order import DirectedIndex, chain, make_directed
+from bspec.order import chain, make_directed
 from bspec.runner import RunConfig, run_suite
 from bspec.setoid import (
     Choice,
@@ -33,7 +33,7 @@ from bspec.setoid import (
 from bspec.spectra import Spectrum, make_spectrum
 from bspec.topology import BSpace, CGen, RFun, exponential_space, map_cert
 
-from oracles import find_scan, token_of_scan
+from oracles import find_scan, index_of_pairs, token_of_scan
 from randgen import random_spectrum
 from structures import x2_space
 
@@ -167,8 +167,8 @@ def rename_spectrum(s, name):
         return tuple((name[x], v) for x, v in table)
 
     ix = s.index
-    index = DirectedIndex(
-        setoid(ix.base), frozenset((name[i], name[j]) for i, j in ix.pairs))
+    index = index_of_pairs(
+        setoid(ix.base), [(name[i], name[j]) for i, j in ix.order_pairs()])
     fam = DirectFamily(index, s.direction,
                        {name[i]: setoid(c) for i, c in s.fam.carriers.items()},
                        {(name[i], name[j]): fn(t)

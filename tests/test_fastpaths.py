@@ -21,7 +21,7 @@ from bspec.families import (
     sum_elements,
 )
 from bspec.limits import direct_limit, inverse_limit
-from bspec.order import DirectedIndex, NotDirected, _members, chain, top_element
+from bspec.order import NotDirected, _members, chain, top_element
 from bspec.report import Report
 from bspec.setoid import (
     Setoid,
@@ -42,6 +42,7 @@ from oracles import (
     equivalence_findings_scan,
     first_upper_bounds_scan,
     fold_top,
+    index_of_pairs,
     outcome,
 )
 from randgen import (
@@ -168,7 +169,7 @@ def test_cached_top_matches_fold(seed):
     # common bounds lands, on preorders with many tops and on merged bases
     rng = random.Random(seed)
     for D in (random_directed_index(rng), merged_index(rng)):
-        t = fold_top(D.elements, first_upper_bounds_scan(D.elements, D.pairs))
+        t = fold_top(D.elements, first_upper_bounds_scan(D.elements, set(D.order_pairs())))
         assert all(D.leq(i, t) for i in D.elements)
         assert D.top == t
         assert top_element(D) == D.top
@@ -176,7 +177,7 @@ def test_cached_top_matches_fold(seed):
 
 def test_undirected_index_still_raises():
     base = discrete(["0", "1"])
-    D = DirectedIndex(base, frozenset({("0", "0"), ("1", "1")}))
+    D = index_of_pairs(base, {("0", "0"), ("1", "1")})
     for _ in range(2):
         with pytest.raises(NotDirected):
             top_element(D)
@@ -358,8 +359,7 @@ def _chain_over(carrier, direction):
     these three names, one of them possibly twice, with identity
     transports and one two-point space at every element."""
     names = ("0", "1", "2")
-    index = DirectedIndex(carrier, frozenset(
-        (a, b) for m, a in enumerate(names) for b in names[m:]))
+    index = index_of_pairs(carrier, [(a, b) for m, a in enumerate(names) for b in names[m:]])
     X = discrete(["p", "q"])
     fam = DirectFamily(index, direction, dict.fromkeys(names, X),
                        {p: SetoidFn(X, X, {"p": "p", "q": "q"})

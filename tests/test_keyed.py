@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bspec import families, order, runner
+from bspec import dsl, families, order, runner
 from bspec.cli import main
 from bspec.dsl import elaborate, parse
 from bspec.families import (
@@ -24,13 +24,7 @@ from bspec.families import (
     sum_equality_laws_hold,
     validate_direct_family,
 )
-from bspec.order import (
-    DirectedIndex,
-    _close_order,
-    chain,
-    make_directed,
-    validate_directed,
-)
+from bspec.order import NotDirected, chain, make_directed, validate_directed
 from bspec.setoid import (
     NotEquivalence,
     Setoid,
@@ -44,6 +38,7 @@ from bspec.setoid import (
 from oracles import (
     close_order_scan,
     first_upper_bounds_scan,
+    index_of_pairs,
     leq_extensional_scan,
     leq_transitive_scan,
     outcome,
@@ -81,22 +76,46 @@ def order_bases(draw):
     return base, pairs
 
 
+def _closure(base, pairs):
+    """make_directed's closure of the pairs over base, as rows and order
+    pairs.  The base gets a fresh element t above every element, so the
+    index is directed whatever the pairs are; t reaches only itself, so
+    the rows at the base's positions, t's bit cleared, are the closure's."""
+    n = len(base.elements)
+    topped = Setoid(base.elements + ("t",),
+                    class_id={**base.class_id, "t": base.class_count()})
+    D = make_directed(topped, [*pairs, *((x, "t") for x in base.elements)])
+    return ([row & ~(1 << n) for row in D.rows[:n]],
+            tuple(p for p in D.order_pairs() if "t" not in p))
+
+
+def _rows_and_pairs(base, rel):
+    return index_of_pairs(base, rel).rows, tuple(sorted(rel))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(order_bases())
 def test_close_order_matches_scan(case):
     base, pairs = case
-    got = outcome(_close_order, base, pairs)
-    assert got == outcome(close_order_scan, base, pairs)
+    scanned = outcome(close_order_scan, base, pairs)
+    closed = scanned[1] if scanned[0] == "value" else None
+    want = scanned if closed is None else ("value", _rows_and_pairs(base, closed))
+    assert outcome(_closure, base, pairs) == want
     # the first upper bounds, over the closure and over the raw pairs
-    for rel in ([got[1]] if got[0] == "value" else []) + [frozenset(pairs)]:
-        assert (outcome(_up_table, DirectedIndex(base, rel))
+    rels = [] if closed is None else [closed]
+    if all(base.has(x) for p in pairs for x in p):  # no index holds z
+        rels.append(frozenset(pairs))
+    for rel in rels:
+        assert (outcome(_up_table, index_of_pairs(base, rel))
                 == outcome(first_upper_bounds_scan, base.elements, rel))
-    # make_directed's refusal names the pair the scan first meets
-    if got[0] == "value":
+    # make_directed's rows are the closure's, and its refusal names the
+    # pair the scan first meets
+    if closed is not None:
         built = outcome(make_directed, base, pairs)
         if built[0] == "value":
+            assert _rows_and_pairs(base, closed) == (built[1].rows, built[1].order_pairs())
             built = outcome(_up_table, built[1])
-        assert built == outcome(first_upper_bounds_scan, base.elements, got[1])
+        assert built == outcome(first_upper_bounds_scan, base.elements, closed)
 
 
 def _up_table(D):
@@ -107,7 +126,7 @@ def _up_table(D):
 def test_unknown_element_raises_as_the_scan_does():
     base = make_setoid(["a", "b"], [("a", "b")])
     for pairs in ([("a", "z")], [("z", "b")], [("a", "b"), ("b", "z")]):
-        got = outcome(_close_order, base, pairs)
+        got = outcome(make_directed, base, pairs)
         assert got[0] is UnknownElement
         assert got == outcome(close_order_scan, base, pairs)
 
@@ -118,16 +137,19 @@ def test_closure_needs_an_equivalence_on_the_base():
     with pytest.raises(NotEquivalence):
         Setoid(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b")}))
     base = Setoid(("a", "b"), frozenset({("a", "a"), ("b", "b")}))
-    assert _close_order(base, [("a", "b")]) == {("a", "a"), ("b", "b"), ("a", "b")}
+    D = make_directed(base, [("a", "b")])
+    assert D.order_pairs() == (("a", "a"), ("a", "b"), ("b", "b"))
+    # an empty base takes no element, named or not, and has no top
     empty = make_setoid([], empty=True)
-    assert _close_order(empty, [("a", "b")]) == {("a", "b")}
+    with pytest.raises(NotDirected):
+        make_directed(empty, [("a", "b")])
 
 
 def test_closure_of_a_long_chain():
     names = [str(k) for k in range(200)]
-    pairs = _close_order(make_setoid(names), list(zip(names, names[1:])))
-    assert len(pairs) == 20_100
-    assert pairs == chain(200).pairs
+    D = make_directed(make_setoid(names), list(zip(names, names[1:])))
+    assert len(D.order_pairs()) == 20_100
+    assert (D.rows, D.order_pairs()) == (chain(200).rows, chain(200).order_pairs())
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -135,8 +157,8 @@ def test_closure_of_a_long_chain():
 def test_leq_extensional_matches_the_quadruple_scan(case, closed):
     base, pairs = case
     pairs = [(i, j) for i, j in pairs if base.has(i) and base.has(j)]
-    rel = _close_order(base, pairs) if closed else frozenset(pairs)
-    D = DirectedIndex(base, rel)
+    rel = close_order_scan(base, pairs) if closed else frozenset(pairs)
+    D = index_of_pairs(base, rel)
     keyed = [f for f in validate_directed(D) if f.law == "leq-extensional"]
     assert keyed == leq_extensional_scan(D)
     if closed:
@@ -148,8 +170,12 @@ def test_leq_extensional_matches_the_quadruple_scan(case, closed):
 def test_leq_transitive_matches_the_scan(case, closed):
     base, pairs = case
     closed = closed and all(base.has(x) for p in pairs for x in p)
-    rel = _close_order(base, pairs) if closed else frozenset(pairs)
-    D = DirectedIndex(base, rel)
+    rel = close_order_scan(base, pairs) if closed else frozenset(pairs)
+    built = outcome(index_of_pairs, base, rel)
+    if built[0] != "value":  # a raw pair names z, and no index holds it
+        assert built[0] is UnknownElement
+        return
+    D = built[1]
 
     def keyed():
         return [f for f in validate_directed(D) if f.law == "leq-transitive"]
@@ -289,12 +315,14 @@ def _chain_document(n):
 def test_chain40_document_elaborates_as_the_scans_do(monkeypatch):
     text = _chain_document(40)
     keyed = elaborate(parse(text))
-    monkeypatch.setattr(order, "_close_order", close_order_scan)
+    monkeypatch.setattr(dsl, "make_directed", lambda base, pairs: index_of_pairs(
+        base, close_order_scan(base, pairs)))
     monkeypatch.setattr(families, "_direct_family_laws_hold", lambda F: False)
     scanned = elaborate(parse(text))
     D, E = keyed.directeds["C"], scanned.directeds["C"]
-    assert D.pairs == E.pairs and len(D.pairs) == 820
-    assert _up_table(D) == first_upper_bounds_scan(E.elements, E.pairs)
+    assert D.rows == E.rows and D.order_pairs() == E.order_pairs()
+    assert len(D.order_pairs()) == 820
+    assert _up_table(D) == first_upper_bounds_scan(E.elements, set(E.order_pairs()))
     # the family holds its covers; a full read derives the rest, and so
     # does the scan of the laws on the family shown unlawful
     F, G = keyed.families["F"], scanned.families["F"]

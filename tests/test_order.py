@@ -2,7 +2,6 @@ import pytest
 
 from bspec.order import (
     CofinalSubset,
-    DirectedIndex,
     NotDirected,
     chain,
     induced_order,
@@ -16,6 +15,7 @@ from bspec.order import (
 from bspec.report import Finding
 from bspec.setoid import discrete, identity, make_fn
 
+from oracles import index_of_pairs
 from structures import chain3, eo_cofinal, eo_index
 
 
@@ -33,7 +33,7 @@ def test_make_directed_rejects_undirected():
 def test_an_unbounded_pair_is_upper_missing():
     # the two-element antichain: 0 and 1 have no common upper bound, so `up`
     # refuses the pair and validate_directed lists both orders of it
-    bad = DirectedIndex(discrete(["0", "1"]), frozenset([("0", "0"), ("1", "1")]))
+    bad = index_of_pairs(discrete(["0", "1"]), [("0", "0"), ("1", "1")])
     assert validate_directed(bad) == [Finding("upper-missing", ("0", "1")),
                                       Finding("upper-missing", ("1", "0"))]
     assert bad.up("0", "0") == "0"

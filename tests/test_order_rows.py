@@ -1,8 +1,8 @@
 """Differential tests for the order read as bit rows: `validate_directed`,
 `validate_cofinal`, `induced_order` and the monotonicity check of
-`restrict_family`, each against the scan through `pairs` and `leq` that it
-replaced, on preorders, merged bases, pairs off the base, broken moduli
-and non-monotone restrictions.  Findings, their order, and the type and
+`restrict_family`, each against the scan through `leq` that it replaced,
+on preorders, merged bases, spoiled indices, broken moduli and
+non-monotone restrictions.  Findings, their order, and the type and
 message of what is raised must agree.  Hypothesis runs derandomized, so
 the suite stays deterministic."""
 
@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from bspec.families import COVARIANT, restrict_family
 from bspec.order import (
-    DirectedIndex,
     chain,
     induced_order,
+    make_directed,
     product_order,
     validate_cofinal,
     validate_directed,
@@ -25,6 +25,7 @@ from bspec.setoid import Pair, Setoid, UnknownElement, discrete
 from oracles import (
     check_monotone_scan,
     fold_top,
+    index_of_pairs,
     induced_order_scan,
     induced_upper_scan,
     outcome,
@@ -60,20 +61,25 @@ def _directed_case(seed, kind):
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(seeds, st.sampled_from(INDEX_KINDS))
 def test_validate_directed_matches_the_scan(seed, kind):
-    D = _directed_case(seed, kind)
+    built = outcome(_directed_case, seed, kind)
+    if built[0] != "value":  # a raw pair names z, off the base
+        assert built[0] is UnknownElement
+        return
+    D = built[1]
     assert outcome(validate_directed, D) == outcome(validate_directed_scan, D)
 
 
 def test_the_directed_cases_reach_every_law():
     """The generated cases find every law of validate_directed, and raise
-    only on an element off the base."""
+    only where an index is built with an element off the base: no index
+    holds one, so validate_directed never meets it."""
     laws, raised = set(), set()
     rng = random.Random(0)
     for _ in range(1500):
         case = (rng.randrange(2**32), rng.choice(INDEX_KINDS))
-        got = outcome(validate_directed, _directed_case(*case))
+        got = outcome(_directed_case, *case)
         if got[0] == "value":
-            laws.update(f.law for f in got[1])
+            laws.update(f.law for f in validate_directed(got[1]))
         else:
             raised.add(got[0])
     assert laws == {"leq-reflexive", "leq-transitive", "leq-extensional",
@@ -87,7 +93,7 @@ def test_transitivity_findings_follow_the_sorted_pairs():
     names = "abcde"
     pairs = frozenset((x, y) for m, x in enumerate(names) for y in names[m:]
                       if (x, y) not in {("a", "c"), ("c", "e")})
-    D = DirectedIndex(discrete(names), pairs)
+    D = index_of_pairs(discrete(names), pairs)
     findings = validate_directed(D)
     assert [f for f in findings if f.law == "leq-transitive"] == [
         Finding("leq-transitive", ("a", "b", "c")),
@@ -100,7 +106,7 @@ def test_an_element_named_twice_is_listed_as_often_as_the_scan_lists_it():
     # a carrier built by hand may name an element twice; the rows set a bit
     # at each of its positions, so a is missing above a <= b twice
     twice = Setoid(("a", "b", "a"), {("a", "a"), ("b", "b")})
-    D = DirectedIndex(twice, frozenset({("a", "b"), ("b", "a"), ("b", "b")}))
+    D = index_of_pairs(twice, {("a", "b"), ("b", "a"), ("b", "b")})
     findings = validate_directed(D)
     assert findings == validate_directed_scan(D)
     assert findings.count(Finding("leq-transitive", ("a", "b", "a"))) == 2
@@ -114,7 +120,7 @@ def test_validate_directed_at_chain400():
     # bound
     D = chain(400)
     assert outcome(validate_directed, D) == ("value", [])
-    spoiled = DirectedIndex(D.base, D.pairs - {("0", "399")})
+    spoiled = index_of_pairs(D.base, set(D.order_pairs()) - {("0", "399")})
     assert validate_directed(spoiled) == [
         Finding("leq-transitive", ("0", j, "399"))
         for i, j in spoiled.order_pairs() if i == "0" and j != "0"
@@ -132,7 +138,7 @@ def test_validate_directed_at_a_product_of_chain24s():
     bottom, top = D.elements[0], D.elements[-1]
     assert (bottom, top) == (Pair(("0", "0")), Pair(("23", "23")))
     assert outcome(validate_directed, D) == ("value", [])
-    spoiled = DirectedIndex(D.base, D.pairs - {(bottom, top)})
+    spoiled = index_of_pairs(D.base, set(D.order_pairs()) - {(bottom, top)})
     assert validate_directed(spoiled) == [
         Finding("leq-transitive", (bottom, j, top))
         for i, j in spoiled.order_pairs() if i == bottom and j != bottom
@@ -151,7 +157,7 @@ def test_cofinal_laws_and_induced_order_match_the_scans(seed, how):
     if how == "none":
         assert got == ("value", [])
     J, K = induced_order(D, C), induced_order_scan(D, C)
-    assert (J.base, J.pairs) == (K.base, K.pairs)
+    assert (J.base, J.rows, J.order_pairs()) == (K.base, K.rows, K.order_pairs())
     if how == "none":
         # the first top of the induced rows is where the modulus-built
         # bounds fold
@@ -194,3 +200,31 @@ def test_the_restrictions_are_both_monotone_and_not():
         F = random_direct_family(rng, random_directed_index(rng, 5), COVARIANT)
         kinds.add(_monotonicity(F, *random_restriction(rng, F.index))[0])
     assert len(kinds) == 2
+
+
+# --- indices a pair set could not hold ------------------------------------------
+
+def test_the_product_of_two_chain100s():
+    # 10,000 elements and 25,502,500 order pairs, read off the factors' rows
+    C = chain(100)
+    D = product_order(C, C)
+    assert D.top == Pair(("99", "99"))
+    rng = random.Random(0)
+    for _ in range(200):
+        a, b = D.elements[rng.randrange(10_000)], D.elements[rng.randrange(10_000)]
+        assert D.leq(a, b) == (C.leq(a[0], b[0]) and C.leq(a[1], b[1]))
+        assert D.up(a, b) == Pair((C.up(a[0], b[0]), C.up(a[1], b[1])))
+
+
+def test_the_chain1600_from_its_covers():
+    names = [str(k) for k in range(1600)]
+    D = make_directed(names, list(zip(names, names[1:])))
+    assert D.top == "1599"
+    rng = random.Random(0)
+    for _ in range(200):
+        a, b = rng.randrange(1600), rng.randrange(1600)
+        assert D.leq(names[a], names[b]) == (a <= b)
+    pairs = D.order_pairs()
+    assert len(pairs) == 1600 * 1601 // 2 == 1_280_800
+    assert list(pairs[:5000]) == sorted(pairs[:5000])
+    assert pairs[:3] == (("0", "0"), ("0", "1"), ("0", "10"))
