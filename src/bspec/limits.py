@@ -46,12 +46,14 @@ from .spectra import (
 )
 from .topology import (
     BSpace,
+    CGen,
     MorphismWitness,
     RFun,
     ValueCodes,
     certify_iso,
     certify_map,
     check_morphism,
+    check_morphism_as,
     product_space,
 )
 
@@ -117,10 +119,11 @@ def validate_legs(s, c):
     fails, or the covers do not decide, every order pair is scanned, so the
     findings are the scan's.
 
-    The legs are not checked as morphisms here: every `Legs` the kernel or
-    a document makes comes from `certify_map`, which validates each
-    certificate it makes, and each mediator checks its own certificates,
-    which fail when some leg is not a morphism.
+    The legs are not checked as morphisms here: a document's legs come
+    from `certify_map`, which validates each certificate it makes, a
+    limit's own from `own_legs`, which checks each one it reads, and each
+    mediator checks its own certificates, which fail when some leg is not
+    a morphism.
     """
     findings = []
     for i in s.index.elements:
@@ -178,14 +181,18 @@ def commutes(s, lim, c, h):
 
 
 def own_legs(lim):
-    """The limit's own legs, its class maps or projections, as Legs."""
+    """The limit's own legs, its class maps or projections, as Legs.
+
+    Each leg's certificates are read off what the limit already holds
+    (`lim.leg_certs(i)`), not searched for, and checked as a morphism: a
+    certificate that fails raises LimitError with its `leg-` finding.
+    """
     s = lim.spectrum
     legs = {}
     for i in s.index.elements:
-        missing = []
-        legs[i] = certify_map(*oriented(s.direction, s.space(i), lim.space), lim.leg(i),
-                              "leg", missing)
-        raise_first(missing, LimitError, lambda k: f"leg at {i} is not a morphism")
+        w = legs[i] = MorphismWitness(lim.leg(i), lim.leg_certs(i))
+        src, dst = oriented(s.direction, s.space(i), lim.space)
+        raise_first(check_morphism_as("leg", src, dst, w), LimitError)
     return Legs(lim.space, legs)
 
 
@@ -227,6 +234,12 @@ class DirectLimit:
         # transports, so embed_at's unchecked build is a map
         return embed_at(self.spectrum.fam, i, self.carrier)
 
+    def leg_certs(self, i):
+        """The certificates of the limit generators pulled back along the
+        leg at i: generator n pulls back to thread n's component at i,
+        whose certificate the thread holds."""
+        return {n: t.certs[i] for n, t in enumerate(self.threads)}
+
     def canonical(self, token):
         """Representative of a class at the top index."""
         fam = self.spectrum.fam
@@ -255,9 +268,9 @@ def cocone_mediator(s, lim, c, uniq_bound=UNIQ_BOUND):
     """The unique morphism out of the limit commuting with every leg, as a
     Mediator that records whether its uniqueness search ran.
 
-    Its certificates are assembled from the legs: a generator of the apex
-    composed with the legs forms a thread, whose limit function is the
-    pullback of the generator.
+    Its certificates are searched for (`certify_map`), not read off the
+    legs: a leg's certificate for an apex generator is a derivation over
+    the space at its index, not over the limit subbase.
     """
     raise_first(validate_legs(s, c), IllFormedLegs)
     table = {}
@@ -388,11 +401,11 @@ def product_limit_bijection(s, t, lims):
     ok, witness = is_embedding(to_pair)
     if not ok:
         findings.append(Finding("injective", witness))
-    image = {pair_space.carrier.class_repr(to_pair(a))
-             for a in lim_prod.carrier.elements}
-    targets = {pair_space.carrier.class_repr(b)
-               for b in pair_space.carrier.elements}
-    if image != targets:
+    # to_pair respects classes (make_fn checks it), so one member per class
+    # shows its image, read off the map itself
+    ids = pair_space.carrier.class_id
+    hit = {ids[to_pair.mapping[cls[0]]] for cls in lim_prod.carrier.classes()}
+    if len(hit) != pair_space.carrier.class_count():
         findings.append(Finding("surjective", ()))
 
     certify_map(lim_prod.space, pair_space, to_pair, "pair", findings)
@@ -406,13 +419,15 @@ def product_limit_bijection(s, t, lims):
 
 class InverseLimit:
     def __init__(self, spectrum, carrier, assignments, space, gen_sources=None,
-                 by_key=None):
+                 by_key=None, gen_at=None):
         self.spectrum = spectrum
         self.carrier = carrier
         self.assignments = assignments  # carrier token -> {index element -> carrier element}
         self.space = space
         # per gen: (index, gen pos)
         self.gen_sources = [] if gen_sources is None else gen_sources
+        # index -> per gen pos, CGen of the gen its column equals
+        self.gen_at = {} if gen_at is None else gen_at
         self.by_key = {} if by_key is None else by_key  # _choice_key -> its first token
 
     def leg(self, i):
@@ -421,6 +436,11 @@ class InverseLimit:
         # the carrier is keyed by the components' classes: equal tokens agree
         return _fn(self.carrier, fam.carrier(i),
                    {tok: self.assignments[tok][i] for tok in self.carrier.elements})
+
+    def leg_certs(self, i):
+        """The certificates of the generators at i pulled back along the
+        projection: generator k's is the limit generator its column equals."""
+        return dict(enumerate(self.gen_at[i]))
 
     def token_of(self, assignment):
         """The first carrier token, in carrier order, matching an assignment
@@ -494,7 +514,9 @@ def _limit_of_choices(s, choices):
 
     Each generator at i is read along the column of the choices'
     components at i, and its table on the tokens is built only when its
-    values are new, so no token is hashed for a projection left out."""
+    values are new, so no token is hashed for a projection left out.  The
+    limit generator each column equals is recorded as its certificate, one
+    CGen object per limit generator (`gen_at`)."""
     at = _choice_key_at(s)
     els = at[0]
     tokens, keys, assignments, by_key = [], [], {}, {}
@@ -506,21 +528,23 @@ def _limit_of_choices(s, choices):
         by_key.setdefault(keys[-1], tok)
     carrier = setoid_by_key(tuple(tokens), keys)
     gens, names, sources = [], [], []
-    codes, seen = ValueCodes(), set()
+    codes, position, gen_at = ValueCodes(), {}, {}
     for i in els:
         sp = s.space(i)
         column = [a[i] for a in choices]
+        at = gen_at[i] = []
         for k, f in enumerate(sp.gens):
             values = list(map(f.values.__getitem__, column))
             key = codes.key(values)
-            if key in seen:
-                continue
-            seen.add(key)
-            gens.append(RFun(carrier, dict(zip(tokens, values))))
-            names.append(f"proj[{i},{sp.names[k]}]")
-            sources.append((i, k))
+            if key not in position:
+                position[key] = CGen(len(gens))
+                gens.append(RFun(carrier, dict(zip(tokens, values))))
+                names.append(f"proj[{i},{sp.names[k]}]")
+                sources.append((i, k))
+            at.append(position[key])
     return InverseLimit(s, carrier, assignments,
-                        BSpace(carrier, tuple(gens), tuple(names)), sources, by_key)
+                        BSpace(carrier, tuple(gens), tuple(names)), sources, by_key,
+                        gen_at)
 
 
 class Limits:

@@ -152,11 +152,14 @@ def _respects_classes(h):
     return h.dom.is_discrete() or check_extensional(h)[0]
 
 
-def _pull_back(f, h, checked):
+def _pull_back(f, h, checked, values=None):
     """f . h, its table checked value by value unless `checked` says that h
-    maps into f's carrier and sends equal elements to equal ones."""
+    maps into f's carrier and sends equal elements to equal ones.  `values`
+    are f's values along h in h's domain order, when already read."""
     m = h.mapping
-    table = dict(zip(m, map(f.values.__getitem__, m.values())))
+    if values is None:
+        values = map(f.values.__getitem__, m.values())
+    table = dict(zip(m, values))
     if checked:
         # f is an RFun, so it is extensional.  So x ~ x' gives
         # h(x) ~ h(x'), which gives f(h(x)) == f(h(x')): the table needs no
@@ -508,7 +511,21 @@ ULIM_MAX = 8  # most witnesses a uniform-limit node may list
 
 
 def validate_certificate(sp, f, c):
-    """Check a derivation is well-formed and concludes exactly f."""
+    """Check a derivation is well-formed and concludes exactly f.
+
+    A generator or constant leaf that concludes f is decided by the one
+    table comparison its conclusion comes to; any other derivation, or a
+    leaf that fails, takes the walk over the tree, which finds what is
+    wrong.  The walk's answer on such a leaf is the same report.
+    """
+    if type(c) is CGen:
+        if 0 <= c.k < len(sp.gens) and sp.gens[c.k].values == f.values:
+            return CertReport(True)
+    elif type(c) is CConst:
+        # rconst's table, which keeps a Fraction constant as given
+        if type(c.value) is Fraction and f.values == dict.fromkeys(
+                sp.carrier.elements, c.value):
+            return CertReport(True)
     findings = []
     witnessed = False
 
@@ -687,25 +704,25 @@ def _certified(src, g, h, respects, *given):
     or with none given for certificate_for's, (None, None) when there is
     none.  `respects` says whether h sends equal elements to equal ones.
 
-    When h starts at src's own carrier object, the verdict is read from
-    src.verdicts, or made and kept there.  The key is the ids of the
-    table's values in carrier order, with the id of the given
-    certificate.  Each entry holds the table (whose values are those very
-    objects) and the certificate it keys on, so no id is reused while the
-    space lives; equal values held as distinct objects only miss.  A
+    g is read along h once: that list of values makes the table and,
+    when h starts at src's own carrier object, the key under which the
+    verdict is read from src.verdicts, or made and kept there.  The key is
+    the ids of the table's values in carrier order, with the id of the
+    given certificate.  Each entry holds the table (whose values are those
+    very objects) and the certificate it keys on, so no id is reused while
+    the space lives; equal values held as distinct objects only miss.  A
     certificate found is kept under its own id as well, so checking it
     again on the same table is a lookup.
     """
+    values = list(map(g.values.__getitem__, h.mapping.values()))
     key = memo = None
     if h.dom is src.carrier:
-        key = (tuple(map(id, map(g.values.__getitem__,
-                                 map(h.mapping.__getitem__, src.carrier.elements)))),
-               *map(id, given))
+        key = (tuple(map(id, values)), *map(id, given))
         memo = src.verdicts
         entry = memo.get(key)
         if entry is not None:
             return entry[1:]
-    pulled = _pull_back(g, h, respects and h.cod.same_as(g.carrier))
+    pulled = _pull_back(g, h, respects and h.cod.same_as(g.carrier), values)
     if given:
         cert, = given
     else:

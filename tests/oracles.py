@@ -27,6 +27,8 @@ from bspec.families import (
 )
 from bspec.limits import (
     InverseLimit,
+    Legs,
+    LimitError,
     NonUnique,
     _choice_key,
     _choice_key_at,
@@ -37,6 +39,7 @@ from bspec.order import DirectedIndex, NotDirected, _carrier_bits, _members
 from bspec.spectra import Spectrum, SpectrumError, Thread, _composite_findings
 from bspec.setoid import (
     Choice,
+    NotExtensional,
     Pair,
     SetoidFn,
     Tag,
@@ -59,16 +62,20 @@ from bspec.topology import (
     CEq,
     CGen,
     CULim,
+    CertReport,
     MissingCertificate,
     MorphismWitness,
     RFun,
     RuleMismatch,
+    TopologyError,
+    ULIM_MAX,
     ValueCodes,
     _interpolant,
     babs,
     baffine,
     bneg,
     cert_scale,
+    cert_conclusion,
     certificate_for,
     certify_map,
     check_morphism,
@@ -277,6 +284,86 @@ def check_morphism_per_call(src, dst, w):
                 Finding("witness-certificate", (dst.names[k],), str(f))
                 for f in rep.findings)
     return findings
+
+
+def own_legs_search(lim):
+    """own_legs before the legs were assembled from the certificates the
+    limit holds: each generator pulled back along each leg is searched for
+    (`certify_map`)."""
+    s = lim.spectrum
+    legs = {}
+    for i in s.index.elements:
+        missing = []
+        legs[i] = certify_map(*oriented(s.direction, s.space(i), lim.space), lim.leg(i),
+                              "leg", missing)
+        raise_first(missing, LimitError, lambda k: f"leg at {i} is not a morphism")
+    return Legs(lim.space, legs)
+
+
+def validate_certificate_walk(sp, f, c):
+    """validate_certificate before a generator or constant leaf was decided
+    by one table comparison: every derivation is walked."""
+    findings = []
+    witnessed = False
+
+    def walk(node):
+        nonlocal witnessed
+        if isinstance(node, CULim):
+            witnessed = True
+            ns = [n for n, _ in node.witnesses]
+            if not ns:
+                findings.append(Finding("ulim-empty"))
+                return
+            if len(ns) > ULIM_MAX:
+                findings.append(Finding("ulim-depth", (len(ns),)))
+            for expected, n in enumerate(ns, start=1):
+                if n != expected:
+                    findings.append(Finding("witness-gap", (expected,)))
+                    return
+            limit, carrier = dict(node.table), sp.carrier
+            # the first element the claimed limit misses or values apart
+            # from the first element equal to it
+            bad = next((x for x in carrier.elements if x not in limit
+                        or Fraction(limit[x])
+                        != Fraction(limit[carrier.class_repr(x)])), None)
+            if bad is not None:
+                findings.append(Finding("ulim-table", (bad,)))
+                return
+            for n, sub in node.witnesses:
+                walk(sub)
+                try:
+                    g = cert_conclusion(sp, sub)
+                except (TopologyError, NotExtensional) as exc:
+                    findings.append(Finding("subderivation", (n,), str(exc)))
+                    return
+                tol = Fraction(1, 2 ** n)
+                for x in sp.carrier.elements:
+                    if abs(Fraction(limit[x]) - g(x)) > tol:
+                        findings.append(Finding("ulim-witness", (n, x)))
+                        return
+        elif isinstance(node, CAdd):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, (CBic, CEq)):
+            walk(node.child)
+        elif not isinstance(node, (CGen, CConst)):
+            findings.append(Finding("rule-mismatch", (repr(node),)))
+
+    walk(c)
+    if findings:
+        return CertReport(False, witnessed, findings)
+    try:
+        conclusion = cert_conclusion(sp, c)
+    except TopologyError as exc:
+        return CertReport(False, witnessed, [Finding("conclusion", (), str(exc))])
+    if conclusion.values == f.values:
+        return CertReport(True, witnessed, [])
+    for x in sp.carrier.elements:
+        if conclusion(x) != f(x):
+            return CertReport(
+                False, witnessed,
+                [Finding("value-mismatch", (x, str(f(x)), str(conclusion(x))))])
+    return CertReport(True, witnessed, [])
 
 
 def find_certificate_exhaustive(sp, target, depth=4, cap=2000):

@@ -216,6 +216,16 @@ def test_a_contravariant_spectrum_passes_the_default_suite(capsys):
     assert "5 passed, 0 failed, 0 skipped" in capsys.readouterr().out
 
 
+def test_spectra_with_empty_carriers_check(capsys):
+    """A covariant spectrum with an empty carrier below its top and a
+    contravariant one with an empty top carrier run every check of their
+    direction: the legs from the empty space take a pool constant, and the
+    inverse limit has no choice."""
+    path = Path(__file__).resolve().parent / "documents" / "empty-carriers.bsp"
+    assert main(["check", str(path)]) == 0
+    assert "34 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+
+
 def test_a_preorder_with_two_tops_reads_the_first(capsys):
     """c and b are each <= the other, so both are tops: the index's top is
     c, the first in carrier order, and the direct limit is read off it."""

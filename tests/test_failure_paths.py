@@ -382,6 +382,29 @@ def test_cone_mediator_checks_the_certificates_it_reads_off_the_legs():
         limits.cone_mediator(s, lim, cone)
 
 
+def test_own_legs_check_the_thread_certificates_they_read():
+    s = cspec()
+    lim = direct_limit(s)
+    limits.own_legs(lim)
+    # thread 0's component at 0 is f0; it is now claimed to be the constant 99
+    lim.threads[0].certs["0"] = CConst(Fraction(99))
+    with pytest.raises(LimitError, match=r"^leg-witness-certificate at thr0 "):
+        limits.own_legs(lim)
+
+
+def test_own_legs_check_the_column_positions_they_read():
+    carrier = discrete(["a", "b", "c"])
+    sp = space(carrier, [RFun(carrier, {"a": 0, "b": 1, "c": 1}),
+                         RFun(carrier, {"a": 0, "b": 0, "c": 1})], ["f", "g"])
+    s = constant_spectrum(chain3(), sp, direction=CONTRAVARIANT)
+    lim = Limits().inverse(s)
+    limits.own_legs(lim)
+    # f and g at 0 now each read the limit generator of the other's column
+    lim.gen_at["0"] = lim.gen_at["0"][::-1]
+    with pytest.raises(LimitError, match=r"^leg-witness-certificate at f "):
+        limits.own_legs(lim)
+
+
 def test_second_duality_checks_the_component_certificates():
     s, sp, pools = _duality_inverse()
     wrong = {i: [MorphismWitness(w.h, {k: CConst(Fraction(99)) for k in w.certs})

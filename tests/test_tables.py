@@ -54,9 +54,9 @@ def _pullback_by_value(f, h):
     return RFun(h.dom, {x: f(h(x)) for x in h.dom.elements})
 
 
-def _pull_back_by_value(f, h, checked):
+def _pull_back_by_value(f, h, checked, values=None):
     """topology._pull_back, which every pullback goes through, as the
-    checked constructor computes it."""
+    checked constructor computes it, reading f along h afresh."""
     return _pullback_by_value(f, h)
 
 
