@@ -70,14 +70,26 @@ BLOCK_KINDS = (
 
 
 class Stmt:
-    __slots__ = ("key", "args", "value", "line", "col")
+    """A `key [args]: value` line.  `text` is the line as written, less
+    its comment; its column is worked out only when a refusal reads it."""
 
-    def __init__(self, key, args, value, line, col):
+    __slots__ = ("key", "args", "value", "line", "text")
+
+    def __init__(self, key, args, value, line, text):
         self.key = key
         self.args = args
         self.value = value
         self.line = line
-        self.col = col
+        self.text = text
+
+    @property
+    def col(self):
+        return _column(self.text)
+
+
+def _column(text):
+    """The 1-based column at which a line's text starts."""
+    return len(text) - len(text.lstrip()) + 1
 
 
 class Block:
@@ -129,22 +141,26 @@ class SpecDocument:
 
 
 def parse(text):
-    """Parse a document; errors carry line and column positions."""
+    """Parse a document; errors carry line and column positions.
+
+    Each line is read once: a comment is cut off only when the line holds
+    a `#`, a block header is split into its words, and a statement is
+    partitioned at its first `:`, the words before it split and the value
+    after it stripped."""
     doc = SpecDocument()
     current = None  # (kind, name, line) of the open block
     stmts = []  # the open block's statements
     seen = set()  # (kind, name) of every block header read so far
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].rstrip()
-        stripped = line.strip()
-        if not stripped:
-            continue
+    for n, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
         if current is None:
-            parts = stripped.split()
-            if len(parts) != 3 or parts[2] != "{":
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[2:] != ["{"]:
                 raise SyntaxErrorDsl(
-                    f"expected 'kind name {{', got {stripped!r}", n,
-                    len(line) - len(stripped) + 1)
+                    f"expected 'kind name {{', got {line.strip()!r}", n, _column(line))
             kind, name = parts[0], parts[1]
             if kind not in BLOCK_KINDS:
                 raise SyntaxErrorDsl(
@@ -155,21 +171,21 @@ def parse(text):
             seen.add((kind, name))
             current, stmts = (kind, name, n), []
             continue
-        if stripped == "}":
-            kind, name, start = current
-            doc.blocks.append(Block(kind, name, stmts, start))
-            current = None
-            continue
-        if ":" not in stripped:
-            raise SyntaxErrorDsl(f"expected 'key: value', got {stripped!r}",
-                                 n, len(line) - len(stripped) + 1)
-        head, value = stripped.split(":", 1)
+        head, colon, value = line.partition(":")
         words = head.split()
+        if not colon:
+            if not words:
+                continue
+            if words == ["}"]:
+                kind, name, start = current
+                doc.blocks.append(Block(kind, name, stmts, start))
+                current = None
+                continue
+            raise SyntaxErrorDsl(f"expected 'key: value', got {line.strip()!r}",
+                                 n, _column(line))
         if not words:
             raise SyntaxErrorDsl("empty statement key", n, 1)
-        stmts.append(
-            Stmt(words[0], tuple(words[1:]), value.strip(), n,
-                 len(line) - len(stripped) + 1))
+        stmts.append(Stmt(words[0], tuple(words[1:]), value.strip(), n, line))
     if current is not None:
         kind, name, start = current
         raise SyntaxErrorDsl(f"unterminated block {name!r}", start)
@@ -190,10 +206,20 @@ def parse_names(value):
 RESERVED = "()"
 
 
-def parse_element_names(stmt):
-    """parse_names for setoid and directed elements, refusing reserved
-    characters."""
+def _listed_names(stmt, what):
+    """parse_names of an elements or members line, refusing an empty item
+    at the line, such as the one a trailing comma leaves."""
     names = parse_names(stmt.value)
+    if "" in names:
+        raise SyntaxErrorDsl(f"empty {what} name in {stmt.value!r}", stmt.line,
+                             stmt.col)
+    return names
+
+
+def parse_element_names(stmt):
+    """_listed_names for setoid and directed elements, refusing reserved
+    characters."""
+    names = _listed_names(stmt, "element")
     for name in names:
         for ch in RESERVED:
             if ch in name:
@@ -234,64 +260,55 @@ def _integer(token, line):
 
 
 def parse_pairs(value, sep, stmt):
+    """The (a, b) of each `a SEP b` in a comma list; a blank item is
+    skipped."""
     out = []
     for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if sep not in part:
-            raise TypeMismatch(f"expected 'a {sep} b' in {part!r}", stmt.line,
-                               stmt.col)
-        a, b = part.split(sep, 1)
-        out.append((a.strip(), b.strip()))
+        a, found, b = part.partition(sep)
+        if found:
+            out.append((a.strip(), b.strip()))
+        elif part.strip():
+            raise TypeMismatch(f"expected 'a {sep} b' in {part.strip()!r}",
+                               stmt.line, stmt.col)
     return out
 
 
-def _tokenize_sexpr(text):
-    tokens = []
-    word = ""
-    text = text.replace("=>", " => ")
-    for ch in text:
-        if ch in "()":
-            if word:
-                tokens.append(word)
-                word = ""
-            tokens.append(ch)
-        elif ch.isspace() or ch == ",":
-            if word:
-                tokens.append(word)
-                word = ""
-        else:
-            word += ch
-    if word:
-        tokens.append(word)
-    return tokens
-
-
-def _read_sexpr(tokens, pos, line):
-    if pos >= len(tokens):
-        raise SyntaxErrorDsl("unexpected end of expression", line)
-    tok = tokens[pos]
-    if tok == "(":
-        out = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            node, pos = _read_sexpr(tokens, pos, line)
-            out.append(node)
-        if pos >= len(tokens):
-            raise SyntaxErrorDsl("missing closing parenthesis", line)
-        return out, pos + 1
-    if tok == ")":
-        raise SyntaxErrorDsl("unexpected closing parenthesis", line)
-    return tok, pos + 1
+SEXPR_DEPTH = 256  # deepest nesting of parentheses an expression may have
 
 
 def parse_sexpr(text, line):
-    tokens = _tokenize_sexpr(text)
-    node, pos = _read_sexpr(tokens, 0, line)
-    if pos != len(tokens):
-        raise SyntaxErrorDsl("trailing tokens after expression", line)
-    return node
+    """The expression text spells, as nested lists of words, read in one
+    pass: `(`, `)` and `=>` are tokens, and whitespace and commas separate
+    them.  An expression nested deeper than SEXPR_DEPTH is refused, since
+    the certificate builders and walks recurse once per level."""
+    tokens = (text.replace("=>", " => ").replace("(", " ( ").replace(")", " ) ")
+              .replace(",", " ").split())
+    root = inner = []  # root holds the expression once read
+    outer, depth = [], 0  # the open lists around inner, innermost last
+    for tok in tokens:
+        if inner is root and root:
+            raise SyntaxErrorDsl("trailing tokens after expression", line)
+        if tok == "(":
+            depth += 1
+            if depth > SEXPR_DEPTH:
+                raise SyntaxErrorDsl(
+                    f"expression nested deeper than SEXPR_DEPTH = {SEXPR_DEPTH}", line)
+            node = []
+            inner.append(node)
+            outer.append(inner)
+            inner = node
+        elif tok == ")":
+            if not depth:
+                raise SyntaxErrorDsl("unexpected closing parenthesis", line)
+            depth -= 1
+            inner = outer.pop()
+        else:
+            inner.append(tok)
+    if depth:
+        raise SyntaxErrorDsl("missing closing parenthesis", line)
+    if not root:
+        raise SyntaxErrorDsl("unexpected end of expression", line)
+    return root[0]
 
 
 def _operands(node, line, arity, what):
@@ -572,7 +589,7 @@ def elaborate(doc):
     for b in doc.of_kind("cofinal"):
         d_name, index = _named(b, "directed", out.directeds, "directed block")
         members_stmt = b.one("members", required=True)
-        members = parse_names(members_stmt.value)
+        members = _listed_names(members_stmt, "member")
         if not members:
             raise SyntaxErrorDsl("a cofinal block needs at least one member",
                                  members_stmt.line)

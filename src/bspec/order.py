@@ -193,10 +193,11 @@ class DirectedIndex:
         the rows are a partial order on the base's elements, each named
         once.
 
-        The covers of i are strict-above(i) less the union of
-        strict-above(m) over m in strict-above(i).  The same pass shows
-        the order antisymmetric and transitive: no such m is <= i, and
-        above(m) lies in above(i).
+        `make_directed` sets them as it reads the given pairs; this row
+        pass runs for an index built from its rows.  The covers of i are
+        strict-above(i) less the union of strict-above(m) over m in
+        strict-above(i).  The same pass shows the order antisymmetric and
+        transitive: no such m is <= i, and above(m) lies in above(i).
         """
         position, rows = self._order
         els = self.elements
@@ -266,10 +267,12 @@ def make_directed(base, order_pairs):
 
     The closure is reachability between classes, since reflexivity and
     extensionality relate every element to its whole class: each class's
-    row holds the positions of the classes it reaches, closed by
-    Warshall's pass, one big-int OR per reaching class and middle.  A
-    finite preorder is directed exactly when it has a top, and the refusal
-    names the first pair, in carrier order, with no common upper bound.
+    row holds the positions of the classes it reaches, closed by passes in
+    reverse topological order of the given pairs (`_reach`).  On a partial
+    order the covers are read off the given pairs, since every cover is
+    one (`_given_covers`).  A finite preorder is directed exactly when it
+    has a top, and the refusal names the first pair, in carrier order,
+    with no common upper bound.
     """
     if not isinstance(base, Setoid):
         base = make_setoid(base)
@@ -277,17 +280,21 @@ def make_directed(base, order_pairs):
     position, own = _carrier_bits(els)[0], [0] * len(classes)
     for n, x in enumerate(els):
         own[class_id[x]] |= 1 << n
-    reach = own[:]
+    succ = [[] for _ in classes]  # the classes each class is given below
     for i, j in order_pairs if els else ():  # an empty base ends in NotDirected
         for x in (i, j):
             if x not in class_id:
                 raise UnknownElement(f"{x!r} not in carrier")
-        reach[class_id[i]] |= own[class_id[j]]
-    for c, cls in enumerate(classes):
-        at, through = position[cls[0]], reach[c]
-        reach = [r | through if r >> at & 1 else r for r in reach]
+        c, d = class_id[i], class_id[j]
+        if c != d:
+            succ[c].append(d)
+    reach, acyclic = _reach(own, succ)
     D = DirectedIndex(base, [reach[class_id[x]] if position[x] == n else 0
                              for n, x in enumerate(els)])
+    # a partial order when no class has two elements and no element is
+    # named twice; the covers then take the place of the row pass
+    D.covers = (_given_covers(els, class_id, own, succ, reach)
+                if acyclic and len(classes) == len(els) else None)
     try:
         D.top
     except NotDirected:
@@ -295,6 +302,57 @@ def make_directed(base, order_pairs):
             raise NotDirected(f"no upper bound for ({i}, {j})") from None
         raise  # an empty carrier has no pair and no top
     return D
+
+
+def _reach(own, succ):
+    """(reach, acyclic): reach[c] is own[c] ORed with own[d] for every class
+    d that c reaches through succ.
+
+    The passes visit the classes in reverse topological order (Kahn's),
+    one OR per given pair, so on an acyclic relation one pass closes it.
+    A cycle leaves its classes and those above them out of that order:
+    each pass visits them first, in reverse class order, and the passes
+    repeat until nothing changes."""
+    indegree = [0] * len(own)
+    for ds in succ:
+        for d in ds:
+            indegree[d] += 1
+    order = [c for c, k in enumerate(indegree) if not k]
+    for c in order:  # grows as it is read
+        for d in succ[c]:
+            indegree[d] -= 1
+            if not indegree[d]:
+                order.append(d)
+    acyclic = len(order) == len(own)
+    if not acyclic:
+        order += [c for c, k in enumerate(indegree) if k]
+    reach = own[:]
+    while True:
+        changed = False
+        for c in order[::-1]:
+            row = reach[c]
+            for d in succ[c]:
+                row |= reach[d]
+            changed |= row != reach[c]
+            reach[c] = row
+        if acyclic or not changed:
+            return reach, acyclic
+
+
+def _given_covers(els, class_id, own, succ, reach):
+    """i -> the elements that cover i, in carrier order, on the partial
+    order the given pairs close to.  Each cover of i is given above i,
+    and a given j is a cover unless another given k lies strictly below
+    it, so the covers are the given successors less the strict-above of
+    every given successor."""
+    covers = {}
+    for x in els:
+        given = under = 0
+        for d in succ[class_id[x]]:
+            given |= own[d]
+            under |= reach[d] & ~own[d]
+        covers[x] = tuple(_members(els, given & ~under))
+    return covers
 
 
 def validate_directed(D):

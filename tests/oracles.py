@@ -9,6 +9,7 @@ path gives the same answer.  The last section holds helpers that nothing in
 from fractions import Fraction
 from itertools import filterfalse, product as iproduct
 
+from bspec.dsl import BLOCK_KINDS, Block, SpecDocument, SyntaxErrorDsl, TypeMismatch
 from bspec.duality import DualityError, PoolNotClosed, _gen_items
 from bspec.families import (
     CONTRAVARIANT,
@@ -1393,6 +1394,138 @@ def _induced_edge_certs(s, fam, hom_into_fixed, spaces):
             certs[(i, j)] = {pos: exp_eval_certificate(edge[k], x, src)
                              for (x, k), pos in _gen_items(tgt)}
     return certs
+
+
+# --- the front end before it read each line once ----------------------------
+
+class ScannedStmt:
+    """A statement as `parse_line_scan` records it: its column is worked
+    out when the line is read."""
+
+    __slots__ = ("key", "args", "value", "line", "col")
+
+    def __init__(self, key, args, value, line, col):
+        self.key = key
+        self.args = args
+        self.value = value
+        self.line = line
+        self.col = col
+
+
+def parse_line_scan(text):
+    """dsl.parse before it read each line once: every line's comment is
+    cut off and the line stripped, and a statement line is split at its
+    first `:` and its words stripped again."""
+    doc = SpecDocument()
+    current = None  # (kind, name, line) of the open block
+    stmts = []  # the open block's statements
+    seen = set()  # (kind, name) of every block header read so far
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].rstrip()
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if current is None:
+            parts = stripped.split()
+            if len(parts) != 3 or parts[2] != "{":
+                raise SyntaxErrorDsl(
+                    f"expected 'kind name {{', got {stripped!r}", n,
+                    len(line) - len(stripped) + 1)
+            kind, name = parts[0], parts[1]
+            if kind not in BLOCK_KINDS:
+                raise SyntaxErrorDsl(
+                    f"unknown block kind {kind!r}; expected one of "
+                    + ", ".join(BLOCK_KINDS), n, 1)
+            if (kind, name) in seen:
+                raise SyntaxErrorDsl(f"duplicate block {kind} {name}", n, 1)
+            seen.add((kind, name))
+            current, stmts = (kind, name, n), []
+            continue
+        if stripped == "}":
+            kind, name, start = current
+            doc.blocks.append(Block(kind, name, stmts, start))
+            current = None
+            continue
+        if ":" not in stripped:
+            raise SyntaxErrorDsl(f"expected 'key: value', got {stripped!r}",
+                                 n, len(line) - len(stripped) + 1)
+        head, value = stripped.split(":", 1)
+        words = head.split()
+        if not words:
+            raise SyntaxErrorDsl("empty statement key", n, 1)
+        stmts.append(
+            ScannedStmt(words[0], tuple(words[1:]), value.strip(), n,
+                        len(line) - len(stripped) + 1))
+    if current is not None:
+        kind, name, start = current
+        raise SyntaxErrorDsl(f"unterminated block {name!r}", start)
+    return doc
+
+
+def parse_pairs_split(value, sep, stmt):
+    """dsl.parse_pairs before it partitioned each part: the part is
+    stripped, split at the separator and both sides stripped."""
+    out = []
+    for part in value.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if sep not in part:
+            raise TypeMismatch(f"expected 'a {sep} b' in {part!r}", stmt.line,
+                               stmt.col)
+        a, b = part.split(sep, 1)
+        out.append((a.strip(), b.strip()))
+    return out
+
+
+def _tokenize_sexpr(text):
+    tokens = []
+    word = ""
+    text = text.replace("=>", " => ")
+    for ch in text:
+        if ch in "()":
+            if word:
+                tokens.append(word)
+                word = ""
+            tokens.append(ch)
+        elif ch.isspace() or ch == ",":
+            if word:
+                tokens.append(word)
+                word = ""
+        else:
+            word += ch
+    if word:
+        tokens.append(word)
+    return tokens
+
+
+def _read_sexpr(tokens, pos, line):
+    if pos >= len(tokens):
+        raise SyntaxErrorDsl("unexpected end of expression", line)
+    tok = tokens[pos]
+    if tok == "(":
+        out = []
+        pos += 1
+        while pos < len(tokens) and tokens[pos] != ")":
+            node, pos = _read_sexpr(tokens, pos, line)
+            out.append(node)
+        if pos >= len(tokens):
+            raise SyntaxErrorDsl("missing closing parenthesis", line)
+        return out, pos + 1
+    if tok == ")":
+        raise SyntaxErrorDsl("unexpected closing parenthesis", line)
+    return tok, pos + 1
+
+
+def parse_sexpr_recursive(text, line):
+    """dsl.parse_sexpr before it read the tokens in one loop: a character
+    tokenizer and a reader that recurses once per list.  It sets no depth
+    bound, so it fails with RecursionError where the loop refuses."""
+    tokens = _tokenize_sexpr(text)
+    node, pos = _read_sexpr(tokens, 0, line)
+    if pos != len(tokens):
+        raise SyntaxErrorDsl("trailing tokens after expression", line)
+    return node
 
 
 # --- helpers with no caller in bspec ---------------------------------------

@@ -89,6 +89,8 @@ REFUSALS = {
     "check-unknown-name": ("check: limit-direct NOPE", "no spectrum named 'NOPE'"),
     "coarser-equality": ("space 0: FX2C",
                          "subbase 'FX2C' is not over the carrier at index '0'"),
+    "deep-expression": ("expr: " + "(add (const 0) " * 1200 + "(gen f)" + ")" * 1200,
+                        "expression nested deeper than SEXPR_DEPTH = 256"),
     "disagreeing-paths": ("family SWAP {", "family-composition at a, c, d"),
     "duplicate-carrier": ("carrier 2: X2", "duplicate carrier line for index '2'"),
     "duplicate-element": ("elements: p, q, p", "duplicate element 'p'"),
@@ -99,6 +101,7 @@ REFUSALS = {
     "duplicate-witness": ("witness 1 -> 2 f: (gen f)",
                           "duplicate witness line for generator 'f' on edge (1, 2)"),
     "empty-elements": ("elements:", "a directed block needs at least one element"),
+    "empty-element-name": ("elements: a, b,", "empty element name in 'a, b,'", 3),
     "foreign-setoid": ("space 1: FY2", "subbase 'FY2' is not over the carrier at index '1'"),
     "foreign-setoid-auto": ("space 1: FY2",
                             "subbase 'FY2' is not over the carrier at index '1'"),
@@ -133,12 +136,12 @@ REFUSALS = {
 
 @pytest.mark.parametrize("path", HOSTILE, ids=lambda p: p.stem)
 def test_space_lines_not_matching_the_family_are_refused(path, capsys):
-    refused, message = REFUSALS[path.stem]
+    refused, message, *col = REFUSALS[path.stem]  # a column where one is named
     lines = path.read_text(encoding="utf-8").splitlines()
     # the last match: a duplicate line is refused where it repeats
     line = max(n for n, text in enumerate(lines, start=1) if text.strip() == refused)
     assert main(["check", str(path)]) == 2
-    assert capsys.readouterr().err == f"bspec: {line}:0: {message}\n"
+    assert capsys.readouterr().err == f"bspec: {line}:{col[0] if col else 0}: {message}\n"
 
 
 KERNEL = ("setoid", "order", "families", "topology", "spectra", "limits", "duality")

@@ -4,6 +4,7 @@ import pytest
 
 from bspec import runner
 from bspec.dsl import (
+    SEXPR_DEPTH,
     SyntaxErrorDsl,
     TypeMismatch,
     UnresolvedReference,
@@ -11,6 +12,7 @@ from bspec.dsl import (
     parse,
 )
 from bspec.spectra import validate_spectrum
+from bspec.topology import CAdd
 
 FIXTURES = sorted(Path(__file__).resolve().parent.parent.glob("fixtures/*.bsp"))
 
@@ -550,3 +552,35 @@ def test_a_malformed_certificate_is_refused_at_its_line(expr, message):
     with pytest.raises(TypeMismatch) as err:
         elaborate(parse(text))
     assert str(err.value) == f"{line}:0: {message}"
+
+
+def _nested(depth):
+    """A certificate expression nested `depth` deep: (add (const 0) ...)
+    around (gen f), whose innermost (const 0) and (gen f) sit one deeper."""
+    return "(add (const 0) " * (depth - 1) + "(gen f)" + ")" * (depth - 1)
+
+
+def test_an_expression_at_the_depth_bound_builds_and_one_deeper_is_refused():
+    env = elaborate(parse(CERTIFICATE.replace("EXPR", _nested(SEXPR_DEPTH))))
+    assert isinstance(env.certificates["C"], CAdd)
+    text = CERTIFICATE.replace("EXPR", _nested(SEXPR_DEPTH + 1))
+    with pytest.raises(SyntaxErrorDsl) as err:
+        elaborate(parse(text))
+    assert str(err.value) == "10:0: expression nested deeper than SEXPR_DEPTH = 256"
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("setoid S {\n  elements: a, b,\n}\n", 2, 3, "empty element name in 'a, b,'"),
+    ("setoid S {\n  elements: ,\n}\n", 2, 3, "empty element name in ','"),
+    ("directed D {\n    elements: 0, , 1\n}\n", 2, 5,
+     "empty element name in '0, , 1'"),
+    ("directed D {\n  elements: 0, 1, 2\n  order: 0 <= 2, 1 <= 2\n}\n"
+     "cofinal C {\n  directed: D\n  members: 0, 2,\n  cof: 0 => 2, 1 => 2, 2 => 2\n}\n",
+     7, 3, "empty member name in '0, 2,'"),
+], ids=["setoid", "setoid-only-comma", "directed", "cofinal"])
+def test_an_empty_list_item_is_refused_at_its_line_and_column(text, line, col, message):
+    # parse_names keeps an empty item, which was an element named ''
+    with pytest.raises(SyntaxErrorDsl) as err:
+        elaborate(parse(text))
+    assert (err.value.line, err.value.col, str(err.value)) == (
+        line, col, f"{line}:{col}: {message}")

@@ -10,8 +10,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from bspec import order
 from bspec.families import COVARIANT, restrict_family
 from bspec.order import (
+    NotDirected,
     chain,
     induced_order,
     make_directed,
@@ -20,11 +22,14 @@ from bspec.order import (
     validate_directed,
 )
 from bspec.report import Finding
-from bspec.setoid import Pair, Setoid, UnknownElement, discrete
+from bspec.setoid import Pair, Setoid, UnknownElement, discrete, make_setoid
 
 from oracles import (
     check_monotone_scan,
+    close_order_scan,
+    first_upper_bounds_scan,
     fold_top,
+    hasse_covers,
     index_of_pairs,
     induced_order_scan,
     induced_upper_scan,
@@ -216,10 +221,23 @@ def test_the_product_of_two_chain100s():
         assert D.up(a, b) == Pair((C.up(a[0], b[0]), C.up(a[1], b[1])))
 
 
-def test_the_chain1600_from_its_covers():
+def test_the_chain1600_from_its_covers(monkeypatch):
+    # make_directed reads the covers off the given pairs: the row walk of
+    # DirectedIndex.covers resumes `_members` 1,280,800 times on this chain
+    resumed = [0]
+    members = order._members
+
+    def counted(items, mask):
+        for x in members(items, mask):
+            resumed[0] += 1
+            yield x
+
+    monkeypatch.setattr(order, "_members", counted)
     names = [str(k) for k in range(1600)]
     D = make_directed(names, list(zip(names, names[1:])))
+    assert D.covers == {**{names[k]: (names[k + 1],) for k in range(1599)}, "1599": ()}
     assert D.top == "1599"
+    assert resumed[0] == 1600  # one per cover, and one for the top
     rng = random.Random(0)
     for _ in range(200):
         a, b = rng.randrange(1600), rng.randrange(1600)
@@ -228,3 +246,77 @@ def test_the_chain1600_from_its_covers():
     assert len(pairs) == 1600 * 1601 // 2 == 1_280_800
     assert list(pairs[:5000]) == sorted(pairs[:5000])
     assert pairs[:3] == (("0", "0"), ("0", "1"), ("0", "10"))
+
+
+# --- make_directed against the closure scan ---------------------------------------
+
+def _given_pairs(rng):
+    """(base, pairs, kind): a DAG listed in shuffled order, with repeated
+    and reflexive pairs; the same with back edges, so with cycles; a base
+    that merges two elements; pairs naming z, off the base; or the empty
+    base."""
+    kind = rng.choice(["dag", "dag", "cyclic", "merged", "off-base", "empty"])
+    if kind == "empty":
+        return make_setoid([], empty=True), rng.choice([[], [("a", "b")]]), kind
+    n = rng.randint(1, 7)
+    names = [f"e{k}" for k in range(n)]
+    rank = names[:]
+    rng.shuffle(rank)  # the DAG runs up this order, not the carrier's
+    pairs = [(rank[a], rank[b]) for a in range(n) for b in range(a + 1, n)
+             if rng.random() < 0.35]
+    if rng.random() < 0.7:  # a top, so the index is directed
+        pairs += [(x, rank[-1]) for x in rank[:-1]]
+    pairs += [(x, x) for x in names if rng.random() < 0.1]
+    pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 2)))  # repeated
+    if kind == "cyclic" and n > 1:
+        for _ in range(rng.randint(1, 3)):
+            a, b = sorted(rng.sample(range(n), 2))
+            pairs.append((rank[b], rank[a]))
+    if kind == "off-base":
+        pairs.insert(rng.randrange(len(pairs) + 1), rng.choice([("z", names[0]), (names[0], "z")]))
+    rng.shuffle(pairs)
+    merged = [tuple(rng.sample(names, 2))] if kind == "merged" and n > 1 else []
+    return make_setoid(names, merged), pairs, kind
+
+
+def _index_answers(D):
+    return D.rows, D.top, D.order_pairs(), D.covers
+
+
+def _by_the_scan(base, pairs):
+    """What make_directed answers, read off close_order_scan: the rows of
+    the closed relation, its top folded from the first upper bounds, its
+    order pairs and the covers of its row pass; or the refusal."""
+    closed = outcome(close_order_scan, base, pairs)
+    if closed[0] != "value":
+        return closed
+    if not base.elements:
+        return NotDirected, "no element is above every element"
+    bounds = outcome(first_upper_bounds_scan, base.elements, closed[1])
+    if bounds[0] != "value":
+        return bounds
+    D = index_of_pairs(base, closed[1])
+    assert D.covers == hasse_covers(D)
+    return "value", (D.rows, fold_top(base.elements, bounds[1]), D.order_pairs(), D.covers)
+
+
+def _built(base, pairs):
+    D = make_directed(base, pairs)
+    assert "covers" in vars(D)  # read off the given pairs, not by the row pass
+    return _index_answers(D)
+
+
+def test_make_directed_matches_the_closure_scan():
+    rng = random.Random(45)
+    seen = set()
+    for _ in range(3000):
+        base, pairs, kind = _given_pairs(rng)
+        got = outcome(_built, base, pairs)
+        assert got == _by_the_scan(base, pairs), (base, pairs)
+        if got[0] == "value":
+            seen.add((kind, got[1][3] is not None))
+        else:
+            seen.add((kind, got[0]))
+    assert seen >= {("dag", True), ("cyclic", False), ("merged", False),
+                    ("dag", NotDirected), ("cyclic", NotDirected),
+                    ("off-base", UnknownElement), ("empty", NotDirected)}
