@@ -247,8 +247,12 @@ def _validate_direct_family_scan(F):
 
 def _class_map(fn):
     """A transport as a tuple of class ids, entry c the class of the values
-    on the c-th class of its domain; None when it separates equal elements."""
+    on the c-th class of its domain; None when it separates equal elements.
+    On a discrete domain the classes are the elements, so it is the ids of
+    the values, in carrier order."""
     cod_id, value = fn.cod.class_id, fn.mapping
+    if fn.dom.is_discrete():
+        return tuple(map(cod_id.__getitem__, value.values()))
     out = []
     for cls in fn.dom._classes:
         c = cod_id[value[cls[0]]]
@@ -426,10 +430,9 @@ def direct_sum_setoid(F):
     top_id = F.carrier(t).class_id
     els, keys = [], []
     for i in F.index.elements:
-        up = F.transport(i, t).mapping
-        for x in F.carrier(i).elements:
-            els.append(Tag((i, x)))
-            keys.append(top_id[up[x]])
+        xs, up = F.carrier(i).elements, F.transport(i, t).mapping
+        els += [Tag((i, x)) for x in xs]
+        keys += map(top_id.__getitem__, map(up.__getitem__, xs))
     return setoid_by_key(els, keys)
 
 
@@ -487,6 +490,11 @@ def restrict_family(F, sub_index, h):
     bad = next(_unordered_images(sub_index, F.index, _image_positions(F.index, h)), None)
     if bad is not None:
         raise NotMonotone(f"({bad[0]}, {bad[1]}) maps to an unordered pair")
+    return _restrict_family(F, sub_index, h)
+
+
+def _restrict_family(F, sub_index, h):
+    """`restrict_family` along an h its caller has shown monotone."""
     carriers = {a: F.carrier(h(a)) for a in sub_index.elements}
 
     def derive(G, a, b):

@@ -38,6 +38,8 @@ class DirectedIndex:
     bounds in carrier order.
     """
 
+    _factors = None  # (D1, D2) for a product order, whose covers are theirs
+
     def __init__(self, base, rows):
         self.base = base  # a Setoid
         self.rows = rows  # a list of ints, one per carrier position
@@ -193,12 +195,16 @@ class DirectedIndex:
         the rows are a partial order on the base's elements, each named
         once.
 
-        `make_directed` sets them as it reads the given pairs; this row
-        pass runs for an index built from its rows.  The covers of i are
-        strict-above(i) less the union of strict-above(m) over m in
-        strict-above(i).  The same pass shows the order antisymmetric and
-        transitive: no such m is <= i, and above(m) lies in above(i).
+        `make_directed` sets them as it reads the given pairs, `chain` as
+        it builds, and a product order reads them off its factors'
+        (`_product_covers`); this row pass runs for any other index built
+        from its rows.  The covers of i are strict-above(i) less the union
+        of strict-above(m) over m in strict-above(i).  The same pass shows
+        the order antisymmetric and transitive: no such m is <= i, and
+        above(m) lies in above(i).
         """
+        if self._factors is not None:
+            return _product_covers(*self._factors, self.elements)
         position, rows = self._order
         els = self.elements
         if len(position) != len(els):
@@ -442,6 +448,12 @@ def validate_cofinal(D, C):
     for i in D.elements:
         if not rows[position[i]] >> through[i] & 1:
             findings.append(Finding("cof3", (i,)))
+    if not findings and D.base.is_discrete() and _has_top(D):
+        # Then the laws above make the subset directed.  For k the bound
+        # up(e j, e j2), cof2 gives e cof e j <= e cof k, and cof1 with e
+        # extensional makes the left side e j on a discrete base; so
+        # cof k bounds j, and j2 likewise.
+        return findings
     # The induced order on the subset stays directed: upper bounds are
     # exhibited through the modulus itself.
     for j in C.members.elements:
@@ -450,6 +462,14 @@ def validate_cofinal(D, C):
             if not (rows[at[j]] & rows[at[j2]]) >> k & 1:
                 findings.append(Finding("subset-directed", (j, j2)))
     return findings
+
+
+def _has_top(D):
+    try:
+        D.top
+    except NotDirected:
+        return False
+    return True
 
 
 def induced_order(D, C):
@@ -472,8 +492,39 @@ def product_order(D1, D2):
     n2 = len(D2.elements)
     spread = [sum([1 << p * n2 for p in range(len(D1.rows)) if row1 >> p & 1])
               for row1 in D1.rows]
-    return DirectedIndex(product_setoid(D1.base, D2.base),
-                         [s * row2 for s in spread for row2 in D2.rows])
+    D = DirectedIndex(product_setoid(D1.base, D2.base),
+                      [s * row2 for s in spread for row2 in D2.rows])
+    D._factors = (D1, D2)
+    return D
+
+
+def _product_covers(D1, D2, els):
+    """The covers of the product order on `els`, read off its factors':
+    (i2, j) for each cover i2 of i and (i, j2) for each cover j2 of j, in
+    carrier order; None unless both factors have covers.
+
+    The covers of (i, j) change one part by a cover, since the order is
+    componentwise.  (i, j) sits at p·n2 + q for i at p and j at q, so the
+    (i, j2) fill block p in the order of j's covers, and the (i2, j) lie
+    before or after it in the order of i's."""
+    c1, c2 = D1.covers, D2.covers
+    if c1 is None or c2 is None:
+        return None
+    n2 = len(D2.elements)
+    at1 = {i: p * n2 for p, i in enumerate(D1.elements)}
+    at2 = {j: q for q, j in enumerate(D2.elements)}
+    covers = {}
+    for i in D1.elements:
+        block = at1[i]
+        starts = [at1[k] for k in c1[i]]
+        before = [b for b in starts if b < block]
+        after = starts[len(before):]
+        for j in D2.elements:
+            q = at2[j]
+            covers[els[block + q]] = tuple(
+                [els[b + q] for b in before] + [els[block + at2[k]] for k in c2[j]]
+                + [els[b + q] for b in after])
+    return covers
 
 
 def product_cofinal(D1, C1, D2, C2):
@@ -506,4 +557,6 @@ def chain(n, names=None):
     if names is None:
         names = [str(i) for i in range(n)]
     full = (1 << len(names)) - 1
-    return DirectedIndex(discrete(names), [full >> m << m for m in range(len(names))])
+    D = DirectedIndex(discrete(names), [full >> m << m for m in range(len(names))])
+    D.covers = dict(zip(D.elements, [*zip(D.elements[1:]), ()]))  # k -> k+1
+    return D

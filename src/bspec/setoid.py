@@ -9,6 +9,7 @@ of pairs is derived only for the validators and oracles that read it.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product as iproduct
 
 from .report import KernelError
 
@@ -55,9 +56,9 @@ def closure_rst(elements, pairs):
 
 
 def _row_ids(elements, pairs):
-    """Class ids read off the rows of an equivalence: each element not yet
-    labelled takes a new id, and so do the members of its row, which is
-    its class."""
+    """(ids, n): class ids read off the rows of an equivalence, and the
+    number of classes.  Each element not yet labelled takes a new id, and
+    so do the members of its row, which is its class."""
     rows = {}
     for a, b in pairs:
         rows.setdefault(a, []).append(b)
@@ -67,7 +68,7 @@ def _row_ids(elements, pairs):
             for b in rows[a]:
                 ids[b] = n
             n += 1
-    return ids
+    return ids, n
 
 
 class Setoid:
@@ -81,6 +82,11 @@ class Setoid:
     elements: a pair naming anything else raises `UnknownElement`, as
     `make_setoid` does, and any other relation raises `NotEquivalence`,
     naming its first violation.
+
+    The class count is fixed by whatever labels the carrier, so no pass
+    over the classes is made to count them: an element named twice leaves
+    it below the carrier's length, and the carrier is discrete exactly
+    when it is not.
     """
 
     def __init__(self, elements, pairs=None, class_id=None):
@@ -95,7 +101,9 @@ class Setoid:
             bad = check_equivalence(self.elements, pairs)
             if bad:
                 raise NotEquivalence(f"relation fails {bad[0]} at {bad[1]}")
-            class_id = _row_ids(self.elements, pairs)
+            class_id, self._count = _row_ids(self.elements, pairs)
+        else:
+            self._count = len(set(map(class_id.__getitem__, self.elements)))
         self.class_id = class_id
 
     def has(self, a):
@@ -114,6 +122,8 @@ class Setoid:
 
     @cached_property
     def _classes(self):
+        if self._count == len(self.elements):  # discrete: each element its own class
+            return tuple(zip(self.elements))
         out, ids = [], self.class_id
         for x in self.elements:
             n = ids[x]
@@ -135,10 +145,10 @@ class Setoid:
             raise UnknownElement(a) from None
 
     def class_count(self):
-        return len(self._classes)
+        return self._count
 
     def is_discrete(self):
-        return len(self._classes) == len(self.elements)
+        return self._count == len(self.elements)
 
     def same_as(self, other):
         return self is other or (self.elements == other.elements
@@ -151,16 +161,33 @@ class Setoid:
         return f"Setoid({list(self.elements)}, classes={self.class_count()})"
 
 
+def _setoid(elements, class_id, count):
+    """The Setoid of a labelling its caller has already made: `class_id`
+    numbers the classes of the tuple `elements` by first member, and there
+    are `count` of them.  Nothing is checked or copied."""
+    s = Setoid.__new__(Setoid)
+    s.elements, s.class_id, s._count = elements, class_id, count
+    return s
+
+
+def _by_position(elements):
+    """The discrete carrier on a tuple of distinct elements."""
+    return _setoid(elements, dict(zip(elements, range(len(elements)))), len(elements))
+
+
 def setoid_by_key(elements, keys):
     """The carrier on which two elements are equal exactly when their keys
     are; keys[n] is the key of elements[n]."""
     first, ids = {}, {}
     for x, k in zip(elements, keys):
         ids[x] = first.setdefault(k, len(first))
-    return Setoid(elements, class_id=ids)
+    return _setoid(tuple(elements), ids, len(first))
 
 
 def make_setoid(elements, eq_pairs=(), empty=False):
+    """The carrier on `elements`, each named once, whose equality is the
+    equivalence the pairs generate; with no pairs, each element is its own
+    class, labelled by its position."""
     elements = tuple(elements)
     if not elements and not empty:
         raise EmptyCarrier("carrier is empty; pass empty=True if intended")
@@ -170,6 +197,8 @@ def make_setoid(elements, eq_pairs=(), empty=False):
             if e in seen:
                 raise DuplicateElement(f"duplicate element {e!r}")
             seen.add(e)
+    if not eq_pairs:
+        return _by_position(elements)
     parent = {x: x for x in elements}
 
     def find(x):
@@ -274,7 +303,11 @@ class Choice(_Compound):
 
 
 def product_setoid(X, Y):
-    elements = tuple(Pair((x, y)) for x in X.elements for y in Y.elements)
+    """The pairs, x-major, equal when both parts are: discrete when both
+    factors are, and otherwise keyed on the factors' class ids."""
+    elements = tuple(map(Pair, iproduct(X.elements, Y.elements)))
+    if X.is_discrete() and Y.is_discrete():
+        return _by_position(elements)
     xid, yid = X.class_id, Y.class_id
     return setoid_by_key(elements, [(xid[x], yid[y]) for x, y in elements])
 
@@ -383,7 +416,15 @@ def fn_equal(f, g):
 
 def is_embedding(f):
     """True iff equal values force equal arguments; else (False, witness
-    pair), the first failing pair of the all-pairs scan."""
+    pair), the first failing pair of the all-pairs scan.
+
+    On a discrete domain, values in distinct classes decide it with no
+    fibre; the fibres are built only to name the witness, or on a domain
+    whose classes they must be read against."""
+    if f.dom.is_discrete():
+        ids = f.cod.class_id
+        if len(set(map(ids.__getitem__, f.mapping.values()))) == len(f.mapping):
+            return True, None
     fibres = {}
     for x, c in _value_ids(f).items():
         fibres.setdefault(c, []).append(x)

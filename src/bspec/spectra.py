@@ -10,10 +10,10 @@ from fractions import Fraction
 from .families import (
     COVARIANT,
     DirectFamily,
+    _restrict_family,
     constant_direct_family,
     derive_on_covers,
     oriented,
-    restrict_family,
     validate_direct_family,
 )
 from .order import _members, induced_order, product_order
@@ -435,10 +435,11 @@ def sum_space(s, sum_s):
 
 def restrict_spectrum(s, cof):
     """The spectrum reindexed along a cofinal subset's embedding: the
-    certificates of a <= b are s's of its image, read on first use."""
+    certificates of a <= b are s's of its image, read on first use.  The
+    sub-index is ordered through that embedding, so it is monotone."""
     sub_index = induced_order(s.index, cof)
     h = make_fn(sub_index.base, s.index.base, cof.embed.table())
-    fam = restrict_family(s.fam, sub_index, h)
+    fam = _restrict_family(s.fam, sub_index, h)
     spaces = {j: s.spaces[cof.embed(j)] for j in sub_index.elements}
 
     def derive(sub, a, b):

@@ -68,12 +68,13 @@ class RFun:
                 raise TopologyError(f"function not total, missing {x!r}")
             v = values[x]
             vals[x] = v if type(v) is Fraction else Fraction(v)
-        for cls in carrier._classes:
-            v = vals[cls[0]]
-            for x in cls[1:]:
-                if vals[x] is not v and vals[x] != v:
-                    raise NotExtensional(
-                        f"function separates equal elements {cls[0]!r}, {x!r}")
+        if not carrier.is_discrete():  # a singleton class cannot split
+            for cls in carrier._classes:
+                v = vals[cls[0]]
+                for x in cls[1:]:
+                    if vals[x] is not v and vals[x] != v:
+                        raise NotExtensional(
+                            f"function separates equal elements {cls[0]!r}, {x!r}")
         self.carrier = carrier
         self.values = vals
 
@@ -905,7 +906,7 @@ def product_space(b1, b2):
     pr2 = _fn(carrier, b2.carrier, {t: t[1] for t in carrier.elements})
     gens = ([_pull_back(f, pr1, True) for f in b1.gens]
             + [_pull_back(f, pr2, True) for f in b2.gens])
-    names = tuple(f"{n}.1" for n in b1.names) + tuple(f"{n}.2" for n in b2.names)
+    names = tuple(map("{}.1".format, b1.names)) + tuple(map("{}.2".format, b2.names))
     return BSpace(carrier, tuple(gens), names), pr1, pr2
 
 

@@ -40,6 +40,8 @@ from bspec.order import DirectedIndex, NotDirected, _carrier_bits, _members
 from bspec.spectra import Spectrum, SpectrumError, Thread, _composite_findings
 from bspec.setoid import (
     Choice,
+    DuplicateElement,
+    EmptyCarrier,
     NotExtensional,
     Pair,
     SetoidFn,
@@ -51,6 +53,8 @@ from bspec.setoid import (
     make_fn,
     check_extensional,
     UnknownElement,
+    _first_split,
+    _value_ids,
     product_setoid,
     setoid_by_key,
 )
@@ -1526,6 +1530,104 @@ def parse_sexpr_recursive(text, line):
     if pos != len(tokens):
         raise SyntaxErrorDsl("trailing tokens after expression", line)
     return node
+
+
+# --- carriers before the builder fixed their shape ----------------------------
+
+def classes_by_labels(S):
+    """setoid.Setoid._classes before a discrete carrier's classes were its
+    elements: one labelling pass over the carrier, each element appended to
+    its class."""
+    out, ids = [], S.class_id
+    for x in S.elements:
+        n = ids[x]
+        if n == len(out):
+            out.append([x])
+        else:
+            out[n].append(x)
+    return tuple(map(tuple, out))
+
+
+def is_embedding_by_fibres(f):
+    """setoid.is_embedding before values in distinct classes decided it:
+    the fibre of every value class is built and read for a split."""
+    fibres = {}
+    for x, c in _value_ids(f).items():
+        fibres.setdefault(c, []).append(x)
+    bad = _first_split(fibres.values(), f.dom.class_id)
+    return (True, None) if bad is None else (False, bad)
+
+
+def class_map_by_classes(fn):
+    """families._class_map before a discrete domain read its values
+    directly: every class of the domain is walked."""
+    cod_id, value = fn.cod.class_id, fn.mapping
+    out = []
+    for cls in classes_by_labels(fn.dom):
+        c = cod_id[value[cls[0]]]
+        for x in cls[1:]:
+            if cod_id[value[x]] != c:
+                return None
+        out.append(c)
+    return tuple(out)
+
+
+def rfun_by_classes(carrier, values):
+    """topology.RFun before a discrete carrier skipped its class loop: the
+    table, or the refusal of a value missing or separating equal
+    elements."""
+    vals = {}
+    for x in carrier.elements:
+        if x not in values:
+            raise TopologyError(f"function not total, missing {x!r}")
+        v = values[x]
+        vals[x] = v if type(v) is Fraction else Fraction(v)
+    for cls in classes_by_labels(carrier):
+        v = vals[cls[0]]
+        for x in cls[1:]:
+            if vals[x] is not v and vals[x] != v:
+                raise NotExtensional(
+                    f"function separates equal elements {cls[0]!r}, {x!r}")
+    return vals
+
+
+def make_setoid_union_find(elements, eq_pairs=(), empty=False):
+    """setoid.make_setoid before a carrier with no equal pairs was labelled
+    by position: every carrier is closed by union-find and keyed on the
+    roots."""
+    elements = tuple(elements)
+    if not elements and not empty:
+        raise EmptyCarrier("carrier is empty; pass empty=True if intended")
+    if len(set(elements)) != len(elements):
+        seen = set()
+        for e in elements:
+            if e in seen:
+                raise DuplicateElement(f"duplicate element {e!r}")
+            seen.add(e)
+    parent = {x: x for x in elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in eq_pairs:
+        if a not in parent or b not in parent:
+            raise UnknownElement(f"equality pair ({a}, {b}) mentions unknown element")
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return setoid_by_key(elements, [find(x) for x in elements])
+
+
+def product_setoid_by_key(X, Y):
+    """setoid.product_setoid before a product of discrete factors was
+    labelled by position: every product is keyed on the factors' class
+    ids."""
+    elements = tuple(Pair((x, y)) for x in X.elements for y in Y.elements)
+    xid, yid = X.class_id, Y.class_id
+    return setoid_by_key(elements, [(xid[x], yid[y]) for x, y in elements])
 
 
 # --- helpers with no caller in bspec ---------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bspec import order
 from bspec.families import COVARIANT, restrict_family
 from bspec.order import (
+    CofinalSubset,
     NotDirected,
     chain,
     induced_order,
@@ -22,7 +23,7 @@ from bspec.order import (
     validate_directed,
 )
 from bspec.report import Finding
-from bspec.setoid import Pair, Setoid, UnknownElement, discrete, make_setoid
+from bspec.setoid import Pair, Setoid, SetoidFn, UnknownElement, discrete, make_setoid
 
 from oracles import (
     check_monotone_scan,
@@ -179,6 +180,150 @@ def test_the_cofinal_cases_reach_every_order_law():
     assert {"cof1", "cof2", "cof3", "subset-directed", "embed-injective"} <= laws
 
 
+# --- the subset-directed law read off the laws before it -----------------------
+
+SPOILS = ["none", "embed-extensional", "embed-injective", "cof-extensional",
+          "cof1", "cof2", "cof3"]
+
+
+def _firsts(D):
+    return list(dict.fromkeys(D.elements))
+
+
+def spoiled_subset(rng, D, spoil):
+    """A subset of D with the first-member-above modulus, holding a top
+    when D has one, spoiled so that the named law fails when the draw
+    allows it: members merged across the embedding, two members sent to
+    one element, equal elements sent apart, a member sent elsewhere by the
+    modulus, a random modulus, or an element sent below itself."""
+    els = _firsts(D)
+    members = [x for x in els if rng.random() < 0.5]
+    try:
+        members = list(dict.fromkeys(members + [D.top]))
+    except NotDirected:
+        members = members or [rng.choice(els)]
+    embed = {j: j for j in members}
+    cof = {i: next((m for m in members if D.leq(i, m)), rng.choice(members))
+           for i in D.elements}
+    carrier = discrete(members)
+    other = {j: [m for m in members if m != j] for j in members}
+    if spoil == "embed-extensional" and len(members) >= 2:
+        carrier = make_setoid(members, [tuple(rng.sample(members, 2))])
+    elif spoil == "embed-injective" and len(members) >= 2:
+        a, b = rng.sample(members, 2)
+        embed[a] = b
+    elif spoil == "cof-extensional":
+        split = [(i, i2) for i in els for i2 in els if i != i2 and D.base.eq(i, i2)]
+        if split and len(members) >= 2:
+            i, i2 = rng.choice(split)
+            cof[i2] = rng.choice(other[cof[i]])
+    elif spoil == "cof1" and len(members) >= 2:
+        j = rng.choice(members)
+        cof[j] = rng.choice(other[j])
+    elif spoil == "cof2":
+        cof = {i: rng.choice(members) for i in D.elements}
+    elif spoil == "cof3":
+        below = [(i, m) for i in els for m in members if not D.leq(i, m)]
+        if below:
+            i, m = rng.choice(below)
+            cof[i] = m
+    return CofinalSubset(carrier, SetoidFn(carrier, D.base, embed),
+                         SetoidFn(D.base, carrier, cof))
+
+
+def cofinal_draw(rng, kind, spoil):
+    """(D, C), or None for a raw index that names an element off its base."""
+    if kind == "raw":
+        built = outcome(raw_index, rng)
+        if built[0] is UnknownElement:
+            return None
+        D = built[1]
+    else:
+        D = _index(rng, kind)
+    return D, spoiled_subset(rng, D, spoil)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(seeds, st.sampled_from(INDEX_KINDS), st.sampled_from(SPOILS))
+def test_cofinal_laws_match_the_scan_on_every_spoil_and_base(seed, kind, spoil):
+    drawn = cofinal_draw(random.Random(seed), kind, spoil)
+    if drawn is not None:
+        assert outcome(validate_cofinal, *drawn) == outcome(validate_cofinal_scan, *drawn)
+
+
+def test_the_cofinal_draws_fail_each_law_first_and_reach_every_branch():
+    """Each law before the subset-directed one is the first to fail in some
+    draw, and lawful subsets are drawn over discrete and merged bases."""
+    first, branches = set(), set()
+    rng = random.Random(0)
+    for _ in range(1500):
+        drawn = cofinal_draw(rng, rng.choice(INDEX_KINDS), rng.choice(SPOILS))
+        if drawn is None:
+            continue
+        D, C = drawn
+        got = outcome(validate_cofinal_scan, D, C)
+        if got[0] is NotDirected:
+            branches.add("not directed")
+            continue
+        if got[1]:
+            first.add(got[1][0].law)
+        elif D.base.is_discrete():
+            branches.add("lawful, discrete")
+        else:
+            branches.add("lawful, merged")
+    assert first == set(SPOILS[1:])
+    assert branches == {"not directed", "lawful, discrete", "lawful, merged"}
+
+
+def test_the_subset_directed_law_fails_alone_only_where_equal_is_not_identical():
+    # a merged base whose order is not extensional: p ~ q go to a ~ b, and
+    # the modulus sends each back to the other, so cof1 holds up to
+    # equality while a <= b <= a has no reflexive pair
+    base = make_setoid(["a", "b", "c"], [("a", "b")])
+    D = index_of_pairs(base, {("a", "b"), ("a", "c"), ("b", "a"), ("b", "c"), ("c", "c")})
+    members = make_setoid(["p", "q", "r"], [("p", "q")])
+    C = CofinalSubset(members,
+                      SetoidFn(members, base, {"p": "a", "q": "b", "r": "c"}),
+                      SetoidFn(base, members, {"a": "q", "b": "p", "c": "r"}))
+    assert validate_cofinal(D, C) == validate_cofinal_scan(D, C) == [
+        Finding("subset-directed", ("p", "p")), Finding("subset-directed", ("q", "q"))]
+
+
+def test_a_lawful_subset_of_a_discrete_index_with_a_top_makes_no_up_call(monkeypatch):
+    calls = [0]
+    up = order.DirectedIndex.up
+
+    def counted(D, i, j):
+        calls[0] += 1
+        return up(D, i, j)
+
+    monkeypatch.setattr(order.DirectedIndex, "up", counted)
+    for seed in range(50):
+        D, C = random_cofinal_instance(random.Random(seed))
+        assert validate_cofinal(D, C) == []
+    assert calls[0] == 0
+    # a failed law runs the scan: here cof1 fails at 0
+    D, members = chain(3), discrete(["0", "2"])
+    C = CofinalSubset(members, SetoidFn(members, D.base, {"0": "0", "2": "2"}),
+                      SetoidFn(D.base, members, {"0": "2", "1": "2", "2": "2"}))
+    assert validate_cofinal(D, C) == validate_cofinal_scan(D, C)
+    assert calls[0] > 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(seeds, st.sampled_from(INDEX_KINDS), st.sampled_from(SPOILS))
+def test_an_induced_order_is_monotone_into_its_index(seed, kind, spoil):
+    # restrict_spectrum restricts along the embedding its sub-index is
+    # ordered through, and skips the monotonicity scan on that path
+    drawn = cofinal_draw(random.Random(seed), kind, spoil)
+    if drawn is None:
+        return
+    D, C = drawn
+    sub = induced_order(D, C)
+    h = SetoidFn(sub.base, D.base, C.embed.table())
+    assert outcome(check_monotone_scan, sub, D, h) == ("value", None)
+
+
 def _restrict(F, sub, h):
     restrict_family(F, sub, h)  # raises NotMonotone unless h is monotone
 
@@ -222,8 +367,9 @@ def test_the_product_of_two_chain100s():
 
 
 def test_the_chain1600_from_its_covers(monkeypatch):
-    # make_directed reads the covers off the given pairs: the row walk of
-    # DirectedIndex.covers resumes `_members` 1,280,800 times on this chain
+    # make_directed reads the covers off the given pairs, and chain sets
+    # them as it builds: the row walk of DirectedIndex.covers resumes
+    # `_members` 1,280,800 times on this chain
     resumed = [0]
     members = order._members
 
@@ -246,6 +392,9 @@ def test_the_chain1600_from_its_covers(monkeypatch):
     assert len(pairs) == 1600 * 1601 // 2 == 1_280_800
     assert list(pairs[:5000]) == sorted(pairs[:5000])
     assert pairs[:3] == (("0", "0"), ("0", "1"), ("0", "10"))
+    resumed[0] = 0
+    assert chain(1600).covers == D.covers
+    assert resumed[0] == 0
 
 
 # --- make_directed against the closure scan ---------------------------------------

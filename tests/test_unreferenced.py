@@ -29,6 +29,7 @@ KEPT = {
     "topology.bic_modulus": PAPER,
     "topology.relative_space": PAPER,
     "order.product_cofinal": PAPER,
+    "families.restrict_family": PAPER,
     "setoid.make_subset": PAPER,
     "setoid.factor_through_quotient": PAPER,
     "setoid.closure_rst": PAPER,
