@@ -75,7 +75,16 @@ def _emit(report, args):
 
 
 def _load(args):
-    text = Path(args.file).read_text(encoding="utf-8")
+    """The parsed document; one that is not UTF-8 is refused at the line
+    and column of its first bad byte, counted as `parse` counts them."""
+    data = Path(args.file).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; "?" stands for the byte
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise DslError(f"not UTF-8 from byte 0x{data[exc.start]:02x}: {exc.reason}",
+                       len(lines), len(lines[-1])) from None
     return parse(text)
 
 

@@ -10,6 +10,7 @@ equalities as `a ~ b`, and certificates as parenthesized trees such as
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -417,12 +418,20 @@ def _named(b, key, table, what):
 
 
 def _at(line, build, *args, **kwargs):
-    """build(*args, **kwargs), a kernel refusal of it re-raised as the
-    refusal of the statement at `line`."""
+    """build(*args, **kwargs), a kernel refusal or a RecursionError of it
+    re-raised as the refusal of the statement at `line`."""
     try:
         return build(*args, **kwargs)
-    except KernelError as exc:
-        raise DslError(str(exc), line) from None
+    except (KernelError, RecursionError) as exc:
+        raise DslError(_refusal(exc), line) from None
+
+
+def _refusal(exc):
+    """A kernel refusal's message, or for a RecursionError the limit it hit:
+    certificates within SEXPR_DEPTH can be lifted into deeper ones."""
+    if isinstance(exc, RecursionError):
+        return f"recursion deeper than sys.getrecursionlimit() = {sys.getrecursionlimit()}"
+    return str(exc)
 
 
 def _misshapen(s, usage):

@@ -377,46 +377,6 @@ def direct_sum_equality_exhaustive(F, i, x, j, y):
     return False
 
 
-def sum_equality_laws_hold(F):
-    """Whether agreement at the top is an equivalence on the tagged elements
-    and agrees with the upper-bound search on every pair, in one keyed pass.
-
-    The top is a common upper bound of every pair, so agreement there is
-    agreement at some upper bound.  The converse fails exactly when some
-    upper bound k relates two elements below it that the top separates; so
-    the two agree iff, for each k, the class at k of every element below k
-    determines its class at the top.  With an equivalence at the top,
-    agreement there is that equivalence read through the transports, so it
-    is one.  False means the pass did not show both: a law fails, or class
-    ids cannot stand for the pairwise relations (`_class_maps`).  A lawful
-    family (`DirectFamily.lawful`) needs no pass: lambda_it is
-    lambda_kt . lambda_ik up to equality, with lambda_kt extensional.
-    """
-    if F.direction != COVARIANT:
-        return False
-    if F.lawful:
-        return True
-    els = F.index.elements
-    if any(i not in F.carriers for i in els):
-        return False
-    if not any(len(F.carriers[i]) for i in els):
-        return True  # no tagged elements, so no pairs
-    t = F.top()
-    maps = _class_maps(F, F.index.order_pairs())
-    if maps is None:
-        return False
-    below = {}
-    for i, k in F.index.order_pairs():
-        below.setdefault(k, []).append(i)
-    for k, lower in below.items():
-        top_class = {}
-        for i in lower:
-            for at_k, at_top in zip(maps[(i, k)], maps[(i, t)]):
-                if top_class.setdefault(at_k, at_top) != at_top:
-                    return False
-    return True
-
-
 def direct_sum_setoid(F):
     """The disjoint union with the transport-agreement equality.
 

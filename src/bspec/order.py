@@ -38,8 +38,6 @@ class DirectedIndex:
     bounds in carrier order.
     """
 
-    _factors = None  # (D1, D2) for a product order, whose covers are theirs
-
     def __init__(self, base, rows):
         self.base = base  # a Setoid
         self.rows = rows  # a list of ints, one per carrier position
@@ -195,16 +193,13 @@ class DirectedIndex:
         the rows are a partial order on the base's elements, each named
         once.
 
-        `make_directed` sets them as it reads the given pairs, `chain` as
-        it builds, and a product order reads them off its factors'
-        (`_product_covers`); this row pass runs for any other index built
-        from its rows.  The covers of i are strict-above(i) less the union
-        of strict-above(m) over m in strict-above(i).  The same pass shows
-        the order antisymmetric and transitive: no such m is <= i, and
-        above(m) lies in above(i).
+        `make_directed` sets them as it reads the given pairs; any index
+        built from its rows (a chain, a product order, an induced order)
+        takes this row pass when first asked.  The covers of i are
+        strict-above(i) less the union of strict-above(m) over m in
+        strict-above(i).  The same pass shows the order antisymmetric and
+        transitive: no such m is <= i, and above(m) lies in above(i).
         """
-        if self._factors is not None:
-            return _product_covers(*self._factors, self.elements)
         position, rows = self._order
         els = self.elements
         if len(position) != len(els):
@@ -488,43 +483,13 @@ def product_order(D1, D2):
     The product carrier is i-major, (i, j) at position p·n2 + q for i at p
     and j at q, so the row of (i, j) is row2(j) shifted to the block of
     each i2 in row1(i): row2(j) times row1(i) spread to stride n2, the
-    blocks never carrying into each other."""
+    blocks never carrying into each other.  Its covers are read off these
+    rows (`DirectedIndex.covers`), as for any index built from its rows."""
     n2 = len(D2.elements)
     spread = [sum([1 << p * n2 for p in range(len(D1.rows)) if row1 >> p & 1])
               for row1 in D1.rows]
-    D = DirectedIndex(product_setoid(D1.base, D2.base),
-                      [s * row2 for s in spread for row2 in D2.rows])
-    D._factors = (D1, D2)
-    return D
-
-
-def _product_covers(D1, D2, els):
-    """The covers of the product order on `els`, read off its factors':
-    (i2, j) for each cover i2 of i and (i, j2) for each cover j2 of j, in
-    carrier order; None unless both factors have covers.
-
-    The covers of (i, j) change one part by a cover, since the order is
-    componentwise.  (i, j) sits at p·n2 + q for i at p and j at q, so the
-    (i, j2) fill block p in the order of j's covers, and the (i2, j) lie
-    before or after it in the order of i's."""
-    c1, c2 = D1.covers, D2.covers
-    if c1 is None or c2 is None:
-        return None
-    n2 = len(D2.elements)
-    at1 = {i: p * n2 for p, i in enumerate(D1.elements)}
-    at2 = {j: q for q, j in enumerate(D2.elements)}
-    covers = {}
-    for i in D1.elements:
-        block = at1[i]
-        starts = [at1[k] for k in c1[i]]
-        before = [b for b in starts if b < block]
-        after = starts[len(before):]
-        for j in D2.elements:
-            q = at2[j]
-            covers[els[block + q]] = tuple(
-                [els[b + q] for b in before] + [els[block + at2[k]] for k in c2[j]]
-                + [els[b + q] for b in after])
-    return covers
+    return DirectedIndex(product_setoid(D1.base, D2.base),
+                         [s * row2 for s in spread for row2 in D2.rows])
 
 
 def product_cofinal(D1, C1, D2, C2):
@@ -553,10 +518,9 @@ def product_cofinal(D1, C1, D2, C2):
 
 
 def chain(n, names=None):
-    """The chain 0 <= 1 <= ... <= n-1."""
+    """The chain 0 <= 1 <= ... <= n-1, whose covers k -> k+1 are read off
+    its rows (`DirectedIndex.covers`)."""
     if names is None:
         names = [str(i) for i in range(n)]
     full = (1 << len(names)) - 1
-    D = DirectedIndex(discrete(names), [full >> m << m for m in range(len(names))])
-    D.covers = dict(zip(D.elements, [*zip(D.elements[1:]), ()]))  # k -> k+1
-    return D
+    return DirectedIndex(discrete(names), [full >> m << m for m in range(len(names))])

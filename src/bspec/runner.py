@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 
-from .dsl import DslError, SyntaxErrorDsl, TypeMismatch, _lookup, elaborate
+from .dsl import DslError, SyntaxErrorDsl, TypeMismatch, _lookup, _refusal, elaborate
 from .duality import (
     converse_dual_direct,
     converse_dual_inverse,
@@ -24,7 +24,6 @@ from .families import (
     direct_sum_equality_exhaustive,
     identity_family_map,
     sum_elements,
-    sum_equality_laws_hold,
     validate_direct_family,
 )
 from .limits import (
@@ -62,7 +61,8 @@ def run_suite(doc, suite_name=None, config=None):
     """Run one suite (or a synthesized default) over an elaborated document.
 
     Every check line is decided before any check runs, and a check the
-    kernel refuses (a `KernelError`) reports one failing `KIND.run` record.
+    kernel refuses (a `KernelError`), or one that recurses past the
+    interpreter's limit, reports one failing `KIND.run` record.
     The checks share one Limits for this call only, so a document run
     again (under the same or another config) builds its limits again."""
     config = config or RunConfig()
@@ -76,8 +76,8 @@ def run_suite(doc, suite_name=None, config=None):
         t0 = time.perf_counter()
         try:
             CHECKS[kind](names, args, config, report, suite, lims)
-        except KernelError as exc:  # surfaced as a failing record, not a crash
-            report.add(suite, f"{kind}.run", [Finding("error", (), str(exc))])
+        except (KernelError, RecursionError) as exc:  # a failing record, not a crash
+            report.add(suite, f"{kind}.run", [Finding("error", (), _refusal(exc))])
         elapsed = time.perf_counter() - t0
         for rec in report.records[before:]:
             rec.elapsed = elapsed / max(len(report.records) - before, 1)
@@ -176,11 +176,14 @@ def check_equivalence(names, args, config, report, suite, lims):
     equivalence, and the top-element normalization agrees with the
     exhaustive upper-bound search.
 
-    The family is decided by `sum_equality_laws_hold`; only if it is not
-    shown lawful is it scanned, pair by pair, to list the disagreements."""
+    A lawful covariant family (`DirectFamily.lawful`) needs no scan: the
+    top is a common upper bound of every pair, and an upper bound k that
+    relates two elements relates them at the top too, since lambda_it is
+    lambda_kt . lambda_ik up to equality with lambda_kt extensional.  Any
+    other family is scanned, pair by pair, to list the disagreements."""
     fam = args[0].fam
     bad_oracle = []
-    if not sum_equality_laws_hold(fam):
+    if not (fam.direction == COVARIANT and fam.lawful):
         bad_oracle = _equivalence_scan(fam)
     # Agreement at the top is the top carrier's equivalence pulled back
     # along the transports, so it is an equivalence; a family on which it

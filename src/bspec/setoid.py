@@ -220,38 +220,12 @@ def discrete(elements):
     return make_setoid(elements, (), empty=not elements)
 
 
-def is_equivalence(elements, pairs):
-    """Whether the pairs are reflexive on `elements`, symmetric and transitive.
-
-    A relation is an equivalence iff every related element is related to
-    itself and related elements have the same row of related elements.
-    With the rows interned, that is one identity test per member of each
-    distinct row, so it is decided in O(|pairs|).
-    """
-    rows = {}
-    for a, b in pairs:
-        rows.setdefault(a, []).append(b)
-    interned, row_of = {}, {}
-    for a, row in rows.items():
-        row = frozenset(row)
-        row_of[a] = interned.setdefault(row, row)
-    return (all(a in row_of.get(a, ()) for a in elements)
-            and all(a in row for a, row in row_of.items())
-            and all(row_of.get(b) is row for row in interned for b in row))
-
-
 def check_equivalence(elements, pairs):
     """Report the first reflexivity/symmetry/transitivity violation, if any.
 
-    Decided by `is_equivalence`; only a relation that fails it is scanned
-    for its first violation.
+    One scan in that order: each element against its own pair, each pair
+    against its converse, and each pair (a, b) against every (b, c).
     """
-    if is_equivalence(elements, pairs):
-        return None
-    return _check_equivalence_scan(elements, pairs)
-
-
-def _check_equivalence_scan(elements, pairs):
     for a in elements:
         if (a, a) not in pairs:
             return ("reflexive", (a,))

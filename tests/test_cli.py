@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,8 @@ REFUSALS = {
     "check-unknown-name": ("check: limit-direct NOPE", "no spectrum named 'NOPE'"),
     "coarser-equality": ("space 0: FX2C",
                          "subbase 'FX2C' is not over the carrier at index '0'"),
+    "deep-lifted-witnesses": ("spectrum S {", "recursion deeper than "
+                              f"sys.getrecursionlimit() = {sys.getrecursionlimit()}"),
     "deep-expression": ("expr: " + "(add (const 0) " * 1200 + "(gen f)" + ")" * 1200,
                         "expression nested deeper than SEXPR_DEPTH = 256"),
     "disagreeing-paths": ("family SWAP {", "family-composition at a, c, d"),
@@ -115,6 +118,7 @@ REFUSALS = {
     "missing-space": ("spectrum EOSPEC {", "no space line for index '2'"),
     "no-order-line": ("directed D {", "no upper bound for (0, 1)"),
     "not-directed": ("order: 0 <= 1", "no upper bound for (0, 2)"),
+    "not-utf8": ("elements: p, q\ufffd", "not UTF-8 from byte 0xff: invalid start byte", 17),
     "pool-shape": ("pool PCONV {", "pool PCONV has shape hom-into-fixed, but duality2 "
                    "over the contravariant REV needs hom-out-of-fixed"),
     "uncertifiable-edge": ("spectrum S {",
@@ -137,7 +141,8 @@ REFUSALS = {
 @pytest.mark.parametrize("path", HOSTILE, ids=lambda p: p.stem)
 def test_space_lines_not_matching_the_family_are_refused(path, capsys):
     refused, message, *col = REFUSALS[path.stem]  # a column where one is named
-    lines = path.read_text(encoding="utf-8").splitlines()
+    # a byte that is not UTF-8 reads as U+FFFD
+    lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
     # the last match: a duplicate line is refused where it repeats
     line = max(n for n, text in enumerate(lines, start=1) if text.strip() == refused)
     assert main(["check", str(path)]) == 2

@@ -28,6 +28,11 @@ MUTANTS = 3000
 VALUES = 4000
 
 
+def _sources():
+    # a byte that is not UTF-8 (tests/hostile/not-utf8.bsp) reads as U+FFFD
+    return [p.read_text(encoding="utf-8", errors="replace") for p in SOURCES]
+
+
 def _mutate(rng, text):
     for _ in range(rng.randint(1, 3)):
         at = rng.randrange(len(text) + 1)
@@ -61,7 +66,7 @@ def _parsed(read, text):
 
 def test_mutated_documents_parse_as_the_line_scan_does():
     rng = random.Random(45)
-    texts = [p.read_text(encoding="utf-8") for p in SOURCES]
+    texts = _sources()
     refusals = set()
     for _ in range(MUTANTS):
         text = _mutate(rng, rng.choice(texts))
@@ -78,7 +83,7 @@ def test_every_statement_value_reads_as_the_oracles_read_it():
     """parse_pairs and parse_sexpr over the values of every statement of
     the documents and of their mutants."""
     rng = random.Random(7)
-    texts = [p.read_text(encoding="utf-8") for p in SOURCES]
+    texts = _sources()
     texts += [_mutate(rng, rng.choice(texts)) for _ in range(300)]
     for text in texts:
         got = outcome(parse, text)

@@ -1,6 +1,6 @@
 """Differential tests for the keyed deciders of the index and family laws:
-the order closure, saturation, the family laws and the sum-equality laws,
-each against the scan it replaced.  Hypothesis runs derandomized, so the
+the order closure, saturation and the family laws, each against the scan
+it replaced.  Hypothesis runs derandomized, so the
 suite stays deterministic."""
 
 import os
@@ -21,7 +21,6 @@ from bspec.families import (
     _direct_family_laws_hold,
     _saturate,
     _validate_direct_family_scan,
-    sum_equality_laws_hold,
     validate_direct_family,
 )
 from bspec.order import NotDirected, chain, make_directed, validate_directed
@@ -269,14 +268,6 @@ def test_injected_faults_reach_every_law():
         laws |= {f.law for f in validate_direct_family(fam)}
     assert laws == {"family-identity", "family-composition",
                     "transport-extensional"}
-
-
-@FAST
-@given(seeds)
-def test_sum_equality_is_decided_on_lawful_families(seed):
-    rng = random.Random(seed)
-    fam = random_direct_family(rng, random_directed_index(rng), COVARIANT)
-    assert sum_equality_laws_hold(fam)
 
 
 # --- the scans do not run where the keyed paths decide ------------------------

@@ -6,9 +6,9 @@ discrete carrier skip their class passes.  Each answer is compared with the
 labelling pass, fibre scan, class walk, union-find or keyed product it
 replaced (`tests/oracles.py`), on discrete, merged and empty carriers,
 carriers naming an element twice, carriers given their ids directly,
-products of every mix of factors, and direct sums.  Chains and product
-orders read their covers off how they are built; they are compared with the
-row pass over the same rows.  Hypothesis runs derandomized, so the suite
+products of every mix of factors, and direct sums.  The covers of chains and
+product orders are compared with the row pass over the same rows and with
+the brute-force Hasse diagram.  Hypothesis runs derandomized, so the suite
 stays deterministic."""
 
 import random
@@ -17,7 +17,6 @@ from itertools import product as iproduct
 
 from hypothesis import given, settings, strategies as st
 
-from bspec import order
 from bspec.families import COVARIANT, _class_map, direct_sum_setoid
 from bspec.order import DirectedIndex, chain, make_directed, product_order
 from bspec.setoid import (
@@ -277,30 +276,3 @@ def test_product_covers_are_the_row_pass(seed, kinds):
         assert D.covers == hasse_covers(D)
     if D1.covers is None or D2.covers is None:
         assert D.covers is None
-
-
-def test_the_product_cover_draws_put_covers_before_their_element():
-    # the merge of (i2, j) before and after block i is exercised
-    before = 0
-    for seed in range(100):
-        rng = random.Random(seed)
-        D = product_order(shuffled_poset(rng), chain(rng.randint(1, 3)))
-        at = {x: n for n, x in enumerate(D.elements)}
-        before += sum(at[y] < at[x] for x, ys in D.covers.items() for y in ys)
-    assert before > 0
-
-
-def test_product_covers_read_no_row(monkeypatch):
-    resumed = [0]
-    members = order._members
-
-    def counted(items, mask):
-        for x in members(items, mask):
-            resumed[0] += 1
-            yield x
-
-    monkeypatch.setattr(order, "_members", counted)
-    C = chain(40)
-    D = product_order(C, C)
-    assert len(D.covers) == 1600 and resumed[0] == 0
-    assert D.covers == _row_pass(D)
