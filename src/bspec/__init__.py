@@ -10,7 +10,7 @@ duality, dsl, runner, cli).
 """
 
 from .report import KernelError
-from .setoid import Setoid, SetoidFn, make_fn, make_setoid, quotient_by
+from .setoid import Setoid, SetoidFn, make_fn, make_setoid
 from .order import CofinalSubset, DirectedIndex, chain, make_directed
 from .families import (
     CONTRAVARIANT,
@@ -50,7 +50,6 @@ __all__ = [
     "make_setoid",
     "make_spectrum",
     "parse",
-    "quotient_by",
     "run_suite",
     "space",
     "validate_certificate",

@@ -2,8 +2,7 @@
 
 Elements are opaque hashables: plain names, or the compound elements built
 below.  Equality labels every element with the id of its class, so each
-law in the package is decided by comparing ids, and the equality as a set
-of pairs is derived only for the validators and oracles that read it.
+law in the package is decided by comparing ids.
 """
 
 from __future__ import annotations
@@ -38,37 +37,8 @@ class NotExtensional(SetoidError):
     pass
 
 
-class NotEquivalence(SetoidError):
-    pass
-
-
 class NotEmbedding(SetoidError):
     pass
-
-
-class NotClassConstant(SetoidError):
-    pass
-
-
-def closure_rst(elements, pairs):
-    """Reflexive-symmetric-transitive closure of `pairs` over `elements`."""
-    return make_setoid(elements, pairs, empty=True).pairs
-
-
-def _row_ids(elements, pairs):
-    """(ids, n): class ids read off the rows of an equivalence, and the
-    number of classes.  Each element not yet labelled takes a new id, and
-    so do the members of its row, which is its class."""
-    rows = {}
-    for a, b in pairs:
-        rows.setdefault(a, []).append(b)
-    ids, n = {}, 0
-    for a in elements:
-        if a not in ids:
-            for b in rows[a]:
-                ids[b] = n
-            n += 1
-    return ids, n
 
 
 class Setoid:
@@ -76,35 +46,20 @@ class Setoid:
 
     Ids number the classes by their first member in carrier order, so two
     carriers with the same elements have the same equality exactly when
-    they have the same labelling.  The constructors in this package pass
-    the classes as keys (`setoid_by_key`).  A carrier built from a pair set
-    is labelled by its rows, and the pairs must be an equivalence on the
-    elements: a pair naming anything else raises `UnknownElement`, as
-    `make_setoid` does, and any other relation raises `NotEquivalence`,
-    naming its first violation.
+    they have the same labelling.  A carrier is made by the builders below,
+    which label it as they read it (`setoid_by_key`, `make_setoid`,
+    `discrete`, `product_setoid`); the constructor takes the labelling its
+    builder made and checks or copies nothing: `class_id` numbers the
+    classes of the tuple `elements` by first member, and there are `count`
+    of them.
 
-    The class count is fixed by whatever labels the carrier, so no pass
-    over the classes is made to count them: an element named twice leaves
-    it below the carrier's length, and the carrier is discrete exactly
-    when it is not.
+    The class count is fixed by the builder, so no pass over the classes is
+    made to count them: the carrier is discrete exactly when `count` is its
+    length.
     """
 
-    def __init__(self, elements, pairs=None, class_id=None):
-        self.elements = tuple(elements)
-        if class_id is None:
-            pairs = frozenset(pairs)
-            known = frozenset(self.elements)
-            for a, b in pairs:
-                if a not in known or b not in known:
-                    raise UnknownElement(
-                        f"equality pair ({a}, {b}) mentions unknown element")
-            bad = check_equivalence(self.elements, pairs)
-            if bad:
-                raise NotEquivalence(f"relation fails {bad[0]} at {bad[1]}")
-            class_id, self._count = _row_ids(self.elements, pairs)
-        else:
-            self._count = len(set(map(class_id.__getitem__, self.elements)))
-        self.class_id = class_id
+    def __init__(self, elements, class_id, count):
+        self.elements, self.class_id, self._count = elements, class_id, count
 
     def has(self, a):
         return a in self.class_id
@@ -114,11 +69,6 @@ class Setoid:
         if a not in ids or b not in ids:
             raise UnknownElement(f"{a!r} or {b!r} not in carrier")
         return ids[a] == ids[b]
-
-    @cached_property
-    def pairs(self):
-        """The equality as a set of pairs: every pair within one class."""
-        return frozenset((x, y) for cls in self._classes for x in cls for y in cls)
 
     @cached_property
     def _classes(self):
@@ -161,18 +111,9 @@ class Setoid:
         return f"Setoid({list(self.elements)}, classes={self.class_count()})"
 
 
-def _setoid(elements, class_id, count):
-    """The Setoid of a labelling its caller has already made: `class_id`
-    numbers the classes of the tuple `elements` by first member, and there
-    are `count` of them.  Nothing is checked or copied."""
-    s = Setoid.__new__(Setoid)
-    s.elements, s.class_id, s._count = elements, class_id, count
-    return s
-
-
 def _by_position(elements):
     """The discrete carrier on a tuple of distinct elements."""
-    return _setoid(elements, dict(zip(elements, range(len(elements)))), len(elements))
+    return Setoid(elements, dict(zip(elements, range(len(elements)))), len(elements))
 
 
 def setoid_by_key(elements, keys):
@@ -181,7 +122,7 @@ def setoid_by_key(elements, keys):
     first, ids = {}, {}
     for x, k in zip(elements, keys):
         ids[x] = first.setdefault(k, len(first))
-    return _setoid(tuple(elements), ids, len(first))
+    return Setoid(tuple(elements), ids, len(first))
 
 
 def make_setoid(elements, eq_pairs=(), empty=False):
@@ -218,25 +159,6 @@ def make_setoid(elements, eq_pairs=(), empty=False):
 
 def discrete(elements):
     return make_setoid(elements, (), empty=not elements)
-
-
-def check_equivalence(elements, pairs):
-    """Report the first reflexivity/symmetry/transitivity violation, if any.
-
-    One scan in that order: each element against its own pair, each pair
-    against its converse, and each pair (a, b) against every (b, c).
-    """
-    for a in elements:
-        if (a, a) not in pairs:
-            return ("reflexive", (a,))
-    for a, b in pairs:
-        if (b, a) not in pairs:
-            return ("symmetric", (a, b))
-    for a, b in pairs:
-        for c in elements:
-            if (b, c) in pairs and (a, c) not in pairs:
-                return ("transitive", (a, b, c))
-    return None
 
 
 # Compound elements.  Each is a tuple, so two of them are equal exactly when
@@ -423,41 +345,3 @@ def make_subset(carrier, ambient, inject=None):
     if not ok:
         raise NotEmbedding(f"injection identifies distinct elements {witness}")
     return Subset(carrier, ambient, inject)
-
-
-class QuotientSetoid:
-    """The same elements with a coarser validated equivalence."""
-
-    def __init__(self, base, carrier):
-        self.base = base
-        self.carrier = carrier
-
-    def as_setoid(self):
-        return self.carrier
-
-    def canonical(self):
-        """The identity-rule map from the base onto the quotient."""
-        return SetoidFn(self.base, self.as_setoid(),
-                        {x: x for x in self.base.elements})
-
-    def class_count(self):
-        return self.as_setoid().class_count()
-
-
-def quotient_by(X, rel_pairs):
-    """Quotient X by a relation, validating it is an equivalence in one of
-    whose classes every class of X lies."""
-    carrier = Setoid(X.elements, rel_pairs)
-    bad = _first_split(X._classes, carrier.class_id)
-    if bad:
-        raise NotExtensional("relation does not respect carrier equality at "
-                             f"({bad[0]}, {bad[1]})")
-    return QuotientSetoid(X, carrier)
-
-
-def factor_through_quotient(f, Q):
-    """The unique map g off the quotient with g after canonical = f."""
-    bad = _first_split(Q.carrier._classes, _value_ids(f))
-    if bad:
-        raise NotClassConstant(f"map separates identified pair ({bad[0]}, {bad[1]})")
-    return SetoidFn(Q.carrier, f.cod, f.table())

@@ -47,13 +47,6 @@ class MissingCertificate(TopologyError):
     pass
 
 
-def Q(x, den=None):
-    """Exact rational literal."""
-    if den is not None:
-        return Fraction(x, den)
-    return Fraction(x)
-
-
 # --- real-valued functions on a carrier ------------------------------------
 
 class RFun:

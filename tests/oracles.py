@@ -199,9 +199,8 @@ def unique_classwise(classes, values, admissible, differs):
     return not any(differs(cls, v) for cls, vs in admitted for v in vs)
 
 
-def verify_unique_factoring_exhaustive(f, Q, g, bound=1_000_000):
-    """Every class-constant map off the quotient, against f."""
-    quo = Q.as_setoid()
+def verify_unique_factoring_exhaustive(f, quo, g, bound=1_000_000):
+    """Every class-constant map off the quotient carrier, against f."""
     classes = quo.classes()
     size = len(f.cod.elements) ** len(classes)
     if size > bound:
@@ -1632,13 +1631,32 @@ def product_setoid_by_key(X, Y):
 
 # --- helpers with no caller in bspec ---------------------------------------
 
-def verify_unique_factoring(f, Q, g, bound=1_000_000):
-    """Confirm g is the only extensional factoring of f.
+def equality_pairs(X):
+    """The equality of a carrier as a set of pairs: every pair of elements
+    with one class id."""
+    ids = X.class_id
+    return frozenset((x, y) for x in X.elements for y in X.elements
+                     if ids[x] == ids[y])
+
+
+def closure_rst(elements, pairs):
+    """Reflexive-symmetric-transitive closure of `pairs` over `elements`,
+    by Warshall's pass over the symmetric, reflexive relation."""
+    rel = {(x, x) for x in elements} | set(pairs) | {(b, a) for a, b in pairs}
+    for k in elements:
+        for i in elements:
+            if (i, k) in rel:
+                rel.update((i, j) for j in elements if (k, j) in rel)
+    return frozenset(rel)
+
+
+def verify_unique_factoring(f, quo, g, bound=1_000_000):
+    """Confirm g is the only extensional factoring of f through `quo`, a
+    carrier on f's domain elements with a coarser equality.
 
     Returns True/False, or None when the |cod|^|classes| candidate maps
     exceed the bound.
     """
-    quo = Q.as_setoid()
     classes = quo.classes()
     if len(f.cod.elements) ** len(classes) > bound:
         return None

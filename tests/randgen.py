@@ -305,8 +305,9 @@ def thicken_spectrum(rng, s):
             while f"pad{n}" in base.elements:
                 n += 1
             pad = f"pad{n}"
-            seen_carriers[key] = make_setoid(list(base.elements) + [pad],
-                                             [p for p in base.pairs])
+            seen_carriers[key] = make_setoid(
+                list(base.elements) + [pad],
+                [(x, base.class_repr(x)) for x in base.elements])
             pads[key] = pad
         carriers[i] = seen_carriers[key]
     transports = {}

@@ -31,7 +31,7 @@ from bspec.order import (
     validate_directed,
 )
 from bspec.runner import run_suite
-from bspec.setoid import Setoid, SetoidFn, UnknownElement, discrete, make_setoid
+from bspec.setoid import SetoidFn, UnknownElement, discrete, make_setoid, setoid_by_key
 from bspec.spectra import (
     Spectrum,
     _edge_findings,
@@ -159,8 +159,8 @@ def test_covers_are_none_off_a_partial_order():
     for build in (make_directed, index_of_pairs):
         with pytest.raises(UnknownElement):
             build(base, off_base)
-    # an element named twice in a carrier built by hand
-    twice = Setoid(("a", "a"), {("a", "a")})
+    # an element named twice in a keyed carrier
+    twice = setoid_by_key(("a", "a"), "aa")
     D = index_of_pairs(twice, {("a", "a")})
     assert D.covers is None and hasse_covers(D) is None
     # a non-trivial base equality: the closure puts the two elements each

@@ -22,12 +22,12 @@ from bspec.runner import RunConfig, run_suite
 from bspec.setoid import (
     Choice,
     Pair,
-    Setoid,
     SetoidFn,
     Tag,
     UnknownElement,
     discrete,
     make_fn,
+    make_setoid,
     product_setoid,
 )
 from bspec.spectra import Spectrum, make_spectrum
@@ -140,8 +140,9 @@ NAMES = st.text(alphabet="@&,()ab", min_size=1, max_size=5)
 
 
 def rename_setoid(X, name):
-    return Setoid(tuple(name[x] for x in X.elements),
-                  frozenset((name[a], name[b]) for a, b in X.pairs))
+    return make_setoid([name[x] for x in X.elements],
+                       [(name[x], name[X.class_repr(x)]) for x in X.elements],
+                       empty=True)
 
 
 def rename_space(sp, name, carrier):

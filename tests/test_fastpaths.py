@@ -23,20 +23,15 @@ from bspec.families import (
 from bspec.limits import direct_limit, inverse_limit
 from bspec.order import NotDirected, _members, chain, top_element
 from bspec.report import Report
-from bspec.setoid import (
-    Setoid,
-    SetoidFn,
-    check_equivalence,
-    closure_rst,
-    discrete,
-    make_setoid,
-)
+from bspec.setoid import SetoidFn, discrete, make_setoid, setoid_by_key
 from bspec.spectra import complete_witnesses
 from bspec.topology import CAdd, CConst, CGen, RFun, map_setoid, space
 
 from oracles import (
     autofill_witnesses,
+    closure_rst,
     complete_witnesses_scan,
+    equality_pairs,
     equivalence_findings_scan,
     first_upper_bounds_scan,
     fold_top,
@@ -61,6 +56,11 @@ def _partition(setoid):
     return {frozenset(cls) for cls in setoid.classes()}
 
 
+def _rows(elements, pairs):
+    """The classes of an equivalence given as a pair set: its rows."""
+    return {frozenset(b for b in elements if (a, b) in pairs) for a in elements}
+
+
 @FAST
 @given(seeds)
 def test_direct_limit_partition_matches_exhaustive_closure(seed):
@@ -74,9 +74,9 @@ def test_direct_limit_partition_matches_exhaustive_closure(seed):
         if direct_sum_equality_exhaustive(fam, *a, *b)
     ])
     lim = direct_limit(s)
-    assert lim.carrier.pairs == oracle
-    assert _partition(lim.carrier) == _partition(Setoid(tuple(els), oracle))
-    assert direct_sum_setoid(fam).pairs == oracle
+    assert equality_pairs(lim.carrier) == oracle
+    assert _partition(lim.carrier) == _rows(els, oracle)
+    assert equality_pairs(direct_sum_setoid(fam)) == oracle
 
 
 @FAST
@@ -89,7 +89,7 @@ def test_keyed_sum_pairs_match_pairwise_equality(seed):
     pairwise = frozenset(
         (a, b) for a in els for b in els
         if direct_sum_equality(fam, *a, *b))
-    assert direct_sum_setoid(fam).pairs == pairwise
+    assert equality_pairs(direct_sum_setoid(fam)) == pairwise
 
 
 @FAST
@@ -104,7 +104,7 @@ def test_inverse_limit_equality_matches_pointwise(seed):
         (t1, t2) for t1 in toks for t2 in toks
         if all(fam.carrier(i).eq(lim.assignments[t1][i], lim.assignments[t2][i])
                for i in index.elements))
-    assert lim.carrier.pairs == pointwise
+    assert equality_pairs(lim.carrier) == pointwise
 
 
 def test_map_setoid_matches_pointwise():
@@ -116,7 +116,7 @@ def test_map_setoid_matches_pointwise():
     pointwise = frozenset(
         (m, n) for m in carrier.elements for n in carrier.elements
         if all(cod.eq(by_name[m](x), by_name[n](x)) for x in dom.elements))
-    assert carrier.pairs == pointwise
+    assert equality_pairs(carrier) == pointwise
     assert carrier.class_count() == 4
 
 
@@ -262,7 +262,7 @@ def test_agreement_at_the_top_is_an_equivalence(seed, kind):
     tagged = sum_elements(fam)
     agree = {(a, b) for a in tagged for b in tagged
              if direct_sum_equality(fam, *a, *b)}
-    assert check_equivalence(tagged, agree) is None
+    assert closure_rst(tagged, agree) == agree  # an equivalence
     want = equivalence_findings_scan([fam])
     assert want[0] == []
     assert _check_equivalence(fam) == want
@@ -346,7 +346,7 @@ def _labelled(n):
                                  ("2", "0", "1", "2"), ("1", "0", "1", "2")])
 def test_complete_witnesses_on_an_element_named_twice(els, direction):
     # a bit at each position of the name: the middle is read off its first
-    carrier = Setoid(els, {(x, x) for x in els})
+    carrier = setoid_by_key(els, els)
     fam, spaces = _chain_over(carrier, direction)
     given = {("0", "1"): _labelled(1), ("1", "2"): _labelled(2)}
     got = complete_witnesses(fam, spaces, given)

@@ -21,17 +21,16 @@ from bspec.order import chain
 from bspec.setoid import (
     DomainMismatch,
     NotExtensional,
-    Setoid,
     SetoidFn,
     UnknownElement,
     _first_split,
     _fn,
     _value_ids,
     check_extensional,
-    closure_rst,
     compose,
     identity,
     make_fn,
+    make_setoid,
     setoid_by_key,
 )
 from bspec.spectra import Spectrum, product_spectrum_over
@@ -45,8 +44,8 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _random_setoid(rng, prefix):
-    """A carrier of up to five elements: discrete, merged, or built by hand
-    from the equivalence a random pair set generates."""
+    """A carrier of up to five elements: discrete, merged, or the
+    equivalence a random pair set generates."""
     els = tuple(f"{prefix}{k}" for k in range(rng.randint(1, 5)))
     kind = rng.choice(["discrete", "merged", "pairs"])
     if kind == "discrete":
@@ -54,7 +53,7 @@ def _random_setoid(rng, prefix):
     if kind == "merged":
         return setoid_by_key(els, [rng.randrange(2) for _ in els])
     pairs = {(rng.choice(els), rng.choice(els)) for _ in range(rng.randint(0, 8))}
-    return Setoid(els, closure_rst(els, pairs))
+    return make_setoid(els, pairs)
 
 
 def _random_fn(rng, dom, cod):
@@ -66,7 +65,7 @@ def _random_fn(rng, dom, cod):
 
 def _copy(X):
     """A carrier with X's elements and equality that is not X itself."""
-    return Setoid(X.elements, class_id=dict(X.class_id))
+    return setoid_by_key(X.elements, list(map(X.class_id.get, X.elements)))
 
 
 def _parts(f):

@@ -23,7 +23,14 @@ from bspec.order import (
     validate_directed,
 )
 from bspec.report import Finding
-from bspec.setoid import Pair, Setoid, SetoidFn, UnknownElement, discrete, make_setoid
+from bspec.setoid import (
+    Pair,
+    SetoidFn,
+    UnknownElement,
+    discrete,
+    make_setoid,
+    setoid_by_key,
+)
 
 from oracles import (
     check_monotone_scan,
@@ -109,9 +116,9 @@ def test_transitivity_findings_follow_the_sorted_pairs():
 
 
 def test_an_element_named_twice_is_listed_as_often_as_the_scan_lists_it():
-    # a carrier built by hand may name an element twice; the rows set a bit
-    # at each of its positions, so a is missing above a <= b twice
-    twice = Setoid(("a", "b", "a"), {("a", "a"), ("b", "b")})
+    # a keyed carrier may name an element twice; the rows set a bit at each
+    # of its positions, so a is missing above a <= b twice
+    twice = setoid_by_key(("a", "b", "a"), "aba")
     D = index_of_pairs(twice, {("a", "b"), ("b", "a"), ("b", "b")})
     findings = validate_directed(D)
     assert findings == validate_directed_scan(D)

@@ -3,14 +3,12 @@ import pytest
 from bspec.setoid import (
     DuplicateElement,
     EmptyCarrier,
-    NotClassConstant,
-    NotEquivalence,
     NotExtensional,
+    Setoid,
     SetoidFn,
     check_extensional,
     compose,
     discrete,
-    factor_through_quotient,
     fn_equal,
     identity,
     is_embedding,
@@ -18,10 +16,8 @@ from bspec.setoid import (
     make_setoid,
     make_subset,
     product_setoid,
-    quotient_by,
+    setoid_by_key,
 )
-
-from oracles import verify_unique_factoring
 
 
 def test_discrete_two_point():
@@ -89,46 +85,6 @@ def test_embedding_check():
     assert is_embedding(sub.inject)[0]
 
 
-def test_quotient_validation():
-    s = discrete(["a", "b", "c"])
-    full = [(x, y) for x in s.elements for y in s.elements]
-    q = quotient_by(s, full)
-    assert q.class_count() == 1
-    ident = [(x, x) for x in s.elements]
-    assert quotient_by(s, ident).class_count() == 3
-    with pytest.raises(NotEquivalence):
-        quotient_by(s, [("a", "b")] + ident)
-    merged = make_setoid(["a", "b"], [("a", "b")])
-    with pytest.raises(NotExtensional):
-        quotient_by(merged, [("a", "a"), ("b", "b")])
-
-
-def test_factor_through_quotient():
-    s = discrete(["a", "b", "c"])
-    rel = set([(x, x) for x in s.elements] + [("a", "b"), ("b", "a")])
-    q = quotient_by(s, rel)
-    cod = discrete(["p", "q"])
-    f = make_fn(s, cod, {"a": "p", "b": "p", "c": "q"})
-    g = factor_through_quotient(f, q)
-    canon = q.canonical()
-    for x in s.elements:
-        assert cod.eq(g(canon(x)), f(x))
-    assert verify_unique_factoring(f, q, g) is True
-    bad = make_fn(s, cod, {"a": "p", "b": "q", "c": "q"})
-    with pytest.raises(NotClassConstant):
-        factor_through_quotient(bad, q)
-
-
-def test_factor_constant_map():
-    s = discrete(["a", "b"])
-    rel = [(x, y) for x in s.elements for y in s.elements]
-    q = quotient_by(s, rel)
-    cod = discrete(["z"])
-    f = make_fn(s, cod, {"a": "z", "b": "z"})
-    g = factor_through_quotient(f, q)
-    assert g("a") == "z"
-
-
 def test_product_setoid_equality():
     x = make_setoid(["a", "b"], [("a", "b")])
     y = discrete(["p", "q"])
@@ -136,3 +92,24 @@ def test_product_setoid_equality():
     assert p.eq(("a", "p"), ("b", "p"))
     assert not p.eq(("a", "p"), ("a", "q"))
     assert p.class_count() == 2
+
+
+def test_keys_are_relabelled_by_first_member():
+    # the classes are numbered by first member whatever the keys are, so
+    # every reader of the labelling agrees with the classes
+    s = setoid_by_key(("a", "b", "c"), [1, 0, 1])
+    assert s.class_id == {"a": 0, "b": 1, "c": 0}
+    assert s.classes() == [("a", "c"), ("b",)]
+    assert s.class_repr("c") == "a"
+    assert s.class_count() == 2 and not s.is_discrete()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Setoid(("a", "b"), {("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}),
+    lambda: Setoid(("a", "b", "c"), class_id={"a": 1, "b": 0, "c": 1}),
+])
+def test_a_pair_set_or_a_hand_labelling_is_no_carrier(call):
+    # the constructor takes a builder's labelling and its class count; a
+    # pair set or a bare labelling is refused, not read as one
+    with pytest.raises(TypeError):
+        call()

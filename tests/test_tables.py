@@ -13,7 +13,7 @@ from bspec import dsl, spectra, topology
 from bspec.cli import main
 from bspec.families import COVARIANT, direct_sum_setoid
 from bspec.report import Finding
-from bspec.setoid import Setoid, SetoidFn, setoid_by_key
+from bspec.setoid import SetoidFn, setoid_by_key
 from bspec.spectra import sum_space
 from bspec.topology import (
     RFun,
@@ -79,7 +79,7 @@ def test_compose_rfun_matches_the_checked_pullback(seed):
     # equality of their own
     cod = rng.choice([
         Y,
-        Setoid(ys, class_id=dict(Y.class_id)),
+        setoid_by_key(ys, map(Y.class_id.get, ys)),
         _random_setoid(rng, ys),
         setoid_by_key(ys, ys),
         setoid_by_key(ys, [0] * len(ys)),

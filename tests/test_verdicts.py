@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from bspec import duality, topology
 from bspec.families import CONTRAVARIANT, COVARIANT
 from bspec.order import chain
-from bspec.setoid import Setoid, SetoidFn, make_setoid
+from bspec.setoid import SetoidFn, make_setoid, setoid_by_key
 from bspec.spectra import constant_spectrum, validate_spectrum
 from bspec.topology import (
     CConst,
@@ -149,7 +149,8 @@ def test_a_table_on_another_carrier_object_is_not_kept(monkeypatch):
     src = _two_points([(0, 1)])
     dst = _two_points([(0, 2)])
     # the same elements and equality as src's carrier, another object
-    copy = Setoid(src.carrier.elements, class_id=dict(src.carrier.class_id))
+    els = src.carrier.elements
+    copy = setoid_by_key(els, map(src.carrier.class_id.get, els))
     h = SetoidFn(copy, dst.carrier, {"p": "p", "q": "q"})
     for _ in range(2):
         findings = []
