@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .families import CONTRAVARIANT, COVARIANT, DirectFamily, derive_on_covers, oriented
+from .families import CONTRAVARIANT, COVARIANT, DirectFamily, oriented
 from .report import Finding, KernelError, raise_first
 from .setoid import Tag, _fn, compose, identity, is_embedding, make_fn
 from .spectra import Spectrum
@@ -102,13 +102,14 @@ def induce_spectrum(s, fixed, hom_into, pools):
     order, that pushes a map out.
 
     Over a lawful s on a partial order the family holds the identities
-    and the cover actions, and composes the rest on first use
-    (`derive_on_covers`): composites with transports equal up to equality
-    are pointwise equal, and `MorCarrier.find` sends pointwise equal maps
-    to one token, so a composite of actions is the action of the
-    composite, and pools closed under the cover actions are closed.  On
-    any other s, or when a cover pushes a map out, every action is made in
-    order.  The family is lawful when s's is (`DirectFamily.parents`).
+    and the cover actions, and composes each other pair through its middle
+    on first use (`DirectedIndex.sweep`): composites with transports equal
+    up to equality are pointwise equal, and `MorCarrier.find` sends
+    pointwise equal maps to one token, so a composite of actions is the
+    action of the composite, and pools closed under the cover actions are
+    closed.  On any other s, or when a cover pushes a map out, every
+    action is made in order.  The family is lawful when s's is
+    (`DirectFamily.parents`).
     Each edge's certificates are made on first read: for homs into fixed
     an evaluation generator pulls back to an evaluation generator; for
     homs out of it s's own edge certificate for g0 . lam is routed through
@@ -133,17 +134,17 @@ def induce_spectrum(s, fixed, hom_into, pools):
         except PoolNotClosed as exc:
             raise PoolNotClosed(f"edge ({i}, {j}) {exc}") from None
 
-    covers, derive = s.index.covers, None
+    covers, middles = s.index.covers, None
     if covers is not None and s.fam.lawful:
         try:
             held = {(i, j): act(i, j) for i in s.index.elements
                     for j in (i, *covers[i])}
-            derive = derive_on_covers
+            middles = s.index.sweep(held)[0]
         except PoolNotClosed:
             pass  # refused below, at the first edge in order
-    if derive is None:
+    if middles is None:
         held = {(i, j): act(i, j) for i, j in s.fam.order_pairs()}
-    fam = DirectFamily(s.index, direction, carriers, held, derive, (s.fam,))
+    fam = DirectFamily(s.index, direction, carriers, held, None, (s.fam,), middles)
 
     def certify(spec, i, j):
         if i == j or (i, j) not in s.index:

@@ -3,17 +3,18 @@ order, either covariantly or contravariantly.  Transports may be supplied on
 a generating set of edges and are extended by composition, with every
 composition path checked to agree.
 
-A family given its transports on exactly the covers of a partial order
-holds those and the identities, and derives any other pair on first use
-(`derive_on_covers`); on any other index, or given off the covers, every
-pair is derived up front (`_saturate`).
+A family holds its identities and the transports it is given.  An order pair
+with no middle among them is made when the family is built, as the inverse
+of its symmetric partner; every other pair is composed through its middle
+(`DirectedIndex.sweep`) the first time it is read.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from functools import cached_property
 
-from .order import _image_positions, _members, _unordered_images
+from .order import CoverPath, _image_positions, _members, _unordered_images
 from .report import Finding, KernelError, raise_first
 from .setoid import (
     SetoidFn,
@@ -64,16 +65,20 @@ class DirectFamily:
     The family holds the transports it is given.  `derive(F, i, j)`, when
     there is one, makes the transport of a pair not held, keeps it in
     `transports` and returns it, or returns None; `transport` reads both.
-    `parents` are families whose laws imply this one's, so it is lawful
-    when they are.
+    A family given `middles`, those `DirectedIndex.sweep` finds for its
+    held pairs, composes each pair not held through its middle
+    (`_compose_through_middle`).  `parents` are families whose laws imply
+    this one's, so it is lawful when they are.
     """
 
-    def __init__(self, index, direction, carriers, transports, derive=None, parents=()):
+    def __init__(self, index, direction, carriers, transports, derive=None, parents=(),
+                 middles=None):
         self.index = index  # a DirectedIndex
         self.direction = direction
         self.carriers = carriers
         self.transports = transports  # held, keyed (i, j) with i <= j
-        self.derive = derive
+        self.middles = middles
+        self.derive = derive if middles is None else _compose_through_middle
         self.parents = parents
 
     def carrier(self, i):
@@ -131,55 +136,29 @@ def _class_inverse(fn):
     return None
 
 
-def _saturate(index, carriers, given, direction=COVARIANT):
-    """Extend transports from generating edges to all order pairs of index
-    by composition; across symmetric pairs an inverse is derived when the
-    map allows it.
-
-    Each composite goes through the first middle index in carrier order
-    whose two transports are known, read off the index's known-edge rows
-    (`DirectedIndex._derive_edges`), so which one that is does not depend
-    on the hash seed.
-    """
-    known = {(i, i): identity(carriers[i]) for i, j in index.order_pairs() if i == j}
-    for (i, j), fn in given.items():
-        if (i, j) not in index:
-            raise MissingTransport(f"edge ({i}, {j}) is not an order pair")
-        known[(i, j)] = fn
-
-    def derive(i, j, k):
-        if k is not None:
-            known[(i, j)] = compose(*oriented(direction, known[(i, k)], known[(k, j)]))
-            return True
-        if (j, i) in known and (j, i) in index:
-            inv = _class_inverse(known[(j, i)])
-            if inv is not None:
-                known[(i, j)] = inv
-                return True
-        return False
-
-    missing = index._derive_edges(known, derive)
-    if missing:
-        raise MissingTransport(f"no transport derivable for {missing[:3]}")
-    return known
-
-
-def derive_on_covers(F, i, j):
-    """The transport of i < j composed through its middle
-    (`DirectedIndex.middle`), as `_saturate` composes it, each pair on the
+def _compose_through_middle(F, i, j):
+    """The transport of i < j composed through its middle, each pair on the
     way kept in F.transports; None when a pair on the way is not held and
     has no middle."""
     held, direction = F.transports, F.direction
-    return F.index.derived(held, i, j, lambda a, b, k: compose(
+    return F.index.derived(held, F.middles, i, j, lambda a, b, k: compose(
         *oriented(direction, held[(a, k)], held[(k, b)])))
 
 
 def make_direct_family(index, direction, carriers, transports=None):
-    """The validated family.  Given exactly the covers of a partial order,
-    it holds them and the identities and derives the rest on first use
-    (`derive_on_covers`), through the middles the sweep of `_saturate`
-    takes, so every pair it reads is the one `_saturate` would make; given
-    anything else, it holds what `_saturate` makes."""
+    """The family `_held_family` builds, refused unless its laws hold."""
+    fam = _held_family(index, direction, carriers, transports)
+    raise_first(validate_direct_family(fam), FamilyError)
+    return fam
+
+
+def _held_family(index, direction, carriers, transports):
+    """The family holding the identities and the transports it is given.
+    Each order pair with no middle among those is made now, as the
+    inverse of its symmetric partner when that map is bijective up to
+    equality (`_class_inverse`), and held; a pair that cannot be made is
+    refused.  Every other pair is composed through its middle
+    (`DirectedIndex.sweep`) the first time it is read."""
     if direction not in (COVARIANT, CONTRAVARIANT):
         raise FamilyError(f"unknown direction {direction!r}")
     carriers = dict(carriers)
@@ -191,16 +170,28 @@ def make_direct_family(index, direction, carriers, transports=None):
         a, b = oriented(direction, i, j)
         if not (fn.dom.same_as(carriers[a]) and fn.cod.same_as(carriers[b])):
             raise FamilyError(f"transport for ({i}, {j}) has wrong end carriers")
-    covers = index.covers
-    if covers is not None and given.keys() == {(i, j) for i in covers for j in covers[i]}:
-        table = {(i, i): identity(carriers[i]) for i in index.elements}
-        table.update(given)
-        fam = DirectFamily(index, direction, carriers, table, derive_on_covers)
-    else:
-        fam = DirectFamily(index, direction, carriers,
-                           _saturate(index, carriers, given, direction))
-    raise_first(validate_direct_family(fam), FamilyError)
-    return fam
+    table = {(i, i): identity(carriers[i]) for i in index.elements if (i, i) in index}
+    for i, j in given:
+        if (i, j) not in index:
+            raise MissingTransport(f"edge ({i}, {j}) is not an order pair")
+    table.update(given)
+
+    def invert(i, j, middles):
+        if (j, i) not in index or ((j, i) not in table and (j, i) not in middles):
+            return False
+        # the partner, read through a family that keeps what it composes
+        # apart from table
+        partner = DirectFamily(index, direction, carriers, ChainMap({}, table),
+                               middles=middles).transport(j, i)
+        inv = _class_inverse(partner)
+        if inv is not None:
+            table[(i, j)] = inv
+        return inv is not None
+
+    middles, missing = index.sweep(table, invert)
+    if missing:
+        raise MissingTransport(f"no transport derivable for {missing[:3]}")
+    return DirectFamily(index, direction, carriers, table, middles=middles)
 
 
 def constant_direct_family(index, carrier, direction=COVARIANT):
@@ -309,33 +300,31 @@ def _direct_family_laws_hold(F):
     family is a covariant one over the opposite order, whose covers are the
     same pairs.  On any other index every chain is compared.
 
-    A family that derives on the covers (`derive_on_covers`) is read on its
-    held transports alone: the class map of a derived pair is composed
-    from those of the two pairs through its middle, in the order the sweep
-    derives them (`DirectedIndex._sweep_middles`).  Where no element has
-    two covers, every pair is one composite along the one path of covers,
-    so the composition law holds once the covers' class maps exist.
+    A family with middles is read on its held transports alone: the class
+    map of each other pair is composed from those of the two pairs through
+    its middle, in the order `DirectedIndex.sweep` derives them.  Where the
+    middles are the covers of a one-path order (`CoverPath`), every pair is
+    one composite along the one path of covers, so the composition law
+    holds once the held class maps exist.
     """
     index, els = F.index, F.index.elements
-    covers = index.covers
-    on_covers = F.derive is derive_on_covers
+    covers, middles = index.covers, F.middles
     reflexive = [(i, i) for i in els]
-    if on_covers:
-        pairs = reflexive + [(i, j) for i in els for j in covers[i]]
-    else:
+    if middles is None:
         pairs = reflexive + [(i, j) for i, j in index.order_pairs() if i != j]
+    else:
+        pairs = reflexive + [p for p in F.transports if p[0] != p[1]]
     maps = _class_maps(F, pairs)
     if maps is None:
         return False
     for i in els:
         if maps[(i, i)] != tuple(range(F.carriers[i].class_count())):
             return False
-    if on_covers:
-        if index._one_path:
-            return True
-        for (i, j), k in index._sweep_middles.items():
-            a, b = F.ends(i, j)
-            maps[(a, b)] = tuple(map(maps[(k, b)].__getitem__, maps[(a, k)]))
+    if isinstance(middles, CoverPath):
+        return True
+    for (i, j), k in () if middles is None else middles.items():
+        a, b = F.ends(i, j)
+        maps[(a, b)] = tuple(map(maps[(k, b)].__getitem__, maps[(a, k)]))
     out_of = {}
     for (b, c), bc in maps.items():
         out_of.setdefault(b, []).append((c, bc))

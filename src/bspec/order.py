@@ -88,20 +88,35 @@ class DirectedIndex:
         k, and rows[position[i]] has bit n set when i <= elements[n]."""
         return _carrier_bits(self.elements)[0], self.rows
 
-    def _derive_edges(self, known, derive):
-        """Sweep the order pairs i != j missing from `known`, in
-        `order_pairs()` order, until a sweep derives nothing; the pairs
-        still missing, in that order.
+    def sweep(self, held, make=None):
+        """(middles, missing) of a table that holds the pairs in `held`:
+        the middle each order pair i != j not held is derived through, in
+        the order they are derived, and the pairs left with none, in
+        `order_pairs()` order.
 
-        The known edges are bit rows over carrier positions, set as
-        `_order` sets them: out[i] holds k for each known edge (i, k), and
-        into[j] holds k for each known edge (k, j); a known edge that is
-        not an order pair sets no bit.  The middle of a missing (i, j) is
-        the lowest bit of out[i] & into[j] & row(i), i and j masked out:
-        the first k in carrier order with i <= k <= j and both edges known.
-        derive(i, j, k), k None when there is no middle, returns whether it
-        derived (i, j); an edge derived is known to the rest of the sweep.
+        The sweep visits the pairs not held in `order_pairs()` order, again
+        and again until a visit derives nothing.  The middle of (i, j) is
+        the first k in carrier order with i <= k <= j whose two pairs are
+        held or were derived earlier in the sweep.  make(i, j, middles),
+        when given, is asked for each pair with no middle, with the middles
+        found so far, and returns whether it made the pair; a pair made is
+        held from then on.
+
+        A table that holds the covers of a partial order and no other pair
+        i != j takes the sweep from the covers, kept on the index
+        (`_cover_middles`); there every pair has a middle.
         """
+        covers = self.covers
+        if covers is not None and {p for p in held if p[0] != p[1]} == self._cover_pairs:
+            return self._cover_middles, []
+        return self._sweep(held, make)
+
+    def _sweep(self, held, make):
+        """`sweep`, on the held pairs as bit rows over carrier positions,
+        set as `_order` sets them: out[i] holds k for each pair (i, k) held
+        or derived, and into[j] holds k for each such (k, j); a held pair
+        that is not an order pair sets no bit.  The middle of (i, j) is the
+        lowest bit of out[i] & into[j] & row(i), i and j masked out."""
         position, rows = self._order
         els = self.elements
         bits = _carrier_bits(els)[1]
@@ -111,74 +126,58 @@ class DirectedIndex:
             out[position[i]] |= bits[j]
             into[position[j]] |= bits[i]
 
-        for i, j in known:
+        for i, j in held:
             if i in position and j in position and rows[position[i]] >> position[j] & 1:
                 learn(i, j)
-        todo = [(i, j) for i, j in self.order_pairs() if i != j and (i, j) not in known]
+        middles = {}
+        todo = [(i, j) for i, j in self.order_pairs() if i != j and (i, j) not in held]
         while todo:
             left = []
             for i, j in todo:
                 at = position[i]
                 mids = out[at] & into[position[j]] & rows[at] & ~(bits[i] | bits[j])
-                k = els[(mids & -mids).bit_length() - 1] if mids else None
-                if derive(i, j, k):
+                if mids:
+                    middles[(i, j)] = els[(mids & -mids).bit_length() - 1]
+                    learn(i, j)
+                elif make is not None and make(i, j, middles):
                     learn(i, j)
                 else:
                     left.append((i, j))
             if len(left) == len(todo):
                 break
             todo = left
-        return todo
-
-    def middle(self, i, j):
-        """The k through which a pair i < j missing from a table that holds
-        the covers is derived, or None for a cover; on a partial order only.
-
-        When no element has two covers, the one path of covers from i to j
-        makes every composite along it the same, and k is the cover of i,
-        so a pair into j needs no pair but the cover and one more into j.
-        Otherwise k is the middle the sweep from the covers
-        (`_derive_edges`) derives the pair through.
-        """
-        if self._one_path:
-            k = self.covers[i][0]
-            return None if k == j else k
-        return self._sweep_middles.get((i, j))
+        return middles, todo
 
     @cached_property
-    def _one_path(self):
-        return all(len(up) <= 1 for up in self.covers.values())
-
-    @cached_property
-    def _sweep_middles(self):
-        """(i, j) -> the middle of each pair the sweep from the covers
-        derives, in the order it derives them."""
-        middles = {}
-
-        def record(i, j, k):
-            if k is not None:
-                middles[(i, j)] = k
-            return k is not None
-
+    def _cover_pairs(self):
         covers = self.covers
-        self._derive_edges({(i, j) for i in covers for j in covers[i]}, record)
-        return middles
+        return {(i, j) for i in covers for j in covers[i]}
 
-    def derived(self, held, i, j, through):
+    @cached_property
+    def _cover_middles(self):
+        """The middles of a table holding exactly the covers: where no
+        element has two covers, the cover of i (`CoverPath`), else those
+        of the sweep from the covers."""
+        if all(len(up) <= 1 for up in self.covers.values()):
+            return CoverPath(self)
+        return self._sweep(self._cover_pairs, None)[0]
+
+    def derived(self, held, middles, i, j, through):
         """held[(i, j)], or None when it cannot be derived: each order pair
         a != b missing on the way is made by through(a, b, k), once held has
-        both pairs through its middle k (`middle`), and kept in held.  The
-        pairs through k lie strictly inside a <= b, so the walk ends."""
+        both pairs through its middle k (middles.get((a, b)), as `sweep`
+        gives them), and kept in held.  The pairs through k lie strictly
+        inside a <= b, so the walk ends."""
         todo = [(i, j)]
         while todo:
             pair = todo[-1]
             if pair in held:
                 todo.pop()
                 continue
-            a, b = pair
-            k = self.middle(a, b) if a != b and pair in self else None
+            k = middles.get(pair)
             if k is None:
                 return None
+            a, b = pair
             need = [p for p in ((a, k), (k, b)) if p not in held]
             if need:
                 todo += need
@@ -232,6 +231,24 @@ class DirectedIndex:
     def __repr__(self):
         rels = sum(map(int.bit_count, self.rows))
         return f"DirectedIndex({list(self.elements)}, rels={rels})"
+
+
+class CoverPath:
+    """The middles of a table that holds the covers of a partial order where
+    no element has two covers: the middle of i < j is the cover of i, or
+    none when that is j.  The one path of covers from i to j makes every
+    composite along it the same, so a pair into j needs no pair but the
+    cover and one more into j, and no sweep is made."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def get(self, pair):
+        i, j = pair
+        if i == j or pair not in self.index:
+            return None
+        k = self.index.covers[i][0]
+        return None if k == j else k
 
 
 def _carrier_bits(els):

@@ -6,13 +6,13 @@ functions they define on the sum, and the sum topology itself)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .families import (
     COVARIANT,
     DirectFamily,
     _restrict_family,
     constant_direct_family,
-    derive_on_covers,
     oriented,
     validate_direct_family,
 )
@@ -48,13 +48,12 @@ class Spectrum:
     transport is a morphism.
 
     The spectrum holds a copy of the table it is given, which
-    `complete_witnesses` fills in on the covers.  `derive(s, i, j)`, when
-    there is one, makes the certificates of an edge not held, keeps them
-    in `witness_certs` and returns them, or returns None; over a family
-    that derives on its covers (`derive_on_covers`) it is by default
-    `lift_on_covers`.  `edge_witness` reads both.  Induced maps between
-    topologies are definitional (precompose with the transport) and are
-    computed on demand, never stored.
+    `complete_witnesses` makes.  `derive(s, i, j)` makes the certificates
+    of an edge not held, keeps them in `witness_certs` and returns them,
+    or returns None; by default it lifts them from the edge's middle
+    (`_lift_through_middle`).  `edge_witness` reads both.  Induced maps
+    between topologies are definitional (precompose with the transport)
+    and are computed on demand, never stored.
     """
 
     def __init__(self, fam, spaces, witness_certs, pool=(Fraction(0), Fraction(1)),
@@ -65,9 +64,7 @@ class Spectrum:
         self.witness_certs = dict(witness_certs)
         # constants usable in threads
         self.pool = tuple(q if type(q) is Fraction else Fraction(q) for q in pool)
-        if derive is None and fam.derive is derive_on_covers:
-            derive = lift_on_covers
-        self.derive = derive
+        self.derive = _lift_through_middle if derive is None else derive
 
     @property
     def index(self):
@@ -76,6 +73,12 @@ class Spectrum:
     @property
     def direction(self):
         return self.fam.direction
+
+    @cached_property
+    def swept(self):
+        """`DirectedIndex.sweep` of the edges held before any is derived:
+        (middles, the edges left with no middle)."""
+        return self.index.sweep(self.witness_certs)
 
     def space(self, i):
         return self.spaces[i]
@@ -89,7 +92,7 @@ class Spectrum:
         try:
             certs = self.witness_certs[(i, j)]
         except KeyError:
-            certs = None if self.derive is None else self.derive(self, i, j)
+            certs = self.derive(self, i, j)
             if certs is None:
                 raise SpectrumError(f"no edge witness for ({i}, {j})") from None
         return MorphismWitness(self.fam.transport(i, j), dict(certs))
@@ -100,66 +103,34 @@ class Spectrum:
 
 
 def complete_witnesses(fam, spaces, given=None):
-    """A new witness table, the certificates in `given` kept; `given`
+    """The witness table a spectrum over fam holds, a new dict; `given`
     itself is not changed.
 
-    Over a family that derives on its covers (`derive_on_covers`), given
-    certificates on covers only, certify_map completes each cover, and
-    every other edge is left to `lift_on_covers`, on first use.  When a
-    cover cannot be completed, or under any other family or table, every
-    edge is filled in now, as follows, so a refusal names the edge it
-    always named.
-
-    First each edge with nothing given is lifted through an intermediate
-    index, until no more can be: edge (i, j) lifts through the first k, in
-    carrier order, with i <= k <= j and both of its edges known, read off
-    the index's known-edge rows (`DirectedIndex._derive_edges`), and the
-    certificates of the edge whose transport applies second are lifted
-    along the witness of the one that applies first (`_lifted`).  A
-    certificate is lifted only when the first edge certifies every
-    generator it names.  Then certify_map constructs every certificate
-    still missing (`_filled`); a generator it cannot certify raises
-    SpectrumError.
+    An edge is held where fam holds its transport or `given` gives
+    certificates.  certify_map completes each held edge, and each edge
+    with no middle among them (`DirectedIndex.sweep`), in `order_pairs()`
+    order, keeping the certificates given; a generator it cannot certify
+    raises SpectrumError naming the edge.  Every other edge is lifted from
+    its middle the first time it is read (`_lift_through_middle`).
     """
-    given = given or {}
-    certs = {e: dict(c) for e, c in given.items()}
-
-    def fill(i, j):
-        have = certs.get((i, j), {})
-        full = _filled(fam, spaces, i, j, have)
-        if full is not have:
-            certs[(i, j)] = full
-
-    covers = fam.index.covers
-    if fam.derive is derive_on_covers and all(j in covers.get(i, ()) for i, j in certs):
-        try:
-            for i in fam.index.elements:
-                for j in covers[i]:
-                    fill(i, j)
-            return certs
-        except SpectrumError:
-            certs = {e: dict(c) for e, c in given.items()}  # refused below
-
-    def lift(i, j, k):
-        if k is None:
-            return False
-        certs[(i, j)] = _lifted(fam, spaces, certs, i, j, k)
-        return True
-
-    fam.index._derive_edges(certs, lift)
-    for i, j in fam.order_pairs():
-        if i != j:
-            fill(i, j)
+    certs = {e: dict(c) for e, c in (given or {}).items()}
+    index, middles = fam.index, fam.middles
+    for p in fam.transports:  # held, unless composed through a middle
+        if p[0] != p[1] and p not in certs and (middles is None or middles.get(p) is None):
+            certs[p] = {}
+    edges = [p for p in certs if p[0] != p[1] and p in index]
+    for i, j in sorted(edges + index.sweep(certs)[1]):
+        certs[(i, j)] = _filled(fam, spaces, i, j, certs.get((i, j), {}))
     return certs
 
 
-def lift_on_covers(s, i, j):
-    """The certificates of edge (i, j) lifted through its middle
-    (`DirectedIndex.middle`), as `complete_witnesses` lifts them, then
-    completed (`_filled`), each edge on the way kept in s.witness_certs;
-    None when an edge on the way is not held and has no middle."""
+def _lift_through_middle(s, i, j):
+    """The certificates of edge (i, j) lifted through its middle (`swept`),
+    then completed (`_filled`), each edge on the way kept in
+    s.witness_certs; None when an edge on the way is not held and has no
+    middle."""
     certs = s.witness_certs
-    return s.index.derived(certs, i, j, lambda a, b, k: _filled(
+    return s.index.derived(certs, s.swept[0], i, j, lambda a, b, k: _filled(
         s.fam, s.spaces, a, b, _lifted(s.fam, s.spaces, certs, a, b, k)))
 
 
@@ -223,10 +194,10 @@ def validate_spectrum(s):
     The lift argument: a certificate lifted along a valid witness is valid,
     since each generator leaf becomes one of that witness's valid
     certificates and every other rule is carried through.  When the
-    spectrum lifts its other edges from the covers it holds
-    (`_lifts_from_covers`), each edge it does not hold is such a lift (and
-    certify_map validates what it completes), so only the edges it holds
-    are checked.  When one of them fails, every edge is checked, so the
+    spectrum lifts each edge it does not hold from its middle
+    (`_lifts_the_rest`), each such edge is such a lift (and certify_map
+    validates what it completes), so only the edges it holds are
+    checked.  When one of them fails, every edge is checked, so the
     findings are the full pass's.
 
     A composite witness lifts the certificates of one valid edge witness
@@ -247,7 +218,7 @@ def validate_spectrum(s):
             findings.append(Finding("space-carrier", (i,)))
     if findings:
         return findings
-    lifted = _lifts_from_covers(s)
+    lifted = _lifts_the_rest(s)
     if lifted:  # the held edges, in `order_pairs()` order
         findings = _edge_findings(s, sorted(
             [p for p in s.witness_certs if p[0] != p[1] and p in s.index]))
@@ -267,12 +238,11 @@ def validate_spectrum(s):
     return findings
 
 
-def _lifts_from_covers(s):
-    """Whether s holds every cover of its partial order and lifts the
-    other edges from them (`lift_on_covers`)."""
-    covers = s.index.covers
-    return s.derive is lift_on_covers and covers is not None and all(
-        (i, j) in s.witness_certs for i in covers for j in covers[i])
+def _lifts_the_rest(s):
+    """Whether s lifts each edge it does not hold from its middle
+    (`_lift_through_middle`), every such edge having one.  On a partial
+    order it then holds every cover, since a cover has no middle."""
+    return s.derive is _lift_through_middle and not s.swept[1]
 
 
 def _edge_findings(s, edges):
@@ -306,8 +276,9 @@ def _cover_composites_hold(s):
     findings.
 
     Every edge witness has already validated.  On a spectrum that lifts
-    from its covers (`_lifts_from_covers`) the composites built are those
-    of i < j < k with j covering i and k covering j, both edges held;
+    the edges it does not hold (`_lifts_the_rest`) the composites built
+    are those of i < j < k with j covering i and k covering j, both edges
+    held;
     every other composite lifts valid certificates along a valid witness,
     the argument by which the edge law skips the edges the spectrum
     derives, so it is valid.  The covers are the index's, so the
@@ -321,7 +292,7 @@ def _cover_composites_hold(s):
     if covers is None:
         return False
     els = s.index.elements
-    if _lifts_from_covers(s) and not any(
+    if _lifts_the_rest(s) and not any(
             _composite_findings(s, i, j, k)
             for i in els for j in covers[i] for k in covers[j]):
         return True

@@ -1,13 +1,13 @@
 """Plain families: carriers indexed by a setoid, with transports along
 equal indices.  The kernel works only with direct families; these are kept
-for the tests of the set-indexed disjoint union and of `_saturate` over an
-index equality."""
+for the tests of the set-indexed disjoint union and of a direct family's
+transports, inverses included, read over an index equality."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from bspec.families import FamilyError, _saturate
+from bspec.families import COVARIANT, FamilyError, _held_family
 from bspec.report import Finding
 from bspec.setoid import Setoid, check_extensional, compose, fn_equal, identity
 
@@ -48,8 +48,9 @@ def make_family(index, carriers, transports=None):
         for j in index.elements
         if index.eq(i, j)
     )
-    table = _saturate(index_of_pairs(index, pairs), carriers,
-                      dict(transports or {}))
+    held = _held_family(index_of_pairs(index, pairs), COVARIANT, carriers,
+                        dict(transports or {}))
+    table = {p: held.transport(*p) for p in pairs}
     fam = Family(index, carriers, table)
     findings = validate_family(fam)
     if findings:

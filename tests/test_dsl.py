@@ -1,10 +1,12 @@
+import sys
 from pathlib import Path
 
 import pytest
 
-from bspec import runner
+from bspec import dsl, runner
 from bspec.dsl import (
     SEXPR_DEPTH,
+    DslError,
     SyntaxErrorDsl,
     TypeMismatch,
     UnresolvedReference,
@@ -584,3 +586,19 @@ def test_an_empty_list_item_is_refused_at_its_line_and_column(text, line, col, m
         elaborate(parse(text))
     assert (err.value.line, err.value.col, str(err.value)) == (
         line, col, f"{line}:{col}: {message}")
+
+
+def test_a_recursion_error_while_elaborating_is_refused_at_its_block(monkeypatch):
+    # the guard in dsl._at: a builder that recurses past the interpreter's
+    # limit is refused at the block it builds, naming that limit.  Nothing
+    # is lifted while elaborating, so the error is injected.
+    def recurse(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(dsl, "complete_witnesses", recurse)
+    text = (Path(__file__).resolve().parent / "documents" / "partial-witnesses.bsp").read_text()
+    line = text.splitlines().index("spectrum PARTIAL {") + 1
+    with pytest.raises(DslError) as err:
+        elaborate(parse(text))
+    assert str(err.value) == (f"{line}:0: recursion deeper than "
+                              f"sys.getrecursionlimit() = {sys.getrecursionlimit()}")

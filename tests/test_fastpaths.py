@@ -18,13 +18,14 @@ from bspec.families import (
     direct_sum_equality,
     direct_sum_equality_exhaustive,
     direct_sum_setoid,
+    make_direct_family,
     sum_elements,
 )
 from bspec.limits import direct_limit, inverse_limit
 from bspec.order import NotDirected, _members, chain, top_element
 from bspec.report import Report
 from bspec.setoid import SetoidFn, discrete, make_setoid, setoid_by_key
-from bspec.spectra import complete_witnesses
+from bspec.spectra import Spectrum, complete_witnesses
 from bspec.topology import CAdd, CConst, CGen, RFun, map_setoid, space
 
 from oracles import (
@@ -303,36 +304,65 @@ def _two_phases(fam, spaces, given):
     return autofill_witnesses(fam, spaces, complete_witnesses_scan(fam, spaces, given))
 
 
+def _generated(rng, fam):
+    """fam rebuilt from its transports on the covers, when it has covers,
+    and on random other order pairs; the full table when those do not
+    generate every pair."""
+    covers = fam.index.covers
+    pairs = [p for p in fam.order_pairs() if p[0] != p[1] and (
+        (covers is not None and p[1] in covers[p[0]]) or rng.random() < 0.4)]
+    got = outcome(make_direct_family, fam.index, fam.direction, fam.carriers,
+                  {p: fam.transport(*p) for p in pairs})
+    if got[0] == "value":
+        return got[1]
+    return make_direct_family(fam.index, fam.direction, fam.carriers, fam.transports)
+
+
+def _read_in_full(s):
+    return {p: s.edge_witness(*p).certs for p in s.fam.order_pairs() if p[0] != p[1]}
+
+
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(seeds, st.sampled_from([COVARIANT, CONTRAVARIANT]),
        st.sampled_from(["edges absent", "generators absent", "complete"]),
        st.integers(min_value=1, max_value=40))
 def test_complete_witnesses_matches_the_rescan(seed, direction, kind, length):
-    # a certificate naming a generator the lower edge does not certify is
-    # left to certify_map, so a valid spectrum always completes
+    # the table holds the edges the family holds and those given, each
+    # completed; every other edge, read, is lifted from its middle and
+    # completed, as the lifting scan and certify_map make it from the held
+    # table.  A certificate naming a generator the lower edge does not
+    # certify is left to certify_map, so a valid spectrum always completes
     rng = random.Random(seed)
     index = chain(length) if rng.random() < 0.5 else random_directed_index(rng)
     s = random_spectrum(rng, index, direction)
+    fam = _generated(rng, s.fam)
+    family_held = {p for p in fam.transports if p[0] != p[1]}
     supplied = _supplied(rng, s, kind)
     before = {e: dict(c) for e, c in supplied.items()}
-    got = outcome(complete_witnesses, s.fam, s.spaces, supplied)
+    got = outcome(complete_witnesses, fam, s.spaces, supplied)
     assert supplied == before
     assert got[0] == "value"
-    assert got == outcome(_two_phases, s.fam, s.spaces, supplied)
+    held = got[1]
+    assert set(held) == family_held | set(supplied)
+    assert all(held[e][m] == c for e, certs in supplied.items() for m, c in certs.items())
+    spec = Spectrum(fam, s.spaces, held, s.pool)
+    assert _read_in_full(spec) == _two_phases(fam, s.spaces, held)
     if kind == "complete":
-        assert got == ("value", supplied)
+        assert held == supplied
 
 
 def _chain_over(carrier, direction):
     """0 <= 1 <= 2 over `carrier`, a hand-built setoid whose elements are
     these three names, one of them possibly twice, with identity
-    transports and one two-point space at every element."""
+    transports held on the identities and the two covers, and one
+    two-point space at every element."""
     names = ("0", "1", "2")
     index = index_of_pairs(carrier, [(a, b) for m, a in enumerate(names) for b in names[m:]])
     X = discrete(["p", "q"])
-    fam = DirectFamily(index, direction, dict.fromkeys(names, X),
-                       {p: SetoidFn(X, X, {"p": "p", "q": "q"})
-                        for p in index.order_pairs()})
+    table = {p: SetoidFn(X, X, {"p": "p", "q": "q"})
+             for p in (*((n, n) for n in names), ("0", "1"), ("1", "2"))}
+    fam = DirectFamily(index, direction, dict.fromkeys(names, X), table,
+                       middles=index.sweep(table)[0])
     sp = space(X, [RFun(X, {"p": 0, "q": 1})], ["g"])
     return fam, dict.fromkeys(names, sp)
 
@@ -350,18 +380,23 @@ def test_complete_witnesses_on_an_element_named_twice(els, direction):
     fam, spaces = _chain_over(carrier, direction)
     given = {("0", "1"): _labelled(1), ("1", "2"): _labelled(2)}
     got = complete_witnesses(fam, spaces, given)
-    assert got == _two_phases(fam, spaces, given)
-    assert got[("0", "2")] != {0: CGen(0)}  # lifted through 1, not certified
+    assert got == given
+    s = Spectrum(fam, spaces, got)
+    assert _read_in_full(s) == _two_phases(fam, spaces, got)
+    assert s.witness_certs[("0", "2")] != {0: CGen(0)}  # lifted through 1, not certified
 
 
 @pytest.mark.parametrize("direction", [COVARIANT, CONTRAVARIANT])
 @pytest.mark.parametrize("stray", [("1", "0"), ("2", "1"), ("0", "9")])
 def test_a_witness_on_a_non_order_pair_is_never_a_middle(stray, direction):
-    # (1, 0) with (0, 2) known would lift (1, 2) through 0, and (2, 1) with
-    # (0, 2) would lift (0, 1) through 2, were they order pairs
+    # (1, 0) with (0, 2) held would derive (1, 2) through 0, and (2, 1)
+    # with (0, 2) would derive (0, 1) through 2, were they order pairs
     fam, spaces = _chain_over(discrete(["0", "1", "2"]), direction)
     given = {stray: _labelled(7), ("0", "2"): _labelled(2)}
+    assert fam.index.sweep(given) == ({}, [("0", "1"), ("1", "2")])
     got = complete_witnesses(fam, spaces, given)
-    assert got == _two_phases(fam, spaces, given)
     assert got[stray] == _labelled(7)
     assert got[("0", "1")] == got[("1", "2")] == {0: CGen(0)}
+    want = _two_phases(fam, spaces, got)
+    assert want.pop(stray) == _labelled(7)
+    assert _read_in_full(Spectrum(fam, spaces, got)) == want

@@ -19,7 +19,7 @@ from bspec.families import (
     CONTRAVARIANT,
     COVARIANT,
     _direct_family_laws_hold,
-    _saturate,
+    _held_family,
     _validate_direct_family_scan,
     validate_direct_family,
 )
@@ -202,16 +202,23 @@ def _tables(known):
             for p, fn in known.items()]
 
 
+def _saturated(index, carriers, given, direction=COVARIANT):
+    """Every order pair of the family held from `given`, read: composed
+    through its middle on first read, or made as an inverse when built."""
+    fam = _held_family(index, direction, carriers, given)
+    return {p: fam.transport(*p) for p in index.order_pairs()}
+
+
 @FAST
 @given(seeds, directions, st.booleans())
 def test_saturate_matches_rescan(seed, direction, fault):
     rng = random.Random(seed)
     fam = random_direct_family(rng, random_directed_index(rng, 6), direction)
     given = _generating_edges(rng, fam, fault)
-    got = outcome(_saturate, fam.index, fam.carriers, given, direction)
+    got = outcome(_saturated, fam.index, fam.carriers, given, direction)
     want = outcome(saturate_rescan, fam.index, fam.carriers, given, direction)
     if got[0] == "value" and want[0] == "value":
-        assert _tables(got[1]) == _tables(want[1])
+        assert sorted(_tables(got[1])) == sorted(_tables(want[1]))
     else:
         assert got == want
 
@@ -221,10 +228,26 @@ def test_saturate_derives_inverses_across_cycles():
     X = make_setoid(["p", "q"])
     swap = SetoidFn(X, X, {"p": "q", "q": "p"})
     given = {("a", "b"): swap}
-    got = _saturate(index, {"a": X, "b": X}, given)
+    fam = _held_family(index, COVARIANT, {"a": X, "b": X}, given)
+    assert set(fam.transports) == {("a", "a"), ("a", "b"), ("b", "b"), ("b", "a")}
+    got = _saturated(index, {"a": X, "b": X}, given)
     want = saturate_rescan(index, {"a": X, "b": X}, given)
-    assert _tables(got) == _tables(want)
+    assert sorted(_tables(got)) == sorted(_tables(want))
     assert got[("b", "a")].mapping == {"p": "q", "q": "p"}
+
+
+def test_the_cycle_document_holds_its_maps_back_as_inverses():
+    # b -> a and c -> a have no middle when the sweep reaches them, so each
+    # is made when the family is built, inverting the map the other way (a
+    # -> c composed through b); a -> c and c -> b are composed on first read
+    text = (ROOT / "tests" / "documents" / "cycle-inverses.bsp").read_text(encoding="utf-8")
+    fam = elaborate(parse(text)).families["SWAPS"]
+    assert sorted(p for p in fam.transports if p[0] != p[1]) == [
+        ("a", "b"), ("b", "a"), ("b", "c"), ("c", "a")]
+    assert fam.middles == {("a", "c"): "b", ("c", "b"): "a"}
+    assert fam.transport("b", "a").mapping == {"p": "q", "q": "p"}
+    assert fam.transport("c", "a").mapping == {"p": "q", "q": "p"}
+    assert fam.transport("c", "b").mapping == {"p": "p", "q": "q"}
 
 
 def test_a_derived_transport_does_not_depend_on_the_hash_seed():

@@ -1,14 +1,16 @@
-"""Families and spectra given on the covers of a partial order hold what
-they are given and derive every other pair on first use.
+"""Families and spectra hold what they are given and derive every other
+pair through its middle on first use.
 
-A full read of what they derive is compared with the sweeps that made
-every pair up front (`saturate_rescan` and `complete_witnesses_scan` in
-oracles.py), on seeded indices whose covers are given tables that make the
-paths differ: cover maps that pick other members of the same class, and
-cover certificates wrapped a random number of times.  The counts of what
-the cover-only chain document holds are pinned, and the lawfulness a
-product, a cofinal restriction or a morphism-space spectrum inherits is
-compared with the laws decided on the family built in full.  A product
+A full read of what they derive, given on the covers of a partial order,
+is compared with the sweeps that made every pair up front
+(`saturate_rescan` and `complete_witnesses_scan` in oracles.py), on seeded
+indices whose covers are given tables that make the paths differ: cover
+maps that pick other members of the same class, and cover certificates
+wrapped a random number of times.  Tables given off the covers, on
+preorders too, are compared in test_keyed.py and test_fastpaths.py.  The
+counts of what the cover-only chain document holds are pinned, and the
+lawfulness a product, a cofinal restriction or a morphism-space spectrum
+inherits is compared with the laws decided on the family built in full.  A product
 and a morphism-space spectrum of the cover-only chain(24) spectra, once
 checked, are pinned to hold the pairs into the top and the covers, and no
 certificate, and the cover-only chain(200) spectrum, once its laws are
@@ -29,8 +31,8 @@ from bspec.families import (
     COVARIANT,
     DirectFamily,
     _direct_family_laws_hold,
+    _held_family,
     _validate_direct_family_scan,
-    derive_on_covers,
     make_direct_family,
     restrict_family,
 )
@@ -41,8 +43,8 @@ from bspec.runner import CHECKS, RunConfig, resolve_check
 from bspec.setoid import discrete, make_fn, make_setoid
 from bspec.spectra import (
     Spectrum,
+    _lift_through_middle,
     complete_witnesses,
-    lift_on_covers,
     product_spectrum,
     validate_spectrum,
 )
@@ -87,7 +89,7 @@ def _on_covers(rng, kind, direction):
     eager = random_direct_family(rng, index, direction)
     given = {p: _other_member(rng, eager.transport(*p)) for p in _cover_pairs(index)}
     fam = make_direct_family(index, direction, eager.carriers, given)
-    assert fam.derive is derive_on_covers
+    assert fam.middles is not None
     return fam, given
 
 
@@ -120,7 +122,8 @@ def test_the_laws_on_the_covers_are_the_triple_scan(seed, kind, direction):
         given[p] = raw_map(rng, given[p].dom, given[p].cod)
     held = {(i, i): fam.transport(i, i) for i in fam.index.elements}
     held.update(given)
-    lazy = DirectFamily(fam.index, direction, fam.carriers, held, derive_on_covers)
+    lazy = DirectFamily(fam.index, direction, fam.carriers, held,
+                        middles=fam.index.sweep(held)[0])
     eager = DirectFamily(fam.index, direction, fam.carriers,
                          saturate_rescan(fam.index, fam.carriers, given, direction))
     assert _direct_family_laws_hold(lazy) == direct_family_laws_hold_triples(eager)
@@ -152,7 +155,7 @@ def test_witnesses_read_in_full_are_the_scans(seed, kind, direction):
             given[p] = certs
     held = complete_witnesses(fam, full.spaces, given)
     s = Spectrum(fam, full.spaces, held, full.pool)
-    assert s.derive is lift_on_covers
+    assert s.derive is _lift_through_middle
     assert set(held) <= set(_cover_pairs(fam.index))
     edges = [p for p in fam.order_pairs() if p[0] != p[1]]
     want = autofill_witnesses(fam, s.spaces, complete_witnesses_scan(fam, s.spaces, held))

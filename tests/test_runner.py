@@ -489,19 +489,20 @@ def test_the_default_suite_checks_sum_equality_only_on_covariant_spectra():
 
 
 def _deep_witness_chain(n, depth=240):
-    """A covariant spectrum over chain(n) with identity maps on the covers
-    and one more, 0 -> 2, off them, and on each cover a witness
-    (bic id ...) around (gen f), nested `depth` deep."""
+    """A covariant spectrum over chain(n) whose top two elements are each
+    <= the other, with identity maps on the covers and one more, n-1 ->
+    n-2, and on each cover a witness (bic id ...) around (gen f), nested
+    `depth` deep."""
     expr = "(bic id " * (depth - 1) + "(gen f)" + ")" * (depth - 1)
     lines = ["setoid X2 {", "  elements: p, q", "}",
              "directed C {", "  elements: " + ", ".join(map(str, range(n))),
-             "  order: " + ", ".join(f"{k} <= {k + 1}" for k in range(n - 1)),
-             "  closure: auto", "}",
+             "  order: " + ", ".join(f"{k} <= {k + 1}" for k in range(n - 1))
+             + f", {n - 1} <= {n - 2}", "}",
              "subbase S2 {", "  carrier: X2", "  gen f: p => 0, q => 1", "}",
              "family F {", "  index: C", "  direction: covariant"]
     lines += [f"  carrier {k}: X2" for k in range(n)]
     lines += [f"  map {k} -> {k + 1}: p => p, q => q" for k in range(n - 1)]
-    lines += ["  map 0 -> 2: p => p, q => q", "}", "spectrum S {", "  family: F"]
+    lines += [f"  map {n - 1} -> {n - 2}: p => p, q => q", "}", "spectrum S {", "  family: F"]
     lines += [f"  space {k}: S2" for k in range(n)]
     lines += [f"  witness {k} -> {k + 1} f: {expr}" for k in range(n - 1)]
     lines += ["}", "suite main {", "  check: spectrum S", "}"]
@@ -509,9 +510,9 @@ def _deep_witness_chain(n, depth=240):
 
 
 def test_a_check_that_recurses_past_the_limit_reports_its_own_error():
-    # on chain(8) the document elaborates, but the composite witnesses the
-    # spectrum check validates are lifted from composites, nested past the
-    # interpreter's limit (they need about 1,700 frames; a chain of 14 is
-    # refused at elaboration, tests/hostile/deep-lifted-witnesses.bsp)
+    # the document elaborates, as nothing is lifted while elaborating; but
+    # the index is a preorder, so the composite law scans every triple, and
+    # the witnesses it reads are lifted from composites nested past the
+    # interpreter's limit
     error = f"error (recursion deeper than sys.getrecursionlimit() = {sys.getrecursionlimit()})"
     assert _checks(_deep_witness_chain(8)) == [("spectrum.run", "fail", [error])]

@@ -2,7 +2,8 @@
 names, against an explicit list of why each one stays.
 
 A name counts as used when any other top-level statement of any module
-under `src/bspec` names it (a call, an attribute, an import).  The
+under `src/bspec` reads it (a name loaded, an attribute, an import); a
+parameter or local of the same name, and what reads it, do not count.  The
 re-exports in `bspec/__init__.py` do not count, so public API with no
 caller of its own shows up here and has to be listed as such.  A new
 definition with no caller, or a listed one that gains a caller or goes,
@@ -38,23 +39,53 @@ KEPT = {
 }
 
 
+class _Reads(ast.NodeVisitor):
+    """The names a statement reads: each name loaded, unless a function
+    around it holds a parameter or a local of that name, each attribute
+    and each imported name.  A name stored or bound is no use of the
+    definition it shadows."""
+
+    def __init__(self):
+        self.names, self.scopes = [], []
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and not any(node.id in s for s in self.scopes):
+            self.names.append(node.id)
+
+    def visit_Attribute(self, node):
+        self.names.append(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self.names.append(node.name)
+
+    def _function(self, node):
+        a = node.args
+        own = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
+        own |= {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        self.scopes.append(own)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _function
+
+
 def _names(node):
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name
+    reads = _Reads()
+    reads.visit(node)
+    return reads.names
 
 
-def unreferenced_definitions():
-    """`module.name` of each top-level function or class under `src/bspec`
+def unreferenced_definitions(sources=None):
+    """`module.name` of each top-level function or class in `sources`
+    (module -> source text; by default the modules under `src/bspec`)
     that no other top-level statement there names."""
+    if sources is None:
+        sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     defined, named = [], {}
-    for path in sorted(SRC.glob("*.py")):
-        module = path.stem
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
             owner = getattr(node, "name", None)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((module, node.name))
@@ -84,3 +115,15 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from bspec import *", namespace)
     assert set(bspec.__all__) <= namespace.keys()
+
+
+def test_a_parameter_or_local_named_like_a_dead_definition_does_not_hide_it():
+    sources = {
+        "kernel": "def scale(q):\n    return q\n\n"
+                  "def used(x):\n    return x\n\n"
+                  "def factor(f, scale):\n    return used(f) * scale\n\n"
+                  "def shift(x):\n    scale = x + 1\n    return scale\n",
+        "caller": "from kernel import factor, shift\n\n"
+                  "def run():\n    return factor(1, 2) + shift(3)\n",
+    }
+    assert unreferenced_definitions(sources) == ["caller.run", "kernel.scale"]

@@ -5,11 +5,12 @@ differential test against the two phases it replaced is in
 `test_fastpaths.py`."""
 
 from fractions import Fraction
+from pathlib import Path
 
 from bspec.dsl import elaborate, parse
 from bspec.families import CONTRAVARIANT, COVARIANT
-from bspec.spectra import Spectrum, complete_witnesses, make_spectrum
-from bspec.topology import BID, CBic, CGen, bconst, bmul
+from bspec.spectra import Spectrum, complete_witnesses, make_spectrum, validate_spectrum
+from bspec.topology import BID, Bic, CBic, CGen, bconst, bmul, check_morphism
 
 from structures import cspec
 
@@ -88,3 +89,35 @@ def test_make_spectrum_and_the_language_complete_alike():
         made = make_spectrum(s.fam, s.spaces, _covers_of(s), s.pool)
         assert made.witness_certs == s.witness_certs
         assert s.edge_witness("0", "2").certs == {0: CBic(ONE, CBic(ONE, CGen(0)))}
+
+
+PARTIAL = Path(__file__).resolve().parent / "documents" / "partial-witnesses.bsp"
+
+
+def test_the_lifted_composite_of_partial_witnesses_is_a_morphism():
+    # the two covers certify different generators, and no check reads the
+    # composite 0 -> 2; read here, its lift from the completed covers is a
+    # valid witness
+    s = elaborate(parse(PARTIAL.read_text(encoding="utf-8"))).spectra["PARTIAL"]
+    assert set(s.witness_certs) == set(COVERS)
+    w = s.edge_witness("0", "2")
+    assert ("0", "2") in s.witness_certs
+    assert check_morphism(s.space("0"), s.space("2"), w) == []
+
+
+OFF_COVER = Path(__file__).resolve().parent / "documents" / "off-cover-tables.bsp"
+
+
+def test_a_witness_off_the_covers_is_held_and_checked():
+    # the spectrum holds the edges whose maps the family holds, 0 -> 2
+    # among them, and the given 1 -> 3, kept as given and not lifted
+    text = OFF_COVER.read_text(encoding="utf-8")
+    s = elaborate(parse(text)).spectra["S"]
+    assert sorted(s.witness_certs) == [("0", "1"), ("0", "2"), ("1", "2"), ("1", "3"), ("2", "3")]
+    assert s.witness_certs[("1", "3")] == {0: CBic(Bic("id"), CGen(0))}
+    assert validate_spectrum(s) == []
+    # spoiled, it is found, and so is 0 -> 3, lifted through 1 from it
+    spoiled = text.replace("witness 1 -> 3 g: (bic id (gen h))", "witness 1 -> 3 g: (bic id (gen k))")
+    s = elaborate(parse(spoiled)).spectra["S"]
+    assert [(f.law, f.witness[:2]) for f in validate_spectrum(s)] == [
+        ("edge-witness-certificate", ("0", "3")), ("edge-witness-certificate", ("1", "3"))]
